@@ -1,8 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
 
    Usage:
-     main.exe [table1|fig2|fig3|fig4|fig5|fig6|all|faults|speedup|vmspeed|
-               chaos|throughput|scale|bandwidth|micro]
+     main.exe [table1|fig2|fig3|fig4|fig5|fig6|all|faults|speedup|chaos|
+               throughput|scale|bandwidth|micro]
               [--scale PCT] [--full] [--out FILE] [--baseline FILE]
 
    --scale chooses the problem size as a percentage of the paper's
@@ -24,7 +24,7 @@ let compile_app (app : Apps.Scripts.app) scale = Otter.compile (app.source scale
 let run_outcome cfg c = Otter.outcome_exn (Otter.run cfg c)
 
 let time_of cfg c =
-  (run_outcome cfg c).Exec.Vm.report.Mpisim.Sim.makespan
+  (run_outcome cfg c).Exec.State.report.Mpisim.Sim.makespan
 
 let interp_time ~machine compiled =
   time_of (Otter.config ~engine:Otter.Config.Einterp ~machine ~nprocs:1 ()) compiled
@@ -185,8 +185,8 @@ let ablation () =
     !n
   in
   let run (c : Otter.compiled) =
-    (Exec.Vm.run ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:8 c.Otter.prog)
-      .Exec.Vm.report
+    let cfg = Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:8 () in
+    (run_outcome cfg c).Exec.State.report
   in
   let r_raw = run c_raw and r_opt = run c_opt in
   Printf.printf "  instructions        : %4d -> %4d\n"
@@ -229,8 +229,8 @@ let ablation () =
               c
           in
           Printf.printf "  %-18s %10d %12.4f s %10d\n" pname
-            o.Exec.Vm.lib_calls o.Exec.Vm.report.Mpisim.Sim.makespan
-            o.Exec.Vm.report.Mpisim.Sim.messages)
+            o.Exec.State.lib_calls o.Exec.State.report.Mpisim.Sim.makespan
+            o.Exec.State.report.Mpisim.Sim.messages)
         pipelines)
     [
       ("Conjugate Gradient (n=64, 5 iters)", Apps.Scripts.cg ~n:64 ~iters:5 ());
@@ -433,10 +433,10 @@ let faults_bench scale =
               (Otter.config ~capture:app.capture ~machine:fm ~nprocs ())
               c
           in
-          let r = faulted.Exec.Vm.report and r0 = clean.Exec.Vm.report in
+          let r = faulted.Exec.State.report and r0 = clean.Exec.State.report in
           let exact =
-            clean.Exec.Vm.captures = faulted.Exec.Vm.captures
-            && clean.Exec.Vm.output = faulted.Exec.Vm.output
+            clean.Exec.State.captures = faulted.Exec.State.captures
+            && clean.Exec.State.output = faulted.Exec.State.output
           in
           Printf.printf "%-10s %-10s %9.4f %9.4f %6.1f%% %6d %6d %7d %6s\n"
             app.key label r0.Mpisim.Sim.makespan r.Mpisim.Sim.makespan
@@ -496,7 +496,7 @@ let speedup_entries scale : speedup_entry list =
                   if p <= m.max_procs then begin
                     let r =
                       (run_outcome (Otter.config ~machine:m ~nprocs:p ()) c)
-                        .Exec.Vm.report
+                        .Exec.State.report
                     in
                     if p = 1 then t1 := r.Mpisim.Sim.makespan;
                     entries :=
@@ -699,305 +699,6 @@ let speedup_bench scale out baseline =
         exit 1
       end
 
-(* --- vmspeed benchmark: BENCH_vmspeed.json ------------------------------ *)
-
-(* Decoded-execution throughput of the two engines.
-
-   Part 1 runs four dispatch-bound scalar kernels — each distilled from
-   one application's sequential core, where per-statement engine
-   overhead (not matrix arithmetic or communication) dominates — under
-   both engines at P=4 on the meiko model, O1 and O2.  Throughput is
-   instructions executed per second of host wall clock, each engine
-   counted in its own execution unit (State.dispatched): the ir walker
-   executes IR instructions; tcode executes decoded ops plus scalar-
-   program steps, the units its decode listing prints.  The ratio of
-   the two throughputs is the headline number; wall-time per run is
-   also recorded so nothing hides in the unit change.
-
-   Part 2 times the four real applications end to end under both
-   engines (host wall clock, O1 and O2) — there matrix kernels and the
-   simulator dominate and both engines share them, so the gap is
-   smaller by design.
-
-   The committed baseline gates on the throughput *ratio* (tcode vs ir
-   on the same host, so machine speed cancels): a run fails if any
-   kernel ratio drops below 10x or regresses more than 10% against the
-   baseline. *)
-type vmspeed_kernel = { vk_name : string; vk_src : string }
-
-let vmspeed_kernels =
-  [
-    {
-      vk_name = "cg-core";
-      vk_src =
-        "rho = 1.0;\nalpha = 0.0;\nbeta = 0.0;\nfor i = 1:100000\n\
-        \  alpha = rho / (2.3 + i);\n\
-        \  beta = alpha * rho + 0.5;\n\
-        \  rho = rho + beta * 0.001 - alpha;\n\
-         end\ndisp(rho)\n";
-    }
-    ;
-    {
-      vk_name = "ocean-core";
-      vk_src =
-        "t = 0.0;\nf = 0.0;\nk = 0;\nwhile k < 100000\n\
-        \  k = k + 1;\n\
-        \  t = t + 0.01;\n\
-        \  if mod(k, 3) == 0\n\
-        \    f = f + sin(t);\n\
-        \  else\n\
-        \    f = f - 0.25 * cos(t);\n\
-        \  end\n\
-         end\ndisp(f)\n";
-    }
-    ;
-    {
-      vk_name = "nbody-core";
-      vk_src =
-        "ax = 0.0;\nfor s = 1:500\n\
-        \  for j = 1:200\n\
-        \    d = j * 0.5 + s;\n\
-        \    ax = ax + 1.0 / (d * d + 0.05);\n\
-        \  end\n\
-         end\ndisp(ax)\n";
-    }
-    ;
-    {
-      vk_name = "tc-core";
-      vk_src =
-        "reach = 0;\nfor i = 1:100000\n\
-        \  e = mod(i * 7, 11);\n\
-        \  reach = reach + (e > 4 & e < 9);\n\
-         end\ndisp(reach)\n";
-    }
-    ;
-  ]
-
-let vmspeed_procs = 4
-let vmspeed_machine = Mpisim.Machine.meiko_cs2
-let vmspeed_opts = [ ("O1", Spmd.Pass.O1); ("O2", Spmd.Pass.O2) ]
-
-(* One timed measurement: instructions dispatched and host seconds for
-   [reps] runs of [c] under [engine], after one untimed warm-up run. *)
-let vmspeed_measure ~engine ~reps (c : Otter.compiled) =
-  let cfg =
-    Otter.config ~engine ~machine:vmspeed_machine ~nprocs:vmspeed_procs ()
-  in
-  ignore (run_outcome cfg c);
-  Exec.State.dispatched := 0;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (run_outcome cfg c)
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  (!Exec.State.dispatched, dt /. float_of_int reps)
-
-type vmspeed_entry = {
-  ve_kernel : string;
-  ve_opt : string;
-  ve_ir_minst : float; (* IR instructions / s, millions *)
-  ve_tc_minst : float; (* decoded instructions / s, millions *)
-  ve_ratio : float;
-  ve_ir_ms : float; (* host wall clock per run, milliseconds *)
-  ve_tc_ms : float;
-}
-
-type vmspeed_app_entry = {
-  va_app : string;
-  va_opt : string;
-  va_ir_ms : float;
-  va_tc_ms : float;
-}
-
-let vmspeed_entries () =
-  List.concat_map
-    (fun k ->
-      List.map
-        (fun (oname, opt) ->
-          let c = Otter.compile ~opt k.vk_src in
-          let reps = 3 in
-          let ir_n, ir_t = vmspeed_measure ~engine:Otter.Config.Eir ~reps c in
-          let tc_n, tc_t =
-            vmspeed_measure ~engine:Otter.Config.Etcode ~reps c
-          in
-          let ir_minst =
-            float_of_int ir_n /. float_of_int reps /. ir_t /. 1e6
-          in
-          let tc_minst =
-            float_of_int tc_n /. float_of_int reps /. tc_t /. 1e6
-          in
-          {
-            ve_kernel = k.vk_name;
-            ve_opt = oname;
-            ve_ir_minst = ir_minst;
-            ve_tc_minst = tc_minst;
-            ve_ratio = tc_minst /. ir_minst;
-            ve_ir_ms = ir_t *. 1e3;
-            ve_tc_ms = tc_t *. 1e3;
-          })
-        vmspeed_opts)
-    vmspeed_kernels
-
-let vmspeed_app_entries scale =
-  List.concat_map
-    (fun (app : Apps.Scripts.app) ->
-      List.map
-        (fun (oname, opt) ->
-          let c = Otter.compile ~opt (app.source scale) in
-          let reps = 3 in
-          let _, ir_t = vmspeed_measure ~engine:Otter.Config.Eir ~reps c in
-          let _, tc_t = vmspeed_measure ~engine:Otter.Config.Etcode ~reps c in
-          {
-            va_app = app.key;
-            va_opt = oname;
-            va_ir_ms = ir_t *. 1e3;
-            va_tc_ms = tc_t *. 1e3;
-          })
-        vmspeed_opts)
-    Apps.Scripts.apps
-
-let vmspeed_entry_line e =
-  Printf.sprintf
-    "{\"kernel\": %S, \"opt\": %S, \"ir_minst\": %.3f, \"tc_minst\": %.3f, \
-     \"ratio\": %.3f, \"ir_ms\": %.4f, \"tc_ms\": %.4f}"
-    e.ve_kernel e.ve_opt e.ve_ir_minst e.ve_tc_minst e.ve_ratio e.ve_ir_ms
-    e.ve_tc_ms
-
-let vmspeed_app_line a =
-  Printf.sprintf
-    "{\"app\": %S, \"opt\": %S, \"ir_app_ms\": %.4f, \"tc_app_ms\": %.4f}"
-    a.va_app a.va_opt a.va_ir_ms a.va_tc_ms
-
-let write_vmspeed_json ~file ~scale entries apps =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": \"vmspeed\",\n  \"scale\": %d,\n"
-    scale;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let lines =
-    List.map vmspeed_entry_line entries @ List.map vmspeed_app_line apps
-  in
-  let n = List.length lines in
-  List.iteri
-    (fun i l -> Printf.fprintf oc "    %s%s\n" l (if i = n - 1 then "" else ","))
-    lines;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-let read_vmspeed_json file =
-  let ic = open_in file in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       try
-         Scanf.sscanf line
-           " {\"kernel\": %S, \"opt\": %S, \"ir_minst\": %f, \"tc_minst\": \
-            %f, \"ratio\": %f, \"ir_ms\": %f, \"tc_ms\": %f}"
-           (fun k o im tm r irms tcms ->
-             entries :=
-               {
-                 ve_kernel = k;
-                 ve_opt = o;
-                 ve_ir_minst = im;
-                 ve_tc_minst = tm;
-                 ve_ratio = r;
-                 ve_ir_ms = irms;
-                 ve_tc_ms = tcms;
-               }
-               :: !entries)
-       with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !entries
-
-let vmspeed_bench scale out baseline =
-  Printf.printf
-    "VM speed: decoded-execution throughput, tcode vs the ir walker\n";
-  Printf.printf
-    "  4 dispatch-bound kernels x {O1, O2}, P=%d, %s; host wall clock\n\n"
-    vmspeed_procs vmspeed_machine.Mpisim.Machine.name;
-  let entries = vmspeed_entries () in
-  Printf.printf "%-12s %-4s %14s %14s %8s %10s %10s\n" "Kernel" "opt"
-    "ir Minst/s" "tcode Minst/s" "ratio" "ir ms" "tcode ms";
-  print_endline (String.make 78 '-');
-  List.iter
-    (fun e ->
-      Printf.printf "%-12s %-4s %14.1f %14.1f %7.1fx %10.3f %10.3f\n"
-        e.ve_kernel e.ve_opt e.ve_ir_minst e.ve_tc_minst e.ve_ratio e.ve_ir_ms
-        e.ve_tc_ms)
-    entries;
-  print_endline (String.make 78 '-');
-  Printf.printf
-    "  (each engine counts its own execution unit: IR instructions for the\n\
-    \   walker, decoded ops + scalar-program steps for tcode)\n\n";
-  let apps = vmspeed_app_entries scale in
-  Printf.printf
-    "End-to-end applications (host wall clock, P=%d, %s, scale %d%%):\n"
-    vmspeed_procs vmspeed_machine.Mpisim.Machine.name scale;
-  Printf.printf "%-12s %-4s %10s %10s %8s\n" "App" "opt" "ir ms" "tcode ms"
-    "speedup";
-  print_endline (String.make 50 '-');
-  List.iter
-    (fun a ->
-      Printf.printf "%-12s %-4s %10.2f %10.2f %7.2fx\n" a.va_app a.va_opt
-        a.va_ir_ms a.va_tc_ms (a.va_ir_ms /. a.va_tc_ms))
-    apps;
-  print_endline (String.make 50 '-');
-  Printf.printf
-    "  (applications are matrix- and simulator-bound; both engines share\n\
-    \   those paths, so the end-to-end gap is modest by design)\n\n";
-  write_vmspeed_json ~file:out ~scale entries apps;
-  Printf.printf "wrote %s (%d entries)\n" out
-    (List.length entries + List.length apps);
-  let failures = ref [] in
-  List.iter
-    (fun e ->
-      if e.ve_ratio < 10. then
-        failures :=
-          Printf.sprintf "%s/%s: throughput ratio %.1fx below the 10x floor"
-            e.ve_kernel e.ve_opt e.ve_ratio
-          :: !failures)
-    entries;
-  (match baseline with
-  | None -> ()
-  | Some file ->
-      let bentries = read_vmspeed_json file in
-      if bentries = [] then begin
-        Printf.eprintf "baseline %s has no kernel entries\n" file;
-        exit 2
-      end;
-      List.iter
-        (fun b ->
-          match
-            List.find_opt
-              (fun e -> e.ve_kernel = b.ve_kernel && e.ve_opt = b.ve_opt)
-              entries
-          with
-          | Some e when e.ve_ratio < b.ve_ratio *. 0.90 ->
-              failures :=
-                Printf.sprintf
-                  "%s/%s: throughput ratio %.1fx regressed >10%% vs baseline \
-                   %.1fx"
-                  e.ve_kernel e.ve_opt e.ve_ratio b.ve_ratio
-                :: !failures
-          | Some _ -> ()
-          | None ->
-              failures :=
-                Printf.sprintf "%s/%s: missing from this run" b.ve_kernel
-                  b.ve_opt
-                :: !failures)
-        bentries);
-  if !failures = [] then
-    Printf.printf "vmspeed gate: all kernel ratios >= 10x%s\n"
-      (match baseline with
-      | Some f -> Printf.sprintf " and within 10%% of %s" f
-      | None -> "")
-  else begin
-    List.iter (fun m -> Printf.printf "VMSPEED REGRESSION %s\n" m) !failures;
-    exit 1
-  end
-
 (* --- chaos benchmark: BENCH_chaos.json ---------------------------------- *)
 
 (* Sweep fault intensity — message loss, duplication, delay spikes,
@@ -1057,16 +758,6 @@ let chaos_intensities =
 
 let chaos_nprocs = 4
 
-let eq_chaos_captured (a : Exec.Vm.captured) (b : Exec.Vm.captured) =
-  let eqf (x : float) (y : float) =
-    (Float.is_nan x && Float.is_nan y) || x = y
-  in
-  match (a, b) with
-  | Exec.Vm.Cscalar x, Exec.Vm.Cscalar y -> eqf x y
-  | Exec.Vm.Cmat (r1, c1, d1), Exec.Vm.Cmat (r2, c2, d2) ->
-      r1 = r2 && c1 = c2 && Array.for_all2 eqf d1 d2
-  | _ -> false
-
 let chaos_entries scale : chaos_entry list =
   let entries = ref [] in
   List.iter
@@ -1080,7 +771,7 @@ let chaos_entries scale : chaos_entry list =
                  ~nprocs:chaos_nprocs ())
               c
           in
-          let span = clean.Exec.Vm.report.Mpisim.Sim.makespan in
+          let span = clean.Exec.State.report.Mpisim.Sim.makespan in
           List.iter
             (fun (iname, spec_of_span) ->
               let spec = spec_of_span span in
@@ -1098,37 +789,37 @@ let chaos_entries scale : chaos_entry list =
                      ~max_recoveries:3 ~machine:fm ~nprocs:chaos_nprocs ())
                   c
               in
-              let rollbacks = rc.Exec.Vm.r_attempts - 1 in
+              let rollbacks = rc.Exec.State.r_attempts - 1 in
               let final_report =
-                match List.rev rc.Exec.Vm.r_reports with
+                match List.rev rc.Exec.State.r_reports with
                 | r :: _ -> r
-                | [] -> clean.Exec.Vm.report
+                | [] -> clean.Exec.State.report
               in
               let kills =
                 List.fold_left
                   (fun acc (r : Mpisim.Sim.report) -> acc + r.Mpisim.Sim.kills)
-                  0 rc.Exec.Vm.r_reports
+                  0 rc.Exec.State.r_reports
               in
               let retries =
                 List.fold_left
                   (fun acc (r : Mpisim.Sim.report) ->
                     acc + r.Mpisim.Sim.retries)
-                  0 rc.Exec.Vm.r_reports
+                  0 rc.Exec.State.r_reports
               in
               let status =
-                match rc.Exec.Vm.r_result with
-                | Exec.Vm.Partial _ -> "aborted"
-                | Exec.Vm.Complete out ->
+                match rc.Exec.State.r_result with
+                | Exec.State.Partial _ -> "aborted"
+                | Exec.State.Complete out ->
                     let identical =
-                      out.Exec.Vm.output = clean.Exec.Vm.output
+                      out.Exec.State.output = clean.Exec.State.output
                       && List.for_all
                            (fun (name, v) ->
                              match
-                               List.assoc_opt name out.Exec.Vm.captures
+                               List.assoc_opt name out.Exec.State.captures
                              with
-                             | Some w -> eq_chaos_captured v w
+                             | Some w -> Exec.State.captured_equal v w
                              | None -> false)
-                           clean.Exec.Vm.captures
+                           clean.Exec.State.captures
                     in
                     if not identical then "mismatch"
                     else if rollbacks > 0 then "recovered"
@@ -1352,7 +1043,7 @@ let throughput_schedule scale procs =
               j_run =
                 (fun ~nprocs ->
                   (run_outcome (Otter.config ~machine ~nprocs ()) c)
-                    .Exec.Vm.report);
+                    .Exec.State.report);
             })
           [ 0; 1 ])
       Apps.Scripts.apps
@@ -1553,7 +1244,7 @@ let scale_entries scale : scale_entry list =
   let entries = ref [] in
   let record ~app ~mname ~procs ~cpus ~dist cfg c =
     let t0 = Unix.gettimeofday () in
-    let r = (run_outcome cfg c).Exec.Vm.report in
+    let r = (run_outcome cfg c).Exec.State.report in
     let wall = Unix.gettimeofday () -. t0 in
     entries :=
       {
@@ -1804,7 +1495,7 @@ let bandwidth_point ~machine ~n =
     (run_outcome
        (Otter.config ~machine ~nprocs:2 ())
        (Otter.compile src))
-      .Exec.Vm.report
+      .Exec.State.report
   in
   let loaded = report (bandwidth_src ~n ~trips:bandwidth_trips) in
   let empty = report (bandwidth_src ~n ~trips:0) in
@@ -1897,10 +1588,6 @@ let () =
         speedup_bench !scale
           (Option.value !out ~default:"BENCH_speedup.json")
           !baseline
-    | "vmspeed" ->
-        vmspeed_bench !scale
-          (Option.value !out ~default:"BENCH_vmspeed.json")
-          !baseline
     | "chaos" ->
         chaos_bench !scale
           (Option.value !out ~default:"BENCH_chaos.json")
@@ -1922,7 +1609,7 @@ let () =
         Printf.eprintf
           "unknown command '%s' (expected \
            table1|fig2|fig3|fig4|fig5|fig6|all|ablation|extrapolate|\
-           sensitivity|faults|speedup|vmspeed|chaos|throughput|scale|\
+           sensitivity|faults|speedup|chaos|throughput|scale|\
            bandwidth|micro)\n"
           other;
         exit 2

@@ -41,11 +41,11 @@ let path_of input name =
 let exit_recovery_aborted = 8
 
 let exit_code_of_kind = function
-  | Exec.Vm.Ftimeout -> 5
-  | Exec.Vm.Fprotocol -> 6
-  | Exec.Vm.Fkilled | Exec.Vm.Fpeer | Exec.Vm.Fexhausted -> 7
-  | Exec.Vm.Fdeadlock -> 3
-  | Exec.Vm.Fruntime -> 1
+  | Exec.State.Ftimeout -> 5
+  | Exec.State.Fprotocol -> 6
+  | Exec.State.Fkilled | Exec.State.Fpeer | Exec.State.Fexhausted -> 7
+  | Exec.State.Fdeadlock -> 3
+  | Exec.State.Fruntime -> 1
 
 let handle_errors f =
   try f () with
@@ -55,7 +55,7 @@ let handle_errors f =
   | Spmd.Lower.Unsupported (pos, msg) ->
       Fmt.epr "error: %a: %s@." Mlang.Source.pp_pos pos msg;
       exit 1
-  | Exec.Vm.Runtime_error msg | Interp.Eval.Runtime_error msg ->
+  | Exec.State.Runtime_error msg | Interp.Eval.Runtime_error msg ->
       Fmt.epr "run-time error: %s@." msg;
       exit 1
   | Mpisim.Sim.Deadlock msg ->
@@ -63,7 +63,7 @@ let handle_errors f =
       exit 3
   | Mpisim.Sim.Rank_failure { rank; exn } ->
       Fmt.epr "rank %d failed: %s@." rank (Printexc.to_string exn);
-      exit (exit_code_of_kind (Exec.Vm.classify_failure exn))
+      exit (exit_code_of_kind (Exec.State.classify_failure exn))
   | Spmd.Pass.Unknown_pass name ->
       Fmt.epr "error: unknown pass '%s' (known: %s)@." name
         (String.concat ", "
@@ -202,17 +202,14 @@ let engine_arg =
   Arg.(value & opt string (Otter.Config.engine_name Otter.Config.default_engine)
          & info [ "engine" ] ~docv:"NAME"
          ~doc:"Execution engine for simulated runs: $(b,tcode) (the \
-               pre-decoded threaded-code fast path, default), $(b,ir) \
-               (the direct IR walker), or the sequential baselines \
-               $(b,interp) / $(b,matcom).  The two SPMD engines produce \
-               bit-identical results; ir is kept as a cross-check and \
-               fallback.")
+               SPMD executor, default), or the sequential baselines \
+               $(b,interp) / $(b,matcom).")
 
 let get_engine name =
   match Otter.Config.engine_of_string name with
   | Some e -> e
   | None ->
-      Fmt.epr "unknown engine '%s' (try tcode, ir, interp or matcom)@." name;
+      Fmt.epr "unknown engine '%s' (try tcode, interp or matcom)@." name;
       exit 2
 
 let faults_arg =
@@ -358,17 +355,17 @@ let run_cmd =
           || cfg.Otter.Config.max_recoveries > 0
         in
         let rc = Otter.run cfg c in
-        let recoveries = rc.Exec.Vm.r_attempts - 1
-        and gave_up = rc.Exec.Vm.r_gave_up in
-        match rc.Exec.Vm.r_result with
-        | Exec.Vm.Partial { failed_rank; operation; detail; kind; report } ->
+        let recoveries = rc.Exec.State.r_attempts - 1
+        and gave_up = rc.Exec.State.r_gave_up in
+        match rc.Exec.State.r_result with
+        | Exec.State.Partial { failed_rank; operation; detail; kind; report } ->
             print_abort ~gave_up ~recoveries failed_rank operation detail
               report;
             exit
               (if gave_up then exit_recovery_aborted else exit_code_of_kind kind)
-        | Exec.Vm.Complete o ->
-            print_string o.Exec.Vm.output;
-            let r = o.Exec.Vm.report in
+        | Exec.State.Complete o ->
+            print_string o.Exec.State.output;
+            let r = o.Exec.State.report in
             if recovering && (chaos || recoveries > 0) then
               Fmt.pr "[recovery] completed after %d rollback%s@." recoveries
                 (if recoveries = 1 then "" else "s");
@@ -514,7 +511,7 @@ let verify_cmd =
         | Otter.Aborted { failed_rank; operation; detail; kind; report;
                           recoveries } ->
             let gave_up =
-              max_recoveries > 0 && Exec.Vm.recoverable kind
+              max_recoveries > 0 && Exec.State.recoverable kind
               && recoveries >= max_recoveries
             in
             Fmt.epr "ABORTED%s: rank %d failed during %s: %s@."

@@ -60,7 +60,7 @@ let () =
             ~nprocs:8 ())
          c)
   in
-  print_string o.Exec.Vm.output;
+  print_string o.Exec.State.output;
 
   let oi =
     Otter.outcome_exn
@@ -70,7 +70,7 @@ let () =
          c)
   in
   Fmt.pr "@.interpreter agrees: %b@."
-    (String.equal oi.Exec.State.output o.Exec.Vm.output);
+    (String.equal oi.Exec.State.output o.Exec.State.output);
 
   Sys.remove (Filename.concat dir "buoy.txt");
   Sys.rmdir dir

@@ -37,7 +37,7 @@ let () =
             ~capture:[ "peak"; "energy" ] ())
          c)
   in
-  print_string o.Exec.Vm.output;
+  print_string o.Exec.State.output;
 
   (* The interpreter agrees with the 8-CPU run. *)
   let mm =
@@ -61,7 +61,7 @@ let () =
           Some
             (Otter.outcome_exn
                (Otter.run (Otter.config ~machine:m ~nprocs:p ()) c))
-              .Exec.Vm.report.Mpisim.Sim.makespan
+              .Exec.State.report.Mpisim.Sim.makespan
         else None)
       [ 1; 2; 4; 8; 16 ]
   in

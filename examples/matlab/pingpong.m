@@ -1,7 +1,7 @@
 % Ping-pong (MatlabMPI style): ranks 0 and 1 bounce a counter back and
 % forth with explicit MPI_Send / MPI_Recv; every other rank sits idle.
 % The broadcast at the end ships rank 0's total to everyone so the
-% printed line is identical on every rank (and across engines).
+% printed line is identical on every rank.
 r = MPI_Comm_rank();
 p = MPI_Comm_size();
 total = 0;

@@ -53,7 +53,7 @@ let () =
             ~capture:[ "r"; "rsum" ] ())
          c)
   in
-  print_string o.Exec.Vm.output;
+  print_string o.Exec.State.output;
 
   let mm =
     Otter.verify_list
@@ -67,7 +67,7 @@ let () =
   Fmt.pr "@.modeled speedup over 1 CPU at 8 CPUs:@.";
   let makespan ~machine ~nprocs =
     (Otter.outcome_exn (Otter.run (Otter.config ~machine ~nprocs ()) c))
-      .Exec.Vm.report.Mpisim.Sim.makespan
+      .Exec.State.report.Mpisim.Sim.makespan
   in
   List.iter
     (fun (m : Mpisim.Machine.t) ->

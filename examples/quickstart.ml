@@ -49,10 +49,10 @@ let () =
   Fmt.pr "@.=== execution on 8 simulated CPUs ===@.";
   let cfg = Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:8 () in
   let o = Otter.outcome_exn (Otter.run cfg c) in
-  print_string o.Exec.Vm.output;
+  print_string o.Exec.State.output;
   Fmt.pr "modeled time: %.4f ms, %d messages@."
-    (o.Exec.Vm.report.Mpisim.Sim.makespan *. 1e3)
-    o.Exec.Vm.report.Mpisim.Sim.messages;
+    (o.Exec.State.report.Mpisim.Sim.makespan *. 1e3)
+    o.Exec.State.report.Mpisim.Sim.messages;
 
   (* 5. The interpreter must agree. *)
   let mm =

@@ -48,9 +48,9 @@ let () =
              c)
       in
       let get name =
-        match List.assoc name o.Exec.Vm.captures with
-        | Exec.Vm.Cscalar f -> f
-        | Exec.Vm.Cmat _ | Exec.Vm.Cnd _ -> nan
+        match List.assoc name o.Exec.State.captures with
+        | Exec.State.Cscalar f -> f
+        | Exec.State.Cmat _ | Exec.State.Cnd _ -> nan
       in
       Fmt.pr "%8.2f %14.4e %14.4e@." amp0 (get "impulse") (get "Fmax"))
     [ 0.25; 0.5; 1.0; 1.5; 2.0 ];
@@ -61,7 +61,7 @@ let () =
   let c = Otter.compile (script ~n ~amp0:1.0) in
   let makespan ~machine ~nprocs =
     (Otter.outcome_exn (Otter.run (Otter.config ~machine ~nprocs ()) c))
-      .Exec.Vm.report.Mpisim.Sim.makespan
+      .Exec.State.report.Mpisim.Sim.makespan
   in
   List.iter
     (fun (m : Mpisim.Machine.t) ->

@@ -1,13 +1,11 @@
-(* Representation shared by the execution engines.
+(* The executor's value representation, structured results, failure
+   classes, checkpoint format and recovery driver.
 
-   Both engines — the IR-walking [Vm] and the pre-decoded threaded-code
-   [Tcode] — execute the same SPMD programs on the same simulator and
-   must be interchangeable from the driver's point of view: same value
-   representation, same structured results, same failure classes, and
-   the same checkpoint format, so a chaos run recovers identically no
-   matter which engine produced the snapshots.  This module holds that
-   common ground; everything engine-specific (environments vs slot
-   frames, tree walking vs decoded code) stays in the engines. *)
+   [Tcode] executes SPMD programs on the simulator; this module holds
+   what the rest of the compiler sees of a run: values, captured
+   results, the typed failure classes otterc maps to exit codes, and
+   the checkpoint/rollback driver.  Decoding and frame layout stay in
+   [Tcode]. *)
 
 open Spmd
 module Dmat = Runtime.Dmat
@@ -31,34 +29,15 @@ exception Return_exc
 (* --- dispatch throughput counter ------------------------------------------ *)
 
 (* Instructions executed since the caller last reset this, summed over
-   ranks and engines.  Each engine counts its own execution unit: the
-   walker adds one per IR instruction it executes; the threaded-code
-   engine adds one per decoded op dispatched plus one per step of each
-   scalar program it evaluates (the units its decode listing prints).
-   `bench vmspeed` divides by wall time to get engine throughput. *)
+   ranks: one per decoded op dispatched plus one per step of each
+   scalar program evaluated (the units the decode listing prints).
+   Benchmarks divide it by wall time to get executor throughput. *)
 let dispatched = ref 0
 
-(* --- shared scalar semantics --------------------------------------------- *)
+(* --- scalar semantics ------------------------------------------------------ *)
 
 let truthy f = f <> 0.
 let of_bool b = if b then 1. else 0.
-
-let scalar_binop (op : Mlang.Ast.binop) a b =
-  match op with
-  | Mlang.Ast.Add -> a +. b
-  | Mlang.Ast.Sub -> a -. b
-  | Mlang.Ast.Mul | Mlang.Ast.Emul -> a *. b
-  | Mlang.Ast.Div | Mlang.Ast.Ediv -> a /. b
-  | Mlang.Ast.Ldiv | Mlang.Ast.Eldiv -> b /. a
-  | Mlang.Ast.Pow | Mlang.Ast.Epow -> Float.pow a b
-  | Mlang.Ast.Lt -> of_bool (a < b)
-  | Mlang.Ast.Le -> of_bool (a <= b)
-  | Mlang.Ast.Gt -> of_bool (a > b)
-  | Mlang.Ast.Ge -> of_bool (a >= b)
-  | Mlang.Ast.Eq -> of_bool (a = b)
-  | Mlang.Ast.Ne -> of_bool (a <> b)
-  | Mlang.Ast.And | Mlang.Ast.Shortand -> of_bool (truthy a && truthy b)
-  | Mlang.Ast.Or | Mlang.Ast.Shortor -> of_bool (truthy a || truthy b)
 
 let scalar_builtin name args =
   match (name, args) with
@@ -115,7 +94,7 @@ let range_indices lo step hi =
 (* --- instruction classification ------------------------------------------ *)
 
 (* Human-readable operation names for failure attribution: when a rank
-   dies mid-run, the engine reports what it was doing. *)
+   dies mid-run, the executor reports what it was doing. *)
 let inst_name : Ir.inst -> string = function
   | Ir.Iscalar _ -> "scalar assignment"
   | Ir.Ielem _ -> "element-wise expression"
@@ -159,10 +138,6 @@ let inst_name : Ir.inst -> string = function
   | Ir.Impi_bcast _ -> "MPI_Bcast"
   | Ir.Impi_probe _ -> "MPI_Probe"
 
-(* Instructions the C back end maps to an ML_* run-time library call;
-   scalar assignments, fused element-wise loops, control flow and
-   printing run inline in the generated code.  The per-rank executed
-   count is what the bench ablation prices. *)
 (* --- explicit message passing (MatlabMPI-style builtins) ----------------- *)
 
 (* User-visible tags ride in their own tag space, above the collectives
@@ -273,19 +248,24 @@ let mpi_bcast ~root (v : value) : value =
         mpi_decode "MPI_Bcast"
           (Mpisim.Reliable.recv ~src:root ~tag:tag_mpi_bcast)
 
-let is_lib_call : Ir.inst -> bool = function
-  | Ir.Iscalar _ | Ir.Ielem _ | Ir.Icalluser _ | Ir.Iprint _ | Ir.Iprintf _
-  | Ir.Ierror _ | Ir.Iif _ | Ir.Iwhile _ | Ir.Ifor _ | Ir.Ibreak
-  | Ir.Icontinue | Ir.Ireturn ->
-      false
-  | _ -> true
-
 (* --- structured results --------------------------------------------------- *)
 
 type captured =
   | Cscalar of float
   | Cmat of int * int * float array
   | Cnd of int array * float array (* dims, row-major dense data *)
+
+(* Bitwise equality of two captured values: same kind, same shape, and
+   every element exactly equal, with NaN equal to NaN (a recovered or
+   replayed run must reproduce NaNs too). *)
+let captured_equal (a : captured) (b : captured) =
+  let eqf (x : float) y = x = y || (Float.is_nan x && Float.is_nan y) in
+  match (a, b) with
+  | Cscalar x, Cscalar y -> eqf x y
+  | Cmat (r1, c1, d1), Cmat (r2, c2, d2) ->
+      r1 = r2 && c1 = c2 && Array.for_all2 eqf d1 d2
+  | Cnd (s1, d1), Cnd (s2, d2) -> s1 = s2 && Array.for_all2 eqf d1 d2
+  | _ -> false
 
 type outcome = {
   output : string;
@@ -395,10 +375,9 @@ type ck = {
    with [ck_next = 0], so the first boundary of every attempt commits:
    that re-establishes the restore point right after a rollback.
 
-   The engine supplies [mk_env] (a deep copy of its locals in snapshot
-   form) and bookkeeping counters; the vote, the slot rotation and the
-   snapshot layout live here so both engines write the exact same
-   checkpoint format. *)
+   The executor supplies [mk_env] (a deep copy of its locals in
+   snapshot form) and bookkeeping counters; the vote, the slot rotation
+   and the snapshot layout live here. *)
 let at_boundary ck ~rk ~mk_env ~rand_calls ~calls ~out (pcv : pc) =
   ck.ck_boundary <- ck.ck_boundary + 1;
   let want = Mpisim.Sim.time () >= ck.ck_next in
@@ -430,7 +409,7 @@ type recovery = {
 
 let backoff_base = 0.05 (* simulated seconds before the first retry *)
 
-(* Rollback-and-replay around an engine's [attempt] function:
+(* Rollback-and-replay around the executor's [attempt] function:
    checkpoints are taken (collectively) every [ckpt_interval] simulated
    seconds; on a recoverable failure every rank rolls back to the
    newest snapshot common to all ranks (or to program start when there

@@ -1,9 +1,9 @@
 (* The pre-decoded threaded-code SPMD executor: the fast path.
 
-   The IR-walking [Vm] pays for its simplicity on every instruction:
-   environment hashes, constructor matches, closure rebuilding inside
-   element loops.  This engine pays those costs once, in a decode pass,
-   and then runs flat code:
+   Walking the IR directly would pay on every instruction for
+   environment hashes, constructor matches and closure rebuilding
+   inside element loops.  This engine pays those costs once, in a
+   decode pass, and then runs flat code:
 
    - variables are interned into array-indexed frame slots (a tag word,
      an unboxed float for scalars, a boxed value for matrices/strings);
@@ -13,14 +13,14 @@
      because [&&]/[||] on replicated scalars evaluate both sides);
    - element-wise loops become a fetch prelude (operands resolved in
      tree order, so embedded broadcasts and conformance errors happen
-     exactly where the walker would put them) plus one tight RPN loop;
+     exactly where the IR tree puts them) plus one tight RPN loop;
    - control flow becomes resolved jump targets: an op returns the
      next pc, and break/continue inside decoded loops are plain jumps.
 
-   Semantics are bit-for-bit those of [Vm]: same evaluation order, same
-   flop charges in the same sequence, same error messages, same
-   checkpoint format (see [State]), so the two engines are
-   interchangeable under verify, fuzz, and chaos recovery.  Decoding is
+   Semantics follow the IR in tree order: evaluation order, flop
+   charges, error messages and the checkpoint format (see [State]) are
+   fixed, so modeled time and message counts are deterministic under
+   verify, fuzz, and chaos recovery.  Decoding is
    per rank — preallocated operand buffers may be live across a
    communication suspension, so they cannot be shared between ranks. *)
 
@@ -28,8 +28,6 @@ open Spmd
 module Dmat = Runtime.Dmat
 module Ndarr = Runtime.Ndarr
 module Ops = Runtime.Ops
-
-exception Runtime_error = State.Runtime_error
 
 let error = State.error
 
@@ -43,7 +41,7 @@ type value = State.value =
 
 (* One per rank per attempt, shared by every frame of that rank (the
    top-level frame and each user-function call frame), which is what
-   makes the walker's rand_calls copy-back semantics automatic. *)
+   makes rand_calls copy-back across calls automatic. *)
 type rstate = {
   out : Buffer.t;
   mutable rand_calls : int;
@@ -337,12 +335,11 @@ let truthy = State.truthy
 let of_bool = State.of_bool
 
 (* Run the compiled evaluator.  No charge: the caller decides
-   (element-loop scalar subtrees are uncharged, exactly like the
-   walker's). *)
+   (element-loop scalar subtrees are uncharged). *)
 let exec_rpn fr (r : rpn) : float = r.r_f fr
 
-(* Charged evaluation: the walker's [eval_scalar] — evaluate fully,
-   then charge the static operation count in one flops call. *)
+(* Charged evaluation: evaluate fully, then charge the static
+   operation count in one flops call. *)
 let eval_rpn fr r =
   State.dispatched := !State.dispatched + Array.length r.r_ops;
   let v = r.r_f fr in
@@ -468,7 +465,7 @@ let compile_sexpr dc (s : Ir.sexpr) : rpn =
      evaluating strictly left to right — the same order the listing
      arrays describe.  Decode-time failures (strings in numeric
      position, unknown builtins) become closures that first evaluate
-     their operands, then raise, so laziness matches the walker's. *)
+     their operands, then raise, so errors surface in operand order. *)
   let rec cc (s : Ir.sexpr) : frame -> float =
     match s with
     | Ir.Sconst f -> fun _ -> f
@@ -594,8 +591,8 @@ let compile_sexpr dc (s : Ir.sexpr) : rpn =
 
 (* One fetch/eval step of an element plan's prelude, executed in tree
    order before the loop: operand matrices are bound (and conformance
-   -checked) and scalar subtrees evaluated exactly where the walker
-   would do it, so embedded broadcasts and errors keep their order. *)
+   -checked) and scalar subtrees evaluated in IR tree order, so
+   embedded broadcasts and errors keep their order. *)
 type pstep =
   | Pfetch of int * int (* mats.(ix) <- data of matrix at slot *)
   | Peval of int * rpn (* esc.(ix) <- uncharged scalar evaluation *)
@@ -977,8 +974,8 @@ let run_code (c : code) fr =
 (* --- indices and selectors ------------------------------------------------- *)
 
 (* MATLAB indices are 1-based; linear indexing is column-major.  Index
-   expressions evaluate left to right (the walker was made explicit
-   about this so the engines agree on any embedded broadcast). *)
+   expressions evaluate left to right, so any embedded broadcast
+   happens in a fixed order on every rank. *)
 let coords fr (m : Dmat.t) (idx : rpn list) =
   match idx with
   | [ i ] ->
@@ -1044,7 +1041,7 @@ let print_str fr name s =
     if name = "" then Buffer.add_string fr.st.out (s ^ "\n")
     else Buffer.add_string fr.st.out (Printf.sprintf "%s = %s\n" name s)
 
-(* --- section / concat execution (mirrors the walker) ------------------------ *)
+(* --- section / concat execution ------------------------------------------------ *)
 
 let rec exec_section fr dslot sslot (sels : dsel list) =
   match getv fr sslot with
@@ -1270,8 +1267,8 @@ let rec exec_construct_t fr dslot (kind : Ir.ckind) (rargs : rpn list) =
         match kind with
         | Ir.Czeros -> Ndarr.create dims
         | Ir.Cones -> Ndarr.init dims (fun _ -> 1.)
-        | Ir.Crand -> Ndarr.init dims (fun g -> Runtime.Rng.uniform ~seed g)
-        | Ir.Crandn -> Ndarr.init dims (fun g -> Runtime.Rng.normal ~seed g)
+        | Ir.Crand -> Ndarr.init dims (fun g -> Mpisim.Rng.uniform ~seed g)
+        | Ir.Crandn -> Ndarr.init dims (fun g -> Mpisim.Rng.normal ~seed g)
         | _ -> assert false
       in
       let len = Ndarr.local_len t in
@@ -1307,12 +1304,12 @@ and exec_construct_mat fr dslot (kind : Ir.ckind) (rargs : rpn list) =
         fr.st.rand_calls <- fr.st.rand_calls + 1;
         let seed = fr.st.seed + fr.st.rand_calls in
         let r, c = dims () in
-        Dmat.init ~rows:r ~cols:c (fun g -> Runtime.Rng.uniform ~seed g)
+        Dmat.init ~rows:r ~cols:c (fun g -> Mpisim.Rng.uniform ~seed g)
     | Ir.Crandn ->
         fr.st.rand_calls <- fr.st.rand_calls + 1;
         let seed = fr.st.seed + fr.st.rand_calls in
         let r, c = dims () in
-        Dmat.init ~rows:r ~cols:c (fun g -> Runtime.Rng.normal ~seed g)
+        Dmat.init ~rows:r ~cols:c (fun g -> Mpisim.Rng.normal ~seed g)
     | Ir.Clinspace ->
         let a = eval_rpn fr (arg 0) in
         let b = eval_rpn fr (arg 1) in
@@ -1349,9 +1346,8 @@ type dprintf = DPstr of string | DPrpn of rpn
 (* [lp] is the enclosing decoded loop's (break, continue) jump targets,
    [fend] the enclosing function's end target for [return].  At sites
    where neither applies, break/continue/return fall back to the
-   walker's exceptions, which user-call ops re-convert to jumps — so
-   a break inside a callee exits the caller's loop exactly as it does
-   under [Vm]'s exception propagation. *)
+   [State] control exceptions, which user-call ops re-convert to
+   jumps — so a break inside a callee exits the caller's loop. *)
 let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
   let tid = tid_of_inst i in
   match i with
@@ -1785,7 +1781,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       let rt = compile_sexpr dc tag in
       let dv =
         match v with
-        | Ir.Ascalar (Ir.Sstr _) -> None (* a run-time error, as in [Vm] *)
+        | Ir.Ascalar (Ir.Sstr _) -> None (* a run-time error *)
         | Ir.Ascalar s -> Some (DSscalar (compile_sexpr dc s))
         | Ir.Amat m -> Some (DSmat (slot dc m))
       in
@@ -1950,10 +1946,9 @@ and exec_call_t dc fr fname nargs (dargs : darg list) (ret_slots : int list) =
 
 (* With checkpointing off the whole body flattens into one code array
    (fastest).  With checkpointing on, the top level stays structured so
-   checkpoint boundaries land exactly where the walker puts them:
-   before every top-level statement and at the top of every iteration
-   of a top-level loop, with the same [Ptop]/[Ploop] program counters
-   and for-loop bound freezing — one checkpoint format, two engines. *)
+   checkpoint boundaries land before every top-level statement and at
+   the top of every iteration of a top-level loop, with [Ptop]/[Ploop]
+   program counters and for-loop bound freezing (see [State]). *)
 type unit_t =
   | Ustmt of code
   | Ufor of {
@@ -2071,8 +2066,7 @@ let at_boundary fr (ck : State.ck) pcv =
     ~mk_env:(fun () -> env_of_frame fr)
     ~rand_calls:fr.st.rand_calls ~calls:!(fr.st.calls) ~out:fr.st.out pcv
 
-(* Structured top-level execution with boundaries, mirroring the
-   walker's [exec_top] statement for statement. *)
+(* Structured top-level execution with checkpoint boundaries. *)
 let exec_top fr ck resume (units : unit_t array) =
   let start_i, initial_loop =
     match resume with
@@ -2261,11 +2255,6 @@ let run_result ?capture ?(seed = 42) ?(datadir = ".") ~machine ~nprocs
   fst
     (attempt ?capture ~seed ~datadir ~machine ~nprocs ~attempt:0
        ~ckpt_interval:0. ~slots:(Array.make nprocs []) ~restore:None prog)
-
-let run ?capture ?seed ?datadir ~machine ~nprocs prog =
-  match run_result ?capture ?seed ?datadir ~machine ~nprocs prog with
-  | Complete o -> o
-  | Partial p -> raise (Runtime_error p.detail)
 
 let run_recovering ?capture ?(seed = 42) ?(datadir = ".")
     ?(ckpt_interval = 0.) ?(max_recoveries = 0) ~machine ~nprocs

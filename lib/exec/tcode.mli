@@ -1,63 +1,15 @@
-(** The pre-decoded threaded-code SPMD executor: the fast path.
+(** The SPMD executor: runs the compiler's IR on the machine simulator
+    — the moral equivalent of running the emitted C linked against the
+    MPI run-time library on the modeled hardware.
 
     Compiles the per-rank IR program once into flat arrays of
     instruction closures with resolved jump targets, array-indexed
     variable slots (no environment hashing), RPN scalar programs over
     an unboxed float stack, and preallocated element-loop operand
-    buffers — then runs it bit-for-bit compatibly with {!Vm}: same
-    outputs, same flop charges in the same order, same error messages,
-    same structured results, and the same checkpoint format, so chaos
-    recovery is engine-agnostic.  All result types are shared with
-    {!Vm} through {!State}. *)
-
-exception Runtime_error of string
-(** Any execution failure: undefined variables, bounds, conformability,
-    user [error(...)] calls.  The same exception {!Vm} raises. *)
-
-type value = State.value =
-  | Vscalar of float
-  | Vmat of Runtime.Dmat.t
-  | Vnd of Runtime.Ndarr.t
-  | Vstr of string
-
-type captured = State.captured =
-  | Cscalar of float
-  | Cmat of int * int * float array
-  | Cnd of int array * float array
-
-type outcome = State.outcome = {
-  output : string;
-  captures : (string * captured) list;
-  lib_calls : int;
-  report : Mpisim.Sim.report;
-}
-
-type failure_kind = State.failure_kind =
-  | Ftimeout
-  | Fprotocol
-  | Fkilled
-  | Fpeer
-  | Fexhausted
-  | Fdeadlock
-  | Fruntime
-
-type run_result = State.run_result =
-  | Complete of outcome
-  | Partial of {
-      failed_rank : int;
-      operation : string;
-      detail : string;
-      kind : failure_kind;
-      report : Mpisim.Sim.report;
-    }
-
-type recovery = State.recovery = {
-  r_result : run_result;
-  r_attempts : int;
-  r_gave_up : bool;
-  r_reports : Mpisim.Sim.report list;
-  r_penalty : float;
-}
+    buffers, then runs it.  Evaluation order, flop charges, error
+    messages and the checkpoint format are deterministic, so modeled
+    time and message counts reproduce exactly.  Result types live in
+    {!State}. *)
 
 val listing : Spmd.Ir.prog -> string
 (** Decode the program (flat mode, plus every user function) and return
@@ -72,18 +24,11 @@ val run_result :
   machine:Mpisim.Machine.t ->
   nprocs:int ->
   Spmd.Ir.prog ->
-  run_result
-(** Drop-in replacement for {!Vm.run_result} on the decoded engine. *)
-
-val run :
-  ?capture:string list ->
-  ?seed:int ->
-  ?datadir:string ->
-  machine:Mpisim.Machine.t ->
-  nprocs:int ->
-  Spmd.Ir.prog ->
-  outcome
-(** Like {!run_result} but raises {!Runtime_error} on failure. *)
+  State.run_result
+(** Run the program on [nprocs] simulated processors of [machine];
+    [capture] names script variables whose final values are returned
+    for verification.  Degrades gracefully: a failure on any rank
+    yields [State.Partial] instead of an unattributed exception. *)
 
 val run_recovering :
   ?capture:string list ->
@@ -94,8 +39,17 @@ val run_recovering :
   machine:Mpisim.Machine.t ->
   nprocs:int ->
   Spmd.Ir.prog ->
-  recovery
-(** Drop-in replacement for {!Vm.run_recovering}: identical coordinated
-    checkpoint/rollback semantics over the shared {!State} snapshot
-    format — a run checkpointed by one engine restores under the
-    other. *)
+  State.recovery
+(** {!run_result} wrapped in coordinated checkpoint/rollback over the
+    {!State} snapshot format: snapshots of every rank's state (locals,
+    distributed blocks, RNG sequence numbers, program counter, output
+    prefix) are committed by collective vote at top-level boundaries
+    roughly every [ckpt_interval] simulated seconds (0 = never: a
+    failure replays from program start).  On a {!State.recoverable}
+    failure all ranks roll back to the newest snapshot common to every
+    rank and replay deterministically — a recovered run is
+    bit-identical to an undisturbed one — with exponential simulated
+    backoff, at most [max_recoveries] times (default 0 = no retries).
+    Each retry re-rolls the fault model's kill schedule.  Never hangs:
+    every attempt either completes, or fails with a typed class within
+    bounded virtual time. *)

@@ -4,7 +4,7 @@
    have and all results are compared:
 
      - the reference interpreter (the semantics oracle),
-     - the SPMD VM at P in {1,2,3,4} on two machine models,
+     - the SPMD executor at P in {1,2,3,4} on two machine models,
      - when a C compiler is available, the emitted sequential C,
        compiled and executed for real, its stdout compared
        numerically against the interpreter's.
@@ -164,51 +164,36 @@ let check_case ?(use_cc = true) (script : string) : case_result =
           c
         |> Otter.outcome_exn
       with
-      | exception Exec.Vm.Runtime_error msg -> Discard ("interpreter: " ^ msg)
+      | exception Exec.State.Runtime_error msg -> Discard ("interpreter: " ^ msg)
       | exception Interp.Eval.Runtime_error msg ->
           Discard ("interpreter: " ^ msg)
       | ref_run -> (
-          (* each configuration runs under BOTH execution engines — the
-             direct IR walker and the threaded-code fast path — so an
-             engine-specific semantic bug shows up as a counterexample
-             on exactly one of the two labels *)
-          let check_one ~label ~engine c machine nprocs =
-            let tag = Otter.Config.engine_name engine in
+          let check_config ~label c machine nprocs =
             match
-              Otter.verify
-                (Otter.config ~engine ~machine ~nprocs ~capture ())
-                c
+              Otter.verify (Otter.config ~machine ~nprocs ~capture ()) c
             with
             | Otter.Verified -> None
             | Otter.Mismatched ms ->
                 let m = List.hd ms in
                 Some
-                  (Printf.sprintf "[%s, P=%d, %s, %s] %s: %s"
-                     machine.Mpisim.Machine.name nprocs label tag
-                     m.Otter.variable m.Otter.detail)
+                  (Printf.sprintf "[%s, P=%d, %s] %s: %s"
+                     machine.Mpisim.Machine.name nprocs label m.Otter.variable
+                     m.Otter.detail)
             | Otter.Aborted { failed_rank; operation; detail; _ } ->
                 Some
-                  (Printf.sprintf
-                     "[%s, P=%d, %s, %s] rank %d failed during %s: %s"
-                     machine.Mpisim.Machine.name nprocs label tag failed_rank
+                  (Printf.sprintf "[%s, P=%d, %s] rank %d failed during %s: %s"
+                     machine.Mpisim.Machine.name nprocs label failed_rank
                      operation detail)
-            | exception Exec.Vm.Runtime_error msg ->
+            | exception Exec.State.Runtime_error msg ->
                 Some
-                  (Printf.sprintf "[%s, P=%d, %s, %s] VM run-time error: %s"
-                     machine.Mpisim.Machine.name nprocs label tag msg)
+                  (Printf.sprintf "[%s, P=%d, %s] run-time error: %s"
+                     machine.Mpisim.Machine.name nprocs label msg)
             | exception Mpisim.Sim.Deadlock msg ->
                 Some
-                  (Printf.sprintf "[%s, P=%d, %s, %s] deadlock: %s"
-                     machine.Mpisim.Machine.name nprocs label tag msg)
+                  (Printf.sprintf "[%s, P=%d, %s] deadlock: %s"
+                     machine.Mpisim.Machine.name nprocs label msg)
           in
-          let check_config ~label c machine nprocs =
-            match
-              check_one ~label ~engine:Otter.Config.Etcode c machine nprocs
-            with
-            | Some _ as f -> f
-            | None -> check_one ~label ~engine:Otter.Config.Eir c machine nprocs
-          in
-          let vm_failure =
+          let spmd_failure =
             List.fold_left
               (fun acc machine ->
                 match acc with
@@ -225,9 +210,9 @@ let check_case ?(use_cc = true) (script : string) : case_result =
           (* the unoptimized pipeline against the same reference: both
              levels verify against one interpreter run, so any O0-vs-O2
              divergence surfaces as a failure on exactly one level *)
-          let vm_failure =
-            match vm_failure with
-            | Some _ -> vm_failure
+          let spmd_failure =
+            match spmd_failure with
+            | Some _ -> spmd_failure
             | None -> (
                 match Otter.compile ~opt:Spmd.Pass.O0 ~validate:true script with
                 | exception Spmd.Validate.Invalid msg ->
@@ -242,7 +227,7 @@ let check_case ?(use_cc = true) (script : string) : case_result =
                               Mpisim.Machine.meiko_cs2 p)
                       None [ 1; 3 ])
           in
-          match vm_failure with
+          match spmd_failure with
           | Some d -> Fail d
           | None ->
               if

@@ -881,8 +881,8 @@ and eval_constructor fr name vals : value =
       fr.rand_calls <- fr.rand_calls + 1;
       let seed = fr.seed + fr.rand_calls in
       let gen =
-        if name = "rand" then Runtime.Rng.uniform ~seed
-        else Runtime.Rng.normal ~seed
+        if name = "rand" then Mpisim.Rng.uniform ~seed
+        else Mpisim.Rng.normal ~seed
       in
       match dims3 () with
       | Some d ->

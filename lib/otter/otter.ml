@@ -56,9 +56,9 @@ let compile_frontend ?path ?datadir (source : string) : frontend =
    so adding a knob is one field + one optional argument instead of a
    change to every entry point. *)
 module Config = struct
-  (* What executes the program: the two SPMD engines (bit-identical;
-     see [Exec.State]) and the two sequential baselines of Figure 2. *)
-  type engine = Etcode | Eir | Einterp | Ematcom
+  (* What executes the program: the SPMD executor ([Exec.Tcode]) or
+     one of the two sequential baselines of Figure 2. *)
+  type engine = Etcode | Einterp | Ematcom
 
   type t = {
     machine : Mpisim.Machine.t;
@@ -77,14 +77,12 @@ module Config = struct
 
   let engine_of_string = function
     | "tcode" -> Some Etcode
-    | "ir" -> Some Eir
     | "interp" -> Some Einterp
     | "matcom" -> Some Ematcom
     | _ -> None
 
   let engine_name = function
     | Etcode -> "tcode"
-    | Eir -> "ir"
     | Einterp -> "interp"
     | Ematcom -> "matcom"
 
@@ -231,7 +229,7 @@ let report (c : compiled) : string =
 
 (* --- execution ------------------------------------------------------------ *)
 
-(* A sequential baseline's outcome in the engines' structured shape: a
+(* A sequential baseline's outcome in the executor's structured shape: a
    one-rank report whose makespan is the modeled sequential time. *)
 let outcome_of_interp (o : Interp.Eval.outcome) : Exec.State.outcome =
   let report : Mpisim.Sim.report =
@@ -308,7 +306,7 @@ let run (cfg : Config.t) (c : compiled) : Exec.State.recovery =
       in
       let o = Interp.Eval.run ~capture ~seed ~datadir ~mode ~machine c.ast in
       wrap_result (Exec.State.Complete (outcome_of_interp o))
-  | Config.Etcode | Config.Eir ->
+  | Config.Etcode ->
       (* The distribution policy is ambient state read at matrix
          creation: set it for the whole parallel run (checkpointed
          replays included) and restore it afterwards. *)
@@ -319,22 +317,14 @@ let run (cfg : Config.t) (c : compiled) : Exec.State.recovery =
         (fun () ->
           let recovering = ckpt_interval > 0. || max_recoveries > 0 in
           if recovering then
-            if engine = Config.Eir then
-              Exec.Vm.run_recovering ~capture ~seed ~datadir ~ckpt_interval
-                ~max_recoveries ~machine ~nprocs c.prog
-            else
-              Exec.Tcode.run_recovering ~capture ~seed ~datadir ~ckpt_interval
-                ~max_recoveries ~machine ~nprocs c.prog
+            Exec.Tcode.run_recovering ~capture ~seed ~datadir ~ckpt_interval
+              ~max_recoveries ~machine ~nprocs c.prog
           else
             wrap_result
-              (if engine = Config.Eir then
-                 Exec.Vm.run_result ~capture ~seed ~datadir ~machine ~nprocs
-                   c.prog
-               else
-                 Exec.Tcode.run_result ~capture ~seed ~datadir ~machine ~nprocs
-                   c.prog))
+              (Exec.Tcode.run_result ~capture ~seed ~datadir ~machine ~nprocs
+                 c.prog))
 
-(* The outcome of a recovery, or [Exec.Vm.Runtime_error] if the final
+(* The outcome of a recovery, or [Exec.State.Runtime_error] if the final
    attempt still failed — the raising entry point most callers want. *)
 let outcome_exn (rc : Exec.State.recovery) : Exec.State.outcome =
   match rc.Exec.State.r_result with
@@ -348,7 +338,7 @@ type mismatch = {
   detail : string;
 }
 
-let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.Vm.captured) :
+let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.State.captured) :
     string option =
   let close x y =
     x = y (* covers equal infinities *)
@@ -358,11 +348,11 @@ let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.Vm.captured) :
     Float.abs (x -. y) <= tol *. scale
   in
   match (a, b) with
-  | Interp.Eval.Cscalar x, Exec.Vm.Cscalar y ->
+  | Interp.Eval.Cscalar x, Exec.State.Cscalar y ->
       if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cscalar x, Exec.Vm.Cmat (1, 1, [| y |]) ->
+  | Interp.Eval.Cscalar x, Exec.State.Cmat (1, 1, [| y |]) ->
       if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cmat (r1, c1, d1), Exec.Vm.Cmat (r2, c2, d2) ->
+  | Interp.Eval.Cmat (r1, c1, d1), Exec.State.Cmat (r2, c2, d2) ->
       if r1 <> r2 || c1 <> c2 then
         Some (Printf.sprintf "shape %dx%d vs %dx%d" r1 c1 r2 c2)
       else begin
@@ -374,9 +364,9 @@ let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.Vm.captured) :
           d1;
         !bad
       end
-  | Interp.Eval.Cmat (1, 1, [| x |]), Exec.Vm.Cscalar y ->
+  | Interp.Eval.Cmat (1, 1, [| x |]), Exec.State.Cscalar y ->
       if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cnd (d1, a1), Exec.Vm.Cnd (d2, a2) ->
+  | Interp.Eval.Cnd (d1, a1), Exec.State.Cnd (d2, a2) ->
       if d1 <> d2 then
         let show d =
           String.concat "x" (Array.to_list (Array.map string_of_int d))
@@ -391,9 +381,9 @@ let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.Vm.captured) :
           a1;
         !bad
       end
-  | Interp.Eval.Cscalar x, Exec.Vm.Cnd (_, [| y |]) ->
+  | Interp.Eval.Cscalar x, Exec.State.Cnd (_, [| y |]) ->
       if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cnd (_, [| x |]), Exec.Vm.Cscalar y ->
+  | Interp.Eval.Cnd (_, [| x |]), Exec.State.Cscalar y ->
       if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
   | _ -> Some "rank mismatch"
 
@@ -404,7 +394,7 @@ type verdict =
       failed_rank : int;
       operation : string;
       detail : string;
-      kind : Exec.Vm.failure_kind;
+      kind : Exec.State.failure_kind;
       report : Mpisim.Sim.report;
       recoveries : int;
     }
@@ -417,9 +407,9 @@ let all_variables (c : compiled) : string list =
 (* Run the reference interpreter and the compiled program under [cfg]
    and compare the captured variables (within [cfg.tol], which absorbs
    reduction-order rounding).  An empty [cfg.capture] means "every
-   inferred script variable".  The parallel leg uses [cfg]'s engine (a
-   sequential engine is promoted to the default SPMD engine — verifying
-   the interpreter against itself proves nothing).  When the parallel
+   inferred script variable".  The parallel leg always runs the SPMD
+   executor, whatever [cfg]'s engine (verifying the interpreter
+   against itself proves nothing).  When the parallel
    run dies — e.g. under an injected fault model without the reliable
    layer — the verdict is a structured [Aborted] naming the failing
    rank and operation rather than an exception.  Nonzero
@@ -431,12 +421,7 @@ let verify (cfg : Config.t) (c : compiled) : verdict =
   let capture =
     match cfg.Config.capture with [] -> all_variables c | cs -> cs
   in
-  let engine =
-    match cfg.Config.engine with
-    | Config.Einterp | Config.Ematcom -> Config.default_engine
-    | e -> e
-  in
-  let cfg = { cfg with Config.capture; engine } in
+  let cfg = { cfg with Config.capture; engine = Config.Etcode } in
   let ref_run =
     Interp.Eval.run ~capture ~seed:cfg.Config.seed ~datadir:cfg.Config.datadir
       ~mode:Interp.Cost.Interpreter ~machine:cfg.Config.machine c.ast
@@ -444,15 +429,15 @@ let verify (cfg : Config.t) (c : compiled) : verdict =
   let rc = run cfg c in
   let recoveries = rc.Exec.State.r_attempts - 1 in
   match rc.Exec.State.r_result with
-  | Exec.Vm.Partial { failed_rank; operation; detail; kind; report } ->
+  | Exec.State.Partial { failed_rank; operation; detail; kind; report } ->
       Aborted { failed_rank; operation; detail; kind; report; recoveries }
-  | Exec.Vm.Complete par_run -> (
+  | Exec.State.Complete par_run -> (
       let mismatches =
         List.filter_map
           (fun name ->
             match
               ( List.assoc_opt name ref_run.Interp.Eval.captures,
-                List.assoc_opt name par_run.Exec.Vm.captures )
+                List.assoc_opt name par_run.Exec.State.captures )
             with
             | Some a, Some b -> (
                 match compare_values ~tol:cfg.Config.tol a b with
@@ -475,7 +460,7 @@ let verify_list (cfg : Config.t) (c : compiled) : mismatch list =
   match verify cfg c with
   | Verified -> []
   | Mismatched ms -> ms
-  | Aborted { detail; _ } -> raise (Exec.Vm.Runtime_error detail)
+  | Aborted { detail; _ } -> raise (Exec.State.Runtime_error detail)
 
 (* The multi-tenant space-sharing scheduler, re-exported so library
    users reach it as [Otter.Sched]. *)

@@ -51,15 +51,11 @@ val compile_frontend :
     with {!config}; entry points take the whole record, so adding a
     knob never changes their signatures. *)
 module Config : sig
-  (** What executes the program: [Etcode] is the pre-decoded
-      threaded-code fast path (the default), [Eir] the IR-walking VM
-      kept as fallback and differential-testing foil — the two are
-      bit-identical (verified per release across every
-      app/machine/P/opt configuration) and share result types and the
-      checkpoint format through [Exec.State].  [Einterp] and [Ematcom]
-      are the sequential baselines of Figure 2 (the reference
-      interpreter under the interpreter / MATCOM cost model). *)
-  type engine = Etcode | Eir | Einterp | Ematcom
+  (** What executes the program: [Etcode] is the SPMD executor
+      ({!Exec.Tcode}, the default).  [Einterp] and [Ematcom] are the
+      sequential baselines of Figure 2 (the reference interpreter under
+      the interpreter / MATCOM cost model). *)
+  type engine = Etcode | Einterp | Ematcom
 
   type t = {
     machine : Mpisim.Machine.t;
@@ -75,7 +71,7 @@ module Config : sig
         (** simulated seconds between checkpoints (0 = none) *)
     max_recoveries : int;  (** rollback/replay budget (0 = no retries) *)
     layout : Runtime.Dmat.layout;
-        (** the data-distribution policy for the SPMD engines: block
+        (** the data-distribution policy for the SPMD executor: block
             (the paper's layout, the default), block-cyclic, or 2-D
             grid.  Sequential baselines ignore it. *)
   }
@@ -83,7 +79,7 @@ module Config : sig
   val default_engine : engine
 
   val engine_of_string : string -> engine option
-  (** ["tcode"] / ["ir"] / ["interp"] / ["matcom"]. *)
+  (** ["tcode"] / ["interp"] / ["matcom"]; anything else is [None]. *)
 
   val engine_name : engine -> string
 
@@ -147,7 +143,7 @@ val pass_table : Spmd.Pass.record list -> string
     counts) from a {!compiled.passes} list. *)
 
 val run : Config.t -> compiled -> Exec.State.recovery
-(** Execute the compiled program under [cfg].  SPMD engines run on
+(** Execute the compiled program under [cfg].  The SPMD executor runs on
     [cfg.nprocs] simulated processors of [cfg.machine], wrapped in the
     coordinated checkpoint/rollback driver when
     [cfg.ckpt_interval]/[cfg.max_recoveries] ask for it; the
@@ -158,7 +154,7 @@ val run : Config.t -> compiled -> Exec.State.recovery
     surfaces as a structured [Partial], never an exception. *)
 
 val outcome_exn : Exec.State.recovery -> Exec.State.outcome
-(** The final outcome of a {!run}, raising {!Exec.Vm.Runtime_error}
+(** The final outcome of a {!run}, raising {!Exec.State.Runtime_error}
     with the failure detail when the final attempt still failed. *)
 
 type mismatch = { variable : string; detail : string }
@@ -170,7 +166,7 @@ type verdict =
       failed_rank : int;
       operation : string;
       detail : string;
-      kind : Exec.Vm.failure_kind;
+      kind : Exec.State.failure_kind;
       report : Mpisim.Sim.report;
           (** fault counters accumulated up to the abort *)
       recoveries : int;  (** rollbacks attempted before giving up *)
@@ -183,8 +179,8 @@ val verify : Config.t -> compiled -> verdict
 (** Run the reference interpreter and the compiled program under [cfg]
     and compare the captured variables; [cfg.tol] absorbs
     reduction-order rounding and [cfg.capture = []] compares every
-    inferred script variable.  The parallel leg uses [cfg.engine]
-    (sequential engines are promoted to the default SPMD engine).
+    inferred script variable.  The parallel leg always runs the SPMD
+    executor, whatever [cfg.engine].
     Never raises for a failing parallel run — it degrades to
     {!verdict.Aborted}.  Nonzero [cfg.ckpt_interval]/
     [cfg.max_recoveries] route the parallel run through
@@ -193,7 +189,7 @@ val verify : Config.t -> compiled -> verdict
 val verify_list : Config.t -> compiled -> mismatch list
 (** {!verify} for callers that treat an abort as fatal: empty result =
     verified, mismatches returned as a list, [Aborted] raised as
-    {!Exec.Vm.Runtime_error}. *)
+    {!Exec.State.Runtime_error}. *)
 
 module Sched = Sched
 (** The multi-tenant space-sharing job scheduler (see {!Sched}). *)

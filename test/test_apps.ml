@@ -14,7 +14,7 @@ let run4 ~capture c =
 (* Modeled time of [c] on [machine] under [engine] with [nprocs] ranks. *)
 let engine_time ~engine ~machine ~nprocs c =
   (Otter.outcome_exn (Otter.run (Otter.config ~engine ~machine ~nprocs ()) c))
-    .Exec.Vm.report
+    .Exec.State.report
     .Mpisim.Sim.makespan
 
 let verify_app ?(machine = Mpisim.Machine.meiko_cs2) key ~scale ~nprocs =
@@ -57,8 +57,8 @@ let test_cg_converges () =
   let src = Apps.Scripts.cg ~n:32 ~iters:40 () in
   let c = Otter.compile src in
   let o = run4 ~capture:[ "resid" ] c in
-  match List.assoc "resid" o.Exec.Vm.captures with
-  | Exec.Vm.Cscalar r ->
+  match List.assoc "resid" o.Exec.State.captures with
+  | Exec.State.Cscalar r ->
       Alcotest.(check bool) "residual small" true (r < 1e-8)
   | _ -> Alcotest.fail "resid not scalar"
 
@@ -68,8 +68,8 @@ let test_tc_closure_properties () =
   let c = Otter.compile src in
   let o = run4 ~capture:[ "B"; "reach" ] c in
   let _, _, b =
-    match List.assoc "B" o.Exec.Vm.captures with
-    | Exec.Vm.Cmat (r, cc, d) -> (r, cc, d)
+    match List.assoc "B" o.Exec.State.captures with
+    | Exec.State.Cmat (r, cc, d) -> (r, cc, d)
     | _ -> Alcotest.fail "B not matrix"
   in
   let n = 24 in
@@ -80,8 +80,8 @@ let test_tc_closure_properties () =
     (fun x ->
       Alcotest.(check bool) "boolean" true (x = 0. || x = 1.))
     b;
-  match List.assoc "reach" o.Exec.Vm.captures with
-  | Exec.Vm.Cscalar r ->
+  match List.assoc "reach" o.Exec.State.captures with
+  | Exec.State.Cscalar r ->
       Alcotest.(check bool) "at least the diagonal" true (r >= float_of_int n)
   | _ -> Alcotest.fail "reach not scalar"
 
@@ -91,8 +91,8 @@ let test_nbody_physics () =
   let c = Otter.compile src in
   let o = run4 ~capture:[ "mx"; "ke" ] c in
   let get n =
-    match List.assoc n o.Exec.Vm.captures with
-    | Exec.Vm.Cscalar f -> f
+    match List.assoc n o.Exec.State.captures with
+    | Exec.State.Cscalar f -> f
     | _ -> nan
   in
   Alcotest.(check bool) "mean position sane" true
@@ -105,8 +105,8 @@ let test_ocean_signal () =
   let c = Otter.compile src in
   let o = run4 ~capture:[ "Fmax"; "Frms" ] c in
   let get n =
-    match List.assoc n o.Exec.Vm.captures with
-    | Exec.Vm.Cscalar f -> f
+    match List.assoc n o.Exec.State.captures with
+    | Exec.State.Cscalar f -> f
     | _ -> nan
   in
   Alcotest.(check bool) "rms below max" true (get "Frms" < get "Fmax");
@@ -120,8 +120,8 @@ let test_heat3d_physics () =
   let c = Otter.compile src in
   let o = run4 ~capture:[ "heat"; "peak"; "core" ] c in
   let get n =
-    match List.assoc n o.Exec.Vm.captures with
-    | Exec.Vm.Cscalar f -> f
+    match List.assoc n o.Exec.State.captures with
+    | Exec.State.Cscalar f -> f
     | _ -> nan
   in
   Testutil.check_close "peak is the hot face" 1. (get "peak");
@@ -135,8 +135,8 @@ let test_logistic_range () =
   let c = Otter.compile src in
   let o = run4 ~capture:[ "xlo"; "xhi"; "xm" ] c in
   let get n =
-    match List.assoc n o.Exec.Vm.captures with
-    | Exec.Vm.Cscalar f -> f
+    match List.assoc n o.Exec.State.captures with
+    | Exec.State.Cscalar f -> f
     | _ -> nan
   in
   Alcotest.(check bool) "bounded below" true (get "xlo" > 0.);

@@ -234,7 +234,7 @@ let test_message_counts_never_regress () =
              (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 ())
              c)
       in
-      let msgs = o.Exec.Vm.report.Mpisim.Sim.messages in
+      let msgs = o.Exec.State.report.Mpisim.Sim.messages in
       let baseline = List.assoc a.key message_baselines in
       if msgs > baseline then
         Alcotest.failf "%s: %d messages at P=4, baseline %d" a.key msgs
@@ -254,7 +254,7 @@ let test_o2_beats_o1_on_messages () =
              (Otter.run
                 (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 ())
                 c))
-            .Exec.Vm.report
+            .Exec.State.report
             .Mpisim.Sim.messages
         in
         msgs Spmd.Pass.O2 < msgs Spmd.Pass.O1)

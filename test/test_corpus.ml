@@ -3,23 +3,7 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* Locate the repository root from the dune sandbox. *)
-let corpus_dir =
-  lazy
-    (let rec up dir n =
-       if n = 0 then None
-       else if Sys.file_exists (Filename.concat dir "examples/matlab") then
-         Some (Filename.concat dir "examples/matlab")
-       else up (Filename.dirname dir) (n - 1)
-     in
-     up (Sys.getcwd ()) 8)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let corpus_dir = lazy (Testutil.find_up "examples/matlab")
 
 let test_corpus () =
   match Lazy.force corpus_dir with
@@ -33,7 +17,7 @@ let test_corpus () =
       Alcotest.(check bool) "corpus nonempty" true (List.length files >= 5);
       List.iter
         (fun f ->
-          let src = read_file (Filename.concat dir f) in
+          let src = Testutil.read_file (Filename.concat dir f) in
           let c = Otter.compile src in
           let oi =
             Otter.outcome_exn
@@ -50,7 +34,7 @@ let test_corpus () =
           in
           Alcotest.(check string)
             (f ^ ": identical output on 8 CPUs")
-            oi.Exec.State.output op.Exec.Vm.output)
+            oi.Exec.State.output op.Exec.State.output)
         files
 
 let suite = [ t "examples/matlab corpus" test_corpus ]

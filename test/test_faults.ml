@@ -216,10 +216,10 @@ let test_apps_bit_for_bit_under_faults () =
           Alcotest.(check bool)
             (where ^ ": captures bit-for-bit")
             true
-            (clean.Exec.Vm.captures = faulted.Exec.Vm.captures);
+            (clean.Exec.State.captures = faulted.Exec.State.captures);
           Alcotest.(check string)
             (where ^ ": output identical")
-            clean.Exec.Vm.output faulted.Exec.Vm.output)
+            clean.Exec.State.output faulted.Exec.State.output)
         [ Machine.meiko_cs2; Machine.enterprise_smp; Machine.sparc20_cluster ])
     Apps.Scripts.apps
 
@@ -257,15 +257,15 @@ let test_vm_partial_names_rank_and_operation () =
   in
   match
     (Otter.run (Otter.config ~capture:app.capture ~machine:m ~nprocs:4 ()) c)
-      .Exec.Vm.r_result
+      .Exec.State.r_result
   with
-  | Exec.Vm.Partial { failed_rank; operation; detail; _ } ->
+  | Exec.State.Partial { failed_rank; operation; detail; _ } ->
       Alcotest.(check bool) "rank in range" true
         (failed_rank >= 0 && failed_rank < 4);
       Alcotest.(check bool) "operation non-empty" true (operation <> "");
       Alcotest.(check bool) "detail names the message" true
         (Testutil.contains detail "src=")
-  | Exec.Vm.Complete _ ->
+  | Exec.State.Complete _ ->
       Alcotest.fail "total loss without the reliable layer cannot complete"
 
 let suite =

@@ -5,16 +5,7 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* Locate the repository root from the dune sandbox. *)
-let corpus_dir =
-  lazy
-    (let rec up dir n =
-       if n = 0 then None
-       else if Sys.file_exists (Filename.concat dir "test/corpus/fuzz") then
-         Some (Filename.concat dir "test/corpus/fuzz")
-       else up (Filename.dirname dir) (n - 1)
-     in
-     up (Sys.getcwd ()) 8)
+let corpus_dir = lazy (Testutil.find_up "test/corpus/fuzz")
 
 let test_corpus_replay () =
   match Lazy.force corpus_dir with

@@ -59,7 +59,7 @@ let test_cost_model_ordering () =
   let time engine =
     (Otter.outcome_exn
        (Otter.run (Otter.config ~engine ~machine ~nprocs:1 ()) c))
-      .Exec.Vm.report
+      .Exec.State.report
       .Mpisim.Sim.makespan
   in
   let ti = time Otter.Config.Einterp in
@@ -81,7 +81,7 @@ let test_interpreter_dispatch_dominates_scalar_loops () =
     let time engine =
       (Otter.outcome_exn
          (Otter.run (Otter.config ~engine ~machine ~nprocs:1 ()) c))
-        .Exec.Vm.report
+        .Exec.State.report
         .Mpisim.Sim.makespan
     in
     time Otter.Config.Einterp /. time Otter.Config.Etcode

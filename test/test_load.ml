@@ -70,8 +70,8 @@ let test_execution_across_backends () =
              c)
       in
       let gi n =
-        match List.assoc n oi.Exec.Vm.captures with
-        | Exec.Vm.Cscalar f -> f
+        match List.assoc n oi.Exec.State.captures with
+        | Exec.State.Cscalar f -> f
         | _ -> nan
       in
       Testutil.check_close "interp sum" 78. (gi "s");
@@ -87,8 +87,8 @@ let test_execution_across_backends () =
                  c)
           in
           let g n =
-            match List.assoc n o.Exec.Vm.captures with
-            | Exec.Vm.Cscalar f -> f
+            match List.assoc n o.Exec.State.captures with
+            | Exec.State.Cscalar f -> f
             | _ -> nan
           in
           Testutil.check_close (Printf.sprintf "vm sum P=%d" p) 78. (g "s");

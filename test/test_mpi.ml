@@ -1,17 +1,24 @@
 (* Explicit message passing: the MatlabMPI-style builtins
-   (MPI_Comm_rank/size, MPI_Send/Recv, MPI_Bcast, MPI_Probe) across
-   both SPMD engines, the reference interpreter, and the job
-   scheduler that space-shares ranks between tenants. *)
+   (MPI_Comm_rank/size, MPI_Send/Recv, MPI_Bcast, MPI_Probe) on the
+   SPMD executor and the reference interpreter, and the job scheduler
+   that space-shares ranks between tenants. *)
 
 open Testutil
 
 let t name f = Alcotest.test_case name `Quick f
 
-let run_engine ~engine ?(machine = Mpisim.Machine.meiko_cs2) ~nprocs src =
-  let c = compile src in
-  Otter.outcome_exn (Otter.run (Otter.config ~machine ~nprocs ~engine ()) c)
+let run_spmd ~nprocs src =
+  Otter.outcome_exn (Otter.run (Otter.config ~nprocs ()) (compile src))
 
-(* --- pingpong: bit-identical across engines at P in {2,4,8} ------------- *)
+(* Output and traffic of [o] against a golden (output, messages, bytes). *)
+let check_golden ~where (o : Exec.State.outcome) (output, messages, bytes) =
+  check Alcotest.string (where ^ " output") output o.Exec.State.output;
+  check Alcotest.int (where ^ " messages") messages
+    o.Exec.State.report.Mpisim.Sim.messages;
+  check Alcotest.int (where ^ " bytes") bytes
+    o.Exec.State.report.Mpisim.Sim.bytes
+
+(* --- pingpong: pinned output and traffic at P in {2,4,8} ---------------- *)
 
 let pingpong_src =
   {|r = MPI_Comm_rank();
@@ -38,23 +45,23 @@ total = MPI_Bcast(0, total);
 fprintf('pingpong total = %d\n', total);
 |}
 
-let test_pingpong_engines () =
+(* 8 round trips between ranks 0 and 1, then a linear broadcast of
+   the total to the other P-1 ranks. *)
+let pingpong_golden =
+  [
+    (2, ("pingpong total = 72\n", 17, 272));
+    (4, ("pingpong total = 72\n", 19, 304));
+    (8, ("pingpong total = 72\n", 23, 368));
+  ]
+
+let test_pingpong_pinned () =
   List.iter
-    (fun nprocs ->
-      let a = run_engine ~engine:Otter.Config.Etcode ~nprocs pingpong_src in
-      let b = run_engine ~engine:Otter.Config.Eir ~nprocs pingpong_src in
-      check Alcotest.string
-        (Printf.sprintf "pingpong output P=%d" nprocs)
-        "pingpong total = 72\n" a.Exec.State.output;
-      check Alcotest.string
-        (Printf.sprintf "engines agree P=%d" nprocs)
-        a.Exec.State.output b.Exec.State.output;
-      (* the simulated timelines must agree too: same traffic, same clock *)
-      check Alcotest.int
-        (Printf.sprintf "same message count P=%d" nprocs)
-        a.Exec.State.report.Mpisim.Sim.messages
-        b.Exec.State.report.Mpisim.Sim.messages)
-    [ 2; 4; 8 ]
+    (fun (nprocs, golden) ->
+      check_golden
+        ~where:(Printf.sprintf "pingpong P=%d" nprocs)
+        (run_spmd ~nprocs pingpong_src)
+        golden)
+    pingpong_golden
 
 (* --- self-send: a rank's loopback queue ---------------------------------- *)
 
@@ -70,7 +77,7 @@ fprintf('%d\n', a + b);
   in
   List.iter
     (fun nprocs ->
-      let o = run_engine ~engine:Otter.Config.Etcode ~nprocs src in
+      let o = run_spmd ~nprocs src in
       check Alcotest.string
         (Printf.sprintf "FIFO self-send P=%d" nprocs)
         "42\n" o.Exec.State.output)
@@ -138,14 +145,9 @@ let test_any_source_gather () =
   let expected = "any-source gather: total = 2080 leftover = 0\n" in
   List.iter
     (fun nprocs ->
-      let a = run_engine ~engine:Otter.Config.Etcode ~nprocs anysrc_src in
-      let b = run_engine ~engine:Otter.Config.Eir ~nprocs anysrc_src in
       check Alcotest.string
         (Printf.sprintf "any-source gather P=%d" nprocs)
-        expected a.Exec.State.output;
-      check Alcotest.string
-        (Printf.sprintf "engines agree P=%d" nprocs)
-        a.Exec.State.output b.Exec.State.output)
+        expected (run_spmd ~nprocs anysrc_src).Exec.State.output)
     [ 1; 2; 4; 8 ];
   let out, _ = run_interp anysrc_src in
   check Alcotest.string "interpreter (any source = source 0)" expected out
@@ -172,7 +174,7 @@ let test_any_source_bad_rank () =
   let src = "MPI_Send(0, 1, 7);\nx = MPI_Recv(-2, 1);\n" in
   let c = compile src in
   match Otter.run (Otter.config ~nprocs:4 ()) c |> Otter.outcome_exn with
-  | exception Exec.Vm.Runtime_error msg ->
+  | exception Exec.State.Runtime_error msg ->
       Alcotest.(check bool) "wildcard hinted" true
         (contains msg "source rank -2 is outside 0..3 (use -1 for any source)")
   | _ -> Alcotest.fail "expected a runtime error"
@@ -191,7 +193,7 @@ let test_rank_bounds () =
   let src = "MPI_Send(99, 1, 0);\nx = MPI_Recv(99, 1);\n" in
   let c = compile src in
   match Otter.run (Otter.config ~nprocs:4 ()) c |> Otter.outcome_exn with
-  | exception Exec.Vm.Runtime_error msg ->
+  | exception Exec.State.Runtime_error msg ->
       Alcotest.(check bool) "out-of-range rank named" true
         (contains msg "destination rank 99 is outside 0..3")
   | _ -> Alcotest.fail "expected a runtime error"
@@ -281,54 +283,40 @@ let test_mixed_matrix () =
         mixed_machines)
     mixed_apps
 
-(* --- example apps: engines bit-identical at P in {2,4,8} ----------------- *)
+(* --- example apps: pinned output and traffic at P in {2,4,8} ----------- *)
 
-let examples_dir =
-  lazy
-    (let rec up dir n =
-       if n = 0 then None
-       else if Sys.file_exists (Filename.concat dir "examples/matlab") then
-         Some (Filename.concat dir "examples/matlab")
-       else up (Filename.dirname dir) (n - 1)
-     in
-     up (Sys.getcwd ()) 8)
+let examples_golden =
+  [
+    (* the program of [pingpong_src], plus comments *)
+    ("pingpong.m", pingpong_golden);
+    ( "mpi_filter.m",
+      [
+        (2, ("mpi filter checksum = 2054.901935\n", 5, 65600));
+        (4, ("mpi filter checksum = 2054.901935\n", 19, 131216));
+        (8, ("mpi filter checksum = 2054.901935\n", 71, 262448));
+      ] );
+    ( "mpi_anysrc.m",
+      [
+        (2, ("any-source gather: total = 2080 leftover = 0\n", 2, 32));
+        (4, ("any-source gather: total = 2080 leftover = 0\n", 6, 96));
+        (8, ("any-source gather: total = 2080 leftover = 0\n", 14, 224));
+      ] );
+  ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let test_examples_bit_identical () =
-  match Lazy.force examples_dir with
+let test_examples_pinned () =
+  match find_up "examples/matlab" with
   | None -> () (* sandboxed without sources *)
   | Some dir ->
       List.iter
-        (fun file ->
+        (fun (file, goldens) ->
           let src = read_file (Filename.concat dir file) in
-          let c = compile src in
           List.iter
-            (fun nprocs ->
-              let run engine =
-                Otter.outcome_exn
-                  (Otter.run (Otter.config ~nprocs ~engine ()) c)
-              in
-              let a = run Otter.Config.Etcode in
-              let b = run Otter.Config.Eir in
-              check Alcotest.string
-                (Printf.sprintf "%s output P=%d" file nprocs)
-                a.Exec.State.output b.Exec.State.output;
-              check Alcotest.int
-                (Printf.sprintf "%s messages P=%d" file nprocs)
-                a.Exec.State.report.Mpisim.Sim.messages
-                b.Exec.State.report.Mpisim.Sim.messages;
-              checkf
-                (Printf.sprintf "%s makespan P=%d" file nprocs)
-                a.Exec.State.report.Mpisim.Sim.makespan
-                b.Exec.State.report.Mpisim.Sim.makespan)
-            [ 2; 4; 8 ])
-        [ "pingpong.m"; "mpi_filter.m"; "mpi_anysrc.m" ]
+            (fun (nprocs, golden) ->
+              check_golden
+                ~where:(Printf.sprintf "%s P=%d" file nprocs)
+                (run_spmd ~nprocs src) golden)
+            goldens)
+        examples_golden
 
 (* --- bandwidth is monotone in message size ------------------------------- *)
 
@@ -441,7 +429,7 @@ let test_scheduler_rejects () =
 
 let suite =
   [
-    t "pingpong engines agree at P in {2,4,8}" test_pingpong_engines;
+    t "pingpong engines agree at P in {2,4,8}" test_pingpong_pinned;
     t "self-send queue is FIFO" test_self_send;
     t "circular receives deadlock" test_deadlock;
     t "any-source gather verifies across P" test_any_source_gather;
@@ -452,7 +440,7 @@ let suite =
     t "out-of-range ranks are diagnosed" test_rank_bounds;
     t "mixed explicit+implicit verifies on 4 apps x 3 machines"
       test_mixed_matrix;
-    t "example apps bit-identical across engines" test_examples_bit_identical;
+    t "example apps bit-identical across engines" test_examples_pinned;
     t "bandwidth monotone in message size" test_bandwidth_monotone;
     t "scheduler space-shares and accounts tenants" test_scheduler;
     t "scheduler rejects oversized requests" test_scheduler_rejects;

@@ -242,7 +242,7 @@ let test_fold_eye_into_elementwise () =
          (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 ())
          c)
   in
-  Alcotest.(check string) "same output" oi.Exec.State.output op.Exec.Vm.output
+  Alcotest.(check string) "same output" oi.Exec.State.output op.Exec.State.output
 
 let test_fold_skips_multi_use_temp () =
   (* The temp is consumed twice: the matrix must be materialized. *)
@@ -314,23 +314,7 @@ let test_O0_compiles_without_passes () =
 
 (* --- optimization levels agree ------------------------------------------ *)
 
-(* Locate the repository root from the dune sandbox. *)
-let fuzz_corpus_dir =
-  lazy
-    (let rec up dir n =
-       if n = 0 then None
-       else if Sys.file_exists (Filename.concat dir "test/corpus/fuzz") then
-         Some (Filename.concat dir "test/corpus/fuzz")
-       else up (Filename.dirname dir) (n - 1)
-     in
-     up (Sys.getcwd ()) 8)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let fuzz_corpus_dir = lazy (Testutil.find_up "test/corpus/fuzz")
 
 let test_fuzz_corpus_replays_at_O0 () =
   (* every regression script must also pass with the middle end off:
@@ -342,7 +326,7 @@ let test_fuzz_corpus_replays_at_O0 () =
       |> List.filter (fun f -> Filename.check_suffix f ".m")
       |> List.sort compare
       |> List.iter (fun f ->
-             let src = read_file (Filename.concat dir f) in
+             let src = Testutil.read_file (Filename.concat dir f) in
              match Otter.compile ~opt:Spmd.Pass.O0 ~validate:true src with
              | exception Spmd.Lower.Unsupported _ ->
                  () (* interpreter-only script (e.g. matrix growth) *)
@@ -363,7 +347,7 @@ let test_fuzz_corpus_replays_at_O0 () =
                  in
                  Alcotest.(check string)
                    (f ^ ": O0 output agrees")
-                   oi.Exec.State.output op.Exec.Vm.output)
+                   oi.Exec.State.output op.Exec.State.output)
 
 let test_apps_identical_at_every_level () =
   (* O0, O1 and O2 builds of each paper app print the same thing. *)
@@ -379,7 +363,7 @@ let test_apps_identical_at_every_level () =
                (Otter.run
                   (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 ())
                   c))
-              .Exec.Vm.output)
+              .Exec.State.output)
           [ Spmd.Pass.O0; Spmd.Pass.O1; Spmd.Pass.O2 ]
       in
       match outputs with

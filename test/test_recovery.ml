@@ -33,28 +33,18 @@ let killer ?(reliable = true) ?(victim = 1) ?(at = 0.002) ?(detect = 0.05)
             at detect seed))
     m
 
-(* Bit-for-bit equality of captured values: recovery replays must not
-   perturb a single ULP (exact equality, not tolerance). *)
-let eq_captured (a : Exec.Vm.captured) (b : Exec.Vm.captured) =
-  let eqf (x : float) (y : float) =
-    (Float.is_nan x && Float.is_nan y) || x = y
-  in
-  match (a, b) with
-  | Exec.Vm.Cscalar x, Exec.Vm.Cscalar y -> eqf x y
-  | Exec.Vm.Cmat (r1, c1, d1), Exec.Vm.Cmat (r2, c2, d2) ->
-      r1 = r2 && c1 = c2 && Array.for_all2 eqf d1 d2
-  | _ -> false
-
-let check_identical ~where (clean : Exec.Vm.outcome) (rec_ : Exec.Vm.outcome) =
+(* Recovery replays must not perturb a single ULP: captures compare
+   bitwise (exact equality, not tolerance). *)
+let check_identical ~where (clean : Exec.State.outcome) (rec_ : Exec.State.outcome) =
   Alcotest.(check string) (where ^ ": output bit-identical") clean.output
     rec_.output;
   List.iter
     (fun (name, v) ->
-      match List.assoc_opt name rec_.Exec.Vm.captures with
-      | Some w when eq_captured v w -> ()
+      match List.assoc_opt name rec_.Exec.State.captures with
+      | Some w when Exec.State.captured_equal v w -> ()
       | Some _ -> Alcotest.failf "%s: capture %s differs after recovery" where name
       | None -> Alcotest.failf "%s: capture %s lost after recovery" where name)
-    clean.Exec.Vm.captures
+    clean.Exec.State.captures
 
 (* --- the acceptance matrix ---------------------------------------------- *)
 
@@ -79,7 +69,7 @@ let recover_app key () =
           (* Kill a third of the way through the fault-free makespan so
              the death lands mid-run on every machine, with a few
              checkpoint commits before it. *)
-          let span = clean.Exec.Vm.report.Sim.makespan in
+          let span = clean.Exec.State.report.Sim.makespan in
           let at = span *. 0.3 in
           let ck = Float.max 1e-6 (span *. 0.08) in
           let rc =
@@ -90,7 +80,7 @@ let recover_app key () =
                  ~nprocs:p ())
               c
           in
-          (match rc.Exec.Vm.r_reports with
+          (match rc.Exec.State.r_reports with
           | first :: _ ->
               Alcotest.(check int)
                 (where ^ ": the seeded kill fired")
@@ -99,10 +89,10 @@ let recover_app key () =
           Alcotest.(check bool)
             (where ^ ": recovery actually rolled back")
             true
-            (rc.Exec.Vm.r_attempts >= 2);
-          match rc.Exec.Vm.r_result with
-          | Exec.Vm.Complete out -> check_identical ~where clean out
-          | Exec.Vm.Partial { detail; _ } ->
+            (rc.Exec.State.r_attempts >= 2);
+          match rc.Exec.State.r_result with
+          | Exec.State.Complete out -> check_identical ~where clean out
+          | Exec.State.Partial { detail; _ } ->
               Alcotest.failf "%s: did not recover: %s" where detail)
         [ 2; 4; 8 ])
     machines
@@ -121,18 +111,18 @@ let test_kill_without_recovery_is_typed () =
        (Otter.config ~capture:app.capture ~machine:(killer Machine.meiko_cs2)
           ~nprocs:4 ())
        c)
-      .Exec.Vm.r_result
+      .Exec.State.r_result
   with
-  | Exec.Vm.Partial { kind; report; failed_rank; _ } ->
+  | Exec.State.Partial { kind; report; failed_rank; _ } ->
       Alcotest.(check bool)
         "rank-failure class" true
         (match kind with
-        | Exec.Vm.Fkilled | Exec.Vm.Fpeer | Exec.Vm.Fexhausted -> true
+        | Exec.State.Fkilled | Exec.State.Fpeer | Exec.State.Fexhausted -> true
         | _ -> false);
       Alcotest.(check int) "one kill counted" 1 report.Sim.kills;
       Alcotest.(check bool) "rank in range" true
         (failed_rank >= 0 && failed_rank < 4)
-  | Exec.Vm.Complete _ ->
+  | Exec.State.Complete _ ->
       Alcotest.fail "a killed rank cannot complete without recovery"
 
 (* Every rank doomed on every attempt: the budget runs out and the
@@ -154,14 +144,14 @@ let test_budget_exhaustion_gives_up () =
          ~machine:m ~nprocs:4 ())
       c
   in
-  Alcotest.(check bool) "gave up" true rc.Exec.Vm.r_gave_up;
-  Alcotest.(check int) "budget+1 attempts" 3 rc.Exec.Vm.r_attempts;
+  Alcotest.(check bool) "gave up" true rc.Exec.State.r_gave_up;
+  Alcotest.(check int) "budget+1 attempts" 3 rc.Exec.State.r_attempts;
   Alcotest.(check int) "one report per attempt" 3
-    (List.length rc.Exec.Vm.r_reports);
-  match rc.Exec.Vm.r_result with
-  | Exec.Vm.Partial { kind; _ } ->
-      Alcotest.(check bool) "recoverable class" true (Exec.Vm.recoverable kind)
-  | Exec.Vm.Complete _ -> Alcotest.fail "kill=1.0 cannot complete"
+    (List.length rc.Exec.State.r_reports);
+  match rc.Exec.State.r_result with
+  | Exec.State.Partial { kind; _ } ->
+      Alcotest.(check bool) "recoverable class" true (Exec.State.recoverable kind)
+  | Exec.State.Complete _ -> Alcotest.fail "kill=1.0 cannot complete"
 
 (* A bug in the program itself must not be retried: the driver returns
    after the first attempt with a non-recoverable class. *)
@@ -173,13 +163,13 @@ let test_program_bugs_are_not_retried () =
          ~machine:(killer ~at:1e9 Machine.meiko_cs2) ~nprocs:4 ())
       c
   in
-  Alcotest.(check int) "one attempt only" 1 rc.Exec.Vm.r_attempts;
+  Alcotest.(check int) "one attempt only" 1 rc.Exec.State.r_attempts;
   Alcotest.(check bool) "did not give up (not recoverable)" false
-    rc.Exec.Vm.r_gave_up;
-  match rc.Exec.Vm.r_result with
-  | Exec.Vm.Partial { kind; _ } ->
-      Alcotest.(check bool) "runtime class" true (kind = Exec.Vm.Fruntime)
-  | Exec.Vm.Complete _ -> Alcotest.fail "error() cannot complete"
+    rc.Exec.State.r_gave_up;
+  match rc.Exec.State.r_result with
+  | Exec.State.Partial { kind; _ } ->
+      Alcotest.(check bool) "runtime class" true (kind = Exec.State.Fruntime)
+  | Exec.State.Complete _ -> Alcotest.fail "error() cannot complete"
 
 (* --- replay determinism ------------------------------------------------- *)
 
@@ -212,11 +202,11 @@ let test_rng_stream_survives_replay () =
       c
   in
   Alcotest.(check bool) "rolled back at least once" true
-    (rc.Exec.Vm.r_attempts >= 2);
-  match rc.Exec.Vm.r_result with
-  | Exec.Vm.Complete out ->
+    (rc.Exec.State.r_attempts >= 2);
+  match rc.Exec.State.r_result with
+  | Exec.State.Complete out ->
       check_identical ~where:"rng replay" clean out
-  | Exec.Vm.Partial { detail; _ } ->
+  | Exec.State.Partial { detail; _ } ->
       Alcotest.failf "rng replay did not recover: %s" detail
 
 (* Two different fault seeds kill different ranks at different times;
@@ -241,12 +231,12 @@ let test_recovery_is_seed_independent () =
              ())
           c
       in
-      match rc.Exec.Vm.r_result with
-      | Exec.Vm.Complete out ->
+      match rc.Exec.State.r_result with
+      | Exec.State.Complete out ->
           Alcotest.(check string)
             (Printf.sprintf "victim=%d seed=%d" victim seed)
-            clean.Exec.Vm.output out.Exec.Vm.output
-      | Exec.Vm.Partial { detail; _ } ->
+            clean.Exec.State.output out.Exec.State.output
+      | Exec.State.Partial { detail; _ } ->
           Alcotest.failf "victim=%d seed=%d did not recover: %s" victim seed
             detail)
     [ (0, 5); (3, 11) ]
@@ -305,22 +295,7 @@ let reliable_exactly_once_prop =
 (* Scripts in test/corpus/chaos were minimized from chaos-sweep
    failures; replay each under the standard single-kill chaos spec and
    demand the fault-free answer. *)
-let chaos_corpus_dir =
-  lazy
-    (let rec up dir n =
-       if n = 0 then None
-       else if Sys.file_exists (Filename.concat dir "test/corpus/chaos") then
-         Some (Filename.concat dir "test/corpus/chaos")
-       else up (Filename.dirname dir) (n - 1)
-     in
-     up (Sys.getcwd ()) 8)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let chaos_corpus_dir = lazy (Testutil.find_up "test/corpus/chaos")
 
 let test_chaos_corpus () =
   match Lazy.force chaos_corpus_dir with
@@ -334,7 +309,7 @@ let test_chaos_corpus () =
       Alcotest.(check bool) "chaos corpus nonempty" true (files <> []);
       List.iter
         (fun f ->
-          let c = Otter.compile (read_file (Filename.concat dir f)) in
+          let c = Otter.compile (Testutil.read_file (Filename.concat dir f)) in
           let clean =
             Otter.outcome_exn
               (Otter.run
@@ -347,12 +322,12 @@ let test_chaos_corpus () =
                  ~machine:(killer Machine.meiko_cs2) ~nprocs:4 ())
               c
           in
-          match rc.Exec.Vm.r_result with
-          | Exec.Vm.Complete out ->
+          match rc.Exec.State.r_result with
+          | Exec.State.Complete out ->
               Alcotest.(check string)
                 (f ^ ": bit-identical after recovery")
-                clean.Exec.Vm.output out.Exec.Vm.output
-          | Exec.Vm.Partial { detail; _ } ->
+                clean.Exec.State.output out.Exec.State.output
+          | Exec.State.Partial { detail; _ } ->
               Alcotest.failf "%s: did not recover: %s" f detail)
         files
 

@@ -352,7 +352,7 @@ let transpose_prop (p, m, n) =
   Array.for_all (fun got -> got = expected) results
 
 let cumsum_prop (p, n, _) =
-  let v = Array.init n (fun i -> Runtime.Rng.uniform ~seed:5 i -. 0.5) in
+  let v = Array.init n (fun i -> Mpisim.Rng.uniform ~seed:5 i -. 0.5) in
   let expected =
     let acc = ref 0. in
     Array.map
@@ -371,7 +371,7 @@ let cumsum_prop (p, n, _) =
 
 let reduction_invariant_prop (p, n, _) =
   (* distributed sum equals dense sum regardless of the partition *)
-  let v = Array.init n (fun i -> Runtime.Rng.uniform ~seed:7 i -. 0.5) in
+  let v = Array.init n (fun i -> Mpisim.Rng.uniform ~seed:7 i -. 0.5) in
   let expected = Array.fold_left ( +. ) 0. v in
   let results =
     run_all ~p (fun _ -> Ops.reduce_all Ops.Rsum (Dmat.of_dense ~rows:n ~cols:1 v))
@@ -412,14 +412,14 @@ let test_reduce_with_index () =
 
 let test_rng_deterministic () =
   Testutil.check_close "same seed same value"
-    (Runtime.Rng.uniform ~seed:3 17)
-    (Runtime.Rng.uniform ~seed:3 17);
+    (Mpisim.Rng.uniform ~seed:3 17)
+    (Mpisim.Rng.uniform ~seed:3 17);
   Alcotest.(check bool) "different index different value" true
-    (Runtime.Rng.uniform ~seed:3 17 <> Runtime.Rng.uniform ~seed:3 18);
+    (Mpisim.Rng.uniform ~seed:3 17 <> Mpisim.Rng.uniform ~seed:3 18);
   Alcotest.(check bool) "in [0,1)" true
     (List.for_all
        (fun i ->
-         let u = Runtime.Rng.uniform ~seed:11 i in
+         let u = Mpisim.Rng.uniform ~seed:11 i in
          u >= 0. && u < 1.)
        (List.init 1000 (fun i -> i)))
 

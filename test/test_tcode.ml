@@ -5,12 +5,13 @@
    - frame-slot aliasing hazards: interned array slots must preserve
      value semantics (copies are copies) and zero-trip loops must not
      leak or clobber slots that copy propagation style rewrites alias;
-   - the engine-equivalence acceptance matrix: every benchmark app at
-     P in {2,4,8} on all three paper machines runs bit-identically on
-     tcode and the ir-walking VM (same output, captures, makespan and
-     message count), and verifies against the reference interpreter;
+   - the modeled-time pin: every benchmark app at P in {2,4,8} on all
+     three paper machines, at O1 and O2, reproduces the simulated time,
+     message count and bytes recorded in
+     bench/BENCH_speedup_baseline.json, and verifies against the
+     reference interpreter;
    - chaos recovery: a seeded mid-run rank kill recovers to the exact
-     fault-free answer on both engines, for every app. *)
+     fault-free answer, for every app. *)
 
 open Testutil
 module Machine = Mpisim.Machine
@@ -171,79 +172,112 @@ let test_zero_trip_slots () =
   (* An undefined read after a zero-trip loop must still be the same
      typed error on the decoded engine. *)
   match run_parallel ~nprocs:2 "for i = 1:0\n y = 1;\nend\nx = y;" with
-  | exception Exec.Vm.Runtime_error _ -> ()
+  | exception Exec.State.Runtime_error _ -> ()
   | _ -> Alcotest.fail "undefined read after zero-trip loop must error"
 
-(* --- the engine-equivalence acceptance matrix --------------------------- *)
+(* --- the modeled-time pin ---------------------------------------------- *)
 
+(* The paper machines under the names the speedup baseline uses. *)
 let machines =
-  [ Machine.meiko_cs2; Machine.enterprise_smp; Machine.sparc20_cluster ]
+  [
+    ("meiko", Machine.meiko_cs2);
+    ("smp", Machine.enterprise_smp);
+    ("cluster", Machine.sparc20_cluster);
+  ]
 
-let eq_captured (a : Exec.Vm.captured) (b : Exec.Vm.captured) =
-  let eqf (x : float) (y : float) =
-    (Float.is_nan x && Float.is_nan y) || x = y
-  in
-  match (a, b) with
-  | Exec.Vm.Cscalar x, Exec.Vm.Cscalar y -> eqf x y
-  | Exec.Vm.Cmat (r1, c1, d1), Exec.Vm.Cmat (r2, c2, d2) ->
-      r1 = r2 && c1 = c2 && Array.for_all2 eqf d1 d2
-  | _ -> false
+type pinned = {
+  p_machine : string;
+  p_procs : int;
+  p_opt : string;
+  p_time : float;
+  p_messages : int;
+  p_bytes : int;
+}
 
-let check_outcomes_identical ~where (a : Exec.Vm.outcome)
-    (b : Exec.Vm.outcome) =
-  Alcotest.(check string) (where ^ ": output") a.output b.output;
-  checkf (where ^ ": makespan") a.report.Sim.makespan b.report.Sim.makespan;
-  Alcotest.(check int)
-    (where ^ ": messages")
-    a.report.Sim.messages b.report.Sim.messages;
-  Alcotest.(check int)
-    (where ^ ": lib calls")
-    a.lib_calls b.lib_calls;
-  List.iter
-    (fun (name, v) ->
-      match List.assoc_opt name b.Exec.Vm.captures with
-      | Some w when eq_captured v w -> ()
-      | Some _ -> Alcotest.failf "%s: capture %s differs" where name
-      | None -> Alcotest.failf "%s: capture %s missing" where name)
-    a.Exec.Vm.captures
+(* The committed speedup baseline: its problem scale and one entry per
+   (app, machine, CPUs, opt level), one JSON object per line. *)
+let speedup_baseline =
+  lazy
+    (match find_up "bench/BENCH_speedup_baseline.json" with
+    | None -> Alcotest.fail "bench/BENCH_speedup_baseline.json not found"
+    | Some file ->
+        let lines = String.split_on_char '\n' (read_file file) in
+        let scale =
+          List.find_map
+            (fun l -> try Scanf.sscanf l " \"scale\": %d" Option.some with _ -> None)
+            lines
+        in
+        let entries =
+          List.filter_map
+            (fun l ->
+              try
+                Scanf.sscanf l
+                  " {\"app\": %S, \"machine\": %S, \"procs\": %d, \"opt\": \
+                   %S, \"time\": %f, \"messages\": %d, \"bytes\": %d"
+                  (fun app m p o t msgs b ->
+                    Some
+                      ( app,
+                        {
+                          p_machine = m;
+                          p_procs = p;
+                          p_opt = o;
+                          p_time = t;
+                          p_messages = msgs;
+                          p_bytes = b;
+                        } ))
+              with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+            lines
+        in
+        (Option.get scale, entries))
 
-(* One app across P in {2,4,8} on all three machines: the decoded
-   engine must be bit-identical to the ir-walking VM and verify against
-   the reference interpreter. *)
-let engines_identical key () =
+(* One app's P in {2,4,8} entries: each run must reproduce the
+   baseline's modeled time (to its printed nine decimals), message
+   count and bytes; the O2 runs also verify against the reference
+   interpreter. *)
+let speedup_pinned key () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
-  let c = Otter.compile (app.source 4) in
+  let scale, entries = Lazy.force speedup_baseline in
+  let pins =
+    List.filter_map
+      (fun (k, e) -> if k = key && List.mem e.p_procs [ 2; 4; 8 ] then Some e else None)
+      entries
+  in
+  Alcotest.(check int) (key ^ ": baseline entries") 18 (List.length pins);
+  let compiled =
+    List.map
+      (fun (name, opt) -> (name, Otter.compile ~opt (app.source scale)))
+      [ ("O1", Spmd.Pass.O1); ("O2", Spmd.Pass.O2) ]
+  in
   List.iter
-    (fun m ->
-      List.iter
-        (fun p ->
-          let where = Printf.sprintf "%s P=%d on %s" key p m.Machine.name in
-          let run_with engine =
-            Otter.outcome_exn
-              (Otter.run
-                 (Otter.config ~engine ~capture:app.capture ~machine:m
-                    ~nprocs:p ())
-                 c)
-          in
-          let ir = run_with Otter.Config.Eir in
-          let tc = run_with Otter.Config.Etcode in
-          check_outcomes_identical ~where ir tc;
-          match
-            Otter.verify_list
-              (Otter.config ~engine:Otter.Config.Etcode ~tol:1e-6 ~machine:m
-                 ~nprocs:p ~capture:app.capture ())
-              c
-          with
-          | [] -> ()
-          | ms ->
-              Alcotest.failf "%s: %d interpreter mismatches" where
-                (List.length ms))
-        [ 2; 4; 8 ])
-    machines
+    (fun e ->
+      let m = List.assoc e.p_machine machines in
+      let c = List.assoc e.p_opt compiled in
+      let where =
+        Printf.sprintf "%s %s P=%d on %s" key e.p_opt e.p_procs e.p_machine
+      in
+      let cfg = Otter.config ~machine:m ~nprocs:e.p_procs () in
+      let r = (Otter.outcome_exn (Otter.run cfg c)).Exec.State.report in
+      Alcotest.(check string)
+        (where ^ ": modeled time")
+        (Printf.sprintf "%.9f" e.p_time)
+        (Printf.sprintf "%.9f" r.Sim.makespan);
+      Alcotest.(check int) (where ^ ": messages") e.p_messages r.Sim.messages;
+      Alcotest.(check int) (where ^ ": bytes") e.p_bytes r.Sim.bytes;
+      if e.p_opt = "O2" then
+        match
+          Otter.verify_list
+            { cfg with Otter.Config.capture = app.capture; tol = 1e-6 }
+            c
+        with
+        | [] -> ()
+        | ms ->
+            Alcotest.failf "%s: %d interpreter mismatches" where
+              (List.length ms))
+    pins
 
-(* --- chaos recovery on both engines ------------------------------------- *)
+(* --- chaos recovery ------------------------------------------------------ *)
 
 let faults spec =
   match Machine.faults_of_spec spec with
@@ -257,64 +291,86 @@ let killer ~at ~detect m =
          (Printf.sprintf "kill_rank=1,kill_time=%g,detect=%g,seed=7" at detect))
     m
 
-(* A seeded mid-run rank kill on the default machine at P=4: both
-   engines must recover to the exact fault-free answer. *)
+(* A seeded mid-run rank kill on the default machine at P=4 must
+   recover to the exact fault-free answer. *)
 let chaos_recovers key () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
   let c = Otter.compile (app.source 4) in
   let m = Machine.meiko_cs2 in
+  let where = Printf.sprintf "%s under --chaos" key in
+  let clean =
+    Otter.outcome_exn
+      (Otter.run (Otter.config ~capture:app.capture ~machine:m ~nprocs:4 ()) c)
+  in
+  let span = clean.Exec.State.report.Sim.makespan in
+  let rc =
+    Otter.run
+      (Otter.config ~capture:app.capture
+         ~ckpt_interval:(Float.max 1e-6 (span *. 0.08))
+         ~max_recoveries:3
+         ~machine:
+           (killer ~at:(span *. 0.3) ~detect:(Float.max 0.01 (span *. 0.05)) m)
+         ~nprocs:4 ())
+      c
+  in
+  (match rc.Exec.State.r_reports with
+  | first :: _ -> Alcotest.(check int) (where ^ ": kill fired") 1 first.Sim.kills
+  | [] -> Alcotest.failf "%s: no attempt reports" where);
+  Alcotest.(check bool)
+    (where ^ ": rolled back")
+    true
+    (rc.Exec.State.r_attempts >= 2);
+  match rc.Exec.State.r_result with
+  | Exec.State.Complete out ->
+      Alcotest.(check string) (where ^ ": output") clean.output out.output;
+      List.iter
+        (fun (name, v) ->
+          match List.assoc_opt name out.Exec.State.captures with
+          | Some w when Exec.State.captured_equal v w -> ()
+          | Some _ ->
+              Alcotest.failf "%s: capture %s differs after recovery" where name
+          | None -> Alcotest.failf "%s: capture %s lost after recovery" where name)
+        clean.Exec.State.captures
+  | Exec.State.Partial { detail; _ } ->
+      Alcotest.failf "%s: did not recover: %s" where detail
+
+(* --- captured-value equality and engine names ----------------------------- *)
+
+let test_captured_equal () =
+  let eq = Exec.State.captured_equal in
+  let nd dims d = Exec.State.Cnd (dims, d) in
+  Alcotest.(check bool) "equal tensors" true
+    (eq (nd [| 2; 1; 2 |] [| 1.; 2.; 3.; 4. |]) (nd [| 2; 1; 2 |] [| 1.; 2.; 3.; 4. |]));
+  Alcotest.(check bool) "tensor shape differs" false
+    (eq (nd [| 2; 1; 2 |] [| 1.; 2.; 3.; 4. |]) (nd [| 1; 2; 2 |] [| 1.; 2.; 3.; 4. |]));
+  Alcotest.(check bool) "tensor element differs" false
+    (eq (nd [| 2; 2 |] [| 1.; 2.; 3.; 4. |]) (nd [| 2; 2 |] [| 1.; 2.; 3.; 5. |]));
+  Alcotest.(check bool) "NaN cells equal" true
+    (eq (nd [| 1; 2 |] [| nan; 1. |]) (nd [| 1; 2 |] [| nan; 1. |]));
+  Alcotest.(check bool) "NaN scalars equal" true
+    (eq (Exec.State.Cscalar nan) (Exec.State.Cscalar nan));
+  Alcotest.(check bool) "NaN matrix cells equal" true
+    (eq (Exec.State.Cmat (1, 2, [| 0.; nan |])) (Exec.State.Cmat (1, 2, [| 0.; nan |])));
+  Alcotest.(check bool) "signed zeros equal" true
+    (eq (Exec.State.Cscalar 0.) (Exec.State.Cscalar (-0.)));
+  Alcotest.(check bool) "NaN differs from a number" false
+    (eq (Exec.State.Cscalar nan) (Exec.State.Cscalar 0.));
+  Alcotest.(check bool) "matrix shape differs" false
+    (eq (Exec.State.Cmat (1, 2, [| 1.; 2. |])) (Exec.State.Cmat (2, 1, [| 1.; 2. |])));
+  Alcotest.(check bool) "kinds differ" false
+    (eq (Exec.State.Cscalar 1.) (Exec.State.Cmat (1, 1, [| 1. |])))
+
+let test_engine_names () =
   List.iter
-    (fun engine ->
-      let where =
-        Printf.sprintf "%s under --chaos [%s]" key
-          (Otter.Config.engine_name engine)
-      in
-      let clean =
-        Otter.outcome_exn
-          (Otter.run
-             (Otter.config ~engine ~capture:app.capture ~machine:m ~nprocs:4 ())
-             c)
-      in
-      let span = clean.Exec.Vm.report.Sim.makespan in
-      let rc =
-        Otter.run
-          (Otter.config ~engine ~capture:app.capture
-             ~ckpt_interval:(Float.max 1e-6 (span *. 0.08))
-             ~max_recoveries:3
-             ~machine:
-               (killer ~at:(span *. 0.3)
-                  ~detect:(Float.max 0.01 (span *. 0.05))
-                  m)
-             ~nprocs:4 ())
-          c
-      in
-      (match rc.Exec.Vm.r_reports with
-      | first :: _ ->
-          Alcotest.(check int) (where ^ ": kill fired") 1 first.Sim.kills
-      | [] -> Alcotest.failf "%s: no attempt reports" where);
-      Alcotest.(check bool)
-        (where ^ ": rolled back")
-        true
-        (rc.Exec.Vm.r_attempts >= 2);
-      match rc.Exec.Vm.r_result with
-      | Exec.Vm.Complete out ->
-          Alcotest.(check string) (where ^ ": output") clean.output out.output;
-          List.iter
-            (fun (name, v) ->
-              match List.assoc_opt name out.Exec.Vm.captures with
-              | Some w when eq_captured v w -> ()
-              | Some _ ->
-                  Alcotest.failf "%s: capture %s differs after recovery" where
-                    name
-              | None ->
-                  Alcotest.failf "%s: capture %s lost after recovery" where
-                    name)
-            clean.Exec.Vm.captures
-      | Exec.Vm.Partial { detail; _ } ->
-          Alcotest.failf "%s: did not recover: %s" where detail)
-    [ Otter.Config.Eir; Otter.Config.Etcode ]
+    (fun e ->
+      let name = Otter.Config.engine_name e in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Otter.Config.engine_of_string name = Some e))
+    [ Otter.Config.Etcode; Otter.Config.Einterp; Otter.Config.Ematcom ];
+  Alcotest.(check bool) "ir is not an engine" true
+    (Otter.Config.engine_of_string "ir" = None)
 
 let suite =
   [
@@ -327,12 +383,14 @@ let suite =
     t "golden decode: functions" test_decode_functions;
     t "frame-slot aliasing" test_aliasing;
     t "zero-trip loop slots" test_zero_trip_slots;
-    t "engines identical: cg" (engines_identical "cg");
-    t "engines identical: ocean" (engines_identical "ocean");
-    t "engines identical: nbody" (engines_identical "nbody");
-    t "engines identical: tc" (engines_identical "tc");
+    t "engines identical: cg" (speedup_pinned "cg");
+    t "engines identical: ocean" (speedup_pinned "ocean");
+    t "engines identical: nbody" (speedup_pinned "nbody");
+    t "engines identical: tc" (speedup_pinned "tc");
     t "chaos recovery: cg" (chaos_recovers "cg");
     t "chaos recovery: ocean" (chaos_recovers "ocean");
     t "chaos recovery: nbody" (chaos_recovers "nbody");
     t "chaos recovery: tc" (chaos_recovers "tc");
+    t "captured values compare bitwise" test_captured_equal;
+    t "engine names round-trip; ir is rejected" test_engine_names;
   ]

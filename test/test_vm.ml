@@ -148,7 +148,7 @@ let test_section_assignment () =
   check_close "store visible on all ranks" 55.
     (value ~nprocs:8 "v = zeros(16, 1);\nv(4:13) = (1:10)';\ns = sum(v);" "s");
   (match run_parallel ~nprocs:2 "v = zeros(4, 1);\nv(1:3) = [1; 2];" with
-  | exception Exec.Vm.Runtime_error _ -> ()
+  | exception Exec.State.Runtime_error _ -> ()
   | _ -> Alcotest.fail "size mismatch must error")
 
 let test_scans_and_argreductions () =
@@ -210,7 +210,7 @@ let test_output_printed_once () =
 let test_error_reporting () =
   let expect src =
     match run_parallel ~nprocs:2 src with
-    | exception Exec.Vm.Runtime_error _ -> ()
+    | exception Exec.State.Runtime_error _ -> ()
     | _ -> Alcotest.failf "expected runtime error on %S" src
   in
   expect "error('boom')";

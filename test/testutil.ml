@@ -20,6 +20,24 @@ let check_array_close ?(tol = 1e-9) msg (a : float array) (b : float array) =
 
 let compile = Otter.compile
 
+(* Locate [rel] (a path from the repository root) by walking up from
+   the dune sandbox; [None] when the sources are not reachable. *)
+let find_up rel =
+  let rec up dir n =
+    if n = 0 then None
+    else if Sys.file_exists (Filename.concat dir rel) then
+      Some (Filename.concat dir rel)
+    else up (Filename.dirname dir) (n - 1)
+  in
+  up (Sys.getcwd ()) 8
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 (* Run a script on [nprocs] simulated CPUs and return (output, captures). *)
 let run_parallel ?(machine = Mpisim.Machine.meiko_cs2) ?(nprocs = 4) ?capture src
     =
@@ -27,7 +45,7 @@ let run_parallel ?(machine = Mpisim.Machine.meiko_cs2) ?(nprocs = 4) ?capture sr
   let o =
     Otter.outcome_exn (Otter.run (Otter.config ~machine ~nprocs ?capture ()) c)
   in
-  (o.Exec.Vm.output, o.Exec.Vm.captures)
+  (o.Exec.State.output, o.Exec.State.captures)
 
 (* Run a script in the reference interpreter (front end only: the
    interpreter supports dynamic features the compiler rejects). *)
@@ -41,27 +59,27 @@ let run_interp ?capture src =
 
 let vm_scalar captures name =
   match List.assoc_opt name captures with
-  | Some (Exec.Vm.Cscalar f) -> f
-  | Some (Exec.Vm.Cmat (1, 1, [| f |])) -> f
-  | Some (Exec.Vm.Cmat (r, c, _)) ->
+  | Some (Exec.State.Cscalar f) -> f
+  | Some (Exec.State.Cmat (1, 1, [| f |])) -> f
+  | Some (Exec.State.Cmat (r, c, _)) ->
       Alcotest.failf "%s: expected scalar, got %dx%d matrix" name r c
-  | Some (Exec.Vm.Cnd (dims, _)) ->
+  | Some (Exec.State.Cnd (dims, _)) ->
       Alcotest.failf "%s: expected scalar, got rank-%d tensor" name
         (Array.length dims)
   | None -> Alcotest.failf "%s: not captured" name
 
 let vm_matrix captures name =
   match List.assoc_opt name captures with
-  | Some (Exec.Vm.Cmat (r, c, d)) -> (r, c, d)
-  | Some (Exec.Vm.Cscalar f) -> (1, 1, [| f |])
-  | Some (Exec.Vm.Cnd (dims, _)) ->
+  | Some (Exec.State.Cmat (r, c, d)) -> (r, c, d)
+  | Some (Exec.State.Cscalar f) -> (1, 1, [| f |])
+  | Some (Exec.State.Cnd (dims, _)) ->
       Alcotest.failf "%s: expected matrix, got rank-%d tensor" name
         (Array.length dims)
   | None -> Alcotest.failf "%s: not captured" name
 
 let vm_tensor captures name =
   match List.assoc_opt name captures with
-  | Some (Exec.Vm.Cnd (dims, d)) -> (dims, d)
+  | Some (Exec.State.Cnd (dims, d)) -> (dims, d)
   | Some _ -> Alcotest.failf "%s: expected tensor" name
   | None -> Alcotest.failf "%s: not captured" name
 
