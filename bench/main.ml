@@ -1,8 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
 
    Usage:
-     main.exe [table1|fig2|fig3|fig4|fig5|fig6|all|faults|speedup|chaos|
-               throughput|scale|bandwidth|micro]
+     main.exe [table1|fig2|fig3|fig4|fig5|fig6|all|ablation|extrapolate|
+               sensitivity|micro|bandwidth|speedup|chaos|throughput|scale]...
               [--scale PCT] [--full] [--out FILE] [--baseline FILE]
 
    --scale chooses the problem size as a percentage of the paper's
@@ -11,7 +11,9 @@
    speedup flattens -- are preserved across scales; absolute times are
    modeled 1997 hardware, not this machine.  `micro` runs Bechamel
    wall-clock microbenchmarks of the compiler passes and run-time
-   kernels on the host. *)
+   kernels on the host.  The gated modes (speedup, chaos, throughput,
+   scale) write --out (default BENCH_<mode>.json); --baseline FILE runs
+   at FILE's scale and exits 1 on a regression against it. *)
 
 let machines = Mpisim.Machine.all
 let proc_counts = [ 1; 2; 4; 8; 16 ]
@@ -394,85 +396,17 @@ let micro () =
     results;
   print_newline ()
 
-(* --- fault injection: makespan and recovery cost ------------------------ *)
-
-(* Rerun every app under an injected fault model with the reliable
-   layer masking the losses, and price the recovery: extra modeled
-   time, retransmissions, and whether results stay bit-for-bit equal
-   to the clean run. *)
-let faults_bench scale =
-  let faults =
-    match
-      Mpisim.Machine.faults_of_spec "drop=0.02,dup=0.01,delay=0.01,seed=42"
-    with
-    | Ok f -> f
-    | Error msg -> failwith msg
-  in
-  Printf.printf
-    "Fault injection: drop 2%%, duplicate 1%%, delay-spike 1%% (seed 42), \
-     reliable layer on\n";
-  Printf.printf "  problem scale: %d%% of paper sizes; 8 CPUs\n" scale;
-  print_endline (String.make 78 '-');
-  Printf.printf "%-10s %-10s %9s %9s %7s %6s %6s %7s %6s\n" "App" "Machine"
-    "clean (s)" "fault (s)" "ovhd" "drops" "dups" "retries" "exact";
-  print_endline (String.make 78 '-');
-  List.iter
-    (fun (app : Apps.Scripts.app) ->
-      let c = compile_app app scale in
-      List.iter
-        (fun (label, (m : Mpisim.Machine.t)) ->
-          let nprocs = min 8 m.max_procs in
-          let clean =
-            run_outcome
-              (Otter.config ~capture:app.capture ~machine:m ~nprocs ())
-              c
-          in
-          let fm = Mpisim.Machine.with_faults ~reliable:true ~faults m in
-          let faulted =
-            run_outcome
-              (Otter.config ~capture:app.capture ~machine:fm ~nprocs ())
-              c
-          in
-          let r = faulted.Exec.State.report and r0 = clean.Exec.State.report in
-          let exact =
-            clean.Exec.State.captures = faulted.Exec.State.captures
-            && clean.Exec.State.output = faulted.Exec.State.output
-          in
-          Printf.printf "%-10s %-10s %9.4f %9.4f %6.1f%% %6d %6d %7d %6s\n"
-            app.key label r0.Mpisim.Sim.makespan r.Mpisim.Sim.makespan
-            (100.
-            *. (r.Mpisim.Sim.makespan -. r0.Mpisim.Sim.makespan)
-            /. r0.Mpisim.Sim.makespan)
-            r.drops r.dups r.retries
-            (if exact then "yes" else "NO"))
-        [
-          ("meiko", Mpisim.Machine.meiko_cs2);
-          ("smp", Mpisim.Machine.enterprise_smp);
-          ("cluster", Mpisim.Machine.sparc20_cluster);
-        ])
-    Apps.Scripts.apps;
-  print_endline (String.make 78 '-');
-  print_endline
-    "exact = captured variables and program output bit-for-bit equal to the \
-     clean run";
-  print_newline ()
-
 (* --- speedup benchmark: BENCH_speedup.json ------------------------------ *)
 
-(* One entry per (app, machine, CPUs, opt level): simulated wall clock,
+(* One row per (app, machine, CPUs, opt level): simulated wall clock,
    message count and bytes on the wire, plus the speedup over the same
    configuration at one CPU.  Everything is modeled, so the numbers are
-   deterministic and fit for a committed regression baseline. *)
-type speedup_entry = {
-  se_app : string;
-  se_machine : string;
-  se_procs : int;
-  se_opt : string;
-  se_time : float;
-  se_messages : int;
-  se_bytes : int;
-  se_speedup : float;
-}
+   deterministic and fit for a committed regression baseline: modeled
+   time may grow at most 10%, the message count not at all (one extra
+   message means a comm-pass regression). *)
+let speedup_rules =
+  Baseline.[ ("app", Key); ("machine", Key); ("procs", Key); ("opt", Key);
+             ("time", Time); ("messages", Count) ]
 
 let speedup_machines =
   [
@@ -481,8 +415,8 @@ let speedup_machines =
     ("cluster", Mpisim.Machine.sparc20_cluster);
   ]
 
-let speedup_entries scale : speedup_entry list =
-  let entries = ref [] in
+let speedup_rows scale : Baseline.row list =
+  let acc = ref [] in
   List.iter
     (fun (app : Apps.Scripts.app) ->
       List.iter
@@ -499,94 +433,39 @@ let speedup_entries scale : speedup_entry list =
                         .Exec.State.report
                     in
                     if p = 1 then t1 := r.Mpisim.Sim.makespan;
-                    entries :=
-                      {
-                        se_app = app.key;
-                        se_machine = mname;
-                        se_procs = p;
-                        se_opt = oname;
-                        se_time = r.Mpisim.Sim.makespan;
-                        se_messages = r.Mpisim.Sim.messages;
-                        se_bytes = r.Mpisim.Sim.bytes;
-                        se_speedup = !t1 /. r.Mpisim.Sim.makespan;
-                      }
-                      :: !entries
+                    acc :=
+                      Baseline.
+                        [
+                          ("app", Str app.key);
+                          ("machine", Str mname);
+                          ("procs", Int p);
+                          ("opt", Str oname);
+                          ("time", Float (r.Mpisim.Sim.makespan, 9));
+                          ("messages", Int r.Mpisim.Sim.messages);
+                          ("bytes", Int r.Mpisim.Sim.bytes);
+                          ("speedup", Float (!t1 /. r.Mpisim.Sim.makespan, 6));
+                        ]
+                      :: !acc
                   end)
                 proc_counts)
             speedup_machines)
         [ ("O1", Spmd.Pass.O1); ("O2", Spmd.Pass.O2) ])
     Apps.Scripts.all;
-  List.rev !entries
+  List.rev !acc
 
-let entry_line e =
-  Printf.sprintf
-    "{\"app\": %S, \"machine\": %S, \"procs\": %d, \"opt\": %S, \"time\": \
-     %.9f, \"messages\": %d, \"bytes\": %d, \"speedup\": %.6f}"
-    e.se_app e.se_machine e.se_procs e.se_opt e.se_time e.se_messages
-    e.se_bytes e.se_speedup
-
-let write_speedup_json ~file ~scale entries =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": \"speedup\",\n  \"scale\": %d,\n"
-    scale;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let n = List.length entries in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc "    %s%s\n" (entry_line e)
-        (if i = n - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-(* Parse a file produced by [write_speedup_json]; entry lines carry a
-   fixed key order, so a Scanf format is enough. *)
-let read_speedup_json file =
-  let ic = open_in file in
-  let scale = ref (-1) in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       (try Scanf.sscanf line " \"scale\": %d" (fun s -> scale := s)
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
-       try
-         Scanf.sscanf line
-           " {\"app\": %S, \"machine\": %S, \"procs\": %d, \"opt\": %S, \
-            \"time\": %f, \"messages\": %d, \"bytes\": %d, \"speedup\": %f}"
-           (fun a m p o t ms b s ->
-             entries :=
-               {
-                 se_app = a;
-                 se_machine = m;
-                 se_procs = p;
-                 se_opt = o;
-                 se_time = t;
-                 se_messages = ms;
-                 se_bytes = b;
-                 se_speedup = s;
-               }
-               :: !entries)
-       with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (!scale, List.rev !entries)
-
-let speedup_bench scale out baseline =
+let speedup_bench scale =
   Printf.printf
     "Speedup benchmark: %d apps x {O1, O2} x 3 machines x P in {1,2,4,8,16}\n"
     (List.length Apps.Scripts.all);
   Printf.printf "  problem scale: %d%% of paper sizes\n\n" scale;
-  let entries = speedup_entries scale in
-  write_speedup_json ~file:out ~scale entries;
-  Printf.printf "wrote %s (%d entries)\n\n" out (List.length entries);
+  let rows = speedup_rows scale in
   let find app machine procs opt =
-    List.find_opt
-      (fun e ->
-        e.se_app = app && e.se_machine = machine && e.se_procs = procs
-        && e.se_opt = opt)
-      entries
+    Baseline.find rows
+      Baseline.
+        [
+          ("app", Str app); ("machine", Str machine); ("procs", Int procs);
+          ("opt", Str opt);
+        ]
   in
   (* communication summary at P = 4 (message counts are machine
      independent; meiko is the reporting machine) *)
@@ -600,13 +479,12 @@ let speedup_bench scale out baseline =
     (fun (app : Apps.Scripts.app) ->
       match (find app.key "meiko" 4 "O1", find app.key "meiko" 4 "O2") with
       | Some e1, Some e2 ->
-          if e2.se_messages < e1.se_messages then incr improved;
-          Printf.printf "%-10s %12d %12d %9.1f%% %12.3f\n" app.key
-            e1.se_messages e2.se_messages
-            (100.
-            *. float_of_int (e1.se_messages - e2.se_messages)
-            /. float_of_int (max 1 e1.se_messages))
-            (e2.se_time /. e1.se_time)
+          let m1 = Baseline.int e1 "messages" in
+          let m2 = Baseline.int e2 "messages" in
+          if m2 < m1 then incr improved;
+          Printf.printf "%-10s %12d %12d %9.1f%% %12.3f\n" app.key m1 m2
+            (100. *. float_of_int (m1 - m2) /. float_of_int (max 1 m1))
+            (Baseline.num e2 "time" /. Baseline.num e1 "time")
       | _ -> ())
     Apps.Scripts.all;
   print_endline (String.make 72 '-');
@@ -633,7 +511,7 @@ let speedup_bench scale out baseline =
               if p > m.max_procs then Printf.printf " %7s" "-"
               else
                 match find app.key mname p "O2" with
-                | Some e -> Printf.printf " %7.2f" e.se_speedup
+                | Some e -> Printf.printf " %7.2f" (Baseline.num e "speedup")
                 | None -> Printf.printf " %7s" "?")
             proc_counts;
           print_newline ())
@@ -641,70 +519,15 @@ let speedup_bench scale out baseline =
     Apps.Scripts.all;
   print_endline (String.make 72 '-');
   print_newline ();
-  (* regression gate against a committed baseline *)
-  match baseline with
-  | None -> ()
-  | Some file ->
-      let bscale, bentries = read_speedup_json file in
-      if bentries = [] then begin
-        Printf.eprintf "baseline %s has no entries\n" file;
-        exit 2
-      end;
-      if bscale <> scale then begin
-        Printf.eprintf
-          "baseline %s was recorded at scale %d%%, this run is %d%%\n" file
-          bscale scale;
-        exit 2
-      end;
-      (* two gates per configuration: modeled time (>10% slower fails)
-         and message count (any increase fails — counts are
-         deterministic, so a single extra message means a comm-pass
-         regression) *)
-      let time_regressions =
-        List.filter_map
-          (fun b ->
-            match find b.se_app b.se_machine b.se_procs b.se_opt with
-            | Some e when e.se_time > (b.se_time *. 1.10) +. 1e-12 ->
-                Some (b, e)
-            | _ -> None)
-          bentries
-      in
-      let msg_regressions =
-        List.filter_map
-          (fun b ->
-            match find b.se_app b.se_machine b.se_procs b.se_opt with
-            | Some e when e.se_messages > b.se_messages -> Some (b, e)
-            | _ -> None)
-          bentries
-      in
-      if time_regressions = [] && msg_regressions = [] then
-        Printf.printf "baseline check: no configuration regressed (>10%% \
-                       time or any message-count increase) vs %s\n"
-          file
-      else begin
-        List.iter
-          (fun (b, e) ->
-            Printf.printf
-              "REGRESSION %s/%s p=%d %s: %.6f s vs baseline %.6f s (+%.1f%%)\n"
-              b.se_app b.se_machine b.se_procs b.se_opt e.se_time b.se_time
-              (100. *. ((e.se_time /. b.se_time) -. 1.)))
-          time_regressions;
-        List.iter
-          (fun (b, e) ->
-            Printf.printf
-              "REGRESSION %s/%s p=%d %s: %d messages vs baseline %d\n"
-              b.se_app b.se_machine b.se_procs b.se_opt e.se_messages
-              b.se_messages)
-          msg_regressions;
-        exit 1
-      end
+  ([ ("entries", rows) ], [])
 
 (* --- chaos benchmark: BENCH_chaos.json ---------------------------------- *)
 
 (* Sweep fault intensity — message loss, duplication, delay spikes,
    rank stalls, and permanent rank kills — over every app and machine
    at P = 4 with the reliable layer and checkpoint/restart enabled, and
-   record how each configuration ends:
+   record how each configuration ends (its status), with the rollback,
+   kill and retry counts and the simulated time of the final attempt:
 
      ok         completed bit-identically with no rollbacks
      recovered  completed bit-identically after N rollbacks
@@ -712,19 +535,12 @@ let speedup_bench scale out baseline =
      mismatch   completed with a wrong answer — always a bug
 
    Everything is modeled and seeded, so the sweep is deterministic and
-   the committed baseline is a regression gate: a point may move
-   ok -> recovered only if the baseline says so, and a mismatch fails
-   the gate unconditionally. *)
-type chaos_entry = {
-  ce_app : string;
-  ce_machine : string;
-  ce_intensity : string;
-  ce_status : string; (* ok | recovered | aborted | mismatch *)
-  ce_rollbacks : int;
-  ce_kills : int;
-  ce_retries : int;
-  ce_time : float; (* simulated seconds of the final attempt *)
-}
+   the committed baseline is a regression gate: a point may keep or
+   improve its class, never move later in ok < recovered < aborted <
+   mismatch, and a mismatch fails the run even without a baseline. *)
+let chaos_rules =
+  Baseline.[ ("app", Key); ("machine", Key); ("intensity", Key);
+             ("status", Class [ "ok"; "recovered"; "aborted"; "mismatch" ]) ]
 
 (* Fault-spec templates; [span] is the fault-free makespan of the same
    configuration, so kill times and the detector deadline land mid-run
@@ -758,8 +574,8 @@ let chaos_intensities =
 
 let chaos_nprocs = 4
 
-let chaos_entries scale : chaos_entry list =
-  let entries = ref [] in
+let chaos_rows scale : Baseline.row list =
+  let acc = ref [] in
   List.iter
     (fun (app : Apps.Scripts.app) ->
       let c = compile_app app scale in
@@ -795,16 +611,8 @@ let chaos_entries scale : chaos_entry list =
                 | r :: _ -> r
                 | [] -> clean.Exec.State.report
               in
-              let kills =
-                List.fold_left
-                  (fun acc (r : Mpisim.Sim.report) -> acc + r.Mpisim.Sim.kills)
-                  0 rc.Exec.State.r_reports
-              in
-              let retries =
-                List.fold_left
-                  (fun acc (r : Mpisim.Sim.report) ->
-                    acc + r.Mpisim.Sim.retries)
-                  0 rc.Exec.State.r_reports
+              let total f =
+                List.fold_left (fun n r -> n + f r) 0 rc.Exec.State.r_reports
               in
               let status =
                 match rc.Exec.State.r_result with
@@ -825,85 +633,25 @@ let chaos_entries scale : chaos_entry list =
                     else if rollbacks > 0 then "recovered"
                     else "ok"
               in
-              entries :=
-                {
-                  ce_app = app.key;
-                  ce_machine = mname;
-                  ce_intensity = iname;
-                  ce_status = status;
-                  ce_rollbacks = rollbacks;
-                  ce_kills = kills;
-                  ce_retries = retries;
-                  ce_time = final_report.Mpisim.Sim.makespan;
-                }
-                :: !entries)
+              acc :=
+                Baseline.
+                  [
+                    ("app", Str app.key);
+                    ("machine", Str mname);
+                    ("intensity", Str iname);
+                    ("status", Str status);
+                    ("rollbacks", Int rollbacks);
+                    ("kills", Int (total (fun r -> r.Mpisim.Sim.kills)));
+                    ("retries", Int (total (fun r -> r.Mpisim.Sim.retries)));
+                    ("time", Float (final_report.Mpisim.Sim.makespan, 9));
+                  ]
+                :: !acc)
             chaos_intensities)
         speedup_machines)
     Apps.Scripts.apps;
-  List.rev !entries
+  List.rev !acc
 
-let chaos_entry_line e =
-  Printf.sprintf
-    "{\"app\": %S, \"machine\": %S, \"intensity\": %S, \"status\": %S, \
-     \"rollbacks\": %d, \"kills\": %d, \"retries\": %d, \"time\": %.9f}"
-    e.ce_app e.ce_machine e.ce_intensity e.ce_status e.ce_rollbacks e.ce_kills
-    e.ce_retries e.ce_time
-
-let write_chaos_json ~file ~scale entries =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": \"chaos\",\n  \"scale\": %d,\n" scale;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let n = List.length entries in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc "    %s%s\n" (chaos_entry_line e)
-        (if i = n - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-let read_chaos_json file =
-  let ic = open_in file in
-  let scale = ref (-1) in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       (try Scanf.sscanf line " \"scale\": %d" (fun s -> scale := s)
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
-       try
-         Scanf.sscanf line
-           " {\"app\": %S, \"machine\": %S, \"intensity\": %S, \"status\": \
-            %S, \"rollbacks\": %d, \"kills\": %d, \"retries\": %d, \"time\": \
-            %f}"
-           (fun a m i s rb k rt t ->
-             entries :=
-               {
-                 ce_app = a;
-                 ce_machine = m;
-                 ce_intensity = i;
-                 ce_status = s;
-                 ce_rollbacks = rb;
-                 ce_kills = k;
-                 ce_retries = rt;
-                 ce_time = t;
-               }
-               :: !entries)
-       with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (!scale, List.rev !entries)
-
-(* ok < recovered < aborted < mismatch: the gate allows a point to keep
-   or improve its class, never to degrade past the committed baseline. *)
-let chaos_severity = function
-  | "ok" -> 0
-  | "recovered" -> 1
-  | "aborted" -> 2
-  | _ -> 3
-
-let chaos_bench scale out baseline =
+let chaos_bench scale =
   Printf.printf
     "Chaos sweep: 4 apps x 3 machines x %d fault intensities, P = %d,\n"
     (List.length chaos_intensities)
@@ -911,9 +659,7 @@ let chaos_bench scale out baseline =
   Printf.printf
     "  reliable layer + checkpoint/restart on (3 recoveries); scale %d%%\n\n"
     scale;
-  let entries = chaos_entries scale in
-  write_chaos_json ~file:out ~scale entries;
-  Printf.printf "wrote %s (%d entries)\n\n" out (List.length entries);
+  let rows = chaos_rows scale in
   let width = 14 in
   Printf.printf "%-10s %-9s" "App" "Machine";
   List.iter
@@ -929,17 +675,20 @@ let chaos_bench scale out baseline =
           List.iter
             (fun (iname, _) ->
               match
-                List.find_opt
-                  (fun e ->
-                    e.ce_app = app.key && e.ce_machine = mname
-                    && e.ce_intensity = iname)
-                  entries
+                Baseline.find rows
+                  Baseline.
+                    [
+                      ("app", Str app.key); ("machine", Str mname);
+                      ("intensity", Str iname);
+                    ]
               with
               | Some e ->
                   let cell =
-                    if e.ce_status = "recovered" then
-                      Printf.sprintf "recovered:%d" e.ce_rollbacks
-                    else e.ce_status
+                    match Baseline.str e "status" with
+                    | "recovered" ->
+                        Printf.sprintf "recovered:%d"
+                          (Baseline.int e "rollbacks")
+                    | s -> s
                   in
                   Printf.printf " %*s" width cell
               | None -> Printf.printf " %*s" width "?")
@@ -949,77 +698,35 @@ let chaos_bench scale out baseline =
     Apps.Scripts.apps;
   print_newline ();
   let count s =
-    List.length (List.filter (fun e -> e.ce_status = s) entries)
+    List.length (List.filter (fun e -> Baseline.str e "status" = s) rows)
   in
   Printf.printf
     "summary: %d ok, %d recovered, %d aborted, %d mismatched of %d points\n\n"
     (count "ok") (count "recovered") (count "aborted") (count "mismatch")
-    (List.length entries);
+    (List.length rows);
   let mismatches = count "mismatch" in
-  match baseline with
-  | None -> if mismatches > 0 then exit 1
-  | Some file ->
-      let bscale, bentries = read_chaos_json file in
-      if bentries = [] then begin
-        Printf.eprintf "baseline %s has no entries\n" file;
-        exit 2
-      end;
-      if bscale <> scale then begin
-        Printf.eprintf
-          "baseline %s was recorded at scale %d%%, this run is %d%%\n" file
-          bscale scale;
-        exit 2
-      end;
-      let degraded =
-        List.filter_map
-          (fun b ->
-            match
-              List.find_opt
-                (fun e ->
-                  e.ce_app = b.ce_app && e.ce_machine = b.ce_machine
-                  && e.ce_intensity = b.ce_intensity)
-                entries
-            with
-            | Some e
-              when chaos_severity e.ce_status > chaos_severity b.ce_status ->
-                Some (b, e)
-            | _ -> None)
-          bentries
-      in
-      if degraded = [] && mismatches = 0 then
-        Printf.printf "baseline check: no configuration degraded vs %s\n" file
-      else begin
-        List.iter
-          (fun (b, e) ->
-            Printf.printf "DEGRADED %s/%s %s: %s -> %s\n" b.ce_app
-              b.ce_machine b.ce_intensity b.ce_status e.ce_status)
-          degraded;
-        if mismatches > 0 then
-          Printf.printf "MISMATCH: %d configuration(s) computed a wrong \
-                         answer under chaos\n"
-            mismatches;
-        exit 1
-      end
+  ( [ ("entries", rows) ],
+    if mismatches = 0 then []
+    else
+      [
+        Printf.sprintf
+          "MISMATCH: %d configuration(s) computed a wrong answer under chaos"
+          mismatches;
+      ] )
 
 (* --- throughput benchmark: BENCH_throughput.json ------------------------ *)
 
 (* Multi-tenant throughput of the job scheduler: a fixed mix of jobs
    (two instances of every paper app, four ranks each) is space-shared
    across P ranks of the CS-2 model at P = 16 and, scaled out, P = 64.
-   Reported per P: jobs per simulated second; reported per job: its
-   message count.  Everything is modeled and seeded, so the committed
-   baseline is a regression gate — throughput may not drop more than
-   10%%, and no job's message count may rise at all (counts are
-   deterministic; one extra message is a real regression). *)
-
-type tp_entry = {
-  tp_procs : int;
-  tp_jobs : int;
-  tp_makespan : float;
-  tp_throughput : float;
-}
-
-type tp_job = { tj_procs : int; tj_name : string; tj_messages : int }
+   Reported per P (the "entries" section): jobs per simulated second;
+   reported per job (the "jobs" section): its message count.
+   Everything is modeled and seeded, so the committed baseline is a
+   regression gate — throughput may not drop more than 10%, and no
+   job's message count may rise at all. *)
+let throughput_rules =
+  Baseline.
+    [ ("procs", Key); ("job", Key); ("throughput", Rate); ("messages", Count) ]
 
 let throughput_procs = [ 16; 64 ]
 let throughput_job_ranks = 4
@@ -1048,218 +755,90 @@ let throughput_schedule scale procs =
           [ 0; 1 ])
       Apps.Scripts.apps
   in
-  (machine, Otter.Sched.run ~machine ~procs jobs)
+  Otter.Sched.run ~machine ~procs jobs
 
-let throughput_results scale =
-  List.map
-    (fun procs ->
-      let _, sched = throughput_schedule scale procs in
-      let entry =
-        {
-          tp_procs = procs;
-          tp_jobs = List.length sched.Otter.Sched.s_placements;
-          tp_makespan = sched.Otter.Sched.s_makespan;
-          tp_throughput = sched.Otter.Sched.s_throughput;
-        }
-      in
-      let jobs =
-        List.map
-          (fun (p : Otter.Sched.placement) ->
-            {
-              tj_procs = procs;
-              tj_name = p.Otter.Sched.p_name;
-              tj_messages = p.Otter.Sched.p_report.Mpisim.Sim.messages;
-            })
-          sched.Otter.Sched.s_placements
-      in
-      (entry, jobs, sched))
-    throughput_procs
-
-let write_throughput_json ~file ~scale results =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": \"throughput\",\n  \"scale\": %d,\n"
-    scale;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let entries = List.map (fun (e, _, _) -> e) results in
-  let n = List.length entries in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    {\"procs\": %d, \"jobs\": %d, \"makespan\": %.9f, \
-         \"throughput\": %.6f}%s\n"
-        e.tp_procs e.tp_jobs e.tp_makespan e.tp_throughput
-        (if i = n - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ],\n  \"jobs\": [\n";
-  let jobs = List.concat_map (fun (_, js, _) -> js) results in
-  let n = List.length jobs in
-  List.iteri
-    (fun i j ->
-      Printf.fprintf oc
-        "    {\"procs\": %d, \"job\": %S, \"messages\": %d}%s\n" j.tj_procs
-        j.tj_name j.tj_messages
-        (if i = n - 1 then "" else ","))
-    jobs;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-let read_throughput_json file =
-  let ic = open_in file in
-  let scale = ref (-1) in
-  let entries = ref [] in
-  let jobs = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       (try Scanf.sscanf line " \"scale\": %d" (fun s -> scale := s)
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
-       (try
-          Scanf.sscanf line
-            " {\"procs\": %d, \"jobs\": %d, \"makespan\": %f, \
-             \"throughput\": %f}"
-            (fun p j m t ->
-              entries :=
-                {
-                  tp_procs = p;
-                  tp_jobs = j;
-                  tp_makespan = m;
-                  tp_throughput = t;
-                }
-                :: !entries)
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
-       try
-         Scanf.sscanf line " {\"procs\": %d, \"job\": %S, \"messages\": %d}"
-           (fun p n m ->
-             jobs := { tj_procs = p; tj_name = n; tj_messages = m } :: !jobs)
-       with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (!scale, List.rev !entries, List.rev !jobs)
-
-let throughput_bench scale out baseline =
+let throughput_bench scale =
   Printf.printf
     "Throughput benchmark: 8-job mix (2 x each app, %d ranks each) on the \
      CS-2 model at P in {16, 64}\n"
     throughput_job_ranks;
   Printf.printf "  problem scale: %d%% of paper sizes\n\n" scale;
-  let results = throughput_results scale in
-  List.iter
-    (fun (e, _, sched) ->
-      Printf.printf "P = %d:\n%s\n" e.tp_procs (Otter.Sched.table sched))
-    results;
-  write_throughput_json ~file:out ~scale results;
-  Printf.printf "wrote %s\n" out;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      let bscale, bentries, bjobs = read_throughput_json file in
-      if bentries = [] then begin
-        Printf.eprintf "baseline %s has no entries\n" file;
-        exit 2
-      end;
-      if bscale <> scale then begin
-        Printf.eprintf
-          "baseline %s was recorded at scale %d%%, this run is %d%%\n" file
-          bscale scale;
-        exit 2
-      end;
-      let entries = List.map (fun (e, _, _) -> e) results in
-      let jobs = List.concat_map (fun (_, js, _) -> js) results in
-      let tp_regressions =
-        List.filter_map
-          (fun b ->
-            match
-              List.find_opt (fun e -> e.tp_procs = b.tp_procs) entries
-            with
-            | Some e when e.tp_throughput < (b.tp_throughput *. 0.90) -. 1e-9
-              ->
-                Some (b, e)
-            | _ -> None)
-          bentries
-      in
-      let msg_regressions =
-        List.filter_map
-          (fun b ->
-            match
-              List.find_opt
-                (fun j -> j.tj_procs = b.tj_procs && j.tj_name = b.tj_name)
-                jobs
-            with
-            | Some j when j.tj_messages > b.tj_messages -> Some (b, j)
-            | _ -> None)
-          bjobs
-      in
-      if tp_regressions = [] && msg_regressions = [] then
-        Printf.printf
-          "baseline check: no regression (>10%% jobs/s drop or any per-job \
-           message increase) vs %s\n"
-          file
-      else begin
-        List.iter
-          (fun (b, e) ->
-            Printf.printf
-              "REGRESSION P=%d: %.1f jobs/s vs baseline %.1f (-%.1f%%)\n"
-              b.tp_procs e.tp_throughput b.tp_throughput
-              (100. *. (1. -. (e.tp_throughput /. b.tp_throughput))))
-          tp_regressions;
-        List.iter
-          (fun (b, j) ->
-            Printf.printf
-              "REGRESSION %s at P=%d: %d messages vs baseline %d\n"
-              b.tj_name b.tj_procs j.tj_messages b.tj_messages)
-          msg_regressions;
-        exit 1
-      end
+  let scheds =
+    List.map
+      (fun procs ->
+        let s = throughput_schedule scale procs in
+        Printf.printf "P = %d:\n%s\n" procs (Otter.Sched.table s);
+        (procs, s))
+      throughput_procs
+  in
+  let entries =
+    List.map
+      (fun (procs, (s : Otter.Sched.schedule)) ->
+        Baseline.
+          [
+            ("procs", Int procs);
+            ("jobs", Int (List.length s.s_placements));
+            ("makespan", Float (s.s_makespan, 9));
+            ("throughput", Float (s.s_throughput, 6));
+          ])
+      scheds
+  in
+  let jobs =
+    List.concat_map
+      (fun (procs, (s : Otter.Sched.schedule)) ->
+        List.map
+          (fun (p : Otter.Sched.placement) ->
+            Baseline.
+              [
+                ("procs", Int procs);
+                ("job", Str p.p_name);
+                ("messages", Int p.p_report.Mpisim.Sim.messages);
+              ])
+          s.s_placements)
+      scheds
+  in
+  ([ ("entries", entries); ("jobs", jobs) ], [])
 
 (* --- scale benchmark: BENCH_scale.json ---------------------------------- *)
 
 (* Large-P scaling of the simulator itself: every paper app on the
    parametric fat-tree at P = 32 .. 1024 virtual ranks, the 1998 trio
    oversubscribed (P virtual ranks block-mapped onto their real CPU
-   counts), and the non-block distributions on a representative pair.
-   Modeled results (makespan, messages, bytes, scheduler picks) are
-   deterministic, so the committed baseline is a regression gate:
-   >10%% modeled-time growth or any message increase fails.  Host wall
-   clock and scheduler picks/second are recorded for the scaling story
-   but never gated (they depend on the machine running the bench). *)
-
-type scale_entry = {
-  sc_app : string;
-  sc_machine : string;
-  sc_procs : int;
-  sc_cpus : int; (* physical CPUs under oversubscription; 0 = one per rank *)
-  sc_dist : string;
-  sc_time : float; (* modeled seconds *)
-  sc_messages : int;
-  sc_bytes : int;
-  sc_picks : int; (* scheduler pick count (deterministic) *)
-  sc_wall : float; (* host seconds; informational only *)
-}
+   counts; "cpus" is 0 when every rank has its own CPU), and the
+   non-block distributions on a representative pair.  Modeled results
+   (makespan, messages, bytes, scheduler picks) are deterministic, so
+   the committed baseline is a regression gate: >10% modeled-time
+   growth or any message increase fails.  Host wall clock and scheduler
+   picks/second are recorded for the scaling story but never gated
+   (they depend on the machine running the bench). *)
+let scale_rules =
+  Baseline.[ ("app", Key); ("machine", Key); ("procs", Key); ("cpus", Key);
+             ("dist", Key); ("time", Time); ("messages", Count) ]
 
 let scale_fattree_procs = [ 32; 64; 128; 256; 512; 1024 ]
 let scale_oversub_procs = [ 32; 64 ]
 
-let scale_entries scale : scale_entry list =
-  let entries = ref [] in
+let scale_rows scale : Baseline.row list =
+  let acc = ref [] in
   let record ~app ~mname ~procs ~cpus ~dist cfg c =
     let t0 = Unix.gettimeofday () in
     let r = (run_outcome cfg c).Exec.State.report in
     let wall = Unix.gettimeofday () -. t0 in
-    entries :=
-      {
-        sc_app = app;
-        sc_machine = mname;
-        sc_procs = procs;
-        sc_cpus = cpus;
-        sc_dist = dist;
-        sc_time = r.Mpisim.Sim.makespan;
-        sc_messages = r.Mpisim.Sim.messages;
-        sc_bytes = r.Mpisim.Sim.bytes;
-        sc_picks = r.Mpisim.Sim.sched_picks;
-        sc_wall = wall;
-      }
-      :: !entries
+    acc :=
+      Baseline.
+        [
+          ("app", Str app);
+          ("machine", Str mname);
+          ("procs", Int procs);
+          ("cpus", Int cpus);
+          ("dist", Str dist);
+          ("time", Float (r.Mpisim.Sim.makespan, 9));
+          ("messages", Int r.Mpisim.Sim.messages);
+          ("bytes", Int r.Mpisim.Sim.bytes);
+          ("picks", Int r.Mpisim.Sim.sched_picks);
+          ("wall", Float (wall, 4));
+        ]
+      :: !acc
   in
   let fattree = Mpisim.Machine.fattree_default in
   (* every app across the fat-tree P sweep *)
@@ -1309,65 +888,9 @@ let scale_entries scale : scale_entry list =
       ("tc", "cyclic:4", Runtime.Dmat.Lcyclic 4);
       ("tc", "grid:8x8", Runtime.Dmat.Lgrid (8, 8));
     ];
-  List.rev !entries
+  List.rev !acc
 
-let scale_entry_line e =
-  Printf.sprintf
-    "{\"app\": %S, \"machine\": %S, \"procs\": %d, \"cpus\": %d, \"dist\": \
-     %S, \"time\": %.9f, \"messages\": %d, \"bytes\": %d, \"picks\": %d, \
-     \"wall\": %.4f}"
-    e.sc_app e.sc_machine e.sc_procs e.sc_cpus e.sc_dist e.sc_time
-    e.sc_messages e.sc_bytes e.sc_picks e.sc_wall
-
-let write_scale_json ~file ~scale entries =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": \"scale\",\n  \"scale\": %d,\n" scale;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let n = List.length entries in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc "    %s%s\n" (scale_entry_line e)
-        (if i = n - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
-let read_scale_json file =
-  let ic = open_in file in
-  let scale = ref (-1) in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       (try Scanf.sscanf line " \"scale\": %d" (fun s -> scale := s)
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ());
-       try
-         Scanf.sscanf line
-           " {\"app\": %S, \"machine\": %S, \"procs\": %d, \"cpus\": %d, \
-            \"dist\": %S, \"time\": %f, \"messages\": %d, \"bytes\": %d, \
-            \"picks\": %d, \"wall\": %f}"
-           (fun a m p cp d t ms b pk w ->
-             entries :=
-               {
-                 sc_app = a;
-                 sc_machine = m;
-                 sc_procs = p;
-                 sc_cpus = cp;
-                 sc_dist = d;
-                 sc_time = t;
-                 sc_messages = ms;
-                 sc_bytes = b;
-                 sc_picks = pk;
-                 sc_wall = w;
-               }
-               :: !entries)
-       with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (!scale, List.rev !entries)
-
-let scale_bench scale out baseline =
+let scale_bench scale =
   Printf.printf
     "Scale benchmark: %d apps on the fat-tree at P in {%s},\n\
     \  the 1998 trio oversubscribed at P in {%s}, cyclic/grid layouts at \
@@ -1376,87 +899,22 @@ let scale_bench scale out baseline =
     (String.concat "," (List.map string_of_int scale_fattree_procs))
     (String.concat "," (List.map string_of_int scale_oversub_procs));
   Printf.printf "  problem scale: %d%% of paper sizes\n\n" scale;
-  let entries = scale_entries scale in
-  write_scale_json ~file:out ~scale entries;
-  Printf.printf "wrote %s (%d entries)\n\n" out (List.length entries);
+  let rows = scale_rows scale in
   Printf.printf "%-8s %-9s %6s %5s %-9s %12s %10s %9s %10s\n" "App" "Machine"
     "P" "CPUs" "dist" "modeled s" "messages" "wall s" "picks/s";
   print_endline (String.make 88 '-');
   List.iter
     (fun e ->
+      let str = Baseline.str e and int = Baseline.int e in
+      let wall = Baseline.num e "wall" in
       Printf.printf "%-8s %-9s %6d %5d %-9s %12.6f %10d %9.3f %10.0f\n"
-        e.sc_app e.sc_machine e.sc_procs e.sc_cpus e.sc_dist e.sc_time
-        e.sc_messages e.sc_wall
-        (float_of_int e.sc_picks /. Float.max 1e-9 e.sc_wall))
-    entries;
+        (str "app") (str "machine") (int "procs") (int "cpus") (str "dist")
+        (Baseline.num e "time") (int "messages") wall
+        (float_of_int (int "picks") /. Float.max 1e-9 wall))
+    rows;
   print_endline (String.make 88 '-');
   print_newline ();
-  match baseline with
-  | None -> ()
-  | Some file ->
-      let bscale, bentries = read_scale_json file in
-      if bentries = [] then begin
-        Printf.eprintf "baseline %s has no entries\n" file;
-        exit 2
-      end;
-      if bscale <> scale then begin
-        Printf.eprintf
-          "baseline %s was recorded at scale %d%%, this run is %d%%\n" file
-          bscale scale;
-        exit 2
-      end;
-      let find b =
-        List.find_opt
-          (fun e ->
-            e.sc_app = b.sc_app && e.sc_machine = b.sc_machine
-            && e.sc_procs = b.sc_procs && e.sc_cpus = b.sc_cpus
-            && e.sc_dist = b.sc_dist)
-          entries
-      in
-      (* modeled time (>10%% slower fails) and message count (any
-         increase fails; counts are deterministic) — wall clock and
-         picks/s are host-dependent and never gated *)
-      let time_regressions =
-        List.filter_map
-          (fun b ->
-            match find b with
-            | Some e when e.sc_time > (b.sc_time *. 1.10) +. 1e-12 ->
-                Some (b, e)
-            | _ -> None)
-          bentries
-      in
-      let msg_regressions =
-        List.filter_map
-          (fun b ->
-            match find b with
-            | Some e when e.sc_messages > b.sc_messages -> Some (b, e)
-            | _ -> None)
-          bentries
-      in
-      if time_regressions = [] && msg_regressions = [] then
-        Printf.printf
-          "baseline check: no configuration regressed (>10%% modeled time or \
-           any message-count increase) vs %s\n"
-          file
-      else begin
-        List.iter
-          (fun (b, e) ->
-            Printf.printf
-              "REGRESSION %s/%s p=%d cpus=%d %s: %.6f s vs baseline %.6f s \
-               (+%.1f%%)\n"
-              b.sc_app b.sc_machine b.sc_procs b.sc_cpus b.sc_dist e.sc_time
-              b.sc_time
-              (100. *. ((e.sc_time /. b.sc_time) -. 1.)))
-          time_regressions;
-        List.iter
-          (fun (b, e) ->
-            Printf.printf
-              "REGRESSION %s/%s p=%d cpus=%d %s: %d messages vs baseline %d\n"
-              b.sc_app b.sc_machine b.sc_procs b.sc_cpus b.sc_dist
-              e.sc_messages b.sc_messages)
-          msg_regressions;
-        exit 1
-      end
+  ([ ("entries", rows) ], [])
 
 (* --- bandwidth benchmark ------------------------------------------------- *)
 
@@ -1546,72 +1004,130 @@ let bandwidth_bench () =
 
 (* --- driver -------------------------------------------------------------- *)
 
+(* The gated modes.  Each sweeps its slice of the paper's grid, prints
+   its table, and returns the sections of its document plus any failure
+   it finds without a baseline; its rules say which fields identify a
+   row and which are gated (see Baseline.gate). *)
+let gated_modes =
+  [
+    ("speedup", (speedup_rules, speedup_bench));
+    ("chaos", (chaos_rules, chaos_bench));
+    ("throughput", (throughput_rules, throughput_bench));
+    ("scale", (scale_rules, scale_bench));
+  ]
+
+let commands =
+  [
+    ("table1", fun _ -> Tables.print ());
+    ("fig2", fig2);
+    ("fig3", fig_for "cg");
+    ("fig4", fig_for "ocean");
+    ("fig5", fig_for "nbody");
+    ("fig6", fig_for "tc");
+    ( "all",
+      fun scale ->
+        Tables.print ();
+        fig2 scale;
+        List.iter (fun k -> fig_for k scale) [ "cg"; "ocean"; "nbody"; "tc" ]
+    );
+    ("ablation", fun _ -> ablation ());
+    ("extrapolate", extrapolate);
+    ("sensitivity", fun _ -> sensitivity ());
+    ("micro", fun _ -> micro ());
+    ("bandwidth", fun _ -> bandwidth_bench ());
+  ]
+
+let usage =
+  Printf.sprintf
+    "usage: main.exe [%s]...\n\
+    \                [--scale PCT | --full] [--out FILE] [--baseline FILE]"
+    (String.concat "|" (List.map fst commands @ List.map fst gated_modes))
+
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+(* Run gated mode [name]: write its document to [out] (default
+   BENCH_<name>.json), gate it against [baseline] if given, and exit 1
+   on any failure. *)
+let run_gated ~scale ~out ~baseline name =
+  let rules, sweep = List.assoc name gated_modes in
+  let sections, failures = sweep scale in
+  let doc = { Baseline.benchmark = name; scale; sections } in
+  let out = Option.value out ~default:(Printf.sprintf "BENCH_%s.json" name) in
+  Baseline.write out doc;
+  Printf.printf "wrote %s (%d rows)\n" out (List.length (Baseline.rows doc));
+  let failures =
+    match baseline with
+    | Some (_, b) -> failures @ Baseline.gate rules ~baseline:b doc
+    | None -> failures
+  in
+  List.iter print_endline failures;
+  if failures <> [] then exit 1;
+  Option.iter
+    (fun (file, _) ->
+      Printf.printf "baseline check: no regression vs %s\n" file)
+    baseline
+
 let () =
-  let args = Array.to_list Sys.argv in
-  let scale = ref 25 in
-  let out = ref None in
-  let baseline = ref None in
+  let scale = ref None and out = ref None and baseline = ref None in
   let cmds = ref [] in
+  let is_value v = not (String.starts_with ~prefix:"--" v) in
   let rec parse = function
     | [] -> ()
     | "--full" :: rest ->
-        scale := 100;
+        scale := Some 100;
         parse rest
-    | "--scale" :: v :: rest ->
-        scale := int_of_string v;
+    | "--scale" :: v :: rest when is_value v ->
+        (match int_of_string_opt v with
+        | Some s when s > 0 -> scale := Some s
+        | _ -> die "--scale wants a positive percentage, not '%s'\n%s" v usage);
         parse rest
-    | "--out" :: v :: rest ->
+    | "--out" :: v :: rest when is_value v ->
         out := Some v;
         parse rest
-    | "--baseline" :: v :: rest ->
+    | "--baseline" :: v :: rest when is_value v ->
         baseline := Some v;
         parse rest
+    | (("--scale" | "--out" | "--baseline") as flag) :: _ ->
+        die "%s needs a value\n%s" flag usage
     | cmd :: rest ->
+        if not (List.mem_assoc cmd commands || List.mem_assoc cmd gated_modes)
+        then die "unknown command '%s'\n%s" cmd usage;
         cmds := cmd :: !cmds;
         parse rest
   in
-  parse (List.tl args);
+  parse (List.tl (Array.to_list Sys.argv));
   let cmds = match List.rev !cmds with [] -> [ "all" ] | l -> l in
-  let run_cmd = function
-    | "table1" -> Tables.print ()
-    | "fig2" -> fig2 !scale
-    | "fig3" -> fig_for "cg" !scale
-    | "fig4" -> fig_for "ocean" !scale
-    | "fig5" -> fig_for "nbody" !scale
-    | "fig6" -> fig_for "tc" !scale
-    | "micro" -> micro ()
-    | "ablation" -> ablation ()
-    | "extrapolate" -> extrapolate !scale
-    | "sensitivity" -> sensitivity ()
-    | "faults" -> faults_bench !scale
-    | "speedup" ->
-        speedup_bench !scale
-          (Option.value !out ~default:"BENCH_speedup.json")
-          !baseline
-    | "chaos" ->
-        chaos_bench !scale
-          (Option.value !out ~default:"BENCH_chaos.json")
-          !baseline
-    | "throughput" ->
-        throughput_bench !scale
-          (Option.value !out ~default:"BENCH_throughput.json")
-          !baseline
-    | "scale" ->
-        scale_bench !scale
-          (Option.value !out ~default:"BENCH_scale.json")
-          !baseline
-    | "bandwidth" -> bandwidth_bench ()
-    | "all" ->
-        Tables.print ();
-        fig2 !scale;
-        List.iter (fun k -> fig_for k !scale) [ "cg"; "ocean"; "nbody"; "tc" ]
-    | other ->
-        Printf.eprintf
-          "unknown command '%s' (expected \
-           table1|fig2|fig3|fig4|fig5|fig6|all|ablation|extrapolate|\
-           sensitivity|faults|speedup|chaos|throughput|scale|\
-           bandwidth|micro)\n"
-          other;
-        exit 2
+  (* A baseline names its mode and fixes the scale: both are checked
+     before anything runs. *)
+  let baseline =
+    Option.map
+      (fun file ->
+        match Baseline.read file with
+        | Error msg -> die "cannot read baseline %s: %s" file msg
+        | Ok b ->
+            if Baseline.rows b = [] then die "baseline %s has no entries" file;
+            List.iter
+              (fun c ->
+                if List.mem_assoc c gated_modes && c <> b.Baseline.benchmark
+                then
+                  die "baseline %s is a %s baseline; it cannot gate %s" file
+                    b.benchmark c)
+              cmds;
+            (file, b))
+      !baseline
   in
-  List.iter run_cmd cmds
+  let scale =
+    match (!scale, baseline) with
+    | Some s, Some (file, b) when s <> b.Baseline.scale ->
+        die "baseline %s was recorded at scale %d%%, this run asks for %d%%"
+          file b.scale s
+    | Some s, _ -> s
+    | None, Some (_, b) -> b.scale
+    | None, None -> 25
+  in
+  List.iter
+    (fun cmd ->
+      match List.assoc_opt cmd commands with
+      | Some run -> run scale
+      | None -> run_gated ~scale ~out:!out ~baseline cmd)
+    cmds

@@ -27,4 +27,5 @@ let () =
       ("load", Test_load.suite);
       ("corpus", Test_corpus.suite);
       ("fuzz", Test_fuzz.suite);
+      ("baseline", Test_baseline.suite);
     ]

@@ -185,64 +185,31 @@ let machines =
     ("cluster", Machine.sparc20_cluster);
   ]
 
-type pinned = {
-  p_machine : string;
-  p_procs : int;
-  p_opt : string;
-  p_time : float;
-  p_messages : int;
-  p_bytes : int;
-}
-
-(* The committed speedup baseline: its problem scale and one entry per
-   (app, machine, CPUs, opt level), one JSON object per line. *)
+(* The committed speedup baseline: its problem scale and one row per
+   (app, machine, CPUs, opt level). *)
 let speedup_baseline =
   lazy
     (match find_up "bench/BENCH_speedup_baseline.json" with
     | None -> Alcotest.fail "bench/BENCH_speedup_baseline.json not found"
-    | Some file ->
-        let lines = String.split_on_char '\n' (read_file file) in
-        let scale =
-          List.find_map
-            (fun l -> try Scanf.sscanf l " \"scale\": %d" Option.some with _ -> None)
-            lines
-        in
-        let entries =
-          List.filter_map
-            (fun l ->
-              try
-                Scanf.sscanf l
-                  " {\"app\": %S, \"machine\": %S, \"procs\": %d, \"opt\": \
-                   %S, \"time\": %f, \"messages\": %d, \"bytes\": %d"
-                  (fun app m p o t msgs b ->
-                    Some
-                      ( app,
-                        {
-                          p_machine = m;
-                          p_procs = p;
-                          p_opt = o;
-                          p_time = t;
-                          p_messages = msgs;
-                          p_bytes = b;
-                        } ))
-              with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
-            lines
-        in
-        (Option.get scale, entries))
+    | Some file -> (
+        match Baseline.read file with
+        | Ok b -> (b.Baseline.scale, Baseline.rows b)
+        | Error e -> Alcotest.failf "%s: %s" file e))
 
-(* One app's P in {2,4,8} entries: each run must reproduce the
-   baseline's modeled time (to its printed nine decimals), message
-   count and bytes; the O2 runs also verify against the reference
-   interpreter. *)
+(* One app's P in {2,4,8} rows: each run must reproduce the baseline's
+   modeled time (to its printed nine decimals), message count and
+   bytes; the O2 runs also verify against the reference interpreter. *)
 let speedup_pinned key () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
-  let scale, entries = Lazy.force speedup_baseline in
+  let scale, rows = Lazy.force speedup_baseline in
   let pins =
-    List.filter_map
-      (fun (k, e) -> if k = key && List.mem e.p_procs [ 2; 4; 8 ] then Some e else None)
-      entries
+    List.filter
+      (fun e ->
+        Baseline.str e "app" = key
+        && List.mem (Baseline.int e "procs") [ 2; 4; 8 ])
+      rows
   in
   Alcotest.(check int) (key ^ ": baseline entries") 18 (List.length pins);
   let compiled =
@@ -252,20 +219,23 @@ let speedup_pinned key () =
   in
   List.iter
     (fun e ->
-      let m = List.assoc e.p_machine machines in
-      let c = List.assoc e.p_opt compiled in
-      let where =
-        Printf.sprintf "%s %s P=%d on %s" key e.p_opt e.p_procs e.p_machine
+      let machine = Baseline.str e "machine" and opt = Baseline.str e "opt" in
+      let procs = Baseline.int e "procs" in
+      let c = List.assoc opt compiled in
+      let where = Printf.sprintf "%s %s P=%d on %s" key opt procs machine in
+      let cfg =
+        Otter.config ~machine:(List.assoc machine machines) ~nprocs:procs ()
       in
-      let cfg = Otter.config ~machine:m ~nprocs:e.p_procs () in
       let r = (Otter.outcome_exn (Otter.run cfg c)).Exec.State.report in
       Alcotest.(check string)
         (where ^ ": modeled time")
-        (Printf.sprintf "%.9f" e.p_time)
+        (Printf.sprintf "%.9f" (Baseline.num e "time"))
         (Printf.sprintf "%.9f" r.Sim.makespan);
-      Alcotest.(check int) (where ^ ": messages") e.p_messages r.Sim.messages;
-      Alcotest.(check int) (where ^ ": bytes") e.p_bytes r.Sim.bytes;
-      if e.p_opt = "O2" then
+      Alcotest.(check int) (where ^ ": messages")
+        (Baseline.int e "messages") r.Sim.messages;
+      Alcotest.(check int) (where ^ ": bytes") (Baseline.int e "bytes")
+        r.Sim.bytes;
+      if opt = "O2" then
         match
           Otter.verify_list
             { cfg with Otter.Config.capture = app.capture; tol = 1e-6 }
