@@ -7,13 +7,13 @@
 
    - variables are interned into array-indexed frame slots (a tag word,
      an unboxed float for scalars, a boxed value for matrices/strings);
-   - scalar expressions become RPN programs over an unboxed float
-     stack, with builtins and operators resolved to opcodes at decode
-     time and the flop charge precomputed (operand counts are static
-     because [&&]/[||] on replicated scalars evaluate both sides);
+   - scalar expressions become closure trees, one direct call per IR
+     node, with builtins and operators resolved at decode time and the
+     flop charge precomputed (operand counts are static because
+     [&&]/[||] on replicated scalars evaluate both sides);
    - element-wise loops become a fetch prelude (operands resolved in
      tree order, so embedded broadcasts and conformance errors happen
-     exactly where the IR tree puts them) plus one tight RPN loop;
+     exactly where the IR tree puts them) plus one tight stack-machine loop;
    - control flow becomes resolved jump targets: an op returns the
      next pc, and break/continue inside decoded loops are plain jumps.
 
@@ -133,7 +133,7 @@ type frame = {
   sc : float array; (* unboxed scalar slots *)
   vals : value array; (* matrix / string slots; [novalue] elsewhere *)
   names : string array; (* slot -> variable name, "" for hidden slots *)
-  stack : float array; (* RPN scratch; safe per frame (see intro) *)
+  stack : float array; (* element-plan scratch; safe per frame (see intro) *)
   st : rstate;
 }
 
@@ -226,24 +226,18 @@ let dim_of fr slot code =
           | _ -> float_of_int (Array.fold_left max 1 t.Ndarr.dims))
       | _ -> assert false)
 
-(* --- RPN scalar programs --------------------------------------------------- *)
+(* --- compiled scalar expressions ------------------------------------------- *)
 
-(* Opcodes (argument meaning in parentheses):
-     0 push constant (const index)        1 push variable (slot)
-     2 negate                             3 logical not
-     4 dimension query (slot*4 + code)    5 builtin, 1 arg (fid)
-     6 builtin, 2 args (fid)              7 raise (message index)
-     10..23 binary operators *)
-type rpn = {
-  r_ops : int array;
-  r_a : int array;
-  r_consts : float array;
-  r_msgs : string array; (* decode-time error messages for opcode 7 *)
+(* A scalar expression compiles once, at decode, to a closure tree: one
+   direct call per IR node, evaluating strictly left to right. *)
+type cexpr = {
+  r_nodes : int; (* IR nodes: one evaluation's share of [State.dispatched] *)
   r_nops : int; (* static flop charge *)
   r_fnops : float; (* the same, pre-converted for the charge call *)
-  r_f : frame -> float; (* compiled evaluator; the arrays are its listing *)
+  r_f : frame -> float;
 }
 
+(* Operator codes, shared by scalar expressions and element plans. *)
 let bin_code (op : Mlang.Ast.binop) =
   match op with
   | Mlang.Ast.Add -> 10
@@ -336,12 +330,12 @@ let of_bool = State.of_bool
 
 (* Run the compiled evaluator.  No charge: the caller decides
    (element-loop scalar subtrees are uncharged). *)
-let exec_rpn fr (r : rpn) : float = r.r_f fr
+let exec_cexpr fr (r : cexpr) : float = r.r_f fr
 
 (* Charged evaluation: evaluate fully, then charge the static
    operation count in one flops call. *)
-let eval_rpn fr r =
-  State.dispatched := !State.dispatched + Array.length r.r_ops;
+let eval_cexpr fr r =
+  State.dispatched := !State.dispatched + r.r_nodes;
   let v = r.r_f fr in
   if r.r_nops > 0 then Mpisim.Sim.flops r.r_fnops;
   v
@@ -366,7 +360,7 @@ type dctx = {
   slot_of : (string, int) Hashtbl.t;
   mutable nslots : int;
   mutable rnames : string list; (* slot names, newest first *)
-  mutable maxdepth : int; (* RPN stack high-water mark *)
+  mutable maxdepth : int; (* element-plan stack high-water mark *)
   funcs : (string, Ir.func) Hashtbl.t;
   fdec : (string, fentry) Hashtbl.t; (* decoded on first call, per rank *)
   lst : Buffer.t option; (* decode listing accumulator *)
@@ -403,70 +397,15 @@ let mk_frame ~nslots ~names ~stack st =
     st;
   }
 
-(* --- compiling scalar expressions to RPN ----------------------------------- *)
+(* --- compiling scalar expressions ------------------------------------------ *)
 
-let compile_sexpr dc (s : Ir.sexpr) : rpn =
-  let ops = ref [] and args = ref [] and n = ref 0 in
-  let consts = ref [] and ncon = ref 0 in
-  let msgs = ref [] and nmsg = ref 0 in
-  let nops = ref 0 in
-  let depth = ref 0 and maxd = ref 0 in
-  let emit op a d =
-    ops := op :: !ops;
-    args := a :: !args;
-    incr n;
-    depth := !depth + d;
-    if !depth > !maxd then maxd := !depth
-  in
-  let const f =
-    consts := f :: !consts;
-    incr ncon;
-    !ncon - 1
-  in
-  let msg m =
-    msgs := m :: !msgs;
-    incr nmsg;
-    !nmsg - 1
-  in
-  let rec go (s : Ir.sexpr) =
-    match s with
-    | Ir.Sconst f -> emit 0 (const f) 1
-    | Ir.Sstr _ -> emit 7 (msg "string literal in numeric context") 1
-    | Ir.Svar v -> emit 1 (slot dc v) 1
-    | Ir.Sbin (op, a, b) ->
-        incr nops;
-        go a;
-        go b;
-        emit (bin_code op) 0 (-1)
-    | Ir.Sneg a ->
-        incr nops;
-        go a;
-        emit 2 0 0
-    | Ir.Snot a ->
-        incr nops;
-        go a;
-        emit 3 0 0
-    | Ir.Scall (name, cargs) -> (
-        incr nops;
-        List.iter go cargs;
-        let argc = List.length cargs in
-        match builtin_fid name argc with
-        | -1 ->
-            emit 7
-              (msg (Printf.sprintf "unknown scalar builtin '%s'/%d" name argc))
-              1
-        | fid when argc = 1 -> emit 5 fid 0
-        | fid -> emit 6 fid (-1))
-    | Ir.Sdim (v, code) -> emit 4 ((slot dc v * 8) lor (code land 7)) 1
-  in
-  go s;
-  if !maxd + 1 > dc.maxdepth then dc.maxdepth <- !maxd + 1;
-  (* The executable form: a closure tree, one direct call per node,
-     evaluating strictly left to right — the same order the listing
-     arrays describe.  Decode-time failures (strings in numeric
-     position, unknown builtins) become closures that first evaluate
-     their operands, then raise, so errors surface in operand order. *)
+(* Decode-time failures (strings in numeric position, unknown builtins)
+   become closures that first evaluate their operands, then raise, so
+   errors surface in operand order. *)
+let compile_sexpr dc (s : Ir.sexpr) : cexpr =
+  let nodes = ref 0 and nops = ref 0 in
   let rec cc (s : Ir.sexpr) : frame -> float =
+    incr nodes;
     match s with
     | Ir.Sconst f -> fun _ -> f
     | Ir.Sstr _ -> fun _ -> error "string literal in numeric context"
@@ -478,12 +417,15 @@ let compile_sexpr dc (s : Ir.sexpr) : rpn =
         let code = code land 7 in
         fun fr -> dim_of fr sl code
     | Ir.Sneg a ->
+        incr nops;
         let fa = cc a in
         fun fr -> -.fa fr
     | Ir.Snot a ->
+        incr nops;
         let fa = cc a in
         fun fr -> of_bool (not (truthy (fa fr)))
     | Ir.Sbin (op, a, b) -> (
+        incr nops;
         let fa = cc a in
         let fb = cc b in
         match bin_code op with
@@ -558,6 +500,7 @@ let compile_sexpr dc (s : Ir.sexpr) : rpn =
               let y = fb fr in
               of_bool (truthy x || truthy y))
     | Ir.Scall (name, cargs) -> (
+        incr nops;
         let fargs = List.map cc cargs in
         let argc = List.length cargs in
         match (builtin_fid name argc, fargs) with
@@ -577,15 +520,7 @@ let compile_sexpr dc (s : Ir.sexpr) : rpn =
         | _ -> assert false)
   in
   let f = cc s in
-  {
-    r_ops = Array.of_list (List.rev !ops);
-    r_a = Array.of_list (List.rev !args);
-    r_consts = Array.of_list (List.rev !consts);
-    r_msgs = Array.of_list (List.rev !msgs);
-    r_nops = !nops;
-    r_fnops = float_of_int !nops;
-    r_f = f;
-  }
+  { r_nodes = !nodes; r_nops = !nops; r_fnops = float_of_int !nops; r_f = f }
 
 (* --- element-wise plans ---------------------------------------------------- *)
 
@@ -595,12 +530,15 @@ let compile_sexpr dc (s : Ir.sexpr) : rpn =
    embedded broadcasts and errors keep their order. *)
 type pstep =
   | Pfetch of int * int (* mats.(ix) <- data of matrix at slot *)
-  | Peval of int * rpn (* esc.(ix) <- uncharged scalar evaluation *)
+  | Peval of int * cexpr (* esc.(ix) <- uncharged scalar evaluation *)
   | Peye (* no-op for matrices; rejected in tree order under a tensor model *)
 
-(* Element opcodes reuse the scalar set, with the pushes redirected:
-     0 push esc scratch (index)       1 push mat element (operand index)
-     8 push eye element               others as in [rpn] *)
+(* Element opcodes (argument meaning in parentheses):
+     0 push esc scratch (index)        1 push operand element (operand index)
+     2 negate                          3 logical not
+     5 builtin, 1 arg (fid)            6 builtin, 2 args (fid)
+     7 raise (message index)           8 push eye element
+     10..23 binary operators ([bin_code]) *)
 type eplan = {
   e_prelude : pstep array;
   e_ops : int array;
@@ -684,34 +622,16 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
     e_nsc = !nsc;
   }
 
-(* Execute a plan.  [mats]/[esc] are the decode-time preallocated
-   operand buffers (per rank, so a suspension inside the prelude cannot
-   interleave with another rank's use of them). *)
-let exec_eplan fr (p : eplan) ~(mats : float array array) ~(esc : float array)
-    ~(model : Dmat.t) ~(dst : Dmat.t) =
-  Array.iter
-    (fun step ->
-      match step with
-      | Pfetch (ix, s) ->
-          let m = mat_of fr s in
-          if m.Dmat.rows <> model.Dmat.rows || m.Dmat.cols <> model.Dmat.cols
-          then
-            error "nonconformant element-wise operands (%dx%d vs %dx%d)"
-              m.Dmat.rows m.Dmat.cols model.Dmat.rows model.Dmat.cols;
-          if not (Dmat.same_locality m model) then
-            error
-              "cannot mix a replicated (message-passing) matrix with a \
-               distributed one element-wise; MPI_Bcast the distributed \
-               operand first";
-          mats.(ix) <- m.Dmat.data
-      | Peval (ix, r) -> esc.(ix) <- exec_rpn fr r
-      | Peye -> ())
-    p.e_prelude;
+(* The element loop shared by matrix and tensor plans: [len] local
+   elements of [out], each one pass over the plan's opcodes on the
+   frame's stack.  Operand [a] reads its own element when
+   [mcell.(a) = 0] and element [i mod mcell.(a)] otherwise (a frame
+   broadcast); [eye i] is local element [i] of the identity. *)
+let run_elements fr (p : eplan) ~(mats : float array array)
+    ~(mcell : int array) ~(esc : float array) ~eye (out : float array) len =
   let stack = fr.stack in
   let ops = p.e_ops and args = p.e_a in
   let n = Array.length ops in
-  let out = dst.Dmat.data in
-  let len = Dmat.local_len dst in
   for i = 0 to len - 1 do
     let sp = ref 0 in
     for k = 0 to n - 1 do
@@ -721,11 +641,11 @@ let exec_eplan fr (p : eplan) ~(mats : float array array) ~(esc : float array)
           stack.(!sp) <- esc.(a);
           incr sp
       | 1 ->
-          stack.(!sp) <- mats.(a).(i);
+          let c = mcell.(a) in
+          stack.(!sp) <- (if c = 0 then mats.(a).(i) else mats.(a).(i mod c));
           incr sp
       | 8 ->
-          let r, c = Dmat.global_rc_of_local model i in
-          stack.(!sp) <- (if r = c then 1.0 else 0.0);
+          stack.(!sp) <- eye i;
           incr sp
       | 2 -> stack.(!sp - 1) <- -.stack.(!sp - 1)
       | 3 -> stack.(!sp - 1) <- of_bool (not (truthy stack.(!sp - 1)))
@@ -783,13 +703,42 @@ let exec_eplan fr (p : eplan) ~(mats : float array array) ~(esc : float array)
   done;
   Mpisim.Sim.flops (float_of_int (len * max 1 p.e_nops))
 
-(* The tensor variant of [exec_eplan]: the loop runs over the model
-   tensor's local elements.  A same-dims tensor operand reads its own
-   local element; a matrix operand whose shape matches the model's
-   trailing cell is frame-broadcast — an [i mod cell] read of its dense
-   form.  [mcell.(ix)] is 0 for a direct read, the broadcast modulus
-   otherwise. *)
-let exec_eplan_nd fr (p : eplan) ~(mats : float array array)
+(* Execute a plan over a matrix model.  [mats]/[mcell]/[esc] are the
+   decode-time preallocated operand buffers (per rank, so a suspension
+   inside the prelude cannot interleave with another rank's use of
+   them). *)
+let exec_eplan fr (p : eplan) ~(mats : float array array)
+    ~(mcell : int array) ~(esc : float array) ~(model : Dmat.t) ~(dst : Dmat.t) =
+  Array.iter
+    (fun step ->
+      match step with
+      | Pfetch (ix, s) ->
+          let m = mat_of fr s in
+          if m.Dmat.rows <> model.Dmat.rows || m.Dmat.cols <> model.Dmat.cols
+          then
+            error "nonconformant element-wise operands (%dx%d vs %dx%d)"
+              m.Dmat.rows m.Dmat.cols model.Dmat.rows model.Dmat.cols;
+          if not (Dmat.same_locality m model) then
+            error
+              "cannot mix a replicated (message-passing) matrix with a \
+               distributed one element-wise; MPI_Bcast the distributed \
+               operand first";
+          mats.(ix) <- m.Dmat.data;
+          mcell.(ix) <- 0
+      | Peval (ix, r) -> esc.(ix) <- exec_cexpr fr r
+      | Peye -> ())
+    p.e_prelude;
+  run_elements fr p ~mats ~mcell ~esc
+    ~eye:(fun i ->
+      let r, c = Dmat.global_rc_of_local model i in
+      if r = c then 1.0 else 0.0)
+    dst.Dmat.data (Dmat.local_len dst)
+
+(* The tensor variant: the loop runs over the model tensor's local
+   elements.  A same-dims tensor operand reads its own local element; a
+   matrix operand whose shape matches the model's trailing cell is
+   frame-broadcast -- an [i mod cell] read of its dense form. *)
+let exec_eplan_tensor fr (p : eplan) ~(mats : float array array)
     ~(mcell : int array) ~(esc : float array) ~(model : Ndarr.t)
     ~(dst : Ndarr.t) =
   Array.iter
@@ -824,82 +773,12 @@ let exec_eplan_nd fr (p : eplan) ~(mats : float array array)
           | Vstr _ ->
               error "variable '%s' is a string in an element-wise loop"
                 fr.names.(s))
-      | Peval (ix, r) -> esc.(ix) <- exec_rpn fr r
+      | Peval (ix, r) -> esc.(ix) <- exec_cexpr fr r
       | Peye -> error "eye has no rank-N form")
     p.e_prelude;
-  let stack = fr.stack in
-  let ops = p.e_ops and args = p.e_a in
-  let n = Array.length ops in
-  let out = dst.Ndarr.data in
-  let len = Ndarr.local_len dst in
-  for i = 0 to len - 1 do
-    let sp = ref 0 in
-    for k = 0 to n - 1 do
-      let a = args.(k) in
-      match ops.(k) with
-      | 0 ->
-          stack.(!sp) <- esc.(a);
-          incr sp
-      | 1 ->
-          let c = mcell.(a) in
-          stack.(!sp) <- (if c = 0 then mats.(a).(i) else mats.(a).(i mod c));
-          incr sp
-      | 8 -> error "eye has no rank-N form"
-      | 2 -> stack.(!sp - 1) <- -.stack.(!sp - 1)
-      | 3 -> stack.(!sp - 1) <- of_bool (not (truthy stack.(!sp - 1)))
-      | 5 -> stack.(!sp - 1) <- call1 a stack.(!sp - 1)
-      | 6 ->
-          decr sp;
-          stack.(!sp - 1) <- call2 a stack.(!sp - 1) stack.(!sp)
-      | 7 -> error "%s" p.e_msgs.(a)
-      | 10 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) +. stack.(!sp)
-      | 11 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) -. stack.(!sp)
-      | 12 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) *. stack.(!sp)
-      | 13 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) /. stack.(!sp)
-      | 14 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp) /. stack.(!sp - 1)
-      | 15 ->
-          decr sp;
-          stack.(!sp - 1) <- Float.pow stack.(!sp - 1) stack.(!sp)
-      | 16 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) < stack.(!sp))
-      | 17 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <= stack.(!sp))
-      | 18 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) > stack.(!sp))
-      | 19 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) >= stack.(!sp))
-      | 20 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) = stack.(!sp))
-      | 21 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <> stack.(!sp))
-      | 22 ->
-          decr sp;
-          stack.(!sp - 1) <-
-            of_bool (truthy stack.(!sp - 1) && truthy stack.(!sp))
-      | _ ->
-          decr sp;
-          stack.(!sp - 1) <-
-            of_bool (truthy stack.(!sp - 1) || truthy stack.(!sp))
-    done;
-    out.(i) <- stack.(0)
-  done;
-  Mpisim.Sim.flops (float_of_int (len * max 1 p.e_nops))
+  run_elements fr p ~mats ~mcell ~esc
+    ~eye:(fun _ -> error "eye has no rank-N form")
+    dst.Ndarr.data (Ndarr.local_len dst)
 
 (* --- the code buffer ------------------------------------------------------- *)
 
@@ -976,31 +855,31 @@ let run_code (c : code) fr =
 (* MATLAB indices are 1-based; linear indexing is column-major.  Index
    expressions evaluate left to right, so any embedded broadcast
    happens in a fixed order on every rank. *)
-let coords fr (m : Dmat.t) (idx : rpn list) =
+let coords fr (m : Dmat.t) (idx : cexpr list) =
   match idx with
   | [ i ] ->
-      let g = int_of_float (eval_rpn fr i) - 1 in
+      let g = int_of_float (eval_cexpr fr i) - 1 in
       if m.Dmat.rows = 1 then (0, g)
       else if m.Dmat.cols = 1 then (g, 0)
       else (g mod m.Dmat.rows, g / m.Dmat.rows)
   | [ i; j ] ->
-      let a = int_of_float (eval_rpn fr i) - 1 in
-      let b = int_of_float (eval_rpn fr j) - 1 in
+      let a = int_of_float (eval_cexpr fr i) - 1 in
+      let b = int_of_float (eval_cexpr fr j) - 1 in
       (a, b)
   | _ -> error "unsupported number of indices"
 
 (* Full multi-index of a tensor element, 0-based, leading axis first;
    tensors take exactly one subscript per axis (no linear indexing). *)
-let nd_coords fr (t : Ndarr.t) (idx : rpn list) : int array =
+let nd_coords fr (t : Ndarr.t) (idx : cexpr list) : int array =
   if List.length idx <> Ndarr.rank t then
     error "a rank-%d tensor must be indexed with exactly %d subscripts (got %d)"
       (Ndarr.rank t) (Ndarr.rank t) (List.length idx);
-  Array.of_list (List.map (fun i -> int_of_float (eval_rpn fr i) - 1) idx)
+  Array.of_list (List.map (fun i -> int_of_float (eval_cexpr fr i) - 1) idx)
 
 type dsel =
   | Dall
-  | Dscalar of rpn
-  | Drange of rpn * rpn option * rpn
+  | Dscalar of cexpr
+  | Drange of cexpr * cexpr option * cexpr
   | Dvec of int
 
 let compile_sel dc (s : Ir.sel) : dsel =
@@ -1016,11 +895,11 @@ let compile_sel dc (s : Ir.sel) : dsel =
 let sel_exec fr (extent : int) (s : dsel) : int array =
   match s with
   | Dall -> Array.init extent (fun i -> i)
-  | Dscalar r -> [| int_of_float (eval_rpn fr r) - 1 |]
+  | Dscalar r -> [| int_of_float (eval_cexpr fr r) - 1 |]
   | Drange (lo, step, hi) ->
-      let lo = eval_rpn fr lo in
-      let step = match step with Some s -> eval_rpn fr s | None -> 1. in
-      let hi = eval_rpn fr hi in
+      let lo = eval_cexpr fr lo in
+      let step = match step with Some s -> eval_cexpr fr s | None -> 1. in
+      let hi = eval_cexpr fr hi in
       State.range_indices lo step hi
   | Dvec s ->
       let m = mat_of fr s in
@@ -1073,7 +952,7 @@ and exec_section_mat fr dslot sslot (sels : dsel list) =
       setm fr dslot (Ops.section m ri rj)
   | _ -> error "unsupported number of index selectors"
 
-type dsrc = DSscalar of rpn | DSmat of int
+type dsrc = DSscalar of cexpr | DSmat of int
 
 let rec exec_setsection fr dslot (sels : dsel list) (src : dsrc) =
   match getv fr dslot with
@@ -1089,7 +968,7 @@ let rec exec_setsection fr dslot (sels : dsel list) (src : dsrc) =
       let value =
         match src with
         | DSscalar r ->
-            let c = eval_rpn fr r in
+            let c = eval_cexpr fr r in
             fun _ -> c
         | DSmat vs -> (
             match getv fr vs with
@@ -1124,7 +1003,7 @@ and exec_setsection_mat fr dslot (sels : dsel list) (src : dsrc) =
   let value =
     match src with
     | DSscalar r ->
-        let c = eval_rpn fr r in
+        let c = eval_cexpr fr r in
         fun _ -> c
     | DSmat s ->
         let sm = mat_of fr s in
@@ -1250,7 +1129,7 @@ let exec_concat fr dslot grid_rows grid_cols (parts : int list) =
 
 (* --- constructors ------------------------------------------------------------ *)
 
-let rec exec_construct_t fr dslot (kind : Ir.ckind) (rargs : rpn list) =
+let rec exec_construct_t fr dslot (kind : Ir.ckind) (rargs : cexpr list) =
   match (kind, rargs) with
   | (Ir.Czeros | Ir.Cones | Ir.Crand | Ir.Crandn), _ :: _ :: _ :: _ ->
       (* three or more size arguments: a rank-N tensor, distributed
@@ -1261,7 +1140,7 @@ let rec exec_construct_t fr dslot (kind : Ir.ckind) (rargs : rpn list) =
       | _ -> ());
       let seed = fr.st.seed + fr.st.rand_calls in
       let dims =
-        Array.of_list (List.map (fun r -> int_of_float (eval_rpn fr r)) rargs)
+        Array.of_list (List.map (fun r -> int_of_float (eval_cexpr fr r)) rargs)
       in
       let t =
         match kind with
@@ -1276,16 +1155,16 @@ let rec exec_construct_t fr dslot (kind : Ir.ckind) (rargs : rpn list) =
       setnd fr dslot t
   | _ -> exec_construct_mat fr dslot kind rargs
 
-and exec_construct_mat fr dslot (kind : Ir.ckind) (rargs : rpn list) =
+and exec_construct_mat fr dslot (kind : Ir.ckind) (rargs : cexpr list) =
   let arg n = List.nth rargs n in
   let dims () =
     match rargs with
     | [ n ] ->
-        let n = int_of_float (eval_rpn fr n) in
+        let n = int_of_float (eval_cexpr fr n) in
         (n, n)
     | [ r; c ] ->
-        let r = int_of_float (eval_rpn fr r) in
-        let c = int_of_float (eval_rpn fr c) in
+        let r = int_of_float (eval_cexpr fr r) in
+        let c = int_of_float (eval_cexpr fr c) in
         (r, c)
     | _ -> error "constructor expects 1 or 2 size arguments"
   in
@@ -1311,15 +1190,15 @@ and exec_construct_mat fr dslot (kind : Ir.ckind) (rargs : rpn list) =
         let r, c = dims () in
         Dmat.init ~rows:r ~cols:c (fun g -> Mpisim.Rng.normal ~seed g)
     | Ir.Clinspace ->
-        let a = eval_rpn fr (arg 0) in
-        let b = eval_rpn fr (arg 1) in
-        let n = int_of_float (eval_rpn fr (arg 2)) in
+        let a = eval_cexpr fr (arg 0) in
+        let b = eval_cexpr fr (arg 1) in
+        let n = int_of_float (eval_cexpr fr (arg 2)) in
         let d = if n > 1 then (b -. a) /. float_of_int (n - 1) else 0. in
         Dmat.init ~rows:1 ~cols:n (fun g -> a +. (float_of_int g *. d))
     | Ir.Crange ->
-        let lo = eval_rpn fr (arg 0) in
-        let step = eval_rpn fr (arg 1) in
-        let hi = eval_rpn fr (arg 2) in
+        let lo = eval_cexpr fr (arg 0) in
+        let step = eval_cexpr fr (arg 1) in
+        let hi = eval_cexpr fr (arg 2) in
         let n =
           if step = 0. then 0
           else
@@ -1335,11 +1214,11 @@ and exec_construct_mat fr dslot (kind : Ir.ckind) (rargs : rpn list) =
 
 (* --- decoded call arguments --------------------------------------------------- *)
 
-type darg = Dstr of string | Drpn of rpn | Dmarg of int
+type darg = Dstr of string | Dcexpr of cexpr | Dmarg of int
 
 type dfused = DFsum of int | DFmean of int | DFdot of int * int | DFnorm of int
 
-type dprintf = DPstr of string | DPrpn of rpn
+type dprintf = DPstr of string | DPcexpr of cexpr
 
 (* --- the instruction decoder --------------------------------------------------- *)
 
@@ -1363,7 +1242,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
             fr.tags.(d) <- t_str;
             fr.vals.(d) <- fr.vals.(ws)
           end
-          else sets fr d (eval_rpn fr r))
+          else sets fr d (eval_cexpr fr r))
   | Ir.Iscalar (v, s) ->
       let d = slot dc v in
       let r = compile_sexpr dc s in
@@ -1373,7 +1252,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
              let nx = ix + 1 in
              fun fr ->
                fr.st.tix.(fr.st.rk) <- tid;
-               sets fr d (eval_rpn fr r);
+               sets fr d (eval_cexpr fr r);
                nx))
   | Ir.Ielem { dst; model; expr } ->
       let d = slot dc dst in
@@ -1389,7 +1268,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
                 if t.Ndarr.full then Ndarr.create_full t.Ndarr.dims
                 else Ndarr.create t.Ndarr.dims
               in
-              exec_eplan_nd fr p ~mats ~mcell ~esc ~model:t ~dst:r;
+              exec_eplan_tensor fr p ~mats ~mcell ~esc ~model:t ~dst:r;
               setnd fr d r
           | _ ->
               let m = mat_of fr ms in
@@ -1398,7 +1277,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
                   Dmat.create_full ~rows:m.Dmat.rows ~cols:m.Dmat.cols
                 else Dmat.create ~rows:m.Dmat.rows ~cols:m.Dmat.cols
               in
-              exec_eplan fr p ~mats ~esc ~model:m ~dst:r;
+              exec_eplan fr p ~mats ~mcell ~esc ~model:m ~dst:r;
               setm fr d r)
   | Ir.Icopy (d, s) ->
       let ds = slot dc d in
@@ -1498,7 +1377,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       let ds = slot dc d and ss = slot dc s in
       let rk = compile_sexpr dc k in
       lib cb (Printf.sprintf "shift %s" d) tid (fun fr ->
-          let k = int_of_float (eval_rpn fr rk) in
+          let k = int_of_float (eval_cexpr fr rk) in
           setm fr ds (Ops.circshift (mat_of fr ss) k))
   | Ir.Ibcast (d, m, idx) ->
       let ds = slot dc d and ms = slot dc m in
@@ -1557,12 +1436,12 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
           match getv fr ms with
           | Vnd t ->
               let ix = nd_coords fr t ridx in
-              let value = eval_rpn fr rv in
+              let value = eval_cexpr fr rv in
               Ops.nd_set_elem t ix value
           | _ ->
               let mm = mat_of fr ms in
               let i, j = coords fr mm ridx in
-              let value = eval_rpn fr rv in
+              let value = eval_cexpr fr rv in
               Ops.set_elem mm ~i ~j value)
   | Ir.Iload { dst; file } ->
       let ds = slot dc dst in
@@ -1583,7 +1462,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       let ds = slot dc dst in
       let relems = List.map (compile_sexpr dc) elems in
       lib cb (Printf.sprintf "literal %s %dx%d" dst rows cols) tid (fun fr ->
-          let values = List.map (eval_rpn fr) relems in
+          let values = List.map (eval_cexpr fr) relems in
           let dense = Array.of_list values in
           setm fr ds (Dmat.of_dense ~rows ~cols dense))
   | Ir.Isection { dst; src; sels } ->
@@ -1613,7 +1492,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
           (fun a ->
             match a with
             | Ir.Ascalar (Ir.Sstr s) -> Dstr s
-            | Ir.Ascalar s -> Drpn (compile_sexpr dc s)
+            | Ir.Ascalar s -> Dcexpr (compile_sexpr dc s)
             | Ir.Amat v -> Dmarg (slot dc v))
           args
       in
@@ -1643,10 +1522,10 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
             match fr.vals.(vs) with
             | Vstr s -> print_str fr name s
             | _ -> assert false
-          else print_scalar fr name (eval_rpn fr r))
+          else print_scalar fr name (eval_cexpr fr r))
   | Ir.Iprint (name, Ir.Pscalar s) ->
       let r = compile_sexpr dc s in
-      plain cb "print scalar" tid (fun fr -> print_scalar fr name (eval_rpn fr r))
+      plain cb "print scalar" tid (fun fr -> print_scalar fr name (eval_cexpr fr r))
   | Ir.Iprint (name, Ir.Pmat v) ->
       let vs = slot dc v in
       plain cb (Printf.sprintf "print mat %s" v) tid (fun fr ->
@@ -1670,7 +1549,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
               (fun a ->
                 match a with
                 | Ir.Sstr s -> DPstr s
-                | _ -> DPrpn (compile_sexpr dc a))
+                | _ -> DPcexpr (compile_sexpr dc a))
               rest
           in
           plain cb "printf" tid (fun fr ->
@@ -1679,7 +1558,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
                   (fun a ->
                     match a with
                     | DPstr s -> Mlang.Fmtutil.S s
-                    | DPrpn r -> Mlang.Fmtutil.F (eval_rpn fr r))
+                    | DPcexpr r -> Mlang.Fmtutil.F (eval_cexpr fr r))
                   dargs
               in
               if is_root fr then
@@ -1700,7 +1579,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
                  let nx = ix + 1 in
                  fun fr ->
                    fr.st.tix.(fr.st.rk) <- tid;
-                   if truthy (eval_rpn fr r) then nx else !nextt));
+                   if truthy (eval_cexpr fr r) then nx else !nextt));
           decode_block dc cb ~lp ~fend blk;
           ignore (emit cb "jump endif" (fun _ _ -> !endt));
           nextt := cb.len)
@@ -1715,7 +1594,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       ignore
         (emit cb "while cond" (fun ix ->
              let nx = ix + 1 in
-             fun fr -> if truthy (eval_rpn fr r) then nx else !endt));
+             fun fr -> if truthy (eval_cexpr fr r) then nx else !endt));
       let cont = ref ltop in
       decode_block dc cb ~lp:(Some (endt, cont)) ~fend blk;
       ignore (emit cb "jump while" (fun _ _ -> ltop));
@@ -1731,10 +1610,10 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       let rstop = compile_sexpr dc stop in
       let endt = ref (-1) in
       plain cb (Printf.sprintf "for %s entry" v) tid (fun fr ->
-          fr.sc.(hs) <- eval_rpn fr rstart;
+          fr.sc.(hs) <- eval_cexpr fr rstart;
           fr.sc.(hp) <-
-            (match rstep with Some r -> eval_rpn fr r | None -> 1.);
-          fr.sc.(he) <- eval_rpn fr rstop;
+            (match rstep with Some r -> eval_cexpr fr r | None -> 1.);
+          fr.sc.(he) <- eval_cexpr fr rstop;
           fr.sc.(hk) <- 0.);
       (* The iteration test appears twice — once as the loop header
          (first entry, and the target of continue via the "next" op)
@@ -1786,12 +1665,12 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
         | Ir.Amat m -> Some (DSmat (slot dc m))
       in
       lib cb "mpi_send" tid (fun fr ->
-          let dst = int_of_float (eval_rpn fr rd) in
-          let tag = int_of_float (eval_rpn fr rt) in
+          let dst = int_of_float (eval_cexpr fr rd) in
+          let tag = int_of_float (eval_cexpr fr rt) in
           let value =
             match dv with
             | None -> error "MPI_Send: cannot send a string"
-            | Some (DSscalar r) -> Vscalar (eval_rpn fr r)
+            | Some (DSscalar r) -> Vscalar (eval_cexpr fr r)
             | Some (DSmat s) -> getv fr s
           in
           State.mpi_send ~dst ~tag value)
@@ -1800,8 +1679,8 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       let rs = compile_sexpr dc src in
       let rt = compile_sexpr dc tag in
       lib cb (Printf.sprintf "mpi_recv %s" d) tid (fun fr ->
-          let src = int_of_float (eval_rpn fr rs) in
-          let tag = int_of_float (eval_rpn fr rt) in
+          let src = int_of_float (eval_cexpr fr rs) in
+          let tag = int_of_float (eval_cexpr fr rt) in
           match State.mpi_recv ~src ~tag ~is_matrix with
           | Vscalar f -> sets fr ds f
           | Vmat m -> setm fr ds m
@@ -1817,11 +1696,11 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
         | Ir.Amat m -> Some (DSmat (slot dc m))
       in
       lib cb (Printf.sprintf "mpi_bcast %s" d) tid (fun fr ->
-          let root = int_of_float (eval_rpn fr rr) in
+          let root = int_of_float (eval_cexpr fr rr) in
           let value =
             match dv with
             | None -> error "MPI_Bcast: cannot send a string"
-            | Some (DSscalar r) -> Vscalar (eval_rpn fr r)
+            | Some (DSscalar r) -> Vscalar (eval_cexpr fr r)
             | Some (DSmat s) -> getv fr s
           in
           match State.mpi_bcast ~root value with
@@ -1834,8 +1713,8 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
       let rs = compile_sexpr dc src in
       let rt = compile_sexpr dc tag in
       lib cb (Printf.sprintf "mpi_probe %s" d) tid (fun fr ->
-          let src = int_of_float (eval_rpn fr rs) in
-          let tag = int_of_float (eval_rpn fr rt) in
+          let src = int_of_float (eval_cexpr fr rs) in
+          let tag = int_of_float (eval_cexpr fr rt) in
           sets fr ds (State.mpi_probe ~src ~tag))
   | Ir.Ibreak -> (
       match lp with
@@ -1927,7 +1806,7 @@ and exec_call_t dc fr fname nargs (dargs : darg list) (ret_slots : int list) =
     (fun pslot a ->
       match a with
       | Dstr s -> setstr cfr pslot s
-      | Drpn r -> sets cfr pslot (eval_rpn fr r)
+      | Dcexpr r -> sets cfr pslot (eval_cexpr fr r)
       | Dmarg s -> (
           match getv fr s with
           | Vmat m -> setm cfr pslot (Dmat.copy m) (* call by value *)
@@ -1953,12 +1832,12 @@ type unit_t =
   | Ustmt of code
   | Ufor of {
       uvslot : int;
-      ustart : rpn;
-      ustep : rpn option;
-      ustop : rpn;
+      ustart : cexpr;
+      ustep : cexpr option;
+      ustop : cexpr;
       ubody : code;
     }
-  | Uwhile of { ucond : rpn; ubody : code }
+  | Uwhile of { ucond : cexpr; ubody : code }
 
 type top = Flat of code | Structured of unit_t array
 
@@ -2082,11 +1961,11 @@ let exec_top fr ck resume (units : unit_t array) =
           match !loop_resume with
           | Some (k, Some bounds) -> (k, bounds)
           | _ ->
-              let start = eval_rpn fr ustart in
+              let start = eval_cexpr fr ustart in
               let step =
-                match ustep with Some s -> eval_rpn fr s | None -> 1.
+                match ustep with Some s -> eval_cexpr fr s | None -> 1.
               in
-              let stop = eval_rpn fr ustop in
+              let stop = eval_cexpr fr ustop in
               (0, (start, step, stop))
         in
         loop_resume := None;
@@ -2109,7 +1988,7 @@ let exec_top fr ck resume (units : unit_t array) =
         loop_resume := None;
         (try
            let k = ref k0 in
-           while truthy (eval_rpn fr ucond) do
+           while truthy (eval_cexpr fr ucond) do
              at_boundary fr ck (State.Ploop (i, !k, None));
              (try run_code ubody fr with State.Continue_exc -> ());
              incr k

@@ -4,9 +4,9 @@
 
     Compiles the per-rank IR program once into flat arrays of
     instruction closures with resolved jump targets, array-indexed
-    variable slots (no environment hashing), RPN scalar programs over
-    an unboxed float stack, and preallocated element-loop operand
-    buffers, then runs it.  Evaluation order, flop charges, error
+    variable slots (no environment hashing), scalar expressions
+    compiled to closure trees, and element loops over a float stack
+    with preallocated operand buffers, then runs it.  Evaluation order, flop charges, error
     messages and the checkpoint format are deterministic, so modeled
     time and message counts reproduce exactly.  Result types live in
     {!State}. *)

@@ -90,8 +90,6 @@ let find (name : string) : t =
 
 type level = O0 | O1 | O2
 
-let level_name = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2"
-
 let level_passes = function
   | O0 -> []
   | O1 -> [ "peephole" ]

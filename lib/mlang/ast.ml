@@ -152,12 +152,6 @@ let is_elementwise = function
       true
   | Mul | Div | Ldiv | Pow | Shortand | Shortor -> false
 
-let is_comparison = function
-  | Lt | Le | Gt | Ge | Eq | Ne -> true
-  | Add | Sub | Mul | Div | Ldiv | Pow | Emul | Ediv | Eldiv | Epow | And | Or
-  | Shortand | Shortor ->
-      false
-
 (* Structural fold over all expressions of a block, used by analyses. *)
 let rec iter_exprs_expr f e =
   f e;

@@ -131,7 +131,6 @@ let program ppf (p : Ast.program) =
   List.iter (fun f -> Fmt.pf ppf "@\n%a@\n" func f) p.funcs
 
 let expr_to_string e = Fmt.str "%a" expr e
-let program_to_string p = Fmt.str "%a" program p
 
 (* --- annotated dump ------------------------------------------------------ *)
 

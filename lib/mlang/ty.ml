@@ -103,14 +103,7 @@ let equal a b =
   && equal_dim a.shape.rows b.shape.rows
   && equal_dim a.shape.cols b.shape.cols
 
-let equal_vt a b =
-  match (a, b) with
-  | Bottom, Bottom -> true
-  | Known x, Known y -> equal x y
-  | Bottom, Known _ | Known _, Bottom -> false
-
 let is_scalar t = t.rank = Rscalar
-let is_numeric t = t.base <> Literal
 let is_tensor t = match t.rank with Rtensor _ -> true | _ -> false
 
 (* Total rank: 0 for scalars, 2 for matrices, 2 + frame axes for tensors. *)

@@ -62,8 +62,25 @@ let no_faults =
     kill_time = 0.01;
   }
 
+(* The values a numeric fault key admits: probabilities lie in [0, 1],
+   times are non-negative, factors and periods positive, and all of
+   them finite. *)
+let check_fault_value k x =
+  let bad what = Error (Printf.sprintf "faults: %s must be %s, got %g" k what x) in
+  match k with
+  | _ when not (Float.is_finite x) -> bad "finite"
+  | ("drop" | "dup" | "delay" | "stall" | "degrade" | "kill")
+    when x < 0. || x > 1. ->
+      bad "a probability in [0, 1]"
+  | ("stall_time" | "kill_window" | "kill_time" | "detect") when x < 0. ->
+      bad "a non-negative time"
+  | ("delay_factor" | "degrade_factor" | "degrade_period") when x <= 0. ->
+      bad "positive"
+  | _ -> Ok x
+
 (* Parse "drop=0.01,dup=0.005,seed=42" into a fault model.  Unknown
-   keys and malformed numbers are reported, not ignored. *)
+   keys, malformed numbers and out-of-range values are reported, not
+   ignored. *)
 let faults_of_spec spec : (faults, string) result =
   let parse_field acc kv =
     match acc with
@@ -73,7 +90,7 @@ let faults_of_spec spec : (faults, string) result =
         | [ k; v ] -> (
             let num () =
               match float_of_string_opt v with
-              | Some x -> Ok x
+              | Some x -> check_fault_value k x
               | None -> Error (Printf.sprintf "faults: bad number '%s' for %s" v k)
             in
             let setf g = Result.map g (num ()) in
@@ -121,11 +138,6 @@ let mapping_of_string ?(seed = 0) = function
   | "cyclic" -> Some Map_cyclic
   | "random" -> Some (Map_random seed)
   | _ -> None
-
-let mapping_name = function
-  | Map_block -> "block"
-  | Map_cyclic -> "cyclic"
-  | Map_random _ -> "random"
 
 type t = {
   name : string;

@@ -58,6 +58,9 @@ let rtt_estimate ~peer bytes =
   +. (8. /. back.Machine.bandwidth)
   +. m.Machine.send_overhead +. m.Machine.recv_overhead
 
+let protocol_error ~src ~tag detail =
+  raise (Sim.Protocol_error { rank = Sim.rank (); src; tag; detail })
+
 let envelope seq = function
   | Sim.Floats a -> Sim.Floats (Array.append [| float_of_int seq |] a)
   | Sim.Ints a -> Sim.Ints (Array.append [| seq |] a)
@@ -68,14 +71,7 @@ let open_envelope ~src ~tag = function
   | Sim.Ints a when Array.length a >= 1 ->
       (a.(0), Sim.Ints (Array.sub a 1 (Array.length a - 1)))
   | Sim.Floats _ | Sim.Ints _ ->
-      raise
-        (Sim.Protocol_error
-           {
-             rank = Sim.rank ();
-             src;
-             tag;
-             detail = "reliable envelope too short for a sequence number";
-           })
+      protocol_error ~src ~tag "reliable envelope too short for a sequence number"
 
 let protocol_send ~dst ~tag data =
   let seq = next_counter dir_send dst tag in
@@ -89,14 +85,7 @@ let protocol_send ~dst ~tag data =
     | Some (Sim.Ints [| s |]) when s = seq -> true
     | Some (Sim.Ints [| s |]) when s < seq -> await timeout
     | Some _ ->
-        raise
-          (Sim.Protocol_error
-             {
-               rank = Sim.rank ();
-               src = dst;
-               tag = atag;
-               detail = "malformed transport acknowledgement";
-             })
+        protocol_error ~src:dst ~tag:atag "malformed transport acknowledgement"
     | None -> false
   in
   let rec attempt n timeout =
@@ -166,24 +155,10 @@ let recv_floats ~src ~tag =
   match recv ~src ~tag with
   | Sim.Floats a -> a
   | Sim.Ints _ ->
-      raise
-        (Sim.Protocol_error
-           {
-             rank = Sim.rank ();
-             src;
-             tag;
-             detail = "expected a float payload, received integers";
-           })
+      protocol_error ~src ~tag "expected a float payload, received integers"
 
 let recv_ints ~src ~tag =
   match recv ~src ~tag with
   | Sim.Ints a -> a
   | Sim.Floats _ ->
-      raise
-        (Sim.Protocol_error
-           {
-             rank = Sim.rank ();
-             src;
-             tag;
-             detail = "expected an integer payload, received floats";
-           })
+      protocol_error ~src ~tag "expected an integer payload, received floats"

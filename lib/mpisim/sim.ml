@@ -1,14 +1,20 @@
 (* Discrete-event SPMD simulator built on OCaml effect handlers.
 
-   Every simulated rank is a delimited computation.  Communication and
-   time are effects:
+   Every simulated rank is a delimited computation.  Only the
+   operations that can make a rank wait are effects, because only they
+   yield to the scheduler:
 
-   - [Compute t] advances the rank's virtual clock (handled inline);
-   - [Send] timestamps a message using the machine's link model --
+   - [E_send] timestamps a message using the machine's link model --
      including serialization on shared channels -- and delivers it to
-     the destination mailbox (non-blocking, eager; handled inline);
-   - [Recv] pops a matching message if present (inline), otherwise
-     suspends the rank's continuation until a sender delivers one.
+     the destination mailbox (eager: the sender resumes at once, but
+     the delivery happens in global virtual-time order);
+   - [E_recv_opt] waits for a message from one (source, tag) until a
+     deadline (infinity: forever);
+   - [E_recv_any] waits for a message with a tag from any source.
+
+   Everything else -- compute charges, clock and identity queries,
+   probes -- is local to the running rank and updates the published
+   run state directly.
 
    The scheduler resumes runnable ranks lowest-virtual-clock first and
    reports a deadlock (with a per-rank diagnosis) if every live rank is
@@ -35,33 +41,19 @@ let payload_bytes = function
   | Ints a -> 8 * Array.length a
 
 type _ Effect.t +=
-  | E_send : int * int * payload -> unit Effect.t (* dst, tag, data *)
-  | E_send_acked : int * int * int * int * payload -> unit Effect.t
-      (* dst, tag, ack tag, seq: like E_send, but a successful delivery
-         also queues a transport-level acknowledgement [Ints [|seq|]]
-         back to the sender on the ack tag (the reliable layer's
-         retransmission timer watches for it) *)
-  | E_recv : int * int -> payload Effect.t (* src, tag *)
+  | E_send : int * int * (int * int) option * payload -> unit Effect.t
+      (* dst, tag, optional (ack tag, seq): with one, a successful
+         delivery also queues a transport-level acknowledgement
+         [Ints [|seq|]] back to the sender on the ack tag (the reliable
+         layer's retransmission timer watches for it) *)
   | E_recv_opt : int * int * float -> payload option Effect.t
-      (* src, tag, timeout: [None] once the deadline passes *)
+      (* src, tag, timeout: [None] once the deadline passes; an
+         infinite timeout waits forever *)
   | E_recv_any : int -> (int * payload) Effect.t
       (* tag: wildcard-source receive -- block until a message with
          this tag arrives from ANY rank; returns (source, data).  Among
          pending candidates the earliest arrival wins, ties going to
          the lowest source rank, so the match is deterministic. *)
-  | E_probe : int * int -> bool Effect.t
-      (* src, tag: has a matching message already arrived (in virtual
-         time) at this rank's mailbox?  Non-blocking.  [src = -1] is
-         the wildcard: any source. *)
-  | E_compute : float -> unit Effect.t (* seconds *)
-  | E_flops : float -> unit Effect.t (* floating-point operations *)
-  | E_rank : int Effect.t
-  | E_size : int Effect.t
-  | E_time : float Effect.t
-  | E_machine : Machine.t Effect.t
-  | E_scratch : (int * int * int, int) Hashtbl.t Effect.t
-      (* per-rank counter table (the reliable layer's sequence numbers) *)
-  | E_note_retry : unit Effect.t
 
 exception
   Timeout of {
@@ -106,153 +98,6 @@ type stats = {
   mutable sched_picks : int;
 }
 
-(* --- the fast path for non-blocking operations --------------------------- *)
-
-(* Clock charges and identity queries do not need the scheduler: the
-   rank keeps running either way.  Performing an effect for each one
-   costs a continuation capture and resume -- tens of nanoseconds that
-   dominate fine-grained execution (a threaded-code VM instruction is a
-   few nanoseconds).  Instead the scheduler publishes the running
-   rank's context here before every resume, and the non-blocking
-   operations mutate it directly.  The arithmetic is exactly what the
-   effect handler used to do, in the same order, so virtual time is
-   bit-identical.  Blocking operations (send/recv) still perform
-   effects: they genuinely yield to the scheduler.
-
-   Outside any simulation [current] is [None] and the operations fall
-   back to performing the effect (surfacing the usual
-   [Effect.Unhandled]).  [run_report] saves and restores the previous
-   context, so a rank body that itself starts a nested simulation
-   resumes with its own context intact. *)
-type ctx = {
-  x_clocks : float array;
-  x_stats : stats;
-  x_machine : Machine.t;
-  x_flop_time : float;
-  x_nprocs : int;
-  x_scratch : (int * int * int, int) Hashtbl.t array;
-  x_place : (int array * float array) option;
-      (* oversubscription: (rank -> CPU, per-CPU busy-until).  [None]
-         (one rank per CPU) keeps the exact historical arithmetic. *)
-  mutable x_rank : int;
-}
-
-let current : ctx option ref = ref None
-
-(* Operations available inside a simulated rank. *)
-let send ~dst ~tag data = perform (E_send (dst, tag, data))
-
-let send_acked ~dst ~tag ~ack_tag ~seq data =
-  perform (E_send_acked (dst, tag, ack_tag, seq, data))
-
-(* One compute charge of [t] seconds against rank [r].  Without a
-   placement this is a plain clock advance; with one, the charge also
-   serializes on the rank's CPU: it starts when both the rank and the
-   CPU are free, and occupies the CPU until it ends.  That is the whole
-   oversubscription cost model -- messages stay per-rank. *)
-let charge_compute c r t =
-  (match c.x_place with
-  | None -> c.x_clocks.(r) <- c.x_clocks.(r) +. t
-  | Some (cpu_of, cpu_free) ->
-      let cpu = cpu_of.(r) in
-      let fin = Float.max c.x_clocks.(r) cpu_free.(cpu) +. t in
-      c.x_clocks.(r) <- fin;
-      cpu_free.(cpu) <- fin);
-  c.x_stats.compute_time <- c.x_stats.compute_time +. t
-
-let compute seconds =
-  match !current with
-  | Some c -> charge_compute c c.x_rank seconds
-  | None -> perform (E_compute seconds)
-
-let flops n =
-  match !current with
-  | Some c -> charge_compute c c.x_rank (n *. c.x_flop_time)
-  | None -> perform (E_flops n)
-
-let rank () =
-  match !current with Some c -> c.x_rank | None -> perform E_rank
-
-let size () =
-  match !current with Some c -> c.x_nprocs | None -> perform E_size
-
-let time () =
-  match !current with
-  | Some c -> c.x_clocks.(c.x_rank)
-  | None -> perform E_time
-
-let machine () =
-  match !current with Some c -> c.x_machine | None -> perform E_machine
-
-let reliable_on () = (machine ()).Machine.reliable
-
-let scratch () =
-  match !current with
-  | Some c -> c.x_scratch.(c.x_rank)
-  | None -> perform E_scratch
-
-let note_retry () =
-  match !current with
-  | Some c -> c.x_stats.retries <- c.x_stats.retries + 1
-  | None -> perform E_note_retry
-let recv_opt ~src ~tag ~timeout = perform (E_recv_opt (src, tag, timeout))
-let recv_any ~tag = perform (E_recv_any tag)
-let probe ~src ~tag = perform (E_probe (src, tag))
-
-(* A receive that raises a typed [Timeout] at its deadline. *)
-let recv_timeout ~src ~tag ~timeout =
-  match perform (E_recv_opt (src, tag, timeout)) with
-  | Some p -> p
-  | None -> raise (Timeout { rank = rank (); src; tag; waited = timeout })
-
-(* [recv_wait] waits forever on a perfect network, but under a fault
-   model it is bounded by [min_timeout] (at least the model's [detect]
-   window) so that no primitive can hang a chaos run: a wait the
-   sender's bounded retries cannot satisfy surfaces as a typed
-   [Timeout].  The reliable layer passes the worst-case retransmission
-   window as [min_timeout] to avoid giving up while the sender is
-   still lawfully retrying. *)
-let recv_wait ?(min_timeout = 0.) ~src ~tag () =
-  match (machine ()).Machine.faults with
-  | Some f when f.Machine.detect > 0. ->
-      recv_timeout ~src ~tag ~timeout:(Float.max f.Machine.detect min_timeout)
-  | _ -> perform (E_recv (src, tag))
-
-(* Under a fault model, a plain receive defaults to the model's
-   [detect] timeout so that a lost message surfaces as a typed
-   [Timeout] rather than an eventual whole-simulation [Deadlock]. *)
-let recv ~src ~tag =
-  match (machine ()).Machine.faults with
-  | Some f when f.Machine.detect > 0. ->
-      recv_timeout ~src ~tag ~timeout:f.Machine.detect
-  | _ -> perform (E_recv (src, tag))
-
-let recv_floats ~src ~tag =
-  match recv ~src ~tag with
-  | Floats a -> a
-  | Ints _ ->
-      raise
-        (Protocol_error
-           {
-             rank = rank ();
-             src;
-             tag;
-             detail = "expected a float payload, received integers";
-           })
-
-let recv_ints ~src ~tag =
-  match recv ~src ~tag with
-  | Ints a -> a
-  | Floats _ ->
-      raise
-        (Protocol_error
-           {
-             rank = rank ();
-             src;
-             tag;
-             detail = "expected an integer payload, received floats";
-           })
-
 (* One tenant's share of a space-shared run; filled in by the
    multi-tenant scheduler, never by [run] itself. *)
 type job_stat = {
@@ -284,7 +129,17 @@ type report = {
 
 exception Deadlock of string
 
-type 'a run_state = {
+(* --- the run record ------------------------------------------------------ *)
+
+(* One record per run, shared by the scheduler and the running rank.
+   The scheduler publishes it in [current] for the whole run and sets
+   [running] before every resume, so the non-blocking operations below
+   read and charge it directly instead of performing an effect (a
+   continuation capture and resume costs tens of nanoseconds, and a
+   threaded-code VM instruction a few).  [run_report] saves and
+   restores the previous record, so a rank body that itself starts a
+   nested simulation resumes with its own record intact. *)
+type run_state = {
   machine : Machine.t;
   nprocs : int;
   clocks : float array;
@@ -295,13 +150,16 @@ type 'a run_state = {
          key hashes in nanoseconds and allocates nothing on lookup. *)
   channel_free : (int, float) Hashtbl.t; (* contention channel -> busy-until *)
   stats : stats;
-  results : 'a option array;
   scratch : (int * int * int, int) Hashtbl.t array; (* per rank *)
   mutable fault_ix : int; (* fault-decision counter (the RNG index) *)
   death : float array; (* per-rank scheduled death time; infinity = never *)
   place : (int array * float array) option;
-      (* oversubscription: (rank -> CPU, per-CPU busy-until) *)
+      (* oversubscription: (rank -> CPU, per-CPU busy-until).  [None]
+         (one rank per CPU) keeps the exact historical arithmetic. *)
+  mutable running : int; (* the rank the scheduler last resumed *)
 }
+
+let current : run_state option ref = ref None
 
 (* Mailbox keys pack (src, tag) into one int: 20 bits of source rank,
    the rest tag.  Every internal tag fits (collectives use 1001-1006,
@@ -316,22 +174,6 @@ let check_tag tag =
     invalid_arg (Printf.sprintf "message tag %d out of range [0, 2^40)" tag)
 
 let mbox_key ~src ~tag = (tag lsl src_bits) lor src
-
-type 'a suspended =
-  | Finished
-  | Wants_send of int * int * (int * int) option * payload * ('a, unit) blocked_k
-      (* send to (dst, tag), with an optional (ack tag, seq) transport
-         acknowledgement: performed by the scheduler in global
-         virtual-time order so that shared-channel contention is
-         accounted accurately *)
-  | Wants_recv of int * int * ('a, payload) blocked_k
-      (* waiting on (src, tag) *)
-  | Wants_recv_t of int * int * float * ('a, payload option) blocked_k
-      (* waiting on (src, tag) until the absolute deadline *)
-  | Wants_recv_any of int * ('a, int * payload) blocked_k
-      (* waiting on (any source, tag) *)
-
-and ('a, 'b) blocked_k = ('b, 'a suspended) continuation
 
 let mailbox st ~dst ~src ~tag =
   let t = st.mailboxes.(dst) in
@@ -364,8 +206,16 @@ let any_mailbox st ~dst ~tag : (int * float) option =
 (* Physical endpoint of a virtual rank: identity without a placement. *)
 let phys st r = match st.place with None -> r | Some (cpu_of, _) -> cpu_of.(r)
 
-(* Scheduler-side mirror of [charge_compute], for the effect path. *)
-let st_charge st r t =
+(* --- operations available inside a simulated rank ------------------------ *)
+
+let outside op = invalid_arg (Printf.sprintf "Sim.%s: called outside Sim.run" op)
+
+(* One compute charge of [t] seconds against rank [r].  Without a
+   placement this is a plain clock advance; with one, the charge also
+   serializes on the rank's CPU: it starts when both the rank and the
+   CPU are free, and occupies the CPU until it ends.  That is the whole
+   oversubscription cost model -- messages stay per-rank. *)
+let charge_compute st r t =
   (match st.place with
   | None -> st.clocks.(r) <- st.clocks.(r) +. t
   | Some (cpu_of, cpu_free) ->
@@ -374,6 +224,101 @@ let st_charge st r t =
       st.clocks.(r) <- fin;
       cpu_free.(cpu) <- fin);
   st.stats.compute_time <- st.stats.compute_time +. t
+
+let compute seconds =
+  match !current with
+  | Some st -> charge_compute st st.running seconds
+  | None -> outside "compute"
+
+let flops n =
+  match !current with
+  | Some st -> charge_compute st st.running (n *. st.machine.Machine.flop_time)
+  | None -> outside "flops"
+
+let rank () = match !current with Some st -> st.running | None -> outside "rank"
+let size () = match !current with Some st -> st.nprocs | None -> outside "size"
+
+let time () =
+  match !current with
+  | Some st -> st.clocks.(st.running)
+  | None -> outside "time"
+
+let machine () =
+  match !current with Some st -> st.machine | None -> outside "machine"
+
+let reliable_on () = (machine ()).Machine.reliable
+
+let scratch () =
+  match !current with
+  | Some st -> st.scratch.(st.running)
+  | None -> outside "scratch"
+
+let note_retry () =
+  match !current with
+  | Some st -> st.stats.retries <- st.stats.retries + 1
+  | None -> outside "note_retry"
+
+(* Has a matching message already arrived, in virtual time, at the
+   running rank's mailbox?  [src = -1] is any source. *)
+let probe ~src ~tag =
+  match !current with
+  | None -> outside "probe"
+  | Some st ->
+      if src < -1 || src >= st.nprocs then invalid_arg "probe: bad source rank";
+      let me = st.running in
+      if src = -1 then
+        match any_mailbox st ~dst:me ~tag with
+        | Some (_, arrival) -> arrival <= st.clocks.(me)
+        | None -> false
+      else
+        let q = mailbox st ~dst:me ~src ~tag in
+        (not (Queue.is_empty q)) && fst (Queue.peek q) <= st.clocks.(me)
+
+let send ~dst ~tag data = perform (E_send (dst, tag, None, data))
+
+let send_acked ~dst ~tag ~ack_tag ~seq data =
+  perform (E_send (dst, tag, Some (ack_tag, seq), data))
+
+let recv_opt ~src ~tag ~timeout = perform (E_recv_opt (src, tag, timeout))
+let recv_any ~tag = perform (E_recv_any tag)
+
+(* A receive that raises a typed [Timeout] at its deadline. *)
+let recv_timeout ~src ~tag ~timeout =
+  match recv_opt ~src ~tag ~timeout with
+  | Some p -> p
+  | None -> raise (Timeout { rank = rank (); src; tag; waited = timeout })
+
+(* Under a fault model, a receive defaults to the model's [detect]
+   timeout so that a lost message surfaces as a typed [Timeout] rather
+   than an eventual whole-simulation [Deadlock]; on a perfect network
+   it waits forever. *)
+let detect_timeout () =
+  match (machine ()).Machine.faults with
+  | Some f when f.Machine.detect > 0. -> f.Machine.detect
+  | _ -> infinity
+
+let recv ~src ~tag = recv_timeout ~src ~tag ~timeout:(detect_timeout ())
+
+(* The reliable layer passes the worst-case retransmission window as
+   [min_timeout] to avoid giving up while the sender is still lawfully
+   retrying. *)
+let recv_wait ?(min_timeout = 0.) ~src ~tag () =
+  recv_timeout ~src ~tag ~timeout:(Float.max (detect_timeout ()) min_timeout)
+
+type 'a suspended =
+  | Finished
+  | Wants_send of int * int * (int * int) option * payload * ('a, unit) blocked_k
+      (* send to (dst, tag), with an optional (ack tag, seq) transport
+         acknowledgement: performed by the scheduler in global
+         virtual-time order so that shared-channel contention is
+         accounted accurately *)
+  | Wants_recv_t of int * int * float * ('a, payload option) blocked_k
+      (* waiting on (src, tag) until the absolute deadline (infinity:
+         no deadline) *)
+  | Wants_recv_any of int * ('a, int * payload) blocked_k
+      (* waiting on (any source, tag) *)
+
+and ('a, 'b) blocked_k = ('b, 'a suspended) continuation
 
 (* --- the fault model ----------------------------------------------------- *)
 
@@ -431,12 +376,12 @@ let degraded (f : Machine.faults) ~src ~dst ~now =
    serialization time later.  Fault injection happens here: the send
    cost is always paid, but the network may destroy, duplicate, or
    delay what was sent. *)
+let copy_payload = function
+  | Floats a -> Floats (Array.copy a)
+  | Ints a -> Ints (Array.copy a)
+
 let deliver st ~src ~dst ~tag ?ack data =
-  let data =
-    match data with
-    | Floats a -> Floats (Array.copy a)
-    | Ints a -> Ints (Array.copy a)
-  in
+  let data = copy_payload data in
   let faults = st.machine.Machine.faults in
   (* rank stall: the sender loses time before the message even leaves *)
   (match faults with
@@ -495,12 +440,7 @@ let deliver st ~src ~dst ~tag ?ack data =
     | Some f when f.Machine.dup > 0. && draw st f ~salt:salt_dup < f.Machine.dup
       ->
         st.stats.dups <- st.stats.dups + 1;
-        let copy =
-          match data with
-          | Floats a -> Floats (Array.copy a)
-          | Ints a -> Ints (Array.copy a)
-        in
-        Queue.push (arrival +. latency, copy) (mailbox st ~dst ~src ~tag)
+        Queue.push (arrival +. latency, copy_payload data) (mailbox st ~dst ~src ~tag)
     | _ -> ()
   end;
   (* Transport-level acknowledgement: models the NIC acking on arrival,
@@ -535,14 +475,14 @@ let deliver st ~src ~dst ~tag ?ack data =
         end
       end
 
-(* Run one rank until it finishes or blocks on an empty mailbox.  Any
-   exception escaping the rank body is wrapped with the rank's identity
-   so the failure is attributable. *)
-let handler st my_rank (body : int -> 'a) : 'a suspended =
+(* Run one rank until it finishes or blocks.  Any exception escaping
+   the rank body is wrapped with the rank's identity so the failure is
+   attributable. *)
+let handler st results my_rank (body : int -> 'a) : 'a suspended =
   match_with
     (fun () ->
       let v = body my_rank in
-      st.results.(my_rank) <- Some v)
+      results.(my_rank) <- Some v)
     ()
     {
       retc = (fun () -> Finished);
@@ -550,48 +490,14 @@ let handler st my_rank (body : int -> 'a) : 'a suspended =
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
-          | E_compute t ->
+          | E_send (dst, tag, ack, data) ->
               Some
                 (fun (k : (b, _) continuation) ->
-                  st_charge st my_rank t;
-                  continue k ())
-          | E_flops n ->
-              Some
-                (fun k ->
-                  st_charge st my_rank (n *. st.machine.Machine.flop_time);
-                  continue k ())
-          | E_rank -> Some (fun k -> continue k my_rank)
-          | E_size -> Some (fun k -> continue k st.nprocs)
-          | E_time -> Some (fun k -> continue k st.clocks.(my_rank))
-          | E_machine -> Some (fun k -> continue k st.machine)
-          | E_scratch -> Some (fun k -> continue k st.scratch.(my_rank))
-          | E_note_retry ->
-              Some
-                (fun k ->
-                  st.stats.retries <- st.stats.retries + 1;
-                  continue k ())
-          | E_send (dst, tag, data) ->
-              Some
-                (fun k ->
                   if dst < 0 || dst >= st.nprocs then
                     invalid_arg "send: bad destination rank";
                   check_tag tag;
-                  Wants_send (dst, tag, None, data, k))
-          | E_send_acked (dst, tag, ack_tag, seq, data) ->
-              Some
-                (fun k ->
-                  if dst < 0 || dst >= st.nprocs then
-                    invalid_arg "send: bad destination rank";
-                  check_tag tag;
-                  check_tag ack_tag;
-                  Wants_send (dst, tag, Some (ack_tag, seq), data, k))
-          | E_recv (src, tag) ->
-              Some
-                (fun k ->
-                  if src < 0 || src >= st.nprocs then
-                    invalid_arg "recv: bad source rank";
-                  check_tag tag;
-                  Wants_recv (src, tag, k))
+                  Option.iter (fun (ack_tag, _) -> check_tag ack_tag) ack;
+                  Wants_send (dst, tag, ack, data, k))
           | E_recv_opt (src, tag, timeout) ->
               Some
                 (fun k ->
@@ -605,22 +511,6 @@ let handler st my_rank (body : int -> 'a) : 'a suspended =
                 (fun k ->
                   check_tag tag;
                   Wants_recv_any (tag, k))
-          | E_probe (src, tag) ->
-              Some
-                (fun k ->
-                  if src < -1 || src >= st.nprocs then
-                    invalid_arg "probe: bad source rank";
-                  let arrived =
-                    if src = -1 then
-                      match any_mailbox st ~dst:my_rank ~tag with
-                      | Some (_, arrival) -> arrival <= st.clocks.(my_rank)
-                      | None -> false
-                    else
-                      let q = mailbox st ~dst:my_rank ~src ~tag in
-                      (not (Queue.is_empty q))
-                      && fst (Queue.peek q) <= st.clocks.(my_rank)
-                  in
-                  continue k arrived)
           | _ -> None);
     }
 
@@ -699,37 +589,25 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
           kills = 0;
           sched_picks = 0;
         };
-      results = Array.make nprocs None;
       scratch = Array.init nprocs (fun _ -> Hashtbl.create 16);
       fault_ix = 0;
       death = death_schedule machine.Machine.faults ~nprocs ~attempt;
       place;
+      running = 0;
     }
   in
-  (* Publish the fast-path context for the whole run, restoring the
-     enclosing one (if any) on the way out so nested simulations
-     compose. *)
-  let xctx =
-    {
-      x_clocks = st.clocks;
-      x_stats = st.stats;
-      x_machine = machine;
-      x_flop_time = machine.Machine.flop_time;
-      x_nprocs = nprocs;
-      x_scratch = st.scratch;
-      x_place = place;
-      x_rank = 0;
-    }
-  in
-  let prev_ctx = !current in
-  current := Some xctx;
-  Fun.protect ~finally:(fun () -> current := prev_ctx) @@ fun () ->
+  let results = Array.make nprocs None in
+  (* Publish the run record for the whole run, restoring the enclosing
+     one (if any) on the way out so nested simulations compose. *)
+  let prev = !current in
+  current := Some st;
+  Fun.protect ~finally:(fun () -> current := prev) @@ fun () ->
   (* Cooperative scheduling in virtual-time order: of all ranks that
      can make progress (initial start, pending send, or a blocked
      receive whose message has arrived), always resume the one with
      the smallest virtual clock.  This keeps shared-channel
      reservations consistent with simulated time.  A receive blocked
-     with a deadline is always eventually runnable: it sorts by its
+     with a finite deadline is always eventually runnable: it sorts by its
      deadline, so it fires only once no other rank could still produce
      an earlier event -- which is what makes timing out safe. *)
   let states = Array.make nprocs None in
@@ -758,9 +636,6 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       | None -> Float.nan
       | Some Finished -> Float.nan
       | Some (Wants_send _) -> st.clocks.(r)
-      | Some (Wants_recv (src, tag, _)) ->
-          if Queue.is_empty (mailbox st ~dst:r ~src ~tag) then detector_key src
-          else st.clocks.(r)
       | Some (Wants_recv_any (tag, _)) ->
           (* no single peer to watch for death: a wildcard wait with no
              pending message simply stays blocked (total silence ends
@@ -773,7 +648,9 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
             st.clocks.(r)
           else
             let d = detector_key src in
-            if Float.is_nan d then deadline else Float.min deadline d
+            if not (Float.is_nan d) then Float.min deadline d
+            else if deadline < infinity then deadline
+            else Float.nan (* no deadline, no detector: blocked *)
   in
   (* A doomed rank's death is itself a schedulable event: once the rank
      has no step strictly before its death time, the kill fires. *)
@@ -923,7 +800,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                   (Printf.sprintf "  rank %d died at t=%.6f\n" rr st.death.(rr))
               else
                 match s with
-                | Some (Wants_recv (src, tag, _)) ->
+                | Some (Wants_recv_t (src, tag, _, _)) ->
                     Buffer.add_string buf
                       (Printf.sprintf "  rank %d waits for (src=%d, tag=%d)%s\n"
                          rr src tag
@@ -937,7 +814,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                       (Printf.sprintf
                          "  rank %d pending send to (dst=%d, tag=%d)\n" rr dst
                          tag)
-                | Some (Wants_recv_t _) | Some Finished | None -> ())
+                | Some Finished | None -> ())
             states;
           raise (Deadlock (Buffer.contents buf))
         end;
@@ -955,11 +832,11 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
           incr finished
         end
         else begin
-          xctx.x_rank <- r;
+          st.running <- r;
           let next =
             if pending_start.(r) then begin
               pending_start.(r) <- false;
-              handler st r body
+              handler st results r body
             end
             else
               match states.(r) with
@@ -969,21 +846,6 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                      [r] itself is re-enqueued after the step *)
                   if dst <> r then wake dst;
                   continue k ()
-              | Some (Wants_recv (src, tag, k)) ->
-                  let q = mailbox st ~dst:r ~src ~tag in
-                  if Queue.is_empty q then begin
-                    (* the failure detector fired for this wait *)
-                    let at = st.death.(src) +. detect in
-                    st.clocks.(r) <- Float.max st.clocks.(r) at;
-                    discontinue k (Peer_failed { rank = r; failed = src; at })
-                  end
-                  else begin
-                    let arrival, data = Queue.pop q in
-                    st.clocks.(r) <-
-                      Float.max st.clocks.(r) arrival
-                      +. st.machine.Machine.recv_overhead;
-                    continue k data
-                  end
               | Some (Wants_recv_any (tag, k)) -> (
                   match any_mailbox st ~dst:r ~tag with
                   | Some (src, _) ->
@@ -1037,7 +899,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
         dead;
       Ok
         (Array.init nprocs (fun r ->
-             match st.results.(r) with
+             match results.(r) with
              | Some v -> v
              | None -> failwith "rank finished without result"))
     with e -> Error e

@@ -1,7 +1,10 @@
 (** Deterministic discrete-event SPMD simulator.
 
     Every simulated rank is a delimited computation over effect
-    handlers; communication and virtual time are effects.  The
+    handlers.  Only the operations that can make a rank wait are
+    effects: send, receive with a deadline, and wildcard receive.
+    Compute charges and queries act on the running rank's state
+    directly, and raise [Invalid_argument] outside {!run}.  The
     scheduler resumes runnable ranks lowest-virtual-clock first, so
     shared-channel contention is accounted in simulated-time order.
 
@@ -28,24 +31,28 @@ val send_acked :
     link and is itself subject to the fault model.  Used by
     {!Reliable}. *)
 
-val recv : src:int -> tag:int -> payload
-(** Blocks until a matching message arrives (FIFO per (src, tag)).
-    Under a fault model, the model's [detect] timeout applies and
-    {!Timeout} is raised once the deadline passes. *)
+val recv_opt : src:int -> tag:int -> timeout:float -> payload option
+(** The one point-to-point receive: blocks until a matching message
+    arrives (FIFO per (src, tag)) or [timeout] seconds of virtual time
+    pass.  On expiry it returns [None] and the rank's clock stands at
+    the deadline.  [timeout = infinity] waits forever: a wait no sender
+    satisfies ends the run as a {!Deadlock} naming it as
+    [(src=..., tag=...)].  A receive on a peer the fault model killed
+    is broken by the failure detector with {!Peer_failed}. *)
 
 val recv_timeout : src:int -> tag:int -> timeout:float -> payload
-(** Like {!recv} with an explicit deadline; raises {!Timeout}. *)
+(** {!recv_opt} that raises {!Timeout} on expiry. *)
 
-val recv_opt : src:int -> tag:int -> timeout:float -> payload option
-(** Like {!recv} but returns [None] on expiry instead of raising; the
-    rank's clock advances to the deadline. *)
+val recv : src:int -> tag:int -> payload
+(** {!recv_timeout} with the fault model's [detect] window as the
+    timeout, or no timeout on a perfect network (or with [detect = 0]),
+    so a lost message surfaces as a typed {!Timeout} rather than an
+    eventual whole-simulation {!Deadlock}. *)
 
 val recv_wait : ?min_timeout:float -> src:int -> tag:int -> unit -> payload
-(** Blocks with no timeout on a perfect network.  Under a fault model
-    the wait is bounded by [max detect min_timeout] and raises
-    {!Timeout} on expiry, so no primitive can hang a chaos run.  The
-    reliable layer passes its worst-case retransmission window as
-    [min_timeout] so a lawful retry storm is not condemned early. *)
+(** {!recv} with the timeout raised to at least [min_timeout].  The
+    reliable layer passes its worst-case retransmission window so a
+    lawful retry storm is not condemned early. *)
 
 val recv_any : tag:int -> int * payload
 (** Wildcard-source receive: blocks until a message with [tag] arrives
@@ -59,12 +66,6 @@ val probe : src:int -> tag:int -> bool
 (** Has a matching message already arrived (in virtual time) at this
     rank's mailbox?  Non-blocking; never advances the clock.
     [src = -1] is the wildcard: any source. *)
-
-val recv_floats : src:int -> tag:int -> float array
-(** Raises {!Protocol_error} on an integer payload. *)
-
-val recv_ints : src:int -> tag:int -> int array
-(** Raises {!Protocol_error} on a float payload. *)
 
 val compute : float -> unit
 (** Advance this rank's virtual clock by the given seconds. *)

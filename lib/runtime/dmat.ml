@@ -160,7 +160,6 @@ let same_locality a b = a.full = b.full
 
 let numel m = m.rows * m.cols
 let is_vector m = m.rows = 1 || m.cols = 1
-let same_shape a b = a.rows = b.rows && a.cols = b.cols
 
 (* Global row-major linear index of local element [i]. *)
 let global_of_local m i =

@@ -62,7 +62,6 @@ val local_els : t -> int (** paper's ML_local_els *)
 
 val numel : t -> int
 val is_vector : t -> bool
-val same_shape : t -> t -> bool
 
 val global_of_local : t -> int -> int
 (** Global row-major linear index of local element [i]. *)

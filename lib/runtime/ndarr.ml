@@ -78,7 +78,6 @@ let of_full (dims : int array) (dense : float array) =
   { t with data = Array.copy dense }
 
 let same_locality a b = a.full = b.full
-let same_dims a b = a.dims = b.dims
 
 (* Global row-major linear index of local element [i]. *)
 let global_of_local t i = (t.low * slice_numel t) + i

@@ -32,9 +32,34 @@ let test_spec_parser () =
       Alcotest.(check bool) "names bad key" true
         (Testutil.contains msg "frobnicate")
   | Ok _ -> Alcotest.fail "unknown key must be rejected");
-  match Machine.faults_of_spec "drop=lots" with
+  (match Machine.faults_of_spec "drop=lots" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad number must be rejected"
+  | Ok _ -> Alcotest.fail "bad number must be rejected");
+  (* out-of-range values are rejected with the key named *)
+  List.iter
+    (fun (spec, key) ->
+      match Machine.faults_of_spec spec with
+      | Error msg ->
+          Alcotest.(check bool) (spec ^ " names " ^ key) true
+            (Testutil.contains msg key)
+      | Ok _ -> Alcotest.failf "%s must be rejected" spec)
+    [
+      ("drop=1.5", "drop");
+      ("dup=-0.1", "dup");
+      ("kill=2", "kill");
+      ("stall=1,stall_time=-0.5", "stall_time");
+      ("degrade=0.1,degrade_period=0", "degrade_period");
+      ("degrade_factor=-2", "degrade_factor");
+      ("delay_factor=0", "delay_factor");
+      ("detect=-1", "detect");
+      ("kill_time=-0.01", "kill_time");
+      ("drop=nan", "drop");
+      ("kill_window=inf", "kill_window");
+    ];
+  (* the boundaries stay valid *)
+  List.iter
+    (fun spec -> ignore (faults spec))
+    [ "drop=0,dup=1"; "detect=0"; "stall=1,stall_time=0"; "kill=1,kill_window=0" ]
 
 (* --- point-to-point under loss ------------------------------------------ *)
 

@@ -3,6 +3,7 @@
 
 module Sim = Mpisim.Sim
 module Machine = Mpisim.Machine
+module Reliable = Mpisim.Reliable
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -104,8 +105,8 @@ let test_tags_demultiplex () =
         end
         else begin
           (* receive in the opposite order of sending *)
-          let a = Sim.recv_floats ~src:0 ~tag:5 in
-          let b = Sim.recv_floats ~src:0 ~tag:7 in
+          let a = Reliable.recv_floats ~src:0 ~tag:5 in
+          let b = Reliable.recv_floats ~src:0 ~tag:7 in
           (a.(0) *. 10.) +. b.(0)
         end)
   in
@@ -121,7 +122,7 @@ let test_payload_copied_on_send () =
           buf.(0) <- 99.;
           0.
         end
-        else (Sim.recv_floats ~src:0 ~tag:1).(0))
+        else (Reliable.recv_floats ~src:0 ~tag:1).(0))
   in
   Testutil.check_close "copy semantics" 1. results.(1)
 
@@ -391,7 +392,7 @@ let test_protocol_error_on_wrong_kind () =
   match
     Sim.run ~machine:(lab ()) ~nprocs:2 (fun rank ->
         if rank = 0 then Sim.send ~dst:1 ~tag:1 (Sim.Ints [| 1 |])
-        else ignore (Sim.recv_floats ~src:0 ~tag:1))
+        else ignore (Reliable.recv_floats ~src:0 ~tag:1))
   with
   | exception Sim.Rank_failure
       { exn = Sim.Protocol_error { rank = 1; src = 0; tag = 1; _ }; _ } ->
@@ -399,6 +400,30 @@ let test_protocol_error_on_wrong_kind () =
   | exception e ->
       Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "float receive of an int payload must be typed"
+
+let test_ops_outside_run () =
+  (* Only a running simulation has a rank to charge or to name. *)
+  List.iter
+    (fun (name, op) ->
+      match op () with
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (name ^ " names the misuse") true
+            (contains msg "called outside Sim.run")
+      | _ -> Alcotest.failf "%s outside a run must be rejected" name)
+    [ ("rank", fun () -> ignore (Sim.rank ())); ("flops", fun () -> Sim.flops 1.) ]
+
+let test_recv_infinite_timeout_deadlocks () =
+  (* An infinite timeout is no deadline: an unsatisfied wait is a
+     deadlock naming the wait, not a [Timeout]. *)
+  match
+    Sim.run ~machine:(lab ()) ~nprocs:2 (fun rank ->
+        if rank = 0 then ignore (Sim.recv_opt ~src:1 ~tag:9 ~timeout:infinity))
+  with
+  | exception Sim.Deadlock msg ->
+      Alcotest.(check bool) "diagnostic names the wait" true
+        (contains msg "rank 0 waits for (src=1, tag=9)")
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "an unsatisfied wait without deadline must deadlock"
 
 let test_machine_lookup () =
   let is name m =
@@ -551,6 +576,9 @@ let suite =
     t "recv timeout raises typed" test_recv_timeout_typed_exception;
     t "recv within timeout delivers" test_recv_within_timeout_delivers;
     t "protocol error is typed" test_protocol_error_on_wrong_kind;
+    t "operations outside a run are rejected" test_ops_outside_run;
+    t "infinite timeout deadlocks with diagnosis"
+      test_recv_infinite_timeout_deadlocks;
     t "machine lookup" test_machine_lookup;
     t "cluster topology" test_cluster_topology;
     t "placement: identity mapping is bit-identical" test_placement_identity;

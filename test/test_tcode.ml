@@ -10,6 +10,8 @@
      message count and bytes recorded in
      bench/BENCH_speedup_baseline.json, and verifies against the
      reference interpreter;
+   - the dispatch-count pin: [Exec.State.dispatched] for the four
+     otterbench dispatch kernels and for cg, at P=4 on the Meiko;
    - chaos recovery: a seeded mid-run rank kill recovers to the exact
      fault-free answer, for every app. *)
 
@@ -247,6 +249,37 @@ let speedup_pinned key () =
               (List.length ms))
     pins
 
+(* --- the dispatch-count pin ------------------------------------------------ *)
+
+(* [Exec.State.dispatched] after one O2 run on the Meiko at P=4, summed
+   over ranks: decoded ops dispatched plus compiled scalar-expression
+   nodes.  otterbench's exec.mops_per_s divides by this count, so any
+   change to what one dispatched unit means shows up here first. *)
+let dispatched_on_meiko source =
+  let c = Otter.compile source in
+  Exec.State.dispatched := 0;
+  ignore
+    (Otter.outcome_exn
+       (Otter.run (Otter.config ~machine:Machine.meiko_cs2 ~nprocs:4 ()) c));
+  !Exec.State.dispatched
+
+let test_dispatch_count_pinned () =
+  List.iter
+    (fun (name, expected) ->
+      let rel = "bench/suite/kernels/" ^ name ^ ".m" in
+      match find_up rel with
+      | None -> Alcotest.failf "%s not found" rel
+      | Some file ->
+          Alcotest.(check int) name expected (dispatched_on_meiko (read_file file)))
+    [
+      ("cg-core", 8400048);
+      ("ocean-core", 10266720);
+      ("nbody-core", 6810032);
+      ("tc-core", 6800032);
+    ];
+  let cg = match Apps.Scripts.find "cg" with Some a -> a | None -> assert false in
+  Alcotest.(check int) "cg at scale 5" 3144 (dispatched_on_meiko (cg.source 5))
+
 (* --- chaos recovery ------------------------------------------------------ *)
 
 let faults spec =
@@ -357,6 +390,7 @@ let suite =
     t "engines identical: ocean" (speedup_pinned "ocean");
     t "engines identical: nbody" (speedup_pinned "nbody");
     t "engines identical: tc" (speedup_pinned "tc");
+    t "dispatch count pinned" test_dispatch_count_pinned;
     t "chaos recovery: cg" (chaos_recovers "cg");
     t "chaos recovery: ocean" (chaos_recovers "ocean");
     t "chaos recovery: nbody" (chaos_recovers "nbody");
