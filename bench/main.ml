@@ -808,12 +808,13 @@ let throughput_bench scale =
    non-block distributions on a representative pair.  Modeled results
    (makespan, messages, bytes, scheduler picks) are deterministic, so
    the committed baseline is a regression gate: >10% modeled-time
-   growth or any message increase fails.  Host wall clock and scheduler
-   picks/second are recorded for the scaling story but never gated
-   (they depend on the machine running the bench). *)
+   growth, or any increase in messages, bytes or scheduler picks, fails.
+   Host wall clock and picks/second are recorded for the scaling story
+   but never gated (they depend on the machine running the bench). *)
 let scale_rules =
   Baseline.[ ("app", Key); ("machine", Key); ("procs", Key); ("cpus", Key);
-             ("dist", Key); ("time", Time); ("messages", Count) ]
+             ("dist", Key); ("time", Time); ("messages", Count);
+             ("bytes", Count); ("picks", Count) ]
 
 let scale_fattree_procs = [ 32; 64; 128; 256; 512; 1024 ]
 let scale_oversub_procs = [ 32; 64 ]

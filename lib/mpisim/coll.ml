@@ -229,62 +229,58 @@ let gatherv ~root ~counts (local : float array) : float array =
    timings are preserved bit-for-bit. *)
 let ring_max = 64
 
+(* The blocks [b, b + n) (mod p) of a gathered array whose block [r]
+   starts at [offset r] occupy one span, [offset b, offset (b + n)), or
+   two when the window wraps past rank p-1: [offset b, offset p) and
+   [0, offset (b + n - p)).  Returns the two span lengths. *)
+let window_spans ~offset p b n =
+  if b + n <= p then (offset (b + n) - offset b, 0)
+  else (offset p - offset b, offset (b + n - p))
+
 (* Bruck-style doubling allgather: after round k every rank holds the
    window of min(2^k, p) consecutive blocks (mod p) starting at its
    own.  Each round it sends its leading blocks one window to the left
    and receives the same-shaped extension from one window to the right,
    so the window doubles until it wraps: ceil(log2 p) rounds, one send
-   and one receive per rank per round.  Counts are globally known, so
-   the packing is deterministic; every rank sends before it receives
-   and sends are eager, so the schedule cannot deadlock. *)
-let allgatherv_doubling ~counts ~offsets ~(out : float array) =
+   and one receive per rank per round.  Offsets are globally known, so
+   the packing is deterministic, and each window packs and unpacks
+   with at most two blits, whatever its block count; every rank sends
+   before it receives and sends are eager, so the schedule cannot
+   deadlock. *)
+let allgatherv_doubling ~offset ~(out : float array) =
   let p = Sim.size () in
   let me = Sim.rank () in
   let w = ref 1 in
   while !w < p do
     let nblocks = min !w (p - !w) in
     let dst = (me - !w + p) mod p and src = (me + !w) mod p in
-    let len = ref 0 in
-    for j = 0 to nblocks - 1 do
-      len := !len + counts.((me + j) mod p)
-    done;
-    let buf = Array.make !len 0. in
-    let off = ref 0 in
-    for j = 0 to nblocks - 1 do
-      let b = (me + j) mod p in
-      Array.blit out offsets.(b) buf !off counts.(b);
-      off := !off + counts.(b)
-    done;
+    let l1, l2 = window_spans ~offset p me nblocks in
+    let buf = Array.make (l1 + l2) 0. in
+    Array.blit out (offset me) buf 0 l1;
+    Array.blit out 0 buf l1 l2;
     Reliable.send ~dst ~tag:tag_ring (Sim.Floats buf);
     let incoming = Reliable.recv_floats ~src ~tag:tag_ring in
-    let off = ref 0 in
-    for j = 0 to nblocks - 1 do
-      let b = (src + j) mod p in
-      Array.blit incoming !off out offsets.(b) counts.(b);
-      off := !off + counts.(b)
-    done;
+    let l1, l2 = window_spans ~offset p src nblocks in
+    Array.blit incoming 0 out (offset src) l1;
+    Array.blit incoming l1 out 0 l2;
     w := !w + nblocks
   done
 
 (* Allgather of variable-sized blocks: every rank ends with the
-   concatenation of all blocks in rank order.  Ring exchange (P-1
-   rounds of neighbour traffic, the standard mid-90s implementation)
-   up to [ring_max] ranks, doubling beyond. *)
-let allgatherv ~counts (local : float array) : float array =
+   concatenation of all blocks in rank order, block [r] at [offset r]
+   ([offset p] is the total).  Ring exchange (P-1 rounds of neighbour
+   traffic, the standard mid-90s implementation) up to [ring_max]
+   ranks, doubling beyond. *)
+let allgatherv_offset ~offset (local : float array) : float array =
   let p = Sim.size () in
   let me = Sim.rank () in
-  if Array.length local <> counts.(me) then
+  if Array.length local <> offset (me + 1) - offset me then
     invalid_arg "allgatherv: local block size disagrees with counts";
   if p = 1 then Array.copy local
   else begin
-    let total = Array.fold_left ( + ) 0 counts in
-    let offsets = Array.make p 0 in
-    for r = 1 to p - 1 do
-      offsets.(r) <- offsets.(r - 1) + counts.(r - 1)
-    done;
-    let out = Array.make total 0. in
-    Array.blit local 0 out offsets.(me) counts.(me);
-    if p > ring_max then allgatherv_doubling ~counts ~offsets ~out
+    let out = Array.make (offset p) 0. in
+    Array.blit local 0 out (offset me) (Array.length local);
+    if p > ring_max then allgatherv_doubling ~offset ~out
     else begin
       let right = (me + 1) mod p and left = (me - 1 + p) mod p in
       (* At step s we forward the block of rank (me - s + p) mod p. *)
@@ -293,12 +289,18 @@ let allgatherv ~counts (local : float array) : float array =
         Reliable.send ~dst:right ~tag:tag_ring (Sim.Floats !current);
         let incoming = Reliable.recv_floats ~src:left ~tag:tag_ring in
         let owner = (me - s + p) mod p in
-        Array.blit incoming 0 out offsets.(owner) counts.(owner);
+        Array.blit incoming 0 out (offset owner)
+          (offset (owner + 1) - offset owner);
         current := incoming
       done
     end;
     out
   end
+
+let allgatherv ~counts local =
+  let offsets = Array.make (Array.length counts + 1) 0 in
+  Array.iteri (fun r c -> offsets.(r + 1) <- offsets.(r) + c) counts;
+  allgatherv_offset ~offset:(Array.get offsets) local
 
 let tag_scan = 1005
 

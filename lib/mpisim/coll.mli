@@ -32,11 +32,19 @@ val gatherv : root:int -> counts:int array -> float array -> float array
 (** Concatenate per-rank blocks (rank order) on the root; other ranks
     return [[||]]. *)
 
-val allgatherv : counts:int array -> float array -> float array
-(** Allgather: every rank returns the full concatenation.  Ring
+val allgatherv_offset : offset:(int -> int) -> float array -> float array
+(** Allgather: every rank returns the full concatenation, rank [r]'s
+    block at [offset r] ([offset p] is the total length).  Ring
     exchange (P-1 neighbour rounds) up to 64 ranks; a Bruck-style
     doubling schedule (O(P log P) messages) beyond, so large-P runs
-    are not quadratic in messages. *)
+    are not quadratic in messages.  Each doubling round packs and
+    unpacks its window with at most two blits, so a rank's work per
+    round does not grow with P.  Taking offsets as a function lets a
+    block layout pass its [Dist.low] arithmetic instead of building
+    P-length arrays on every call. *)
+
+val allgatherv : counts:int array -> float array -> float array
+(** {!allgatherv_offset} with the offsets the prefix sums of [counts]. *)
 
 val exscan : op:op -> identity:float -> float -> float
 (** Exclusive prefix scan of one scalar per rank (recursive doubling):

@@ -7,6 +7,17 @@
    hardware; the evaluation cares about ratios (grain size versus
    communication cost), which these preserve. *)
 
+(* Hash tables keyed by an int that is already well spread (a channel
+   id, a node id, a packed mailbox key): the identity hash skips the
+   polymorphic [caml_hash] call the generic [Hashtbl] makes on every
+   lookup. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
 type link = {
   latency : float; (* seconds, end to end *)
   bandwidth : float; (* bytes per second *)
@@ -226,15 +237,15 @@ let sparc20_cluster =
      Ethernet channel is -1 so it can never collide with a node id
      when [with_procs] scales the cluster out. *)
   let inter = { latency = 800e-6; bandwidth = mbytes 1.0; channel = Some (-1) } in
-  let intra : (int, link) Hashtbl.t = Hashtbl.create 8 in
+  let intra : link Int_tbl.t = Int_tbl.create 8 in
   let link src dst =
     if node src = node dst then (
       let nd = node src in
-      match Hashtbl.find_opt intra nd with
+      match Int_tbl.find_opt intra nd with
       | Some l -> l
       | None ->
           let l = { latency = 4e-6; bandwidth = mbytes 100.; channel = Some nd } in
-          Hashtbl.add intra nd l;
+          Int_tbl.add intra nd l;
           l)
     else inter
   in
@@ -320,7 +331,7 @@ let fattree ?(radix = 16) ?(levels = 3) () =
   done;
   let self = { latency = 0.5e-6; bandwidth = mbytes 2000.; channel = None } in
   let leaf_bw = mbytes 250. in
-  let cache : (int, link) Hashtbl.t = Hashtbl.create 64 in
+  let cache : link Int_tbl.t = Int_tbl.create 64 in
   let link src dst =
     if src = dst then self
     else begin
@@ -330,7 +341,7 @@ let fattree ?(radix = 16) ?(levels = 3) () =
       done;
       let t = !tier in
       let ch = offset.(t) + (src / pow.(t)) in
-      match Hashtbl.find_opt cache ch with
+      match Int_tbl.find_opt cache ch with
       | Some l -> l
       | None ->
           let l =
@@ -341,7 +352,7 @@ let fattree ?(radix = 16) ?(levels = 3) () =
               channel = Some ch;
             }
           in
-          Hashtbl.add cache ch l;
+          Int_tbl.add cache ch l;
           l
     end
   in

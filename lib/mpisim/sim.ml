@@ -131,6 +131,13 @@ exception Deadlock of string
 
 (* --- the run record ------------------------------------------------------ *)
 
+(* Messages queued at one (destination, source, tag): (arrival, data). *)
+type mailbox = (float * payload) Queue.t
+
+(* A single-float record is stored flat, so updating [until] allocates
+   nothing (a [float] value in a table would be boxed on every write). *)
+type busy = { mutable until : float }
+
 (* One record per run, shared by the scheduler and the running rank.
    The scheduler publishes it in [current] for the whole run and sets
    [running] before every resume, so the non-blocking operations below
@@ -143,12 +150,12 @@ type run_state = {
   machine : Machine.t;
   nprocs : int;
   clocks : float array;
-  mailboxes : (int, (float * payload) Queue.t) Hashtbl.t array;
-      (* per destination rank, keyed [(tag lsl 20) lor src] -> queued
-         (arrival, data).  One small table per rank beats one big table
-         keyed by an allocated (dst, src, tag) triple: the packed int
-         key hashes in nanoseconds and allocates nothing on lookup. *)
-  channel_free : (int, float) Hashtbl.t; (* contention channel -> busy-until *)
+  mailboxes : mailbox Machine.Int_tbl.t array;
+      (* per destination rank, keyed [(tag lsl 20) lor src].  One small
+         table per rank beats one big table keyed by an allocated
+         (dst, src, tag) triple: the packed int key hashes to itself
+         and allocates nothing on lookup. *)
+  channel_free : busy Machine.Int_tbl.t; (* contention channel -> busy-until *)
   stats : stats;
   scratch : (int * int * int, int) Hashtbl.t array; (* per rank *)
   mutable fault_ix : int; (* fault-decision counter (the RNG index) *)
@@ -178,11 +185,11 @@ let mbox_key ~src ~tag = (tag lsl src_bits) lor src
 let mailbox st ~dst ~src ~tag =
   let t = st.mailboxes.(dst) in
   let key = mbox_key ~src ~tag in
-  match Hashtbl.find_opt t key with
+  match Machine.Int_tbl.find_opt t key with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t key q;
+      Machine.Int_tbl.add t key q;
       q
 
 (* The wildcard match: scan every source's queue for (dst, tag) and
@@ -193,7 +200,7 @@ let any_mailbox st ~dst ~tag : (int * float) option =
   let t = st.mailboxes.(dst) in
   let best = ref None in
   for src = 0 to st.nprocs - 1 do
-    match Hashtbl.find_opt t (mbox_key ~src ~tag) with
+    match Machine.Int_tbl.find_opt t (mbox_key ~src ~tag) with
     | Some q when not (Queue.is_empty q) -> (
         let arrival = fst (Queue.peek q) in
         match !best with
@@ -312,9 +319,10 @@ type 'a suspended =
          acknowledgement: performed by the scheduler in global
          virtual-time order so that shared-channel contention is
          accounted accurately *)
-  | Wants_recv_t of int * int * float * ('a, payload option) blocked_k
+  | Wants_recv_t of int * int * float * mailbox * ('a, payload option) blocked_k
       (* waiting on (src, tag) until the absolute deadline (infinity:
-         no deadline) *)
+         no deadline); the mailbox of (src, tag) is looked up once, when
+         the wait begins *)
   | Wants_recv_any of int * ('a, int * payload) blocked_k
       (* waiting on (any source, tag) *)
 
@@ -416,12 +424,15 @@ let deliver st ~src ~dst ~tag ?ack data =
     | None -> st.clocks.(src)
     | Some ch ->
         let free =
-          match Hashtbl.find_opt st.channel_free ch with
-          | Some t -> t
-          | None -> 0.
+          match Machine.Int_tbl.find_opt st.channel_free ch with
+          | Some b -> b
+          | None ->
+              let b = { until = 0. } in
+              Machine.Int_tbl.add st.channel_free ch b;
+              b
         in
-        let start = Float.max st.clocks.(src) free in
-        Hashtbl.replace st.channel_free ch (start +. ser);
+        let start = Float.max st.clocks.(src) free.until in
+        free.until <- start +. ser;
         start
   in
   let arrival = start +. latency +. ser in
@@ -505,7 +516,12 @@ let handler st results my_rank (body : int -> 'a) : 'a suspended =
                     invalid_arg "recv: bad source rank";
                   check_tag tag;
                   if timeout < 0. then invalid_arg "recv: negative timeout";
-                  Wants_recv_t (src, tag, st.clocks.(my_rank) +. timeout, k))
+                  Wants_recv_t
+                    ( src,
+                      tag,
+                      st.clocks.(my_rank) +. timeout,
+                      mailbox st ~dst:my_rank ~src ~tag,
+                      k ))
           | E_recv_any tag ->
               Some
                 (fun k ->
@@ -513,6 +529,86 @@ let handler st results my_rank (body : int -> 'a) : 'a suspended =
                   Wants_recv_any (tag, k))
           | _ -> None);
     }
+
+(* --- the scheduler's heap ------------------------------------------------ *)
+
+(* O(log P) pick: a binary min-heap of (key, rank) ordered
+   lexicographically, so the pop order -- smallest key, ties to the
+   lowest rank -- reproduces a linear scan bit-for-bit.  Entries go
+   stale lazily: [hkey.(r)] remembers the key rank [r] is currently
+   enqueued under (nan = none); a popped entry is discarded unless it
+   matches, then re-validated against a freshly computed key before it
+   wins.  Keys and ranks live in two flat arrays, and the functions
+   here are top-level and compare entries by slot index: a local
+   closure taking or returning a float would box it on every call. *)
+type heap = {
+  mutable keys : float array; (* slot -> key *)
+  mutable ranks : int array; (* slot -> rank *)
+  mutable n : int; (* occupied slots *)
+  hkey : float array; (* rank -> key it is enqueued under; nan = none *)
+}
+
+let heap_create nprocs =
+  let cap = max 16 nprocs in
+  {
+    keys = Array.make cap 0.;
+    ranks = Array.make cap 0;
+    n = 0;
+    hkey = Array.make nprocs Float.nan;
+  }
+
+(* Does slot [i] pop before slot [j]? *)
+let hless h i j =
+  let ki = h.keys.(i) and kj = h.keys.(j) in
+  ki < kj || (ki = kj && h.ranks.(i) < h.ranks.(j))
+
+let hswap h i j =
+  let k = h.keys.(i) and r = h.ranks.(i) in
+  h.keys.(i) <- h.keys.(j);
+  h.ranks.(i) <- h.ranks.(j);
+  h.keys.(j) <- k;
+  h.ranks.(j) <- r
+
+(* Enqueue [r] under the key already recorded in [hkey.(r)]. *)
+let hpush h r =
+  if h.n = Array.length h.keys then begin
+    let cap = 2 * h.n in
+    let keys = Array.make cap 0. and ranks = Array.make cap 0 in
+    Array.blit h.keys 0 keys 0 h.n;
+    Array.blit h.ranks 0 ranks 0 h.n;
+    h.keys <- keys;
+    h.ranks <- ranks
+  end;
+  let i = ref h.n in
+  h.n <- h.n + 1;
+  h.keys.(!i) <- h.hkey.(r);
+  h.ranks.(!i) <- r;
+  while !i > 0 && hless h !i ((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    hswap h !i p;
+    i := p
+  done
+
+(* Remove the root (the caller has read it). *)
+let hpop_root h =
+  h.n <- h.n - 1;
+  let n = h.n in
+  if n > 0 then begin
+    h.keys.(0) <- h.keys.(n);
+    h.ranks.(0) <- h.ranks.(n);
+    let i = ref 0 and go = ref true in
+    while !go do
+      let l = (2 * !i) + 1 in
+      let s = ref !i in
+      if l < n && hless h l !s then s := l;
+      if l + 1 < n && hless h (l + 1) !s then s := l + 1;
+      if !s <> !i then begin
+        hswap h !i !s;
+        i := !s
+      end
+      else go := false
+    done
+  end
 
 (* [run_report ?attempt ~machine ~nprocs body] simulates [nprocs] SPMD
    ranks each executing [body rank]; returns the run's outcome (results
@@ -573,8 +669,8 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       machine;
       nprocs;
       clocks = Array.make nprocs 0.;
-      mailboxes = Array.init nprocs (fun _ -> Hashtbl.create 8);
-      channel_free = Hashtbl.create 8;
+      mailboxes = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
+      channel_free = Machine.Int_tbl.create 8;
       stats =
         {
           messages = 0;
@@ -610,173 +706,108 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
      with a finite deadline is always eventually runnable: it sorts by its
      deadline, so it fires only once no other rank could still produce
      an earlier event -- which is what makes timing out safe. *)
-  let states = Array.make nprocs None in
+  (* [states.(r)] is meaningful once [r] has started; [Finished] until
+     then, like a finished rank it has nothing to resume. *)
+  let states = Array.make nprocs Finished in
   let pending_start = Array.make nprocs true in
   let dead = Array.make nprocs false in
-  let detect =
-    match machine.Machine.faults with
-    | Some f when f.Machine.detect > 0. -> f.Machine.detect
-    | _ -> 0.
-  in
   (* The failure detector: a receive blocked on a peer scheduled to die
      becomes runnable at (death + detect) -- the heartbeat deadline --
      and, if no message showed up by then, is broken with a typed
      [Peer_failed].  Sends the peer issued before dying carry strictly
      smaller scheduler keys, so they are always delivered first: the
-     detector never falsely condemns a slow-but-alive sender. *)
-  let detector_key src =
-    if detect > 0. && st.death.(src) < infinity then st.death.(src) +. detect
-    else Float.nan
+     detector never falsely condemns a slow-but-alive sender.
+     [detector.(src)] is that deadline (nan: no detector on [src]). *)
+  let detector =
+    match machine.Machine.faults with
+    | Some f when f.Machine.detect > 0. ->
+        Array.map
+          (fun d -> if d < infinity then d +. f.Machine.detect else Float.nan)
+          st.death
+    | _ -> Array.make nprocs Float.nan
   in
+  (* The key functions below return their result in [slot.(0)]: a float
+     returned from a closure would be boxed on every call. *)
+  let slot = [| Float.nan |] in
   let base_key r =
     (* [nan] = cannot step; otherwise the virtual time used for pick *)
-    if pending_start.(r) then st.clocks.(r)
-    else
-      match states.(r) with
-      | None -> Float.nan
-      | Some Finished -> Float.nan
-      | Some (Wants_send _) -> st.clocks.(r)
-      | Some (Wants_recv_any (tag, _)) ->
-          (* no single peer to watch for death: a wildcard wait with no
-             pending message simply stays blocked (total silence ends
-             the run as a [Deadlock] with this wait in the diagnostic) *)
-          if any_mailbox st ~dst:r ~tag = None then Float.nan
-          else st.clocks.(r)
-      | Some (Wants_recv_t (src, tag, deadline, _)) ->
-          let q = mailbox st ~dst:r ~src ~tag in
-          if (not (Queue.is_empty q)) && fst (Queue.peek q) <= deadline then
-            st.clocks.(r)
-          else
-            let d = detector_key src in
-            if not (Float.is_nan d) then Float.min deadline d
-            else if deadline < infinity then deadline
-            else Float.nan (* no deadline, no detector: blocked *)
+    slot.(0) <-
+      (if pending_start.(r) then st.clocks.(r)
+       else
+         match states.(r) with
+         | Finished -> Float.nan
+         | Wants_send _ -> st.clocks.(r)
+         | Wants_recv_any (tag, _) ->
+             (* no single peer to watch for death: a wildcard wait with
+                no pending message simply stays blocked (total silence
+                ends the run as a [Deadlock] with this wait in the
+                diagnostic) *)
+             if any_mailbox st ~dst:r ~tag = None then Float.nan
+             else st.clocks.(r)
+         | Wants_recv_t (src, _, deadline, q, _) ->
+             if (not (Queue.is_empty q)) && fst (Queue.peek q) <= deadline
+             then st.clocks.(r)
+             else
+               let d = detector.(src) in
+               if not (Float.is_nan d) then
+                 if d < deadline then d else deadline
+               else if deadline < infinity then deadline
+               else Float.nan (* no deadline, no detector: blocked *))
   in
   (* A doomed rank's death is itself a schedulable event: once the rank
-     has no step strictly before its death time, the kill fires. *)
-  let dies_now r key =
+     has no step strictly before its death time (the key in [slot]),
+     the kill fires. *)
+  let dies_now r =
     st.death.(r) < infinity
     && (not dead.(r))
-    && (Float.is_nan key || key >= st.death.(r))
+    && (Float.is_nan slot.(0) || slot.(0) >= st.death.(r))
   in
   let step_key r =
-    if dead.(r) then Float.nan
-    else
-      let key = base_key r in
-      if dies_now r key then st.death.(r) else key
-  in
-  let finished = ref 0 in
-  (* O(log P) pick: a binary min-heap of (step_key, rank) ordered
-     lexicographically, so the pop order -- smallest key, ties to the
-     lowest rank -- reproduces the old linear scan bit-for-bit.
-     Entries go stale lazily: [hkey.(r)] remembers the key rank [r] is
-     currently enqueued under (nan = none); a popped entry is discarded
-     unless it matches, then re-validated against a freshly computed
-     [step_key] before it wins.  A rank's key only changes when the
-     rank itself steps or when a message lands in its mailbox, which
-     is exactly where [wake] is called; should a wake ever be missed,
-     an empty heap triggers one full rebuild before declaring
-     deadlock, so the failure mode is lost time, never a wrong
-     schedule or a spurious deadlock. *)
-  let heap_k = ref (Array.make (max 16 nprocs) 0.) in
-  let heap_r = ref (Array.make (max 16 nprocs) 0) in
-  let heap_n = ref 0 in
-  let hkey = Array.make nprocs Float.nan in
-  let hless ka ra kb rb = ka < kb || (ka = kb && ra < rb) in
-  let hpush key r =
-    let k = !heap_k and rr = !heap_r in
-    let k, rr =
-      if !heap_n < Array.length k then (k, rr)
-      else begin
-        let cap = 2 * Array.length k in
-        let nk = Array.make cap 0. and nr = Array.make cap 0 in
-        Array.blit k 0 nk 0 !heap_n;
-        Array.blit rr 0 nr 0 !heap_n;
-        heap_k := nk;
-        heap_r := nr;
-        (nk, nr)
-      end
-    in
-    let i = ref !heap_n in
-    incr heap_n;
-    k.(!i) <- key;
-    rr.(!i) <- r;
-    let continue_up = ref true in
-    while !continue_up && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if hless k.(!i) rr.(!i) k.(p) rr.(p) then begin
-        let tk = k.(!i) and tr = rr.(!i) in
-        k.(!i) <- k.(p);
-        rr.(!i) <- rr.(p);
-        k.(p) <- tk;
-        rr.(p) <- tr;
-        i := p
-      end
-      else continue_up := false
-    done
-  in
-  let hpop_root () =
-    let k = !heap_k and rr = !heap_r in
-    decr heap_n;
-    let n = !heap_n in
-    if n > 0 then begin
-      k.(0) <- k.(n);
-      rr.(0) <- rr.(n);
-      let i = ref 0 in
-      let continue_down = ref true in
-      while !continue_down do
-        let l = (2 * !i) + 1 and r2 = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < n && hless k.(l) rr.(l) k.(!s) rr.(!s) then s := l;
-        if r2 < n && hless k.(r2) rr.(r2) k.(!s) rr.(!s) then s := r2;
-        if !s <> !i then begin
-          let tk = k.(!i) and tr = rr.(!i) in
-          k.(!i) <- k.(!s);
-          rr.(!i) <- rr.(!s);
-          k.(!s) <- tk;
-          rr.(!s) <- tr;
-          i := !s
-        end
-        else continue_down := false
-      done
+    if dead.(r) then slot.(0) <- Float.nan
+    else begin
+      base_key r;
+      if dies_now r then slot.(0) <- st.death.(r)
     end
   in
+  let finished = ref 0 in
+  (* A rank's key only changes when the rank itself steps or when a
+     message lands in its mailbox, which is exactly where [wake] is
+     called; should a wake ever be missed, an empty heap triggers one
+     full rebuild before declaring deadlock, so the failure mode is
+     lost time, never a wrong schedule or a spurious deadlock. *)
+  let h = heap_create nprocs in
   (* Re-enqueue [r] if its key changed since it was last enqueued.
      Pushed keys are never nan, so the float [<>] below is nan-safe:
      nan (not enqueued) compares unequal to any fresh key. *)
   let wake r =
-    let key = step_key r in
-    if (not (Float.is_nan key)) && key <> hkey.(r) then begin
-      hkey.(r) <- key;
-      hpush key r
+    step_key r;
+    let key = slot.(0) in
+    if (not (Float.is_nan key)) && key <> h.hkey.(r) then begin
+      h.hkey.(r) <- key;
+      hpush h r
     end
   in
   let rec pick () =
-    if !heap_n = 0 then begin
+    if h.n = 0 then begin
       (* safety net: rebuild from scratch before giving up *)
-      Array.fill hkey 0 nprocs Float.nan;
-      let any = ref false in
+      Array.fill h.hkey 0 nprocs Float.nan;
       for r = 0 to nprocs - 1 do
-        let key = step_key r in
-        if not (Float.is_nan key) then begin
-          hkey.(r) <- key;
-          hpush key r;
-          any := true
-        end
+        wake r
       done;
-      if !any then pick () else -1
+      if h.n > 0 then pick () else -1
     end
     else begin
-      let key = !heap_k.(0) and r = !heap_r.(0) in
-      hpop_root ();
-      if key <> hkey.(r) then pick () (* stale entry *)
+      let key = h.keys.(0) and r = h.ranks.(0) in
+      hpop_root h;
+      if key <> h.hkey.(r) then pick () (* stale entry *)
       else begin
-        hkey.(r) <- Float.nan;
-        let fresh = step_key r in
+        h.hkey.(r) <- Float.nan;
+        step_key r;
+        let fresh = slot.(0) in
         if Float.is_nan fresh then pick ()
         else if fresh <> key then begin
-          hkey.(r) <- fresh;
-          hpush fresh r;
+          h.hkey.(r) <- fresh;
+          hpush h r;
           pick ()
         end
         else r
@@ -800,25 +831,26 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                   (Printf.sprintf "  rank %d died at t=%.6f\n" rr st.death.(rr))
               else
                 match s with
-                | Some (Wants_recv_t (src, tag, _, _)) ->
+                | Wants_recv_t (src, tag, _, _, _) ->
                     Buffer.add_string buf
                       (Printf.sprintf "  rank %d waits for (src=%d, tag=%d)%s\n"
                          rr src tag
                          (if dead.(src) then " [source is dead]" else ""))
-                | Some (Wants_recv_any (tag, _)) ->
+                | Wants_recv_any (tag, _) ->
                     Buffer.add_string buf
                       (Printf.sprintf
                          "  rank %d waits for (src=any, tag=%d)\n" rr tag)
-                | Some (Wants_send (dst, tag, _, _, _)) ->
+                | Wants_send (dst, tag, _, _, _) ->
                     Buffer.add_string buf
                       (Printf.sprintf
                          "  rank %d pending send to (dst=%d, tag=%d)\n" rr dst
                          tag)
-                | Some Finished | None -> ())
+                | Finished -> ())
             states;
           raise (Deadlock (Buffer.contents buf))
         end;
-        if dies_now r (base_key r) then begin
+        base_key r;
+        if dies_now r then begin
           (* The kill event: the rank stops forever.  Its continuation
              is dropped, its messages already in flight still arrive,
              and nothing it would have sent after this instant ever
@@ -828,7 +860,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
           pending_start.(r) <- false;
           st.clocks.(r) <- Float.max st.clocks.(r) st.death.(r);
           st.stats.kills <- st.stats.kills + 1;
-          states.(r) <- Some Finished;
+          states.(r) <- Finished;
           incr finished
         end
         else begin
@@ -840,13 +872,13 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
             end
             else
               match states.(r) with
-              | Some (Wants_send (dst, tag, ack, data, k)) ->
+              | Wants_send (dst, tag, ack, data, k) ->
                   deliver st ~src:r ~dst ~tag ?ack data;
                   (* the delivery may have unblocked the destination;
                      [r] itself is re-enqueued after the step *)
                   if dst <> r then wake dst;
                   continue k ()
-              | Some (Wants_recv_any (tag, k)) -> (
+              | Wants_recv_any (tag, k) -> (
                   match any_mailbox st ~dst:r ~tag with
                   | Some (src, _) ->
                       let arrival, data =
@@ -860,8 +892,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                       (* unreachable: the scheduler only resumes a
                          wildcard wait once a message is pending *)
                       assert false)
-              | Some (Wants_recv_t (src, tag, deadline, k)) ->
-                  let q = mailbox st ~dst:r ~src ~tag in
+              | Wants_recv_t (src, _, deadline, q, k) ->
                   if (not (Queue.is_empty q)) && fst (Queue.peek q) <= deadline
                   then begin
                     let arrival, data = Queue.pop q in
@@ -871,7 +902,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                     continue k (Some data)
                   end
                   else
-                    let d = detector_key src in
+                    let d = detector.(src) in
                     if (not (Float.is_nan d)) && d < deadline then begin
                       let at = d in
                       st.clocks.(r) <- Float.max st.clocks.(r) at;
@@ -881,9 +912,9 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                       st.clocks.(r) <- deadline;
                       continue k None
                     end
-              | Some Finished | None -> assert false
+              | Finished -> assert false
           in
-          states.(r) <- Some next;
+          states.(r) <- next;
           (match next with Finished -> incr finished | _ -> ());
           wake r
         end

@@ -330,14 +330,21 @@ let to_dense m : float array =
   if m.full then Array.copy m.data
   else begin
     let nprocs = Mpisim.Sim.size () in
-    let counts =
-      counts_for ~layout:m.layout ~axis:m.axis ~rows:m.rows ~cols:m.cols
-        ~nprocs
-    in
-    let gathered = Mpisim.Coll.allgatherv ~counts m.data in
     match m.layout with
-    | Lblock -> gathered
-    | Lcyclic _ | Lgrid _ -> permute_gathered m counts gathered
+    | Lblock ->
+        (* rank r's block starts at its first owned row (column) *)
+        let n, width =
+          match m.axis with By_rows -> (m.rows, m.cols) | By_cols -> (m.cols, 1)
+        in
+        Mpisim.Coll.allgatherv_offset
+          ~offset:(fun r -> Dist.low ~rank:r ~nprocs ~n * width)
+          m.data
+    | Lcyclic _ | Lgrid _ ->
+        let counts =
+          counts_for ~layout:m.layout ~axis:m.axis ~rows:m.rows ~cols:m.cols
+            ~nprocs
+        in
+        permute_gathered m counts (Mpisim.Coll.allgatherv ~counts m.data)
   end
 
 (* Dense copy on the root only (cheaper; used for printing / output). *)

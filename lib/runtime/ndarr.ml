@@ -127,12 +127,15 @@ let counts_of (dims : int array) =
   let slice = slice_numel_of dims in
   Array.map (fun c -> c * slice) (Dist.counts ~nprocs ~n:dims.(0))
 
-(* Replicated dense copy (an allgather over the leading axis). *)
+(* Replicated dense copy (an allgather over the leading axis): rank
+   r's block starts at its first owned slice. *)
 let to_dense t : float array =
   if t.full then Array.copy t.data
   else
-    let counts = counts_of t.dims in
-    Mpisim.Coll.allgatherv ~counts t.data
+    let nprocs = Mpisim.Sim.size () and slice = slice_numel t in
+    Mpisim.Coll.allgatherv_offset
+      ~offset:(fun r -> Dist.low ~rank:r ~nprocs ~n:t.dims.(0) * slice)
+      t.data
 
 (* Dense copy on the root only (cheaper; used for printing / output). *)
 let to_dense_root ~root t : float array =

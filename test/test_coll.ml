@@ -125,6 +125,65 @@ let test_allgatherv_empty_blocks () =
       Testutil.check_array_close "empty blocks" [| 10.; 11.; 30.; 60.; 61.; 62. |] v)
     results
 
+(* The doubling allgather (P > 64) on the fat-tree, against
+   [Array.concat] of the blocks.  Block [i] holds 1000 i + k, so a
+   block unpacked at the wrong offset shows.  Every shape has windows
+   that wrap past rank P-1; the last two put data only at the wrap
+   point, and at P=1024 the block shape is p1024-cg's (512 elements
+   over 1024 ranks, every other block empty).  The block shape also
+   runs through [allgatherv_offset] with [Dist.low] offsets, the way
+   [Dmat.to_dense] calls it. *)
+let test_allgatherv_doubling () =
+  let machine = Mpisim.Machine.fattree_default in
+  let shapes p =
+    [
+      ("uneven", Array.init p (fun i -> ((i * 7) mod 5) + 1));
+      ( "empty blocks",
+        Array.init p (fun i -> if i mod 3 = 1 then 0 else (i mod 4) + 1) );
+      ("more ranks than elements", Runtime.Dist.counts ~nprocs:p ~n:(p / 2));
+      ( "data at the wrap only",
+        Array.init p (fun i -> if i = 0 then 2 else if i = p - 1 then 3 else 0)
+      );
+      ("last rank only", Array.init p (fun i -> if i = p - 1 then 4 else 0));
+    ]
+  in
+  let block i c = Array.init c (fun k -> float_of_int ((1000 * i) + k)) in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (shape, counts) ->
+          let expected =
+            Array.concat (Array.to_list (Array.mapi block counts))
+          in
+          let results, _ =
+            Sim.run ~machine ~nprocs:p (fun rank ->
+                Coll.allgatherv ~counts (block rank counts.(rank)))
+          in
+          Array.iteri
+            (fun r v ->
+              if v <> expected then
+                Alcotest.failf "allgatherv %s P=%d: rank %d's result differs"
+                  shape p r)
+            results)
+        (shapes p);
+      let n = p / 2 in
+      let low r = Runtime.Dist.low ~rank:r ~nprocs:p ~n in
+      let expected = Array.init n float_of_int in
+      let results, _ =
+        Sim.run ~machine ~nprocs:p (fun rank ->
+            Coll.allgatherv_offset ~offset:low
+              (Array.init
+                 (low (rank + 1) - low rank)
+                 (fun k -> float_of_int (low rank + k))))
+      in
+      Array.iteri
+        (fun r v ->
+          if v <> expected then
+            Alcotest.failf "allgatherv_offset P=%d: rank %d's result differs"
+              p r)
+        results)
+    [ 65; 100; 130; 1024 ]
+
 let test_barrier_synchronizes () =
   let results, _ =
     Sim.run ~machine ~nprocs:4 (fun rank ->
@@ -186,6 +245,7 @@ let suite =
     t "gatherv" test_gatherv;
     t "allgatherv" test_allgatherv;
     t "allgatherv with empty blocks" test_allgatherv_empty_blocks;
+    t "doubling allgatherv on the fat-tree" test_allgatherv_doubling;
     t "barrier synchronizes" test_barrier_synchronizes;
     t "broadcast cost is logarithmic" test_bcast_cost_scales_log;
     QCheck_alcotest.to_alcotest allreduce_prop;

@@ -429,7 +429,7 @@ let test_scheduler_rejects () =
 
 let suite =
   [
-    t "pingpong engines agree at P in {2,4,8}" test_pingpong_pinned;
+    t "pingpong matches goldens at P=2,4,8" test_pingpong_pinned;
     t "self-send queue is FIFO" test_self_send;
     t "circular receives deadlock" test_deadlock;
     t "any-source gather verifies across P" test_any_source_gather;
@@ -440,7 +440,7 @@ let suite =
     t "out-of-range ranks are diagnosed" test_rank_bounds;
     t "mixed explicit+implicit verifies on 4 apps x 3 machines"
       test_mixed_matrix;
-    t "example apps bit-identical across engines" test_examples_pinned;
+    t "example apps match recorded goldens" test_examples_pinned;
     t "bandwidth monotone in message size" test_bandwidth_monotone;
     t "scheduler space-shares and accounts tenants" test_scheduler;
     t "scheduler rejects oversized requests" test_scheduler_rejects;

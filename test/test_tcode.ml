@@ -10,6 +10,9 @@
      message count and bytes recorded in
      bench/BENCH_speedup_baseline.json, and verifies against the
      reference interpreter;
+   - the schedule pin: cg and tc on the fat-tree at P in {128, 256}
+     reproduce the modeled time, messages, bytes and scheduler picks
+     recorded in bench/BENCH_scale_baseline.json;
    - the dispatch-count pin: [Exec.State.dispatched] for the four
      otterbench dispatch kernels and for cg, at P=4 on the Meiko;
    - chaos recovery: a seeded mid-run rank kill recovers to the exact
@@ -187,16 +190,18 @@ let machines =
     ("cluster", Machine.sparc20_cluster);
   ]
 
-(* The committed speedup baseline: its problem scale and one row per
-   (app, machine, CPUs, opt level). *)
+(* A committed bench baseline: its problem scale and its rows. *)
+let read_baseline rel =
+  match find_up rel with
+  | None -> Alcotest.failf "%s not found" rel
+  | Some file -> (
+      match Baseline.read file with
+      | Ok b -> (b.Baseline.scale, Baseline.rows b)
+      | Error e -> Alcotest.failf "%s: %s" file e)
+
+(* One row per (app, machine, CPUs, opt level). *)
 let speedup_baseline =
-  lazy
-    (match find_up "bench/BENCH_speedup_baseline.json" with
-    | None -> Alcotest.fail "bench/BENCH_speedup_baseline.json not found"
-    | Some file -> (
-        match Baseline.read file with
-        | Ok b -> (b.Baseline.scale, Baseline.rows b)
-        | Error e -> Alcotest.failf "%s: %s" file e))
+  lazy (read_baseline "bench/BENCH_speedup_baseline.json")
 
 (* One app's P in {2,4,8} rows: each run must reproduce the baseline's
    modeled time (to its printed nine decimals), message count and
@@ -247,6 +252,48 @@ let speedup_pinned key () =
         | ms ->
             Alcotest.failf "%s: %d interpreter mismatches" where
               (List.length ms))
+    pins
+
+(* --- the schedule pin ------------------------------------------------------ *)
+
+(* One app's fat-tree P in {128, 256} rows of the scale baseline: each
+   run must reproduce its modeled time (to nine decimals), messages,
+   bytes and scheduler picks.  Picks count the event core's steps, so
+   this pins the schedule itself, not just its outcome. *)
+let scale_pinned key () =
+  let app =
+    match Apps.Scripts.find key with Some a -> a | None -> assert false
+  in
+  let scale, rows = read_baseline "bench/BENCH_scale_baseline.json" in
+  let pins =
+    List.filter
+      (fun e ->
+        Baseline.str e "app" = key
+        && Baseline.str e "machine" = "fattree"
+        && Baseline.str e "dist" = "block"
+        && List.mem (Baseline.int e "procs") [ 128; 256 ])
+      rows
+  in
+  Alcotest.(check int) (key ^ ": baseline entries") 2 (List.length pins);
+  let c = Otter.compile (app.source scale) in
+  List.iter
+    (fun e ->
+      let procs = Baseline.int e "procs" in
+      let where = Printf.sprintf "%s P=%d on fattree" key procs in
+      let cfg = Otter.config ~machine:Machine.fattree_default ~nprocs:procs () in
+      let r = (Otter.outcome_exn (Otter.run cfg c)).Exec.State.report in
+      Alcotest.(check string)
+        (where ^ ": modeled time")
+        (Printf.sprintf "%.9f" (Baseline.num e "time"))
+        (Printf.sprintf "%.9f" r.Sim.makespan);
+      List.iter
+        (fun (field, got) ->
+          Alcotest.(check int) (where ^ ": " ^ field) (Baseline.int e field) got)
+        [
+          ("messages", r.Sim.messages);
+          ("bytes", r.Sim.bytes);
+          ("picks", r.Sim.sched_picks);
+        ])
     pins
 
 (* --- the dispatch-count pin ------------------------------------------------ *)
@@ -386,10 +433,12 @@ let suite =
     t "golden decode: functions" test_decode_functions;
     t "frame-slot aliasing" test_aliasing;
     t "zero-trip loop slots" test_zero_trip_slots;
-    t "engines identical: cg" (speedup_pinned "cg");
-    t "engines identical: ocean" (speedup_pinned "ocean");
-    t "engines identical: nbody" (speedup_pinned "nbody");
-    t "engines identical: tc" (speedup_pinned "tc");
+    t "matches speedup baseline: cg" (speedup_pinned "cg");
+    t "matches speedup baseline: ocean" (speedup_pinned "ocean");
+    t "matches speedup baseline: nbody" (speedup_pinned "nbody");
+    t "matches speedup baseline: tc" (speedup_pinned "tc");
+    t "matches scale baseline: cg" (scale_pinned "cg");
+    t "matches scale baseline: tc" (scale_pinned "tc");
     t "dispatch count pinned" test_dispatch_count_pinned;
     t "chaos recovery: cg" (chaos_recovers "cg");
     t "chaos recovery: ocean" (chaos_recovers "ocean");
