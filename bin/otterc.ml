@@ -12,12 +12,7 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file = Fuzz.read_file
 
 let path_of input name =
   let file = Filename.concat (Filename.dirname input) (name ^ ".m") in
@@ -160,12 +155,10 @@ let compile_cmd =
         write (base ^ ".c", Codegen.emit_c ~name:(Filename.basename input) c.Otter.prog);
         List.iter write Codegen.support_files;
         Fmt.pr "wrote %s/%s.c (+ run-time library).@." outdir base;
-        Fmt.pr "sequential build: cc -O2 -o %s %s.c otter_rt_common.c \
-                otter_rt_seq.c -lm@."
-          base base;
-        Fmt.pr "MPI build:        mpicc -O2 -o %s %s.c otter_rt_common.c \
-                otter_rt_mpi.c -lm@."
-          base base;
+        Fmt.pr "one machine: cc -O2 -I. -o %s %s.c otter_rt.c \
+                otter_mpi_shim.c -lm && OTTER_NP=4 ./%s@."
+          base base base;
+        Fmt.pr "MPI build:   mpicc -O2 -o %s %s.c otter_rt.c -lm@." base base;
         if stats then Fmt.pr "@.%s" (Otter.report c))
   in
   let stats_arg =

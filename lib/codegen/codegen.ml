@@ -2,10 +2,9 @@
    in the style of the paper's section 3 examples (ML_matrix_multiply,
    ML_broadcast, owner-computes guards, 0-based index adjustment).
 
-   The same source compiles against either flavour of the run-time
-   library: [C_runtime.seq_impl] for a single CPU without MPI (what the
-   integration tests execute) or the MPI implementation for a real
-   distributed-memory machine. *)
+   The output links against one run-time library, [C_runtime.impl],
+   built either with a real MPI or with the one-machine MPI of
+   [Mpi_shim] (what the tests and the fuzz oracle execute). *)
 
 module Ty = Analysis.Ty
 
@@ -572,8 +571,8 @@ let emit_c ?(name = "otter program") (p : Spmd.Ir.prog) : string =
   Buffer.add_string buf
     (Printf.sprintf
        "/* %s -- SPMD C generated by the Otter MATLAB compiler.\n\
-       \   Compile with otter_rt_seq.c (single CPU, no MPI) or\n\
-       \   otter_rt_mpi.c (distributed memory). */\n\
+       \   Link with otter_rt.c and an MPI, or with otter_mpi_shim.c to run\n\
+       \   OTTER_NP processes on one machine. */\n\
         #include \"otter_rt.h\"\n\n"
        name);
   List.iter
@@ -602,7 +601,7 @@ let emit_c ?(name = "otter program") (p : Spmd.Ir.prog) : string =
 let support_files =
   [
     ("otter_rt.h", C_runtime.header);
-    ("otter_rt_common.c", C_runtime.common_impl);
-    ("otter_rt_seq.c", C_runtime.seq_impl);
-    ("otter_rt_mpi.c", C_runtime_mpi.mpi_impl);
+    ("otter_rt.c", C_runtime.impl);
+    ("mpi.h", Mpi_shim.header);
+    ("otter_mpi_shim.c", Mpi_shim.impl);
   ]

@@ -5,9 +5,10 @@
 
      - the reference interpreter (the semantics oracle),
      - the SPMD executor at P in {1,2,3,4} on two machine models,
-     - when a C compiler is available, the emitted sequential C,
-       compiled and executed for real, its stdout compared
-       numerically against the interpreter's.
+     - when a C compiler is available, the emitted C, linked with the
+       run-time library and the one-machine MPI shim and executed for
+       real at P in {1,2}, its stdout compared numerically against the
+       interpreter's.
 
    Any disagreement is a counterexample; QCheck2's integrated
    shrinking then minimizes the script before it is reported. *)
@@ -25,7 +26,7 @@ let procs = [ 1; 2; 3; 4 ]
 let cc_available =
   lazy (Sys.command "cc --version > /dev/null 2>&1" = 0)
 
-(* The sequential C back end refuses explicit message passing and
+(* The C back end refuses explicit message passing and
    rank-N tensors, so the C leg only runs for scripts that never
    mention an MPI builtin and whose inferred types stay on the
    scalar/matrix floor of the lattice. *)
@@ -40,9 +41,9 @@ let uses_mpi (script : string) : bool =
   let rec go i = i + nn <= nh && (String.sub script i nn = needle || go (i + 1)) in
   go 0
 
-(* One scratch directory per process holding the run-time library,
-   compiled to objects exactly once; each case then only compiles its
-   own small generated file and links. *)
+(* One scratch directory per process holding the run-time library and
+   the MPI shim, compiled to objects exactly once; each case then only
+   compiles its own small generated file and links. *)
 let rt_objects =
   lazy
     (let dir = Filename.temp_file "otter_fuzz" "" in
@@ -54,26 +55,24 @@ let rt_objects =
          output_string oc content;
          close_out oc)
        Codegen.support_files;
-     let compile src obj =
-       let cmd =
-         Printf.sprintf "cc -O1 -c -o %s %s > /dev/null 2>&1"
-           (Filename.quote (Filename.concat dir obj))
-           (Filename.quote (Filename.concat dir src))
-       in
-       if Sys.command cmd <> 0 then
-         failwith ("fuzz: cannot compile run-time library file " ^ src)
-     in
-     compile "otter_rt_common.c" "otter_rt_common.o";
-     compile "otter_rt_seq.c" "otter_rt_seq.o";
+     if
+       Sys.command
+         (Printf.sprintf
+            "cd %s && cc -O1 -I. -c otter_rt.c otter_mpi_shim.c > /dev/null 2>&1"
+            (Filename.quote dir))
+       <> 0
+     then failwith "fuzz: cannot compile the run-time library";
      dir)
 
 (* Compare two program outputs token by token: numeric tokens within a
    relative tolerance (reduction order, printf rounding), everything
-   else literally. *)
+   else literally.  Tokens split at blanks and at '=', so a number
+   printed as name=value is compared as a number too. *)
 let outputs_agree ?(tol = 1e-9) (a : string) (b : string) : string option =
   let tokens s =
     String.split_on_char '\n' s
     |> List.concat_map (String.split_on_char ' ')
+    |> List.concat_map (String.split_on_char '=')
     |> List.filter (fun t -> t <> "")
   in
   let ta = tokens a and tb = tokens b in
@@ -103,44 +102,54 @@ let outputs_agree ?(tol = 1e-9) (a : string) (b : string) : string option =
                 else Some (Printf.sprintf "output token %S vs %S" x y)))
       None ta tb
 
-(* Emit, compile, execute the sequential C for [c]; compare stdout
-   against the interpreter's output. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Write [c_source] to [exe].c and build it into [exe], linked with the
+   compiled run-time library and the shim; the compiler's output on
+   failure. *)
+let build_c (c_source : string) (exe : string) : (unit, string) result =
+  let dir = Lazy.force rt_objects in
+  let src = exe ^ ".c" and log = exe ^ ".log" in
+  Out_channel.with_open_bin src (fun oc -> output_string oc c_source);
+  let code =
+    Sys.command
+      (Printf.sprintf "cc -O1 -I %s -o %s %s %s %s -lm > %s 2>&1"
+         (Filename.quote dir) (Filename.quote exe) (Filename.quote src)
+         (Filename.quote (Filename.concat dir "otter_rt.o"))
+         (Filename.quote (Filename.concat dir "otter_mpi_shim.o"))
+         (Filename.quote log))
+  in
+  let out = read_file log in
+  List.iter Sys.remove [ src; log ];
+  if code = 0 then Ok () else Error out
+
+(* Emit and build the C for [c], run it as 1 and as 2 processes, and
+   compare each stdout against the interpreter's output.  The shim's
+   message directory goes under [rt_objects] too, so a run killed by
+   [timeout] leaves nothing in the system temporary directory. *)
 let check_c_leg (c : Otter.compiled) (ref_output : string) : string option =
   let dir = Lazy.force rt_objects in
-  let base = Filename.temp_file ~temp_dir:dir "case" ".c" in
-  let exe = Filename.chop_suffix base ".c" ^ ".exe" in
-  let out_file = base ^ ".out" in
-  let cleanup () =
-    List.iter (fun f -> if Sys.file_exists f then Sys.remove f)
-      [ base; exe; out_file ]
+  let exe = Filename.temp_file ~temp_dir:dir "case" ".exe" in
+  let out_file = exe ^ ".out" in
+  let run np =
+    if
+      Sys.command
+        (Printf.sprintf "OTTER_NP=%d TMPDIR=%s timeout 60 %s > %s 2>&1" np
+           (Filename.quote dir) (Filename.quote exe) (Filename.quote out_file))
+      <> 0
+    then Some (Printf.sprintf "compiled C at P=%d exited non-zero" np)
+    else
+      Option.map
+        (Printf.sprintf "compiled C at P=%d: %s" np)
+        (outputs_agree ref_output (read_file out_file))
   in
-  Fun.protect ~finally:cleanup (fun () ->
-      let oc = open_out base in
-      output_string oc (Codegen.emit_c ~name:"fuzz_case" c.Otter.prog);
-      close_out oc;
-      let cmd =
-        Printf.sprintf
-          "cc -O1 -o %s %s %s %s -lm > /dev/null 2>&1"
-          (Filename.quote exe) (Filename.quote base)
-          (Filename.quote (Filename.concat dir "otter_rt_common.o"))
-          (Filename.quote (Filename.concat dir "otter_rt_seq.o"))
-      in
-      if Sys.command cmd <> 0 then Some "generated C does not compile"
-      else if
-        Sys.command
-          (Printf.sprintf "%s > %s 2>&1" (Filename.quote exe)
-             (Filename.quote out_file))
-        <> 0
-      then Some "compiled C program exited non-zero"
-      else begin
-        let ic = open_in_bin out_file in
-        let n = in_channel_length ic in
-        let got = really_input_string ic n in
-        close_in ic;
-        match outputs_agree ref_output got with
-        | None -> None
-        | Some d -> Some ("compiled C: " ^ d)
-      end)
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ exe; out_file ])
+    (fun () ->
+      match build_c (Codegen.emit_c ~name:"fuzz_case" c.Otter.prog) exe with
+      | Error _ -> Some "generated C does not compile"
+      | Ok () -> List.find_map run [ 1; 2 ])
 
 (* --- the oracle ----------------------------------------------------------- *)
 
@@ -308,10 +317,7 @@ type replay_failure = { file : string; reason : string }
    it cleanly (the interpreter accepts a superset of the compiled
    language, e.g. matrix growth). *)
 let replay_file ?(use_cc = true) (path : string) : replay_failure option =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let source = really_input_string ic n in
-  close_in ic;
+  let source = read_file path in
   let file = Filename.basename path in
   let directive =
     match String.index_opt source '\n' with

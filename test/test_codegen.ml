@@ -1,7 +1,8 @@
 (* C back-end tests: structural properties of the emitted code (the
-   paper's pass-7 style), and -- when a C compiler is available -- an
-   integration test that compiles and executes generated programs,
-   comparing stdout with the reference interpreter. *)
+   paper's pass-7 style), and -- when a C compiler is available --
+   integration tests that build generated programs against the run-time
+   library and the one-machine MPI shim, run them as 1, 2 and 4
+   processes, and compare stdout with the reference interpreter. *)
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -91,7 +92,7 @@ let test_balanced_braces () =
 let test_support_files_present () =
   let names = List.map fst Codegen.support_files in
   Alcotest.(check (list string)) "files"
-    [ "otter_rt.h"; "otter_rt_common.c"; "otter_rt_seq.c"; "otter_rt_mpi.c" ]
+    [ "otter_rt.h"; "otter_rt.c"; "mpi.h"; "otter_mpi_shim.c" ]
     names;
   List.iter
     (fun (name, content) ->
@@ -100,51 +101,11 @@ let test_support_files_present () =
 
 (* --- integration: compile with cc and compare with the interpreter ------ *)
 
-let cc_available =
-  lazy (Sys.command "cc --version > /dev/null 2>&1" = 0)
-
-let compile_and_run_c src =
-  let dir = Filename.temp_file "otter" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let write (f, content) =
-    let oc = open_out (Filename.concat dir f) in
-    output_string oc content;
-    close_out oc
-  in
-  write ("prog.c", Codegen.emit_c (Otter.compile src).Otter.prog);
-  List.iter write Codegen.support_files;
-  let cmd =
-    Printf.sprintf
-      "cd %s && cc -O1 -o prog prog.c otter_rt_common.c otter_rt_seq.c -lm \
-       2>cc.log && ./prog > out.txt 2>&1"
-      (Filename.quote dir)
-  in
-  if Sys.command cmd <> 0 then begin
-    let log = Filename.concat dir "cc.log" in
-    let detail =
-      if Sys.file_exists log then (
-        let ic = open_in log in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s)
-      else "?"
-    in
-    Alcotest.failf "C build/run failed:\n%s" detail
-  end;
-  let ic = open_in (Filename.concat dir "out.txt") in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let check_c_matches_interpreter src =
-  if Lazy.force cc_available then begin
-    let c_out = compile_and_run_c src in
-    let ref_out, _ = Testutil.run_interp src in
-    Alcotest.(check string) "C output == interpreter output" ref_out c_out
-  end
+  if Lazy.force Fuzz.cc_available then
+    Testutil.with_temp_dir (fun dir ->
+        Testutil.build_c dir (emit src);
+        Testutil.check_c_runs dir (fst (Testutil.run_interp src)))
 
 let test_c_execution_basics () =
   check_c_matches_interpreter
@@ -170,74 +131,68 @@ let test_c_execution_functions () =
      function r = hyp(p, q)\n  r = sqrt(p^2 + q^2);\nend\n\
      function [d, m] = div2(x)\n  d = floor(x / 2);\n  m = mod(x, 2);\nend"
 
-(* A minimal stub mpi.h: enough to syntax- and type-check the MPI
-   flavour of the run-time library without an MPI installation. *)
-let stub_mpi_h =
-  {m|#ifndef STUB_MPI_H
-#define STUB_MPI_H
-typedef int MPI_Comm;
-typedef int MPI_Datatype;
-typedef int MPI_Op;
-typedef struct { int MPI_SOURCE, MPI_TAG, MPI_ERROR; } MPI_Status;
-#define MPI_COMM_WORLD 0
-#define MPI_DOUBLE 1
-#define MPI_SUM 1
-#define MPI_PROD 2
-#define MPI_MIN 3
-#define MPI_MAX 4
-#define MPI_MINLOC 5
-#define MPI_MAXLOC 6
-#define MPI_DOUBLE_INT 2
-#define MPI_OP_NULL 0
-typedef void(MPI_User_function)(void *in, void *inout, int *len,
-                                MPI_Datatype *dt);
-int MPI_Op_create(MPI_User_function *fn, int commute, MPI_Op *op);
-int MPI_Op_free(MPI_Op *op);
-int MPI_Init(int *argc, char ***argv);
-int MPI_Finalize(void);
-int MPI_Comm_rank(MPI_Comm comm, int *rank);
-int MPI_Comm_size(MPI_Comm comm, int *size);
-int MPI_Send(const void *buf, int count, MPI_Datatype t, int dst, int tag,
-             MPI_Comm comm);
-int MPI_Recv(void *buf, int count, MPI_Datatype t, int src, int tag,
-             MPI_Comm comm, MPI_Status *status);
-int MPI_Bcast(void *buf, int count, MPI_Datatype t, int root, MPI_Comm comm);
-int MPI_Allreduce(const void *send, void *recv, int count, MPI_Datatype t,
-                  MPI_Op op, MPI_Comm comm);
-int MPI_Allgatherv(const void *send, int count, MPI_Datatype st, void *recv,
-                   const int *counts, const int *displs, MPI_Datatype rt,
-                   MPI_Comm comm);
-int MPI_Exscan(const void *send, void *recv, int count, MPI_Datatype t,
-               MPI_Op op, MPI_Comm comm);
-#endif
-|m}
-
 let test_mpi_runtime_syntax_checks () =
-  if Lazy.force cc_available then begin
-    let dir = Filename.temp_file "otter_mpi" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    let write (f, content) =
-      let oc = open_out (Filename.concat dir f) in
-      output_string oc content;
-      close_out oc
-    in
-    List.iter write Codegen.support_files;
-    write ("mpi.h", stub_mpi_h);
-    let cmd =
-      Printf.sprintf
-        "cd %s && cc -fsyntax-only -Wall -Werror -I. otter_rt_mpi.c 2>cc.log"
-        (Filename.quote dir)
-    in
-    if Sys.command cmd <> 0 then begin
-      let ic = open_in (Filename.concat dir "cc.log") in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Alcotest.failf "otter_rt_mpi.c does not compile:
-%s" s
-    end
-  end
+  if Lazy.force Fuzz.cc_available then
+    (* the fuzz oracle's scratch directory holds the library sources *)
+    let src = Lazy.force Fuzz.rt_objects in
+    Testutil.with_temp_dir (fun dir ->
+        let cmd =
+          Printf.sprintf
+            "cd %s && cc -O1 -Wall -Wextra -Werror -I %s -c %s %s 2>cc.log"
+            (Filename.quote dir) (Filename.quote src)
+            (Filename.quote (Filename.concat src "otter_rt.c"))
+            (Filename.quote (Filename.concat src "otter_mpi_shim.c"))
+        in
+        if Sys.command cmd <> 0 then
+          Alcotest.failf "the run-time library does not build cleanly:\n%s"
+            (Testutil.read_file (Filename.concat dir "cc.log")))
+
+(* The shim's own failure paths: a bad process count is a usage error,
+   and a failing rank ends the whole run with one diagnostic; [run_c]
+   checks that no message directory is left behind either way. *)
+let test_shim_bad_np () =
+  if Lazy.force Fuzz.cc_available then
+    Testutil.with_temp_dir (fun dir ->
+        Testutil.build_c dir (emit "x = 1;\nfprintf('%g\\n', x);");
+        List.iter
+          (fun np ->
+            let code, out = Testutil.run_c dir np in
+            Alcotest.(check int) ("exit code, OTTER_NP=" ^ np) 2 code;
+            if not (Testutil.contains out "OTTER_NP") then
+              Alcotest.failf "OTTER_NP=%s: diagnostic does not name it: %s" np out)
+          [ "0"; "65"; "4x"; "" ])
+
+let test_shim_failing_rank () =
+  if Lazy.force Fuzz.cc_available then
+    Testutil.with_temp_dir (fun dir ->
+        Testutil.build_c dir
+          (emit "x = zeros(1, 4);\ny = x(7);\nfprintf('%g\\n', y);");
+        let code, out = Testutil.run_c dir "2" in
+        Alcotest.(check int) "exit code" 1 code;
+        let errors =
+          String.split_on_char '\n' out
+          |> List.filter (String.starts_with ~prefix:"error:")
+        in
+        Alcotest.(check (list string)) "one diagnostic"
+          [ "error: index out of bounds" ] errors;
+        (* a rank that leaves mid-collective: its peers fail rather than
+           hang, and a failing status becomes the run's *)
+        List.iter
+          (fun (leave, status) ->
+            Testutil.build_c dir
+              (Printf.sprintf
+                 "#include <mpi.h>\n#include <stdlib.h>\n\
+                  int main(int argc, char **argv) {\n\
+                 \  int r; double x = 1, y;\n\
+                 \  MPI_Init(&argc, &argv);\n\
+                 \  MPI_Comm_rank(MPI_COMM_WORLD, &r);\n%s\n\
+                 \  MPI_Allreduce(&x, &y, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);\n\
+                 \  MPI_Finalize();\n  return 0;\n}\n" leave);
+            Alcotest.(check int) leave status (fst (Testutil.run_c dir "4")))
+          [
+            ("  if (r == 2) exit(3);", 3);
+            ("  if (r == 0) { MPI_Finalize(); return 0; }", 1);
+          ])
 
 let test_c_execution_concat_sections () =
   check_c_matches_interpreter
@@ -249,6 +204,27 @@ let test_c_execution_scans () =
      p = cumprod((1:6)');\nfprintf('%g\\n', p(end));\n\
      w = [4; -1; 7; -1];\n[m, i] = min(w);\nfprintf('%g %d\\n', m, i);\n\
      [m2, i2] = max(w);\nfprintf('%g %d\\n', m2, i2);"
+
+(* No element strictly beats the starting bound: all NaN gives (NaN, 1),
+   all +Inf under min (-Inf under max) the first index, and an empty
+   vector is an error at every P. *)
+let test_c_execution_arg_reduction_edges () =
+  check_c_matches_interpreter
+    "v = zeros(1, 4) ./ zeros(1, 4);\n[m, i] = min(v);\n\
+     fprintf('%d %d\\n', m ~= m, i);\n[m, i] = max(v);\n\
+     fprintf('%d %d\\n', m ~= m, i);\nw = ones(1, 5) / 0;\n\
+     [m, i] = min(w);\nfprintf('%g %d\\n', m, i);\n\
+     [m, i] = max(-w);\nfprintf('%g %d\\n', m, i);";
+  if Lazy.force Fuzz.cc_available then
+    Testutil.with_temp_dir (fun dir ->
+        Testutil.build_c dir (emit "[m, i] = min(zeros(1, 0));\ndisp(m);");
+        List.iter
+          (fun np ->
+            let code, out = Testutil.run_c dir np in
+            Alcotest.(check (pair int bool)) ("exit and error, P=" ^ np)
+              (1, true)
+              (code, Testutil.contains out "error: min/max of an empty vector"))
+          [ "1"; "2"; "4" ])
 
 let test_c_execution_sort_repmat () =
   check_c_matches_interpreter
@@ -284,4 +260,8 @@ let suite =
     t "C execution: sort and repmat" test_c_execution_sort_repmat;
     t "C execution: all four benchmarks" test_c_execution_apps;
     t "MPI run-time library compiles" test_mpi_runtime_syntax_checks;
+    t "MPI shim: bad OTTER_NP" test_shim_bad_np;
+    t "MPI shim: a failing rank" test_shim_failing_rank;
+    t "C execution: arg-reductions with no finite winner"
+      test_c_execution_arg_reduction_edges;
   ]

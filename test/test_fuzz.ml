@@ -42,6 +42,11 @@ let test_outputs_agree () =
   Alcotest.(check bool) "tolerance" true
     (Fuzz.outputs_agree "0.30000000000000004\n" "0.3\n" = None);
   Alcotest.(check bool) "nan" true (Fuzz.outputs_agree "nan\n" "-nan\n" = None);
+  Alcotest.(check bool) "name=value compares the value" true
+    (Fuzz.outputs_agree "residual=4.434279e-15\n" "residual=4.522966e-15\n"
+    = None);
+  Alcotest.(check bool) "name=value still checks the name" true
+    (Fuzz.outputs_agree "a=1\n" "b=1\n" <> None);
   Alcotest.(check bool) "value differs" true
     (Fuzz.outputs_agree "1\n" "2\n" <> None);
   Alcotest.(check bool) "length differs" true

@@ -5,17 +5,10 @@
 let t name f = Alcotest.test_case name `Quick f
 
 let with_datafile content f =
-  let dir = Filename.temp_file "otter_data" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let oc = open_out (Filename.concat dir "input.txt") in
-  output_string oc content;
-  close_out oc;
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove (Filename.concat dir "input.txt");
-      Sys.rmdir dir)
-    (fun () -> f dir)
+  Testutil.with_temp_dir (fun dir ->
+      Out_channel.with_open_bin (Filename.concat dir "input.txt") (fun oc ->
+          output_string oc content);
+      f dir)
 
 let test_parse () =
   let r, c, d = Mlang.Datafile.parse "1 2 3\n4 5 6\n" in
@@ -95,34 +88,16 @@ let test_execution_across_backends () =
           Testutil.check_close (Printf.sprintf "vm x P=%d" p) 38. (g "x"))
         [ 1; 2; 4; 8 ])
 
+(* Every rank reads the data file itself. *)
 let test_c_execution () =
-  if Sys.command "cc --version > /dev/null 2>&1" = 0 then
+  if Lazy.force Fuzz.cc_available then
     with_datafile "1 2\n3 4\n" (fun dir ->
         let src =
           "A = load('input.txt');\nfprintf('%g %g\\n', sum(sum(A)), A(2, 1));"
         in
         let c = Otter.compile ~datadir:dir src in
-        let write (f, content) =
-          let oc = open_out (Filename.concat dir f) in
-          output_string oc content;
-          close_out oc
-        in
-        write ("prog.c", Codegen.emit_c c.Otter.prog);
-        List.iter write Codegen.support_files;
-        let cmd =
-          Printf.sprintf
-            "cd %s && cc -O1 -o prog prog.c otter_rt_common.c otter_rt_seq.c \
-             -lm 2>/dev/null && ./prog > out.txt"
-            (Filename.quote dir)
-        in
-        Alcotest.(check int) "C build+run" 0 (Sys.command cmd);
-        let ic = open_in (Filename.concat dir "out.txt") in
-        let out = input_line ic in
-        close_in ic;
-        Alcotest.(check string) "C output" "10 3" out;
-        List.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          ([ "prog.c"; "prog"; "out.txt" ] @ List.map fst Codegen.support_files))
+        Testutil.build_c dir (Codegen.emit_c c.Otter.prog);
+        Testutil.check_c_runs dir "10 3\n")
 
 let suite =
   [

@@ -31,12 +31,7 @@ let find_up rel =
   in
   up (Sys.getcwd ()) 8
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file = Fuzz.read_file
 
 (* Run a script on [nprocs] simulated CPUs and return (output, captures). *)
 let run_parallel ?(machine = Mpisim.Machine.meiko_cs2) ?(nprocs = 4) ?capture src
@@ -118,6 +113,58 @@ let interp_value src name =
 let parallel_value ?(nprocs = 4) src name =
   let _, caps = run_parallel ~nprocs ~capture:[ name ] src in
   vm_scalar caps name
+
+(* A fresh directory for [f], removed with everything in it afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "otter_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir)
+
+(* --- emitted C, run under the one-machine MPI shim ---------------------- *)
+
+(* Build [c_source] into [dir]/prog against the run-time library and
+   the shim, failing the test with the compiler log. *)
+let build_c dir c_source =
+  match Fuzz.build_c c_source (Filename.concat dir "prog") with
+  | Ok () -> ()
+  | Error log -> Alcotest.failf "C build failed:\n%s" log
+
+(* Run ./prog in [dir] with OTTER_NP=[np]; returns the exit code and the
+   merged stdout and stderr.  Fails the test if the run leaves a message
+   directory behind. *)
+let run_c dir np =
+  let tmp = Filename.concat dir "tmp" in
+  if not (Sys.file_exists tmp) then Sys.mkdir tmp 0o755;
+  let out = Filename.concat dir "out.txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "cd %s && OTTER_NP=%s TMPDIR=%s timeout 60 ./prog > %s 2>&1"
+         (Filename.quote dir) (Filename.quote np) (Filename.quote tmp)
+         (Filename.quote out))
+  in
+  (match Sys.readdir tmp with
+  | [||] -> ()
+  | left -> Alcotest.failf "OTTER_NP=%s left %s behind" np left.(0));
+  (code, read_file out)
+
+(* [run_c] at P = 1, 2 and 4 against the interpreter's [expected]
+   output: byte for byte at P = 1, and at P > 1 token by token with the
+   fuzz oracle's tolerance, since reduction order changes the last
+   digits. *)
+let check_c_runs dir expected =
+  List.iter
+    (fun np ->
+      let code, got = run_c dir (string_of_int np) in
+      if code <> 0 then Alcotest.failf "P=%d: exit %d\n%s" np code got;
+      if np = 1 then
+        Alcotest.(check string) "C output == interpreter output" expected got
+      else
+        Option.iter (Alcotest.failf "P=%d: %s" np)
+          (Fuzz.outputs_agree expected got))
+    [ 1; 2; 4 ]
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
