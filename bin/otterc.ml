@@ -307,8 +307,8 @@ let config_of_flags ?capture ?tol ~nprocs ~machine ~engine ~faults ~reliable
   Otter.config ~machine ~nprocs ~engine:(get_engine engine) ?capture ?tol
     ~chaos ~ckpt_interval ~max_recoveries ~layout ()
 
-let print_fault_counters (r : Mpisim.Sim.report) =
-  Fmt.pr
+let pp_fault_counters ppf (r : Mpisim.Sim.report) =
+  Fmt.pf ppf
     "[faults] %d dropped, %d duplicated, %d delayed, %d stalls, %d rank \
      kills; %d retries, %d acks@."
     r.Mpisim.Sim.drops r.dups r.delayed r.stalls r.kills r.retries r.acks
@@ -326,11 +326,7 @@ let print_abort ~gave_up ~recoveries failed_rank operation detail
       (if recoveries = 1 then "" else "s");
   Fmt.epr "partial run: rank %d failed during %s: %s@." failed_rank operation
     detail;
-  Fmt.epr
-    "[faults] %d dropped, %d duplicated, %d delayed, %d stalls, %d rank \
-     kills; %d retries, %d acks@."
-    report.Mpisim.Sim.drops report.dups report.delayed report.stalls
-    report.kills report.retries report.acks
+  pp_fault_counters Fmt.stderr report
 
 let run_cmd =
   let run input nprocs machine engine timing stats faults reliable chaos
@@ -343,10 +339,6 @@ let run_cmd =
             ~ckpt_interval ~max_recoveries ~cpus ~map ~map_seed ~dist ()
         in
         let machine = cfg.Otter.Config.machine in
-        let recovering =
-          cfg.Otter.Config.ckpt_interval > 0.
-          || cfg.Otter.Config.max_recoveries > 0
-        in
         let rc = Otter.run cfg c in
         let recoveries = rc.Exec.State.r_attempts - 1
         and gave_up = rc.Exec.State.r_gave_up in
@@ -359,7 +351,8 @@ let run_cmd =
         | Exec.State.Complete o ->
             print_string o.Exec.State.output;
             let r = o.Exec.State.report in
-            if recovering && (chaos || recoveries > 0) then
+            (* [--chaos] and any rollback both imply recovery was on. *)
+            if chaos || recoveries > 0 then
               Fmt.pr "[recovery] completed after %d rollback%s@." recoveries
                 (if recoveries = 1 then "" else "s");
             if timing && not stats then begin
@@ -368,7 +361,7 @@ let run_cmd =
                 machine.Mpisim.Machine.name nprocs r.Mpisim.Sim.makespan
                 r.messages r.bytes;
               if machine.Mpisim.Machine.faults <> None then
-                print_fault_counters r
+                pp_fault_counters Fmt.stdout r
             end;
             if stats then begin
               Fmt.pr "-- simulator report [%s, %d CPUs] --@."
@@ -378,7 +371,7 @@ let run_cmd =
                 r.Mpisim.Sim.compute_time;
               Fmt.pr "  messages        %d@." r.Mpisim.Sim.messages;
               Fmt.pr "  bytes           %d@." r.Mpisim.Sim.bytes;
-              print_fault_counters r
+              pp_fault_counters Fmt.stdout r
             end)
   in
   let timing_arg =
@@ -513,11 +506,7 @@ let verify_cmd =
                                  rollbacks)" recoveries
                else "")
               failed_rank operation detail;
-            Fmt.epr
-              "[faults] %d dropped, %d duplicated, %d delayed, %d stalls, %d \
-               rank kills; %d retries, %d acks@."
-              report.Mpisim.Sim.drops report.dups report.delayed report.stalls
-              report.kills report.retries report.acks;
+            pp_fault_counters Fmt.stderr report;
             exit
               (if gave_up then exit_recovery_aborted else exit_code_of_kind kind))
   in
@@ -552,6 +541,9 @@ let serve_cmd =
           Fmt.epr "serve: need at least one script@.";
           exit 2
         end;
+        if jobs < 0 then
+          invalid_arg
+            (Printf.sprintf "serve: --jobs must be non-negative, got %d" jobs);
         let machine = get_machine machine in
         (* serve is the scale-out mode: a -p beyond the paper's machine
            grows the model rather than erroring. *)

@@ -250,10 +250,10 @@ let mpi_bcast ~root (v : value) : value =
 
 (* --- structured results --------------------------------------------------- *)
 
-type captured =
+type captured = Runtime.Captured.t =
   | Cscalar of float
   | Cmat of int * int * float array
-  | Cnd of int array * float array (* dims, row-major dense data *)
+  | Cnd of int array * float array
 
 (* Bitwise equality of two captured values: same kind, same shape, and
    every element exactly equal, with NaN equal to NaN (a recovered or
@@ -402,7 +402,9 @@ let at_boundary ck ~rk ~mk_env ~rand_calls ~calls ~out (pcv : pc) =
 type recovery = {
   r_result : run_result; (* the final attempt's result *)
   r_attempts : int; (* run attempts made (1 = no recovery needed) *)
-  r_gave_up : bool; (* a recoverable failure outlived the budget *)
+  r_gave_up : bool;
+      (* a recoverable failure outlived the budget of a run that asked
+         for recovery (a checkpoint interval or a retry budget) *)
   r_reports : Mpisim.Sim.report list; (* one per attempt, oldest first *)
   r_penalty : float; (* simulated backoff seconds charged before retries *)
 }
@@ -449,6 +451,7 @@ let run_recovering_with ~nprocs ~ckpt_interval ~max_recoveries
         if Array.exists Option.is_none picks then None
         else Some (Array.map Option.get picks)
   in
+  let recovering = ckpt_interval > 0. || max_recoveries > 0 in
   let reports = ref [] in
   let penalty = ref 0. in
   let rec go att =
@@ -468,7 +471,7 @@ let run_recovering_with ~nprocs ~ckpt_interval ~max_recoveries
     | Complete _ -> finish false
     | Partial p ->
         if not (recoverable p.kind) then finish false
-        else if att >= max_recoveries then finish true
+        else if att >= max_recoveries then finish recovering
         else begin
           penalty := !penalty +. (backoff_base *. (2. ** float_of_int att));
           go (att + 1)

@@ -2002,47 +2002,8 @@ let exec_top fr ck resume (units : unit_t array) =
 
 (* --- entry points -------------------------------------------------------------- *)
 
-type captured = State.captured =
-  | Cscalar of float
-  | Cmat of int * int * float array
-  | Cnd of int array * float array
-
-type outcome = State.outcome = {
-  output : string;
-  captures : (string * captured) list;
-  lib_calls : int;
-  report : Mpisim.Sim.report;
-}
-
-type failure_kind = State.failure_kind =
-  | Ftimeout
-  | Fprotocol
-  | Fkilled
-  | Fpeer
-  | Fexhausted
-  | Fdeadlock
-  | Fruntime
-
-type run_result = State.run_result =
-  | Complete of outcome
-  | Partial of {
-      failed_rank : int;
-      operation : string;
-      detail : string;
-      kind : failure_kind;
-      report : Mpisim.Sim.report;
-    }
-
-type recovery = State.recovery = {
-  r_result : run_result;
-  r_attempts : int;
-  r_gave_up : bool;
-  r_reports : Mpisim.Sim.report list;
-  r_penalty : float;
-}
-
-let attempt ?(capture = []) ~seed ~datadir ~machine ~nprocs ~attempt:att
-    ~ckpt_interval ~slots ~restore (prog : Ir.prog) :
+let attempt ~capture ~seed ~datadir ~machine ~nprocs ~ckpt_interval
+    (prog : Ir.prog) ~attempt:att ~slots ~restore :
     State.run_result * Mpisim.Sim.report =
   let out = Buffer.create 256 in
   (match restore with
@@ -2092,19 +2053,20 @@ let attempt ?(capture = []) ~seed ~datadir ~machine ~nprocs ~attempt:att
               | None -> None
               | Some s -> (
                   match fr.tags.(s) with
-                  | 1 -> Some (name, Cscalar fr.sc.(s))
+                  | 1 -> Some (name, State.Cscalar fr.sc.(s))
                   | 2 -> (
                       match fr.vals.(s) with
                       | Vmat m ->
                           let dense = Dmat.to_dense m in
-                          Some (name, Cmat (m.Dmat.rows, m.Dmat.cols, dense))
+                          Some
+                            (name, State.Cmat (m.Dmat.rows, m.Dmat.cols, dense))
                       | _ -> None)
                   | 4 -> (
                       match fr.vals.(s) with
                       | Vnd t ->
+                          let dense = Ndarr.to_dense t in
                           Some
-                            ( name,
-                              Cnd (Array.copy t.Ndarr.dims, Ndarr.to_dense t) )
+                            (name, State.Cnd (Array.copy t.Ndarr.dims, dense))
                       | _ -> None)
                   | _ -> None))
             capture
@@ -2115,9 +2077,10 @@ let attempt ?(capture = []) ~seed ~datadir ~machine ~nprocs ~attempt:att
     match outcome with
     | Ok results ->
         let captures, lib_calls = results.(0) in
-        Complete { output = Buffer.contents out; captures; lib_calls; report }
+        State.Complete
+          { output = Buffer.contents out; captures; lib_calls; report }
     | Error (Mpisim.Sim.Rank_failure { rank; exn }) ->
-        Partial
+        State.Partial
           {
             failed_rank = rank;
             operation = trace_names.(tix.(rank));
@@ -2129,16 +2092,7 @@ let attempt ?(capture = []) ~seed ~datadir ~machine ~nprocs ~attempt:att
   in
   (result, report)
 
-let run_result ?capture ?(seed = 42) ?(datadir = ".") ~machine ~nprocs
-    (prog : Ir.prog) : run_result =
-  fst
-    (attempt ?capture ~seed ~datadir ~machine ~nprocs ~attempt:0
-       ~ckpt_interval:0. ~slots:(Array.make nprocs []) ~restore:None prog)
-
-let run_recovering ?capture ?(seed = 42) ?(datadir = ".")
-    ?(ckpt_interval = 0.) ?(max_recoveries = 0) ~machine ~nprocs
-    (prog : Ir.prog) : recovery =
+let run_recovering ~capture ~seed ~datadir ~ckpt_interval ~max_recoveries
+    ~machine ~nprocs (prog : Ir.prog) : State.recovery =
   State.run_recovering_with ~nprocs ~ckpt_interval ~max_recoveries
-    (fun ~attempt:att ~slots ~restore ->
-      attempt ?capture ~seed ~datadir ~machine ~nprocs ~attempt:att
-        ~ckpt_interval ~slots ~restore prog)
+    (attempt ~capture ~seed ~datadir ~machine ~nprocs ~ckpt_interval prog)

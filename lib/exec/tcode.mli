@@ -17,30 +17,22 @@ val listing : Spmd.Ir.prog -> string
     op, with resolved pc addresses.  Executes nothing; used by the
     golden decode tests. *)
 
-val run_result :
-  ?capture:string list ->
-  ?seed:int ->
-  ?datadir:string ->
-  machine:Mpisim.Machine.t ->
-  nprocs:int ->
-  Spmd.Ir.prog ->
-  State.run_result
-(** Run the program on [nprocs] simulated processors of [machine];
-    [capture] names script variables whose final values are returned
-    for verification.  Degrades gracefully: a failure on any rank
-    yields [State.Partial] instead of an unattributed exception. *)
-
 val run_recovering :
-  ?capture:string list ->
-  ?seed:int ->
-  ?datadir:string ->
-  ?ckpt_interval:float ->
-  ?max_recoveries:int ->
+  capture:string list ->
+  seed:int ->
+  datadir:string ->
+  ckpt_interval:float ->
+  max_recoveries:int ->
   machine:Mpisim.Machine.t ->
   nprocs:int ->
   Spmd.Ir.prog ->
   State.recovery
-(** {!run_result} wrapped in coordinated checkpoint/rollback over the
+(** Run the program on [nprocs] simulated processors of [machine];
+    [capture] names script variables whose final values are returned
+    for verification.  A failure on any rank yields [State.Partial]
+    instead of an unattributed exception.
+
+    The run is wrapped in coordinated checkpoint/rollback over the
     {!State} snapshot format: snapshots of every rank's state (locals,
     distributed blocks, RNG sequence numbers, program counter, output
     prefix) are committed by collective vote at top-level boundaries
@@ -49,7 +41,8 @@ val run_recovering :
     failure all ranks roll back to the newest snapshot common to every
     rank and replay deterministically — a recovered run is
     bit-identical to an undisturbed one — with exponential simulated
-    backoff, at most [max_recoveries] times (default 0 = no retries).
+    backoff, at most [max_recoveries] times.  With [ckpt_interval = 0]
+    and [max_recoveries = 0] the run is exactly one attempt.
     Each retry re-rolls the fault model's kill schedule.  Never hangs:
     every attempt either completes, or fails with a typed class within
     bounded virtual time. *)

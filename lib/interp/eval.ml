@@ -1166,7 +1166,7 @@ and exec_block fr (b : Ast.block) = List.iter (exec_stmt fr) b
 
 (* --- entry point --------------------------------------------------------- *)
 
-type captured =
+type captured = Runtime.Captured.t =
   | Cscalar of float
   | Cmat of int * int * float array
   | Cnd of int array * float array

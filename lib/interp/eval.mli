@@ -10,7 +10,7 @@ type value =
   | Nd of Runtime.Nd.t  (** rank >= 3; trailing two dims are the matrix cell *)
   | Str of string
 
-type captured =
+type captured = Runtime.Captured.t =
   | Cscalar of float
   | Cmat of int * int * float array
   | Cnd of int array * float array  (** dims, row-major data *)

@@ -125,7 +125,12 @@ let faults_of_spec spec : (faults, string) result =
             | "kill_time" -> setf (fun x -> { f with kill_time = x })
             | "kill_rank" -> (
                 match int_of_string_opt v with
-                | Some r -> Ok { f with kill_rank = r }
+                | Some r when r >= -1 -> Ok { f with kill_rank = r }
+                | Some r ->
+                    Error
+                      (Printf.sprintf
+                         "faults: kill_rank must be a rank or -1 (none), got %d"
+                         r)
                 | None -> Error (Printf.sprintf "faults: bad kill_rank '%s'" v))
             | _ -> Error (Printf.sprintf "faults: unknown key '%s'" k))
         | _ -> Error (Printf.sprintf "faults: expected key=value, got '%s'" kv))

@@ -84,48 +84,44 @@ exception Peer_failed of { rank : int; failed : int; at : float }
    the survivors never tried to talk to the victim. *)
 exception Rank_killed of { rank : int; at : float }
 
-type stats = {
+(* The run's counters live in the report itself: a run increments them
+   in place, and outside [Sim] the record is read-only ([private] in the
+   interface). *)
+type report = {
+  mutable makespan : float; (* max over per-rank clocks *)
+  per_rank_clock : float array;
   mutable messages : int;
   mutable bytes : int;
   mutable compute_time : float; (* summed over ranks *)
-  mutable drops : int;
-  mutable dups : int;
-  mutable delayed : int;
-  mutable stalls : int;
-  mutable retries : int;
-  mutable acks : int;
-  mutable kills : int;
-  mutable sched_picks : int;
+  mutable drops : int; (* messages the fault model destroyed *)
+  mutable dups : int; (* spurious duplicates it injected *)
+  mutable delayed : int; (* delay spikes it injected *)
+  mutable stalls : int; (* rank stalls it injected *)
+  mutable retries : int; (* retransmissions by the reliable layer *)
+  mutable acks : int; (* transport acknowledgements delivered *)
+  mutable kills : int; (* ranks the fault model permanently killed *)
+  mutable sched_picks : int; (* scheduling steps the event core executed *)
 }
 
-(* One tenant's share of a space-shared run; filled in by the
-   multi-tenant scheduler, never by [run] itself. *)
-type job_stat = {
-  job_name : string;
-  job_first_rank : int;
-  job_procs : int;
-  job_start : float;
-  job_finish : float;
-  job_messages : int;
-  job_bytes : int;
-}
-
-type report = {
-  makespan : float; (* max over per-rank clocks *)
-  per_rank_clock : float array;
-  jobs : job_stat list; (* per-tenant accounting (scheduler only) *)
-  messages : int;
-  bytes : int;
-  compute_time : float;
-  drops : int; (* messages the fault model destroyed *)
-  dups : int; (* spurious duplicates it injected *)
-  delayed : int; (* delay spikes it injected *)
-  stalls : int; (* rank stalls it injected *)
-  retries : int; (* retransmissions by the reliable layer *)
-  acks : int; (* transport acknowledgements delivered *)
-  kills : int; (* ranks the fault model permanently killed *)
-  sched_picks : int; (* scheduling steps the event core executed *)
-}
+(* The one report constructor: [clocks] are the per-rank clocks (shared,
+   not copied), the makespan is their max, and every counter but
+   [compute_time] starts at zero. *)
+let new_report ?(compute_time = 0.) clocks =
+  {
+    makespan = Array.fold_left Float.max 0. clocks;
+    per_rank_clock = clocks;
+    messages = 0;
+    bytes = 0;
+    compute_time;
+    drops = 0;
+    dups = 0;
+    delayed = 0;
+    stalls = 0;
+    retries = 0;
+    acks = 0;
+    kills = 0;
+    sched_picks = 0;
+  }
 
 exception Deadlock of string
 
@@ -156,7 +152,7 @@ type run_state = {
          (dst, src, tag) triple: the packed int key hashes to itself
          and allocates nothing on lookup. *)
   channel_free : busy Machine.Int_tbl.t; (* contention channel -> busy-until *)
-  stats : stats;
+  report : report; (* its [per_rank_clock] is [clocks] *)
   scratch : (int * int * int, int) Hashtbl.t array; (* per rank *)
   mutable fault_ix : int; (* fault-decision counter (the RNG index) *)
   death : float array; (* per-rank scheduled death time; infinity = never *)
@@ -230,7 +226,7 @@ let charge_compute st r t =
       let fin = Float.max st.clocks.(r) cpu_free.(cpu) +. t in
       st.clocks.(r) <- fin;
       cpu_free.(cpu) <- fin);
-  st.stats.compute_time <- st.stats.compute_time +. t
+  st.report.compute_time <- st.report.compute_time +. t
 
 let compute seconds =
   match !current with
@@ -262,7 +258,7 @@ let scratch () =
 
 let note_retry () =
   match !current with
-  | Some st -> st.stats.retries <- st.stats.retries + 1
+  | Some st -> st.report.retries <- st.report.retries + 1
   | None -> outside "note_retry"
 
 (* Has a matching message already arrived, in virtual time, at the
@@ -396,7 +392,7 @@ let deliver st ~src ~dst ~tag ?ack data =
   | Some f when f.Machine.stall > 0. && draw st f ~salt:salt_stall < f.Machine.stall
     ->
       st.clocks.(src) <- st.clocks.(src) +. f.Machine.stall_time;
-      st.stats.stalls <- st.stats.stalls + 1
+      st.report.stalls <- st.report.stalls + 1
   | _ -> ());
   (* the network sees physical endpoints: two ranks sharing a CPU talk
      over that machine's local link, not a remote one *)
@@ -413,7 +409,7 @@ let deliver st ~src ~dst ~tag ?ack data =
     match faults with
     | Some f when f.Machine.delay > 0. && draw st f ~salt:salt_delay < f.Machine.delay
       ->
-        st.stats.delayed <- st.stats.delayed + 1;
+        st.report.delayed <- st.report.delayed + 1;
         latency *. f.Machine.delay_factor
     | _ -> latency
   in
@@ -437,20 +433,20 @@ let deliver st ~src ~dst ~tag ?ack data =
   in
   let arrival = start +. latency +. ser in
   st.clocks.(src) <- st.clocks.(src) +. st.machine.Machine.send_overhead;
-  st.stats.messages <- st.stats.messages + 1;
-  st.stats.bytes <- st.stats.bytes + bytes;
+  st.report.messages <- st.report.messages + 1;
+  st.report.bytes <- st.report.bytes + bytes;
   let dropped =
     match faults with
     | Some f when f.Machine.drop > 0. -> draw st f ~salt:salt_drop < f.Machine.drop
     | _ -> false
   in
-  if dropped then st.stats.drops <- st.stats.drops + 1
+  if dropped then st.report.drops <- st.report.drops + 1
   else begin
     Queue.push (arrival, data) (mailbox st ~dst ~src ~tag);
     match faults with
     | Some f when f.Machine.dup > 0. && draw st f ~salt:salt_dup < f.Machine.dup
       ->
-        st.stats.dups <- st.stats.dups + 1;
+        st.report.dups <- st.report.dups + 1;
         Queue.push (arrival +. latency, copy_payload data) (mailbox st ~dst ~src ~tag)
     | _ -> ()
   end;
@@ -469,17 +465,17 @@ let deliver st ~src ~dst ~tag ?ack data =
         let ack_arrival =
           arrival +. back.Machine.latency +. (8. /. back.Machine.bandwidth)
         in
-        st.stats.messages <- st.stats.messages + 1;
-        st.stats.bytes <- st.stats.bytes + 8;
+        st.report.messages <- st.report.messages + 1;
+        st.report.bytes <- st.report.bytes + 8;
         let ack_dropped =
           match faults with
           | Some f when f.Machine.drop > 0. ->
               draw st f ~salt:salt_ack < f.Machine.drop
           | _ -> false
         in
-        if ack_dropped then st.stats.drops <- st.stats.drops + 1
+        if ack_dropped then st.report.drops <- st.report.drops + 1
         else begin
-          st.stats.acks <- st.stats.acks + 1;
+          st.report.acks <- st.report.acks + 1;
           Queue.push
             (ack_arrival, Ints [| seq |])
             (mailbox st ~dst:src ~src:dst ~tag:ack_tag)
@@ -664,27 +660,15 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
         in
         Some (cpu_of, Array.make cpus 0.)
   in
+  let clocks = Array.make nprocs 0. in
   let st =
     {
       machine;
       nprocs;
-      clocks = Array.make nprocs 0.;
+      clocks;
       mailboxes = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
       channel_free = Machine.Int_tbl.create 8;
-      stats =
-        {
-          messages = 0;
-          bytes = 0;
-          compute_time = 0.;
-          drops = 0;
-          dups = 0;
-          delayed = 0;
-          stalls = 0;
-          retries = 0;
-          acks = 0;
-          kills = 0;
-          sched_picks = 0;
-        };
+      report = new_report clocks;
       scratch = Array.init nprocs (fun _ -> Hashtbl.create 16);
       fault_ix = 0;
       death = death_schedule machine.Machine.faults ~nprocs ~attempt;
@@ -821,7 +805,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
     try
       while !finished < nprocs do
         let r = pick () in
-        st.stats.sched_picks <- st.stats.sched_picks + 1;
+        st.report.sched_picks <- st.report.sched_picks + 1;
         if r < 0 then begin
           let buf = Buffer.create 128 in
           Array.iteri
@@ -859,7 +843,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
           dead.(r) <- true;
           pending_start.(r) <- false;
           st.clocks.(r) <- Float.max st.clocks.(r) st.death.(r);
-          st.stats.kills <- st.stats.kills + 1;
+          st.report.kills <- st.report.kills + 1;
           states.(r) <- Finished;
           incr finished
         end
@@ -935,25 +919,8 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
              | None -> failwith "rank finished without result"))
     with e -> Error e
   in
-  let report =
-    {
-      makespan = Array.fold_left Float.max 0. st.clocks;
-      per_rank_clock = Array.copy st.clocks;
-      jobs = [];
-      messages = st.stats.messages;
-      bytes = st.stats.bytes;
-      compute_time = st.stats.compute_time;
-      drops = st.stats.drops;
-      dups = st.stats.dups;
-      delayed = st.stats.delayed;
-      stalls = st.stats.stalls;
-      retries = st.stats.retries;
-      acks = st.stats.acks;
-      kills = st.stats.kills;
-      sched_picks = st.stats.sched_picks;
-    }
-  in
-  (outcome, report)
+  st.report.makespan <- Array.fold_left Float.max 0. clocks;
+  (outcome, st.report)
 
 (* [run ~machine ~nprocs body] simulates [nprocs] SPMD ranks each
    executing [body rank]; returns their results and the timing report.

@@ -91,39 +91,34 @@ val scratch : unit -> (int * int * int, int) Hashtbl.t
 val note_retry : unit -> unit
 (** Count one retransmission in the run's report (reliable layer). *)
 
-type job_stat = {
-  job_name : string;
-  job_first_rank : int;  (** base of the contiguous rank block *)
-  job_procs : int;
-  job_start : float;  (** virtual time the block became available *)
-  job_finish : float;
-  job_messages : int;
-  job_bytes : int;
-}
-(** One tenant's share of a space-shared run.  [Sim.run] itself knows
-    nothing about jobs ([jobs = []]); the multi-tenant scheduler
-    aggregates its per-job sub-runs into one machine-level report with
-    these rows filled in. *)
-
-type report = {
-  makespan : float;  (** max over per-rank clocks *)
+type report = private {
+  mutable makespan : float;  (** max over per-rank clocks *)
   per_rank_clock : float array;
-  jobs : job_stat list;  (** per-tenant accounting (scheduler only) *)
-  messages : int;
-  bytes : int;
-  compute_time : float;  (** summed over ranks *)
-  drops : int;  (** messages the fault model destroyed *)
-  dups : int;  (** spurious duplicates it injected *)
-  delayed : int;  (** delay spikes it injected *)
-  stalls : int;  (** rank stalls it injected *)
-  retries : int;  (** retransmissions by the reliable layer *)
-  acks : int;  (** transport acknowledgements delivered *)
-  kills : int;  (** ranks the fault model permanently killed *)
-  sched_picks : int;
+  mutable messages : int;
+  mutable bytes : int;
+  mutable compute_time : float;  (** summed over ranks *)
+  mutable drops : int;  (** messages the fault model destroyed *)
+  mutable dups : int;  (** spurious duplicates it injected *)
+  mutable delayed : int;  (** delay spikes it injected *)
+  mutable stalls : int;  (** rank stalls it injected *)
+  mutable retries : int;  (** retransmissions by the reliable layer *)
+  mutable acks : int;  (** transport acknowledgements delivered *)
+  mutable kills : int;  (** ranks the fault model permanently killed *)
+  mutable sched_picks : int;
       (** scheduling steps (rank resumes + kill events) the
           discrete-event core executed; picks divided by wall-clock is
           the scheduler-throughput figure tracked in EXPERIMENTS.md *)
 }
+(** A run's timing and fault accounting.  A run increments the
+    counters in place; outside [Sim] the record is read-only, and
+    {!new_report} is the only way to build one. *)
+
+val new_report : ?compute_time:float -> float array -> report
+(** [new_report ?compute_time clocks]: [clocks] as the per-rank clocks
+    (not copied), their max as the makespan, [compute_time] (default 0)
+    and every other counter 0.  {!run} starts from one; a sequential
+    baseline reports its modeled time [t] as
+    [new_report ~compute_time:t [| t |]]. *)
 
 exception Deadlock of string
 (** Raised when every live rank is blocked on an empty mailbox; the

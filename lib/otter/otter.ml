@@ -113,9 +113,18 @@ module Config = struct
       ?(engine = default_engine) ?(seed = 42) ?(datadir = ".") ?(capture = [])
       ?(tol = 1e-9) ?(chaos = false) ?(ckpt_interval = 0.)
       ?(max_recoveries = 0) ?(layout = Runtime.Dmat.Lblock) () : t =
-    if nprocs < 1 then
-      invalid_arg
-        (Printf.sprintf "run: need at least one rank, got -p %d" nprocs);
+    let reject fmt = Printf.ksprintf invalid_arg fmt in
+    if nprocs < 1 then reject "run: need at least one rank, got -p %d" nprocs;
+    (* [not (x >= 0.)] also catches NaN. *)
+    if not (tol >= 0.) then reject "--tol must be non-negative, got %g" tol;
+    if not (ckpt_interval >= 0.) then
+      reject "--ckpt-interval must be non-negative, got %g" ckpt_interval;
+    if max_recoveries < 0 then
+      reject "--max-recoveries must be non-negative, got %d" max_recoveries;
+    (match machine.Mpisim.Machine.faults with
+    | Some { Mpisim.Machine.kill_rank = r; _ } when r >= nprocs ->
+        reject "--faults kill_rank=%d is not a rank of a -p %d run" r nprocs
+    | _ -> ());
     (* [chaos] is the one-flag shorthand for "survive the fault model":
        it fills in the recovery knobs the caller left at their
        defaults. *)
@@ -141,14 +150,19 @@ end
 
 let config = Config.make
 
-let interpret (cfg : Config.t) (fe : frontend) =
+(* The sequential baselines: the reference interpreter, priced by the
+   MATCOM cost model under [Ematcom] and by the interpreter's under any
+   other engine. *)
+let interpret_ast (cfg : Config.t) ast =
   let mode =
     match cfg.Config.engine with
     | Config.Ematcom -> Interp.Cost.Matcom
     | _ -> Interp.Cost.Interpreter
   in
   Interp.Eval.run ~capture:cfg.Config.capture ~seed:cfg.Config.seed
-    ~datadir:cfg.Config.datadir ~mode ~machine:cfg.Config.machine fe.fe_ast
+    ~datadir:cfg.Config.datadir ~mode ~machine:cfg.Config.machine ast
+
+let interpret cfg (fe : frontend) = interpret_ast cfg fe.fe_ast
 
 let dump_ir c = Spmd.Ir_pp.prog_to_string c.prog
 
@@ -229,84 +243,34 @@ let report (c : compiled) : string =
 
 (* --- execution ------------------------------------------------------------ *)
 
-(* A sequential baseline's outcome in the executor's structured shape: a
-   one-rank report whose makespan is the modeled sequential time. *)
-let outcome_of_interp (o : Interp.Eval.outcome) : Exec.State.outcome =
-  let report : Mpisim.Sim.report =
-    {
-      Mpisim.Sim.makespan = o.Interp.Eval.time;
-      per_rank_clock = [| o.Interp.Eval.time |];
-      jobs = [];
-      messages = 0;
-      bytes = 0;
-      compute_time = o.Interp.Eval.time;
-      drops = 0;
-      dups = 0;
-      delayed = 0;
-      stalls = 0;
-      retries = 0;
-      acks = 0;
-      kills = 0;
-      sched_picks = 0;
-    }
-  in
-  {
-    Exec.State.output = o.Interp.Eval.output;
-    captures =
-      List.map
-        (fun (name, c) ->
-          ( name,
-            match c with
-            | Interp.Eval.Cscalar x -> Exec.State.Cscalar x
-            | Interp.Eval.Cmat (r, cc, d) -> Exec.State.Cmat (r, cc, d)
-            | Interp.Eval.Cnd (dims, d) -> Exec.State.Cnd (dims, d) ))
-        o.Interp.Eval.captures;
-    lib_calls = 0;
-    report;
-  }
-
-let wrap_result (r : Exec.State.run_result) : Exec.State.recovery =
-  let report =
-    match r with
-    | Exec.State.Complete o -> o.Exec.State.report
-    | Exec.State.Partial p -> p.report
-  in
-  {
-    Exec.State.r_result = r;
-    r_attempts = 1;
-    r_gave_up = false;
-    r_reports = [ report ];
-    r_penalty = 0.;
-  }
-
 (* The one way to execute a compiled program: run it under [cfg]'s
    engine and return the recovery-shaped result (a clean run is one
-   attempt with no rollbacks).  The sequential baselines never fail
-   partially, so they always come back [Complete]. *)
+   attempt with no rollbacks). *)
 let run (cfg : Config.t) (c : compiled) : Exec.State.recovery =
-  let {
-    Config.machine;
-    nprocs;
-    engine;
-    seed;
-    datadir;
-    capture;
-    ckpt_interval;
-    max_recoveries;
-    layout;
-    tol = _;
-  } =
-    cfg
-  in
-  match engine with
+  match cfg.Config.engine with
   | Config.Einterp | Config.Ematcom ->
-      let mode =
-        if engine = Config.Ematcom then Interp.Cost.Matcom
-        else Interp.Cost.Interpreter
-      in
-      let o = Interp.Eval.run ~capture ~seed ~datadir ~mode ~machine c.ast in
-      wrap_result (Exec.State.Complete (outcome_of_interp o))
+      (* A sequential baseline never fails partially: one attempt whose
+         one-rank report carries the modeled sequential time. *)
+      let o = interpret_ast cfg c.ast in
+      let t = o.Interp.Eval.time in
+      let report = Mpisim.Sim.new_report ~compute_time:t [| t |] in
+      {
+        Exec.State.r_result =
+          Complete
+            {
+              output = o.Interp.Eval.output;
+              captures = o.Interp.Eval.captures;
+              lib_calls = 0;
+              report;
+            };
+        r_attempts = 1;
+        r_gave_up = false;
+        r_reports = [ report ];
+        r_penalty = 0.;
+      }
   | Config.Etcode ->
+      let { Config.machine; nprocs; seed; datadir; capture; layout; _ } = cfg in
+      let { Config.ckpt_interval; max_recoveries; _ } = cfg in
       (* The distribution policy is ambient state read at matrix
          creation: set it for the whole parallel run (checkpointed
          replays included) and restore it afterwards. *)
@@ -315,14 +279,8 @@ let run (cfg : Config.t) (c : compiled) : Exec.State.recovery =
       Fun.protect
         ~finally:(fun () -> Runtime.Dmat.default_layout := saved)
         (fun () ->
-          let recovering = ckpt_interval > 0. || max_recoveries > 0 in
-          if recovering then
-            Exec.Tcode.run_recovering ~capture ~seed ~datadir ~ckpt_interval
-              ~max_recoveries ~machine ~nprocs c.prog
-          else
-            wrap_result
-              (Exec.Tcode.run_result ~capture ~seed ~datadir ~machine ~nprocs
-                 c.prog))
+          Exec.Tcode.run_recovering ~capture ~seed ~datadir ~ckpt_interval
+            ~max_recoveries ~machine ~nprocs c.prog)
 
 (* The outcome of a recovery, or [Exec.State.Runtime_error] if the final
    attempt still failed — the raising entry point most callers want. *)
@@ -338,7 +296,7 @@ type mismatch = {
   detail : string;
 }
 
-let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.State.captured) :
+let compare_values ~tol (a : Exec.State.captured) (b : Exec.State.captured) :
     string option =
   let close x y =
     x = y (* covers equal infinities *)
@@ -347,44 +305,33 @@ let compare_values ~tol (a : Interp.Eval.captured) (b : Exec.State.captured) :
     let scale = Float.max 1. (Float.max (Float.abs x) (Float.abs y)) in
     Float.abs (x -. y) <= tol *. scale
   in
+  let first_bad d1 d2 =
+    let bad = ref None in
+    Array.iteri
+      (fun i x ->
+        if !bad = None && not (close x d2.(i)) then
+          bad := Some (Printf.sprintf "element %d: %g vs %g" i x d2.(i)))
+      d1;
+    !bad
+  in
   match (a, b) with
-  | Interp.Eval.Cscalar x, Exec.State.Cscalar y ->
+  | Cscalar x, Cscalar y
+  | Cscalar x, Cmat (1, 1, [| y |])
+  | Cmat (1, 1, [| x |]), Cscalar y
+  | Cscalar x, Cnd (_, [| y |])
+  | Cnd (_, [| x |]), Cscalar y ->
       if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cscalar x, Exec.State.Cmat (1, 1, [| y |]) ->
-      if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cmat (r1, c1, d1), Exec.State.Cmat (r2, c2, d2) ->
+  | Cmat (r1, c1, d1), Cmat (r2, c2, d2) ->
       if r1 <> r2 || c1 <> c2 then
         Some (Printf.sprintf "shape %dx%d vs %dx%d" r1 c1 r2 c2)
-      else begin
-        let bad = ref None in
-        Array.iteri
-          (fun i x ->
-            if !bad = None && not (close x d2.(i)) then
-              bad := Some (Printf.sprintf "element %d: %g vs %g" i x d2.(i)))
-          d1;
-        !bad
-      end
-  | Interp.Eval.Cmat (1, 1, [| x |]), Exec.State.Cscalar y ->
-      if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cnd (d1, a1), Exec.State.Cnd (d2, a2) ->
+      else first_bad d1 d2
+  | Cnd (d1, a1), Cnd (d2, a2) ->
       if d1 <> d2 then
         let show d =
           String.concat "x" (Array.to_list (Array.map string_of_int d))
         in
         Some (Printf.sprintf "dims %s vs %s" (show d1) (show d2))
-      else begin
-        let bad = ref None in
-        Array.iteri
-          (fun i x ->
-            if !bad = None && not (close x a2.(i)) then
-              bad := Some (Printf.sprintf "element %d: %g vs %g" i x a2.(i)))
-          a1;
-        !bad
-      end
-  | Interp.Eval.Cscalar x, Exec.State.Cnd (_, [| y |]) ->
-      if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
-  | Interp.Eval.Cnd (_, [| x |]), Exec.State.Cscalar y ->
-      if close x y then None else Some (Printf.sprintf "%g vs %g" x y)
+      else first_bad a1 a2
   | _ -> Some "rank mismatch"
 
 type verdict =
@@ -422,10 +369,7 @@ let verify (cfg : Config.t) (c : compiled) : verdict =
     match cfg.Config.capture with [] -> all_variables c | cs -> cs
   in
   let cfg = { cfg with Config.capture; engine = Config.Etcode } in
-  let ref_run =
-    Interp.Eval.run ~capture ~seed:cfg.Config.seed ~datadir:cfg.Config.datadir
-      ~mode:Interp.Cost.Interpreter ~machine:cfg.Config.machine c.ast
-  in
+  let ref_run = interpret_ast cfg c.ast in
   let rc = run cfg c in
   let recoveries = rc.Exec.State.r_attempts - 1 in
   match rc.Exec.State.r_result with

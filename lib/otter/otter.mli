@@ -144,14 +144,15 @@ val pass_table : Spmd.Pass.record list -> string
 
 val run : Config.t -> compiled -> Exec.State.recovery
 (** Execute the compiled program under [cfg].  The SPMD executor runs on
-    [cfg.nprocs] simulated processors of [cfg.machine], wrapped in the
-    coordinated checkpoint/rollback driver when
-    [cfg.ckpt_interval]/[cfg.max_recoveries] ask for it; the
-    sequential baseline engines ([Einterp]/[Ematcom]) run the
-    reference interpreter and present its result in the same shape (a
-    one-rank report whose makespan is the modeled sequential time).  A
-    clean run is one attempt with no rollbacks; a failing rank
-    surfaces as a structured [Partial], never an exception. *)
+    [cfg.nprocs] simulated processors of [cfg.machine], always through
+    {!Exec.Tcode.run_recovering}: with neither [cfg.ckpt_interval] nor
+    [cfg.max_recoveries] set that is exactly one attempt, and
+    [r_gave_up] stays [false].  The sequential baseline engines
+    ([Einterp]/[Ematcom]) run {!interpret} and present its result in
+    the same shape: one attempt whose one-rank report has makespan =
+    compute time = the modeled sequential time and every counter 0.  A
+    failing rank surfaces as a structured [Partial], never an
+    exception. *)
 
 val outcome_exn : Exec.State.recovery -> Exec.State.outcome
 (** The final outcome of a {!run}, raising {!Exec.State.Runtime_error}

@@ -8,10 +8,7 @@
 
    Each job simulates on its own private ranks ([Sim.run] nested per
    job), so tenants cannot exchange messages; what they share is the
-   machine's capacity, modeled by the block's availability time.  The
-   aggregate report sums traffic and fault counters across tenants and
-   carries one [Sim.job_stat] row per job, which is what the
-   throughput bench gates on. *)
+   machine's capacity, modeled by the block's availability time. *)
 
 module Sim = Mpisim.Sim
 module Machine = Mpisim.Machine
@@ -35,7 +32,6 @@ type schedule = {
   s_placements : placement list;
   s_makespan : float;
   s_throughput : float;
-  s_report : Sim.report;
 }
 
 let run ~machine ~procs (jobs : job list) : schedule =
@@ -83,44 +79,6 @@ let run ~machine ~procs (jobs : job list) : schedule =
   in
   let placements = List.map place jobs in
   let makespan = Array.fold_left Float.max 0. free in
-  let sum f =
-    List.fold_left (fun acc p -> acc + f p.p_report) 0 placements
-  in
-  let sumf f =
-    List.fold_left (fun acc p -> acc +. f p.p_report) 0. placements
-  in
-  let job_rows =
-    List.map
-      (fun p ->
-        {
-          Sim.job_name = p.p_name;
-          job_first_rank = p.p_first_rank;
-          job_procs = p.p_procs;
-          job_start = p.p_start;
-          job_finish = p.p_finish;
-          job_messages = p.p_report.Sim.messages;
-          job_bytes = p.p_report.Sim.bytes;
-        })
-      placements
-  in
-  let report =
-    {
-      Sim.makespan;
-      per_rank_clock = Array.copy free;
-      jobs = job_rows;
-      messages = sum (fun r -> r.Sim.messages);
-      bytes = sum (fun r -> r.Sim.bytes);
-      compute_time = sumf (fun r -> r.Sim.compute_time);
-      drops = sum (fun r -> r.Sim.drops);
-      dups = sum (fun r -> r.Sim.dups);
-      delayed = sum (fun r -> r.Sim.delayed);
-      stalls = sum (fun r -> r.Sim.stalls);
-      retries = sum (fun r -> r.Sim.retries);
-      acks = sum (fun r -> r.Sim.acks);
-      kills = sum (fun r -> r.Sim.kills);
-      sched_picks = sum (fun r -> r.Sim.sched_picks);
-    }
-  in
   let throughput =
     if makespan > 0. then float_of_int (List.length jobs) /. makespan else 0.
   in
@@ -128,7 +86,6 @@ let run ~machine ~procs (jobs : job list) : schedule =
     s_placements = placements;
     s_makespan = makespan;
     s_throughput = throughput;
-    s_report = report;
   }
 
 let table (s : schedule) : string =

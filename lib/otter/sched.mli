@@ -5,9 +5,9 @@
     earliest-available contiguous block (FIFO submission order, lowest
     base rank on ties), runs the job's script on its own ranks, and
     accounts the tenancy — who ran where, when, and what traffic it
-    generated — in a machine-level {!Mpisim.Sim.report} whose [jobs]
-    rows carry the per-tenant numbers.  Deterministic: the same job
-    list on the same machine always produces the same schedule. *)
+    generated — in one {!placement} per job, each carrying the job's own
+    {!Mpisim.Sim.report}.  Deterministic: the same job list on the same
+    machine always produces the same schedule. *)
 
 type job = {
   j_name : string;
@@ -30,9 +30,6 @@ type schedule = {
   s_placements : placement list;  (** submission order *)
   s_makespan : float;  (** when the last job finished *)
   s_throughput : float;  (** jobs per simulated second *)
-  s_report : Mpisim.Sim.report;
-      (** machine-level aggregate: summed traffic and fault counters,
-          final per-rank clocks, and one [jobs] row per tenant *)
 }
 
 val run : machine:Mpisim.Machine.t -> procs:int -> job list -> schedule

@@ -10,10 +10,7 @@ module Reliable = Mpisim.Reliable
 
 let t name f = Alcotest.test_case name `Quick f
 
-let faults spec =
-  match Machine.faults_of_spec spec with
-  | Ok f -> f
-  | Error msg -> Alcotest.failf "bad fault spec %S: %s" spec msg
+let faults = Testutil.faults
 
 (* A lossy variant of a machine, with or without the reliable layer. *)
 let faulty ?(reliable = true) spec m =
@@ -55,11 +52,18 @@ let test_spec_parser () =
       ("kill_time=-0.01", "kill_time");
       ("drop=nan", "drop");
       ("kill_window=inf", "kill_window");
+      ("kill_rank=-5", "kill_rank");
     ];
   (* the boundaries stay valid *)
   List.iter
     (fun spec -> ignore (faults spec))
-    [ "drop=0,dup=1"; "detect=0"; "stall=1,stall_time=0"; "kill=1,kill_window=0" ]
+    [
+      "drop=0,dup=1";
+      "detect=0";
+      "stall=1,stall_time=0";
+      "kill=1,kill_window=0";
+      "kill_rank=-1";
+    ]
 
 (* --- point-to-point under loss ------------------------------------------ *)
 

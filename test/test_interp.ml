@@ -89,6 +89,35 @@ let test_interpreter_dispatch_dominates_scalar_loops () =
   Alcotest.(check bool) "loops pay more interpretive overhead" true
     (ratio scalar_loop > 2. *. ratio vector_op)
 
+(* The sequential baselines come back in the executor's shape:
+   [Otter.interpret]'s output and captures, one attempt, and a one-rank
+   report whose makespan and compute time are the modeled time. *)
+let test_baselines_in_run_shape () =
+  let src = "v = 1:10;\ns = sum(v);\nfprintf('%g\\n', s);\n" in
+  List.iter
+    (fun engine ->
+      let cfg =
+        Otter.config ~engine ~machine:Mpisim.Machine.workstation ~nprocs:1
+          ~capture:[ "s"; "v" ] ()
+      in
+      let o = Otter.interpret cfg (Otter.compile_frontend src) in
+      let rc = Otter.run cfg (compile src) in
+      let r = Otter.outcome_exn rc and t = o.Interp.Eval.time in
+      let rep = r.Exec.State.report in
+      let name = Otter.Config.engine_name engine in
+      Alcotest.(check bool) (name ^ ": one attempt, one report") true
+        (rc.Exec.State.r_attempts = 1 && rc.Exec.State.r_reports = [ rep ]);
+      Alcotest.(check bool) (name ^ ": output and captures") true
+        (o.Interp.Eval.output = r.Exec.State.output
+        && o.Interp.Eval.captures = r.Exec.State.captures);
+      Alcotest.(check bool) (name ^ ": one rank, at the modeled time") true
+        (rep.Mpisim.Sim.makespan = t && rep.compute_time = t
+        && rep.per_rank_clock = [| t |]);
+      check Alcotest.int (name ^ ": counters") 0
+        (rep.messages + rep.bytes + rep.drops + rep.dups + rep.delayed
+       + rep.stalls + rep.retries + rep.acks + rep.kills + rep.sched_picks))
+    [ Otter.Config.Einterp; Otter.Config.Ematcom ]
+
 (* Differential testing: random element-wise scripts must agree between
    the interpreter and the 4-CPU compiled run. *)
 let gen_script : string QCheck.Gen.t =
@@ -228,6 +257,7 @@ let suite =
     t "cost model ordering" test_cost_model_ordering;
     t "interpretive overhead on scalar loops"
       test_interpreter_dispatch_dominates_scalar_loops;
+    t "baselines come back as a one-rank run" test_baselines_in_run_shape;
     Testutil.qtest ~count:120 "interpreter == compiled on random programs"
       (QCheck.make ~print:(fun s -> s) gen_script)
       differential_prop;

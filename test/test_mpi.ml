@@ -389,17 +389,6 @@ let test_scheduler () =
       Alcotest.(check bool) "wave 2 queued behind wave 1" true
         (t2 > 0. && t3 > 0.)
   | _ -> Alcotest.fail "unexpected placement");
-  (* aggregate accounting: the machine report sums the tenants *)
-  let sum f =
-    List.fold_left
-      (fun acc p -> acc + f p.Otter.Sched.p_report)
-      0 s.Otter.Sched.s_placements
-  in
-  check Alcotest.int "messages sum over tenants"
-    (sum (fun r -> r.Mpisim.Sim.messages))
-    s.Otter.Sched.s_report.Mpisim.Sim.messages;
-  check Alcotest.int "one job_stat row per tenant" 4
-    (List.length s.Otter.Sched.s_report.Mpisim.Sim.jobs);
   Alcotest.(check bool) "throughput positive" true
     (s.Otter.Sched.s_throughput > 0.);
   (* identical job lists schedule identically (determinism) *)

@@ -17,10 +17,7 @@ let t name f = Alcotest.test_case name `Quick f
 let machines =
   [ Machine.meiko_cs2; Machine.enterprise_smp; Machine.sparc20_cluster ]
 
-let faults spec =
-  match Machine.faults_of_spec spec with
-  | Ok f -> f
-  | Error e -> Alcotest.failf "bad fault spec: %s" e
+let faults = Testutil.faults
 
 (* A machine where one chosen rank is permanently killed early in the
    run, with the failure detector armed. *)
@@ -100,19 +97,26 @@ let recover_app key () =
 (* --- typed aborts: no hang, no wrong answer ----------------------------- *)
 
 (* Recovery disabled: the kill surfaces as a structured [Partial] with
-   a rank-failure class and the kill counted in the report. *)
+   a rank-failure class and the kill counted in the report, after
+   exactly one attempt that did not "give up" (nothing asked it to
+   recover).  Checkpoints alone, with no retry budget, do ask: the
+   same kill then gives up. *)
 let test_kill_without_recovery_is_typed () =
   let app =
     match Apps.Scripts.find "cg" with Some a -> a | None -> assert false
   in
   let c = Otter.compile (app.source 4) in
-  match
-    (Otter.run
-       (Otter.config ~capture:app.capture ~machine:(killer Machine.meiko_cs2)
-          ~nprocs:4 ())
-       c)
-      .Exec.State.r_result
-  with
+  let run ckpt_interval =
+    Otter.run
+      (Otter.config ~capture:app.capture ~ckpt_interval
+         ~machine:(killer Machine.meiko_cs2) ~nprocs:4 ())
+      c
+  in
+  let rc = run 0. in
+  Alcotest.(check int) "one attempt" 1 rc.Exec.State.r_attempts;
+  Alcotest.(check bool) "did not give up" false rc.Exec.State.r_gave_up;
+  Alcotest.(check int) "one report" 1 (List.length rc.Exec.State.r_reports);
+  (match rc.Exec.State.r_result with
   | Exec.State.Partial { kind; report; failed_rank; _ } ->
       Alcotest.(check bool)
         "rank-failure class" true
@@ -123,7 +127,12 @@ let test_kill_without_recovery_is_typed () =
       Alcotest.(check bool) "rank in range" true
         (failed_rank >= 0 && failed_rank < 4)
   | Exec.State.Complete _ ->
-      Alcotest.fail "a killed rank cannot complete without recovery"
+      Alcotest.fail "a killed rank cannot complete without recovery");
+  let rc = run 0.05 in
+  Alcotest.(check int) "checkpoints only: one attempt" 1
+    rc.Exec.State.r_attempts;
+  Alcotest.(check bool) "checkpoints only: gave up" true
+    rc.Exec.State.r_gave_up
 
 (* Every rank doomed on every attempt: the budget runs out and the
    driver gives up cleanly — [r_gave_up], still a recoverable class,

@@ -329,11 +329,6 @@ let test_dispatch_count_pinned () =
 
 (* --- chaos recovery ------------------------------------------------------ *)
 
-let faults spec =
-  match Machine.faults_of_spec spec with
-  | Ok f -> f
-  | Error e -> Alcotest.failf "bad fault spec: %s" e
-
 let killer ~at ~detect m =
   Machine.with_faults ~reliable:true
     ~faults:
@@ -422,6 +417,32 @@ let test_engine_names () =
   Alcotest.(check bool) "ir is not an engine" true
     (Otter.Config.engine_of_string "ir" = None)
 
+(* Bad numeric run settings are rejected up front, naming the flag. *)
+let config_rejects (what, flag, make) =
+  t ("config rejects " ^ what) (fun () ->
+      match make () with
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (msg ^ " names " ^ flag) true
+            (contains msg flag)
+      | (_ : Otter.Config.t) -> Alcotest.failf "%s must be rejected" what)
+
+let bad_configs =
+  [
+    ("tol -1", "--tol", fun () -> Otter.config ~tol:(-1.) ());
+    ("tol nan", "--tol", fun () -> Otter.config ~tol:nan ());
+    ("ckpt -1", "--ckpt", fun () -> Otter.config ~ckpt_interval:(-1.) ());
+    ("ckpt nan", "--ckpt", fun () -> Otter.config ~ckpt_interval:nan ());
+    ( "max-recoveries -2",
+      "--max-recoveries",
+      fun () -> Otter.config ~max_recoveries:(-2) () );
+    ( "kill_rank 9 at P=4",
+      "kill_rank=9",
+      fun () ->
+        let faults = faults "kill_rank=9" in
+        Otter.config ~machine:(Machine.with_faults ~faults Machine.meiko_cs2)
+          ~nprocs:4 () );
+  ]
+
 let suite =
   [
     t "golden decode: scalar flow" test_decode_scalar_flow;
@@ -447,3 +468,4 @@ let suite =
     t "captured values compare bitwise" test_captured_equal;
     t "engine names round-trip; ir is rejected" test_engine_names;
   ]
+  @ List.map config_rejects bad_configs

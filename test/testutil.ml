@@ -33,6 +33,12 @@ let find_up rel =
 
 let read_file = Fuzz.read_file
 
+(* The fault model of a spec that must parse. *)
+let faults spec =
+  match Mpisim.Machine.faults_of_spec spec with
+  | Ok f -> f
+  | Error msg -> Alcotest.failf "bad fault spec %S: %s" spec msg
+
 (* Run a script on [nprocs] simulated CPUs and return (output, captures). *)
 let run_parallel ?(machine = Mpisim.Machine.meiko_cs2) ?(nprocs = 4) ?capture src
     =
@@ -52,6 +58,8 @@ let run_interp ?capture src =
   in
   (o.Interp.Eval.output, o.Interp.Eval.captures)
 
+(* One captured scalar, from either engine (both return
+   [Runtime.Captured.t]). *)
 let vm_scalar captures name =
   match List.assoc_opt name captures with
   | Some (Exec.State.Cscalar f) -> f
@@ -63,51 +71,10 @@ let vm_scalar captures name =
         (Array.length dims)
   | None -> Alcotest.failf "%s: not captured" name
 
-let vm_matrix captures name =
-  match List.assoc_opt name captures with
-  | Some (Exec.State.Cmat (r, c, d)) -> (r, c, d)
-  | Some (Exec.State.Cscalar f) -> (1, 1, [| f |])
-  | Some (Exec.State.Cnd (dims, _)) ->
-      Alcotest.failf "%s: expected matrix, got rank-%d tensor" name
-        (Array.length dims)
-  | None -> Alcotest.failf "%s: not captured" name
-
-let vm_tensor captures name =
-  match List.assoc_opt name captures with
-  | Some (Exec.State.Cnd (dims, d)) -> (dims, d)
-  | Some _ -> Alcotest.failf "%s: expected tensor" name
-  | None -> Alcotest.failf "%s: not captured" name
-
-let interp_scalar captures name =
-  match List.assoc_opt name captures with
-  | Some (Interp.Eval.Cscalar f) -> f
-  | Some (Interp.Eval.Cmat (1, 1, [| f |])) -> f
-  | Some (Interp.Eval.Cmat (r, c, _)) ->
-      Alcotest.failf "%s: expected scalar, got %dx%d matrix" name r c
-  | Some (Interp.Eval.Cnd (dims, _)) ->
-      Alcotest.failf "%s: expected scalar, got rank-%d tensor" name
-        (Array.length dims)
-  | None -> Alcotest.failf "%s: not captured" name
-
-let interp_matrix captures name =
-  match List.assoc_opt name captures with
-  | Some (Interp.Eval.Cmat (r, c, d)) -> (r, c, d)
-  | Some (Interp.Eval.Cscalar f) -> (1, 1, [| f |])
-  | Some (Interp.Eval.Cnd (dims, _)) ->
-      Alcotest.failf "%s: expected matrix, got rank-%d tensor" name
-        (Array.length dims)
-  | None -> Alcotest.failf "%s: not captured" name
-
-let interp_tensor captures name =
-  match List.assoc_opt name captures with
-  | Some (Interp.Eval.Cnd (dims, d)) -> (dims, d)
-  | Some _ -> Alcotest.failf "%s: expected tensor" name
-  | None -> Alcotest.failf "%s: not captured" name
-
 (* Shorthand: evaluate a script in the interpreter and give one scalar. *)
 let interp_value src name =
   let _, caps = run_interp ~capture:[ name ] src in
-  interp_scalar caps name
+  vm_scalar caps name
 
 (* Shorthand: same on the 4-CPU simulated machine. *)
 let parallel_value ?(nprocs = 4) src name =
