@@ -298,14 +298,14 @@ let apply_placement machine ~nprocs:_ ~cpus ~map ~map_seed =
 
 (* One run configuration from the shared command-line flags: this is
    the only place otterc turns its knobs into an [Otter.Config.t]. *)
-let config_of_flags ?capture ?tol ~nprocs ~machine ~engine ~faults ~reliable
+let config_of_flags ?capture ?tol ?engine ~nprocs ~machine ~faults ~reliable
     ~chaos ~ckpt_interval ~max_recoveries ?(cpus = 0) ?(map = "block")
     ?(map_seed = 0) ?(dist = "block") () =
   let machine = apply_faults (get_machine machine) faults reliable in
   let machine = apply_placement machine ~nprocs ~cpus ~map ~map_seed in
   let layout = get_layout dist nprocs in
-  Otter.config ~machine ~nprocs ~engine:(get_engine engine) ?capture ?tol
-    ~chaos ~ckpt_interval ~max_recoveries ~layout ()
+  Otter.config ~machine ~nprocs ?engine:(Option.map get_engine engine)
+    ?capture ?tol ~chaos ~ckpt_interval ~max_recoveries ~layout ()
 
 let pp_fault_counters ppf (r : Mpisim.Sim.report) =
   Fmt.pf ppf
@@ -467,13 +467,12 @@ let dump_cmd =
 (* --- verify ---------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run input nprocs machine engine vars tol faults reliable chaos
-      ckpt_interval max_recoveries cpus map map_seed dist opt passes validate
-      dumps =
+  let run input nprocs machine vars tol faults reliable chaos ckpt_interval
+      max_recoveries cpus map map_seed dist opt passes validate dumps =
     handle_errors (fun () ->
         let c = compile_input input opt passes validate dumps in
         let cfg =
-          config_of_flags ~capture:vars ~tol ~nprocs ~machine ~engine ~faults
+          config_of_flags ~capture:vars ~tol ~nprocs ~machine ~faults
             ~reliable ~chaos ~ckpt_interval ~max_recoveries ~cpus ~map
             ~map_seed ~dist ()
         in
@@ -522,10 +521,10 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Check compiled results against the reference interpreter.")
-    Term.(const run $ input_arg $ procs_arg $ machine_arg $ engine_arg
-          $ vars_arg $ tol_arg $ faults_arg $ reliable_arg $ chaos_arg
-          $ ckpt_arg $ max_recoveries_arg $ cpus_arg $ map_arg $ map_seed_arg
-          $ dist_arg $ opt_arg $ passes_arg $ validate_arg $ dump_after_arg)
+    Term.(const run $ input_arg $ procs_arg $ machine_arg $ vars_arg $ tol_arg
+          $ faults_arg $ reliable_arg $ chaos_arg $ ckpt_arg
+          $ max_recoveries_arg $ cpus_arg $ map_arg $ map_seed_arg $ dist_arg
+          $ opt_arg $ passes_arg $ validate_arg $ dump_after_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
 

@@ -24,7 +24,6 @@ type value =
 
 exception Break_exc
 exception Continue_exc
-exception Return_exc
 
 (* --- dispatch throughput counter ------------------------------------------ *)
 
@@ -38,38 +37,6 @@ let dispatched = ref 0
 
 let truthy f = f <> 0.
 let of_bool b = if b then 1. else 0.
-
-let scalar_builtin name args =
-  match (name, args) with
-  | "abs", [ x ] -> Float.abs x
-  | "sqrt", [ x ] -> sqrt x
-  | "exp", [ x ] -> exp x
-  | "log", [ x ] -> log x
-  | "log10", [ x ] -> log10 x
-  | "log2", [ x ] -> log x /. log 2.
-  | "sin", [ x ] -> sin x
-  | "cos", [ x ] -> cos x
-  | "tan", [ x ] -> tan x
-  | "asin", [ x ] -> asin x
-  | "acos", [ x ] -> acos x
-  | "atan", [ x ] -> atan x
-  | "sinh", [ x ] -> sinh x
-  | "cosh", [ x ] -> cosh x
-  | "tanh", [ x ] -> tanh x
-  | "floor", [ x ] -> floor x
-  | "ceil", [ x ] -> ceil x
-  | "round", [ x ] -> Float.round x
-  | "fix", [ x ] -> Float.trunc x
-  | "sign", [ x ] -> if x > 0. then 1. else if x < 0. then -1. else 0.
-  | "double", [ x ] -> x
-  | "mod", [ a; b ] -> if b = 0. then a else a -. (b *. Float.floor (a /. b))
-  | "rem", [ a; b ] -> if b = 0. then a else Float.rem a b
-  | "atan2", [ a; b ] -> atan2 a b
-  | "hypot", [ a; b ] -> Float.hypot a b
-  | "pow", [ a; b ] | "power", [ a; b ] -> Float.pow a b
-  | "min", [ a; b ] -> Float.min a b
-  | "max", [ a; b ] -> Float.max a b
-  | _ -> error "unknown scalar builtin '%s'/%d" name (List.length args)
 
 let rkind_to_red = function
   | Ir.Rsum -> Ops.Rsum
@@ -333,17 +300,12 @@ let describe_failure = function
 
 (* --- the shared checkpoint format ----------------------------------------- *)
 
-(* Where execution resumes after a rollback: just before top-level
-   statement [i], or just before iteration [k] of the top-level loop at
-   statement [i].  A for loop also freezes its (start, step, stop)
-   bounds, which MATLAB fixes at loop entry and which the environment
-   at iteration [k] can no longer reproduce. *)
-type pc = Ptop of int | Ploop of int * int * (float * float * float) option
-
 type snapshot = {
   sn_boundary : int; (* which boundary (attempt-local counter) *)
-  sn_pc : pc;
-  sn_env : (string * value) array; (* deep copy of the rank's locals *)
+  sn_pc : int; (* the op to resume at *)
+  sn_tags : int array; (* the top frame by slot, hidden loop slots too *)
+  sn_sc : float array;
+  sn_vals : value array; (* deep copies of matrix, tensor, string slots *)
   sn_rand_calls : int; (* replicated RNG sequence number *)
   sn_calls : int; (* executed library calls so far *)
   sn_out : string; (* rank 0: the output prefix; "" elsewhere *)
@@ -375,18 +337,21 @@ type ck = {
    with [ck_next = 0], so the first boundary of every attempt commits:
    that re-establishes the restore point right after a rollback.
 
-   The executor supplies [mk_env] (a deep copy of its locals in
-   snapshot form) and bookkeeping counters; the vote, the slot rotation
-   and the snapshot layout live here. *)
-let at_boundary ck ~rk ~mk_env ~rand_calls ~calls ~out (pcv : pc) =
+   The executor supplies [save] (a copy of its top frame) and
+   bookkeeping counters; the vote, the slot rotation and the snapshot
+   layout live here. *)
+let at_boundary ck ~rk ~save ~rand_calls ~calls ~out pc =
   ck.ck_boundary <- ck.ck_boundary + 1;
   let want = Mpisim.Sim.time () >= ck.ck_next in
   if Mpisim.Coll.vote want then begin
+    let sn_tags, sn_sc, sn_vals = save () in
     let snap =
       {
         sn_boundary = ck.ck_boundary;
-        sn_pc = pcv;
-        sn_env = mk_env ();
+        sn_pc = pc;
+        sn_tags;
+        sn_sc;
+        sn_vals;
         sn_rand_calls = rand_calls;
         sn_calls = calls;
         sn_out = (if rk = 0 then Buffer.contents out else "");

@@ -255,8 +255,10 @@ let bin_code (op : Mlang.Ast.binop) =
   | Mlang.Ast.And | Mlang.Ast.Shortand -> 22
   | Mlang.Ast.Or | Mlang.Ast.Shortor -> 23
 
-(* (name, argc) -> fid, exactly the pairs [State.scalar_builtin]
-   accepts; anything else raises its error, but only when executed. *)
+(* (name, argc) -> fid: the reference interpreter's scalar builtins
+   ([Interp.Eval.scalar_fun1]/[scalar_fun2]), plus [pow], the builtin
+   table's C name for [power]; anything else raises its error, but only
+   when executed. *)
 let builtin_fid name argc =
   match (name, argc) with
   | "abs", 1 -> 0
@@ -377,8 +379,9 @@ let slot dc name =
       s
 
 (* Hidden slots carry decoded loop state (iteration counter, frozen
-   bounds): unnamed, so they are invisible to checkpoint snapshots, and
-   frame-resident, so recursive calls cannot clobber each other. *)
+   bounds): unnamed, and frame-resident, so recursive calls cannot
+   clobber each other and a checkpoint snapshot of the top frame
+   freezes a top-level for loop's bounds with it. *)
 let hidden_slot dc =
   let s = dc.nslots in
   dc.nslots <- s + 1;
@@ -835,8 +838,8 @@ let finish cb = { c_ops = Array.sub cb.arr 0 cb.len; c_len = cb.len }
 (* The dispatch loop.  Every pc an op returns is either an emitted
    index (>= 0, < len) or the code length (fall off the end), so the
    loop condition is the only bounds check needed. *)
-let run_code (c : code) fr =
-  let pc = ref 0 in
+let run_code ?(from = 0) (c : code) fr =
+  let pc = ref from in
   let n = ref 0 in
   let stop = c.c_len in
   let ops = c.c_ops in
@@ -1220,14 +1223,37 @@ type dfused = DFsum of int | DFmean of int | DFdot of int * int | DFnorm of int
 
 type dprintf = DPstr of string | DPcexpr of cexpr
 
+(* --- checkpoint boundaries ---------------------------------------------------- *)
+
+(* A boundary op votes on a snapshot (see [State.at_boundary]) and
+   falls through.  The snapshot is the top frame copied by slot —
+   hidden loop slots included, so a top-level for loop's frozen bounds
+   and counter come back with it — plus [resume], the pc a replay
+   starts from. *)
+let checkpoint cb (ck : State.ck) ~resume =
+  let save fr () =
+    ( Array.copy fr.tags,
+      Array.copy fr.sc,
+      Array.mapi
+        (fun i v -> if fr.tags.(i) >= t_mat then State.copy_value v else novalue)
+        fr.vals )
+  in
+  op1 cb "checkpoint" (fun fr ->
+      let st = fr.st in
+      st.tix.(st.rk) <- 1 (* checkpoint vote *);
+      State.at_boundary ck ~rk:st.rk ~save:(save fr) ~rand_calls:st.rand_calls
+        ~calls:!(st.calls) ~out:st.out resume)
+
 (* --- the instruction decoder --------------------------------------------------- *)
 
 (* [lp] is the enclosing decoded loop's (break, continue) jump targets,
-   [fend] the enclosing function's end target for [return].  At sites
-   where neither applies, break/continue/return fall back to the
-   [State] control exceptions, which user-call ops re-convert to
-   jumps — so a break inside a callee exits the caller's loop. *)
-let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
+   [fend] the end target of the enclosing function or script for
+   [return].  Outside any decoded loop, break/continue fall back to the
+   [State] control exceptions, which user-call ops re-convert to jumps
+   — so a break inside a callee exits the caller's loop.  [ck], given
+   for a top-level loop under checkpointing, puts a boundary op at the
+   top of every iteration. *)
+let rec decode_inst ?ck dc cb ~lp ~fend (i : Ir.inst) =
   let tid = tid_of_inst i in
   match i with
   | Ir.Iscalar (v, Ir.Sstr s) ->
@@ -1595,6 +1621,8 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
         (emit cb "while cond" (fun ix ->
              let nx = ix + 1 in
              fun fr -> if truthy (eval_cexpr fr r) then nx else !endt));
+      (* a replay re-tests the condition, paying for it again *)
+      Option.iter (fun ck -> checkpoint cb ck ~resume:ltop) ck;
       let cont = ref ltop in
       decode_block dc cb ~lp:(Some (endt, cont)) ~fend blk;
       ignore (emit cb "jump while" (fun _ _ -> ltop));
@@ -1639,6 +1667,7 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
              let nx = ix + 1 in
              fun fr -> if iter_test fr then nx else !endt));
       let body = cb.len in
+      Option.iter (fun ck -> checkpoint cb ck ~resume:body) ck;
       let cont = ref (-1) in
       decode_block dc cb ~lp:(Some (endt, cont)) ~fend blk;
       cont := cb.len;
@@ -1734,14 +1763,11 @@ let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
                  !ct))
       | None ->
           plain cb "continue (stray)" tid (fun _ -> raise State.Continue_exc))
-  | Ir.Ireturn -> (
-      match fend with
-      | Some t ->
-          ignore
-            (emit cb "return" (fun _ fr ->
-                 fr.st.tix.(fr.st.rk) <- tid;
-                 !t))
-      | None -> plain cb "return (top)" tid (fun _ -> raise State.Return_exc))
+  | Ir.Ireturn ->
+      ignore
+        (emit cb "return" (fun _ fr ->
+             fr.st.tix.(fr.st.rk) <- tid;
+             !fend))
 
 and decode_block dc cb ~lp ~fend (b : Ir.block) =
   List.iter (decode_inst dc cb ~lp ~fend) b
@@ -1776,7 +1802,7 @@ and decode_func dc (f : Ir.func) =
   let rets = List.map (fun (r, _) -> (slot fdc r, r)) f.Ir.f_rets in
   let cb = newbuf fdc.lst in
   let fend = ref 0 in
-  decode_block fdc cb ~lp:None ~fend:(Some fend) f.Ir.f_body;
+  decode_block fdc cb ~lp:None ~fend f.Ir.f_body;
   fend := cb.len;
   let fe =
     {
@@ -1813,7 +1839,7 @@ and exec_call_t dc fr fname nargs (dargs : darg list) (ret_slots : int list) =
           | Vnd t -> setnd cfr pslot (Ndarr.copy t)
           | v -> setv cfr pslot v))
     fe.fe_params dargs;
-  (try run_code fe.fe_code cfr with State.Return_exc -> ());
+  run_code fe.fe_code cfr;
   List.iter2
     (fun r (rv, rname) ->
       if cfr.tags.(rv) = t_undef then
@@ -1823,33 +1849,19 @@ and exec_call_t dc fr fname nargs (dargs : darg list) (ret_slots : int list) =
 
 (* --- whole-program decode ---------------------------------------------------- *)
 
-(* With checkpointing off the whole body flattens into one code array
-   (fastest).  With checkpointing on, the top level stays structured so
-   checkpoint boundaries land before every top-level statement and at
-   the top of every iteration of a top-level loop, with [Ptop]/[Ploop]
-   program counters and for-loop bound freezing (see [State]). *)
-type unit_t =
-  | Ustmt of code
-  | Ufor of {
-      uvslot : int;
-      ustart : cexpr;
-      ustep : cexpr option;
-      ustop : cexpr;
-      ubody : code;
-    }
-  | Uwhile of { ucond : cexpr; ubody : code }
-
-type top = Flat of code | Structured of unit_t array
-
+(* The script decodes into one code array.  With checkpointing on
+   ([ckpt]), boundary ops land before every top-level statement and at
+   the top of every iteration of a top-level loop: top-level control
+   flow is replicated on every rank, so each is a consistent cut. *)
 type decoded = {
-  d_top : top;
+  d_code : code;
   d_slot_of : (string, int) Hashtbl.t;
   d_nslots : int;
   d_names : string array;
   d_stack : int;
 }
 
-let decode (prog : Ir.prog) ~structured ~lst : decoded =
+let decode (prog : Ir.prog) ~ckpt ~lst : decoded =
   let funcs = Hashtbl.create 8 in
   List.iter
     (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.f_name f)
@@ -1865,46 +1877,27 @@ let decode (prog : Ir.prog) ~structured ~lst : decoded =
       lst;
     }
   in
-  (* intern the declared variables first: stable slot numbering, and
-     snapshot restore can find every name *)
+  (* intern the declared variables first: stable slot numbering *)
   List.iter (fun (v, _) -> ignore (slot dc v)) prog.Ir.p_vars;
-  let top =
-    if structured then
-      Structured
-        (Array.of_list
-           (List.map
-              (fun st ->
-                match st with
-                | Ir.Ifor (v, start, step, stop, blk) ->
-                    let uvslot = slot dc v in
-                    let ustart = compile_sexpr dc start in
-                    let ustep = Option.map (compile_sexpr dc) step in
-                    let ustop = compile_sexpr dc stop in
-                    let cb = newbuf lst in
-                    decode_block dc cb ~lp:None ~fend:None blk;
-                    Ufor { uvslot; ustart; ustep; ustop; ubody = finish cb }
-                | Ir.Iwhile (c, blk) ->
-                    let ucond = compile_sexpr dc c in
-                    let cb = newbuf lst in
-                    decode_block dc cb ~lp:None ~fend:None blk;
-                    Uwhile { ucond; ubody = finish cb }
-                | inst ->
-                    let cb = newbuf lst in
-                    decode_inst dc cb ~lp:None ~fend:None inst;
-                    Ustmt (finish cb))
-              prog.Ir.p_body))
-    else begin
-      let cb = newbuf lst in
-      decode_block dc cb ~lp:None ~fend:None prog.Ir.p_body;
-      Flat (finish cb)
-    end
-  in
+  let cb = newbuf lst in
+  let fend = ref 0 in
+  List.iter
+    (fun inst ->
+      match (ckpt, inst) with
+      | None, _ -> decode_inst dc cb ~lp:None ~fend inst
+      | Some ck, (Ir.Ifor _ | Ir.Iwhile _) ->
+          decode_inst ~ck dc cb ~lp:None ~fend inst
+      | Some ck, _ ->
+          checkpoint cb ck ~resume:cb.len;
+          decode_inst dc cb ~lp:None ~fend inst)
+    prog.Ir.p_body;
+  fend := cb.len;
   (* a listing run forces every function so the output is complete *)
   (match lst with
   | Some _ -> List.iter (fun (f : Ir.func) -> ignore (decode_func dc f)) prog.Ir.p_funcs
   | None -> ());
   {
-    d_top = top;
+    d_code = finish cb;
     d_slot_of = dc.slot_of;
     d_nslots = dc.nslots;
     d_names = frame_names dc;
@@ -1914,91 +1907,8 @@ let decode (prog : Ir.prog) ~structured ~lst : decoded =
 let listing (prog : Ir.prog) : string =
   let b = Buffer.create 1024 in
   Buffer.add_string b "main:\n";
-  ignore (decode prog ~structured:false ~lst:(Some b));
+  ignore (decode prog ~ckpt:None ~lst:(Some b));
   Buffer.contents b
-
-(* --- checkpointing ------------------------------------------------------------ *)
-
-(* Snapshots are name-keyed (the [State] format): named, defined slots
-   only — hidden loop slots are engine state, not program state, and
-   are re-derived on replay. *)
-let env_of_frame (fr : frame) =
-  let acc = ref [] in
-  for i = Array.length fr.names - 1 downto 0 do
-    if fr.names.(i) <> "" && fr.tags.(i) <> t_undef then
-      acc := (fr.names.(i), State.copy_value (getv fr i)) :: !acc
-  done;
-  Array.of_list !acc
-
-let restore_frame (d : decoded) fr (saved : (string * value) array) =
-  Array.fill fr.tags 0 (Array.length fr.tags) t_undef;
-  Array.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt d.d_slot_of k with
-      | Some s -> setv fr s (State.copy_value v)
-      | None -> ())
-    saved
-
-let at_boundary fr (ck : State.ck) pcv =
-  fr.st.tix.(fr.st.rk) <- 1 (* checkpoint vote *);
-  State.at_boundary ck ~rk:fr.st.rk
-    ~mk_env:(fun () -> env_of_frame fr)
-    ~rand_calls:fr.st.rand_calls ~calls:!(fr.st.calls) ~out:fr.st.out pcv
-
-(* Structured top-level execution with checkpoint boundaries. *)
-let exec_top fr ck resume (units : unit_t array) =
-  let start_i, initial_loop =
-    match resume with
-    | None -> (0, None)
-    | Some (State.Ptop i) -> (i, None)
-    | Some (State.Ploop (i, k, bounds)) -> (i, Some (k, bounds))
-  in
-  let loop_resume = ref initial_loop in
-  for i = start_i to Array.length units - 1 do
-    match units.(i) with
-    | Ufor { uvslot; ustart; ustep; ustop; ubody } ->
-        let k0, (start, step, stop) =
-          match !loop_resume with
-          | Some (k, Some bounds) -> (k, bounds)
-          | _ ->
-              let start = eval_cexpr fr ustart in
-              let step =
-                match ustep with Some s -> eval_cexpr fr s | None -> 1.
-              in
-              let stop = eval_cexpr fr ustop in
-              (0, (start, step, stop))
-        in
-        loop_resume := None;
-        (try
-           let k = ref k0 in
-           let continue_loop () =
-             let x = start +. (float_of_int !k *. step) in
-             if step >= 0. then x <= stop +. 1e-12 else x >= stop -. 1e-12
-           in
-           while continue_loop () do
-             at_boundary fr ck (State.Ploop (i, !k, Some (start, step, stop)));
-             let x = start +. (float_of_int !k *. step) in
-             sets fr uvslot x;
-             (try run_code ubody fr with State.Continue_exc -> ());
-             incr k
-           done
-         with State.Break_exc -> ())
-    | Uwhile { ucond; ubody } ->
-        let k0 = match !loop_resume with Some (k, None) -> k | _ -> 0 in
-        loop_resume := None;
-        (try
-           let k = ref k0 in
-           while truthy (eval_cexpr fr ucond) do
-             at_boundary fr ck (State.Ploop (i, !k, None));
-             (try run_code ubody fr with State.Continue_exc -> ());
-             incr k
-           done
-         with State.Break_exc -> ())
-    | Ustmt c ->
-        loop_resume := None;
-        at_boundary fr ck (State.Ptop i);
-        run_code c fr
-  done
 
 (* --- entry points -------------------------------------------------------------- *)
 
@@ -2012,40 +1922,43 @@ let attempt ~capture ~seed ~datadir ~machine ~nprocs ~ckpt_interval
   | None -> ());
   let tix = Array.make nprocs 0 (* "startup" *) in
   Array.fill slots 0 nprocs [];
-  let structured = ckpt_interval > 0. in
   let outcome, report =
     Mpisim.Sim.run_report ~attempt:att ~machine ~nprocs (fun rank ->
         let st =
           { out; rand_calls = 0; calls = ref 0; seed; datadir; rk = rank; tix }
         in
-        (* decode per rank: preallocated operand buffers may be live
-           across a communication suspension, so they are rank-private *)
-        let d = decode prog ~structured ~lst:None in
-        let fr =
-          mk_frame ~nslots:d.d_nslots ~names:d.d_names ~stack:d.d_stack st
-        in
-        let resume =
-          match restore with
-          | None -> None
-          | Some snaps ->
-              let s = snaps.(rank) in
-              restore_frame d fr s.State.sn_env;
-              st.rand_calls <- s.State.sn_rand_calls;
-              st.calls := s.State.sn_calls;
-              Some s.State.sn_pc
-        in
-        (match d.d_top with
-        | Structured units ->
-            let ck =
+        let ckpt =
+          if ckpt_interval > 0. then
+            Some
               {
                 State.ck_interval = ckpt_interval;
                 ck_slots = slots;
                 ck_next = 0.;
                 ck_boundary = 0;
               }
-            in
-            exec_top fr ck resume units
-        | Flat c -> run_code c fr);
+          else None
+        in
+        (* decode per rank: preallocated operand buffers may be live
+           across a communication suspension, so they are rank-private *)
+        let d = decode prog ~ckpt ~lst:None in
+        let fr =
+          mk_frame ~nslots:d.d_nslots ~names:d.d_names ~stack:d.d_stack st
+        in
+        let from =
+          match restore with
+          | None -> 0
+          | Some snaps ->
+              let s = snaps.(rank) in
+              Array.blit s.State.sn_tags 0 fr.tags 0 d.d_nslots;
+              Array.blit s.State.sn_sc 0 fr.sc 0 d.d_nslots;
+              Array.iteri
+                (fun i v -> fr.vals.(i) <- State.copy_value v)
+                s.State.sn_vals;
+              st.rand_calls <- s.State.sn_rand_calls;
+              st.calls := s.State.sn_calls;
+              s.State.sn_pc
+        in
+        run_code d.d_code fr ~from;
         let caps =
           List.filter_map
             (fun name ->

@@ -12,10 +12,10 @@
     {!State}. *)
 
 val listing : Spmd.Ir.prog -> string
-(** Decode the program (flat mode, plus every user function) and return
-    a human-readable listing of the emitted ops — one line per decoded
-    op, with resolved pc addresses.  Executes nothing; used by the
-    golden decode tests. *)
+(** Decode the program (without checkpoint ops) and every user
+    function, and return a human-readable listing of the emitted ops —
+    one line per decoded op, with resolved pc addresses.  Executes
+    nothing; used by the golden decode tests. *)
 
 val run_recovering :
   capture:string list ->
@@ -33,11 +33,13 @@ val run_recovering :
     instead of an unattributed exception.
 
     The run is wrapped in coordinated checkpoint/rollback over the
-    {!State} snapshot format: snapshots of every rank's state (locals,
-    distributed blocks, RNG sequence numbers, program counter, output
-    prefix) are committed by collective vote at top-level boundaries
-    roughly every [ckpt_interval] simulated seconds (0 = never: a
-    failure replays from program start).  On a {!State.recoverable}
+    {!State} snapshot format: snapshots of every rank's state (a slot
+    copy of the top frame, deep-copying distributed blocks, plus RNG
+    sequence numbers, the resume pc and the output prefix) are
+    committed by collective vote at the checkpoint ops before each
+    top-level statement and loop iteration, roughly every
+    [ckpt_interval] simulated seconds (0 = never: no checkpoint ops,
+    and a failure replays from program start).  On a {!State.recoverable}
     failure all ranks roll back to the newest snapshot common to every
     rank and replay deterministically — a recovered run is
     bit-identical to an undisturbed one — with exponential simulated

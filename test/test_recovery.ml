@@ -340,6 +340,94 @@ let test_chaos_corpus () =
               Alcotest.failf "%s: did not recover: %s" f detail)
         files
 
+(* --- recovered runs resume mid-loop: modeled numbers pinned ------------- *)
+
+(* A checkpoint every 0.5 ms and a kill late in the run put the restore
+   point after several boundaries: iteration 3 of the top-level loop in
+   loop_rand_reduce.m and while_boundary.m, iteration 16 in CG, and
+   program start in shift_after_kill.m (no loop, one early commit).
+   Comparing outputs alone cannot catch a replay that does a little
+   too much or too little work, so the final attempt's modeled numbers
+   and the backoff penalty are pinned to goldens: a resume that skipped
+   a while loop's condition test, or re-derived a for loop's bounds,
+   would move compute time or the makespan.  Each entry: (script,
+   kill time, (makespan, compute time, messages, scheduler picks)). *)
+let mid_loop_goldens =
+  [
+    ( "loop_rand_reduce.m",
+      0.0058,
+      (0.013226359999999956, 0.0013942399999999952, 880, 1324) );
+    ( "shift_after_kill.m",
+      0.0008,
+      (0.0021834799999999981, 0.00048271999999999947, 144, 220) );
+    ( "while_boundary.m",
+      0.0023,
+      (0.0048181199999999874, 1.9679999999999873e-05, 336, 508) );
+    ("cg", 0.021, (0.038472960000000278, 0.0050710399999999434, 2584, 3880));
+  ]
+
+let test_mid_loop_resume_pinned () =
+  List.iter
+    (fun (name, at, (makespan, compute, messages, picks)) ->
+      let src =
+        if name = "cg" then
+          Some ((Option.get (Apps.Scripts.find "cg")).source 2)
+        else
+          Option.map
+            (fun dir -> Testutil.read_file (Filename.concat dir name))
+            (Lazy.force chaos_corpus_dir)
+      in
+      match src with
+      | None -> () (* sandboxed without sources *)
+      | Some src ->
+          let c = Otter.compile src in
+          let clean =
+            Otter.outcome_exn
+              (Otter.run
+                 (Otter.config ~machine:Machine.meiko_cs2 ~nprocs:4 ())
+                 c)
+          in
+          let rc =
+            Otter.run
+              (Otter.config ~ckpt_interval:0.0005 ~max_recoveries:3
+                 ~machine:(killer ~at ~detect:0.001 Machine.meiko_cs2)
+                 ~nprocs:4 ())
+              c
+          in
+          Alcotest.(check bool)
+            (name ^ ": rolled back") true
+            (rc.Exec.State.r_attempts >= 2);
+          (match rc.Exec.State.r_result with
+          | Exec.State.Complete out ->
+              Alcotest.(check string)
+                (name ^ ": bit-identical after recovery")
+                clean.Exec.State.output out.Exec.State.output
+          | Exec.State.Partial { detail; _ } ->
+              Alcotest.failf "%s: did not recover: %s" name detail);
+          let last = List.nth rc.r_reports (List.length rc.r_reports - 1) in
+          let exact what = Alcotest.(check (float 0.)) (name ^ ": " ^ what) in
+          exact "makespan" makespan last.Sim.makespan;
+          exact "compute time" compute last.Sim.compute_time;
+          Alcotest.(check int) (name ^ ": messages") messages last.Sim.messages;
+          Alcotest.(check int) (name ^ ": picks") picks last.Sim.sched_picks;
+          exact "penalty" Exec.State.backoff_base rc.Exec.State.r_penalty)
+    mid_loop_goldens
+
+(* A top-level [return] jumps past the script's last checkpoint op and
+   ends the run on every rank.  (Without checkpointing the fuzz corpus
+   replays the same script, test/corpus/fuzz/top_return.m.) *)
+let test_top_level_return () =
+  let c =
+    Otter.compile "x = 1;\ndisp(x);\nif x > 0, return; end\ndisp(2)\n"
+  in
+  match
+    (Otter.run (Otter.config ~ckpt_interval:0.0005 ~nprocs:4 ()) c)
+      .Exec.State.r_result
+  with
+  | Exec.State.Complete out ->
+      Alcotest.(check string) "output" "1\n" out.Exec.State.output
+  | Exec.State.Partial { detail; _ } -> Alcotest.failf "aborted: %s" detail
+
 let suite =
   [
     t "cg recovers bit-identically (3 machines, P=2/4/8)" (recover_app "cg");
@@ -358,4 +446,6 @@ let suite =
       test_recovery_is_seed_independent;
     QCheck_alcotest.to_alcotest reliable_exactly_once_prop;
     t "chaos corpus replays" test_chaos_corpus;
+    t "mid-loop resume: modeled numbers pinned" test_mid_loop_resume_pinned;
+    t "top-level return under checkpointing" test_top_level_return;
   ]
