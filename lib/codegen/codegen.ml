@@ -190,39 +190,36 @@ let rec emit_inst em (i : Spmd.Ir.inst) =
       em.indent <- em.indent - 2;
       line em "}"
   | Spmd.Ir.Icopy (d, s) -> line em "ML_copy(&%s, %s);" (mangle d) (mangle s)
-  | Spmd.Ir.Imatmul (d, a, b) ->
-      line em "ML_matrix_multiply(%s, %s, &%s);" (mangle a) (mangle b) (mangle d)
-  | Spmd.Ir.Imatmul_t (d, a, b) ->
-      line em "ML_matmul_t(%s, %s, &%s);" (mangle a) (mangle b) (mangle d)
-  | Spmd.Ir.Idot (d, a, b) ->
-      line em "%s = ML_dot(%s, %s);" (mangle d) (mangle a) (mangle b)
-  | Spmd.Ir.Itranspose (d, a) ->
-      line em "ML_transpose(%s, &%s);" (mangle a) (mangle d)
-  | Spmd.Ir.Idiag (d, a) -> line em "ML_diag(%s, &%s);" (mangle a) (mangle d)
-  | Spmd.Ir.Iouter (d, a, b) ->
-      line em "ML_outer(%s, %s, &%s);" (mangle a) (mangle b) (mangle d)
-  | Spmd.Ir.Ireduce_all (d, k, a) ->
-      line em "%s = ML_reduce_all(%s, %s);" (mangle d) (red_c k) (mangle a)
-  | Spmd.Ir.Ireduce_cols (d, k, a) ->
-      line em "ML_reduce_cols(%s, %s, &%s);" (red_c k) (mangle a) (mangle d)
-  | Spmd.Ir.Inorm (d, a) -> line em "%s = ML_norm(%s);" (mangle d) (mangle a)
-  | Spmd.Ir.Iscan (d, k, a) ->
-      line em "ML_cumulative(%s, %s, &%s);"
-        (match k with Spmd.Ir.Scumsum -> "0" | Spmd.Ir.Scumprod -> "1")
-        (mangle a) (mangle d)
+  | Spmd.Ir.Ilib { dst; fn; args } -> (
+      let d = mangle dst in
+      match (fn, List.map mangle args) with
+      | Spmd.Ir.Lmatmul, [ a; b ] ->
+          line em "ML_matrix_multiply(%s, %s, &%s);" a b d
+      | Spmd.Ir.Lmatmul_t, [ a; b ] -> line em "ML_matmul_t(%s, %s, &%s);" a b d
+      | Spmd.Ir.Ldot, [ a; b ] -> line em "%s = ML_dot(%s, %s);" d a b
+      | Spmd.Ir.Ltranspose, [ a ] -> line em "ML_transpose(%s, &%s);" a d
+      | Spmd.Ir.Ldiag, [ a ] -> line em "ML_diag(%s, &%s);" a d
+      | Spmd.Ir.Louter, [ a; b ] -> line em "ML_outer(%s, %s, &%s);" a b d
+      | Spmd.Ir.Lreduce_all k, [ a ] ->
+          line em "%s = ML_reduce_all(%s, %s);" d (red_c k) a
+      | Spmd.Ir.Lreduce_cols k, [ a ] ->
+          line em "ML_reduce_cols(%s, %s, &%s);" (red_c k) a d
+      | Spmd.Ir.Lnorm, [ a ] -> line em "%s = ML_norm(%s);" d a
+      | Spmd.Ir.Lscan k, [ a ] ->
+          line em "ML_cumulative(%s, %s, &%s);"
+            (match k with Spmd.Ir.Scumsum -> "0" | Spmd.Ir.Scumprod -> "1")
+            a d
+      | Spmd.Ir.Ltrapz, [ y ] -> line em "%s = ML_trapz(NULL, %s);" d y
+      | Spmd.Ir.Ltrapz, [ x; y ] -> line em "%s = ML_trapz(%s, %s);" d x y
+      | Spmd.Ir.Lshift k, [ a ] ->
+          line em "ML_circshift(%s, (int)(%s), &%s);" a (sexpr_c k) d
+      | _ -> failwith "codegen: bad library call arity")
   | Spmd.Ir.Isort { vdst; idst; arg } ->
       line em "ML_sort(%s, &%s, %s);" (mangle arg) (mangle vdst)
         (match idst with Some i -> "&" ^ mangle i | None -> "NULL")
   | Spmd.Ir.Ireduce_loc { vdst; idst; kind; arg } ->
       line em "%s = ML_reduce_index(%s, %s, &%s);" (mangle vdst) (red_c kind)
         (mangle arg) (mangle idst)
-  | Spmd.Ir.Itrapz (d, x, y) ->
-      line em "%s = ML_trapz(%s, %s);" (mangle d)
-        (match x with Some x -> mangle x | None -> "NULL")
-        (mangle y)
-  | Spmd.Ir.Ishift (d, s, k) ->
-      line em "ML_circshift(%s, (int)(%s), &%s);" (mangle s) (sexpr_c k)
-        (mangle d)
   | Spmd.Ir.Ibcast (d, m, [ i ]) ->
       line em "%s = ML_broadcast_linear(%s, (int)(%s) - 1);" (mangle d)
         (mangle m) (sexpr_c i)

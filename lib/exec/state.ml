@@ -66,20 +66,22 @@ let inst_name : Ir.inst -> string = function
   | Ir.Iscalar _ -> "scalar assignment"
   | Ir.Ielem _ -> "element-wise expression"
   | Ir.Icopy _ -> "matrix copy"
-  | Ir.Imatmul _ -> "matrix multiply"
-  | Ir.Imatmul_t _ -> "transposed matrix multiply"
-  | Ir.Idot _ -> "dot product"
-  | Ir.Itranspose _ -> "transpose"
-  | Ir.Idiag _ -> "diagonal"
-  | Ir.Iouter _ -> "outer product"
-  | Ir.Ireduce_all _ -> "full reduction"
-  | Ir.Ireduce_cols _ -> "column reduction"
-  | Ir.Inorm _ -> "norm"
-  | Ir.Iscan _ -> "cumulative scan"
+  | Ir.Ilib { fn; _ } -> (
+      match fn with
+      | Ir.Lmatmul -> "matrix multiply"
+      | Ir.Lmatmul_t -> "transposed matrix multiply"
+      | Ir.Ldot -> "dot product"
+      | Ir.Ltranspose -> "transpose"
+      | Ir.Ldiag -> "diagonal"
+      | Ir.Louter -> "outer product"
+      | Ir.Lreduce_all _ -> "full reduction"
+      | Ir.Lreduce_cols _ -> "column reduction"
+      | Ir.Lnorm -> "norm"
+      | Ir.Lscan _ -> "cumulative scan"
+      | Ir.Ltrapz -> "trapezoidal integration"
+      | Ir.Lshift _ -> "circular shift")
   | Ir.Isort _ -> "sort"
   | Ir.Ireduce_loc _ -> "indexed reduction"
-  | Ir.Itrapz _ -> "trapezoidal integration"
-  | Ir.Ishift _ -> "circular shift"
   | Ir.Ibcast _ -> "element broadcast"
   | Ir.Ibcast_batch _ -> "batched element broadcast"
   | Ir.Ireduce_fused _ -> "fused allreduce"

@@ -54,64 +54,21 @@ type rstate = {
 
 (* Failure attribution without per-instruction string writes: ops store
    a small int in [tix]; the name is only materialized if the rank
-   dies.  Ids 0 and 1 are the engine's own states, the rest mirror
-   [State.inst_name]. *)
-let trace_names =
-  [|
-    "startup";
-    "checkpoint vote";
-    "scalar assignment";
-    "element-wise expression";
-    "matrix copy";
-    "matrix multiply";
-    "transposed matrix multiply";
-    "dot product";
-    "transpose";
-    "diagonal";
-    "outer product";
-    "full reduction";
-    "column reduction";
-    "norm";
-    "cumulative scan";
-    "sort";
-    "indexed reduction";
-    "trapezoidal integration";
-    "circular shift";
-    "element broadcast";
-    "batched element broadcast";
-    "fused allreduce";
-    "element assignment";
-    "data file load";
-    "matrix constructor";
-    "matrix literal";
-    "section read";
-    "section assignment";
-    "matrix concatenation";
-    "user function call";
-    "print";
-    "formatted output";
-    "error statement";
-    "if statement";
-    "while loop";
-    "for loop";
-    "control transfer";
-    "MPI_Comm_rank";
-    "MPI_Comm_size";
-    "MPI_Send";
-    "MPI_Recv";
-    "MPI_Bcast";
-    "MPI_Probe";
-  |]
+   dies.  Ids 0 and 1 are the engine's own states; the decoder interns
+   every other [State.inst_name] on first use. *)
+let trace_names = ref [| "startup"; "checkpoint vote" |]
 
-let tid_of_name n =
-  let rec go i =
-    if i >= Array.length trace_names then 36 (* control transfer *)
-    else if trace_names.(i) = n then i
-    else go (i + 1)
-  in
-  go 0
+let trace_ids : (string, int) Hashtbl.t = Hashtbl.create 64
 
-let tid_of_inst i = tid_of_name (State.inst_name i)
+let tid_of_inst i =
+  let n = State.inst_name i in
+  match Hashtbl.find_opt trace_ids n with
+  | Some id -> id
+  | None ->
+      let id = Array.length !trace_names in
+      trace_names := Array.append !trace_names [| n |];
+      Hashtbl.add trace_ids n id;
+      id
 
 (* --- frames --------------------------------------------------------------- *)
 
@@ -1317,64 +1274,58 @@ let rec decode_inst ?ck dc cb ~lp ~fend (i : Ir.inst) =
               Mpisim.Sim.flops (float_of_int (Ndarr.local_len t));
               setnd fr ds (Ndarr.copy t)
           | v -> setv fr ds v)
-  | Ir.Imatmul (d, a, b) ->
-      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
-      lib cb (Printf.sprintf "matmul %s" d) tid (fun fr ->
-          setm fr ds (Ops.matmul (mat_of fr sa) (mat_of fr sb)))
-  | Ir.Imatmul_t (d, a, b) ->
-      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
-      lib cb (Printf.sprintf "matmul_t %s" d) tid (fun fr ->
-          setm fr ds (Ops.matmul_t (mat_of fr sa) (mat_of fr sb)))
-  | Ir.Idot (d, a, b) ->
-      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
-      lib cb (Printf.sprintf "dot %s" d) tid (fun fr ->
-          sets fr ds (Ops.dot (mat_of fr sa) (mat_of fr sb)))
-  | Ir.Itranspose (d, a) ->
-      let ds = slot dc d and sa = slot dc a in
-      lib cb (Printf.sprintf "transpose %s" d) tid (fun fr ->
-          setm fr ds (Ops.transpose (mat_of fr sa)))
-  | Ir.Idiag (d, a) ->
-      let ds = slot dc d and sa = slot dc a in
-      lib cb (Printf.sprintf "diag %s" d) tid (fun fr ->
-          setm fr ds (Ops.diag (mat_of fr sa)))
-  | Ir.Iouter (d, a, b) ->
-      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
-      lib cb (Printf.sprintf "outer %s" d) tid (fun fr ->
-          setm fr ds (Ops.outer (mat_of fr sa) (mat_of fr sb)))
-  | Ir.Ireduce_all (d, k, a) ->
-      let ds = slot dc d and sa = slot dc a in
-      let f =
-        match k with
-        | Ir.Rmean -> Ops.mean_all
-        | _ -> Ops.reduce_all (State.rkind_to_red k)
+  | Ir.Ilib { dst; fn; args } ->
+      (* the call is resolved here, once: the op runs one closure *)
+      let d = slot dc dst in
+      let mat1 f a fr = setm fr d (f (mat_of fr a)) in
+      let mat2 f a b fr = setm fr d (f (mat_of fr a) (mat_of fr b)) in
+      let sc1 f a fr = sets fr d (f (mat_of fr a)) in
+      let op, run =
+        match (fn, List.map (slot dc) args) with
+        | Ir.Lmatmul, [ a; b ] -> ("matmul", mat2 Ops.matmul a b)
+        | Ir.Lmatmul_t, [ a; b ] -> ("matmul_t", mat2 Ops.matmul_t a b)
+        | Ir.Louter, [ a; b ] -> ("outer", mat2 Ops.outer a b)
+        | Ir.Ldot, [ a; b ] ->
+            ("dot", fun fr -> sets fr d (Ops.dot (mat_of fr a) (mat_of fr b)))
+        | Ir.Ltranspose, [ a ] -> ("transpose", mat1 Ops.transpose a)
+        | Ir.Ldiag, [ a ] -> ("diag", mat1 Ops.diag a)
+        | Ir.Lnorm, [ a ] -> ("norm", sc1 Ops.norm2 a)
+        | Ir.Lreduce_all k, [ a ] ->
+            let f, fnd =
+              match k with
+              | Ir.Rmean -> (Ops.mean_all, Ops.nd_mean_all)
+              | _ ->
+                  let r = State.rkind_to_red k in
+                  (Ops.reduce_all r, Ops.nd_reduce_all r)
+            in
+            ( "reduce_all",
+              fun fr ->
+                match getv fr a with
+                | Vnd t -> sets fr d (fnd t)
+                | _ -> sets fr d (f (mat_of fr a)) )
+        | Ir.Lreduce_cols Ir.Rmean, [ a ] ->
+            ("reduce_cols", mat1 Ops.mean_cols a)
+        | Ir.Lreduce_cols k, [ a ] ->
+            ("reduce_cols", mat1 (Ops.reduce_cols (State.rkind_to_red k)) a)
+        | Ir.Lscan Ir.Scumsum, [ a ] ->
+            ("scan", mat1 (Ops.cumulative Ops.Cumsum) a)
+        | Ir.Lscan Ir.Scumprod, [ a ] ->
+            ("scan", mat1 (Ops.cumulative Ops.Cumprod) a)
+        | Ir.Ltrapz, [ y ] -> ("trapz", sc1 (Ops.trapz ?x:None) y)
+        | Ir.Ltrapz, [ x; y ] ->
+            ( "trapz",
+              fun fr ->
+                let x = mat_of fr x in
+                sets fr d (Ops.trapz ~x (mat_of fr y)) )
+        | Ir.Lshift k, [ a ] ->
+            let rk = compile_sexpr dc k in
+            ( "shift",
+              fun fr ->
+                let k = int_of_float (eval_cexpr fr rk) in
+                setm fr d (Ops.circshift (mat_of fr a) k) )
+        | _ -> invalid_arg "Tcode: library call with the wrong operand count"
       in
-      let fnd =
-        match k with
-        | Ir.Rmean -> Ops.nd_mean_all
-        | _ -> Ops.nd_reduce_all (State.rkind_to_red k)
-      in
-      lib cb (Printf.sprintf "reduce_all %s" d) tid (fun fr ->
-          match getv fr sa with
-          | Vnd t -> sets fr ds (fnd t)
-          | _ -> sets fr ds (f (mat_of fr sa)))
-  | Ir.Ireduce_cols (d, k, a) ->
-      let ds = slot dc d and sa = slot dc a in
-      let f =
-        match k with
-        | Ir.Rmean -> Ops.mean_cols
-        | _ -> Ops.reduce_cols (State.rkind_to_red k)
-      in
-      lib cb (Printf.sprintf "reduce_cols %s" d) tid (fun fr ->
-          setm fr ds (f (mat_of fr sa)))
-  | Ir.Inorm (d, a) ->
-      let ds = slot dc d and sa = slot dc a in
-      lib cb (Printf.sprintf "norm %s" d) tid (fun fr ->
-          sets fr ds (Ops.norm2 (mat_of fr sa)))
-  | Ir.Iscan (d, k, a) ->
-      let ds = slot dc d and sa = slot dc a in
-      let sk = match k with Ir.Scumsum -> Ops.Cumsum | Ir.Scumprod -> Ops.Cumprod in
-      lib cb (Printf.sprintf "scan %s" d) tid (fun fr ->
-          setm fr ds (Ops.cumulative sk (mat_of fr sa)))
+      lib cb (Printf.sprintf "%s %s" op dst) tid run
   | Ir.Isort { vdst; idst; arg } ->
       let vs = slot dc vdst and sa = slot dc arg in
       let is = Option.map (slot dc) idst in
@@ -1393,18 +1344,6 @@ let rec decode_inst ?ck dc cb ~lp ~fend (i : Ir.inst) =
           let v, ix = Ops.reduce_with_index op (mat_of fr sa) in
           sets fr vs v;
           sets fr is (float_of_int ix))
-  | Ir.Itrapz (d, x, y) ->
-      let ds = slot dc d and sy = slot dc y in
-      let sx = Option.map (slot dc) x in
-      lib cb (Printf.sprintf "trapz %s" d) tid (fun fr ->
-          let x = Option.map (mat_of fr) sx in
-          sets fr ds (Ops.trapz ?x (mat_of fr sy)))
-  | Ir.Ishift (d, s, k) ->
-      let ds = slot dc d and ss = slot dc s in
-      let rk = compile_sexpr dc k in
-      lib cb (Printf.sprintf "shift %s" d) tid (fun fr ->
-          let k = int_of_float (eval_cexpr fr rk) in
-          setm fr ds (Ops.circshift (mat_of fr ss) k))
   | Ir.Ibcast (d, m, idx) ->
       let ds = slot dc d and ms = slot dc m in
       let ridx = List.map (compile_sexpr dc) idx in
@@ -1996,7 +1935,7 @@ let attempt ~capture ~seed ~datadir ~machine ~nprocs ~ckpt_interval
         State.Partial
           {
             failed_rank = rank;
-            operation = trace_names.(tix.(rank));
+            operation = !trace_names.(tix.(rank));
             detail = State.describe_failure exn;
             kind = State.classify_failure exn;
             report;

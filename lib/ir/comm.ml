@@ -9,7 +9,7 @@
      norm) becomes a single [Ireduce_fused] vector allreduce carrying
      every slot's local partial at once;
    - transpose elimination: a transpose feeding a matrix multiply as
-     the left operand becomes [Imatmul_t], which skips the all-to-all
+     the left operand becomes [Lmatmul_t], which skips the all-to-all
      redistribution the transpose implies.  The transpose itself is
      dropped when it defined a single-use temporary.
 
@@ -30,7 +30,7 @@
 type stats = {
   mutable broadcasts_batched : int; (* Ibcast instructions coalesced *)
   mutable reductions_fused : int; (* reduction instructions coalesced *)
-  mutable matmuls_detransposed : int; (* Imatmul -> Imatmul_t rewrites *)
+  mutable matmuls_detransposed : int; (* Lmatmul -> Lmatmul_t rewrites *)
 }
 
 (* Pure and communication-free: safe to reorder against a collective
@@ -51,12 +51,15 @@ let is_local i =
    operands are excluded — the batched runtime entry points
    ([bcast_elems], [reduce_fused]) are matrix-only. *)
 let fused_of is_tensor = function
-  | Ir.Ireduce_all (d, Ir.Rsum, m) when not (is_tensor m) ->
-      Some (d, Ir.Fsum m)
-  | Ir.Ireduce_all (d, Ir.Rmean, m) when not (is_tensor m) ->
-      Some (d, Ir.Fmean m)
-  | Ir.Idot (d, a, b) -> Some (d, Ir.Fdot (a, b))
-  | Ir.Inorm (d, m) when not (is_tensor m) -> Some (d, Ir.Fnorm m)
+  | Ir.Ilib { dst; fn; args } -> (
+      match (fn, args) with
+      | Ir.Lreduce_all Ir.Rsum, [ m ] when not (is_tensor m) ->
+          Some (dst, Ir.Fsum m)
+      | Ir.Lreduce_all Ir.Rmean, [ m ] when not (is_tensor m) ->
+          Some (dst, Ir.Fmean m)
+      | Ir.Ldot, [ a; b ] -> Some (dst, Ir.Fdot (a, b))
+      | Ir.Lnorm, [ m ] when not (is_tensor m) -> Some (dst, Ir.Fnorm m)
+      | _ -> None)
   | _ -> None
 
 (* One collected run: slots in program order, locals hoisted before the
@@ -128,7 +131,8 @@ let scan (eligible : Ir.inst -> (Ir.var * 'a) option) (first : Ir.var * 'a)
 (* Look past locals that touch neither [t] nor [a] for the multiply
    consuming transpose [t] of [a] as its left operand. *)
 let rec find_matmul t a seen = function
-  | Ir.Imatmul (d, t', b) :: rest when t' = t && b <> t ->
+  | Ir.Ilib { dst = d; fn = Ir.Lmatmul; args = [ t'; b ] } :: rest
+    when t' = t && b <> t ->
       Some (d, b, List.rev seen, rest)
   | i :: rest
     when is_local i
@@ -154,11 +158,14 @@ let rec rewrite_block stats counts is_tensor (b : Ir.block) : Ir.block =
   in
   let rec go = function
     | [] -> []
-    | (Ir.Itranspose (t, a) as tr) :: rest when a <> t -> (
+    | (Ir.Ilib { dst = t; fn = Ir.Ltranspose; args = [ a ] } as tr) :: rest
+      when a <> t -> (
         match find_matmul t a [] rest with
         | Some (d, b, seen, rest') ->
             stats.matmuls_detransposed <- stats.matmuls_detransposed + 1;
-            let mm = Ir.Imatmul_t (d, a, b) in
+            let mm =
+              Ir.Ilib { dst = d; fn = Ir.Lmatmul_t; args = [ a; b ] }
+            in
             if Dataflow.is_temp t && Dataflow.uses counts t = 1 then
               seen @ (mm :: go rest')
             else

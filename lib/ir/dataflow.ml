@@ -128,20 +128,13 @@ let map_uses (f : string -> string) (i : Ir.inst) : Ir.inst =
   | Ir.Iscalar (d, s) -> Ir.Iscalar (d, map_sexpr f s)
   | Ir.Ielem e -> Ir.Ielem { e with model = f e.model; expr = map_eexpr f e.expr }
   | Ir.Icopy (d, s) -> Ir.Icopy (d, f s)
-  | Ir.Imatmul (d, a, b) -> Ir.Imatmul (d, f a, f b)
-  | Ir.Imatmul_t (d, a, b) -> Ir.Imatmul_t (d, f a, f b)
-  | Ir.Idot (d, a, b) -> Ir.Idot (d, f a, f b)
-  | Ir.Itranspose (d, a) -> Ir.Itranspose (d, f a)
-  | Ir.Idiag (d, a) -> Ir.Idiag (d, f a)
-  | Ir.Iouter (d, a, b) -> Ir.Iouter (d, f a, f b)
-  | Ir.Ireduce_all (d, k, a) -> Ir.Ireduce_all (d, k, f a)
-  | Ir.Ireduce_cols (d, k, a) -> Ir.Ireduce_cols (d, k, f a)
-  | Ir.Inorm (d, a) -> Ir.Inorm (d, f a)
-  | Ir.Iscan (d, k, a) -> Ir.Iscan (d, k, f a)
+  | Ir.Ilib l ->
+      let fn =
+        match l.fn with Ir.Lshift k -> Ir.Lshift (map_sexpr f k) | fn -> fn
+      in
+      Ir.Ilib { l with fn; args = List.map f l.args }
   | Ir.Isort s -> Ir.Isort { s with arg = f s.arg }
   | Ir.Ireduce_loc r -> Ir.Ireduce_loc { r with arg = f r.arg }
-  | Ir.Itrapz (d, x, y) -> Ir.Itrapz (d, Option.map f x, f y)
-  | Ir.Ishift (d, s, k) -> Ir.Ishift (d, f s, map_sexpr f k)
   | Ir.Ibcast (d, m, idx) -> Ir.Ibcast (d, f m, List.map (map_sexpr f) idx)
   | Ir.Ibcast_batch (items, m) ->
       Ir.Ibcast_batch

@@ -1,7 +1,7 @@
 (* Global redundancy elimination over pure run-time library calls.
 
-   A forward availability analysis: when a broadcast, transpose,
-   reduction, section or constructor has already been computed from
+   A forward availability analysis: when a broadcast, library call,
+   section or constructor has already been computed from
    operands nobody has since redefined, the later occurrence reuses the
    earlier destination (a local copy) instead of paying the
    communication again.  This subsumes the peephole pass's
@@ -23,17 +23,7 @@ module VSet = Dataflow.VSet
 let key_of (i : Ir.inst) : Ir.inst option =
   match i with
   | Ir.Ibcast (_, m, idx) -> Some (Ir.Ibcast ("", m, idx))
-  | Ir.Itranspose (_, a) -> Some (Ir.Itranspose ("", a))
-  | Ir.Idiag (_, a) -> Some (Ir.Idiag ("", a))
-  | Ir.Iouter (_, a, b) -> Some (Ir.Iouter ("", a, b))
-  | Ir.Imatmul (_, a, b) -> Some (Ir.Imatmul ("", a, b))
-  | Ir.Idot (_, a, b) -> Some (Ir.Idot ("", a, b))
-  | Ir.Ireduce_all (_, k, a) -> Some (Ir.Ireduce_all ("", k, a))
-  | Ir.Ireduce_cols (_, k, a) -> Some (Ir.Ireduce_cols ("", k, a))
-  | Ir.Inorm (_, a) -> Some (Ir.Inorm ("", a))
-  | Ir.Iscan (_, k, a) -> Some (Ir.Iscan ("", k, a))
-  | Ir.Itrapz (_, x, y) -> Some (Ir.Itrapz ("", x, y))
-  | Ir.Ishift (_, s, k) -> Some (Ir.Ishift ("", s, k))
+  | Ir.Ilib l -> Some (Ir.Ilib { l with dst = "" })
   | Ir.Iconstruct { kind = Ir.Crand | Ir.Crandn; _ } -> None
   | Ir.Iconstruct c -> Some (Ir.Iconstruct { c with dst = "" })
   | Ir.Iliteral l -> Some (Ir.Iliteral { l with dst = "" })
@@ -44,8 +34,8 @@ let key_of (i : Ir.inst) : Ir.inst option =
    reuse is a scalar assignment or a matrix copy. *)
 let scalar_dst (i : Ir.inst) : bool =
   match i with
-  | Ir.Ibcast _ | Ir.Idot _ | Ir.Ireduce_all _ | Ir.Inorm _ | Ir.Itrapz _ ->
-      true
+  | Ir.Ibcast _ -> true
+  | Ir.Ilib { fn; _ } -> Ir.lib_scalar fn
   | _ -> false
 
 type fact = { key : Ir.inst; dst : string; scalar : bool }

@@ -7,6 +7,11 @@
    statements touching individual matrix elements carry owner guards
    ([Isetelem]) or broadcasts ([Ibcast]).
 
+   Every library call with one destination and no index list is one
+   instruction, [Ilib], whose [fn] names the call: generic code treats
+   them alike, and only comm, peephole, the printers and the back ends
+   look at [fn].
+
    Scalars are replicated: a scalar expression ([sexpr]) is evaluated
    identically by every process, which keeps control flow loosely
    synchronous.  Both back ends consume this IR: the C emitter prints
@@ -47,6 +52,24 @@ type rkind = Rsum | Rprod | Rmin | Rmax | Rmean | Rany | Rall
 
 type scan_kind = Scumsum | Scumprod
 
+(* The run-time library's one-result calls ([Ilib]): each reads the
+   matrices in [args] and defines one destination. *)
+type lib =
+  | Lmatmul (* a * b (ML_matrix_multiply) *)
+  | Lmatmul_t
+    (* a' * b (ML_matmul_t): the transpose is never materialized, so
+       the all-to-all redistribution it implies is skipped *)
+  | Ldot (* scalar a . b *)
+  | Ltranspose
+  | Ldiag (* vector -> diagonal matrix, matrix -> diagonal *)
+  | Louter (* u * v' *)
+  | Lnorm (* scalar 2-norm *)
+  | Lreduce_all of rkind (* scalar reduce(matrix) *)
+  | Lreduce_cols of rkind (* 1 x cols column reduction *)
+  | Lscan of scan_kind (* cumsum/cumprod(vector) *)
+  | Ltrapz (* scalar trapz(y) / trapz(x, y): args [y] or [x; y] *)
+  | Lshift of sexpr (* circshift(src, k): the call carries k *)
+
 (* One slot of a fused vector allreduce ([Ireduce_fused]).  Every
    alternative combines by summation, so a whole batch travels as a
    single Sum allreduce; the per-slot postprocessing (mean's division,
@@ -81,25 +104,11 @@ type inst =
   | Ielem of { dst : var; model : var; expr : eexpr }
     (* dst gets the shape of [model]; one fused local loop *)
   | Icopy of var * var (* matrix copy (assignment between matrix vars) *)
-  | Imatmul of var * var * var (* dst = a * b (ML_matrix_multiply) *)
-  | Imatmul_t of var * var * var
-    (* dst = a' * b (ML_matmul_t): the transpose is never materialized,
-       so the all-to-all redistribution it implies is skipped *)
-  | Idot of var * var * var (* scalar dst = a . b *)
-  | Itranspose of var * var
-  | Idiag of var * var
-    (* dst = diag(src): vector -> diagonal matrix, matrix -> diagonal *)
-  | Iouter of var * var * var (* dst = u * v' *)
-  | Ireduce_all of var * rkind * var (* scalar dst = reduce(matrix) *)
-  | Ireduce_cols of var * rkind * var (* 1 x cols dst = col-reduce *)
-  | Inorm of var * var (* scalar dst = 2-norm *)
-  | Iscan of var * scan_kind * var (* dst = cumsum/cumprod(vector) *)
+  | Ilib of { dst : var; fn : lib; args : var list } (* dst = fn(args) *)
   | Isort of { vdst : var; idst : var option; arg : var }
     (* sorted = sort(v) / [sorted, perm] = sort(v) *)
   | Ireduce_loc of { vdst : var; idst : var; kind : rkind; arg : var }
     (* [m, i] = min/max(vector) *)
-  | Itrapz of var * var option * var (* scalar dst = trapz(x?, y) *)
-  | Ishift of var * var * sexpr (* dst = circshift(src, k) *)
   | Ibcast of var * var * sexpr list (* scalar dst = mat(i[,j]): ML_broadcast *)
   | Ibcast_batch of (var * sexpr list) list * var
     (* scalar dsts = mat(i[,j]) each: adjacent element broadcasts from
@@ -153,6 +162,21 @@ type prog = {
   p_funcs : func list;
 }
 
+(* --- library calls ------------------------------------------------------- *)
+
+(* Does the call return a replicated scalar (rather than a distributed
+   matrix)? *)
+let lib_scalar = function
+  | Ldot | Lnorm | Lreduce_all _ | Ltrapz -> true
+  | _ -> false
+
+(* Is [n] a valid operand count for the call? *)
+let lib_arity_ok fn n =
+  match fn with
+  | Lmatmul | Lmatmul_t | Ldot | Louter -> n = 2
+  | Ltrapz -> n = 1 || n = 2
+  | _ -> n = 1
+
 (* --- traversal helpers -------------------------------------------------- *)
 
 let rec iter_insts f (b : block) =
@@ -165,11 +189,8 @@ let rec iter_insts f (b : block) =
           iter_insts f els
       | Iwhile (_, blk) -> iter_insts f blk
       | Ifor (_, _, _, _, blk) -> iter_insts f blk
-      | Iscalar _ | Ielem _ | Icopy _ | Imatmul _ | Imatmul_t _ | Idot _
-      | Itranspose _
-      | Idiag _ | Iouter _ | Ireduce_all _ | Ireduce_cols _ | Inorm _ | Iscan _
-      | Isort _ | Ireduce_loc _ | Itrapz _ | Ishift _ | Ibcast _
-      | Ibcast_batch _ | Ireduce_fused _ | Isetelem _
+      | Iscalar _ | Ielem _ | Icopy _ | Ilib _ | Isort _ | Ireduce_loc _
+      | Ibcast _ | Ibcast_batch _ | Ireduce_fused _ | Isetelem _
       | Isetsection _ | Iload _ | Iconstruct _ | Iliteral _ | Isection _
       | Iconcat _ | Icalluser _ | Impi_rank _ | Impi_size _ | Impi_send _
       | Impi_recv _ | Impi_bcast _ | Impi_probe _ | Iprint _ | Iprintf _
@@ -210,15 +231,10 @@ let inst_uses = function
   | Iscalar (_, s) -> sexpr_uses [] s
   | Ielem { model; expr; _ } -> model :: eexpr_uses [] expr
   | Icopy (_, src) -> [ src ]
-  | Imatmul (_, a, b) | Imatmul_t (_, a, b) | Idot (_, a, b) | Iouter (_, a, b)
-    ->
-      [ a; b ]
-  | Itranspose (_, a) | Idiag (_, a) | Inorm (_, a) | Iscan (_, _, a) -> [ a ]
+  | Ilib { fn; args; _ } -> (
+      match fn with Lshift k -> args @ sexpr_uses [] k | _ -> args)
   | Ireduce_loc { arg; _ } -> [ arg ]
   | Isort { arg; _ } -> [ arg ]
-  | Ireduce_all (_, _, a) | Ireduce_cols (_, _, a) -> [ a ]
-  | Itrapz (_, x, y) -> ( match x with Some x -> [ x; y ] | None -> [ y ])
-  | Ishift (_, src, k) -> src :: sexpr_uses [] k
   | Ibcast (_, m, idx) -> m :: List.fold_left sexpr_uses [] idx
   | Ibcast_batch (items, m) ->
       m
@@ -272,29 +288,15 @@ let inst_uses = function
 let inst_defs = function
   | Iscalar (d, _) -> [ d ]
   | Ielem { dst; _ } -> [ dst ]
-  | Icopy (d, _)
-  | Imatmul (d, _, _)
-  | Imatmul_t (d, _, _)
-  | Idot (d, _, _)
-  | Itranspose (d, _)
-  | Idiag (d, _)
-  | Iouter (d, _, _)
-  | Ireduce_all (d, _, _)
-  | Ireduce_cols (d, _, _)
-  | Inorm (d, _)
-  | Itrapz (d, _, _)
-  | Ishift (d, _, _)
-  | Ibcast (d, _, _)
-  | Iscan (d, _, _) ->
-      [ d ]
+  | Icopy (d, _) | Ibcast (d, _, _) -> [ d ]
   | Ireduce_loc { vdst; idst; _ } -> [ vdst; idst ]
   | Ibcast_batch (items, _) -> List.map fst items
   | Ireduce_fused items -> List.map fst items
   | Isort { vdst; idst; _ } -> (
       match idst with Some i -> [ vdst; i ] | None -> [ vdst ])
   | Isetelem (m, _, _) -> [ m ] (* in-place update *)
-  | Iconstruct { dst; _ } | Iliteral { dst; _ } | Isection { dst; _ }
-  | Iconcat { dst; _ } | Iload { dst; _ } ->
+  | Ilib { dst; _ } | Iconstruct { dst; _ } | Iliteral { dst; _ }
+  | Isection { dst; _ } | Iconcat { dst; _ } | Iload { dst; _ } ->
       [ dst ]
   | Isetsection { dst; _ } -> [ dst ] (* in-place update *)
   | Icalluser { rets; _ } -> rets
@@ -310,12 +312,8 @@ let inst_defs = function
 (* Is the instruction free of observable effects other than its
    definitions?  Used by dead-code elimination. *)
 let inst_pure = function
-  | Iscalar _ | Ielem _ | Icopy _ | Imatmul _ | Imatmul_t _ | Idot _
-  | Itranspose _
-  | Idiag _ | Iouter _ | Ireduce_all _ | Ireduce_cols _ | Inorm _ | Itrapz _
-  | Ishift _
-  | Ibcast _ | Ibcast_batch _ | Ireduce_fused _ | Iconstruct _ | Iliteral _
-  | Isection _ | Iconcat _ | Iscan _
+  | Iscalar _ | Ielem _ | Icopy _ | Ilib _ | Ibcast _ | Ibcast_batch _
+  | Ireduce_fused _ | Iconstruct _ | Iliteral _ | Isection _ | Iconcat _
   | Ireduce_loc _ | Iload _ | Isort _ ->
       true
   | Isetelem _ | Isetsection _ | Icalluser _ | Impi_rank _ | Impi_size _

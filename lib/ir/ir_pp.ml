@@ -18,6 +18,21 @@ let ckind_name = function
   | Ir.Clinspace -> "linspace"
   | Ir.Crange -> "range"
 
+let lib_name = function
+  | Ir.Lmatmul -> "matmul"
+  | Ir.Lmatmul_t -> "matmul_t"
+  | Ir.Ldot -> "dot"
+  | Ir.Ltranspose -> "transpose"
+  | Ir.Ldiag -> "diag"
+  | Ir.Louter -> "outer"
+  | Ir.Lnorm -> "norm"
+  | Ir.Lreduce_all k -> "reduce_" ^ rkind_name k
+  | Ir.Lreduce_cols k -> "colreduce_" ^ rkind_name k
+  | Ir.Lscan Ir.Scumsum -> "cumsum"
+  | Ir.Lscan Ir.Scumprod -> "cumprod"
+  | Ir.Ltrapz -> "trapz"
+  | Ir.Lshift _ -> "circshift"
+
 let rec sexpr ppf = function
   | Ir.Sconst f ->
       if Float.is_integer f && Float.abs f < 1e15 then Fmt.pf ppf "%.0f" f
@@ -72,28 +87,16 @@ let rec inst ~indent ppf (i : Ir.inst) =
   | Ir.Ielem { dst; model; expr } ->
       Fmt.pf ppf "%t%s = elemwise[shape %s] %a" pad dst model eexpr expr
   | Ir.Icopy (d, s) -> Fmt.pf ppf "%t%s = copy %s" pad d s
-  | Ir.Imatmul (d, a, b) -> Fmt.pf ppf "%t%s = matmul(%s, %s)" pad d a b
-  | Ir.Imatmul_t (d, a, b) -> Fmt.pf ppf "%t%s = matmul_t(%s, %s)" pad d a b
-  | Ir.Idot (d, a, b) -> Fmt.pf ppf "%t%s = dot(%s, %s)" pad d a b
-  | Ir.Itranspose (d, a) -> Fmt.pf ppf "%t%s = transpose(%s)" pad d a
-  | Ir.Idiag (d, a) -> Fmt.pf ppf "%t%s = diag(%s)" pad d a
-  | Ir.Iouter (d, a, b) -> Fmt.pf ppf "%t%s = outer(%s, %s)" pad d a b
-  | Ir.Ireduce_all (d, k, a) ->
-      Fmt.pf ppf "%t%s = reduce_%s(%s)" pad d (rkind_name k) a
-  | Ir.Ireduce_cols (d, k, a) ->
-      Fmt.pf ppf "%t%s = colreduce_%s(%s)" pad d (rkind_name k) a
-  | Ir.Inorm (d, a) -> Fmt.pf ppf "%t%s = norm(%s)" pad d a
-  | Ir.Iscan (d, Ir.Scumsum, a) -> Fmt.pf ppf "%t%s = cumsum(%s)" pad d a
-  | Ir.Iscan (d, Ir.Scumprod, a) -> Fmt.pf ppf "%t%s = cumprod(%s)" pad d a
+  | Ir.Ilib { dst; fn; args } ->
+      let k = match fn with Ir.Lshift k -> [ Fmt.str "%a" sexpr k ] | _ -> [] in
+      Fmt.pf ppf "%t%s = %s(%s)" pad dst (lib_name fn)
+        (String.concat ", " (args @ k))
   | Ir.Isort { vdst; idst = None; arg } ->
       Fmt.pf ppf "%t%s = sort(%s)" pad vdst arg
   | Ir.Isort { vdst; idst = Some i; arg } ->
       Fmt.pf ppf "%t[%s, %s] = sort(%s)" pad vdst i arg
   | Ir.Ireduce_loc { vdst; idst; kind; arg } ->
       Fmt.pf ppf "%t[%s, %s] = %s(%s)" pad vdst idst (rkind_name kind) arg
-  | Ir.Itrapz (d, None, y) -> Fmt.pf ppf "%t%s = trapz(%s)" pad d y
-  | Ir.Itrapz (d, Some x, y) -> Fmt.pf ppf "%t%s = trapz(%s, %s)" pad d x y
-  | Ir.Ishift (d, s, k) -> Fmt.pf ppf "%t%s = circshift(%s, %a)" pad d s sexpr k
   | Ir.Ibcast (d, m, idx) ->
       Fmt.pf ppf "%t%s = broadcast %s(%a)" pad d m
         (Fmt.list ~sep:(Fmt.any ", ") sexpr)

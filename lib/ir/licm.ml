@@ -30,10 +30,8 @@ let hoistable (i : Ir.inst) : bool =
   | Ir.Ibcast _ | Ir.Iliteral _ -> true
   | Ir.Iconstruct { kind = Ir.Crand | Ir.Crandn; _ } -> false
   | Ir.Iconstruct _ -> true
-  | Ir.Ireduce_all _ | Ir.Ireduce_cols _ | Ir.Inorm _ | Ir.Idot _
-  | Ir.Itranspose _ | Ir.Idiag _ | Ir.Iouter _ | Ir.Iscan _ | Ir.Itrapz _
-  | Ir.Ishift _ ->
-      true
+  | Ir.Ilib { fn; _ } -> (
+      match fn with Ir.Lmatmul | Ir.Lmatmul_t -> false | _ -> true)
   | _ -> false
 
 (* Does the loop provably run at least once -- and if not, under which

@@ -45,6 +45,7 @@ let fresh ctx ty =
   name
 
 let emit out i = out := i :: !out
+let lib out dst fn args = emit out (Ir.Ilib { dst; fn; args })
 
 (* Strip value-preserving unary wrappers (transposes of vectors do not
    change the element distribution, uplus is the identity). *)
@@ -116,7 +117,7 @@ and lower_binop ctx out e op a b =
         let va = mat_operand ctx out (strip_transpose a) in
         let vb = mat_operand ctx out (strip_transpose b) in
         let t = fresh ctx Ty.real_scalar in
-        emit out (Ir.Idot (t, va, vb));
+        lib out t Ir.Ldot [ va; vb ];
         Oscalar (Ir.Svar t)
     | _ -> Oscalar (Ir.Sbin (op, scalar ctx out a, scalar ctx out b))
   else if Ast.is_elementwise op then fused_elementwise ctx out e
@@ -136,14 +137,14 @@ and lower_binop ctx out e op a b =
             let u = mat_operand ctx out (strip_transpose a) in
             let v = mat_operand ctx out (strip_transpose b) in
             let t = fresh ctx (ty_of ctx e) in
-            emit out (Ir.Iouter (t, u, v));
+            lib out t Ir.Louter [ u; v ];
             Omat t
           end
           else begin
             let va = mat_operand ctx out a in
             let vb = mat_operand ctx out b in
             let t = fresh ctx (ty_of ctx e) in
-            emit out (Ir.Imatmul (t, va, vb));
+            lib out t Ir.Lmatmul [ va; vb ];
             Omat t
           end
     | Ast.Div | Ast.Ldiv ->
@@ -170,7 +171,7 @@ and lower_unop ctx out e op a =
       else begin
         let v = mat_operand ctx out a in
         let t = fresh ctx (ty_of ctx e) in
-        emit out (Ir.Itranspose (t, v));
+        lib out t Ir.Ltranspose [ v ];
         Omat t
       end
 
@@ -414,7 +415,7 @@ and lower_call ctx out (e : Ast.expr) name args =
                   if sk = "cumsum" then Ir.Scumsum else Ir.Scumprod
                 in
                 let t = fresh ctx (ty_of ctx e) in
-                emit out (Ir.Iscan (t, kind, v));
+                lib out t (Ir.Lscan kind) [ v ];
                 Omat t
               end
           | _ -> unsupported e.ann.pos "'%s' takes one argument" name)
@@ -424,19 +425,19 @@ and lower_call ctx out (e : Ast.expr) name args =
               let va = mat_operand ctx out (strip_transpose a) in
               let vb = mat_operand ctx out (strip_transpose b) in
               let t = fresh ctx Ty.real_scalar in
-              emit out (Ir.Idot (t, va, vb));
+              lib out t Ir.Ldot [ va; vb ];
               Oscalar (Ir.Svar t)
           | _ -> unsupported e.ann.pos "dot takes two arguments")
       | B.Trapz -> (
           let t = fresh ctx Ty.real_scalar in
           match args with
           | [ y ] ->
-              emit out (Ir.Itrapz (t, None, mat_operand ctx out y));
+              lib out t Ir.Ltrapz [ mat_operand ctx out y ];
               Oscalar (Ir.Svar t)
           | [ x; y ] ->
               let vx = mat_operand ctx out x in
               let vy = mat_operand ctx out y in
-              emit out (Ir.Itrapz (t, Some vx, vy));
+              lib out t Ir.Ltrapz [ vx; vy ];
               Oscalar (Ir.Svar t)
           | _ -> unsupported e.ann.pos "trapz takes one or two arguments")
       | B.Shift -> (
@@ -448,7 +449,7 @@ and lower_call ctx out (e : Ast.expr) name args =
               let vv = mat_operand ctx out v in
               let sk = scalar ctx out k in
               let t = fresh ctx (ty_of ctx e) in
-              emit out (Ir.Ishift (t, vv, sk));
+              lib out t (Ir.Lshift sk) [ vv ];
               Omat t
           | _ -> unsupported e.ann.pos "circshift takes two arguments")
       | B.Constructor _ -> lower_constructor ctx out e name args
@@ -472,7 +473,7 @@ and lower_call ctx out (e : Ast.expr) name args =
               else begin
                 let v = mat_operand ctx out a in
                 let t = fresh ctx (ty_of ctx e) in
-                emit out (Ir.Idiag (t, v));
+                lib out t Ir.Ldiag [ v ];
                 Omat t
               end
           | _ -> unsupported e.ann.pos "diag takes one argument")
@@ -599,7 +600,7 @@ and lower_reduction ctx out e name args =
       | Omat v ->
         if name = "norm" then begin
           let t = fresh ctx Ty.real_scalar in
-          emit out (Ir.Inorm (t, v));
+          lib out t Ir.Lnorm [ v ];
           Oscalar (Ir.Svar t)
         end
         else begin
@@ -613,12 +614,12 @@ and lower_reduction ctx out e name args =
           in
           if vector_like then begin
             let t = fresh ctx Ty.real_scalar in
-            emit out (Ir.Ireduce_all (t, kind, v));
+            lib out t (Ir.Lreduce_all kind) [ v ];
             Oscalar (Ir.Svar t)
           end
           else begin
             let t = fresh ctx (ty_of ctx e) in
-            emit out (Ir.Ireduce_cols (t, kind, v));
+            lib out t (Ir.Lreduce_cols kind) [ v ];
             Omat t
           end
         end)
@@ -724,7 +725,7 @@ let lower_cond ctx out (c : Ast.expr) : Ir.sexpr =
   else begin
     let v = mat_operand ctx out c in
     let t = fresh ctx Ty.int_scalar in
-    emit out (Ir.Ireduce_all (t, Ir.Rall, v));
+    lib out t (Ir.Lreduce_all Ir.Rall) [ v ];
     Ir.Sbin
       ( Mlang.Ast.And,
         Ir.Svar t,

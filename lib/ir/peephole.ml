@@ -27,22 +27,11 @@ let rename_def (i : Ir.inst) ~from ~into : Ir.inst option =
   | Ir.Iscalar (d, s) when d = from -> Some (Ir.Iscalar (into, s))
   | Ir.Ielem e when e.dst = from -> Some (Ir.Ielem { e with dst = into })
   | Ir.Icopy (d, s) when d = from -> Some (Ir.Icopy (into, s))
-  | Ir.Imatmul (d, a, b) when d = from -> Some (Ir.Imatmul (into, a, b))
-  | Ir.Idot (d, a, b) when d = from -> Some (Ir.Idot (into, a, b))
-  | Ir.Itranspose (d, a) when d = from -> Some (Ir.Itranspose (into, a))
-  | Ir.Idiag (d, a) when d = from -> Some (Ir.Idiag (into, a))
-  | Ir.Iouter (d, a, b) when d = from -> Some (Ir.Iouter (into, a, b))
-  | Ir.Ireduce_all (d, k, a) when d = from -> Some (Ir.Ireduce_all (into, k, a))
-  | Ir.Ireduce_cols (d, k, a) when d = from ->
-      Some (Ir.Ireduce_cols (into, k, a))
-  | Ir.Inorm (d, a) when d = from -> Some (Ir.Inorm (into, a))
-  | Ir.Itrapz (d, x, y) when d = from -> Some (Ir.Itrapz (into, x, y))
-  | Ir.Ishift (d, s, k) when d = from -> Some (Ir.Ishift (into, s, k))
+  | Ir.Ilib l when l.dst = from -> Some (Ir.Ilib { l with dst = into })
   | Ir.Ibcast (d, m, idx) when d = from -> Some (Ir.Ibcast (into, m, idx))
   | Ir.Iconstruct c when c.dst = from -> Some (Ir.Iconstruct { c with dst = into })
   | Ir.Iliteral l when l.dst = from -> Some (Ir.Iliteral { l with dst = into })
   | Ir.Isection s when s.dst = from -> Some (Ir.Isection { s with dst = into })
-  | Ir.Iscan (d, k, a) when d = from -> Some (Ir.Iscan (into, k, a))
   | Ir.Isort s when s.vdst = from || s.idst = Some from ->
       Some (Ir.Isort { s with vdst = r s.vdst; idst = Option.map r s.idst })
   | Ir.Ireduce_loc rl when rl.vdst = from || rl.idst = from ->
@@ -89,15 +78,20 @@ let rec rewrite_block stats counts (b : Ir.block) : Ir.block =
             go (def' :: rest)
         | None -> descend def :: go (Ir.Icopy (x, t) :: rest))
     (* transpose of transpose *)
-    | Ir.Itranspose (t, a) :: Ir.Itranspose (u, t') :: rest
+    | Ir.Ilib { dst = t; fn = Ir.Ltranspose; args = [ a ] }
+      :: Ir.Ilib { dst = u; fn = Ir.Ltranspose; args = [ t' ] }
+      :: rest
       when t = t' && is_temp t && uses counts t = 1 ->
         stats.transposes_collapsed <- stats.transposes_collapsed + 1;
         go (Ir.Icopy (u, a) :: rest)
     (* shift of shift *)
-    | Ir.Ishift (t, v, k1) :: Ir.Ishift (u, t', k2) :: rest
+    | Ir.Ilib { dst = t; fn = Ir.Lshift k1; args }
+      :: Ir.Ilib { dst = u; fn = Ir.Lshift k2; args = [ t' ] }
+      :: rest
       when t = t' && is_temp t && uses counts t = 1 ->
         stats.shifts_combined <- stats.shifts_combined + 1;
-        go (Ir.Ishift (u, v, Ir.Sbin (Mlang.Ast.Add, k1, k2)) :: rest)
+        let fn = Ir.Lshift (Ir.Sbin (Mlang.Ast.Add, k1, k2)) in
+        go (Ir.Ilib { dst = u; fn; args } :: rest)
     (* broadcast reuse *)
     | (Ir.Ibcast (d1, m1, idx1) as i1) :: Ir.Ibcast (d2, m2, idx2) :: rest
       when m1 = m2 && idx1 = idx2 ->
@@ -158,23 +152,17 @@ let optimize_block stats (b : Ir.block) : Ir.block =
   done;
   !b
 
-(* Drop now-unused temporaries from the variable tables. *)
-let live_vars (b : Ir.block) (vars : (Ir.var * Analysis.Ty.t) list) =
-  let referenced = Hashtbl.create 64 in
-  Ir.iter_insts
-    (fun i ->
-      List.iter (fun v -> Hashtbl.replace referenced v ()) (Ir.inst_uses i);
-      List.iter (fun v -> Hashtbl.replace referenced v ()) (Ir.inst_defs i))
-    b;
-  List.filter (fun (v, _) -> (not (is_temp v)) || Hashtbl.mem referenced v) vars
-
 let optimize ?(stats = fresh_stats ()) (p : Ir.prog) : Ir.prog =
   let body = optimize_block stats p.Ir.p_body in
   let funcs =
     List.map
       (fun (f : Ir.func) ->
         let fb = optimize_block stats f.f_body in
-        { f with Ir.f_body = fb; f_vars = live_vars fb f.f_vars })
+        { f with Ir.f_body = fb; f_vars = Dataflow.prune_vars fb f.f_vars })
       p.Ir.p_funcs
   in
-  { Ir.p_vars = live_vars body p.Ir.p_vars; p_body = body; p_funcs = funcs }
+  {
+    Ir.p_vars = Dataflow.prune_vars body p.Ir.p_vars;
+    p_body = body;
+    p_funcs = funcs;
+  }

@@ -15,6 +15,7 @@
      site per body outside loops -- lowering emits each temporary
      exactly once, and no pass may duplicate one;
    - [Iconcat] grids are consistent: grid_rows * grid_cols parts;
+   - every [Ilib] call has an operand count its [fn] accepts;
    - control-flow nesting is well-formed: break/continue only inside a
      loop body. *)
 
@@ -85,6 +86,10 @@ let check_body ~(name : string) ~(params : string list)
             else if List.length parts <> grid_rows * grid_cols then
               err "concat grid %dx%d expects %d parts but has %d" grid_rows
                 grid_cols (grid_rows * grid_cols) (List.length parts)
+        | Ir.Ilib { fn; args; _ }
+          when not (Ir.lib_arity_ok fn (List.length args)) ->
+            err "%s called with %d operands" (Ir_pp.lib_name fn)
+              (List.length args)
         | Ir.Ibreak when not in_loop -> err "break outside any loop"
         | Ir.Icontinue when not in_loop -> err "continue outside any loop"
         | _ -> ());

@@ -198,6 +198,25 @@ let allreduce ~op (data : float array) : float array =
 
 let barrier () = ignore (allreduce ~op:Sum [| 0. |])
 
+(* Receive a block whose length the schedule knows.  Without reliable
+   delivery a dropped message lets the channel hand over a later
+   round's block instead, which must fail as a protocol error rather
+   than be copied into the wrong place. *)
+let recv_block ~what ~src ~tag n =
+  let a = Reliable.recv_floats ~src ~tag in
+  if Array.length a <> n then
+    raise
+      (Sim.Protocol_error
+         {
+           rank = Sim.rank ();
+           src;
+           tag;
+           detail =
+             Printf.sprintf "%s: expected %d floats, received %d" what n
+               (Array.length a);
+         });
+  a
+
 (* Gather variable-sized blocks to [root]; the root receives blocks in
    rank order and returns the concatenation, other ranks return [||]. *)
 let gatherv ~root ~counts (local : float array) : float array =
@@ -210,7 +229,8 @@ let gatherv ~root ~counts (local : float array) : float array =
     let off = ref 0 in
     for r = 0 to p - 1 do
       let block =
-        if r = root then local else Reliable.recv_floats ~src:r ~tag:tag_gather
+        if r = root then local
+        else recv_block ~what:"gather" ~src:r ~tag:tag_gather counts.(r)
       in
       Array.blit block 0 out !off counts.(r);
       off := !off + counts.(r)
@@ -259,8 +279,8 @@ let allgatherv_doubling ~offset ~(out : float array) =
     Array.blit out (offset me) buf 0 l1;
     Array.blit out 0 buf l1 l2;
     Reliable.send ~dst ~tag:tag_ring (Sim.Floats buf);
-    let incoming = Reliable.recv_floats ~src ~tag:tag_ring in
     let l1, l2 = window_spans ~offset p src nblocks in
+    let incoming = recv_block ~what:"allgather" ~src ~tag:tag_ring (l1 + l2) in
     Array.blit incoming 0 out (offset src) l1;
     Array.blit incoming l1 out 0 l2;
     w := !w + nblocks
@@ -287,10 +307,12 @@ let allgatherv_offset ~offset (local : float array) : float array =
       let current = ref (Array.copy local) in
       for s = 1 to p - 1 do
         Reliable.send ~dst:right ~tag:tag_ring (Sim.Floats !current);
-        let incoming = Reliable.recv_floats ~src:left ~tag:tag_ring in
         let owner = (me - s + p) mod p in
-        Array.blit incoming 0 out (offset owner)
-          (offset (owner + 1) - offset owner);
+        let n = offset (owner + 1) - offset owner in
+        let incoming =
+          recv_block ~what:"allgather" ~src:left ~tag:tag_ring n
+        in
+        Array.blit incoming 0 out (offset owner) n;
         current := incoming
       done
     end;
@@ -317,20 +339,10 @@ let exscan ~op ~identity (x : float) : float =
     if me + !d < p then
       Reliable.send ~dst:(me + !d) ~tag:tag_scan (Sim.Floats [| !incl |]);
     if me - !d >= 0 then begin
-      match Reliable.recv_floats ~src:(me - !d) ~tag:tag_scan with
-      | [| below_incl |] ->
-          excl := apply_op op below_incl !excl;
-          incl := apply_op op below_incl !incl;
-          Sim.flops 2.
-      | _ ->
-          raise
-            (Sim.Protocol_error
-               {
-                 rank = me;
-                 src = me - !d;
-                 tag = tag_scan;
-                 detail = "exscan: expected a one-element payload";
-               })
+      let below = recv_block ~what:"exscan" ~src:(me - !d) ~tag:tag_scan 1 in
+      excl := apply_op op below.(0) !excl;
+      incl := apply_op op below.(0) !incl;
+      Sim.flops 2.
     end;
     d := !d * 2
   done;

@@ -210,13 +210,9 @@ let report (c : compiled) : string =
       (fun i ->
         incr insts;
         match i with
-        | Spmd.Ir.Imatmul _ | Spmd.Ir.Idot _ | Spmd.Ir.Itranspose _
-        | Spmd.Ir.Idiag _ | Spmd.Ir.Iouter _ | Spmd.Ir.Ireduce_all _
-        | Spmd.Ir.Ireduce_cols _
-        | Spmd.Ir.Inorm _ | Spmd.Ir.Itrapz _ | Spmd.Ir.Ishift _
-        | Spmd.Ir.Ibcast _ | Spmd.Ir.Iscan _ | Spmd.Ir.Ireduce_loc _
-        | Spmd.Ir.Isection _ | Spmd.Ir.Iconcat _ | Spmd.Ir.Imatmul_t _
-        | Spmd.Ir.Ibcast_batch _ | Spmd.Ir.Ireduce_fused _ ->
+        | Spmd.Ir.Ilib _ | Spmd.Ir.Isort _ | Spmd.Ir.Ireduce_loc _
+        | Spmd.Ir.Ibcast _ | Spmd.Ir.Ibcast_batch _ | Spmd.Ir.Ireduce_fused _
+        | Spmd.Ir.Isection _ | Spmd.Ir.Iconcat _ ->
             incr comm
         | Spmd.Ir.Ielem _ -> incr elem
         | _ -> ())

@@ -78,11 +78,11 @@ let test_fuses_mixed_reductions () =
      allreduce carries all four partials. *)
   let b =
     [
-      Ir.Ireduce_all ("s", Ir.Rsum, "A");
+      Ir.Ilib { dst = "s"; fn = Ir.Lreduce_all Ir.Rsum; args = [ "A" ] };
       Ir.Iscalar ("x", Ir.Svar "s");
-      Ir.Ireduce_all ("m", Ir.Rmean, "A");
-      Ir.Idot ("d", "A", "B");
-      Ir.Inorm ("n", "B");
+      Ir.Ilib { dst = "m"; fn = Ir.Lreduce_all Ir.Rmean; args = [ "A" ] };
+      Ir.Ilib { dst = "d"; fn = Ir.Ldot; args = [ "A"; "B" ] };
+      Ir.Ilib { dst = "n"; fn = Ir.Lnorm; args = [ "B" ] };
     ]
   in
   let p', st = Spmd.Comm.run (prog b) in
@@ -105,8 +105,8 @@ let test_no_fuse_of_non_sum_kinds () =
   (* max combines by comparison: it cannot ride a Sum allreduce. *)
   let b =
     [
-      Ir.Ireduce_all ("s", Ir.Rsum, "A");
-      Ir.Ireduce_all ("m", Ir.Rmax, "A");
+      Ir.Ilib { dst = "s"; fn = Ir.Lreduce_all Ir.Rsum; args = [ "A" ] };
+      Ir.Ilib { dst = "m"; fn = Ir.Lreduce_all Ir.Rmax; args = [ "A" ] };
     ]
   in
   let _, st = Spmd.Comm.run (prog b) in
@@ -117,23 +117,25 @@ let test_dependence_blocks_fusion () =
      first dot's result, so the two must stay separate collectives. *)
   let b =
     [
-      Ir.Idot ("a", "r", "r");
+      Ir.Ilib { dst = "a"; fn = Ir.Ldot; args = [ "r"; "r" ] };
       Ir.Iconstruct { dst = "r"; kind = Ir.Czeros; args = [ Ir.Svar "a" ] };
-      Ir.Idot ("b", "r", "r");
+      Ir.Ilib { dst = "b"; fn = Ir.Ldot; args = [ "r"; "r" ] };
     ]
   in
   let p', st = Spmd.Comm.run (prog b) in
   Alcotest.(check int) "nothing fused" 0 (stat st "reductions-fused");
   match p'.Ir.p_body with
-  | [ Ir.Idot _; Ir.Iconstruct _; Ir.Idot _ ] -> ()
+  | [ Ir.Ilib { fn = Ir.Ldot; _ }; Ir.Iconstruct _; Ir.Ilib { fn = Ir.Ldot; _ } ]
+    ->
+      ()
   | _ -> Alcotest.fail "dependent reductions must keep their order"
 
 let test_fuses_inside_loop_body () =
   let body =
     [
-      Ir.Ireduce_all ("s1", Ir.Rsum, "A");
+      Ir.Ilib { dst = "s1"; fn = Ir.Lreduce_all Ir.Rsum; args = [ "A" ] };
       Ir.Iscalar ("x", Ir.Svar "s1");
-      Ir.Ireduce_all ("s2", Ir.Rsum, "B");
+      Ir.Ilib { dst = "s2"; fn = Ir.Lreduce_all Ir.Rsum; args = [ "B" ] };
     ]
   in
   let loop = Ir.Ifor ("i", Ir.Sconst 1., None, Ir.Sconst 3., body) in
@@ -148,15 +150,17 @@ let test_fuses_inside_loop_body () =
 let test_transpose_matmul_becomes_matmul_t () =
   let b =
     [
-      Ir.Itranspose ("ML_tmp1", "A");
-      Ir.Imatmul ("C", "ML_tmp1", "B");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "A" ] };
+      Ir.Ilib { dst = "C"; fn = Ir.Lmatmul; args = [ "ML_tmp1"; "B" ] };
       Ir.Iprint ("C", Ir.Pmat "C");
     ]
   in
   let p', st = Spmd.Comm.run (prog b) in
   Alcotest.(check int) "rewritten" 1 (stat st "matmuls-detransposed");
   match p'.Ir.p_body with
-  | [ Ir.Imatmul_t ("C", "A", "B"); Ir.Iprint _ ] -> ()
+  | [ Ir.Ilib { dst = "C"; fn = Ir.Lmatmul_t; args = [ "A"; "B" ] }; Ir.Iprint _ ]
+    ->
+      ()
   | _ -> Alcotest.fail "single-use temporary transpose should disappear"
 
 let test_multi_use_transpose_is_kept () =
@@ -164,15 +168,19 @@ let test_multi_use_transpose_is_kept () =
      the redistribution, but the transpose must survive. *)
   let b =
     [
-      Ir.Itranspose ("ML_tmp1", "A");
-      Ir.Imatmul ("C", "ML_tmp1", "B");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "A" ] };
+      Ir.Ilib { dst = "C"; fn = Ir.Lmatmul; args = [ "ML_tmp1"; "B" ] };
       Ir.Iprint ("ML_tmp1", Ir.Pmat "ML_tmp1");
     ]
   in
   let p', st = Spmd.Comm.run (prog b) in
   Alcotest.(check int) "rewritten" 1 (stat st "matmuls-detransposed");
   match p'.Ir.p_body with
-  | [ Ir.Itranspose ("ML_tmp1", "A"); Ir.Imatmul_t ("C", "A", "B"); Ir.Iprint _ ]
+  | [
+   Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "A" ] };
+   Ir.Ilib { dst = "C"; fn = Ir.Lmatmul_t; args = [ "A"; "B" ] };
+   Ir.Iprint _;
+  ]
     ->
       ()
   | _ -> Alcotest.fail "multi-use transpose must be kept"
@@ -181,7 +189,10 @@ let test_self_multiply_not_rewritten () =
   (* C = A' * A': both operands are the transpose; the pattern does not
      apply. *)
   let b =
-    [ Ir.Itranspose ("ML_tmp1", "A"); Ir.Imatmul ("C", "ML_tmp1", "ML_tmp1") ]
+    [
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "A" ] };
+      Ir.Ilib { dst = "C"; fn = Ir.Lmatmul; args = [ "ML_tmp1"; "ML_tmp1" ] };
+    ]
   in
   let _, st = Spmd.Comm.run (prog b) in
   Alcotest.(check int) "not rewritten" 0 (stat st "matmuls-detransposed")

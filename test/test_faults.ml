@@ -297,6 +297,26 @@ let test_vm_partial_names_rank_and_operation () =
   | Exec.State.Complete _ ->
       Alcotest.fail "total loss without the reliable layer cannot complete"
 
+(* Without the reliable layer a dropped ring message lets the next
+   round's block, of another length, arrive in its place: the allgather
+   must classify that as a protocol error, not let an array exception
+   escape from the copy. *)
+let test_lossy_allgather_is_protocol_error () =
+  match Testutil.find_up "examples/matlab/jacobi.m" with
+  | None -> () (* sandboxed without sources: nothing to check *)
+  | Some file -> (
+      let c = Otter.compile (Testutil.read_file file) in
+      let m = faulty ~reliable:false "drop=0.3,seed=3" Machine.meiko_cs2 in
+      match
+        (Otter.run (Otter.config ~machine:m ~nprocs:4 ()) c).Exec.State.r_result
+      with
+      | Exec.State.Partial { kind; detail; _ } ->
+          Alcotest.(check bool) "classified as a protocol error" true
+            (kind = Exec.State.Fprotocol);
+          Alcotest.(check bool) "detail names both lengths" true
+            (Testutil.contains detail "allgather: expected 30 floats, received 20")
+      | Exec.State.Complete _ -> Alcotest.fail "the lossy run cannot complete")
+
 let suite =
   [
     t "fault spec parser" test_spec_parser;
@@ -310,4 +330,5 @@ let suite =
     t "apps bit-for-bit under faults" test_apps_bit_for_bit_under_faults;
     t "apps verify under faults" test_apps_verify_under_faults;
     t "VM partial names rank and operation" test_vm_partial_names_rank_and_operation;
+    t "lossy allgather is a protocol error" test_lossy_allgather_is_protocol_error;
   ]

@@ -31,6 +31,8 @@ let rec flatten (b : Ir.block) : Ir.inst list =
 let count pred prog =
   List.length (List.filter pred (flatten prog.Ir.p_body))
 
+let lib_calls fn = count (function Ir.Ilib l -> l.fn = fn | _ -> false)
+
 let test_elementwise_fusion () =
   (* a + b .* c - d: one fused loop, no library calls *)
   let prog =
@@ -41,7 +43,7 @@ let test_elementwise_fusion () =
   Alcotest.(check int) "one element-wise loop" 1
     (count (function Ir.Ielem _ -> true | _ -> false) prog);
   Alcotest.(check int) "no matmul" 0
-    (count (function Ir.Imatmul _ -> true | _ -> false) prog)
+    (lib_calls Ir.Lmatmul prog)
 
 let test_scalar_broadcast_in_fusion () =
   let prog = lower "v = ones(4, 1); s = 2;\nx = s .* v + 1;" in
@@ -70,7 +72,7 @@ let test_communication_lifting () =
        a = b * c + d(i, j);"
   in
   Alcotest.(check int) "one matmul" 1
-    (count (function Ir.Imatmul _ -> true | _ -> false) prog);
+    (lib_calls Ir.Lmatmul prog);
   Alcotest.(check int) "one broadcast" 1
     (count (function Ir.Ibcast _ -> true | _ -> false) prog);
   Alcotest.(check int) "one fused loop" 1
@@ -101,22 +103,22 @@ let test_owner_guard () =
 let test_dot_recognition () =
   let prog = lower "r = ones(9, 1);\nrho = r' * r;" in
   Alcotest.(check int) "dot, not matmul" 1
-    (count (function Ir.Idot _ -> true | _ -> false) prog);
+    (lib_calls Ir.Ldot prog);
   Alcotest.(check int) "no transpose call" 0
-    (count (function Ir.Itranspose _ -> true | _ -> false) prog)
+    (lib_calls Ir.Ltranspose prog)
 
 let test_outer_recognition () =
   let prog = lower "u = ones(3, 1); v = ones(5, 1);\nA = u * v';" in
   Alcotest.(check int) "outer product call" 1
-    (count (function Ir.Iouter _ -> true | _ -> false) prog)
+    (lib_calls Ir.Louter prog)
 
 let test_reduction_dispatch () =
   let prog = lower "v = ones(6, 1);\ns = sum(v);" in
   Alcotest.(check int) "vector reduce to scalar" 1
-    (count (function Ir.Ireduce_all (_, Ir.Rsum, _) -> true | _ -> false) prog);
+    (lib_calls (Ir.Lreduce_all Ir.Rsum) prog);
   let prog = lower "A = ones(4, 6);\ns = sum(A);" in
   Alcotest.(check int) "matrix reduce to row vector" 1
-    (count (function Ir.Ireduce_cols (_, Ir.Rsum, _) -> true | _ -> false) prog)
+    (lib_calls (Ir.Lreduce_cols Ir.Rsum) prog)
 
 let test_sections () =
   let prog = lower "A = ones(4, 6);\nB = A(2:3, :);" in
@@ -142,7 +144,7 @@ let test_while_condition_with_reduction () =
       (function
         | Ir.Iwhile (_, body) ->
             List.exists
-              (function Ir.Ireduce_all _ -> true | _ -> false)
+              (function Ir.Ilib { fn = Ir.Lreduce_all _; _ } -> true | _ -> false)
               (flatten body)
         | _ -> false)
       prog.Ir.p_body
@@ -183,7 +185,7 @@ let test_matrix_condition_and_vector_for () =
   (* matrix condition compiles to an all-reduction *)
   let prog = lower "v = ones(3, 1);\nif v\n  x = 1;\nend" in
   Alcotest.(check int) "all-reduce for matrix condition" 1
-    (count (function Ir.Ireduce_all (_, Ir.Rall, _) -> true | _ -> false) prog);
+    (lib_calls (Ir.Lreduce_all Ir.Rall) prog);
   (* for over a vector becomes an index loop with an element broadcast *)
   let prog = lower "v = (1:5)';\ns = 0;\nfor x = v\n  s = s + x;\nend" in
   let bcast_in_loop =

@@ -75,37 +75,47 @@ let test_licm_respects_loop_varying_operands () =
 let test_gre_reuses_transpose () =
   let b =
     [
-      Ir.Itranspose ("t1", "A");
-      Ir.Itranspose ("t2", "A");
+      Ir.Ilib { dst = "t1"; fn = Ir.Ltranspose; args = [ "A" ] };
+      Ir.Ilib { dst = "t2"; fn = Ir.Ltranspose; args = [ "A" ] };
       Ir.Iprint ("t2", Ir.Pmat "t2");
     ]
   in
   let p', st = Spmd.Gre.run (prog b) in
   Alcotest.(check int) "reused" 1 (List.assoc "reused" st);
   match p'.Ir.p_body with
-  | [ Ir.Itranspose ("t1", "A"); Ir.Icopy ("t2", "t1"); Ir.Iprint _ ] -> ()
+  | [
+   Ir.Ilib { dst = "t1"; fn = Ir.Ltranspose; args = [ "A" ] };
+   Ir.Icopy ("t2", "t1");
+   Ir.Iprint _;
+  ] ->
+      ()
   | _ -> Alcotest.fail "second transpose should become a copy"
 
 let test_gre_scalar_result_uses_scalar_copy () =
   let b =
     [
-      Ir.Ireduce_all ("s1", Ir.Rsum, "A");
-      Ir.Ireduce_all ("s2", Ir.Rsum, "A");
+      Ir.Ilib { dst = "s1"; fn = Ir.Lreduce_all Ir.Rsum; args = [ "A" ] };
+      Ir.Ilib { dst = "s2"; fn = Ir.Lreduce_all Ir.Rsum; args = [ "A" ] };
       Ir.Iprint ("s2", Ir.Pscalar (Ir.Svar "s2"));
     ]
   in
   let p', st = Spmd.Gre.run (prog b) in
   Alcotest.(check int) "reused" 1 (List.assoc "reused" st);
   match p'.Ir.p_body with
-  | [ Ir.Ireduce_all _; Ir.Iscalar ("s2", Ir.Svar "s1"); Ir.Iprint _ ] -> ()
+  | [
+   Ir.Ilib { fn = Ir.Lreduce_all _; _ };
+   Ir.Iscalar ("s2", Ir.Svar "s1");
+   Ir.Iprint _;
+  ] ->
+      ()
   | _ -> Alcotest.fail "scalar-valued reuse should be a scalar assignment"
 
 let test_gre_killed_by_operand_redefinition () =
   let b =
     [
-      Ir.Itranspose ("t1", "A");
+      Ir.Ilib { dst = "t1"; fn = Ir.Ltranspose; args = [ "A" ] };
       Ir.Icopy ("A", "B");
-      Ir.Itranspose ("t2", "A");
+      Ir.Ilib { dst = "t2"; fn = Ir.Ltranspose; args = [ "A" ] };
     ]
   in
   let _, st = Spmd.Gre.run (prog b) in
@@ -115,9 +125,9 @@ let test_gre_killed_by_conditional_redefinition () =
   (* A write to the operand in one arm of an if kills the fact. *)
   let b =
     [
-      Ir.Itranspose ("t1", "A");
+      Ir.Ilib { dst = "t1"; fn = Ir.Ltranspose; args = [ "A" ] };
       Ir.Iif ([ (Ir.Svar "c", [ Ir.Icopy ("A", "B") ]) ], []);
-      Ir.Itranspose ("t2", "A");
+      Ir.Ilib { dst = "t2"; fn = Ir.Ltranspose; args = [ "A" ] };
     ]
   in
   let _, st = Spmd.Gre.run (prog b) in
@@ -133,8 +143,11 @@ let test_gre_facts_die_at_loop_exit () =
           Ir.Sconst 1.,
           None,
           Ir.Svar "n",
-          [ Ir.Itranspose ("t1", "A"); Ir.Isetelem ("C", [ Ir.Svar "i" ], Ir.Svar "x") ] );
-      Ir.Itranspose ("t2", "A");
+          [
+            Ir.Ilib { dst = "t1"; fn = Ir.Ltranspose; args = [ "A" ] };
+            Ir.Isetelem ("C", [ Ir.Svar "i" ], Ir.Svar "x");
+          ] );
+      Ir.Ilib { dst = "t2"; fn = Ir.Ltranspose; args = [ "A" ] };
     ]
   in
   let _, st = Spmd.Gre.run (prog b) in
@@ -145,7 +158,7 @@ let test_gre_facts_die_at_loop_exit () =
 let test_copyprop_forwards_through_temp () =
   let b =
     [
-      Ir.Itranspose ("ML_tmp1", "A");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "A" ] };
       Ir.Icopy ("ML_tmp2", "ML_tmp1");
       Ir.Iprint ("x", Ir.Pmat "ML_tmp2");
     ]
@@ -154,7 +167,9 @@ let test_copyprop_forwards_through_temp () =
   Alcotest.(check bool) "forwarded" true (List.assoc "forwarded" st >= 1);
   Alcotest.(check bool) "copy removed" true (List.assoc "removed" st >= 1);
   match p'.Ir.p_body with
-  | [ Ir.Itranspose ("ML_tmp1", "A"); Ir.Iprint ("x", Ir.Pmat "ML_tmp1") ] -> ()
+  | [ Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "A" ] }; Ir.Iprint ("x", Ir.Pmat "ML_tmp1") ]
+    ->
+      ()
   | _ -> Alcotest.fail "print should read the transpose result directly"
 
 let test_copyprop_facts_killed_by_loops () =
@@ -181,7 +196,7 @@ let test_dce_removes_dead_named_variable () =
      table variables stay live at exit. *)
   let b =
     [
-      Ir.Itranspose ("dead", "A");
+      Ir.Ilib { dst = "dead"; fn = Ir.Ltranspose; args = [ "A" ] };
       Ir.Iprint ("x", Ir.Pscalar (Ir.Sconst 1.));
     ]
   in
@@ -190,7 +205,7 @@ let test_dce_removes_dead_named_variable () =
   Alcotest.(check int) "one inst left" 1 (List.length p'.Ir.p_body)
 
 let test_dce_keeps_table_variables () =
-  let b = [ Ir.Itranspose ("kept", "A") ] in
+  let b = [ Ir.Ilib { dst = "kept"; fn = Ir.Ltranspose; args = [ "A" ] } ] in
   let vars = [ ("A", Ty.real_matrix); ("kept", Ty.real_matrix) ] in
   let _, st = Spmd.Copyprop.run (prog ~vars b) in
   Alcotest.(check int) "nothing removed" 0 (List.assoc "removed" st)
@@ -373,6 +388,42 @@ let test_apps_identical_at_every_level () =
       | _ -> assert false)
     Apps.Scripts.apps
 
+(* Every library call is an availability key: [A'*B] computed twice
+   (a transposed multiply after comm) is computed once. *)
+let test_gre_reuses_matmul_t () =
+  let c =
+    Otter.compile ~passes:[ "peephole"; "comm"; "gre" ]
+      "A = rand(4,4);\nB = rand(4,4);\nC = A'*B;\nD = A'*B;\ndisp(C);\ndisp(D);\n"
+  in
+  let n = ref 0 in
+  Ir.iter_insts
+    (function Ir.Ilib { fn = Ir.Lmatmul_t; _ } -> incr n | _ -> ())
+    c.Otter.prog.Ir.p_body;
+  Alcotest.(check int) "one transposed multiply" 1 !n
+
+(* [sort] gathers its operand, so the compile report counts it as a
+   communicating library call. *)
+let test_report_counts_sort () =
+  let c = Otter.compile "v = rand(1,16);\ns = sort(v);\n" in
+  Alcotest.(check bool) "sort is communication" true
+    (Testutil.contains (Otter.report c)
+       "1 run-time library calls (communication)")
+
+(* An [Ilib] operand list must fit its call. *)
+let test_validator_flags_lib_arity () =
+  let p =
+    prog
+      ~vars:[ ("A", Ty.real_matrix); ("C", Ty.real_matrix) ]
+      [
+        Ir.Iconstruct { dst = "A"; kind = Ir.Czeros; args = [ Ir.Sconst 2. ] };
+        Ir.Ilib { dst = "C"; fn = Ir.Lmatmul; args = [ "A" ] };
+      ]
+  in
+  match Spmd.Validate.check p with
+  | [ e ] ->
+      Alcotest.(check bool) "names the call" true (Testutil.contains e "matmul")
+  | errs -> Alcotest.failf "expected one error, got %d" (List.length errs)
+
 let suite =
   [
     t "licm hoists invariant broadcast" test_licm_hoists_invariant_broadcast;
@@ -386,6 +437,8 @@ let suite =
     t "gre killed by conditional redefinition"
       test_gre_killed_by_conditional_redefinition;
     t "gre facts die at loop exit" test_gre_facts_die_at_loop_exit;
+    t "gre reuses matmul_t" test_gre_reuses_matmul_t;
+    t "report counts sort" test_report_counts_sort;
     t "copyprop forwards through temp" test_copyprop_forwards_through_temp;
     t "copyprop facts killed by loops" test_copyprop_facts_killed_by_loops;
     t "dce removes dead unnamed variable" test_dce_removes_dead_named_variable;
@@ -398,6 +451,7 @@ let suite =
     t "validator flags unknown variable" test_validator_flags_unknown_variable;
     t "validator flags break outside loop"
       test_validator_flags_break_outside_loop;
+    t "validator flags library call arity" test_validator_flags_lib_arity;
     t "pipeline runs passes in order" test_pipeline_runs_passes_in_order;
     t "unknown pass rejected" test_unknown_pass_rejected;
     t "O0 compiles without passes" test_O0_compiles_without_passes;

@@ -14,7 +14,7 @@ let opt_block b =
 let test_copy_forwarding () =
   let b =
     [
-      Ir.Imatmul ("ML_tmp1", "a", "b");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Lmatmul; args = [ "a"; "b" ] };
       Ir.Icopy ("c", "ML_tmp1");
       Ir.Iprint ("c", Ir.Pmat "c");
     ]
@@ -22,7 +22,7 @@ let test_copy_forwarding () =
   let b', stats = opt_block b in
   Alcotest.(check int) "forwarded" 1 stats.P.copies_forwarded;
   match b' with
-  | [ Ir.Imatmul ("c", "a", "b"); Ir.Iprint _ ] -> ()
+  | [ Ir.Ilib { dst = "c"; fn = Ir.Lmatmul; args = [ "a"; "b" ] }; Ir.Iprint _ ] -> ()
   | _ -> Alcotest.fail "matmul should write c directly"
 
 let test_copy_forwarding_in_place_elementwise () =
@@ -49,14 +49,18 @@ let test_no_forwarding_when_operand_read_by_library_call () =
   (* q = matmul(A, q) is NOT safe in place: the copy must stay. *)
   let b =
     [
-      Ir.Imatmul ("ML_tmp1", "A", "q");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Lmatmul; args = [ "A"; "q" ] };
       Ir.Icopy ("q", "ML_tmp1");
       Ir.Iprint ("q", Ir.Pmat "q");
     ]
   in
   let b', _ = opt_block b in
   match b' with
-  | [ Ir.Imatmul ("ML_tmp1", "A", "q"); Ir.Icopy ("q", "ML_tmp1"); Ir.Iprint _ ]
+  | [
+   Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Lmatmul; args = [ "A"; "q" ] };
+   Ir.Icopy ("q", "ML_tmp1");
+   Ir.Iprint _;
+  ]
     ->
       ()
   | _ -> Alcotest.fail "copy into an operand of the call must remain"
@@ -64,7 +68,7 @@ let test_no_forwarding_when_operand_read_by_library_call () =
 let test_no_forwarding_when_temp_reused () =
   let b =
     [
-      Ir.Imatmul ("ML_tmp1", "a", "b");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Lmatmul; args = [ "a"; "b" ] };
       Ir.Icopy ("c", "ML_tmp1");
       Ir.Iprint ("t", Ir.Pmat "ML_tmp1");
     ]
@@ -101,8 +105,8 @@ let test_different_broadcasts_not_merged () =
 let test_transpose_collapse () =
   let b =
     [
-      Ir.Itranspose ("ML_tmp1", "a");
-      Ir.Itranspose ("b", "ML_tmp1");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Ltranspose; args = [ "a" ] };
+      Ir.Ilib { dst = "b"; fn = Ir.Ltranspose; args = [ "ML_tmp1" ] };
       Ir.Iprint ("b", Ir.Pmat "b");
     ]
   in
@@ -115,16 +119,23 @@ let test_transpose_collapse () =
 let test_shift_combining () =
   let b =
     [
-      Ir.Ishift ("ML_tmp1", "v", Ir.Sconst 2.);
-      Ir.Ishift ("w", "ML_tmp1", Ir.Sconst 3.);
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Lshift (Ir.Sconst 2.); args = [ "v" ] };
+      Ir.Ilib { dst = "w"; fn = Ir.Lshift (Ir.Sconst 3.); args = [ "ML_tmp1" ] };
       Ir.Iprint ("w", Ir.Pmat "w");
     ]
   in
   let b', stats = opt_block b in
   Alcotest.(check int) "combined" 1 stats.P.shifts_combined;
   match b' with
-  | [ Ir.Ishift ("w", "v", Ir.Sbin (Mlang.Ast.Add, Ir.Sconst 2., Ir.Sconst 3.)); _ ]
-    ->
+  | [
+   Ir.Ilib
+     {
+       dst = "w";
+       fn = Ir.Lshift (Ir.Sbin (Mlang.Ast.Add, Ir.Sconst 2., Ir.Sconst 3.));
+       args = [ "v" ];
+     };
+   _;
+  ] ->
       ()
   | _ -> Alcotest.fail "shift of shift should combine offsets"
 
@@ -159,7 +170,7 @@ let test_effects_never_removed () =
 let test_nested_blocks_optimized () =
   let inner =
     [
-      Ir.Imatmul ("ML_tmp1", "a", "b");
+      Ir.Ilib { dst = "ML_tmp1"; fn = Ir.Lmatmul; args = [ "a"; "b" ] };
       Ir.Icopy ("c", "ML_tmp1");
       Ir.Iprint ("c", Ir.Pmat "c");
     ]
@@ -195,6 +206,21 @@ let test_end_to_end_cg_copies () =
   Alcotest.(check bool) "program shrank" true
     (count opt.Ir.p_body < count raw.Ir.p_body)
 
+(* The transpose, shift and broadcast rules fire on MATLAB source, not
+   only on hand-built IR: the corpus script holds one instance of each. *)
+let test_rules_fire_on_source () =
+  match Testutil.find_up "test/corpus/fuzz/peephole_rules.m" with
+  | None -> () (* sandboxed without sources: nothing to check *)
+  | Some file ->
+      let c = Otter.compile ~opt:Spmd.Pass.O1 (Testutil.read_file file) in
+      let r =
+        List.find (fun (r : Spmd.Pass.record) -> r.pass = "peephole") c.passes
+      in
+      List.iter
+        (fun rule ->
+          Alcotest.(check int) rule 1 (List.assoc rule r.Spmd.Pass.detail))
+        [ "transposes-collapsed"; "shifts-combined"; "broadcasts-reused" ]
+
 let suite =
   [
     t "copy forwarding" test_copy_forwarding;
@@ -211,4 +237,5 @@ let suite =
     t "effectful instructions kept" test_effects_never_removed;
     t "nested blocks" test_nested_blocks_optimized;
     t "CG end to end" test_end_to_end_cg_copies;
+    t "rules fire on MATLAB source" test_rules_fire_on_source;
   ]
