@@ -10,7 +10,14 @@
    All point-to-point traffic is routed through [Reliable], which is a
    transparent pass-through to [Sim] unless the machine requests the
    ack/retry layer -- in which case the collectives survive dropped,
-   duplicated, and delayed messages with unchanged results. *)
+   duplicated, and delayed messages with unchanged results.
+
+   Payloads change hands by reference (see [Sim.send]): no function
+   here writes an array after sending it or writes an array it
+   received, and none sends its caller's argument.  Every collective
+   returns an array its caller owns and may write -- never one that
+   was sent or received -- so the copies this costs are made once per
+   collective, at the few sites below that hand a shared array back. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -34,12 +41,17 @@ let tag_gather = 1003
 let tag_ring = 1004
 let tag_allreduce = 1006
 
-(* Element-wise in-place combine, accounting one flop per element. *)
-let combine op (acc : float array) (other : float array) =
-  for i = 0 to Array.length acc - 1 do
-    acc.(i) <- apply_op op acc.(i) other.(i)
+(* Element-wise combine into a fresh array, [left] on the left,
+   accounting one flop per element.  Fresh, because either operand may
+   be a sent or received array that must not be written. *)
+let combine op (left : float array) (right : float array) =
+  let n = Array.length left in
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    out.(i) <- apply_op op left.(i) right.(i)
   done;
-  Sim.flops (float_of_int (Array.length acc))
+  Sim.flops (float_of_int n);
+  out
 
 (* Relative-rank helpers: the tree collectives rotate ranks so the
    root sits at relative rank 0. *)
@@ -71,21 +83,25 @@ let tree_schedule p rel =
    outright when P <= 2 -- the tree degenerates to the same single
    message without the mask bookkeeping -- and kept as the ablation
    baseline for the binomial tree (O(P) root serial time instead of
-   O(log P) rounds). *)
+   O(log P) rounds).  The root ships one copy of [data] to everyone;
+   every receiver copies that shared array into its result. *)
 let bcast_linear ~root (data : float array) : float array =
   let p = Sim.size () in
   let me = Sim.rank () in
   if p = 1 then data
   else if me = root then begin
+    let shared = Sim.Floats (Array.copy data) in
     for dst = 0 to p - 1 do
-      if dst <> root then Reliable.send ~dst ~tag:tag_bcast (Sim.Floats data)
+      if dst <> root then Reliable.send ~dst ~tag:tag_bcast shared
     done;
     data
   end
-  else Reliable.recv_floats ~src:root ~tag:tag_bcast
+  else Array.copy (Reliable.recv_floats ~src:root ~tag:tag_bcast)
 
 (* Binomial-tree broadcast of a float array rooted at [root].
-   Children are fed in descending-mask order, largest subtree first. *)
+   Children are fed in descending-mask order, largest subtree first.
+   One array travels the whole tree: the root copies [data] once, each
+   rank forwards what it received unchanged and keeps a copy. *)
 let bcast ~root (data : float array) : float array =
   let p = Sim.size () in
   if p <= 2 then bcast_linear ~root data
@@ -93,18 +109,21 @@ let bcast ~root (data : float array) : float array =
     let me = Sim.rank () in
     let rel = rel_of ~root me p in
     let children, parent = tree_schedule p rel in
-    let buf =
+    let result, shared =
       match parent with
-      | None -> data
+      | None -> (data, Array.copy data)
       | Some prel ->
-          Reliable.recv_floats ~src:(abs_of ~root prel p) ~tag:tag_bcast
+          let buf =
+            Reliable.recv_floats ~src:(abs_of ~root prel p) ~tag:tag_bcast
+          in
+          (Array.copy buf, buf)
     in
     List.iter
       (fun crel ->
         Reliable.send ~dst:(abs_of ~root crel p) ~tag:tag_bcast
-          (Sim.Floats buf))
+          (Sim.Floats shared))
       (List.rev children);
-    buf
+    result
   end
 
 (* Binomial-tree reduction to [root]; every rank contributes [data],
@@ -118,20 +137,20 @@ let reduce ~root ~op (data : float array) : float array =
     let me = Sim.rank () in
     let rel = rel_of ~root me p in
     let children, parent = tree_schedule p rel in
-    let acc = Array.copy data in
-    List.iter
-      (fun crel ->
-        let other =
-          Reliable.recv_floats ~src:(abs_of ~root crel p) ~tag:tag_reduce
-        in
-        combine op acc other)
-      children;
-    (match parent with
-    | None -> ()
+    let acc =
+      List.fold_left
+        (fun acc crel ->
+          combine op acc
+            (Reliable.recv_floats ~src:(abs_of ~root crel p) ~tag:tag_reduce))
+        data children
+    in
+    match parent with
+    | None -> acc
     | Some prel ->
+        (* the parent reads what we send; the caller keeps its own copy *)
         Reliable.send ~dst:(abs_of ~root prel p) ~tag:tag_reduce
-          (Sim.Floats acc));
-    acc
+          (Sim.Floats (Array.copy acc));
+        acc
   end
 
 (* Recursive-doubling allreduce: every rank ends with the element-wise
@@ -144,7 +163,10 @@ let reduce ~root ~op (data : float array) : float array =
    Non-power-of-two sizes fold the surplus onto the power-of-two core
    first (the lowest [2*(P - 2^k)] ranks pair up, evens passing their
    contribution to their odd neighbour) and hand the surplus ranks the
-   finished result afterwards. *)
+   finished result afterwards.  [acc] starts as a copy of [data] (never
+   send the caller's array) and every combine makes a fresh one, so an
+   array is never written once sent; the finished result is copied
+   once more for a surplus rank, whose partner keeps the original. *)
 let allreduce ~op (data : float array) : float array =
   let p = Sim.size () in
   if p = 1 then Array.copy data
@@ -166,9 +188,7 @@ let allreduce ~op (data : float array) : float array =
         else begin
           let other = Reliable.recv_floats ~src:(me - 1) ~tag:tag_allreduce in
           (* the sender is the lower rank: its data goes on the left *)
-          let merged = Array.copy other in
-          combine op merged !acc;
-          acc := merged;
+          acc := combine op other !acc;
           me / 2
         end
       else me - rem
@@ -180,19 +200,19 @@ let allreduce ~op (data : float array) : float array =
          let partner = real (newrank lxor !mask) in
          Reliable.send ~dst:partner ~tag:tag_allreduce (Sim.Floats !acc);
          let other = Reliable.recv_floats ~src:partner ~tag:tag_allreduce in
-         if newrank land !mask <> 0 then begin
-           (* the partner's block sits to our left *)
-           let merged = Array.copy other in
-           combine op merged !acc;
-           acc := merged
-         end
-         else combine op !acc other;
+         acc :=
+           if newrank land !mask <> 0 then
+             (* the partner's block sits to our left *)
+             combine op other !acc
+           else combine op !acc other;
          mask := !mask * 2
        done);
     if me < 2 * rem then
       if me land 1 = 0 then
         acc := Reliable.recv_floats ~src:(me + 1) ~tag:tag_allreduce
-      else Reliable.send ~dst:(me - 1) ~tag:tag_allreduce (Sim.Floats !acc);
+      else
+        Reliable.send ~dst:(me - 1) ~tag:tag_allreduce
+          (Sim.Floats (Array.copy !acc));
     !acc
   end
 
@@ -238,7 +258,8 @@ let gatherv ~root ~counts (local : float array) : float array =
     out
   end
   else begin
-    Reliable.send ~dst:root ~tag:tag_gather (Sim.Floats local);
+    (* [local] is the caller's live block: ship a copy *)
+    Reliable.send ~dst:root ~tag:tag_gather (Sim.Floats (Array.copy local));
     [||]
   end
 
@@ -275,7 +296,7 @@ let allgatherv_doubling ~offset ~(out : float array) =
     let nblocks = min !w (p - !w) in
     let dst = (me - !w + p) mod p and src = (me + !w) mod p in
     let l1, l2 = window_spans ~offset p me nblocks in
-    let buf = Array.make (l1 + l2) 0. in
+    let buf = Array.create_float (l1 + l2) in
     Array.blit out (offset me) buf 0 l1;
     Array.blit out 0 buf l1 l2;
     Reliable.send ~dst ~tag:tag_ring (Sim.Floats buf);
@@ -298,7 +319,9 @@ let allgatherv_offset ~offset (local : float array) : float array =
     invalid_arg "allgatherv: local block size disagrees with counts";
   if p = 1 then Array.copy local
   else begin
-    let out = Array.make (offset p) 0. in
+    (* the blocks tile [0, offset p), so every element is written
+       below and the zero fill would be wasted memory traffic *)
+    let out = Array.create_float (offset p) in
     Array.blit local 0 out (offset me) (Array.length local);
     if p > ring_max then allgatherv_doubling ~offset ~out
     else begin

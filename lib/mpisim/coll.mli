@@ -1,6 +1,7 @@
 (** Collective operations built from point-to-point messages, so their
     cost emerges from the machine's link model.  All ranks must call
-    the same collectives in the same order. *)
+    the same collectives in the same order.  Each returns an array its
+    caller owns and may write; none sends its caller's argument. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -27,6 +28,13 @@ val vote : bool -> bool
 (** One-bit agreement (logical-or allreduce): every rank returns [true]
     iff any rank voted [true].  The checkpoint machinery's boundary
     coordinator: all ranks leave with the same verdict or none do. *)
+
+val recv_block : what:string -> src:int -> tag:int -> int -> float array
+(** [recv_block ~what ~src ~tag n] receives a block whose length [n]
+    the schedule knows.  Without reliable delivery a dropped message
+    lets the channel hand over another block in its place; a length
+    other than [n] raises {!Sim.Protocol_error} naming [what] and both
+    lengths.  The array is received: read it, do not write it. *)
 
 val gatherv : root:int -> counts:int array -> float array -> float array
 (** Concatenate per-rank blocks (rank order) on the root; other ranks

@@ -379,13 +379,10 @@ let degraded (f : Machine.faults) ~src ~dst ~now =
    shared medium) the channel are free; it arrives one latency plus one
    serialization time later.  Fault injection happens here: the send
    cost is always paid, but the network may destroy, duplicate, or
-   delay what was sent. *)
-let copy_payload = function
-  | Floats a -> Floats (Array.copy a)
-  | Ints a -> Ints (Array.copy a)
-
+   delay what was sent.  The payload itself changes hands by reference
+   (see [send] in sim.mli for the ownership rule), so an injected
+   duplicate queues the same array twice. *)
 let deliver st ~src ~dst ~tag ?ack data =
-  let data = copy_payload data in
   let faults = st.machine.Machine.faults in
   (* rank stall: the sender loses time before the message even leaves *)
   (match faults with
@@ -447,7 +444,7 @@ let deliver st ~src ~dst ~tag ?ack data =
     | Some f when f.Machine.dup > 0. && draw st f ~salt:salt_dup < f.Machine.dup
       ->
         st.report.dups <- st.report.dups + 1;
-        Queue.push (arrival +. latency, copy_payload data) (mailbox st ~dst ~src ~tag)
+        Queue.push (arrival +. latency, data) (mailbox st ~dst ~src ~tag)
     | _ -> ()
   end;
   (* Transport-level acknowledgement: models the NIC acking on arrival,

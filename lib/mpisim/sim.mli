@@ -20,7 +20,15 @@ val payload_bytes : payload -> int
 (** Operations available inside a simulated rank. *)
 
 val send : dst:int -> tag:int -> payload -> unit
-(** Eager, non-blocking; the payload is copied at send time. *)
+(** Eager, non-blocking.  The payload's array changes hands by
+    reference, not by copy (all ranks share one address space), so
+    every send site keeps an ownership rule:
+    - the sender never writes an array after sending it;
+    - a receiver never writes an array it received: one array may
+      reach several ranks (a broadcast forwarding it to its children,
+      an injected duplicate, a reliable-layer retry).
+    A site that needs a writable array copies it itself.  The modeled
+    cost is unaffected: {!payload_bytes} still prices the message. *)
 
 val send_acked :
   dst:int -> tag:int -> ack_tag:int -> seq:int -> payload -> unit

@@ -219,11 +219,11 @@ let transpose (m : Dmat.t) : Dmat.t =
     done;
     if m.count > 0 && chi me > clo me then unpack me (pack me);
     for src = 0 to nprocs - 1 do
-      if
-        src <> me
-        && Dist.size ~rank:src ~nprocs ~n:m.rows > 0
-        && r.count > 0
-      then unpack src (Rel.recv_floats ~src ~tag:tag_transpose)
+      let h = Dist.size ~rank:src ~nprocs ~n:m.rows in
+      if src <> me && h > 0 && r.count > 0 then
+        unpack src
+          (Coll.recv_block ~what:"transpose" ~src ~tag:tag_transpose
+             (h * r.count))
     done;
     r
   end
@@ -656,8 +656,14 @@ let bcast_elems (m : Dmat.t) (coords : (int * int) list) : float array =
   done;
   if me = root then
     for src = 0 to Sim.size () - 1 do
-      if src <> root && Array.exists (fun o -> o = src) owners then begin
-        let chunk = Rel.recv_floats ~src ~tag:tag_bcast_batch in
+      let owned =
+        Array.fold_left (fun c o -> if o = src then c + 1 else c) 0 owners
+      in
+      if src <> root && owned > 0 then begin
+        let chunk =
+          Coll.recv_block ~what:"element broadcast" ~src ~tag:tag_bcast_batch
+            owned
+        in
         let next = ref 0 in
         for k = 0 to n - 1 do
           if owners.(k) = src then begin
@@ -743,8 +749,9 @@ let circshift (v : Dmat.t) s : Dmat.t =
             for src = 0 to nprocs - 1 do
               let a = max s0 (lo src) and b = min s1 (hi src) in
               if a < b && src <> me then begin
-                let chunk = Rel.recv_floats ~src ~tag:tag_shift in
-                assert (Array.length chunk = b - a);
+                let chunk =
+                  Coll.recv_block ~what:"shift" ~src ~tag:tag_shift (b - a)
+                in
                 let dst0 = (a + s) mod n in
                 Array.blit chunk 0 r.data (dst0 - my_lo) (b - a)
               end
@@ -817,7 +824,9 @@ let trapz ?x (y : Dmat.t) : float =
     let boundary =
       if count > 0 && high < n then
         let src = Dist.owner ~nprocs ~n high in
-        Some (Rel.recv_floats ~src ~tag:tag_trapz)
+        Some
+          (Coll.recv_block ~what:"trapz" ~src ~tag:tag_trapz
+             (match x with Some _ -> 2 | None -> 1))
       else None
     in
     let acc = ref 0. in

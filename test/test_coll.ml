@@ -184,6 +184,68 @@ let test_allgatherv_doubling () =
         results)
     [ 65; 100; 130; 1024 ]
 
+(* The ownership rule: every collective returns an array its caller
+   owns, and none sends its caller's argument.  Each rank snapshots its
+   result, then at once overwrites the result and its argument with
+   NaN; a result another rank shares, or an argument still queued in a
+   message, then shows NaN there.  The data are small integers, so
+   every sum is exact and the snapshots must equal the sequential
+   reference bit for bit.  P=65 and 96 take the doubling allgather,
+   the odd sizes the allreduce's surplus ranks. *)
+let test_results_caller_owned () =
+  let machine = Mpisim.Machine.fattree_default in
+  let input r = Array.init 3 (fun k -> float_of_int ((10 * r) + k)) in
+  let block r = Array.init (r mod 3) (fun k -> float_of_int ((10 * r) + k)) in
+  let own arg result =
+    let snap = Array.copy result in
+    Array.fill result 0 (Array.length result) Float.nan;
+    Array.fill arg 0 (Array.length arg) Float.nan;
+    snap
+  in
+  List.iter
+    (fun p ->
+      let root = p / 2 in
+      let counts = Array.init p (fun r -> r mod 3) in
+      let gathered = Array.concat (List.init p block) in
+      let sum =
+        Array.init 3 (fun k ->
+            List.fold_left ( +. ) 0. (List.init p (fun r -> (input r).(k))))
+      in
+      let check name expected body =
+        let results, _ = Sim.run ~machine ~nprocs:p body in
+        Array.iteri
+          (fun r got ->
+            match expected r with
+            | Some e when got <> e ->
+                Alcotest.failf "%s P=%d: rank %d's result differs" name p r
+            | _ -> ())
+          results
+      in
+      let everywhere e _ = Some e in
+      let with_input coll r =
+        let a = input r in
+        own a (coll a)
+      and with_block coll r =
+        let a = block r in
+        own a (coll a)
+      in
+      check "bcast" (everywhere (input root)) (with_input (Coll.bcast ~root));
+      check "bcast_linear" (everywhere (input root))
+        (with_input (Coll.bcast_linear ~root));
+      check "reduce"
+        (fun r -> if r = root then Some sum else None)
+        (with_input (Coll.reduce ~root ~op:Coll.Sum));
+      check "allreduce" (everywhere sum) (with_input (Coll.allreduce ~op:Coll.Sum));
+      check "allgatherv" (everywhere gathered)
+        (with_block (Coll.allgatherv ~counts));
+      check "gatherv"
+        (fun r -> Some (if r = root then gathered else [||]))
+        (with_block (Coll.gatherv ~root ~counts));
+      check "exscan"
+        (fun r -> Some [| float_of_int (10 * (r * (r - 1) / 2)) |])
+        (fun r -> [| Coll.exscan ~op:Coll.Sum ~identity:0. (float_of_int (10 * r)) |]))
+    [ 1; 2; 3; 5; 7; 8; 65; 96 ]
+
 let test_barrier_synchronizes () =
   let results, _ =
     Sim.run ~machine ~nprocs:4 (fun rank ->
@@ -246,6 +308,7 @@ let suite =
     t "allgatherv" test_allgatherv;
     t "allgatherv with empty blocks" test_allgatherv_empty_blocks;
     t "doubling allgatherv on the fat-tree" test_allgatherv_doubling;
+    t "collective results are caller-owned" test_results_caller_owned;
     t "barrier synchronizes" test_barrier_synchronizes;
     t "broadcast cost is logarithmic" test_bcast_cost_scales_log;
     QCheck_alcotest.to_alcotest allreduce_prop;

@@ -317,6 +317,25 @@ let test_lossy_allgather_is_protocol_error () =
             (Testutil.contains detail "allgather: expected 30 floats, received 20")
       | Exec.State.Complete _ -> Alcotest.fail "the lossy run cannot complete")
 
+(* The same for circshift's runs: a dropped run lets a later one, of
+   another length, arrive in its place, which must surface as a
+   protocol error naming both lengths rather than an assertion. *)
+let test_lossy_shift_is_protocol_error () =
+  match Testutil.find_up "test/corpus/fuzz/shift_runs.m" with
+  | None -> () (* sandboxed without sources: nothing to check *)
+  | Some file -> (
+      let c = Otter.compile (Testutil.read_file file) in
+      let m = faulty ~reliable:false "drop=0.2,seed=1" Machine.meiko_cs2 in
+      match
+        (Otter.run (Otter.config ~machine:m ~nprocs:4 ()) c).Exec.State.r_result
+      with
+      | Exec.State.Partial { kind; detail; _ } ->
+          Alcotest.(check bool) "classified as a protocol error" true
+            (kind = Exec.State.Fprotocol);
+          Alcotest.(check bool) "detail names both lengths" true
+            (Testutil.contains detail "shift: expected 1 floats, received 2")
+      | Exec.State.Complete _ -> Alcotest.fail "the lossy run cannot complete")
+
 let suite =
   [
     t "fault spec parser" test_spec_parser;
@@ -331,4 +350,5 @@ let suite =
     t "apps verify under faults" test_apps_verify_under_faults;
     t "VM partial names rank and operation" test_vm_partial_names_rank_and_operation;
     t "lossy allgather is a protocol error" test_lossy_allgather_is_protocol_error;
+    t "lossy shift is a protocol error" test_lossy_shift_is_protocol_error;
   ]
