@@ -142,7 +142,9 @@ let mpi_encode op (v : value) : Mpisim.Sim.payload =
         "%s: cannot send a tensor; slice it into matrices or scalars first" op
   | Vstr _ -> error "%s: cannot send a string" op
 
-let mpi_decode op (p : Mpisim.Sim.payload) : value =
+(* A window is a collective's payload, never a user message: one here
+   is malformed traffic, a protocol error rather than a program error. *)
+let mpi_decode op ~src ~tag (p : Mpisim.Sim.payload) : value =
   match p with
   | Mpisim.Sim.Floats [| 0.; v |] -> Vscalar v
   | Mpisim.Sim.Floats a
@@ -152,7 +154,17 @@ let mpi_decode op (p : Mpisim.Sim.payload) : value =
             = 3 + (int_of_float a.(1) * int_of_float a.(2)) ->
       let rows = int_of_float a.(1) and cols = int_of_float a.(2) in
       Vmat (Dmat.of_full ~rows ~cols (Array.sub a 3 (rows * cols)))
-  | _ -> error "%s: malformed message payload" op
+  | Mpisim.Sim.Floats _ | Mpisim.Sim.Ints _ ->
+      error "%s: malformed message payload" op
+  | Mpisim.Sim.Window _ ->
+      raise
+        (Mpisim.Sim.Protocol_error
+           {
+             rank = Mpisim.Sim.rank ();
+             src;
+             tag;
+             detail = op ^ ": a collective's window payload is not a message";
+           })
 
 let mpi_check_rank op what r =
   let nprocs = Mpisim.Sim.size () in
@@ -178,12 +190,12 @@ let mpi_send ~dst ~tag (v : value) =
    send on the tag ships matrices) is promoted to a 1x1 replica. *)
 let mpi_recv ~src ~tag ~is_matrix : value =
   mpi_check_source "MPI_Recv" src;
-  let payload =
-    if src = mpi_any_source then
-      snd (Mpisim.Reliable.recv_any ~tag:(mpi_user_tag tag))
-    else Mpisim.Reliable.recv ~src ~tag:(mpi_user_tag tag)
+  let utag = mpi_user_tag tag in
+  let src, payload =
+    if src = mpi_any_source then Mpisim.Reliable.recv_any ~tag:utag
+    else (src, Mpisim.Reliable.recv ~src ~tag:utag)
   in
-  let v = mpi_decode "MPI_Recv" payload in
+  let v = mpi_decode "MPI_Recv" ~src ~tag:utag payload in
   match v with
   | Vscalar f when is_matrix -> Vmat (Dmat.of_full ~rows:1 ~cols:1 [| f |])
   | Vmat _ when not is_matrix ->
@@ -198,7 +210,9 @@ let mpi_probe ~src ~tag : float =
    rank (uniform control flow, like any collective), so replicating it
    is an allgather and the root is irrelevant; a replica or scalar is
    genuinely the root's private value, shipped point-to-point to each
-   other rank. *)
+   other rank.  Indexed assignment writes the replica in place, and
+   [Dmat.to_dense]'s result is read-only (peers may still read windows
+   of it); [Dmat.of_full] copies, which keeps the two apart. *)
 let mpi_bcast ~root (v : value) : value =
   mpi_check_rank "MPI_Bcast" "root" root;
   match v with
@@ -214,7 +228,7 @@ let mpi_bcast ~root (v : value) : value =
         match v with Vmat m -> Vmat (Dmat.copy m) | s -> s
       end
       else
-        mpi_decode "MPI_Bcast"
+        mpi_decode "MPI_Bcast" ~src:root ~tag:tag_mpi_bcast
           (Mpisim.Reliable.recv ~src:root ~tag:tag_mpi_bcast)
 
 (* --- structured results --------------------------------------------------- *)

@@ -5,7 +5,8 @@
 
    Broadcast and reduce use binomial trees (log P rounds); allgather
    uses a ring (P-1 rounds of neighbour exchange), which was the
-   standard implementation on mid-90s MPI stacks.
+   standard implementation on mid-90s MPI stacks, up to [ring_max]
+   ranks and a Bruck-style doubling schedule beyond.
 
    All point-to-point traffic is routed through [Reliable], which is a
    transparent pass-through to [Sim] unless the machine requests the
@@ -13,11 +14,14 @@
    duplicated, and delayed messages with unchanged results.
 
    Payloads change hands by reference (see [Sim.send]): no function
-   here writes an array after sending it or writes an array it
+   here writes an element after sending it or writes an element it
    received, and none sends its caller's argument.  Every collective
-   returns an array its caller owns and may write -- never one that
-   was sent or received -- so the copies this costs are made once per
-   collective, at the few sites below that hand a shared array back. *)
+   but the allgather returns an array its caller owns and may write --
+   never one that was sent or received -- so the copies this costs are
+   made once per collective, at the few sites below that hand a shared
+   array back.  The allgather's result is read-only: the doubling
+   schedule sends windows of it, which a peer may still read after
+   this rank has returned. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -218,23 +222,21 @@ let allreduce ~op (data : float array) : float array =
 
 let barrier () = ignore (allreduce ~op:Sum [| 0. |])
 
-(* Receive a block whose length the schedule knows.  Without reliable
-   delivery a dropped message lets the channel hand over a later
-   round's block instead, which must fail as a protocol error rather
-   than be copied into the wrong place. *)
+let protocol_error ~src ~tag detail =
+  raise (Sim.Protocol_error { rank = Sim.rank (); src; tag; detail })
+
+(* Without reliable delivery a dropped message lets the channel hand
+   over a later round's block instead, which must fail as a protocol
+   error rather than be copied into the wrong place. *)
+let check_length ~what ~src ~tag n got =
+  if got <> n then
+    protocol_error ~src ~tag
+      (Printf.sprintf "%s: expected %d floats, received %d" what n got)
+
+(* Receive a block whose length the schedule knows. *)
 let recv_block ~what ~src ~tag n =
   let a = Reliable.recv_floats ~src ~tag in
-  if Array.length a <> n then
-    raise
-      (Sim.Protocol_error
-         {
-           rank = Sim.rank ();
-           src;
-           tag;
-           detail =
-             Printf.sprintf "%s: expected %d floats, received %d" what n
-               (Array.length a);
-         });
+  check_length ~what ~src ~tag n (Array.length a);
   a
 
 (* Gather variable-sized blocks to [root]; the root receives blocks in
@@ -265,9 +267,9 @@ let gatherv ~root ~counts (local : float array) : float array =
 
 (* Above this size the ring allgather's P-1 rounds (P(P-1) messages
    total) dominate a large run, so allgatherv switches to a Bruck-style
-   doubling schedule: O(P log P) messages.  No paper-scale run (P <= 16)
-   or bench baseline ever crosses the threshold, so all historical
-   timings are preserved bit-for-bit. *)
+   doubling schedule: O(P log P) messages.  No paper-scale run
+   (P <= 16) crosses the threshold; the scale baseline's fat-tree rows
+   at P = 128 to 1024 run the doubling schedule and pin it. *)
 let ring_max = 64
 
 (* The blocks [b, b + n) (mod p) of a gathered array whose block [r]
@@ -278,16 +280,45 @@ let window_spans ~offset p b n =
   if b + n <= p then (offset (b + n) - offset b, 0)
   else (offset p - offset b, offset (b + n - p))
 
+(* Receive a window of the [l1 + l2] floats that belong at [out]'s
+   spans [dst, dst + l1) and [0, l2), and copy it there.  The sender
+   ships a [Sim.Window] of its own gathered array, or, under reliable
+   delivery, the flattened [Floats] of one; either way the floats come
+   in order from at most two source spans, so at most three blits
+   place them. *)
+let recv_window ~src ~tag ~out ~dst l1 l2 =
+  let n = l1 + l2 in
+  let a, off, m1, m =
+    match Reliable.recv ~src ~tag with
+    | Sim.Window (a, off, m1, m2) -> (a, off, m1, m1 + m2)
+    | Sim.Floats a -> (a, 0, Array.length a, Array.length a)
+    | Sim.Ints _ ->
+        protocol_error ~src ~tag "expected a float payload, received integers"
+  in
+  check_length ~what:"allgather" ~src ~tag n m;
+  let i = ref 0 in
+  while !i < n do
+    (* the longest run from float [!i] on that is contiguous on both
+       sides *)
+    let s, s_run = if !i < m1 then (off + !i, m1 - !i) else (!i - m1, n - !i) in
+    let d, d_run = if !i < l1 then (dst + !i, l1 - !i) else (!i - l1, n - !i) in
+    let len = min s_run d_run in
+    Array.blit a s out d len;
+    i := !i + len
+  done
+
 (* Bruck-style doubling allgather: after round k every rank holds the
    window of min(2^k, p) consecutive blocks (mod p) starting at its
    own.  Each round it sends its leading blocks one window to the left
    and receives the same-shaped extension from one window to the right,
    so the window doubles until it wraps: ceil(log2 p) rounds, one send
    and one receive per rank per round.  Offsets are globally known, so
-   the packing is deterministic, and each window packs and unpacks
-   with at most two blits, whatever its block count; every rank sends
-   before it receives and sends are eager, so the schedule cannot
-   deadlock. *)
+   the windows are deterministic.  A rank sends a [Sim.Window] of
+   [out] itself, not a packed copy: the blocks it covers are complete
+   before the send, and every later round writes only blocks outside
+   it, so the receiver may read it whenever it gets there.  Every rank
+   sends before it receives and sends are eager, so the schedule
+   cannot deadlock. *)
 let allgatherv_doubling ~offset ~(out : float array) =
   let p = Sim.size () in
   let me = Sim.rank () in
@@ -296,14 +327,9 @@ let allgatherv_doubling ~offset ~(out : float array) =
     let nblocks = min !w (p - !w) in
     let dst = (me - !w + p) mod p and src = (me + !w) mod p in
     let l1, l2 = window_spans ~offset p me nblocks in
-    let buf = Array.create_float (l1 + l2) in
-    Array.blit out (offset me) buf 0 l1;
-    Array.blit out 0 buf l1 l2;
-    Reliable.send ~dst ~tag:tag_ring (Sim.Floats buf);
+    Reliable.send ~dst ~tag:tag_ring (Sim.Window (out, offset me, l1, l2));
     let l1, l2 = window_spans ~offset p src nblocks in
-    let incoming = recv_block ~what:"allgather" ~src ~tag:tag_ring (l1 + l2) in
-    Array.blit incoming 0 out (offset src) l1;
-    Array.blit incoming l1 out 0 l2;
+    recv_window ~src ~tag:tag_ring ~out ~dst:(offset src) l1 l2;
     w := !w + nblocks
   done
 
@@ -311,7 +337,8 @@ let allgatherv_doubling ~offset ~(out : float array) =
    concatenation of all blocks in rank order, block [r] at [offset r]
    ([offset p] is the total).  Ring exchange (P-1 rounds of neighbour
    traffic, the standard mid-90s implementation) up to [ring_max]
-   ranks, doubling beyond. *)
+   ranks, doubling beyond.  The result is read-only at every P (see
+   the header): the doubling rounds' peers read windows of it. *)
 let allgatherv_offset ~offset (local : float array) : float array =
   let p = Sim.size () in
   let me = Sim.rank () in

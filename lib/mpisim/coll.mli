@@ -1,7 +1,10 @@
 (** Collective operations built from point-to-point messages, so their
     cost emerges from the machine's link model.  All ranks must call
-    the same collectives in the same order.  Each returns an array its
-    caller owns and may write; none sends its caller's argument. *)
+    the same collectives in the same order.  None sends its caller's
+    argument.  Each returns an array its caller owns and may write,
+    except {!allgatherv_offset} and {!allgatherv}: their result is
+    read-only at every P, because other ranks may read windows of it
+    after the call returns. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -45,14 +48,18 @@ val allgatherv_offset : offset:(int -> int) -> float array -> float array
     block at [offset r] ([offset p] is the total length).  Ring
     exchange (P-1 neighbour rounds) up to 64 ranks; a Bruck-style
     doubling schedule (O(P log P) messages) beyond, so large-P runs
-    are not quadratic in messages.  Each doubling round packs and
-    unpacks its window with at most two blits, so a rank's work per
-    round does not grow with P.  Taking offsets as a function lets a
+    are not quadratic in messages.  Each doubling round sends a
+    {!Sim.Window} of the gathered array itself, so a rank's work per
+    round does not grow with P and no round copies what it sends.
+    The result is therefore read-only at every P: a peer may read a
+    window of it after this rank has returned, and a caller that
+    writes must copy it first.  Taking offsets as a function lets a
     block layout pass its [Dist.low] arithmetic instead of building
     P-length arrays on every call. *)
 
 val allgatherv : counts:int array -> float array -> float array
-(** {!allgatherv_offset} with the offsets the prefix sums of [counts]. *)
+(** {!allgatherv_offset} with the offsets the prefix sums of [counts];
+    the result is read-only in the same way. *)
 
 val exscan : op:op -> identity:float -> float -> float
 (** Exclusive prefix scan of one scalar per rank (recursive doubling):

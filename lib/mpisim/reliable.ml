@@ -61,9 +61,23 @@ let rtt_estimate ~peer bytes =
 let protocol_error ~src ~tag detail =
   raise (Sim.Protocol_error { rank = Sim.rank (); src; tag; detail })
 
+(* A window's [l1 + l2] floats in one fresh array, after [lead] slots
+   the caller fills. *)
+let flatten_window ~lead a off l1 l2 =
+  let b = Array.create_float (lead + l1 + l2) in
+  Array.blit a off b lead l1;
+  Array.blit a 0 b (lead + l1) l2;
+  b
+
+(* The sequence number goes in front of the payload, in a fresh array;
+   a window is flattened in that same one copy. *)
 let envelope seq = function
   | Sim.Floats a -> Sim.Floats (Array.append [| float_of_int seq |] a)
   | Sim.Ints a -> Sim.Ints (Array.append [| seq |] a)
+  | Sim.Window (a, off, l1, l2) ->
+      let b = flatten_window ~lead:1 a off l1 l2 in
+      b.(0) <- float_of_int seq;
+      Sim.Floats b
 
 let open_envelope ~src ~tag = function
   | Sim.Floats a when Array.length a >= 1 ->
@@ -72,6 +86,8 @@ let open_envelope ~src ~tag = function
       (a.(0), Sim.Ints (Array.sub a 1 (Array.length a - 1)))
   | Sim.Floats _ | Sim.Ints _ ->
       protocol_error ~src ~tag "reliable envelope too short for a sequence number"
+  | Sim.Window _ ->
+      protocol_error ~src ~tag "a window payload carries no sequence number"
 
 let protocol_send ~dst ~tag data =
   let seq = next_counter dir_send dst tag in
@@ -154,11 +170,12 @@ let recv_any ~tag =
 let recv_floats ~src ~tag =
   match recv ~src ~tag with
   | Sim.Floats a -> a
+  | Sim.Window (a, off, l1, l2) -> flatten_window ~lead:0 a off l1 l2
   | Sim.Ints _ ->
       protocol_error ~src ~tag "expected a float payload, received integers"
 
 let recv_ints ~src ~tag =
   match recv ~src ~tag with
   | Sim.Ints a -> a
-  | Sim.Floats _ ->
+  | Sim.Floats _ | Sim.Window _ ->
       protocol_error ~src ~tag "expected an integer payload, received floats"

@@ -34,4 +34,8 @@ val recv_any : tag:int -> int * Sim.payload
     a duplicate resumes the wildcard wait. *)
 
 val recv_floats : src:int -> tag:int -> float array
+(** {!recv} of a float payload; a window arrives as a fresh array of
+    its elements in order.  The array is received: read it, do not
+    write it. *)
+
 val recv_ints : src:int -> tag:int -> int array

@@ -34,11 +34,17 @@
 open Effect
 open Effect.Deep
 
-type payload = Floats of float array | Ints of int array
+type payload =
+  | Floats of float array
+  | Ints of int array
+  | Window of float array * int * int * int
+      (* [Window (a, off, l1, l2)]: [a.(off .. off+l1-1)] then
+         [a.(0 .. l2-1)], one span or two when it wraps *)
 
 let payload_bytes = function
   | Floats a -> 8 * Array.length a
   | Ints a -> 8 * Array.length a
+  | Window (_, _, l1, l2) -> 8 * (l1 + l2)
 
 type _ Effect.t +=
   | E_send : int * int * (int * int) option * payload -> unit Effect.t
@@ -153,6 +159,9 @@ type run_state = {
          and allocates nothing on lookup. *)
   channel_free : busy Machine.Int_tbl.t; (* contention channel -> busy-until *)
   report : report; (* its [per_rank_clock] is [clocks] *)
+  compute_time : float array;
+      (* one slot: the run's summed compute charges, unboxed so a charge
+         allocates nothing; copied into [report] when the run ends *)
   scratch : (int * int * int, int) Hashtbl.t array; (* per rank *)
   mutable fault_ix : int; (* fault-decision counter (the RNG index) *)
   death : float array; (* per-rank scheduled death time; infinity = never *)
@@ -226,7 +235,7 @@ let charge_compute st r t =
       let fin = Float.max st.clocks.(r) cpu_free.(cpu) +. t in
       st.clocks.(r) <- fin;
       cpu_free.(cpu) <- fin);
-  st.report.compute_time <- st.report.compute_time +. t
+  st.compute_time.(0) <- st.compute_time.(0) +. t
 
 let compute seconds =
   match !current with
@@ -381,7 +390,7 @@ let degraded (f : Machine.faults) ~src ~dst ~now =
    cost is always paid, but the network may destroy, duplicate, or
    delay what was sent.  The payload itself changes hands by reference
    (see [send] in sim.mli for the ownership rule), so an injected
-   duplicate queues the same array twice. *)
+   duplicate queues the same array, or the same window of one, twice. *)
 let deliver st ~src ~dst ~tag ?ack data =
   let faults = st.machine.Machine.faults in
   (* rank stall: the sender loses time before the message even leaves *)
@@ -666,6 +675,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       mailboxes = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
       channel_free = Machine.Int_tbl.create 8;
       report = new_report clocks;
+      compute_time = [| 0. |];
       scratch = Array.init nprocs (fun _ -> Hashtbl.create 16);
       fault_ix = 0;
       death = death_schedule machine.Machine.faults ~nprocs ~attempt;
@@ -917,6 +927,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
     with e -> Error e
   in
   st.report.makespan <- Array.fold_left Float.max 0. clocks;
+  st.report.compute_time <- st.compute_time.(0);
   (outcome, st.report)
 
 (* [run ~machine ~nprocs body] simulates [nprocs] SPMD ranks each

@@ -13,20 +13,33 @@
     links for windows of virtual time; the schedule is a pure function
     of the fault seed, so identical seeds reproduce identical faults. *)
 
-type payload = Floats of float array | Ints of int array
+type payload =
+  | Floats of float array
+  | Ints of int array
+  | Window of float array * int * int * int
+      (** [Window (a, off, l1, l2)] names [l1 + l2] floats of [a] in
+          place: [a.(off .. off+l1-1)] followed by [a.(0 .. l2-1)].  A
+          window is one span, or two when it wraps past the end of
+          [a]; {!Coll}'s doubling allgather sends windows of its
+          gathered array instead of packed copies. *)
 
 val payload_bytes : payload -> int
+(** [8] per element; a window counts [l1 + l2]. *)
 
 (** Operations available inside a simulated rank. *)
 
 val send : dst:int -> tag:int -> payload -> unit
 (** Eager, non-blocking.  The payload's array changes hands by
     reference, not by copy (all ranks share one address space), so
-    every send site keeps an ownership rule:
-    - the sender never writes an array after sending it;
-    - a receiver never writes an array it received: one array may
-      reach several ranks (a broadcast forwarding it to its children,
-      an injected duplicate, a reliable-layer retry).
+    every send site keeps an ownership rule, element by element.  A
+    payload covers all of a [Floats] or [Ints] array, and only the
+    spans of a [Window]:
+    - the sender never writes an element a payload covers after
+      sending it (the receiver may read it at any later time, even
+      after the sender's collective has returned);
+    - a receiver never writes an element of a payload it received:
+      one array may reach several ranks (a broadcast forwarding it to
+      its children, an injected duplicate, a reliable-layer retry).
     A site that needs a writable array copies it itself.  The modeled
     cost is unaffected: {!payload_bytes} still prices the message. *)
 

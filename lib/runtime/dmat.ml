@@ -322,10 +322,11 @@ let permute_gathered m counts (gathered : float array) =
   done;
   dense
 
-(* Replicated dense copy (an allgather); used by operations that need a
-   whole operand (matmul, transpose) and by verification.  A rank-local
-   replica is already dense: no communication, so the copy is safe in
-   rank-divergent control flow. *)
+(* Read-only replicated view (an allgather, see [Coll]); used by
+   operations that need a whole operand (matmul, transpose) and by
+   verification.  A rank-local replica is already dense: no
+   communication, so its copy is safe in rank-divergent control
+   flow. *)
 let to_dense m : float array =
   if m.full then Array.copy m.data
   else begin

@@ -47,7 +47,7 @@ val create_full : rows:int -> cols:int -> t
 (** Zero-filled rank-local replica (no communication, ever). *)
 
 val of_full : rows:int -> cols:int -> float array -> t
-(** Rank-local replica of the given dense row-major data. *)
+(** Rank-local replica of a copy of the given dense row-major data. *)
 
 val init_full : rows:int -> cols:int -> (int -> float) -> t
 (** Rank-local replica filled from the global row-major linear index. *)
@@ -88,8 +88,10 @@ val counts_of : rows:int -> cols:int -> int array
     policy. *)
 
 val to_dense : t -> float array
-(** Replicated dense copy (an allgather, plus a local permutation for
-    non-block layouts). *)
+(** Read-only replicated view (an allgather, plus a local permutation
+    for non-block layouts).  Other ranks may still read windows of the
+    array after this returns, so a caller that writes must copy it
+    first. *)
 
 val to_dense_root : root:int -> t -> float array
 (** Dense copy on the root only (a gather). *)

@@ -127,8 +127,8 @@ let counts_of (dims : int array) =
   let slice = slice_numel_of dims in
   Array.map (fun c -> c * slice) (Dist.counts ~nprocs ~n:dims.(0))
 
-(* Replicated dense copy (an allgather over the leading axis): rank
-   r's block starts at its first owned slice. *)
+(* Read-only replicated view (an allgather over the leading axis, see
+   [Dmat.to_dense]): rank r's block starts at its first owned slice. *)
 let to_dense t : float array =
   if t.full then Array.copy t.data
   else

@@ -474,18 +474,20 @@ let cumulative op (v : Dmat.t) : Dmat.t =
     (* Under a cyclic layout rank order is not global order, so the
        exscan-of-totals trick below does not apply: replicate, scan
        densely (every rank computes the same values), keep the owned
-       part. *)
+       part.  The replica is read-only, so the scan goes to a new
+       array. *)
     let combine, identity =
       match op with Cumsum -> (( +. ), 0.) | Cumprod -> (( *. ), 1.)
     in
     let dense = Dmat.to_dense v in
+    let scanned = Array.create_float (Array.length dense) in
     let acc = ref identity in
     for i = 0 to Array.length dense - 1 do
       acc := combine !acc dense.(i);
-      dense.(i) <- !acc
+      scanned.(i) <- !acc
     done;
     Sim.flops (float_of_int (Array.length dense));
-    Dmat.of_dense ~rows:v.rows ~cols:v.cols dense
+    Dmat.of_dense ~rows:v.rows ~cols:v.cols scanned
   end
   else begin
   let r =

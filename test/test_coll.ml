@@ -184,14 +184,14 @@ let test_allgatherv_doubling () =
         results)
     [ 65; 100; 130; 1024 ]
 
-(* The ownership rule: every collective returns an array its caller
-   owns, and none sends its caller's argument.  Each rank snapshots its
-   result, then at once overwrites the result and its argument with
-   NaN; a result another rank shares, or an argument still queued in a
-   message, then shows NaN there.  The data are small integers, so
-   every sum is exact and the snapshots must equal the sequential
-   reference bit for bit.  P=65 and 96 take the doubling allgather,
-   the odd sizes the allreduce's surplus ranks. *)
+(* The ownership rule: every collective but the allgather returns an
+   array its caller owns, and none sends its caller's argument.  Each
+   rank snapshots its result, then at once overwrites the result and
+   its argument with NaN; a result another rank shares, or an argument
+   still queued in a message, then shows NaN there.  The data are small
+   integers, so every sum is exact and the snapshots must equal the
+   sequential reference bit for bit.  The odd sizes take the
+   allreduce's surplus ranks. *)
 let test_results_caller_owned () =
   let machine = Mpisim.Machine.fattree_default in
   let input r = Array.init 3 (fun k -> float_of_int ((10 * r) + k)) in
@@ -236,8 +236,6 @@ let test_results_caller_owned () =
         (fun r -> if r = root then Some sum else None)
         (with_input (Coll.reduce ~root ~op:Coll.Sum));
       check "allreduce" (everywhere sum) (with_input (Coll.allreduce ~op:Coll.Sum));
-      check "allgatherv" (everywhere gathered)
-        (with_block (Coll.allgatherv ~counts));
       check "gatherv"
         (fun r -> Some (if r = root then gathered else [||]))
         (with_block (Coll.gatherv ~root ~counts));
@@ -245,6 +243,65 @@ let test_results_caller_owned () =
         (fun r -> Some [| float_of_int (10 * (r * (r - 1) / 2)) |])
         (fun r -> [| Coll.exscan ~op:Coll.Sum ~identity:0. (float_of_int (10 * r)) |]))
     [ 1; 2; 3; 5; 7; 8; 65; 96 ]
+
+(* The allgather's result is a read-only view: past 64 ranks peers read
+   windows of it after its rank has returned.  A caller that writes
+   copies first, so each rank copies its result and NaN-fills the copy
+   and its argument; every rank's original result must still equal
+   the sequential reference.  In the second pass one rank starts a
+   second late, so it returns while the peers it sent windows to have
+   yet to read them.  P=65 and above take the doubling schedule; the
+   data are small integers, so the comparison is bit for bit. *)
+let test_allgatherv_read_only_views () =
+  let machine = Mpisim.Machine.fattree_default in
+  let block r = Array.init (r mod 3) (fun k -> float_of_int ((10 * r) + k)) in
+  List.iter
+    (fun p ->
+      let counts = Array.init p (fun r -> r mod 3) in
+      let gathered = Array.concat (List.init p block) in
+      List.iter
+        (fun late ->
+          let results, _ =
+            Sim.run ~machine ~nprocs:p (fun r ->
+                if r = late then Sim.compute 1.0;
+                let arg = block r in
+                let result = Coll.allgatherv ~counts arg in
+                let mine = Array.copy result in
+                Array.fill mine 0 (Array.length mine) Float.nan;
+                Array.fill arg 0 (Array.length arg) Float.nan;
+                result)
+          in
+          Array.iteri
+            (fun r got ->
+              if got <> gathered then
+                Alcotest.failf "allgatherv P=%d (late rank %d): rank %d's \
+                                result differs" p late r)
+            results)
+        [ -1; p / 2 ])
+    [ 1; 2; 3; 5; 7; 8; 65; 96; 256 ]
+
+(* Allocation guard for the doubling allgather: it sends windows of the
+   gathered array, so a run allocates little beyond the P gathered
+   arrays themselves.  Packing each round's window into a buffer of
+   its own costs about as much again (2.0x); the bound is 1.25x. *)
+let test_allgatherv_allocation () =
+  let machine = Mpisim.Machine.fattree_default in
+  let p = 256 and b = 256 in
+  let counts = Array.make p b in
+  let expected = Array.init (p * b) float_of_int in
+  let before = Gc.allocated_bytes () in
+  let results, _ =
+    Sim.run ~machine ~nprocs:p (fun r ->
+        Coll.allgatherv ~counts (Array.sub expected (r * b) b) = expected)
+  in
+  let words = (Gc.allocated_bytes () -. before) /. 8. in
+  Array.iteri
+    (fun r ok -> if not ok then Alcotest.failf "rank %d's result differs" r)
+    results;
+  let gathered = float_of_int (p * p * b) in
+  if words >= 1.25 *. gathered then
+    Alcotest.failf "allgatherv at P=%d allocated %.2fx the gathered arrays" p
+      (words /. gathered)
 
 let test_barrier_synchronizes () =
   let results, _ =
@@ -309,6 +366,8 @@ let suite =
     t "allgatherv with empty blocks" test_allgatherv_empty_blocks;
     t "doubling allgatherv on the fat-tree" test_allgatherv_doubling;
     t "collective results are caller-owned" test_results_caller_owned;
+    t "allgatherv results are read-only views" test_allgatherv_read_only_views;
+    t "allgatherv allocates little beyond its result" test_allgatherv_allocation;
     t "barrier synchronizes" test_barrier_synchronizes;
     t "broadcast cost is logarithmic" test_bcast_cost_scales_log;
     QCheck_alcotest.to_alcotest allreduce_prop;

@@ -118,6 +118,39 @@ let test_reliable_filters_duplicates () =
     results.(1);
   Alcotest.(check bool) "duplicates injected" true (r.Sim.dups > 0)
 
+(* A window payload names [l1 + l2] floats of the sender's array in
+   place, wrapping past its end.  [recv_floats] hands the receiver
+   their concatenation in order, both when the window arrives as sent
+   and when the reliable layer flattened it into its envelope; either
+   way the message is priced at its [l1 + l2] floats (plus the
+   sequence number under the reliable layer). *)
+let test_recv_floats_of_wrapped_window () =
+  let a = [| 0.; 1.; 2.; 3.; 4. |] in
+  let expected = [| 3.; 4.; 0.; 1. |] in
+  List.iter
+    (fun (name, machine, bytes) ->
+      let results, r =
+        Sim.run ~machine ~nprocs:2 (fun rank ->
+            if rank = 0 then begin
+              Reliable.send ~dst:1 ~tag:3 (Sim.Window (a, 3, 2, 2));
+              [||]
+            end
+            else Reliable.recv_floats ~src:0 ~tag:3)
+      in
+      Alcotest.(check (array (float 0.))) (name ^ ": concatenation") expected
+        results.(1);
+      Alcotest.(check (array (float 0.))) (name ^ ": sender's array intact")
+        [| 0.; 1.; 2.; 3.; 4. |] a;
+      Alcotest.(check int) (name ^ ": bytes") bytes r.Sim.bytes)
+    [
+      ("plain", Machine.sparc20_cluster, 32);
+      (* 40 bytes of data and 8 of ack per delivery *)
+      ( "reliable",
+        Machine.with_faults ~reliable:true ~faults:(faults "seed=1")
+          Machine.sparc20_cluster,
+        48 );
+    ]
+
 (* Without the reliable layer, a dropped message surfaces as a typed
    [Timeout] naming the waiting rank and the missing (src, tag) — never
    an unattributed Deadlock. *)
@@ -216,6 +249,34 @@ let test_collectives_survive_loss () =
   Alcotest.(check bool) "faults actually fired" true (r.Sim.drops > 0)
 
 (* --- the headline guarantee (acceptance criterion) ---------------------- *)
+
+(* Transitive closure at P=96 on the fat-tree replicates its operand
+   with the doubling allgather, whose rounds send windows; the
+   reliable layer flattens each into its envelope.  Under drops,
+   duplicates and delays the run still matches the fault-free one bit
+   for bit. *)
+let test_windows_survive_faults () =
+  let app =
+    match Apps.Scripts.find "tc" with Some a -> a | None -> assert false
+  in
+  let c = Otter.compile (app.source 10) in
+  let run machine =
+    Otter.outcome_exn
+      (Otter.run
+         (Otter.config ~capture:app.capture ~machine ~nprocs:96 ())
+         c)
+  in
+  let clean = run Machine.fattree_default in
+  let faulted =
+    run (faulty "drop=0.05,dup=0.02,delay=0.05,seed=5" Machine.fattree_default)
+  in
+  let r = faulted.Exec.State.report in
+  Alcotest.(check bool) "faults fired" true
+    (r.Sim.drops > 0 && r.Sim.dups > 0 && r.Sim.delayed > 0);
+  Alcotest.(check bool) "captures bit-for-bit" true
+    (clean.Exec.State.captures = faulted.Exec.State.captures);
+  Alcotest.(check string) "output identical" clean.Exec.State.output
+    faulted.Exec.State.output
 
 (* Every paper application, on every parallel machine model, under
    injected faults with the reliable layer on: completes with captures
@@ -341,12 +402,15 @@ let suite =
     t "fault spec parser" test_spec_parser;
     t "reliable stream survives loss" test_reliable_stream_survives_loss;
     t "reliable filters duplicates" test_reliable_filters_duplicates;
+    t "recv_floats concatenates a wrapped window"
+      test_recv_floats_of_wrapped_window;
     t "unreliable drop is a typed timeout" test_unreliable_drop_is_typed_timeout;
     t "retries exhaust on a dead link" test_retries_exhaust_on_dead_link;
     t "delay and stall cost time" test_delay_and_stall_cost_time;
     t "fault schedule reproducible" test_fault_schedule_reproducible;
     t "collectives survive loss" test_collectives_survive_loss;
     t "apps bit-for-bit under faults" test_apps_bit_for_bit_under_faults;
+    t "tc at P=96 bit-for-bit under faults" test_windows_survive_faults;
     t "apps verify under faults" test_apps_verify_under_faults;
     t "VM partial names rank and operation" test_vm_partial_names_rank_and_operation;
     t "lossy allgather is a protocol error" test_lossy_allgather_is_protocol_error;

@@ -198,6 +198,76 @@ let test_rank_bounds () =
         (contains msg "destination rank 99 is outside 0..3")
   | _ -> Alcotest.fail "expected a runtime error"
 
+(* --- MPI_Bcast of a distributed matrix: every replica is its own ------- *)
+
+(* At P=65 on the fat-tree, replicating a distributed matrix runs the
+   doubling allgather, whose result is read-only: peers may still read
+   windows of it after a rank has returned.  The replica MPI_Bcast
+   hands back must be a copy.  Rank 3 overwrites its whole replica at
+   once; every other rank's replica must still sum to the distributed
+   matrix's sum (integers, so exactly), and rank 3's must not. *)
+let test_bcast_replicas_independent () =
+  let src =
+    {|r = MPI_Comm_rank();
+p = MPI_Comm_size();
+a = floor(rand(130, 4) * 100);
+e = sum(sum(a));
+w = 0;
+if r == 3
+  for k = 1:2000
+    w = w + k;
+  end
+end
+c = MPI_Bcast(0, a);
+if r == 3
+  for i = 1:130
+    for j = 1:4
+      c(i, j) = -1;
+    end
+  end
+end
+MPI_Send(0, 7, sum(sum(c)) ~= e);
+if r == 0
+  for s = 0:p-1
+    b = MPI_Recv(s, 7);
+    if b
+      fprintf('rank %d changed\n', s);
+    end
+  end
+end
+|}
+  in
+  let o =
+    Otter.outcome_exn
+      (Otter.run
+         (Otter.config ~machine:Mpisim.Machine.fattree_default ~nprocs:65 ())
+         (compile src))
+  in
+  check Alcotest.string "only rank 3's replica changed" "rank 3 changed\n"
+    o.Exec.State.output
+
+(* A window is a collective's payload: one that reaches a user-level
+   receive is a typed protocol error (otterc exit 6), not a program
+   error or a match failure. *)
+let test_window_at_user_receive () =
+  let tag = 5 in
+  match
+    Mpisim.Sim.run ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:2 (fun rank ->
+        if rank = 0 then
+          Mpisim.Sim.send ~dst:1 ~tag:(Exec.State.mpi_user_tag tag)
+            (Mpisim.Sim.Window ([| 1.; 2. |], 0, 2, 0))
+        else ignore (Exec.State.mpi_recv ~src:0 ~tag ~is_matrix:true))
+  with
+  | exception
+      Mpisim.Sim.Rank_failure
+        { rank = 1; exn = Mpisim.Sim.Protocol_error { src = 0; detail; _ } as e }
+    ->
+      check Alcotest.bool "classified as a protocol error" true
+        (Exec.State.classify_failure e = Exec.State.Fprotocol);
+      check Alcotest.bool "detail names the window" true
+        (contains detail "MPI_Recv: a collective's window payload")
+  | _ -> Alcotest.fail "expected a protocol error on rank 1"
+
 (* --- mixed explicit + implicit on the app x machine matrix --------------- *)
 
 (* Four small apps that each mix whole-array (implicitly parallel)
@@ -433,4 +503,8 @@ let suite =
     t "bandwidth monotone in message size" test_bandwidth_monotone;
     t "scheduler space-shares and accounts tenants" test_scheduler;
     t "scheduler rejects oversized requests" test_scheduler_rejects;
+    t "MPI_Bcast replicas are independent at P=65"
+      test_bcast_replicas_independent;
+    t "a window at a user receive is a protocol error"
+      test_window_at_user_receive;
   ]
