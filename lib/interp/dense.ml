@@ -40,16 +40,33 @@ let matmul a b =
     invalid_arg
       (Printf.sprintf "inner dimensions disagree (%dx%d * %dx%d)" a.rows a.cols
          b.rows b.cols);
-  let c = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for j = 0 to b.cols - 1 do
+  (* The textbook product, summed over k in ascending order from +0.
+     For n > 1 the loop runs i-k-j (row i of C accumulates
+     a(i,k) * B(k,:)), which streams B by rows and computes every
+     element with the same operations in the same order as i-j-k. *)
+  let m = a.rows and kd = a.cols and n = b.cols in
+  let ad = a.data and bd = b.data in
+  let c = create m n in
+  let cd = c.data in
+  if n = 1 then
+    for i = 0 to m - 1 do
+      let ai = i * kd in
       let acc = ref 0. in
-      for k = 0 to a.cols - 1 do
-        acc := !acc +. (get a i k *. get b k j)
+      for k = 0 to kd - 1 do
+        acc := !acc +. (ad.(ai + k) *. bd.(k))
       done;
-      set c i j !acc
+      cd.(i) <- !acc
     done
-  done;
+  else
+    for i = 0 to m - 1 do
+      let ai = i * kd and ci = i * n in
+      for k = 0 to kd - 1 do
+        let x = ad.(ai + k) and bk = k * n in
+        for j = 0 to n - 1 do
+          cd.(ci + j) <- cd.(ci + j) +. (x *. bd.(bk + j))
+        done
+      done
+    done;
   c
 
 let transpose m = init_rc m.cols m.rows (fun i j -> get m j i)

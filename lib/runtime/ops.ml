@@ -35,6 +35,89 @@ let row_sliced (m : Dmat.t) =
 
 (* --- matrix multiply family ------------------------------------------- *)
 
+(* The one dense multiply kernel: c.(i*n + j) <- sum over kk of
+   a.(i*k + kk) * b.(kk*n + j) for rows i in [0, rows), with [c]
+   zero-filled on entry and [b] the whole k x n operand.  Every output
+   element is the textbook dot product -- the same multiplies and adds,
+   summed over kk in ascending order from +0 -- so the result is
+   bit-identical to an i-j-k triple loop; only the memory order differs
+   (DESIGN.md section 3.3, "Exact kernels"):
+
+   - n > 1 runs i-k-j, adding a.(i,kk) * B(kk,:) into row i of [c] so
+     B streams by rows.  A zero a.(i,kk) is skipped when row kk of B is
+     all finite: every product is then +-0, and adding +-0 to a sum
+     that started at +0 leaves it unchanged (round-to-nearest never
+     yields -0 from such a sum).  The guard keeps 0 * Inf = NaN.  Each
+     row of B is scanned lazily, the first time a zero meets it, so a
+     rank that owns no rows scans nothing.
+   - n = 1 (matrix-vector) keeps the dot form but runs four rows per
+     pass with four independent accumulators, each summing its own row
+     in order; the tail rows run one at a time.
+
+   Callers charge flops by shape (2 * rows * n * k), not by the work
+   the skip avoids, so the modeled time does not depend on the data. *)
+let mm_kernel ~rows ~k ~n (a : float array) (b : float array)
+    (c : float array) =
+  if n = 1 then begin
+    let i = ref 0 in
+    while !i + 3 < rows do
+      let a0 = !i * k in
+      let a1 = a0 + k in
+      let a2 = a1 + k in
+      let a3 = a2 + k in
+      let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+      for kk = 0 to k - 1 do
+        let x = b.(kk) in
+        s0 := !s0 +. (a.(a0 + kk) *. x);
+        s1 := !s1 +. (a.(a1 + kk) *. x);
+        s2 := !s2 +. (a.(a2 + kk) *. x);
+        s3 := !s3 +. (a.(a3 + kk) *. x)
+      done;
+      c.(!i) <- !s0;
+      c.(!i + 1) <- !s1;
+      c.(!i + 2) <- !s2;
+      c.(!i + 3) <- !s3;
+      i := !i + 4
+    done;
+    for i = !i to rows - 1 do
+      let ai = i * k in
+      let s = ref 0. in
+      for kk = 0 to k - 1 do
+        s := !s +. (a.(ai + kk) *. b.(kk))
+      done;
+      c.(i) <- !s
+    done
+  end
+  else begin
+    (* per row of B: 0 = not yet scanned, 1 = all finite, 2 = not *)
+    let finite = Bytes.make k '\000' in
+    let row_finite kk =
+      match Bytes.get finite kk with
+      | '\001' -> true
+      | '\002' -> false
+      | _ ->
+          let ok = ref true and j = ref 0 and bk = kk * n in
+          while !ok && !j < n do
+            ok := Float.is_finite b.(bk + !j);
+            incr j
+          done;
+          Bytes.set finite kk (if !ok then '\001' else '\002');
+          !ok
+    in
+    for i = 0 to rows - 1 do
+      let ai = i * k and ci = i * n in
+      for kk = 0 to k - 1 do
+        let x = a.(ai + kk) in
+        if not (x = 0. && row_finite kk) then begin
+          let bk = kk * n in
+          for j = 0 to n - 1 do
+            c.(ci + j) <- c.(ci + j) +. (x *. b.(bk + j))
+          done
+        end
+      done
+    done
+  end
+
 (* C = A * B for distributed operands.  The row-distributed common case
    gathers B and computes locally owned rows of C; a row-vector A
    (1 x k, column-distributed) instead uses partial sums over the rows
@@ -48,51 +131,11 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
   if a.full || b.full then begin
     if not (a.full && b.full) then locality_error "matmul";
     let c = Dmat.create_full ~rows:m ~cols:n in
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        for kk = 0 to k - 1 do
-          acc := !acc +. (a.data.((i * k) + kk) *. b.data.((kk * n) + j))
-        done;
-        c.data.((i * n) + j) <- !acc
-      done
-    done;
+    mm_kernel ~rows:m ~k ~n a.data b.data c.data;
     Sim.flops (2. *. float_of_int (m * n * k));
     c
   end
-  else if not (row_sliced a && row_sliced b) then begin
-    (* Grid tiles do not slice into whole rows; replicate both operands
-       and compute the full product everywhere (like the interpreter). *)
-    let ad = Dmat.to_dense a and bd = Dmat.to_dense b in
-    let cd = Array.make (m * n) 0. in
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        for kk = 0 to k - 1 do
-          acc := !acc +. (ad.((i * k) + kk) *. bd.((kk * n) + j))
-        done;
-        cd.((i * n) + j) <- !acc
-      done
-    done;
-    Sim.flops (2. *. float_of_int (m * n * k));
-    Dmat.of_dense ~rows:m ~cols:n cd
-  end
-  else if m > 1 then begin
-    let bf = Dmat.to_dense b in
-    let c = Dmat.create ~rows:m ~cols:n in
-    for li = 0 to c.count - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        for kk = 0 to k - 1 do
-          acc := !acc +. (a.data.((li * k) + kk) *. bf.((kk * n) + j))
-        done;
-        c.data.((li * n) + j) <- !acc
-      done
-    done;
-    Sim.flops (2. *. float_of_int (c.count * n * k));
-    c
-  end
-  else begin
+  else if m = 1 && row_sliced b then begin
     (* (1 x k) * (k x n): partial sums over B's owned rows. *)
     let af = Dmat.to_dense a in
     let partial = Array.make n 0. in
@@ -127,6 +170,26 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     let full = Coll.allreduce ~op:Coll.Sum partial in
     Dmat.of_dense ~rows:1 ~cols:n full
   end
+  else
+    let c = Dmat.create ~rows:m ~cols:n in
+    (* C's local rows are whole unless C is tiled: an (m x 1) * (1 x n)
+       product can be, though its vector operands never are *)
+    if row_sliced a && row_sliced b && c.ccount = n then begin
+      let bf = Dmat.to_dense b in
+      mm_kernel ~rows:c.count ~k ~n a.data bf c.data;
+      Sim.flops (2. *. float_of_int (c.count * n * k));
+      c
+    end
+    else begin
+      (* Grid tiles do not slice into whole rows; replicate both
+         operands and compute the full product everywhere (like the
+         interpreter). *)
+      let ad = Dmat.to_dense a and bd = Dmat.to_dense b in
+      let cd = Array.make (m * n) 0. in
+      mm_kernel ~rows:m ~k ~n ad bd cd;
+      Sim.flops (2. *. float_of_int (m * n * k));
+      Dmat.of_dense ~rows:m ~cols:n cd
+    end
 
 (* Local contribution to a dot product (the pre-combine partial; also
    one slot of a fused allreduce). *)
@@ -943,10 +1006,10 @@ let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
   let dense = Ndarr.to_dense t in
   let rdims = Array.map Array.length sels in
   let n = Array.length rdims in
+  let idx = Array.make n 0 in
   let src_offset g =
     (* decode the result's row-major index [g], map each axis through
        its selector, re-encode against the source extents *)
-    let idx = Array.make n 0 in
     let rem = ref g in
     for axis = n - 1 downto 0 do
       idx.(axis) <- sels.(axis).(!rem mod rdims.(axis));
@@ -964,9 +1027,13 @@ let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
   done;
   r
 
-(* t(sels) = value: every rank walks the selected positions in row-major
-   selection order and the owner of each target's leading slice stores
-   the value (owner computes, like the matrix section assignment). *)
+(* t(sels) = value, owner computes: each rank walks only the leading-
+   axis selections whose slice it owns, in ascending selection order,
+   and an odometer over the inner axes steps the target offset.  Every
+   store of an element happens on its owner in the same row-major
+   selection order as a walk over all [total] positions, so a repeated
+   selector keeps the same last writer.  [value k] is the source's k-th
+   element in that order; it is pure, so skipping it is safe. *)
 let nd_set_section (t : Ndarr.t) (sels : int array array) (value : int -> float)
     =
   Array.iteri
@@ -984,13 +1051,42 @@ let nd_set_section (t : Ndarr.t) (sels : int array array) (value : int -> float)
   let rdims = Array.map Array.length sels in
   let n = Array.length rdims in
   let total = Array.fold_left ( * ) 1 rdims in
-  let idx = Array.make n 0 in
-  for k = 0 to total - 1 do
-    let rem = ref k in
-    for axis = n - 1 downto 0 do
-      idx.(axis) <- sels.(axis).(!rem mod rdims.(axis));
-      rem := !rem / rdims.(axis)
-    done;
-    if Ndarr.owner t ~d0:idx.(0) then Ndarr.set_local t idx (value k)
+  let inner = Array.fold_left ( * ) 1 (Array.sub rdims 1 (n - 1)) in
+  (* row-major strides of the target; stride.(0) is one leading slice *)
+  let stride = Array.make n 1 in
+  for axis = n - 2 downto 0 do
+    stride.(axis) <- stride.(axis + 1) * t.Ndarr.dims.(axis + 1)
   done;
+  let pos = Array.make n 0 in
+  if inner > 0 then
+    Array.iteri
+      (fun p0 d0 ->
+        if Ndarr.owner t ~d0 then begin
+          let off = ref ((d0 - t.Ndarr.low) * stride.(0)) in
+          for axis = 1 to n - 1 do
+            pos.(axis) <- 0;
+            off := !off + (sels.(axis).(0) * stride.(axis))
+          done;
+          let k0 = p0 * inner in
+          for q = 0 to inner - 1 do
+            t.Ndarr.data.(!off) <- value (k0 + q);
+            (* advance the odometer, innermost axis fastest *)
+            let axis = ref (n - 1) in
+            while !axis >= 1 do
+              let ax = !axis in
+              let s = sels.(ax) and p = pos.(ax) in
+              if p + 1 < rdims.(ax) then begin
+                off := !off + ((s.(p + 1) - s.(p)) * stride.(ax));
+                pos.(ax) <- p + 1;
+                axis := 0
+              end
+              else begin
+                off := !off + ((s.(0) - s.(p)) * stride.(ax));
+                pos.(ax) <- 0;
+                decr axis
+              end
+            done
+          done
+        end)
+      sels.(0);
   Sim.flops (float_of_int total)

@@ -5,8 +5,10 @@
 
 val matmul : Dmat.t -> Dmat.t -> Dmat.t
 (** C = A * B.  Row-distributed A gathers B and computes local rows;
-    a row-vector A uses partial sums finished with an allreduce.
-    Raises [Failure] when the inner dimensions disagree. *)
+    a row-vector A uses partial sums finished with an allreduce.  Every
+    locally computed element is bit-identical to the textbook i-j-k
+    loop (DESIGN.md section 3.3, "Exact kernels").  Raises [Failure]
+    when the inner dimensions disagree. *)
 
 val matmul_t : Dmat.t -> Dmat.t -> Dmat.t
 (** C = A' * B without materializing the transpose: each rank forms the
@@ -119,4 +121,5 @@ val nd_section : Ndarr.t -> int array array -> Ndarr.t
 
 val nd_set_section : Ndarr.t -> int array array -> (int -> float) -> unit
 (** [nd_set_section t sels value] stores [value k] at the k-th selected
-    position (row-major selection order); owners write. *)
+    position (row-major selection order); owners write, visiting only
+    the selections they own, so [value] must be pure. *)

@@ -298,6 +298,40 @@ let test_sections () =
     [| 49.; 0.; 9. |]
     "linear section"
 
+(* Tensor section assignment walks only the owned leading-axis
+   selections; with selectors that repeat and descend, the last writer
+   of every element must still be the interpreter's. *)
+let test_tensor_section_order () =
+  match Testutil.find_up "test/corpus/fuzz/tensor_section_repeat.m" with
+  | None -> () (* sandboxed without sources: nothing to check *)
+  | Some path ->
+      let c = Otter.compile (Testutil.read_file path) in
+      let capture = [ "T"; "s" ] in
+      let run engine nprocs =
+        (Otter.outcome_exn
+           (Otter.run (Otter.config ~capture ?engine ~machine ~nprocs ()) c))
+          .Exec.State.captures
+      in
+      let bits = function
+        | Runtime.Captured.Cscalar x -> [| Int64.bits_of_float x |]
+        | Runtime.Captured.Cmat (_, _, d) | Runtime.Captured.Cnd (_, d) ->
+            Array.map Int64.bits_of_float d
+      in
+      let reference = run (Some Otter.Config.Einterp) 1 in
+      List.iter
+        (fun p ->
+          let got = run None p in
+          List.iter
+            (fun name ->
+              let want = List.assoc name reference
+              and have = List.assoc name got in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s at P=%d: same shape and bits" name p)
+                true
+                (Exec.State.captured_equal want have && bits want = bits have))
+            capture)
+        [ 1; 3; 5 ]
+
 (* --- qcheck properties -------------------------------------------------- *)
 
 let gen_pvn =
@@ -334,6 +368,89 @@ let matmul_prop (p, m, k, n) =
   Array.for_all
     (fun got -> Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) got expected)
     results
+
+(* --- exact kernels ---------------------------------------------------- *)
+
+(* The dense multiply kernel reorders memory traffic (i-k-j, four-row
+   matrix-vector passes, skipped zero terms) but must compute every
+   element with the textbook operations in the textbook order, so it
+   agrees with the naive i-j-k loop bit for bit (NaN matches NaN):
+   signed zeros, 0 * Inf = NaN, overflow to Inf, subnormals and
+   cancellation (1e16 + 1 - 1e16) all included. *)
+let special_vals =
+  [| 0.; -0.; 1.; -1.; 0.5; 3.; infinity; neg_infinity; nan; 1e308; 1e-310 |]
+
+let same_bits x y =
+  Int64.bits_of_float x = Int64.bits_of_float y
+  || (Float.is_nan x && Float.is_nan y)
+
+type exact_layout = Block | Cyclic2 | Grid | Replicated
+
+let gen_exact =
+  QCheck.Gen.(
+    oneofl [ 1; 2; 3; 4; 7 ] >>= fun p ->
+    (* a 1 x p grid tiles every matrix operand: the gather fallback *)
+    oneofl [ Block; Cyclic2; Grid; Replicated ] >>= fun layout ->
+    (* local row counts 1..9 under the block layout, so the four-row
+       matrix-vector passes run with every tail length *)
+    int_range 1 8 >>= fun r ->
+    int_range 0 (p - 1) >>= fun e ->
+    (* a distributed row-vector A takes the partial-sum path, whose
+       rank partials an allreduce combines: not this kernel *)
+    (if layout = Replicated then
+       frequency [ (1, return 1); (9, return ((p * r) + e)) ]
+     else return (max 2 ((p * r) + e)))
+    >>= fun m ->
+    int_range 0 6 >>= fun k ->
+    frequency [ (1, return 1); (1, int_range 2 6) ] >>= fun n ->
+    let entry =
+      oneof
+        [
+          oneofa special_vals;
+          (* sparse 0/1, as transitive closure squares *)
+          frequency [ (3, return 0.); (1, return 1.) ];
+          (* one accumulator per row: a split sum would round 1 away *)
+          oneofl [ 1e16; 1.; -1e16; 0. ];
+        ]
+    in
+    array_size (return (m * k)) entry >>= fun a ->
+    array_size (return (k * n)) entry >>= fun b ->
+    return (p, layout, m, k, n, a, b))
+
+let print_exact (p, layout, m, k, n, a, b) =
+  let show v =
+    String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v))
+  in
+  let name =
+    match layout with
+    | Block -> "block"
+    | Cyclic2 -> "cyclic:2"
+    | Grid -> "grid 1xp"
+    | Replicated -> "replicated"
+  in
+  Printf.sprintf "p=%d %s %dx%d*%dx%d\nA=[%s]\nB=[%s]" p name m k k n (show a)
+    (show b)
+
+let matmul_exact_prop (p, layout, m, k, n, a, b) =
+  let expected = ref_matmul m k n a b in
+  let saved = !Dmat.default_layout in
+  (Dmat.default_layout :=
+     match layout with
+     | Cyclic2 -> Dmat.Lcyclic 2
+     | Grid -> Dmat.Lgrid (1, p)
+     | Block | Replicated -> Dmat.Lblock);
+  let mk rows cols d =
+    if layout = Replicated then Dmat.of_full ~rows ~cols d
+    else Dmat.of_dense ~rows ~cols d
+  in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Dmat.default_layout := saved)
+      (fun () ->
+        run_all ~p (fun _ ->
+            Dmat.to_dense (Ops.matmul (mk m k a) (mk k n b))))
+  in
+  Array.for_all (fun got -> Array.for_all2 same_bits got expected) results
 
 let gen_tr =
   QCheck.make
@@ -442,11 +559,15 @@ let suite =
     t "element bounds checking" test_elem_bounds;
     t "trapz" test_trapz;
     t "sections" test_sections;
+    t "tensor section assignment order" test_tensor_section_order;
     t "cumulative scans" test_cumulative;
     t "reductions with index" test_reduce_with_index;
     t "rng determinism" test_rng_deterministic;
     Testutil.qtest ~count:150 "circshift == dense rotation" gen_pvn circshift_prop;
     Testutil.qtest ~count:100 "matmul == dense reference" gen_mm matmul_prop;
+    Testutil.qtest ~count:300 "matmul kernels bit-identical to i-j-k"
+      (QCheck.make ~print:print_exact gen_exact)
+      matmul_exact_prop;
     Testutil.qtest ~count:100 "transpose == dense reference" gen_tr transpose_prop;
     Testutil.qtest ~count:60 "reductions partition-independent" gen_pvn
       reduction_invariant_prop;
