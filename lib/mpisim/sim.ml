@@ -34,6 +34,19 @@
 open Effect
 open Effect.Deep
 
+(* Every block over 128 words lives in the C heap, and a P=1024 run
+   gathers a whole operand on every rank, so that heap swings by
+   hundreds of megabytes within one run.  glibc's default policy hands
+   the top of it back to the kernel as soon as a large block is freed,
+   and the next run faults it all back in; how much goes back depends
+   on which long-lived block happens to sit highest, an accident of
+   layout that any allocation anywhere can change.  Keeping the freed
+   heap makes a run's host time independent of what ran before it in
+   the same process.  A no-op off glibc. *)
+external keep_heap : unit -> bool = "otter_mpisim_keep_heap"
+
+let heap_kept = keep_heap ()
+
 type payload =
   | Floats of float array
   | Ints of int array

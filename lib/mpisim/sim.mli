@@ -11,7 +11,16 @@
     When the machine carries a {!Machine.faults} model, delivery may
     drop, duplicate, or delay messages, stall senders, and degrade
     links for windows of virtual time; the schedule is a pure function
-    of the fault seed, so identical seeds reproduce identical faults. *)
+    of the fault seed, so identical seeds reproduce identical faults.
+
+    Linking this module sets the C allocator's policy under glibc:
+    blocks up to 32 MB come from the heap, and up to 1 GB of free
+    space stays at its top instead of going back to the kernel, so a
+    run's host time does not depend on the heap layout that earlier
+    runs in the same process left behind (DESIGN.md section 16). *)
+
+val heap_kept : bool
+(** Whether that allocator policy is in force (false off glibc). *)
 
 type payload =
   | Floats of float array

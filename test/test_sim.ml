@@ -541,6 +541,41 @@ let test_fattree_large_p_smoke () =
   Alcotest.(check int) "all messages delivered" 1024 r.Sim.messages;
   Alcotest.(check bool) "scheduler picks counted" true (r.Sim.sched_picks > 0)
 
+(* Minor page faults of this process so far; None without procfs.
+   minflt is the 10th field of /proc/self/stat, the 8th after the
+   parenthesised command name. *)
+let minor_faults () =
+  match open_in "/proc/self/stat" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let l =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+      in
+      let r = String.rindex l ')' in
+      let rest = String.sub l (r + 2) (String.length l - r - 2) in
+      Some (int_of_string (List.nth (String.split_on_char ' ' rest) 7))
+
+(* 64 live 1 MB blocks (OCaml puts every block over 128 words in the C
+   heap), then a full collection frees them all.  With the heap kept,
+   the third round reuses the pages the first two faulted in; glibc's
+   default policy returns them to the kernel and faults all 16 k back
+   in. *)
+let test_heap_kept () =
+  let round () =
+    let blocks = List.init 64 (fun _ -> Array.make 131072 1.) in
+    ignore (Sys.opaque_identity blocks);
+    Gc.full_major ()
+  in
+  round ();
+  round ();
+  match (Sim.heap_kept, minor_faults ()) with
+  | false, _ | _, None -> ()
+  | true, Some before ->
+      round ();
+      let faults = Option.get (minor_faults ()) - before in
+      if faults >= 4096 then
+        Alcotest.failf "a round over freed heap took %d minor faults" faults
+
 let test_fattree_bad_shape () =
   (match Machine.fattree ~radix:1 () with
   | exception Invalid_argument _ -> ()
@@ -592,4 +627,5 @@ let suite =
     t "fat-tree: near/far latency and channels" test_fattree_topology;
     t "fat-tree: 1024-rank ring smoke" test_fattree_large_p_smoke;
     t "fat-tree: bad shapes rejected" test_fattree_bad_shape;
+    t "freed C heap is kept for the next run" test_heap_kept;
   ]
