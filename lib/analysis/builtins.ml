@@ -3,6 +3,9 @@
    Each builtin carries a classification used by the expression-rewriting
    pass (does a call become an element-wise loop, a reduction needing an
    allreduce, a constructor, ...) and a type rule used by inference.
+   An element-wise builtin's kind also carries its scalar function and
+   its C name: the interpreter, tcode and the constant folder all call
+   that function, and the C back end calls that name.
    Type rules operate on abstract values: a type plus, for scalars, an
    optional compile-time constant -- constants feed shape inference
    (e.g. [n = 2048; zeros(n, 1)] yields a known 2048x1 shape). *)
@@ -14,12 +17,15 @@ let const_int n = { aty = Ty.int_scalar; aconst = Some (float_of_int n) }
 let const_real f = { aty = Ty.real_scalar; aconst = Some f }
 
 type kind =
-  | Map1 of string (* element-wise unary function *)
-  | Map2 of string (* element-wise binary function *)
+  | Map1 of (float -> float) * string
+      (* element-wise unary: the scalar function and its C name *)
+  | Map2 of (float -> float -> float) * string
+      (* element-wise binary: the scalar function and its C name *)
   | Reduce of string (* reduction: vector -> scalar, matrix -> row vector *)
   | Scan of string (* cumulative sum/product along a vector *)
   | Dot (* dot(u, v) *)
-  | Minmax of string (* reduction with 1 arg, element-wise with 2 *)
+  | Minmax of (float -> float -> float) * string
+      (* reduction with 1 arg; element-wise with 2, as [Map2] *)
   | Constructor of string (* zeros, ones, eye, rand, linspace *)
   | Query of string (* size, length, numel *)
   | Trapz (* trapezoidal integration *)
@@ -163,45 +169,41 @@ let register name kind min_args max_args infer =
 let () =
   let real_of _ = Ty.Real in
   let keep b = b in
-  (* element-wise unary *)
-  register "abs" (Map1 "abs") 1 1 (map1_rule ~result_base:keep Float.abs);
-  register "sqrt" (Map1 "sqrt") 1 1 (map1_rule ~result_base:real_of sqrt);
-  register "exp" (Map1 "exp") 1 1 (map1_rule ~result_base:real_of exp);
-  register "log" (Map1 "log") 1 1 (map1_rule ~result_base:real_of log);
-  register "log10" (Map1 "log10") 1 1 (map1_rule ~result_base:real_of log10);
-  register "log2" (Map1 "log2") 1 1
-    (map1_rule ~result_base:real_of (fun x -> log x /. log 2.));
-  register "sin" (Map1 "sin") 1 1 (map1_rule ~result_base:real_of sin);
-  register "cos" (Map1 "cos") 1 1 (map1_rule ~result_base:real_of cos);
-  register "tan" (Map1 "tan") 1 1 (map1_rule ~result_base:real_of tan);
-  register "asin" (Map1 "asin") 1 1 (map1_rule ~result_base:real_of asin);
-  register "acos" (Map1 "acos") 1 1 (map1_rule ~result_base:real_of acos);
-  register "atan" (Map1 "atan") 1 1 (map1_rule ~result_base:real_of atan);
-  register "tanh" (Map1 "tanh") 1 1 (map1_rule ~result_base:real_of tanh);
-  register "cosh" (Map1 "cosh") 1 1 (map1_rule ~result_base:real_of cosh);
-  register "sinh" (Map1 "sinh") 1 1 (map1_rule ~result_base:real_of sinh);
-  register "floor" (Map1 "floor") 1 1
-    (map1_rule ~result_base:(fun _ -> Ty.Integer) floor);
-  register "ceil" (Map1 "ceil") 1 1
-    (map1_rule ~result_base:(fun _ -> Ty.Integer) ceil);
-  register "round" (Map1 "round") 1 1
-    (map1_rule ~result_base:(fun _ -> Ty.Integer) Float.round);
-  register "fix" (Map1 "fix") 1 1
-    (map1_rule ~result_base:(fun _ -> Ty.Integer) Float.trunc);
-  register "sign" (Map1 "sign") 1 1
-    (map1_rule
-       ~result_base:(fun _ -> Ty.Integer)
-       (fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.));
-  register "double" (Map1 "double") 1 1
-    (map1_rule ~result_base:real_of (fun x -> x));
-  (* element-wise binary *)
-  register "mod" (Map2 "mod") 2 2
-    (map2_rule (fun a b -> if b = 0. then a else a -. (b *. Float.floor (a /. b))));
-  register "rem" (Map2 "rem") 2 2
-    (map2_rule (fun a b -> if b = 0. then a else Float.rem a b));
-  register "atan2" (Map2 "atan2") 2 2 (map2_rule atan2);
-  register "hypot" (Map2 "hypot") 2 2 (map2_rule Float.hypot);
-  register "power" (Map2 "pow") 2 2 (map2_rule Float.pow);
+  (* element-wise: one line per builtin gives the scalar function, the
+     C back end's name for it and the constant folder *)
+  let map1 ?(result_base = real_of) name c f =
+    register name (Map1 (f, c)) 1 1 (map1_rule ~result_base f)
+  and map2 name c f = register name (Map2 (f, c)) 2 2 (map2_rule f) in
+  let to_int _ = Ty.Integer in
+  map1 "abs" "fabs" Float.abs ~result_base:keep;
+  map1 "sqrt" "sqrt" sqrt;
+  map1 "exp" "exp" exp;
+  map1 "log" "log" log;
+  map1 "log10" "log10" log10;
+  map1 "log2" "ML_log2" (fun x -> log x /. log 2.);
+  map1 "sin" "sin" sin;
+  map1 "cos" "cos" cos;
+  map1 "tan" "tan" tan;
+  map1 "asin" "asin" asin;
+  map1 "acos" "acos" acos;
+  map1 "atan" "atan" atan;
+  map1 "tanh" "tanh" tanh;
+  map1 "cosh" "cosh" cosh;
+  map1 "sinh" "sinh" sinh;
+  map1 "floor" "floor" floor ~result_base:to_int;
+  map1 "ceil" "ceil" ceil ~result_base:to_int;
+  map1 "round" "ML_round" Float.round ~result_base:to_int;
+  map1 "fix" "ML_fix" Float.trunc ~result_base:to_int;
+  map1 "sign" "ML_sign" ~result_base:to_int (fun x ->
+      if x > 0. then 1. else if x < 0. then -1. else 0.);
+  (* the identity: the C back end emits no call *)
+  map1 "double" "" (fun x -> x);
+  map2 "mod" "ML_mod" (fun a b ->
+      if b = 0. then a else a -. (b *. Float.floor (a /. b)));
+  map2 "rem" "ML_rem" (fun a b -> if b = 0. then a else Float.rem a b);
+  map2 "atan2" "atan2" atan2;
+  map2 "hypot" "hypot" Float.hypot;
+  map2 "power" "pow" Float.pow;
   (* reductions *)
   register "sum" (Reduce "sum") 1 1 (reduce_rule ~result_base:keep);
   register "cumsum" (Scan "cumsum") 1 1 (fun args pos ->
@@ -225,14 +227,14 @@ let () =
   register "dot" Dot 2 2 (fun args pos ->
       no_tensor "dot" args pos;
       of_ty Ty.real_scalar);
-  register "min" (Minmax "min") 1 2 (fun args pos ->
-      match args with
-      | [ _ ] -> reduce_rule ~result_base:keep args pos
-      | _ -> map2_rule Float.min args pos);
-  register "max" (Minmax "max") 1 2 (fun args pos ->
-      match args with
-      | [ _ ] -> reduce_rule ~result_base:keep args pos
-      | _ -> map2_rule Float.max args pos);
+  let minmax name c f =
+    register name (Minmax (f, c)) 1 2 (fun args pos ->
+        match args with
+        | [ _ ] -> reduce_rule ~result_base:keep args pos
+        | _ -> map2_rule f args pos)
+  in
+  minmax "min" "ML_min2" Float.min;
+  minmax "max" "ML_max2" Float.max;
   (* constructors *)
   register "zeros" (Constructor "zeros") 0 3
     (constructor_rule ~square:true ~base:Ty.Real);
@@ -365,6 +367,21 @@ let () =
 let find name = Hashtbl.find_opt table name
 let is_builtin name = Hashtbl.mem table name
 let all () = Hashtbl.fold (fun _ b acc -> b :: acc) table []
+
+(* The scalar function of an element-wise builtin called with one or
+   two arguments (a binary [min]/[max] counts), and its C name. *)
+let scalar1 name =
+  match find name with Some { kind = Map1 (f, _); _ } -> Some f | _ -> None
+
+let scalar2 name =
+  match find name with
+  | Some { kind = Map2 (f, _) | Minmax (f, _); _ } -> Some f
+  | _ -> None
+
+let c_name name =
+  match find name with
+  | Some { kind = Map1 (_, c) | Map2 (_, c) | Minmax (_, c); _ } -> Some c
+  | _ -> None
 
 let check_arity b nargs pos =
   if nargs < b.min_args || nargs > b.max_args then

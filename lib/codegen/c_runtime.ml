@@ -193,9 +193,17 @@ double ML_rem(double a, double b) { return b == 0 ? a : fmod(a, b); }
 double ML_sign(double x) { return x > 0 ? 1.0 : (x < 0 ? -1.0 : 0.0); }
 double ML_fix(double x) { return trunc(x); }
 double ML_log2(double x) { return log(x) / log(2.0); }
-double ML_round(double x) { return (x >= 0) ? floor(x + 0.5) : ceil(x - 0.5); }
-double ML_min2(double a, double b) { return a < b ? a : b; }
-double ML_max2(double a, double b) { return a > b ? a : b; }
+double ML_round(double x) { return round(x); }
+/* OCaml's Float.min/Float.max: NaN if either argument is NaN, and
+   -0 < +0. */
+double ML_min2(double a, double b) {
+  if (b > a || (!signbit(b) && signbit(a))) return isnan(b) ? b : a;
+  return isnan(a) ? a : b;
+}
+double ML_max2(double a, double b) {
+  if (b > a || (!signbit(b) && signbit(a))) return isnan(a) ? a : b;
+  return isnan(b) ? b : a;
+}
 
 double ML_numel(const MATRIX *m) { return (double)m->rows * m->cols; }
 double ML_length(const MATRIX *m) {
@@ -1101,11 +1109,13 @@ double ML_broadcast_linear(const MATRIX *m, int g) {
 }
 
 /* One collective replicates the whole batch: each owner deposits its
-   values into a zero-filled vector and a sum allreduce combines. */
+   values into a vector of -0 and a sum allreduce combines.  -0 is the
+   exact identity of +, so a -0 value keeps its sign (+0 would not). */
 void ML_broadcast_batch(const MATRIX *m, int n, const int *ri,
                         const int *ci, double *out) {
-  double *partial = (double *)calloc(n > 0 ? n : 1, sizeof(double));
+  double *partial = (double *)malloc(sizeof(double) * (n > 0 ? n : 1));
   int k;
+  for (k = 0; k < n; k++) partial[k] = -0.0;
   for (k = 0; k < n; k++) {
     int i = ri[k], j = ci[k];
     if (i < 0) {

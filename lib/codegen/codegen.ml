@@ -56,18 +56,13 @@ let is_str_var sc v =
   | Some t -> t.Ty.rank = Ty.Rscalar && t.Ty.base = Ty.Literal
   | None -> false
 
-let scalar_call_name = function
-  | "abs" -> "fabs"
-  | "mod" -> "ML_mod"
-  | "rem" -> "ML_rem"
-  | "sign" -> "ML_sign"
-  | "fix" -> "ML_fix"
-  | "log2" -> "ML_log2"
-  | "round" -> "ML_round"
-  | "min" -> "ML_min2"
-  | "max" -> "ML_max2"
-  | "power" | "pow" -> "pow"
-  | n -> n
+(* A call of an element-wise builtin under the C name the registry
+   gives it; [double]'s C name is empty, the identity. *)
+let c_call name args =
+  match (Analysis.Builtins.c_name name, args) with
+  | Some "", [ a ] -> a
+  | Some c, _ -> Printf.sprintf "%s(%s)" c (String.concat ", " args)
+  | None, _ -> failwith ("codegen: unknown scalar builtin " ^ name)
 
 (* --- expressions -------------------------------------------------------- *)
 
@@ -79,10 +74,7 @@ let rec sexpr_c (s : Spmd.Ir.sexpr) : string =
   | Spmd.Ir.Sbin (op, a, b) -> binop_c op (sexpr_c a) (sexpr_c b)
   | Spmd.Ir.Sneg a -> Printf.sprintf "(-%s)" (sexpr_c a)
   | Spmd.Ir.Snot a -> Printf.sprintf "((double)(%s == 0))" (sexpr_c a)
-  | Spmd.Ir.Scall ("double", [ a ]) -> sexpr_c a
-  | Spmd.Ir.Scall (name, args) ->
-      Printf.sprintf "%s(%s)" (scalar_call_name name)
-        (String.concat ", " (List.map sexpr_c args))
+  | Spmd.Ir.Scall (name, args) -> c_call name (List.map sexpr_c args)
   | Spmd.Ir.Sdim (v, 0) -> Printf.sprintf "ML_numel(%s)" (mangle v)
   | Spmd.Ir.Sdim (v, 1) -> Printf.sprintf "((double)%s->rows)" (mangle v)
   | Spmd.Ir.Sdim (v, 2) -> Printf.sprintf "((double)%s->cols)" (mangle v)
@@ -125,11 +117,8 @@ let eexpr_c ~(model : string) (e : Spmd.Ir.eexpr) :
     | Spmd.Ir.Ebin (op, a, b) -> binop_c op (go a) (go b)
     | Spmd.Ir.Eneg a -> Printf.sprintf "(-%s)" (go a)
     | Spmd.Ir.Enot a -> Printf.sprintf "((double)(%s == 0))" (go a)
-    | Spmd.Ir.Ecall1 ("double", a) -> go a
-    | Spmd.Ir.Ecall1 (name, a) ->
-        Printf.sprintf "%s(%s)" (scalar_call_name name) (go a)
-    | Spmd.Ir.Ecall2 (name, a, b) ->
-        Printf.sprintf "%s(%s, %s)" (scalar_call_name name) (go a) (go b)
+    | Spmd.Ir.Ecall1 (name, a) -> c_call name [ go a ]
+    | Spmd.Ir.Ecall2 (name, a, b) -> c_call name [ go a; go b ]
   in
   let body = go e in
   (List.rev !hoisted, body)

@@ -28,6 +28,7 @@ open Spmd
 module Dmat = Runtime.Dmat
 module Ndarr = Runtime.Ndarr
 module Ops = Runtime.Ops
+module B = Analysis.Builtins
 
 let error = State.error
 
@@ -212,77 +213,6 @@ let bin_code (op : Mlang.Ast.binop) =
   | Mlang.Ast.And | Mlang.Ast.Shortand -> 22
   | Mlang.Ast.Or | Mlang.Ast.Shortor -> 23
 
-(* (name, argc) -> fid: the reference interpreter's scalar builtins
-   ([Interp.Eval.scalar_fun1]/[scalar_fun2]), plus [pow], the builtin
-   table's C name for [power]; anything else raises its error, but only
-   when executed. *)
-let builtin_fid name argc =
-  match (name, argc) with
-  | "abs", 1 -> 0
-  | "sqrt", 1 -> 1
-  | "exp", 1 -> 2
-  | "log", 1 -> 3
-  | "log10", 1 -> 4
-  | "log2", 1 -> 5
-  | "sin", 1 -> 6
-  | "cos", 1 -> 7
-  | "tan", 1 -> 8
-  | "asin", 1 -> 9
-  | "acos", 1 -> 10
-  | "atan", 1 -> 11
-  | "sinh", 1 -> 12
-  | "cosh", 1 -> 13
-  | "tanh", 1 -> 14
-  | "floor", 1 -> 15
-  | "ceil", 1 -> 16
-  | "round", 1 -> 17
-  | "fix", 1 -> 18
-  | "sign", 1 -> 19
-  | "double", 1 -> 20
-  | "mod", 2 -> 21
-  | "rem", 2 -> 22
-  | "atan2", 2 -> 23
-  | "hypot", 2 -> 24
-  | "pow", 2 -> 25
-  | "power", 2 -> 25
-  | "min", 2 -> 26
-  | "max", 2 -> 27
-  | _ -> -1
-
-let call1 fid x =
-  match fid with
-  | 0 -> Float.abs x
-  | 1 -> sqrt x
-  | 2 -> exp x
-  | 3 -> log x
-  | 4 -> log10 x
-  | 5 -> log x /. log 2.
-  | 6 -> sin x
-  | 7 -> cos x
-  | 8 -> tan x
-  | 9 -> asin x
-  | 10 -> acos x
-  | 11 -> atan x
-  | 12 -> sinh x
-  | 13 -> cosh x
-  | 14 -> tanh x
-  | 15 -> floor x
-  | 16 -> ceil x
-  | 17 -> Float.round x
-  | 18 -> Float.trunc x
-  | 19 -> if x > 0. then 1. else if x < 0. then -1. else 0.
-  | _ -> x (* 20: double *)
-
-let call2 fid a b =
-  match fid with
-  | 21 -> if b = 0. then a else a -. (b *. Float.floor (a /. b))
-  | 22 -> if b = 0. then a else Float.rem a b
-  | 23 -> atan2 a b
-  | 24 -> Float.hypot a b
-  | 25 -> Float.pow a b
-  | 26 -> Float.min a b
-  | _ -> Float.max a b
-
 let truthy = State.truthy
 
 let of_bool = State.of_bool
@@ -462,22 +392,22 @@ let compile_sexpr dc (s : Ir.sexpr) : cexpr =
     | Ir.Scall (name, cargs) -> (
         incr nops;
         let fargs = List.map cc cargs in
-        let argc = List.length cargs in
-        match (builtin_fid name argc, fargs) with
-        | -1, _ ->
-            let m =
-              Printf.sprintf "unknown scalar builtin '%s'/%d" name argc
-            in
-            fun fr ->
-              List.iter (fun f -> ignore (f fr)) fargs;
-              error "%s" m
-        | fid, [ f1 ] -> fun fr -> call1 fid (f1 fr)
-        | fid, [ f1; f2 ] ->
+        match (fargs, B.scalar1 name, B.scalar2 name) with
+        | [ f1 ], Some f, _ -> fun fr -> f (f1 fr)
+        | [ f1; f2 ], _, Some f ->
             fun fr ->
               let a = f1 fr in
               let b = f2 fr in
-              call2 fid a b
-        | _ -> assert false)
+              f a b
+        | _ ->
+            (* an unknown name raises only when executed *)
+            let m =
+              Printf.sprintf "unknown scalar builtin '%s'/%d" name
+                (List.length cargs)
+            in
+            fun fr ->
+              List.iter (fun f -> ignore (f fr)) fargs;
+              error "%s" m)
   in
   let f = cc s in
   { r_nodes = !nodes; r_nops = !nops; r_fnops = float_of_int !nops; r_f = f }
@@ -496,7 +426,7 @@ type pstep =
 (* Element opcodes (argument meaning in parentheses):
      0 push esc scratch (index)        1 push operand element (operand index)
      2 negate                          3 logical not
-     5 builtin, 1 arg (fid)            6 builtin, 2 args (fid)
+     5 builtin, 1 arg ([e_f1] index)   6 builtin, 2 args ([e_f2] index)
      7 raise (message index)           8 push eye element
      10..23 binary operators ([bin_code]) *)
 type eplan = {
@@ -504,6 +434,8 @@ type eplan = {
   e_ops : int array;
   e_a : int array;
   e_msgs : string array;
+  e_f1 : (float -> float) array; (* builtins resolved at decode time *)
+  e_f2 : (float -> float -> float) array;
   e_nops : int; (* per-element static charge *)
   e_nmat : int;
   e_nsc : int;
@@ -513,6 +445,8 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
   let prelude = ref [] in
   let ops = ref [] and args = ref [] in
   let msgs = ref [] and nmsg = ref 0 in
+  let f1s = ref [] and nf1 = ref 0 in
+  let f2s = ref [] and nf2 = ref 0 in
   let nops = ref 0 and nmat = ref 0 and nsc = ref 0 in
   let depth = ref 0 and maxd = ref 0 in
   let emit op a d =
@@ -521,11 +455,12 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
     depth := !depth + d;
     if !depth > !maxd then maxd := !depth
   in
-  let msg m =
-    msgs := m :: !msgs;
-    incr nmsg;
-    !nmsg - 1
+  let intern xs n x =
+    xs := x :: !xs;
+    incr n;
+    !n - 1
   in
+  let msg = intern msgs nmsg in
   let rec go (e : Ir.eexpr) =
     match e with
     | Ir.Emat v ->
@@ -557,18 +492,18 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
     | Ir.Ecall1 (name, a) -> (
         incr nops;
         go a;
-        match builtin_fid name 1 with
-        | -1 ->
+        match B.scalar1 name with
+        | None ->
             emit 7 (msg (Printf.sprintf "unknown scalar builtin '%s'/1" name)) 1
-        | fid -> emit 5 fid 0)
+        | Some f -> emit 5 (intern f1s nf1 f) 0)
     | Ir.Ecall2 (name, a, b) -> (
         incr nops;
         go a;
         go b;
-        match builtin_fid name 2 with
-        | -1 ->
+        match B.scalar2 name with
+        | None ->
             emit 7 (msg (Printf.sprintf "unknown scalar builtin '%s'/2" name)) 1
-        | fid -> emit 6 fid (-1))
+        | Some f -> emit 6 (intern f2s nf2 f) (-1))
   in
   go e;
   if !maxd + 1 > dc.maxdepth then dc.maxdepth <- !maxd + 1;
@@ -577,6 +512,8 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
     e_ops = Array.of_list (List.rev !ops);
     e_a = Array.of_list (List.rev !args);
     e_msgs = Array.of_list (List.rev !msgs);
+    e_f1 = Array.of_list (List.rev !f1s);
+    e_f2 = Array.of_list (List.rev !f2s);
     e_nops = !nops;
     e_nmat = !nmat;
     e_nsc = !nsc;
@@ -609,10 +546,10 @@ let run_elements fr (p : eplan) ~(mats : float array array)
           incr sp
       | 2 -> stack.(!sp - 1) <- -.stack.(!sp - 1)
       | 3 -> stack.(!sp - 1) <- of_bool (not (truthy stack.(!sp - 1)))
-      | 5 -> stack.(!sp - 1) <- call1 a stack.(!sp - 1)
+      | 5 -> stack.(!sp - 1) <- p.e_f1.(a) stack.(!sp - 1)
       | 6 ->
           decr sp;
-          stack.(!sp - 1) <- call2 a stack.(!sp - 1) stack.(!sp)
+          stack.(!sp - 1) <- p.e_f2.(a) stack.(!sp - 1) stack.(!sp)
       | 7 -> error "%s" p.e_msgs.(a)
       | 10 ->
           decr sp;

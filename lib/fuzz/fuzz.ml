@@ -13,6 +13,8 @@
    Any disagreement is a counterexample; QCheck2's integrated
    shrinking then minimizes the script before it is reported. *)
 
+module Gen = Gen (* the script grammar *)
+
 type case_result =
   | Pass
   | Discard of string  (** front end or interpreter rejected the case *)
@@ -64,8 +66,8 @@ let rt_objects =
      then failwith "fuzz: cannot compile the run-time library";
      dir)
 
-(* Compare two program outputs token by token: numeric tokens within a
-   relative tolerance (reduction order, printf rounding), everything
+(* Compare two program outputs token by token: numeric tokens with
+   [Otter.values_close] (reduction order, printf rounding), everything
    else literally.  Tokens split at blanks and at '=', so a number
    printed as name=value is compared as a number too. *)
 let outputs_agree ?(tol = 1e-9) (a : string) (b : string) : string option =
@@ -81,13 +83,7 @@ let outputs_agree ?(tol = 1e-9) (a : string) (b : string) : string option =
       (Printf.sprintf "output length differs: %d tokens vs %d"
          (List.length ta) (List.length tb))
   else
-    let close x y =
-      x = y
-      || (Float.is_nan x && Float.is_nan y)
-      ||
-      let scale = Float.max 1. (Float.max (Float.abs x) (Float.abs y)) in
-      Float.abs (x -. y) <= tol *. scale
-    in
+    let close = Otter.values_close ~tol in
     List.fold_left2
       (fun acc x y ->
         match acc with

@@ -65,6 +65,37 @@ let tens env =
 
 (* --- scalar expressions -------------------------------------------------- *)
 
+(* The element-wise builtins by registry kind, so a builtin added to
+   [Analysis.Builtins] joins the grammar with no edit here. *)
+let elementwise pick =
+  Analysis.Builtins.all ()
+  |> List.filter_map (fun (b : Analysis.Builtins.t) ->
+         if pick b.kind then Some b.name else None)
+  |> List.sort compare
+
+let unary_g =
+  G.oneofl (elementwise (function Analysis.Builtins.Map1 _ -> true | _ -> false))
+
+let binary_g =
+  G.oneofl
+    (elementwise (function
+      | Analysis.Builtins.Map2 _ | Analysis.Builtins.Minmax _ -> true
+      | _ -> false))
+
+(* The arguments of a drawn element-wise call: each [a] becomes
+   [sin(a) + d].  That keeps every argument bounded, so no call blows a
+   value up for a later sum to cancel (2.6e23 - 2.6e23 + 1 is 0 or 1
+   by summation order), and off 0, +-0.5, +-1 and the integers, where
+   floor, round, sign, mod, log and asin jump.  Reductions differ in
+   their last bits across P, which the oracle tolerates; a call on a
+   tame argument cannot turn that into a different answer. *)
+let tame args =
+  String.concat ", "
+    (List.mapi
+       (fun i a ->
+         Printf.sprintf "sin(%s) + %s" a (if i = 0 then "0.3183" else "0.2718"))
+       args)
+
 let const_g =
   G.oneofl [ "0"; "1"; "2"; "3"; "5"; "0.5"; "1.5"; "-1"; "-2"; "10" ]
 
@@ -86,9 +117,18 @@ let rec sexpr env depth : string G.t =
       G.return (Printf.sprintf "(%s %s %s)" a op b)
     in
     let call =
-      let* f = G.oneofl [ "abs"; "sin"; "cos"; "floor" ] in
-      let* a = sub in
-      G.return (Printf.sprintf "%s(%s)" f a)
+      G.frequency
+        [
+          ( 2,
+            let* f = unary_g in
+            let* a = sub in
+            G.return (Printf.sprintf "%s(%s)" f (tame [ a ])) );
+          ( 1,
+            let* f = binary_g in
+            let* a = sub in
+            let* b = sub in
+            G.return (Printf.sprintf "%s(%s)" f (tame [ a; b ])) );
+        ]
     in
     let sqrt_abs =
       let* a = sub in
@@ -254,10 +294,18 @@ let elemwise_rhs env (r, c) : string G.t =
     G.frequency
       ((2, sexpr env 1) :: (match peers with [] -> [] | _ -> [ (3, G.oneofl peers) ]))
   in
-  let* wrap = G.oneofl [ None; Some "abs"; Some "cos" ] in
   let e = Printf.sprintf "%s %s %s" m1 op rhs in
-  G.return
-    (match wrap with None -> e | Some f -> Printf.sprintf "%s(%s)" f e)
+  G.frequency
+    [
+      (2, G.return e);
+      ( 1,
+        let* f = unary_g in
+        G.return (Printf.sprintf "%s(%s)" f (tame [ e ])) );
+      ( 1,
+        let* f = binary_g in
+        let* s = sexpr env 0 in
+        G.return (Printf.sprintf "%s(%s)" f (tame [ e; s ])) );
+    ]
 
 let elemwise_stmt env : stmt G.t =
   let* _, r, c = G.oneofl (mats env) in

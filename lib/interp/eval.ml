@@ -177,42 +177,6 @@ let eval_binop fr op a b =
       | Scalar x, Scalar y -> Scalar (Float.pow x y)
       | _ -> error "matrix power is not supported; use .^")
 
-let scalar_fun1 name =
-  match name with
-  | "abs" -> Float.abs
-  | "sqrt" -> sqrt
-  | "exp" -> exp
-  | "log" -> log
-  | "log10" -> log10
-  | "log2" -> fun x -> log x /. log 2.
-  | "sin" -> sin
-  | "cos" -> cos
-  | "tan" -> tan
-  | "asin" -> asin
-  | "acos" -> acos
-  | "atan" -> atan
-  | "sinh" -> sinh
-  | "cosh" -> cosh
-  | "tanh" -> tanh
-  | "floor" -> floor
-  | "ceil" -> ceil
-  | "round" -> Float.round
-  | "fix" -> Float.trunc
-  | "sign" -> fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.
-  | "double" -> fun x -> x
-  | _ -> error "unknown unary function '%s'" name
-
-let scalar_fun2 name =
-  match name with
-  | "mod" -> fun a b -> if b = 0. then a else a -. (b *. Float.floor (a /. b))
-  | "rem" -> fun a b -> if b = 0. then a else Float.rem a b
-  | "atan2" -> atan2
-  | "hypot" -> Float.hypot
-  | "power" -> Float.pow
-  | "min" -> Float.min
-  | "max" -> Float.max
-  | _ -> error "unknown binary function '%s'" name
-
 (* --- indexing ----------------------------------------------------------- *)
 
 type index = Iall | Ivals of int array (* 0-based *)
@@ -486,15 +450,14 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
     | Str _ -> error "reduction of a string"
   in
   match (kind, vals) with
-  | B.Map1 _, [ Scalar x ] -> one (Scalar (scalar_fun1 name x))
-  | B.Map1 _, [ Mat m ] ->
+  | B.Map1 (f, _), [ Scalar x ] -> one (Scalar (f x))
+  | B.Map1 (f, _), [ Mat m ] ->
       Cost.charge_elem fr.cost ~elems:(Dense.numel m) ~ops:1;
-      one (mat (Dense.map (scalar_fun1 name) m))
-  | B.Map1 _, [ Nd t ] ->
+      one (mat (Dense.map f m))
+  | B.Map1 (f, _), [ Nd t ] ->
       Cost.charge_elem fr.cost ~elems:(Nda.numel t) ~ops:1;
-      one (nd (Nda.map (scalar_fun1 name) t))
-  | B.Map2 _, [ a; b ] -> (
-      let f = scalar_fun2 name in
+      one (nd (Nda.map f t))
+  | (B.Map2 (f, _) | B.Minmax (f, _)), [ a; b ] -> (
       match (a, b) with
       | Scalar x, Scalar y -> one (Scalar (f x y))
       | Mat m, Scalar y ->
@@ -549,10 +512,9 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
       | Mat _ -> error "[m, i] = %s of a full matrix is not supported" name
       | Nd _ -> error "[m, i] = %s of a tensor is not supported" name
       | Str _ -> error "%s of a string" name)
-  | B.Minmax _, [ v ] ->
+  | B.Minmax (pick, _), [ v ] ->
       (* MATLAB ignores NaNs: min/max over the non-NaN elements, NaN
          only when every element is NaN.  NaN is the fold identity. *)
-      let pick = if name = "min" then Float.min else Float.max in
       let comb a b =
         if Float.is_nan a then b
         else if Float.is_nan b then a
@@ -575,7 +537,6 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
       | Mat _ -> error "%s of a full matrix is not supported" name
       | Nd _ -> error "%s of a tensor is not supported" name
       | Str _ -> error "%s of a string" name)
-  | B.Minmax _, [ _; _ ] -> eval_builtin fr name (B.Map2 name) vals ~nrets
   | B.Reduce _, [ v ] -> (
       match name with
       | "sum" -> one (reduce_value 0. ( +. ) (fun _ x -> x) v)

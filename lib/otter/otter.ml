@@ -292,15 +292,17 @@ type mismatch = {
   detail : string;
 }
 
+let values_close ~tol x y =
+  x = y
+  || (Float.is_nan x && Float.is_nan y)
+  || Float.is_finite x && Float.is_finite y
+     &&
+     let scale = Float.max 1. (Float.max (Float.abs x) (Float.abs y)) in
+     Float.abs (x -. y) <= tol *. scale
+
 let compare_values ~tol (a : Exec.State.captured) (b : Exec.State.captured) :
     string option =
-  let close x y =
-    x = y (* covers equal infinities *)
-    || (Float.is_nan x && Float.is_nan y)
-    ||
-    let scale = Float.max 1. (Float.max (Float.abs x) (Float.abs y)) in
-    Float.abs (x -. y) <= tol *. scale
-  in
+  let close = values_close ~tol in
   let first_bad d1 d2 =
     let bad = ref None in
     Array.iteri

@@ -176,6 +176,11 @@ type verdict =
           timeout under an injected fault model, exhausted
           retransmissions) before its results could be compared. *)
 
+val values_close : tol:float -> float -> float -> bool
+(** Equal within the relative tolerance [tol] (scaled by the larger
+    magnitude, at least 1); NaN matches NaN and an infinity matches only
+    itself.  {!verify} compares captured elements with it. *)
+
 val verify : Config.t -> compiled -> verdict
 (** Run the reference interpreter and the compiled program under [cfg]
     and compare the captured variables; [cfg.tol] absorbs

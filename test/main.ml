@@ -23,6 +23,7 @@ let () =
       ("interp", Test_interp.suite);
       ("mpi", Test_mpi.suite);
       ("codegen", Test_codegen.suite);
+      ("builtins", Test_builtins.suite);
       ("apps", Test_apps.suite);
       ("load", Test_load.suite);
       ("corpus", Test_corpus.suite);

@@ -35,6 +35,55 @@ let test_random_rank3 () =
   | Fuzz.Counterexample { script; detail; _ } ->
       Alcotest.failf "rank-3 counterexample (%s):\n%s" detail script
 
+(* (name, arity) of every call [name(...)] in [src]: the arity is one
+   more than the commas outside nested brackets and quotes. *)
+let calls src =
+  let n = String.length src in
+  let is_id = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let arity j =
+    let rec go k depth commas quoted =
+      if k >= n then commas + 1
+      else
+        match src.[k] with
+        | '\'' -> go (k + 1) depth commas (not quoted)
+        | _ when quoted -> go (k + 1) depth commas quoted
+        | '(' | '[' -> go (k + 1) (depth + 1) commas quoted
+        | ')' | ']' when depth = 1 -> commas + 1
+        | ')' | ']' -> go (k + 1) (depth - 1) commas quoted
+        | ',' when depth = 1 -> go (k + 1) depth (commas + 1) quoted
+        | _ -> go (k + 1) depth commas quoted
+    in
+    go j 0 0 false
+  in
+  let rec ident_end j = if j < n && is_id src.[j] then ident_end (j + 1) else j in
+  let rec scan i acc =
+    if i >= n then acc
+    else if not (is_id src.[i]) then scan (i + 1) acc
+    else
+      let j = ident_end i in
+      scan j
+        (if j < n && src.[j] = '(' then (String.sub src i (j - i), arity j) :: acc
+         else acc)
+  in
+  scan 0 []
+
+(* The grammar draws its element-wise calls from the builtin registry:
+   1,000 scripts call every unary and binary one, [min]/[max] with two
+   arguments. *)
+let test_gen_reaches_builtins () =
+  let seen = Hashtbl.create 64 in
+  QCheck2.Gen.generate ~rand:(Random.State.make [| 11 |]) ~n:1000 Fuzz.Gen.script
+  |> List.iter (fun src -> List.iter (fun c -> Hashtbl.replace seen c ()) (calls src));
+  let missed =
+    Testutil.elementwise_builtins ()
+    |> List.filter (fun c -> not (Hashtbl.mem seen c))
+    |> List.map (fun (f, k) -> Printf.sprintf "%s/%d" f k)
+  in
+  Alcotest.(check (list string)) "element-wise builtins never drawn" [] missed
+
 (* The oracle infrastructure itself: output comparison must absorb
    benign formatting differences but reject real ones. *)
 let test_outputs_agree () =
@@ -42,6 +91,11 @@ let test_outputs_agree () =
   Alcotest.(check bool) "tolerance" true
     (Fuzz.outputs_agree "0.30000000000000004\n" "0.3\n" = None);
   Alcotest.(check bool) "nan" true (Fuzz.outputs_agree "nan\n" "-nan\n" = None);
+  Alcotest.(check bool) "an infinity matches only itself" true
+    (Fuzz.outputs_agree "inf -inf\n" "inf -inf\n" = None
+    && Fuzz.outputs_agree "inf\n" "-inf\n" <> None
+    && Fuzz.outputs_agree "inf\n" "1e308\n" <> None
+    && Fuzz.outputs_agree "-inf\n" "nan\n" <> None);
   Alcotest.(check bool) "name=value compares the value" true
     (Fuzz.outputs_agree "residual=4.434279e-15\n" "residual=4.522966e-15\n"
     = None);
@@ -58,4 +112,5 @@ let suite =
     t "random differential cases" test_random_cases;
     t "random rank-3 cases" test_random_rank3;
     t "output comparison" test_outputs_agree;
+    t "grammar reaches every element-wise builtin" test_gen_reaches_builtins;
   ]

@@ -133,6 +133,18 @@ let check_c_runs dir expected =
           (Fuzz.outputs_agree expected got))
     [ 1; 2; 4 ]
 
+(* (name, arity) of each element-wise builtin in the registry, sorted;
+   [min]/[max] in their binary, element-wise form. *)
+let elementwise_builtins () =
+  let module B = Analysis.Builtins in
+  B.all ()
+  |> List.filter_map (fun (b : B.t) ->
+         match b.kind with
+         | B.Map1 _ -> Some (b.name, 1)
+         | B.Map2 _ | B.Minmax _ -> Some (b.name, 2)
+         | _ -> None)
+  |> List.sort compare
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
