@@ -4,12 +4,6 @@
 
 exception Runtime_error of string
 
-type value =
-  | Scalar of float
-  | Mat of Dense.t
-  | Nd of Runtime.Nd.t  (** rank >= 3; trailing two dims are the matrix cell *)
-  | Str of string
-
 type captured = Runtime.Captured.t =
   | Cscalar of float
   | Cmat of int * int * float array

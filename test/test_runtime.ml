@@ -277,7 +277,7 @@ let test_trapz () =
           Testutil.check_close ~tol:1e-4 "trapz(x, y)" (1. /. 3.) with_x;
           Testutil.check_close ~tol:1e-6 "trapz(y)"
             (Interp.Dense.trapz
-               { Interp.Dense.rows = n; cols = 1; data = ys })
+               { Interp.Dense.dims = [| n; 1 |]; data = ys })
             unit_dx)
         results)
     [ 1; 2; 7; 16 ]
