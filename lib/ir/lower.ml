@@ -606,9 +606,11 @@ and lower_reduction ctx out e name args =
         else begin
           let aty = ty_of ctx a in
           (* Tensors reduce over every element: one full allreduce, no
-             per-column form. *)
+             per-column form.  So does a reduction typed scalar (any,
+             all) over a full matrix. *)
           let vector_like =
             Ty.is_tensor aty || Ty.is_vector aty
+            || Ty.is_scalar (ty_of ctx e)
             || aty.Ty.shape.Ty.rows = Ty.Dunknown
             || aty.Ty.shape.Ty.cols = Ty.Dunknown
           in

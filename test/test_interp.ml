@@ -51,6 +51,28 @@ let test_display_format () =
   Alcotest.(check string) "matrix display"
     "A =\n       1.0000     0.0000\n       0.0000     1.0000\n" out
 
+(* Operands whose shapes disagree only at run time (n grows in a loop)
+   are a run-time error, as in tcode, and the tensor case: no
+   Invalid_argument escapes the interpreter. *)
+let test_nonconformant_is_runtime_error () =
+  let grow = "n = 1;\nfor k = 1:4\n  n = n + 1;\nend\n" in
+  List.iter
+    (fun (what, expr, msg) ->
+      match run_interp (grow ^ "x = " ^ expr ^ ";\n") with
+      | exception Interp.Eval.Runtime_error m ->
+          Alcotest.(check string) what msg m
+      | _ -> Alcotest.failf "%s: expected a run-time error" what)
+    [
+      ("plus", "ones(n, 1) + ones(3, 1)", "nonconformant operands (5x1 vs 3x1)");
+      ( "two-argument max",
+        "max(ones(n, 1), ones(3, 1))",
+        "nonconformant operands (5x1 vs 3x1)" );
+      ("matmul", "ones(2, n) * ones(3, 2)", "inner dimensions disagree (2x5 * 3x2)");
+      ( "tensor plus",
+        "zeros(n, 2, 2) + zeros(3, 2, 2)",
+        "nonconformant operands (5x2x2 vs 3x2x2)" );
+    ]
+
 let test_cost_model_ordering () =
   (* On every benchmark, modeled times order: interpreter slowest. *)
   let src = Apps.Scripts.cg ~n:48 ~iters:5 () in
@@ -254,6 +276,8 @@ let suite =
     t "matlab quirks" test_matlab_quirks;
     t "strings" test_string_handling;
     t "display format" test_display_format;
+    t "nonconformant operands are a run-time error"
+      test_nonconformant_is_runtime_error;
     t "cost model ordering" test_cost_model_ordering;
     t "interpretive overhead on scalar loops"
       test_interpreter_dispatch_dominates_scalar_loops;
