@@ -84,7 +84,27 @@ fprintf('%d\n', a + b);
     [ 1; 4 ];
   (* the interpreter is the one-rank machine: same queues, same answer *)
   let out, _ = run_interp src in
-  check Alcotest.string "interpreter self-send" "42\n" out
+  check Alcotest.string "interpreter self-send" "42\n" out;
+  (* a message is a value: a store into the sent array after the send
+     does not reach the queued message *)
+  let src =
+    {|r = MPI_Comm_rank();
+v = MPI_Bcast(0, [1, 2, 3]);
+MPI_Send(r, 7, v);
+v(1) = 99;
+w = MPI_Recv(r, 7);
+fprintf('%d %d\n', w(1), v(1));
+|}
+  in
+  List.iter
+    (fun nprocs ->
+      let o = run_spmd ~nprocs src in
+      check Alcotest.string
+        (Printf.sprintf "send by value P=%d" nprocs)
+        "1 99\n" o.Exec.State.output)
+    [ 1; 4 ];
+  let out, _ = run_interp src in
+  check Alcotest.string "interpreter send by value" "1 99\n" out
 
 (* --- deadlock: both ranks receive first ---------------------------------- *)
 

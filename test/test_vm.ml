@@ -91,12 +91,18 @@ let test_shifts_and_trapz () =
 let test_user_functions () =
   check_close "simple function" 49.
     (value "y = sq(7);\nfunction r = sq(x)\n  r = x * x;\nend" "y");
-  check_close "matrix argument by value" 0.
-    (value
-       "A = ones(4, 4);\ns1 = sum(sum(A));\nB = clobber(A);\ns2 = sum(sum(A));\n\
-        d = s2 - s1;\n\
-        function M = clobber(M)\n  M(1, 1) = 999;\nend"
-       "d");
+  (* a store into a matrix or tensor argument does not reach the caller,
+     in the compiled code or in the interpreter *)
+  let by_value =
+    "A = ones(4, 4);\nT = ones(2, 3, 3);\ns1 = sum(sum(A)) + sum(T);\n\
+     B = clobber(A);\nU = clobber3(T);\ns2 = sum(sum(A)) + sum(T);\n\
+     d = s2 - s1;\n\
+     function M = clobber(M)\n  M(1, 1) = 999;\nend\n\
+     function M = clobber3(M)\n  M(1, 1, 1) = 999;\nend"
+  in
+  check_close "matrix argument by value" 0. (value by_value "d");
+  check_close "matrix argument by value (interpreter)" 0.
+    (interp_value by_value "d");
   check_close "multiple returns" 5.
     (value
        "[a, b] = mm(2, 3);\nx = a + b;\nfunction [p, q] = mm(u, v)\n  p = u * v / 3;\n  q = u + 1;\nend"
