@@ -13,7 +13,10 @@
      [&&]/[||] on replicated scalars evaluate both sides);
    - element-wise loops become a fetch prelude (operands resolved in
      tree order, so embedded broadcasts and conformance errors happen
-     exactly where the IR tree puts them) plus one tight stack-machine loop;
+     exactly where the IR tree puts them) plus a stack machine that runs
+     each opcode over a block of consecutive local elements at a time
+     (vector-at-a-time, as in MonetDB/X100): one dispatch per opcode per
+     block, not per element;
    - control flow becomes resolved jump targets: an op returns the
      next pc, and break/continue inside decoded loops are plain jumps.
 
@@ -22,7 +25,10 @@
    fixed, so modeled time and message counts are deterministic under
    verify, fuzz, and chaos recovery.  Decoding is
    per rank — preallocated operand buffers may be live across a
-   communication suspension, so they cannot be shared between ranks. *)
+   communication suspension, so they cannot be shared between ranks.
+   The element loops' block scratch, in contrast, is one array shared
+   by every rank: a block loop performs no effect, so nothing else can
+   run while it holds the scratch (see [scratch]). *)
 
 open Spmd
 module Dmat = Runtime.Dmat
@@ -91,7 +97,6 @@ type frame = {
   sc : float array; (* unboxed scalar slots *)
   vals : value array; (* matrix / string slots; [novalue] elsewhere *)
   names : string array; (* slot -> variable name, "" for hidden slots *)
-  stack : float array; (* element-plan scratch; safe per frame (see intro) *)
   st : rstate;
 }
 
@@ -239,7 +244,6 @@ type fentry = {
   fe_code : code;
   fe_nslots : int;
   fe_names : string array;
-  fe_stack : int;
   fe_params : int list; (* parameter slots, in declaration order *)
   fe_rets : (int * string) list; (* return slots + names *)
   fe_fname : string;
@@ -249,7 +253,6 @@ type dctx = {
   slot_of : (string, int) Hashtbl.t;
   mutable nslots : int;
   mutable rnames : string list; (* slot names, newest first *)
-  mutable maxdepth : int; (* element-plan stack high-water mark *)
   funcs : (string, Ir.func) Hashtbl.t;
   fdec : (string, fentry) Hashtbl.t; (* decoded on first call, per rank *)
   lst : Buffer.t option; (* decode listing accumulator *)
@@ -277,13 +280,12 @@ let hidden_slot dc =
 
 let frame_names dc = Array.of_list (List.rev dc.rnames)
 
-let mk_frame ~nslots ~names ~stack st =
+let mk_frame ~nslots ~names st =
   {
     tags = Array.make nslots t_undef;
     sc = Array.make nslots 0.;
     vals = Array.make nslots novalue;
     names;
-    stack = Array.make (max 4 stack) 0.;
     st;
   }
 
@@ -441,6 +443,26 @@ type eplan = {
   e_nsc : int;
 }
 
+(* Local elements per block of an element loop. *)
+let block = 256
+
+(* The block scratch: one block-sized vector per stack level, shared by
+   every frame of every rank.  Sharing is safe because [run_elements]
+   performs no effect, so no other rank or frame can run while a loop
+   holds the scratch: the operand prelude, which may suspend, finishes
+   before the loop starts, and the flop charge after it is a direct
+   [Sim.flops] update.  The operand buffers ([mats]/[mcell]/[esc]) are
+   different: they are live across the prelude, so they stay
+   rank-private. *)
+let scratch : float array array ref = ref [||]
+
+let ensure_scratch depth =
+  let s = !scratch in
+  if Array.length s < depth then
+    scratch :=
+      Array.init depth (fun k ->
+          if k < Array.length s then s.(k) else Array.make block 0.)
+
 let compile_eexpr dc (e : Ir.eexpr) : eplan =
   let prelude = ref [] in
   let ops = ref [] and args = ref [] in
@@ -506,7 +528,7 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
         | Some f -> emit 6 (intern f2s nf2 f) (-1))
   in
   go e;
-  if !maxd + 1 > dc.maxdepth then dc.maxdepth <- !maxd + 1;
+  ensure_scratch !maxd;
   {
     e_prelude = Array.of_list (List.rev !prelude);
     e_ops = Array.of_list (List.rev !ops);
@@ -520,85 +542,138 @@ let compile_eexpr dc (e : Ir.eexpr) : eplan =
   }
 
 (* The element loop shared by matrix and tensor plans: [len] local
-   elements of [out], each one pass over the plan's opcodes on the
-   frame's stack.  Operand [a] reads its own element when
-   [mcell.(a) = 0] and element [i mod mcell.(a)] otherwise (a frame
-   broadcast); [eye i] is local element [i] of the identity. *)
-let run_elements fr (p : eplan) ~(mats : float array array)
-    ~(mcell : int array) ~(esc : float array) ~eye (out : float array) len =
-  let stack = fr.stack in
+   elements of [out], one block of up to [block] consecutive elements
+   at a time.  Each opcode runs over the whole block on the shared
+   scratch: an operand load is a blit, each operator one tight loop.
+   Every element still sees the same operations in the same order, so
+   results are bit-identical to a per-element loop, and since the
+   registry's scalar functions are total and pure, no error moves.
+   Operand [a] reads its own element when [mcell.(a) = 0] and element
+   [i mod mcell.(a)] otherwise (a frame broadcast); [eye b0 bl v]
+   writes local elements [b0 .. b0+bl-1] of the identity into [v]. *)
+let run_elements (p : eplan) ~(mats : float array array) ~(mcell : int array)
+    ~(esc : float array) ~eye (out : float array) len =
+  let st = !scratch in
   let ops = p.e_ops and args = p.e_a in
   let n = Array.length ops in
-  for i = 0 to len - 1 do
+  let b0 = ref 0 in
+  while !b0 < len do
+    let lo = !b0 in
+    let bl = min block (len - lo) in
     let sp = ref 0 in
     for k = 0 to n - 1 do
       let a = args.(k) in
       match ops.(k) with
       | 0 ->
-          stack.(!sp) <- esc.(a);
+          Array.fill st.(!sp) 0 bl esc.(a);
           incr sp
       | 1 ->
-          let c = mcell.(a) in
-          stack.(!sp) <- (if c = 0 then mats.(a).(i) else mats.(a).(i mod c));
+          let c = mcell.(a) and m = mats.(a) and v = st.(!sp) in
+          if c = 0 then Array.blit m lo v 0 bl
+          else begin
+            let r = ref (lo mod c) in
+            for j = 0 to bl - 1 do
+              v.(j) <- m.(!r);
+              r := if !r + 1 = c then 0 else !r + 1
+            done
+          end;
           incr sp
       | 8 ->
-          stack.(!sp) <- eye i;
+          eye lo bl st.(!sp);
           incr sp
-      | 2 -> stack.(!sp - 1) <- -.stack.(!sp - 1)
-      | 3 -> stack.(!sp - 1) <- of_bool (not (truthy stack.(!sp - 1)))
-      | 5 -> stack.(!sp - 1) <- p.e_f1.(a) stack.(!sp - 1)
-      | 6 ->
-          decr sp;
-          stack.(!sp - 1) <- p.e_f2.(a) stack.(!sp - 1) stack.(!sp)
+      | 2 ->
+          let v = st.(!sp - 1) in
+          for j = 0 to bl - 1 do
+            v.(j) <- -.v.(j)
+          done
+      | 3 ->
+          let v = st.(!sp - 1) in
+          for j = 0 to bl - 1 do
+            v.(j) <- of_bool (not (truthy v.(j)))
+          done
+      | 5 ->
+          let v = st.(!sp - 1) and f = p.e_f1.(a) in
+          for j = 0 to bl - 1 do
+            v.(j) <- f v.(j)
+          done
       | 7 -> error "%s" p.e_msgs.(a)
-      | 10 ->
+      | op -> (
+          (* binary: combine the top two vectors into the lower one *)
           decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) +. stack.(!sp)
-      | 11 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) -. stack.(!sp)
-      | 12 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) *. stack.(!sp)
-      | 13 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp - 1) /. stack.(!sp)
-      | 14 ->
-          decr sp;
-          stack.(!sp - 1) <- stack.(!sp) /. stack.(!sp - 1)
-      | 15 ->
-          decr sp;
-          stack.(!sp - 1) <- Float.pow stack.(!sp - 1) stack.(!sp)
-      | 16 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) < stack.(!sp))
-      | 17 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <= stack.(!sp))
-      | 18 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) > stack.(!sp))
-      | 19 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) >= stack.(!sp))
-      | 20 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) = stack.(!sp))
-      | 21 ->
-          decr sp;
-          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <> stack.(!sp))
-      | 22 ->
-          decr sp;
-          stack.(!sp - 1) <-
-            of_bool (truthy stack.(!sp - 1) && truthy stack.(!sp))
-      | _ ->
-          decr sp;
-          stack.(!sp - 1) <-
-            of_bool (truthy stack.(!sp - 1) || truthy stack.(!sp))
+          let x = st.(!sp - 1) and y = st.(!sp) in
+          match op with
+          | 6 ->
+              let f = p.e_f2.(a) in
+              for j = 0 to bl - 1 do
+                x.(j) <- f x.(j) y.(j)
+              done
+          | 10 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- x.(j) +. y.(j)
+              done
+          | 11 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- x.(j) -. y.(j)
+              done
+          | 12 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- x.(j) *. y.(j)
+              done
+          | 13 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- x.(j) /. y.(j)
+              done
+          | 14 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- y.(j) /. x.(j)
+              done
+          | 15 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- Float.pow x.(j) y.(j)
+              done
+          | 16 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (x.(j) < y.(j))
+              done
+          | 17 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (x.(j) <= y.(j))
+              done
+          | 18 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (x.(j) > y.(j))
+              done
+          | 19 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (x.(j) >= y.(j))
+              done
+          | 20 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (x.(j) = y.(j))
+              done
+          | 21 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (x.(j) <> y.(j))
+              done
+          | 22 ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (truthy x.(j) && truthy y.(j))
+              done
+          | _ ->
+              for j = 0 to bl - 1 do
+                x.(j) <- of_bool (truthy x.(j) || truthy y.(j))
+              done)
     done;
-    out.(i) <- stack.(0)
+    Array.blit st.(0) 0 out lo bl;
+    b0 := lo + bl
   done;
   Mpisim.Sim.flops (float_of_int (len * max 1 p.e_nops))
+
+(* Local elements [b0 .. b0+bl-1] of the identity shaped like [model],
+   into [v]. *)
+let eye_block (model : Dmat.t) b0 bl (v : float array) =
+  Dmat.iter_rc model ~lo:b0 ~len:bl (fun i r c ->
+      v.(i - b0) <- (if r = c then 1.0 else 0.0))
 
 (* Execute a plan over a matrix model.  [mats]/[mcell]/[esc] are the
    decode-time preallocated operand buffers (per rank, so a suspension
@@ -625,11 +700,8 @@ let exec_eplan fr (p : eplan) ~(mats : float array array)
       | Peval (ix, r) -> esc.(ix) <- exec_cexpr fr r
       | Peye -> ())
     p.e_prelude;
-  run_elements fr p ~mats ~mcell ~esc
-    ~eye:(fun i ->
-      let r, c = Dmat.global_rc_of_local model i in
-      if r = c then 1.0 else 0.0)
-    dst.Dmat.data (Dmat.local_len dst)
+  run_elements p ~mats ~mcell ~esc ~eye:(eye_block model) dst.Dmat.data
+    (Dmat.local_len dst)
 
 (* The tensor variant: the loop runs over the model tensor's local
    elements.  A same-dims tensor operand reads its own local element; a
@@ -673,8 +745,8 @@ let exec_eplan_tensor fr (p : eplan) ~(mats : float array array)
       | Peval (ix, r) -> esc.(ix) <- exec_cexpr fr r
       | Peye -> error "eye has no rank-N form")
     p.e_prelude;
-  run_elements fr p ~mats ~mcell ~esc
-    ~eye:(fun _ -> error "eye has no rank-N form")
+  run_elements p ~mats ~mcell ~esc
+    ~eye:(fun _ _ _ -> error "eye has no rank-N form")
     dst.Ndarr.data (Ndarr.local_len dst)
 
 (* --- the code buffer ------------------------------------------------------- *)
@@ -1665,7 +1737,6 @@ and decode_func dc (f : Ir.func) =
       slot_of = Hashtbl.create 32;
       nslots = 0;
       rnames = [];
-      maxdepth = 4;
       funcs = dc.funcs;
       fdec = dc.fdec;
       lst = dc.lst;
@@ -1685,7 +1756,6 @@ and decode_func dc (f : Ir.func) =
       fe_code = finish cb;
       fe_nslots = fdc.nslots;
       fe_names = frame_names fdc;
-      fe_stack = fdc.maxdepth;
       fe_params = params;
       fe_rets = rets;
       fe_fname = f.Ir.f_name;
@@ -1702,7 +1772,7 @@ and exec_call_t dc fr fname nargs (dargs : darg list) (ret_slots : int list) =
   if nargs <> List.length fe.fe_params then
     error "function '%s' expects %d arguments" fname (List.length fe.fe_params);
   let cfr =
-    mk_frame ~nslots:fe.fe_nslots ~names:fe.fe_names ~stack:fe.fe_stack fr.st
+    mk_frame ~nslots:fe.fe_nslots ~names:fe.fe_names fr.st
   in
   List.iter2
     (fun pslot a ->
@@ -1734,7 +1804,6 @@ type decoded = {
   d_slot_of : (string, int) Hashtbl.t;
   d_nslots : int;
   d_names : string array;
-  d_stack : int;
 }
 
 let decode (prog : Ir.prog) ~ckpt ~lst : decoded =
@@ -1747,7 +1816,6 @@ let decode (prog : Ir.prog) ~ckpt ~lst : decoded =
       slot_of = Hashtbl.create 64;
       nslots = 0;
       rnames = [];
-      maxdepth = 4;
       funcs;
       fdec = Hashtbl.create 8;
       lst;
@@ -1777,7 +1845,6 @@ let decode (prog : Ir.prog) ~ckpt ~lst : decoded =
     d_slot_of = dc.slot_of;
     d_nslots = dc.nslots;
     d_names = frame_names dc;
-    d_stack = dc.maxdepth;
   }
 
 let listing (prog : Ir.prog) : string =
@@ -1818,7 +1885,7 @@ let attempt ~capture ~seed ~datadir ~machine ~nprocs ~ckpt_interval
            across a communication suspension, so they are rank-private *)
         let d = decode prog ~ckpt ~lst:None in
         let fr =
-          mk_frame ~nslots:d.d_nslots ~names:d.d_names ~stack:d.d_stack st
+          mk_frame ~nslots:d.d_nslots ~names:d.d_names st
         in
         let from =
           match restore with

@@ -5,11 +5,17 @@
     Compiles the per-rank IR program once into flat arrays of
     instruction closures with resolved jump targets, array-indexed
     variable slots (no environment hashing), scalar expressions
-    compiled to closure trees, and element loops over a float stack
-    with preallocated operand buffers, then runs it.  Evaluation order, flop charges, error
-    messages and the checkpoint format are deterministic, so modeled
-    time and message counts reproduce exactly.  Result types live in
-    {!State}. *)
+    compiled to closure trees, and element loops with preallocated
+    operand buffers, then runs it.  An element loop runs each opcode
+    over a block of {!block} consecutive local elements at a time on a
+    stack of block-sized vectors; that scratch is shared by every frame
+    and rank, which is safe because a block loop never suspends.
+    Evaluation order, flop charges, error messages and the checkpoint
+    format are deterministic, so modeled time and message counts
+    reproduce exactly.  Result types live in {!State}. *)
+
+val block : int
+(** Local elements per block of an element loop. *)
 
 val listing : Spmd.Ir.prog -> string
 (** Decode the program (without checkpoint ops) and every user

@@ -7,15 +7,22 @@
    hardware; the evaluation cares about ratios (grain size versus
    communication cost), which these preserve. *)
 
-(* Hash tables keyed by an int that is already well spread (a channel
-   id, a node id, a packed mailbox key): the identity hash skips the
-   polymorphic [caml_hash] call the generic [Hashtbl] makes on every
-   lookup. *)
+(* Hash tables keyed by an int (a channel id, a node id, a packed
+   mailbox key): a multiplicative mix skips the polymorphic
+   [caml_hash] call the generic [Hashtbl] makes on every lookup.
+   [Hashtbl] picks a bucket from the low bits of the hash, so the mix
+   folds the product's high half back down: with the identity, a
+   mailbox key [(tag lsl 20) lor src] would be bucketed by the low
+   bits of [src] alone, and a rank's collective partners (src = me
+   xor 2^k) share a few buckets. *)
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash x = x
+
+  let hash x =
+    let h = x * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 32)
 end)
 
 type link = {

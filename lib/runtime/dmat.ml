@@ -248,22 +248,34 @@ let init ~rows ~cols f =
       done);
   m
 
+(* [f i r c] for local elements [i = lo .. lo+len-1], in order, with
+   their global (row, col).  Under the block layout local elements are
+   consecutive global indices, so (row, col) is decoded once and
+   stepped; the cyclic and grid layouts decode each element. *)
+let iter_rc m ~lo ~len f =
+  match m.layout with
+  | Lblock ->
+      if len > 0 then begin
+        let g = global_of_local m lo in
+        let r = ref (g / m.cols) and c = ref (g mod m.cols) in
+        for i = lo to lo + len - 1 do
+          f i !r !c;
+          if !c + 1 = m.cols then begin
+            c := 0;
+            incr r
+          end
+          else incr c
+        done
+      end
+  | Lcyclic _ | Lgrid _ ->
+      for i = lo to lo + len - 1 do
+        let r, c = global_rc_of_local m i in
+        f i r c
+      done
+
 let init_rc ~rows ~cols f =
   let m = create ~rows ~cols in
-  (match m.layout with
-  | Lblock ->
-      let base =
-        match m.axis with By_rows -> m.low * m.cols | By_cols -> m.low
-      in
-      for i = 0 to local_len m - 1 do
-        let g = base + i in
-        m.data.(i) <- f (g / m.cols) (g mod m.cols)
-      done
-  | Lcyclic _ | Lgrid _ ->
-      for i = 0 to local_len m - 1 do
-        let r, c = global_rc_of_local m i in
-        m.data.(i) <- f r c
-      done);
+  iter_rc m ~lo:0 ~len:(local_len m) (fun i r c -> m.data.(i) <- f r c);
   m
 
 let counts_for ~layout ~axis ~rows ~cols ~nprocs =

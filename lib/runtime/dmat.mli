@@ -83,6 +83,10 @@ val init : rows:int -> cols:int -> (int -> float) -> t
 
 val init_rc : rows:int -> cols:int -> (int -> int -> float) -> t
 
+val iter_rc : t -> lo:int -> len:int -> (int -> int -> int -> unit) -> unit
+(** [iter_rc m ~lo ~len f] calls [f i r c] for local elements
+    [i = lo .. lo+len-1] in order, with their global (row, col). *)
+
 val counts_of : rows:int -> cols:int -> int array
 (** Per-rank local element counts for this shape under the current
     policy. *)

@@ -988,9 +988,47 @@ let nd_set_elem (t : Ndarr.t) (idx : int array) v =
   nd_check_bounds t idx;
   if Ndarr.owner t ~d0:idx.(0) then Ndarr.set_local t idx v
 
+(* Row-major strides of [dims]: one step along [axis] moves
+   [stride.(axis)] elements. *)
+let row_major_strides dims =
+  let n = Array.length dims in
+  let stride = Array.make n 1 in
+  for axis = n - 2 downto 0 do
+    stride.(axis) <- stride.(axis + 1) * dims.(axis + 1)
+  done;
+  stride
+
+(* One step of the odometer over the selectors [sels], innermost axis
+   fastest: [pos.(axis)] is each axis' position in its selector and
+   [off] the offset they address under [stride].  An axis at its last
+   position wraps to its first and carries into the next outer one;
+   the carry stops at axis [lowest], which wraps when it overflows.
+   Returns the new offset. *)
+let advance_section sels stride pos off ~lowest =
+  let off = ref off and axis = ref (Array.length sels - 1) in
+  while !axis >= lowest do
+    let ax = !axis in
+    let s = sels.(ax) and p = pos.(ax) in
+    if p + 1 < Array.length s then begin
+      off := !off + ((s.(p + 1) - s.(p)) * stride.(ax));
+      pos.(ax) <- p + 1;
+      axis := lowest - 1
+    end
+    else begin
+      off := !off + ((s.(0) - s.(p)) * stride.(ax));
+      pos.(ax) <- 0;
+      decr axis
+    end
+  done;
+  !off
+
 (* result(k0, ..., kn) = t(sels.(0).(k0), ..., sels.(n).(kn)) with
    replicated 0-based index vectors; the operand is gathered and the
-   result block selected locally, like the matrix [section]. *)
+   result block selected locally, like the matrix [section].  The
+   result's local elements are consecutive result indices, so the
+   first one is decoded into selector positions once and an odometer
+   over the selectors, innermost axis fastest, steps the source offset
+   (as in [nd_set_section]). *)
 let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
   Array.iteri
     (fun axis s ->
@@ -1006,25 +1044,24 @@ let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
   let dense = Ndarr.to_dense t in
   let rdims = Array.map Array.length sels in
   let n = Array.length rdims in
-  let idx = Array.make n 0 in
-  let src_offset g =
-    (* decode the result's row-major index [g], map each axis through
-       its selector, re-encode against the source extents *)
-    let rem = ref g in
-    for axis = n - 1 downto 0 do
-      idx.(axis) <- sels.(axis).(!rem mod rdims.(axis));
-      rem := !rem / rdims.(axis)
-    done;
-    let off = ref 0 in
-    for axis = 0 to n - 1 do
-      off := (!off * t.Ndarr.dims.(axis)) + idx.(axis)
-    done;
-    !off
-  in
   let r = if t.Ndarr.full then Ndarr.create_full rdims else Ndarr.create rdims in
-  for li = 0 to Ndarr.local_len r - 1 do
-    r.Ndarr.data.(li) <- dense.(src_offset (Ndarr.global_of_local r li))
-  done;
+  let len = Ndarr.local_len r in
+  if len > 0 then begin
+    let stride = row_major_strides t.Ndarr.dims in
+    (* decode the first local element's result index *)
+    let pos = Array.make n 0 in
+    let rem = ref (Ndarr.global_of_local r 0) and off = ref 0 in
+    for axis = n - 1 downto 0 do
+      pos.(axis) <- !rem mod rdims.(axis);
+      rem := !rem / rdims.(axis);
+      off := !off + (sels.(axis).(pos.(axis)) * stride.(axis))
+    done;
+    for li = 0 to len - 1 do
+      r.Ndarr.data.(li) <- dense.(!off);
+      (* the carry out of axis 0 only happens after the last element *)
+      off := advance_section sels stride pos !off ~lowest:0
+    done
+  end;
   r
 
 (* t(sels) = value, owner computes: each rank walks only the leading-
@@ -1052,11 +1089,8 @@ let nd_set_section (t : Ndarr.t) (sels : int array array) (value : int -> float)
   let n = Array.length rdims in
   let total = Array.fold_left ( * ) 1 rdims in
   let inner = Array.fold_left ( * ) 1 (Array.sub rdims 1 (n - 1)) in
-  (* row-major strides of the target; stride.(0) is one leading slice *)
-  let stride = Array.make n 1 in
-  for axis = n - 2 downto 0 do
-    stride.(axis) <- stride.(axis + 1) * t.Ndarr.dims.(axis + 1)
-  done;
+  (* stride.(0) is one leading slice *)
+  let stride = row_major_strides t.Ndarr.dims in
   let pos = Array.make n 0 in
   if inner > 0 then
     Array.iteri
@@ -1070,22 +1104,7 @@ let nd_set_section (t : Ndarr.t) (sels : int array array) (value : int -> float)
           let k0 = p0 * inner in
           for q = 0 to inner - 1 do
             t.Ndarr.data.(!off) <- value (k0 + q);
-            (* advance the odometer, innermost axis fastest *)
-            let axis = ref (n - 1) in
-            while !axis >= 1 do
-              let ax = !axis in
-              let s = sels.(ax) and p = pos.(ax) in
-              if p + 1 < rdims.(ax) then begin
-                off := !off + ((s.(p + 1) - s.(p)) * stride.(ax));
-                pos.(ax) <- p + 1;
-                axis := 0
-              end
-              else begin
-                off := !off + ((s.(0) - s.(p)) * stride.(ax));
-                pos.(ax) <- 0;
-                decr axis
-              end
-            done
+            off := advance_section sels stride pos !off ~lowest:1
           done
         end)
       sels.(0);

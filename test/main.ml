@@ -25,6 +25,7 @@ let () =
       ("codegen", Test_codegen.suite);
       ("builtins", Test_builtins.suite);
       ("apps", Test_apps.suite);
+      ("golden", Test_golden.suite);
       ("load", Test_load.suite);
       ("corpus", Test_corpus.suite);
       ("fuzz", Test_fuzz.suite);

@@ -332,6 +332,26 @@ let test_tensor_section_order () =
             capture)
         [ 1; 3; 5 ]
 
+(* The read side: a tensor section decodes its first local element once
+   and steps an odometer over the selectors.  Descending, repeated and
+   vector selectors, singleton axes, and results whose leading extent
+   leaves some ranks without a slice must all read the interpreter's
+   elements, bit for bit. *)
+let test_tensor_section_read () =
+  Testutil.check_bits_vs_interp ~machine
+    ~capture:[ "U1"; "U2"; "U3"; "U4"; "U5"; "U6"; "U7"; "U8" ]
+    ~procs:[ 1; 3; 5 ] "tensor section reads"
+    "T = rand(4, 5, 6);\n\
+     U1 = T(2:3, [5, 1, 1], 6:-2:1);\n\
+     U2 = T(4:-1:1, 2, [3, 3, 6, 1]);\n\
+     U3 = T([1, 1, 4], :, 5);\n\
+     U4 = T(3, 5:-1:1, 2:4);\n\
+     U5 = T([4, 4, 4, 1, 2], [2, 5], [6, 1]);\n\
+     S = rand(11, 9, 7) - 0.5;\n\
+     U6 = S(11:-1:1, [9, 1, 1, 5, 2, 2, 8], 7:-3:1);\n\
+     U7 = S([3, 10, 3, 10, 6], 2:9, [1, 7, 7]);\n\
+     U8 = S(:, 9:-2:1, :);\n"
+
 (* --- qcheck properties -------------------------------------------------- *)
 
 let gen_pvn =
@@ -560,6 +580,7 @@ let suite =
     t "trapz" test_trapz;
     t "sections" test_sections;
     t "tensor section assignment order" test_tensor_section_order;
+    t "tensor section reads" test_tensor_section_read;
     t "cumulative scans" test_cumulative;
     t "reductions with index" test_reduce_with_index;
     t "rng determinism" test_rng_deterministic;

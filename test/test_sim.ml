@@ -584,6 +584,26 @@ let test_fattree_bad_shape () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "0 levels should be rejected"
 
+(* A rank's collective mailboxes at P = 1024 spread over the buckets:
+   the Bruck allgather receives from me + 2^k (tag 1004) and recursive
+   doubling from me xor 2^k (tag 1006).  With an identity hash the
+   twenty keys of rank 0 share 16 buckets with a 12-long chain. *)
+let test_mailbox_hash_spreads () =
+  let p = 1024 in
+  List.iter
+    (fun me ->
+      let t = Machine.Int_tbl.create 8 in
+      for k = 0 to 9 do
+        Machine.Int_tbl.add t ((1004 lsl 20) lor ((me + (1 lsl k)) mod p)) ();
+        Machine.Int_tbl.add t ((1006 lsl 20) lor (me lxor (1 lsl k))) ()
+      done;
+      let s = Machine.Int_tbl.stats t in
+      if s.Hashtbl.max_bucket_length > 6 then
+        Alcotest.failf "rank %d: %d keys, longest chain %d of %d buckets" me
+          s.Hashtbl.num_bindings s.Hashtbl.max_bucket_length
+          s.Hashtbl.num_buckets)
+    [ 0; 777 ]
+
 let suite =
   [
     t "compute advances the clock" test_compute_advances_clock;
@@ -628,4 +648,5 @@ let suite =
     t "fat-tree: 1024-rank ring smoke" test_fattree_large_p_smoke;
     t "fat-tree: bad shapes rejected" test_fattree_bad_shape;
     t "freed C heap is kept for the next run" test_heap_kept;
+    t "mailbox keys spread over the hash buckets" test_mailbox_hash_spreads;
   ]

@@ -443,6 +443,97 @@ let bad_configs =
           ~nprocs:4 () );
   ]
 
+(* --- element loops at block edges ----------------------------------------- *)
+
+(* An element loop runs [Exec.Tcode.block] local elements at a time; the
+   apps' matrices rarely end at a block edge, so these scripts put one
+   at every position.  Each compares tcode with the interpreter bit for
+   bit at P = 1 and 3. *)
+let block = Exec.Tcode.block
+let edge_lengths = [ 0; 1; block - 1; block; block + 1; (2 * block) + 3 ]
+
+(* Every element opcode over a 1 x n row vector: scalar and operand
+   loads, negation, not, one- and two-argument builtins and all
+   fourteen binary operators, on values that include NaN, +-Inf and
+   +-0 (a = x/0 where mod(k, 5) = 2; b = (negative) .* 0).  The raise
+   opcode (an unknown builtin) cannot be written in a script that
+   compiles, and [eye] has its own test below. *)
+let opcode_script n =
+  Printf.sprintf
+    "k = 1:%d;\n\
+     a = (mod(k, 3) - 1) ./ (mod(k, 5) - 2);\n\
+     b = (mod(k, 4) - 2) .* 0;\n\
+     c = k ./ 7 - 3;\n\
+     s = 0.5;\n\
+     e1 = -a + b .* c - c ./ s;\n\
+     e2 = s .\\ c + c .^ 3 + a .\\ b;\n\
+     e3 = (a < c) + (a <= b) + (a > c) + (a >= b) + (a == b) + (a ~= c);\n\
+     e4 = (a & c) + (b | c) + ~a;\n\
+     e5 = sqrt(abs(c)) + atan2(a, c) + max(a, b) + min(b, c) + mod(c, 3) \
+     + hypot(a, b);\n"
+    n
+
+let opcode_vars = [ "a"; "b"; "c"; "e1"; "e2"; "e3"; "e4"; "e5" ]
+
+(* At P = 3 a 1 x 3n row vector gives every rank n local elements.  At
+   one element the interpreter's 1 x 1 result may come back from tcode
+   as a scalar, so those two forms match here. *)
+let test_block_edges_opcodes () =
+  List.iter
+    (fun len ->
+      List.iter
+        (fun p ->
+          check_bits_vs_interp ~scalar_1x1:true ~capture:opcode_vars
+            ~procs:[ p ]
+            (Printf.sprintf "opcodes, %d local elements" len)
+            (opcode_script (p * len)))
+        [ 1; 3 ])
+    edge_lengths
+
+(* Frame broadcasts: a 3 x 7 (or 4 x 4) matrix and a scalar against a
+   tensor whose cell does not divide the block, so blocks start
+   mid-cell.  y holds +Inf, NaN and 0, g holds +-Inf, w holds +-0. *)
+let test_block_edges_frame () =
+  List.iter
+    (fun (d0, r, c) ->
+      List.iter
+        (fun p ->
+          check_bits_vs_interp ~capture:[ "y"; "g"; "w"; "z1"; "z2"; "z3" ]
+            ~procs:[ p ]
+            (Printf.sprintf "frame broadcast, %dx%dx%d" (p * d0) r c)
+            (Printf.sprintf
+               "x = rand(%d, %d, %d);\n\
+                M = (rand(%d, %d) - 0.5) ./ (rand(%d, %d) > 0.2);\n\
+                s = -0;\n\
+                y = (x > 0.5) ./ (x < 0.3);\n\
+                g = (x - 0.4) ./ (x > 0.9);\n\
+                w = (x - 0.5) .* 0;\n\
+                z1 = M .* x + s;\n\
+                z2 = max(M, g) - atan2(x, M) + (M < g) + ~x + w .* s;\n\
+                z3 = M .* y - s + (-y) ./ M;\n"
+               (p * d0) r c r c r c))
+        [ 1; 3 ])
+    [ (12, 3, 7); (13, 3, 7); (25, 3, 7); (16, 4, 4); (17, 4, 4) ]
+
+(* [eye] inside an element plan, under the block layout (where the
+   loop steps (row, col) through the block) and under cyclic:2 and a
+   1 x P grid; n = 17, 23, 37 put block edges mid-row. *)
+let test_block_edges_eye () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun layout ->
+          List.iter
+            (fun n ->
+              check_bits_vs_interp ~layout ~capture:[ "E" ] ~procs:[ p ]
+                (Printf.sprintf "eye(%d) under %s" n
+                   (Otter.Config.layout_name layout))
+                (Printf.sprintf
+                   "n = %d;\nA = rand(n, n);\nE = A - n * eye(n) .* A;\n" n))
+            [ 16; 17; 23; 37 ])
+        Runtime.Dmat.[ Lblock; Lcyclic 2; Lgrid (1, p) ])
+    [ 1; 3 ]
+
 let suite =
   [
     t "golden decode: scalar flow" test_decode_scalar_flow;
@@ -469,3 +560,9 @@ let suite =
     t "engine names round-trip; ir is rejected" test_engine_names;
   ]
   @ List.map config_rejects bad_configs
+  (* Appended after the older cases so their indices stay as they were. *)
+  @ [
+      t "block edges: every opcode" test_block_edges_opcodes;
+      t "block edges: frame broadcasts" test_block_edges_frame;
+      t "block edges: eye under every layout" test_block_edges_eye;
+    ]

@@ -145,6 +145,48 @@ let elementwise_builtins () =
          | _ -> None)
   |> List.sort compare
 
+(* The raw bits of a captured value's elements, so -0 and NaN payloads
+   count. *)
+let captured_bits = function
+  | Runtime.Captured.Cscalar x -> [| Int64.bits_of_float x |]
+  | Runtime.Captured.Cmat (_, _, d) | Runtime.Captured.Cnd (_, d) ->
+      Array.map Int64.bits_of_float d
+
+(* Run [src] in the reference interpreter, then under tcode on each P
+   of [procs] (with [layout]), and fail unless every variable of
+   [capture] has the same shape and the same bits.  The shape check is
+   strict: a 1 x 1 matrix and a scalar differ, unless [~scalar_1x1:true]
+   lets them match (the same MATLAB value, which the engines may return
+   in either form when a vector's length is 1). *)
+let check_bits_vs_interp ?(machine = Mpisim.Machine.meiko_cs2) ?layout
+    ?(scalar_1x1 = false) ~capture ~procs what src =
+  let c = compile src in
+  let run engine nprocs =
+    (Otter.outcome_exn
+       (Otter.run (Otter.config ~capture ?engine ?layout ~machine ~nprocs ()) c))
+      .Exec.State.captures
+  in
+  let value caps name =
+    match List.assoc name caps with
+    | Runtime.Captured.Cmat (1, 1, [| x |]) when scalar_1x1 ->
+        Runtime.Captured.Cscalar x
+    | v -> v
+  in
+  let reference = run (Some Otter.Config.Einterp) 1 in
+  List.iter
+    (fun p ->
+      let got = run None p in
+      List.iter
+        (fun name ->
+          let want = value reference name and have = value got name in
+          if
+            not
+              (Exec.State.captured_equal want have
+              && captured_bits want = captured_bits have)
+          then Alcotest.failf "%s: %s at P=%d: shape or bits differ" what name p)
+        capture)
+    procs
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
