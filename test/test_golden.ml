@@ -34,22 +34,26 @@ let capture_digest (caps : (string * Exec.State.captured) list) =
     caps;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* One line per run:
-   app P stdout-md5 captures-md5 makespan-bits messages bytes picks *)
-let digest_line (app : Apps.Scripts.app) c nprocs =
+(* The columns of one run after its key:
+   stdout-md5 captures-md5 makespan-bits messages bytes picks *)
+let digest_columns ?layout (app : Apps.Scripts.app) c nprocs =
   let o =
     Otter.outcome_exn
       (Otter.run
-         (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs
+         (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs ?layout
             ~capture:app.capture ())
          c)
   in
   let r = o.Exec.State.report in
-  Printf.sprintf "%s %d %s %s %s %d %d %d" app.key nprocs
+  Printf.sprintf "%s %s %s %d %d %d"
     (Digest.to_hex (Digest.string o.Exec.State.output))
     (capture_digest o.Exec.State.captures)
     (bits r.Mpisim.Sim.makespan) r.Mpisim.Sim.messages r.Mpisim.Sim.bytes
     r.Mpisim.Sim.sched_picks
+
+(* One line per run: app P, then [digest_columns]. *)
+let digest_line (app : Apps.Scripts.app) c nprocs =
+  Printf.sprintf "%s %d %s" app.key nprocs (digest_columns app c nprocs)
 
 let actual_table () =
   List.concat_map
@@ -58,20 +62,49 @@ let actual_table () =
       List.map (digest_line app c) procs)
     Apps.Scripts.all
 
-let test_digests () =
-  let file =
-    match Testutil.find_up golden_file with
+(* The non-block layouts: the two tensor apps and CG at P = 4, each
+   under a block-cyclic and a 2-D grid policy.  A rank >= 3 array is
+   always block-distributed over its leading axis, whatever the policy,
+   so the tensor rows pin that rule; CG pins the matrix layouts.  CG
+   runs at scale 10: under the grid its matrix-vector products gather
+   the whole matrix, which at scale 50 costs ten seconds of host time.
+   One line per run: app P layout, then [digest_columns]. *)
+let layout_file = "test/golden/layout_digests.txt"
+let layout_apps = [ ("heat3d", scale); ("logistic", scale); ("cg", 10) ]
+let layout_names = [ "cyclic:2"; "grid:2x2" ]
+
+let layout_table () =
+  List.concat_map
+    (fun (key, scale) ->
+      let app = Option.get (Apps.Scripts.find key) in
+      let c = Otter.compile (app.source scale) in
+      List.map
+        (fun name ->
+          let layout = Option.get (Otter.Config.layout_of_string name) in
+          Printf.sprintf "%s 4 %s %s" key name
+            (digest_columns ~layout app c 4))
+        layout_names)
+    layout_apps
+
+let check_table file actual =
+  let path =
+    match Testutil.find_up file with
     | Some f -> f
-    | None -> Alcotest.failf "%s not found" golden_file
+    | None -> Alcotest.failf "%s not found" file
   in
   let expected =
-    String.split_on_char '\n' (Testutil.read_file file)
+    String.split_on_char '\n' (Testutil.read_file path)
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
-  let actual = actual_table () in
   if actual <> expected then
-    Alcotest.failf
-      "app digests differ from %s; the actual table is:\n%s" golden_file
+    Alcotest.failf "app digests differ from %s; the actual table is:\n%s" file
       (String.concat "\n" actual)
 
-let suite = [ t "six apps at P = 1, 4, 16 match the golden digests" test_digests ]
+let test_digests () = check_table golden_file (actual_table ())
+let test_layouts () = check_table layout_file (layout_table ())
+
+let suite =
+  [
+    t "six apps at P = 1, 4, 16 match the golden digests" test_digests;
+    t "tensor apps and CG under cyclic and grid layouts match" test_layouts;
+  ]
