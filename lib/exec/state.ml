@@ -9,7 +9,6 @@
 
 open Spmd
 module Dmat = Runtime.Dmat
-module Ndarr = Runtime.Ndarr
 module Ops = Runtime.Ops
 
 exception Runtime_error of string
@@ -18,8 +17,7 @@ let error fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
 
 type value =
   | Vscalar of float
-  | Vmat of Dmat.t
-  | Vnd of Ndarr.t
+  | Vmat of Dmat.t (* an array of any rank >= 2 *)
   | Vstr of string
 
 exception Break_exc
@@ -128,6 +126,10 @@ let mpi_encode op (v : value) : Mpisim.Sim.payload =
   match v with
   | Vscalar f -> Mpisim.Sim.Floats [| 0.; f |]
   | Vmat m ->
+      if not (Dmat.is_matrix m) then
+        error
+          "%s: cannot send a tensor; slice it into matrices or scalars first"
+          op;
       if not m.Dmat.full then
         error
           "%s: cannot send a distributed matrix; MPI_Bcast it into a \
@@ -137,9 +139,6 @@ let mpi_encode op (v : value) : Mpisim.Sim.payload =
         (Array.append
            [| 1.; float_of_int m.Dmat.rows; float_of_int m.Dmat.cols |]
            m.Dmat.data)
-  | Vnd _ ->
-      error
-        "%s: cannot send a tensor; slice it into matrices or scalars first" op
   | Vstr _ -> error "%s: cannot send a string" op
 
 (* A window is a collective's payload, never a user message: one here
@@ -216,7 +215,7 @@ let mpi_probe ~src ~tag : float =
 let mpi_bcast ~root (v : value) : value =
   mpi_check_rank "MPI_Bcast" "root" root;
   match v with
-  | Vmat m when not m.Dmat.full ->
+  | Vmat m when (not m.Dmat.full) && Dmat.is_matrix m ->
       Vmat (Dmat.of_full ~rows:m.Dmat.rows ~cols:m.Dmat.cols (Dmat.to_dense m))
   | v ->
       let me = Mpisim.Sim.rank () and nprocs = Mpisim.Sim.size () in
@@ -329,7 +328,6 @@ type snapshot = {
 
 let copy_value = function
   | Vmat m -> Vmat (Dmat.copy m)
-  | Vnd t -> Vnd (Ndarr.copy t)
   | (Vscalar _ | Vstr _) as v -> v
 
 (* Per-rank checkpoint cursor for one run attempt.  [ck_slots] is the

@@ -36,7 +36,8 @@ val outer : Dmat.t -> Dmat.t -> Dmat.t
 type red = Rsum | Rprod | Rmin | Rmax | Rany | Rall
 
 val reduce_all : red -> Dmat.t -> float
-(** Reduce every element to one replicated scalar. *)
+(** Reduce every element of an array of any rank to one replicated
+    scalar. *)
 
 val reduce_cols : red -> Dmat.t -> Dmat.t
 (** Column-wise reduction of a row-distributed matrix -> 1 x cols. *)
@@ -73,7 +74,9 @@ val sort_vector : ?with_index:bool -> Dmat.t -> Dmat.t * Dmat.t option
 
 val bcast_elem : Dmat.t -> i:int -> j:int -> float
 (** Paper's ML_broadcast: the owner of (i, j) broadcasts its value.
-    0-based indices; raises [Failure] when out of bounds. *)
+    0-based; for a rank >= 3 array [i] is the leading index and [j] the
+    offset within its slice ({!Dmat.owner}).  Raises [Failure] when out
+    of bounds. *)
 
 val bcast_elems : Dmat.t -> (int * int) list -> float array
 (** Batched ML_broadcast: owning ranks ship their packed slot values to
@@ -91,35 +94,14 @@ val circshift : Dmat.t -> int -> Dmat.t
 val trapz : ?x:Dmat.t -> Dmat.t -> float
 (** Trapezoid-rule integral; neighbour boundary exchange + allreduce. *)
 
-val section : Dmat.t -> int array -> int array -> Dmat.t
-(** result(i, j) = a(ri(i), rj(j)) with replicated 0-based indices. *)
+val section : Dmat.t -> int array array -> Dmat.t
+(** One replicated 0-based index vector per axis -> the array of the
+    selected extents, same rank (no squeezing). *)
 
 val section_linear : Dmat.t -> int array -> rows:int -> cols:int -> Dmat.t
 
-(** {2 Rank-N tensor operations}
-
-    The tensor analogues over {!Ndarr} values distributed along the
-    leading (frame) axis; communication patterns mirror the matrix
-    forms (local fold + allreduce, owner broadcast, owner-guarded
-    store, gather-then-select sections). *)
-
-val nd_reduce_all : red -> Ndarr.t -> float
-(** Reduce every element of a tensor to one scalar. *)
-
-val nd_mean_all : Ndarr.t -> float
-
-val nd_bcast_elem : Ndarr.t -> int array -> float
-(** The owner of the element's leading slice broadcasts its value.
-    Full 0-based multi-index; raises [Failure] when out of bounds. *)
-
-val nd_set_elem : Ndarr.t -> int array -> float -> unit
-(** Guarded store: only the owner of the leading slice writes. *)
-
-val nd_section : Ndarr.t -> int array array -> Ndarr.t
-(** Per-axis 0-based index vectors -> same-rank tensor of the selected
-    extents (no squeezing). *)
-
-val nd_set_section : Ndarr.t -> int array array -> (int -> float) -> unit
-(** [nd_set_section t sels value] stores [value k] at the k-th selected
-    position (row-major selection order); owners write, visiting only
-    the selections they own, so [value] must be pure. *)
+val set_section : Dmat.t -> int array array -> (int -> float) -> unit
+(** [set_section m sels value] stores [value k] at the k-th selected
+    position (row-major selection order); owners write, so [value]
+    must be pure.  Raises [Failure] when a selector is out of bounds
+    and the selection is not empty. *)

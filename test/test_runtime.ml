@@ -232,7 +232,7 @@ let test_mean_and_norm () =
       Testutil.check_close ~tol:1e-12 "norm" (sqrt 385.) n2)
     results
 
-let test_bcast_and_set_elem () =
+let test_bcast_then_set_elem () =
   List.iter
     (fun p ->
       let results =
@@ -288,7 +288,7 @@ let test_sections () =
   dense_of ~p:4
     (fun _ ->
       let d = Dmat.of_dense ~rows:5 ~cols:6 a in
-      Dmat.to_dense (Ops.section d [| 1; 3 |] [| 0; 2; 4 |]))
+      Dmat.to_dense (Ops.section d [| [| 1; 3 |]; [| 0; 2; 4 |] |]))
     [| 6.; 8.; 10.; 18.; 20.; 22. |]
     "2d section";
   dense_of ~p:4
@@ -575,7 +575,7 @@ let suite =
     t "scalar reductions" test_reductions;
     t "column reductions" test_col_reductions;
     t "mean and norm" test_mean_and_norm;
-    t "broadcast + guarded element write" test_bcast_and_set_elem;
+    t "broadcast + guarded element write" test_bcast_then_set_elem;
     t "element bounds checking" test_elem_bounds;
     t "trapz" test_trapz;
     t "sections" test_sections;
