@@ -16,16 +16,24 @@ let of_ty aty = { aty; aconst = None }
 let const_int n = { aty = Ty.int_scalar; aconst = Some (float_of_int n) }
 let const_real f = { aty = Ty.real_scalar; aconst = Some f }
 
+(* What a reduction combines (the IR carries the same type). *)
+type red = Rsum | Rprod | Rmin | Rmax | Rmean | Rany | Rall
+
+(* What a cumulative scan combines. *)
+type scan = Scumsum | Scumprod
+
 type kind =
   | Map1 of (float -> float) * string
       (* element-wise unary: the scalar function and its C name *)
   | Map2 of (float -> float -> float) * string
       (* element-wise binary: the scalar function and its C name *)
-  | Reduce of string (* reduction: vector -> scalar, matrix -> row vector *)
-  | Scan of string (* cumulative sum/product along a vector *)
+  | Reduce of red (* reduction: vector -> scalar, matrix -> row vector *)
+  | Scan of scan (* cumulative sum/product along a vector *)
+  | Norm (* norm(v): the 2-norm of a vector *)
   | Dot (* dot(u, v) *)
-  | Minmax of (float -> float -> float) * string
-      (* reduction with 1 arg; element-wise with 2, as [Map2] *)
+  | Minmax of (float -> float -> float) * string * red
+      (* reduction ([Rmin]/[Rmax]) with 1 arg; element-wise with 2, as
+         [Map2] *)
   | Constructor of string (* zeros, ones, eye, rand, linspace *)
   | Query of string (* size, length, numel *)
   | Trapz (* trapezoidal integration *)
@@ -205,36 +213,36 @@ let () =
   map2 "hypot" "hypot" Float.hypot;
   map2 "power" "pow" Float.pow;
   (* reductions *)
-  register "sum" (Reduce "sum") 1 1 (reduce_rule ~result_base:keep);
-  register "cumsum" (Scan "cumsum") 1 1 (fun args pos ->
+  register "sum" (Reduce Rsum) 1 1 (reduce_rule ~result_base:keep);
+  register "cumsum" (Scan Scumsum) 1 1 (fun args pos ->
       no_tensor "cumsum" args pos;
       match args with
       | [ a ] -> { a with aconst = None }
       | _ -> Mlang.Source.error pos "cumsum takes one argument");
-  register "cumprod" (Scan "cumprod") 1 1 (fun args pos ->
+  register "cumprod" (Scan Scumprod) 1 1 (fun args pos ->
       no_tensor "cumprod" args pos;
       match args with
       | [ a ] -> { a with aconst = None }
       | _ -> Mlang.Source.error pos "cumprod takes one argument");
-  register "prod" (Reduce "prod") 1 1 (reduce_rule ~result_base:keep);
-  register "mean" (Reduce "mean") 1 1 (reduce_rule ~result_base:real_of);
-  register "norm" (Reduce "norm") 1 1 (fun args pos ->
+  register "prod" (Reduce Rprod) 1 1 (reduce_rule ~result_base:keep);
+  register "mean" (Reduce Rmean) 1 1 (reduce_rule ~result_base:real_of);
+  register "norm" Norm 1 1 (fun args pos ->
       no_tensor "norm" args pos;
       ignore (reduce_rule args pos);
       of_ty Ty.real_scalar);
-  register "any" (Reduce "any") 1 1 (fun _ _ -> of_ty Ty.int_scalar);
-  register "all" (Reduce "all") 1 1 (fun _ _ -> of_ty Ty.int_scalar);
+  register "any" (Reduce Rany) 1 1 (fun _ _ -> of_ty Ty.int_scalar);
+  register "all" (Reduce Rall) 1 1 (fun _ _ -> of_ty Ty.int_scalar);
   register "dot" Dot 2 2 (fun args pos ->
       no_tensor "dot" args pos;
       of_ty Ty.real_scalar);
-  let minmax name c f =
-    register name (Minmax (f, c)) 1 2 (fun args pos ->
+  let minmax name c f red =
+    register name (Minmax (f, c, red)) 1 2 (fun args pos ->
         match args with
         | [ _ ] -> reduce_rule ~result_base:keep args pos
         | _ -> map2_rule f args pos)
   in
-  minmax "min" "ML_min2" Float.min;
-  minmax "max" "ML_max2" Float.max;
+  minmax "min" "ML_min2" Float.min Rmin;
+  minmax "max" "ML_max2" Float.max Rmax;
   (* constructors *)
   register "zeros" (Constructor "zeros") 0 3
     (constructor_rule ~square:true ~base:Ty.Real);
@@ -375,12 +383,12 @@ let scalar1 name =
 
 let scalar2 name =
   match find name with
-  | Some { kind = Map2 (f, _) | Minmax (f, _); _ } -> Some f
+  | Some { kind = Map2 (f, _) | Minmax (f, _, _); _ } -> Some f
   | _ -> None
 
 let c_name name =
   match find name with
-  | Some { kind = Map1 (_, c) | Map2 (_, c) | Minmax (_, c); _ } -> Some c
+  | Some { kind = Map1 (_, c) | Map2 (_, c) | Minmax (_, c, _); _ } -> Some c
   | _ -> None
 
 let check_arity b nargs pos =

@@ -424,11 +424,11 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
   in
   match (kind, vals) with
   | B.Map1 (f, _), [ ((Scalar _ | Arr _) as v) ] -> one (map1 fr f v)
-  | (B.Map2 (f, _) | B.Minmax (f, _)), [ a; b ] -> (
+  | (B.Map2 (f, _) | B.Minmax (f, _, _)), [ a; b ] -> (
       match (a, b) with
       | (Str _, _ | _, Str _) -> error "'%s' of a string" name
       | _ -> one (zip fr f a b))
-  | B.Minmax _, [ v ] when nrets = 2 -> (
+  | B.Minmax (_, _, red), [ v ] when nrets = 2 -> (
       (* [m, i] = min(v): extremum and the 1-based index of its first
          occurrence in storage order. *)
       match v with
@@ -436,7 +436,7 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
       | Arr m ->
           vector ("[m, i] = " ^ name) m;
           Cost.charge_kernel fr.cost ~flops:(float_of_int (Dense.numel m));
-          let cmp = if name = "min" then ( < ) else ( > ) in
+          let cmp = if red = B.Rmin then ( < ) else ( > ) in
           (* NaN is never better; anything beats a NaN (MATLAB) *)
           let better x best =
             (not (Float.is_nan x)) && (Float.is_nan best || cmp x best)
@@ -451,18 +451,12 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
             m.Dense.data;
           [ Scalar !best; Scalar (float_of_int (!best_i + 1)) ]
       | Str _ -> error "%s of a string" name)
-  | B.Minmax (pick, _), [ v ] ->
-      (* MATLAB ignores NaNs: min/max over the non-NaN elements, NaN
-         only when every element is NaN.  NaN is the fold identity. *)
-      let comb a b =
-        if Float.is_nan a then b
-        else if Float.is_nan b then a
-        else pick a b
+  | B.Scan kind, [ v ] -> (
+      let combine, identity =
+        match kind with
+        | B.Scumsum -> (( +. ), 0.)
+        | B.Scumprod -> (( *. ), 1.)
       in
-      one (reduce_value Float.nan comb (fun _ x -> x) v)
-  | B.Scan _, [ v ] -> (
-      let combine = if name = "cumsum" then ( +. ) else ( *. ) in
-      let identity = if name = "cumsum" then 0. else 1. in
       match v with
       | Scalar f -> one (Scalar f)
       | Arr m ->
@@ -475,30 +469,38 @@ and eval_builtin fr name kind (vals : value list) ~nrets : value list =
                     acc := combine !acc m.Dense.data.(g);
                     !acc)))
       | Str _ -> error "%s of a string" name)
-  | B.Reduce _, [ v ] -> (
-      match name with
-      | "sum" -> one (reduce_value 0. ( +. ) (fun _ x -> x) v)
-      | "prod" -> one (reduce_value 1. ( *. ) (fun _ x -> x) v)
-      | "mean" ->
+  | B.Norm, [ v ] -> (
+      match v with
+      | Scalar f -> one (Scalar (Float.abs f))
+      | Arr m ->
+          vector "norm" m;
+          Cost.charge_kernel fr.cost ~flops:(2. *. float_of_int (Dense.numel m));
+          one (Scalar (sqrt (Dense.fold (fun a x -> a +. (x *. x)) 0. m)))
+      | Str _ -> error "norm of a string")
+  | (B.Reduce red | B.Minmax (_, _, red)), [ v ] -> (
+      match red with
+      | B.Rsum -> one (reduce_value 0. ( +. ) (fun _ x -> x) v)
+      | B.Rprod -> one (reduce_value 1. ( *. ) (fun _ x -> x) v)
+      | B.Rmean ->
           one (reduce_value 0. ( +. ) (fun n x -> x /. float_of_int n) v)
-      | "norm" -> (
-          match v with
-          | Scalar f -> one (Scalar (Float.abs f))
-          | Arr m ->
-              vector "norm" m;
-              Cost.charge_kernel fr.cost
-                ~flops:(2. *. float_of_int (Dense.numel m));
-              one (Scalar (sqrt (Dense.fold (fun a x -> a +. (x *. x)) 0. m)))
-          | Str _ -> error "norm of a string")
-      | "any" ->
+      | B.Rany ->
           one
             (Scalar
                (match v with
                | Scalar f -> of_bool (truthy_scalar f)
                | Arr m -> of_bool (Array.exists (fun x -> x <> 0.) m.Dense.data)
                | Str _ -> error "any of a string"))
-      | "all" -> one (Scalar (of_bool (truthy v)))
-      | _ -> error "unknown reduction '%s'" name)
+      | B.Rall -> one (Scalar (of_bool (truthy v)))
+      | B.Rmin | B.Rmax ->
+          (* MATLAB ignores NaNs: min/max over the non-NaN elements, NaN
+             only when every element is NaN.  NaN is the fold identity. *)
+          let pick = if red = B.Rmin then Float.min else Float.max in
+          let comb a b =
+            if Float.is_nan a then b
+            else if Float.is_nan b then a
+            else pick a b
+          in
+          one (reduce_value Float.nan comb (fun _ x -> x) v))
   | B.Dot, [ a; b ] ->
       let ma = to_mat a and mb = to_mat b in
       if Dense.numel ma <> Dense.numel mb then error "dot: length mismatch";

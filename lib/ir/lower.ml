@@ -15,6 +15,7 @@
 
 open Mlang
 module Ty = Analysis.Ty
+module B = Analysis.Builtins
 
 exception Unsupported of Source.pos * string
 
@@ -32,6 +33,12 @@ type operand = Oscalar of Ir.sexpr | Omat of Ir.var | Ostr of string
 (* Set of user-function names, filled by [lower_program] so that calls
    resolve to user code even when a builtin shares the name. *)
 let user_funcs_marker : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+(* The reduction a one-argument min/max performs, from the registry. *)
+let minmax_kind name =
+  match B.find name with
+  | Some { B.kind = B.Minmax (_, _, red); _ } -> Some red
+  | _ -> None
 
 (* Types now live on the node annotations; [ctx] is kept for symmetry
    with the variable-type lookups. *)
@@ -389,7 +396,6 @@ and lower_tensor_index ctx out e v vty args =
   end
 
 and lower_call ctx out (e : Ast.expr) name args =
-  let module B = Analysis.Builtins in
   match B.find name with
   | Some b when not (Hashtbl.mem user_funcs_marker name) -> (
       match b.B.kind with
@@ -397,23 +403,21 @@ and lower_call ctx out (e : Ast.expr) name args =
           if is_scalar_node ctx e then
             Oscalar (Ir.Scall (name, List.map (scalar ctx out) args))
           else fused_elementwise ctx out e
-      | B.Minmax _ -> (
+      | B.Minmax (_, _, red) -> (
           match args with
-          | [ _ ] -> lower_reduction ctx out e name args
+          | [ _ ] -> lower_reduction ctx out e name (Some red) args
           | _ ->
               if is_scalar_node ctx e then
                 Oscalar (Ir.Scall (name, List.map (scalar ctx out) args))
               else fused_elementwise ctx out e)
-      | B.Reduce _ -> lower_reduction ctx out e name args
-      | B.Scan sk -> (
+      | B.Reduce red -> lower_reduction ctx out e name (Some red) args
+      | B.Norm -> lower_reduction ctx out e name None args
+      | B.Scan kind -> (
           match args with
           | [ a ] ->
               if is_scalar_node ctx a then lower_expr ctx out a
               else begin
                 let v = mat_operand ctx out a in
-                let kind =
-                  if sk = "cumsum" then Ir.Scumsum else Ir.Scumprod
-                in
                 let t = fresh ctx (ty_of ctx e) in
                 lib out t (Ir.Lscan kind) [ v ];
                 Omat t
@@ -569,19 +573,9 @@ and call_arg ctx out (a : Ast.expr) : Ir.call_arg =
   | Omat v -> Ir.Amat v
   | Ostr s -> Ir.Ascalar (Ir.Sstr s)
 
-and lower_reduction ctx out e name args =
-  let kind =
-    match name with
-    | "sum" -> Ir.Rsum
-    | "prod" -> Ir.Rprod
-    | "mean" -> Ir.Rmean
-    | "min" -> Ir.Rmin
-    | "max" -> Ir.Rmax
-    | "any" -> Ir.Rany
-    | "all" -> Ir.Rall
-    | _ when name = "norm" -> Ir.Rsum (* unused; norm handled below *)
-    | _ -> unsupported e.ann.pos "unknown reduction '%s'" name
-  in
+(* [red] is the reduction's kind; [None] is norm, the 2-norm of a
+   vector (a library call of its own). *)
+and lower_reduction ctx out e name (red : Ir.rkind option) args =
   match args with
   | [ a ] -> (
       (* Branch on what the operand LOWERS to, not on its static type:
@@ -593,38 +587,38 @@ and lower_reduction ctx out e name args =
       | Ostr _ -> unsupported e.ann.pos "string used as a numeric value"
       | Oscalar s -> (
           (* Reducing a scalar is the identity (any/all compare with 0). *)
-          match name with
-          | "any" | "all" -> Oscalar (Ir.Sbin (Ast.Ne, s, Ir.Sconst 0.))
-          | "norm" -> Oscalar (Ir.Scall ("abs", [ s ]))
-          | _ -> Oscalar s)
-      | Omat v ->
-        if name = "norm" then begin
-          let t = fresh ctx Ty.real_scalar in
-          lib out t Ir.Lnorm [ v ];
-          Oscalar (Ir.Svar t)
-        end
-        else begin
-          let aty = ty_of ctx a in
-          (* Tensors reduce over every element: one full allreduce, no
-             per-column form.  So does a reduction typed scalar (any,
-             all) over a full matrix. *)
-          let vector_like =
-            Ty.is_tensor aty || Ty.is_vector aty
-            || Ty.is_scalar (ty_of ctx e)
-            || aty.Ty.shape.Ty.rows = Ty.Dunknown
-            || aty.Ty.shape.Ty.cols = Ty.Dunknown
-          in
-          if vector_like then begin
-            let t = fresh ctx Ty.real_scalar in
-            lib out t (Ir.Lreduce_all kind) [ v ];
-            Oscalar (Ir.Svar t)
-          end
-          else begin
-            let t = fresh ctx (ty_of ctx e) in
-            lib out t (Ir.Lreduce_cols kind) [ v ];
-            Omat t
-          end
-        end)
+          match red with
+          | Some (Ir.Rany | Ir.Rall) ->
+              Oscalar (Ir.Sbin (Ast.Ne, s, Ir.Sconst 0.))
+          | None -> Oscalar (Ir.Scall ("abs", [ s ]))
+          | Some _ -> Oscalar s)
+      | Omat v -> (
+          match red with
+          | None ->
+              let t = fresh ctx Ty.real_scalar in
+              lib out t Ir.Lnorm [ v ];
+              Oscalar (Ir.Svar t)
+          | Some kind ->
+              let aty = ty_of ctx a in
+              (* Tensors reduce over every element: one full allreduce,
+                 no per-column form.  So does a reduction typed scalar
+                 (any, all) over a full matrix. *)
+              let vector_like =
+                Ty.is_tensor aty || Ty.is_vector aty
+                || Ty.is_scalar (ty_of ctx e)
+                || aty.Ty.shape.Ty.rows = Ty.Dunknown
+                || aty.Ty.shape.Ty.cols = Ty.Dunknown
+              in
+              if vector_like then begin
+                let t = fresh ctx Ty.real_scalar in
+                lib out t (Ir.Lreduce_all kind) [ v ];
+                Oscalar (Ir.Svar t)
+              end
+              else begin
+                let t = fresh ctx (ty_of ctx e) in
+                lib out t (Ir.Lreduce_cols kind) [ v ];
+                Omat t
+              end))
   | _ -> unsupported e.ann.pos "'%s' takes one argument" name
 
 and lower_constructor ctx out e name args =
@@ -1085,12 +1079,13 @@ and lower_multi ctx out s ls rhs display =
           emit out
             (Ir.Isort { vdst = lv.lv_name; idst = Some li.lv_name; arg = v })
       | _ -> assert false)
-  | Ast.Call (name, [ arg ]) when (name = "min" || name = "max")
-         && List.length ls = 2
-         && not (Hashtbl.mem user_funcs_marker name) ->
+  | Ast.Call (name, [ arg ])
+    when List.length ls = 2
+         && (not (Hashtbl.mem user_funcs_marker name))
+         && Option.is_some (minmax_kind name) ->
       (* [m, i] = min(v) / max(v) *)
       let v = mat_operand ctx out arg in
-      let kind = if name = "min" then Ir.Rmin else Ir.Rmax in
+      let kind = Option.get (minmax_kind name) in
       (match ls with
       | [ lm; li ] ->
           if lm.lv_indices <> None || li.lv_indices <> None then
