@@ -498,9 +498,19 @@ and mpi_tag pos name (tag_av : av) =
       Source.error pos
         "%s: the message tag must be a non-negative compile-time constant" name
 
+(* A message carries a scalar or a matrix: a tensor sent or broadcast
+   is rejected here, where its rank is known. *)
 and eval_mpi ctx pos name op arg_avs : av list =
   if List.exists (fun a -> a = None) arg_avs then [ None ]
   else
+    let sendable (v : av) =
+      match v with
+      | Some { Builtins.aty; _ } when Ty.is_tensor aty ->
+          Source.error pos
+            "%s: cannot send a tensor; slice it into matrices or scalars first"
+            name
+      | _ -> ()
+    in
     match (op, arg_avs) with
     | (Builtins.Mrank | Builtins.Msize), [] -> [ scalar_av Ty.Integer ]
     | Builtins.Mprobe, [ _; tag_av ] ->
@@ -508,6 +518,7 @@ and eval_mpi ctx pos name op arg_avs : av list =
         [ scalar_av Ty.Integer ]
     | Builtins.Msend, [ _; tag_av; value ] ->
         let tag = mpi_tag pos name tag_av in
+        sendable value;
         (match value with
         | Some v ->
             let sent = Some { v with Builtins.aconst = None } in
@@ -531,6 +542,7 @@ and eval_mpi ctx pos name op arg_avs : av list =
           | None -> None);
         ]
     | Builtins.Mbcast, [ _; value ] ->
+        sendable value;
         [
           (match value with
           | Some v -> Some { v with Builtins.aconst = None }

@@ -308,10 +308,12 @@ type replay_failure = { file : string; reason : string }
 
      % expect: compile-error <substring>
 
-   in which case the back-end compile must reject it with a diagnostic
-   containing <substring> while the front end + interpreter still run
-   it cleanly (the interpreter accepts a superset of the compiled
-   language, e.g. matrix growth). *)
+   in which case the compile must reject it with a diagnostic
+   containing <substring>.  A back-end diagnostic must leave the front
+   end + interpreter running it cleanly (the interpreter accepts a
+   superset of the compiled language, e.g. matrix growth); a front-end
+   one rejects the script for every engine, so there is nothing left
+   to run. *)
 let replay_file ?(use_cc = true) (path : string) : replay_failure option =
   let source = read_file path in
   let file = Filename.basename path in
@@ -352,8 +354,9 @@ let replay_file ?(use_cc = true) (path : string) : replay_failure option =
           else
             (* the interpreter must still accept it *)
             match Otter.compile_frontend source with
-            | exception Mlang.Source.Error (_, msg) ->
-                Some { file; reason = "front end rejected it: " ^ msg }
+            | exception Mlang.Source.Error (_, fmsg) ->
+                if fmsg = msg then None
+                else Some { file; reason = "front end rejected it: " ^ fmsg }
             | fe -> (
                 match
                   Otter.interpret

@@ -345,6 +345,9 @@ let test_fuzz_corpus_replays_at_O0 () =
              match Otter.compile ~opt:Spmd.Pass.O0 ~validate:true src with
              | exception Spmd.Lower.Unsupported _ ->
                  () (* interpreter-only script (e.g. matrix growth) *)
+             | exception Mlang.Source.Error _
+               when String.starts_with ~prefix:"% expect: compile-error" src ->
+                 () (* a script the front end rejects by design *)
              | c ->
                  let oi =
                    Otter.outcome_exn
