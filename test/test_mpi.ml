@@ -209,6 +209,25 @@ let test_tag_mismatch () =
         (contains msg "no MPI_Send in the program sends tag 77")
   | _ -> Alcotest.fail "expected a compile-time error"
 
+(* --- a tensor is not a message ------------------------------------------ *)
+
+let test_tensor_message_rejected () =
+  List.iter
+    (fun (op, src) ->
+      match compile src with
+      | exception Mlang.Source.Error (pos, msg) ->
+          Alcotest.(check string)
+            (op ^ " of a tensor names the fix")
+            (op ^ ": cannot send a tensor; slice it into matrices or scalars \
+                   first")
+            msg;
+          Alcotest.(check int) (op ^ " line") 2 pos.Mlang.Source.line
+      | _ -> Alcotest.failf "%s of a tensor compiled" op)
+    [
+      ("MPI_Send", "x = ones(2, 2, 2);\nMPI_Send(1, 7, x);\ny = MPI_Recv(0, 7);\n");
+      ("MPI_Bcast", "x = ones(2, 2, 2);\ny = MPI_Bcast(0, x);\n");
+    ]
+
 let test_rank_bounds () =
   let src = "MPI_Send(99, 1, 0);\nx = MPI_Recv(99, 1);\n" in
   let c = compile src in
@@ -527,4 +546,5 @@ let suite =
       test_bcast_replicas_independent;
     t "a window at a user receive is a protocol error"
       test_window_at_user_receive;
+    t "sending a tensor is a compile error" test_tensor_message_rejected;
   ]

@@ -565,4 +565,6 @@ let suite =
       t "block edges: every opcode" test_block_edges_opcodes;
       t "block edges: frame broadcasts" test_block_edges_frame;
       t "block edges: eye under every layout" test_block_edges_eye;
+      t "matches speedup baseline: heat3d" (speedup_pinned "heat3d");
+      t "matches speedup baseline: logistic" (speedup_pinned "logistic");
     ]
