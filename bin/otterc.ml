@@ -484,8 +484,8 @@ let verify_cmd =
         in
         match Otter.verify cfg c with
         | Otter.Verified ->
-            Fmt.pr "verified: %d variables agree between the interpreter and \
-                    the %d-CPU compiled run.@."
+            Fmt.pr "verified: %d variables and the printed output agree \
+                    between the interpreter and the %d-CPU compiled run.@."
               n_compared nprocs
         | Otter.Mismatched mm ->
             List.iter

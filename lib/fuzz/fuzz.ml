@@ -4,7 +4,9 @@
    have and all results are compared:
 
      - the reference interpreter (the semantics oracle),
-     - the SPMD executor at P in {1,2,3,4} on two machine models,
+     - the SPMD executor at P in {1,2,3,4} on two machine models and
+       at P = 65 on the fat-tree, each compared with [Otter.verify]:
+       the captured variables and the printed output,
      - when a C compiler is available, the emitted C, linked with the
        run-time library and the one-machine MPI shim and executed for
        real at P in {1,2}, its stdout compared numerically against the
@@ -20,8 +22,14 @@ type case_result =
   | Discard of string  (** front end or interpreter rejected the case *)
   | Fail of string  (** back ends disagree: the detail *)
 
-let machines = [ Mpisim.Machine.meiko_cs2; Mpisim.Machine.enterprise_smp ]
-let procs = [ 1; 2; 3; 4 ]
+(* The (machine, P) legs of the SPMD check.  The two paper machines at
+   P <= 4 take [Coll]'s ring allgather; the fat-tree at P = 65 is one
+   rank past the ring's limit, so it takes the doubling schedule. *)
+let configs =
+  List.concat_map
+    (fun m -> List.map (fun p -> (m, p)) [ 1; 2; 3; 4 ])
+    [ Mpisim.Machine.meiko_cs2; Mpisim.Machine.enterprise_smp ]
+  @ [ (Mpisim.Machine.fattree_default, 65) ]
 
 (* --- the compiled-C leg --------------------------------------------------- *)
 
@@ -66,38 +74,6 @@ let rt_objects =
      then failwith "fuzz: cannot compile the run-time library";
      dir)
 
-(* Compare two program outputs token by token: numeric tokens with
-   [Otter.values_close] (reduction order, printf rounding), everything
-   else literally.  Tokens split at blanks and at '=', so a number
-   printed as name=value is compared as a number too. *)
-let outputs_agree ?(tol = 1e-9) (a : string) (b : string) : string option =
-  let tokens s =
-    String.split_on_char '\n' s
-    |> List.concat_map (String.split_on_char ' ')
-    |> List.concat_map (String.split_on_char '=')
-    |> List.filter (fun t -> t <> "")
-  in
-  let ta = tokens a and tb = tokens b in
-  if List.length ta <> List.length tb then
-    Some
-      (Printf.sprintf "output length differs: %d tokens vs %d"
-         (List.length ta) (List.length tb))
-  else
-    let close = Otter.values_close ~tol in
-    List.fold_left2
-      (fun acc x y ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match (float_of_string_opt x, float_of_string_opt y) with
-            | Some fx, Some fy ->
-                if close fx fy then None
-                else Some (Printf.sprintf "output token %s vs %s" x y)
-            | _ ->
-                if x = y then None
-                else Some (Printf.sprintf "output token %S vs %S" x y)))
-      None ta tb
-
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Write [c_source] to [exe].c and build it into [exe], linked with the
@@ -137,7 +113,7 @@ let check_c_leg (c : Otter.compiled) (ref_output : string) : string option =
     else
       Option.map
         (Printf.sprintf "compiled C at P=%d: %s" np)
-        (outputs_agree ref_output (read_file out_file))
+        (Otter.outputs_agree ref_output (read_file out_file))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -199,18 +175,9 @@ let check_case ?(use_cc = true) (script : string) : case_result =
                      machine.Mpisim.Machine.name nprocs label msg)
           in
           let spmd_failure =
-            List.fold_left
-              (fun acc machine ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    List.fold_left
-                      (fun acc p ->
-                        match acc with
-                        | Some _ -> acc
-                        | None -> check_config ~label:"O2" c machine p)
-                      None procs)
-              None machines
+            List.find_map
+              (fun (machine, p) -> check_config ~label:"O2" c machine p)
+              configs
           in
           (* the unoptimized pipeline against the same reference: both
              levels verify against one interpreter run, so any O0-vs-O2

@@ -21,7 +21,8 @@
    made once per collective, at the few sites below that hand a shared
    array back.  The allgather's result is read-only: the doubling
    schedule sends windows of it, which a peer may still read after
-   this rank has returned. *)
+   this rank has returned, and on a fault-free machine every rank of
+   one call shares it (see [allgatherv_offset]). *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -281,12 +282,13 @@ let window_spans ~offset p b n =
   else (offset p - offset b, offset (b + n - p))
 
 (* Receive a window of the [l1 + l2] floats that belong at [out]'s
-   spans [dst, dst + l1) and [0, l2), and copy it there.  The sender
-   ships a [Sim.Window] of its own gathered array, or, under reliable
-   delivery, the flattened [Floats] of one; either way the floats come
-   in order from at most two source spans, so at most three blits
-   place them. *)
-let recv_window ~src ~tag ~out ~dst l1 l2 =
+   spans [dst, dst + l1) and [0, l2), and copy it there unless [out]
+   is [shared] (its blocks' owners have written them already).  The
+   sender ships a [Sim.Window] of its own gathered array, or, under
+   reliable delivery, the flattened [Floats] of one; either way the
+   floats come in order from at most two source spans, so at most
+   three blits place them. *)
+let recv_window ~shared ~src ~tag ~out ~dst l1 l2 =
   let n = l1 + l2 in
   let a, off, m1, m =
     match Reliable.recv ~src ~tag with
@@ -296,16 +298,22 @@ let recv_window ~src ~tag ~out ~dst l1 l2 =
         protocol_error ~src ~tag "expected a float payload, received integers"
   in
   check_length ~what:"allgather" ~src ~tag n m;
-  let i = ref 0 in
-  while !i < n do
-    (* the longest run from float [!i] on that is contiguous on both
-       sides *)
-    let s, s_run = if !i < m1 then (off + !i, m1 - !i) else (!i - m1, n - !i) in
-    let d, d_run = if !i < l1 then (dst + !i, l1 - !i) else (!i - l1, n - !i) in
-    let len = min s_run d_run in
-    Array.blit a s out d len;
-    i := !i + len
-  done
+  if not shared then begin
+    let i = ref 0 in
+    while !i < n do
+      (* the longest run from float [!i] on that is contiguous on both
+         sides *)
+      let s, s_run =
+        if !i < m1 then (off + !i, m1 - !i) else (!i - m1, n - !i)
+      in
+      let d, d_run =
+        if !i < l1 then (dst + !i, l1 - !i) else (!i - l1, n - !i)
+      in
+      let len = min s_run d_run in
+      Array.blit a s out d len;
+      i := !i + len
+    done
+  end
 
 (* Bruck-style doubling allgather: after round k every rank holds the
    window of min(2^k, p) consecutive blocks (mod p) starting at its
@@ -319,7 +327,7 @@ let recv_window ~src ~tag ~out ~dst l1 l2 =
    it, so the receiver may read it whenever it gets there.  Every rank
    sends before it receives and sends are eager, so the schedule
    cannot deadlock. *)
-let allgatherv_doubling ~offset ~(out : float array) =
+let allgatherv_doubling ~shared ~offset ~(out : float array) =
   let p = Sim.size () in
   let me = Sim.rank () in
   let w = ref 1 in
@@ -329,7 +337,7 @@ let allgatherv_doubling ~offset ~(out : float array) =
     let l1, l2 = window_spans ~offset p me nblocks in
     Reliable.send ~dst ~tag:tag_ring (Sim.Window (out, offset me, l1, l2));
     let l1, l2 = window_spans ~offset p src nblocks in
-    recv_window ~src ~tag:tag_ring ~out ~dst:(offset src) l1 l2;
+    recv_window ~shared ~src ~tag:tag_ring ~out ~dst:(offset src) l1 l2;
     w := !w + nblocks
   done
 
@@ -338,7 +346,18 @@ let allgatherv_doubling ~offset ~(out : float array) =
    ([offset p] is the total).  Ring exchange (P-1 rounds of neighbour
    traffic, the standard mid-90s implementation) up to [ring_max]
    ranks, doubling beyond.  The result is read-only at every P (see
-   the header): the doubling rounds' peers read windows of it. *)
+   the header): the doubling rounds' peers read windows of it, and on
+   a fault-free machine it is one array shared by every rank.
+
+   That sharing ([Sim.gather_buffer]) leaves the modeled run as it
+   was: every message is still sent, received, length-checked and
+   priced.  Each rank writes its own block into the shared array on
+   entry, before its first send, and a block reaches any rank only in
+   a message sent after its owner wrote it, so when a rank returns,
+   every block is in place; the receivers only skip the copies.  A
+   private array, filled from the messages, is what a rank gets under
+   a fault model, where a lost or duplicated message must show in the
+   data. *)
 let allgatherv_offset ~offset (local : float array) : float array =
   let p = Sim.size () in
   let me = Sim.rank () in
@@ -347,10 +366,14 @@ let allgatherv_offset ~offset (local : float array) : float array =
   if p = 1 then Array.copy local
   else begin
     (* the blocks tile [0, offset p), so every element is written
-       below and the zero fill would be wasted memory traffic *)
-    let out = Array.create_float (offset p) in
+       and the zero fill would be wasted memory traffic *)
+    let out, shared =
+      match Sim.gather_buffer (offset p) with
+      | Some out -> (out, true)
+      | None -> (Array.create_float (offset p), false)
+    in
     Array.blit local 0 out (offset me) (Array.length local);
-    if p > ring_max then allgatherv_doubling ~offset ~out
+    if p > ring_max then allgatherv_doubling ~shared ~offset ~out
     else begin
       let right = (me + 1) mod p and left = (me - 1 + p) mod p in
       (* At step s we forward the block of rank (me - s + p) mod p. *)
@@ -362,7 +385,7 @@ let allgatherv_offset ~offset (local : float array) : float array =
         let incoming =
           recv_block ~what:"allgather" ~src:left ~tag:tag_ring n
         in
-        Array.blit incoming 0 out (offset owner) n;
+        if not shared then Array.blit incoming 0 out (offset owner) n;
         current := incoming
       done
     end;

@@ -4,7 +4,8 @@
     argument.  Each returns an array its caller owns and may write,
     except {!allgatherv_offset} and {!allgatherv}: their result is
     read-only at every P, because other ranks may read windows of it
-    after the call returns. *)
+    after the call returns, and on a machine without a fault model
+    every rank of one call gets the same array. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -53,13 +54,19 @@ val allgatherv_offset : offset:(int -> int) -> float array -> float array
     round does not grow with P and no round copies what it sends.
     The result is therefore read-only at every P: a peer may read a
     window of it after this rank has returned, and a caller that
-    writes must copy it first.  Taking offsets as a function lets a
-    block layout pass its [Dist.low] arithmetic instead of building
-    P-length arrays on every call. *)
+    writes must copy it first.  On a machine without a fault model
+    it is read-only across ranks as well, not just across rounds:
+    every rank's result of one call is the same physical array
+    ({!Sim.gather_buffer}), into which each rank writes only its own
+    block; the messages, and so every modeled figure, are those of a
+    private result.  Under a fault model each rank gets a private
+    array filled from the messages.  Taking offsets as a function
+    lets a block layout pass its [Dist.low] arithmetic instead of
+    building P-length arrays on every call. *)
 
 val allgatherv : counts:int array -> float array -> float array
 (** {!allgatherv_offset} with the offsets the prefix sums of [counts];
-    the result is read-only in the same way. *)
+    the result is read-only, and shared, in the same way. *)
 
 val exscan : op:op -> identity:float -> float -> float
 (** Exclusive prefix scan of one scalar per rank (recursive doubling):

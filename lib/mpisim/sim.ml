@@ -34,15 +34,17 @@
 open Effect
 open Effect.Deep
 
-(* Every block over 128 words lives in the C heap, and a P=1024 run
-   gathers a whole operand on every rank, so that heap swings by
-   hundreds of megabytes within one run.  glibc's default policy hands
-   the top of it back to the kernel as soon as a large block is freed,
-   and the next run faults it all back in; how much goes back depends
-   on which long-lived block happens to sit highest, an accident of
-   layout that any allocation anywhere can change.  Keeping the freed
-   heap makes a run's host time independent of what ran before it in
-   the same process.  A no-op off glibc. *)
+(* Every block over 128 words lives in the C heap, and a large run
+   allocates and frees such blocks all through it: rank-local matrix
+   blocks and each allgather's gathered operand, one array per call on
+   a fault-free machine but one per rank under a fault model (a
+   P=1024 call of 128 KB blocks then takes 128 MB).  glibc's default
+   policy hands the top of the heap back to the kernel as soon as a
+   large block is freed, and the next run faults it all back in; how
+   much goes back depends on which long-lived block happens to sit
+   highest, an accident of layout that any allocation anywhere can
+   change.  Keeping the freed heap makes a run's host time independent
+   of what ran before it in the same process.  A no-op off glibc. *)
 external keep_heap : unit -> bool = "otter_mpisim_keep_heap"
 
 let heap_kept = keep_heap ()
@@ -153,6 +155,11 @@ type mailbox = (float * payload) Queue.t
    nothing (a [float] value in a table would be boxed on every write). *)
 type busy = { mutable until : float }
 
+(* One allgather call's shared result: the array, how many ranks have
+   taken their handle on this slot so far, and whether they all asked
+   for the same length (once one disagrees, later ranks go private). *)
+type gather = { buf : float array; mutable takers : int; mutable agreed : bool }
+
 (* One record per run, shared by the scheduler and the running rank.
    The scheduler publishes it in [current] for the whole run and sets
    [running] before every resume, so the non-blocking operations below
@@ -176,6 +183,10 @@ type run_state = {
       (* one slot: the run's summed compute charges, unboxed so a charge
          allocates nothing; copied into [report] when the run ends *)
   scratch : (int * int * int, int) Hashtbl.t array; (* per rank *)
+  gathers : gather Machine.Int_tbl.t;
+      (* shared allgather results by call index, while some rank has
+         yet to take its handle (see [gather_buffer]) *)
+  gather_calls : int array; (* per rank: its next allgather call index *)
   mutable fault_ix : int; (* fault-decision counter (the RNG index) *)
   death : float array; (* per-rank scheduled death time; infinity = never *)
   place : (int array * float array) option;
@@ -277,6 +288,38 @@ let scratch () =
   match !current with
   | Some st -> st.scratch.(st.running)
   | None -> outside "scratch"
+
+(* The running rank's handle on its next allgather's result.  Ranks
+   call collectives in the same order, so the [i]-th call on every
+   rank is the same allgather: the first rank to reach it allocates
+   the array, the rest take the same one, and the last of the P takers
+   drops it from the table.  Under a fault model every rank keeps a
+   private array, so drops, duplicates and rollbacks see the message
+   data path alone. *)
+let gather_buffer n =
+  match !current with
+  | None -> outside "gather_buffer"
+  | Some st when st.machine.Machine.faults <> None -> None
+  | Some st -> (
+      let me = st.running in
+      let i = st.gather_calls.(me) in
+      st.gather_calls.(me) <- i + 1;
+      let g =
+        match Machine.Int_tbl.find_opt st.gathers i with
+        | Some g ->
+            g.takers <- g.takers + 1;
+            g
+        | None ->
+            let g = { buf = Array.create_float n; takers = 1; agreed = true } in
+            Machine.Int_tbl.add st.gathers i g;
+            g
+      in
+      if g.takers = st.nprocs then Machine.Int_tbl.remove st.gathers i;
+      if g.agreed && Array.length g.buf = n then Some g.buf
+      else begin
+        g.agreed <- false;
+        None
+      end)
 
 let note_retry () =
   match !current with
@@ -690,6 +733,8 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       report = new_report clocks;
       compute_time = [| 0. |];
       scratch = Array.init nprocs (fun _ -> Hashtbl.create 16);
+      gathers = Machine.Int_tbl.create 4;
+      gather_calls = Array.make nprocs 0;
       fault_ix = 0;
       death = death_schedule machine.Machine.faults ~nprocs ~attempt;
       place;

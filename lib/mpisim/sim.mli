@@ -118,6 +118,17 @@ val scratch : unit -> (int * int * int, int) Hashtbl.t
 (** This rank's private counter table, fresh per [run]; the reliable
     layer keys its per-channel sequence numbers here. *)
 
+val gather_buffer : int -> float array option
+(** [gather_buffer n] is the running rank's handle on the result of its
+    next allgather, an array of [n] floats.  Ranks call collectives in
+    the same order, so on a machine without a fault model every rank's
+    [i]-th call in a run returns the same physical array; the run keeps
+    it only until all P ranks have taken it.  The caller that owns a
+    block writes it; no rank writes anyone else's.  [None] (allocate a
+    private array) under a fault model, and for a rank whose [n]
+    disagrees with an earlier taker's, and for every later taker of
+    that call.  {!Coll} is the only user. *)
+
 val note_retry : unit -> unit
 (** Count one retransmission in the run's report (reliable layer). *)
 

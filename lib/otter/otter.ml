@@ -300,6 +300,38 @@ let values_close ~tol x y =
      let scale = Float.max 1. (Float.max (Float.abs x) (Float.abs y)) in
      Float.abs (x -. y) <= tol *. scale
 
+(* Compare two program outputs token by token: numeric tokens with
+   [values_close] (reduction order, printf rounding), everything else
+   literally.  Tokens split at blanks and at '=', so a number printed
+   as name=value is compared as a number too. *)
+let outputs_agree ?(tol = 1e-9) (a : string) (b : string) : string option =
+  let tokens s =
+    String.split_on_char '\n' s
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.concat_map (String.split_on_char '=')
+    |> List.filter (fun t -> t <> "")
+  in
+  let ta = tokens a and tb = tokens b in
+  if List.length ta <> List.length tb then
+    Some
+      (Printf.sprintf "output length differs: %d tokens vs %d"
+         (List.length ta) (List.length tb))
+  else
+    let close = values_close ~tol in
+    List.fold_left2
+      (fun acc x y ->
+        match acc with
+        | Some _ -> acc
+        | None -> (
+            match (float_of_string_opt x, float_of_string_opt y) with
+            | Some fx, Some fy ->
+                if close fx fy then None
+                else Some (Printf.sprintf "output token %s vs %s" x y)
+            | _ ->
+                if x = y then None
+                else Some (Printf.sprintf "output token %S vs %S" x y)))
+      None ta tb
+
 let compare_values ~tol (a : Exec.State.captured) (b : Exec.State.captured) :
     string option =
   let close = values_close ~tol in
@@ -351,8 +383,10 @@ let all_variables (c : compiled) : string list =
 
 (* Run the reference interpreter and the compiled program under [cfg]
    and compare the captured variables (within [cfg.tol], which absorbs
-   reduction-order rounding).  An empty [cfg.capture] means "every
-   inferred script variable".  The parallel leg always runs the SPMD
+   reduction-order rounding) and then the printed output, which
+   [outputs_agree] compares token by token within the same tolerance
+   and which mismatches as the pseudo-variable [<stdout>].  An empty
+   [cfg.capture] means "every inferred script variable".  The parallel leg always runs the SPMD
    executor, whatever [cfg]'s engine (verifying the interpreter
    against itself proves nothing).  When the parallel
    run dies — e.g. under an injected fault model without the reliable
@@ -395,6 +429,14 @@ let verify (cfg : Config.t) (c : compiled) : verdict =
             | _, None ->
                 Some { variable = name; detail = "missing in compiled run" })
           capture
+      in
+      let mismatches =
+        match
+          outputs_agree ~tol:cfg.Config.tol ref_run.Interp.Eval.output
+            par_run.Exec.State.output
+        with
+        | None -> mismatches
+        | Some detail -> mismatches @ [ { variable = "<stdout>"; detail } ]
       in
       match mismatches with [] -> Verified | ms -> Mismatched ms)
 

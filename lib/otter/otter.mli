@@ -181,11 +181,20 @@ val values_close : tol:float -> float -> float -> bool
     magnitude, at least 1); NaN matches NaN and an infinity matches only
     itself.  {!verify} compares captured elements with it. *)
 
+val outputs_agree : ?tol:float -> string -> string -> string option
+(** Compare two program outputs token by token, splitting at blanks,
+    newlines and ['=']: numeric tokens with {!values_close} at [tol]
+    (default [1e-9]), everything else literally.  [None] when they
+    agree, else the first difference (a token pair, or the two token
+    counts). *)
+
 val verify : Config.t -> compiled -> verdict
 (** Run the reference interpreter and the compiled program under [cfg]
-    and compare the captured variables; [cfg.tol] absorbs
-    reduction-order rounding and [cfg.capture = []] compares every
-    inferred script variable.  The parallel leg always runs the SPMD
+    and compare the captured variables, then the printed output with
+    {!outputs_agree}; [cfg.tol] absorbs reduction-order rounding and
+    [cfg.capture = []] compares every inferred script variable.  An
+    output difference is reported after the variables, as a mismatch
+    whose [variable] is [<stdout>].  The parallel leg always runs the SPMD
     executor, whatever [cfg.engine].
     Never raises for a failing parallel run — it degrades to
     {!verdict.Aborted}.  Nonzero [cfg.ckpt_interval]/

@@ -223,6 +223,18 @@ let test_meiko_best_balance () =
   let cluster = at16 Mpisim.Machine.sparc20_cluster in
   Alcotest.(check bool) "meiko beats cluster" true (meiko > cluster)
 
+(* Verification covers printed output too: every application prints
+   a summary line, and its output agrees with the interpreter's at
+   P = 1 and 4. *)
+let test_verify_output () =
+  List.iter
+    (fun (app : Apps.Scripts.app) ->
+      let c = Otter.compile (app.source 8) in
+      if (run4 ~capture:[] c).Exec.State.output = "" then
+        Alcotest.failf "%s prints nothing" app.key;
+      List.iter (fun p -> verify_app app.key ~scale:8 ~nprocs:p) [ 1; 4 ])
+    Apps.Scripts.all
+
 let suite =
   [
     t "cg verifies across P" (test_verify "cg");
@@ -243,4 +255,5 @@ let suite =
     t "figure 4 small grain" test_fig4_small_grain;
     t "cluster damping (section 6)" test_cluster_damping;
     t "CS-2 best balance (section 6)" test_meiko_best_balance;
+    t "every app's output verifies at P = 1, 4" test_verify_output;
   ]

@@ -57,7 +57,7 @@ let check_agree ~label expected got =
   let bad = ref [] in
   List.iter2
     (fun x y ->
-      match Fuzz.outputs_agree x y with
+      match Otter.outputs_agree x y with
       | None -> ()
       | Some d ->
           let f = List.hd (String.split_on_char ' ' x) in

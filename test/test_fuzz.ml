@@ -112,24 +112,24 @@ let test_gen_reaches_builtins () =
 (* The oracle infrastructure itself: output comparison must absorb
    benign formatting differences but reject real ones. *)
 let test_outputs_agree () =
-  Alcotest.(check bool) "equal" true (Fuzz.outputs_agree "1.5\n2\n" "1.5\n2\n" = None);
+  Alcotest.(check bool) "equal" true (Otter.outputs_agree "1.5\n2\n" "1.5\n2\n" = None);
   Alcotest.(check bool) "tolerance" true
-    (Fuzz.outputs_agree "0.30000000000000004\n" "0.3\n" = None);
-  Alcotest.(check bool) "nan" true (Fuzz.outputs_agree "nan\n" "-nan\n" = None);
+    (Otter.outputs_agree "0.30000000000000004\n" "0.3\n" = None);
+  Alcotest.(check bool) "nan" true (Otter.outputs_agree "nan\n" "-nan\n" = None);
   Alcotest.(check bool) "an infinity matches only itself" true
-    (Fuzz.outputs_agree "inf -inf\n" "inf -inf\n" = None
-    && Fuzz.outputs_agree "inf\n" "-inf\n" <> None
-    && Fuzz.outputs_agree "inf\n" "1e308\n" <> None
-    && Fuzz.outputs_agree "-inf\n" "nan\n" <> None);
+    (Otter.outputs_agree "inf -inf\n" "inf -inf\n" = None
+    && Otter.outputs_agree "inf\n" "-inf\n" <> None
+    && Otter.outputs_agree "inf\n" "1e308\n" <> None
+    && Otter.outputs_agree "-inf\n" "nan\n" <> None);
   Alcotest.(check bool) "name=value compares the value" true
-    (Fuzz.outputs_agree "residual=4.434279e-15\n" "residual=4.522966e-15\n"
+    (Otter.outputs_agree "residual=4.434279e-15\n" "residual=4.522966e-15\n"
     = None);
   Alcotest.(check bool) "name=value still checks the name" true
-    (Fuzz.outputs_agree "a=1\n" "b=1\n" <> None);
+    (Otter.outputs_agree "a=1\n" "b=1\n" <> None);
   Alcotest.(check bool) "value differs" true
-    (Fuzz.outputs_agree "1\n" "2\n" <> None);
+    (Otter.outputs_agree "1\n" "2\n" <> None);
   Alcotest.(check bool) "length differs" true
-    (Fuzz.outputs_agree "1\n" "1\n2\n" <> None)
+    (Otter.outputs_agree "1\n" "1\n2\n" <> None)
 
 let suite =
   [

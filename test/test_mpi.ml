@@ -228,6 +228,25 @@ let test_tensor_message_rejected () =
       ("MPI_Bcast", "x = ones(2, 2, 2);\ny = MPI_Bcast(0, x);\n");
     ]
 
+(* [Otter.verify] compares printed output as well as variables.  A
+   script that prints the rank count and assigns nothing has no
+   variable to disagree on, yet its output differs at P > 1: verify
+   reports it as [<stdout>], naming both tokens. *)
+let test_verify_compares_stdout () =
+  let c = compile {|fprintf('ranks %d\n', MPI_Comm_size());|} in
+  let verdict p = Otter.verify (Otter.config ~nprocs:p ()) c in
+  (match verdict 1 with
+  | Otter.Verified -> ()
+  | _ -> Alcotest.fail "P=1 output should verify");
+  match verdict 4 with
+  | Otter.Mismatched [ { Otter.variable = "<stdout>"; detail } ] ->
+      Alcotest.(check string) "detail" "output token 1 vs 4" detail
+  | Otter.Mismatched ms ->
+      Alcotest.failf "unexpected mismatches: %s"
+        (String.concat "; " (List.map (fun m -> m.Otter.variable) ms))
+  | Otter.Verified -> Alcotest.fail "a P-dependent output verified"
+  | Otter.Aborted { detail; _ } -> Alcotest.failf "aborted: %s" detail
+
 let test_rank_bounds () =
   let src = "MPI_Send(99, 1, 0);\nx = MPI_Recv(99, 1);\n" in
   let c = compile src in
@@ -547,4 +566,5 @@ let suite =
     t "a window at a user receive is a protocol error"
       test_window_at_user_receive;
     t "sending a tensor is a compile error" test_tensor_message_rejected;
+    t "verify compares printed output" test_verify_compares_stdout;
   ]

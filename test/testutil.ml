@@ -130,7 +130,7 @@ let check_c_runs dir expected =
         Alcotest.(check string) "C output == interpreter output" expected got
       else
         Option.iter (Alcotest.failf "P=%d: %s" np)
-          (Fuzz.outputs_agree expected got))
+          (Otter.outputs_agree expected got))
     [ 1; 2; 4 ]
 
 (* (name, arity) of each element-wise builtin in the registry, sorted;
