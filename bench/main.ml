@@ -1,24 +1,29 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
 
    Usage:
-     main.exe [table1|fig2|fig3|fig4|fig5|fig6|all|ablation|extrapolate|
-               sensitivity|micro|bandwidth|speedup|chaos|throughput|scale]...
+     main.exe [table1|ablation|sensitivity|bandwidth|paper|chaos|
+               throughput|scale]...
               [--scale PCT] [--full] [--out FILE] [--baseline FILE]
 
-   --scale chooses the problem size as a percentage of the paper's
-   (default 25%% so `dune exec bench/main.exe` finishes quickly);
-   --full is --scale 100.  Shapes -- who wins, by what factor, where
-   speedup flattens -- are preserved across scales; absolute times are
-   modeled 1997 hardware, not this machine.  `micro` runs Bechamel
-   wall-clock microbenchmarks of the compiler passes and run-time
-   kernels on the host.  The gated modes (speedup, chaos, throughput,
-   scale) write --out (default BENCH_<mode>.json); --baseline FILE runs
-   at FILE's scale and exits 1 on a regression against it. *)
+   With no command it runs `table1 paper`.  --scale chooses the problem
+   size as a percentage of the paper's (default 25%% so `dune exec
+   bench/main.exe` finishes quickly); --full is --scale 100.  Shapes --
+   who wins, by what factor, where speedup flattens -- are preserved
+   across scales; absolute times are modeled 1997 hardware, not this
+   machine.  The gated modes (paper, chaos, throughput, scale) write
+   --out (default BENCH_<mode>.json); --baseline FILE runs at FILE's
+   scale and exits 1 on a regression against it. *)
 
-let machines = Mpisim.Machine.all
 let proc_counts = [ 1; 2; 4; 8; 16 ]
 
-type seq_baselines = { t_interp : float; t_matcom : float; t_otter1 : float }
+(* The paper's three parallel machines, under the names the baselines
+   use. *)
+let machines =
+  [
+    ("meiko", Mpisim.Machine.meiko_cs2);
+    ("smp", Mpisim.Machine.enterprise_smp);
+    ("cluster", Mpisim.Machine.sparc20_cluster);
+  ]
 
 let compile_app (app : Apps.Scripts.app) scale = Otter.compile (app.source scale)
 
@@ -28,91 +33,8 @@ let run_outcome cfg c = Otter.outcome_exn (Otter.run cfg c)
 let time_of cfg c =
   (run_outcome cfg c).Exec.State.report.Mpisim.Sim.makespan
 
-let interp_time ~machine compiled =
-  time_of (Otter.config ~engine:Otter.Config.Einterp ~machine ~nprocs:1 ()) compiled
-
-let matcom_time ~machine compiled =
-  time_of (Otter.config ~engine:Otter.Config.Ematcom ~machine ~nprocs:1 ()) compiled
-
 let otter_time ~machine ~nprocs compiled =
   time_of (Otter.config ~machine ~nprocs ()) compiled
-
-(* --- Figure 2: single-CPU relative performance ------------------------- *)
-
-let fig2 scale =
-  Printf.printf
-    "Figure 2: relative performance on one UltraSPARC CPU (interpreter = \
-     1.0)\n";
-  Printf.printf "  problem scale: %d%% of paper sizes\n" scale;
-  print_endline (String.make 72 '-');
-  Printf.printf "%-22s %12s %12s %12s\n" "Application" "Interpreter" "MATCOM"
-    "Otter";
-  print_endline (String.make 72 '-');
-  let machine = Mpisim.Machine.workstation in
-  let wins = ref 0 in
-  List.iter
-    (fun (app : Apps.Scripts.app) ->
-      let c = compile_app app scale in
-      let b =
-        {
-          t_interp = interp_time ~machine c;
-          t_matcom = matcom_time ~machine c;
-          t_otter1 = otter_time ~machine ~nprocs:1 c;
-        }
-      in
-      let rel t = b.t_interp /. t in
-      if b.t_otter1 < b.t_matcom then incr wins;
-      Printf.printf "%-22s %12.2f %12.2f %12.2f\n" app.name 1.0
-        (rel b.t_matcom) (rel b.t_otter1))
-    Apps.Scripts.apps;
-  print_endline (String.make 72 '-');
-  Printf.printf
-    "Otter beats the interpreter on all 4 scripts and MATCOM on %d of 4\n\
-     (paper: always faster than the interpreter; 2-2 split against MATCOM).\n\n"
-    !wins
-
-(* --- Figures 3-6: speedup on the three parallel architectures ---------- *)
-
-let speedup_figure ~fig ~(app : Apps.Scripts.app) scale =
-  Printf.printf
-    "Figure %d: %s -- speedup over the MATLAB interpreter on 1 CPU\n" fig
-    app.name;
-  Printf.printf "  workload: %s; problem scale: %d%% of paper sizes\n"
-    app.grain scale;
-  print_endline (String.make 72 '-');
-  Printf.printf "%6s" "CPUs";
-  List.iter
-    (fun (m : Mpisim.Machine.t) -> Printf.printf " %20s" m.name)
-    machines;
-  print_newline ();
-  print_endline (String.make 72 '-');
-  let c = compile_app app scale in
-  let interp =
-    List.map (fun m -> (m.Mpisim.Machine.name, interp_time ~machine:m c)) machines
-  in
-  List.iter
-    (fun p ->
-      Printf.printf "%6d" p;
-      List.iter
-        (fun (m : Mpisim.Machine.t) ->
-          if p > m.max_procs then Printf.printf " %20s" "-"
-          else begin
-            let t = otter_time ~machine:m ~nprocs:p c in
-            let ti = List.assoc m.name interp in
-            Printf.printf " %20.1f" (ti /. t)
-          end)
-        machines;
-      print_newline ())
-    proc_counts;
-  print_endline (String.make 72 '-');
-  print_newline ()
-
-let figure_of_app = [ ("cg", 3); ("ocean", 4); ("nbody", 5); ("tc", 6) ]
-
-let fig_for key scale =
-  match Apps.Scripts.find key with
-  | Some app -> speedup_figure ~fig:(List.assoc key figure_of_app) ~app scale
-  | None -> prerr_endline ("unknown app " ^ key)
 
 (* --- ablations of design choices (DESIGN.md section 3) ------------------ *)
 
@@ -242,37 +164,6 @@ let ablation () =
   print_endline (String.make 72 '-');
   print_newline ()
 
-(* --- extrapolation: what would the results look like on a 1999 Beowulf? -- *)
-
-let extrapolate scale =
-  print_endline
-    "Extrapolation: 16-node commodity Beowulf (1999) vs the paper's CS-2";
-  Printf.printf "  speedup over the same machine's interpreter; scale %d%%\n"
-    scale;
-  print_endline (String.make 72 '-');
-  Printf.printf "%-22s %10s %22s %22s\n" "Application" "CPUs" "Meiko CS-2"
-    "Beowulf (1999)";
-  print_endline (String.make 72 '-');
-  List.iter
-    (fun (app : Apps.Scripts.app) ->
-      let c = compile_app app scale in
-      List.iter
-        (fun p ->
-          Printf.printf "%-22s %10d" (if p = 4 then app.name else "") p;
-          List.iter
-            (fun m ->
-              let ti = interp_time ~machine:m c in
-              let t = otter_time ~machine:m ~nprocs:p c in
-              Printf.printf " %22.1f" (ti /. t))
-            [ Mpisim.Machine.meiko_cs2; Mpisim.Machine.beowulf ];
-          print_newline ())
-        [ 4; 16 ])
-    Apps.Scripts.apps;
-  print_endline (String.make 72 '-');
-  print_endline
-    "Five-times-faster CPUs raise the communication bar: the O(n) scripts\n\
-     lose even more ground on the Beowulf, while O(n^3) work still scales.\n"
-
 (* --- sensitivity: the paper's two determinants quantified ---------------- *)
 
 (* The paper's summary names two determinants of speedup: the sizes of
@@ -339,83 +230,32 @@ let sensitivity () =
      O(n) script's speedup evaporates as latency grows -- the paper's\n\
      two determinants, isolated.\n"
 
-(* --- Bechamel microbenchmarks ------------------------------------------ *)
+(* --- the paper's evaluation: BENCH_paper.json ----------------------------- *)
 
-let micro () =
-  let open Bechamel in
-  let cg_src = Apps.Scripts.cg ~n:64 ~iters:10 () in
-  let parse = Test.make ~name:"pass1: scan+parse cg.m" (Staged.stage (fun () ->
-      ignore (Mlang.Parser.parse_program cg_src)))
-  in
-  let front = Test.make ~name:"pass2-3: resolve+ssa+infer" (Staged.stage (fun () ->
-      let ast = Analysis.Resolve.run (Mlang.Parser.parse_program cg_src) in
-      ignore (Analysis.Infer.program ast)))
-  in
-  let full = Test.make ~name:"pass1-6: full compile" (Staged.stage (fun () ->
-      ignore (Otter.compile cg_src)))
-  in
-  let emit =
-    let c = Otter.compile cg_src in
-    Test.make ~name:"pass7: emit C" (Staged.stage (fun () ->
-        ignore (Codegen.emit_c c.Otter.prog)))
-  in
-  let sim_matmul = Test.make ~name:"runtime: 64x64 matmul on 4 simulated CPUs"
-      (Staged.stage (fun () ->
-        ignore
-          (Mpisim.Sim.run ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 (fun _ ->
-               let a = Runtime.Dmat.init ~rows:64 ~cols:64
-                   (fun g -> float_of_int (g mod 17)) in
-               ignore (Runtime.Ops.matmul a a)))))
-  in
-  let vm_cg = Test.make ~name:"vm: cg n=64 on 4 simulated CPUs"
-      (let c = Otter.compile cg_src in
-       let cfg = Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 () in
-       Staged.stage (fun () -> ignore (Otter.run cfg c)))
-  in
-  let tests =
-    Test.make_grouped ~name:"otter"
-      [ parse; front; full; emit; sim_matmul; vm_cg ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  let results = benchmark tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-  print_endline "Microbenchmarks (host wall clock, ns per run):";
-  Hashtbl.iter
-    (fun name result ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-44s %12.0f ns\n" name est
-      | _ -> Printf.printf "  %-44s (no estimate)\n" name)
-    results;
-  print_newline ()
-
-(* --- speedup benchmark: BENCH_speedup.json ------------------------------ *)
-
-(* One row per (app, machine, CPUs, opt level): simulated wall clock,
-   message count and bytes on the wire, plus the speedup over the same
-   configuration at one CPU.  Everything is modeled, so the numbers are
-   deterministic and fit for a committed regression baseline: modeled
-   time may grow at most 10%, the message count not at all (one extra
-   message means a comm-pass regression). *)
-let speedup_rules =
+(* Figures 2-6 and the Beowulf extrapolation are views of one sweep.
+   The "entries" section holds one row per (app, machine, CPUs, opt
+   level): simulated wall clock, message count, bytes on the wire and
+   the speedup over the same configuration at one CPU.  The
+   "sequential" section holds one row per (paper app, machine,
+   engine): the interpreter's modeled time on every machine, and
+   MATCOM's on the workstation, which only Figure 2 uses.  Everything
+   is modeled, so the numbers are deterministic and fit for a committed
+   regression baseline: modeled time may grow at most 10%, the message
+   count not at all (one extra message means a comm-pass regression). *)
+let paper_rules =
   Baseline.[ ("app", Key); ("machine", Key); ("procs", Key); ("opt", Key);
-             ("time", Time); ("messages", Count) ]
+             ("engine", Key); ("time", Time); ("messages", Count) ]
 
-let speedup_machines =
-  [
-    ("meiko", Mpisim.Machine.meiko_cs2);
-    ("smp", Mpisim.Machine.enterprise_smp);
-    ("cluster", Mpisim.Machine.sparc20_cluster);
-  ]
+(* The parallel machines plus Figure 2's one-CPU workstation and the
+   extrapolation's 1999 Beowulf. *)
+let paper_machines =
+  ("workstation", Mpisim.Machine.workstation)
+  :: ("beowulf", Mpisim.Machine.beowulf)
+  :: machines
 
-let speedup_rows scale : Baseline.row list =
+let opts = [ ("O1", Spmd.Pass.O1); ("O2", Spmd.Pass.O2) ]
+
+let entry_rows scale : Baseline.row list =
   let acc = ref [] in
   List.iter
     (fun (app : Apps.Scripts.app) ->
@@ -448,36 +288,213 @@ let speedup_rows scale : Baseline.row list =
                       :: !acc
                   end)
                 proc_counts)
-            speedup_machines)
-        [ ("O1", Spmd.Pass.O1); ("O2", Spmd.Pass.O2) ])
+            paper_machines)
+        opts)
     Apps.Scripts.all;
   List.rev !acc
 
-let speedup_bench scale =
-  Printf.printf
-    "Speedup benchmark: %d apps x {O1, O2} x 3 machines x P in {1,2,4,8,16}\n"
-    (List.length Apps.Scripts.all);
-  Printf.printf "  problem scale: %d%% of paper sizes\n\n" scale;
-  let rows = speedup_rows scale in
-  let find app machine procs opt =
-    Baseline.find rows
-      Baseline.
-        [
-          ("app", Str app); ("machine", Str machine); ("procs", Int procs);
-          ("opt", Str opt);
-        ]
+let sequential_rows scale : Baseline.row list =
+  List.concat_map
+    (fun (app : Apps.Scripts.app) ->
+      let c = compile_app app scale in
+      List.concat_map
+        (fun (mname, machine) ->
+          List.map
+            (fun engine ->
+              let cfg = Otter.config ~engine ~machine ~nprocs:1 () in
+              Baseline.
+                [
+                  ("app", Str app.key);
+                  ("machine", Str mname);
+                  ("engine", Str (Otter.Config.engine_name engine));
+                  ("time", Float (time_of cfg c, 9));
+                ])
+            (if mname = "workstation" then Otter.Config.[ Einterp; Ematcom ]
+             else [ Otter.Config.Einterp ]))
+        paper_machines)
+    Apps.Scripts.apps
+
+let entry_key app machine procs opt =
+  Baseline.
+    [
+      ("app", Str app); ("machine", Str machine); ("procs", Int procs);
+      ("opt", Str opt);
+    ]
+
+(* Modeled times read from the paper's rows (both sections in one
+   list): a missing row reads nan, which prints as "-". *)
+let time_at rows key =
+  match Baseline.find rows key with
+  | Some e -> Baseline.num e "time"
+  | None -> nan
+
+let otter rows app machine procs opt =
+  time_at rows (entry_key app machine procs opt)
+
+let sequential rows app machine engine =
+  time_at rows
+    Baseline.[ ("app", Str app); ("machine", Str machine); ("engine", Str engine) ]
+
+(* Speedup over the same machine's interpreter on one CPU. *)
+let over rows app machine procs opt =
+  sequential rows app machine "interp" /. otter rows app machine procs opt
+
+let rule () = print_endline (String.make 72 '-')
+
+let cell width decimals v =
+  if Float.is_nan v then Printf.printf " %*s" width "-"
+  else Printf.printf " %*.*f" width decimals v
+
+(* A header of machine names over one O1 and one O2 column each. *)
+let opt_header left names =
+  rule ();
+  print_string (String.make (String.length left) ' ');
+  List.iter (Printf.printf " %21s") names;
+  Printf.printf "\n%s" left;
+  List.iter (fun _ -> Printf.printf " %10s %10s" "O1" "O2") names;
+  print_newline ();
+  rule ()
+
+(* One table line's cells: [key]'s speedup on P CPUs of each machine
+   at O1 and at O2. *)
+let speedup_cells rows key mnames p =
+  List.iter
+    (fun m -> List.iter (fun (o, _) -> cell 10 1 (over rows key m p o)) opts)
+    mnames;
+  print_newline ()
+
+(* Figure 2, Figures 3-6 and the Beowulf extrapolation. *)
+let print_figures rows =
+  print_endline
+    "Figure 2: relative performance on one UltraSPARC CPU (interpreter = 1.0)";
+  rule ();
+  Printf.printf "%-22s %11s %11s %11s %11s\n" "Application" "Interpreter"
+    "MATCOM" "Otter O1" "Otter O2";
+  rule ();
+  List.iter
+    (fun (app : Apps.Scripts.app) ->
+      let ti = sequential rows app.key "workstation" "interp" in
+      Printf.printf "%-22s %11.2f %11.2f" app.name 1.0
+        (ti /. sequential rows app.key "workstation" "matcom");
+      List.iter (fun (o, _) -> cell 11 2 (over rows app.key "workstation" 1 o)) opts;
+      print_newline ())
+    Apps.Scripts.apps;
+  rule ();
+  print_newline ();
+  List.iteri
+    (fun i (app : Apps.Scripts.app) ->
+      Printf.printf
+        "Figure %d: %s -- speedup over the MATLAB interpreter on 1 CPU\n"
+        (i + 3) app.name;
+      Printf.printf "  workload: %s\n" app.grain;
+      opt_header "  CPUs"
+        (List.map (fun (_, (m : Mpisim.Machine.t)) -> m.name) machines);
+      List.iter
+        (fun p ->
+          Printf.printf "%6d" p;
+          speedup_cells rows app.key (List.map fst machines) p)
+        proc_counts;
+      rule ();
+      print_newline ())
+    Apps.Scripts.apps;
+  print_endline
+    "Extrapolation: 16-node commodity Beowulf (1999) vs the paper's CS-2";
+  print_endline "  speedup over the same machine's interpreter on 1 CPU";
+  opt_header (Printf.sprintf "%-22s %5s" "Application" "CPUs")
+    [ "Meiko CS-2"; "Beowulf (1999)" ];
+  List.iter
+    (fun (app : Apps.Scripts.app) ->
+      List.iter
+        (fun p ->
+          Printf.printf "%-22s %5d" (if p = 4 then app.name else "") p;
+          speedup_cells rows app.key [ "meiko"; "beowulf" ] p)
+        [ 4; 16 ])
+    Apps.Scripts.apps;
+  rule ();
+  print_newline ()
+
+(* EXPERIMENTS.md's shape claims, on the paper's own pipeline (-O1).
+   They are reported, not gated: a claim that fails is a deviation to
+   record, not a number to tune. *)
+let print_shape_claims rows =
+  let o1 app machine procs = over rows app machine procs "O1" in
+  let keys = List.map (fun (a : Apps.Scripts.app) -> a.key) Apps.Scripts.apps in
+  let one_cpu = List.map (fun k -> o1 k "workstation" 1) keys in
+  let beats_matcom =
+    List.filter
+      (fun k ->
+        otter rows k "workstation" 1 "O1" < sequential rows k "workstation" "matcom")
+      keys
   in
+  let ocean_peak =
+    List.fold_left
+      (fun best p ->
+        if o1 "ocean" "meiko" p > o1 "ocean" "meiko" best then p else best)
+      1 proc_counts
+  in
+  let cluster_gains =
+    List.filter
+      (fun k ->
+        Float.max (o1 k "cluster" 8) (o1 k "cluster" 16) >= o1 k "cluster" 4)
+      keys
+  in
+  let claims =
+    [
+      ( "Otter beats the interpreter on all four apps",
+        List.for_all (fun s -> s > 1.) one_cpu,
+        Printf.sprintf "%.2f-%.2fx on one CPU"
+          (List.fold_left Float.min infinity one_cpu)
+          (List.fold_left Float.max 0. one_cpu) );
+      ( "the MATCOM split is 2-2",
+        List.length beats_matcom = 2,
+        "Otter faster on " ^ String.concat ", " beats_matcom );
+      ( "TC on 16 CS-2 CPUs is within 15% of 78x",
+        Float.abs ((o1 "tc" "meiko" 16 /. 78.) -. 1.) <= 0.15,
+        Printf.sprintf "%.1fx" (o1 "tc" "meiko" 16) );
+      ( "ocean peaks at 4 or fewer CS-2 CPUs",
+        ocean_peak <= 4,
+        Printf.sprintf "peak at %d" ocean_peak );
+      ( "n-body's 16-CPU CS-2 speedup is below CG's",
+        o1 "nbody" "meiko" 16 < o1 "cg" "meiko" 16,
+        Printf.sprintf "%.1fx vs %.1fx" (o1 "nbody" "meiko" 16)
+          (o1 "cg" "meiko" 16) );
+      ( "the cluster loses speedup past 4 CPUs",
+        cluster_gains = [],
+        if cluster_gains = [] then "on all four apps"
+        else "gains past 4 on " ^ String.concat ", " cluster_gains );
+    ]
+  in
+  print_endline "Shape claims (EXPERIMENTS.md) at -O1, the paper's pipeline:";
+  List.iter
+    (fun (claim, holds, detail) ->
+      Printf.printf "  %-9s  %s (%s)\n"
+        (if holds then "holds" else "DEVIATION")
+        claim detail)
+    claims;
+  print_newline ()
+
+let paper_bench scale =
+  Printf.printf
+    "The paper's evaluation: %d apps x {O1, O2} x %d machines x P in \
+     {1,2,4,8,16}\n"
+    (List.length Apps.Scripts.all)
+    (List.length paper_machines);
+  Printf.printf "  problem scale: %d%% of paper sizes\n\n" scale;
+  let entries = entry_rows scale and seq_rows = sequential_rows scale in
+  let rows = entries @ seq_rows in
+  print_figures rows;
   (* communication summary at P = 4 (message counts are machine
      independent; meiko is the reporting machine) *)
   Printf.printf "Communication at P = 4 (meiko): -O1 vs -O2\n";
-  print_endline (String.make 72 '-');
+  rule ();
   Printf.printf "%-10s %12s %12s %10s %12s\n" "App" "msgs O1" "msgs O2"
     "reduction" "time O2/O1";
-  print_endline (String.make 72 '-');
+  rule ();
   let improved = ref 0 in
   List.iter
     (fun (app : Apps.Scripts.app) ->
-      match (find app.key "meiko" 4 "O1", find app.key "meiko" 4 "O2") with
+      let entry opt = Baseline.find entries (entry_key app.key "meiko" 4 opt) in
+      match (entry "O1", entry "O2") with
       | Some e1, Some e2 ->
           let m1 = Baseline.int e1 "messages" in
           let m2 = Baseline.int e2 "messages" in
@@ -487,39 +504,11 @@ let speedup_bench scale =
             (Baseline.num e2 "time" /. Baseline.num e1 "time")
       | _ -> ())
     Apps.Scripts.all;
-  print_endline (String.make 72 '-');
+  rule ();
   Printf.printf "message count reduced on %d of %d apps at P=4 with -O2\n\n"
     !improved (List.length Apps.Scripts.all);
-  (* speedup table at O2 *)
-  (* the header names the engine and pass level so a table pasted into a
-     report is self-describing *)
-  Printf.printf
-    "Simulated speedup, %s engine at -O2 (relative to 1 CPU, same machine)\n"
-    (Otter.Config.engine_name (Otter.config ()).Otter.Config.engine);
-  print_endline (String.make 72 '-');
-  Printf.printf "%-10s %-9s" "App" "Machine";
-  List.iter (fun p -> Printf.printf " %7d" p) proc_counts;
-  print_newline ();
-  print_endline (String.make 72 '-');
-  List.iter
-    (fun (app : Apps.Scripts.app) ->
-      List.iter
-        (fun (mname, (m : Mpisim.Machine.t)) ->
-          Printf.printf "%-10s %-9s" app.key mname;
-          List.iter
-            (fun p ->
-              if p > m.max_procs then Printf.printf " %7s" "-"
-              else
-                match find app.key mname p "O2" with
-                | Some e -> Printf.printf " %7.2f" (Baseline.num e "speedup")
-                | None -> Printf.printf " %7s" "?")
-            proc_counts;
-          print_newline ())
-        speedup_machines)
-    Apps.Scripts.all;
-  print_endline (String.make 72 '-');
-  print_newline ();
-  ([ ("entries", rows) ], [])
+  print_shape_claims rows;
+  ([ ("entries", entries); ("sequential", seq_rows) ], [])
 
 (* --- chaos benchmark: BENCH_chaos.json ---------------------------------- *)
 
@@ -647,7 +636,7 @@ let chaos_rows scale : Baseline.row list =
                   ]
                 :: !acc)
             chaos_intensities)
-        speedup_machines)
+        machines)
     Apps.Scripts.apps;
   List.rev !acc
 
@@ -694,7 +683,7 @@ let chaos_bench scale =
               | None -> Printf.printf " %*s" width "?")
             chaos_intensities;
           print_newline ())
-        speedup_machines)
+        machines)
     Apps.Scripts.apps;
   print_newline ();
   let count s =
@@ -870,7 +859,7 @@ let scale_rows scale : Baseline.row list =
                 (Otter.config ~machine:pm ~nprocs:procs ())
                 c)
             scale_oversub_procs)
-        speedup_machines)
+        machines)
     Apps.Scripts.apps;
   (* non-block distributions on a representative pair (the 2-D grid leg
      rides on tc only: its dense matmul fallback on cg's n is too slow
@@ -993,7 +982,7 @@ let bandwidth_bench () =
         ok := false;
         Printf.printf "  NOT MONOTONE on %s\n" mname
       end)
-    speedup_machines;
+    machines;
   print_newline ();
   if !ok then
     print_endline
@@ -1011,7 +1000,7 @@ let bandwidth_bench () =
    row and which are gated (see Baseline.gate). *)
 let gated_modes =
   [
-    ("speedup", (speedup_rules, speedup_bench));
+    ("paper", (paper_rules, paper_bench));
     ("chaos", (chaos_rules, chaos_bench));
     ("throughput", (throughput_rules, throughput_bench));
     ("scale", (scale_rules, scale_bench));
@@ -1020,21 +1009,8 @@ let gated_modes =
 let commands =
   [
     ("table1", fun _ -> Tables.print ());
-    ("fig2", fig2);
-    ("fig3", fig_for "cg");
-    ("fig4", fig_for "ocean");
-    ("fig5", fig_for "nbody");
-    ("fig6", fig_for "tc");
-    ( "all",
-      fun scale ->
-        Tables.print ();
-        fig2 scale;
-        List.iter (fun k -> fig_for k scale) [ "cg"; "ocean"; "nbody"; "tc" ]
-    );
     ("ablation", fun _ -> ablation ());
-    ("extrapolate", extrapolate);
     ("sensitivity", fun _ -> sensitivity ());
-    ("micro", fun _ -> micro ());
     ("bandwidth", fun _ -> bandwidth_bench ());
   ]
 
@@ -1097,7 +1073,7 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let cmds = match List.rev !cmds with [] -> [ "all" ] | l -> l in
+  let cmds = match List.rev !cmds with [] -> [ "table1"; "paper" ] | l -> l in
   (* A baseline names its mode and fixes the scale: both are checked
      before anything runs. *)
   let baseline =

@@ -9,8 +9,8 @@ let t name f = Alcotest.test_case name `Quick f
 
 let test_round_trip () =
   List.iter
-    (fun mode ->
-      let rel = Printf.sprintf "bench/BENCH_%s_baseline.json" mode in
+    (fun (name, mode) ->
+      let rel = Printf.sprintf "bench/BENCH_%s_baseline.json" name in
       let file =
         match find_up rel with
         | Some f -> f
@@ -23,7 +23,13 @@ let test_round_trip () =
           Alcotest.(check string)
             (rel ^ ": read then written")
             (read_file file) (B.to_string b))
-    [ "speedup"; "chaos"; "throughput"; "scale" ]
+    [
+      ("paper", "paper");
+      ("paper_full", "paper");
+      ("chaos", "chaos");
+      ("throughput", "throughput");
+      ("scale", "scale");
+    ]
 
 let rules =
   B.[ ("procs", Key); ("job", Key); ("time", Time); ("throughput", Rate);

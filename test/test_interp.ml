@@ -140,6 +140,33 @@ let test_baselines_in_run_shape () =
        + rep.stalls + rep.retries + rep.acks + rep.kills + rep.sched_picks))
     [ Otter.Config.Einterp; Otter.Config.Ematcom ]
 
+(* The modeled clock of both sequential baselines: every "sequential"
+   row of the paper baseline (the interpreter on each of its machines,
+   MATCOM on the workstation) is reproduced to its printed nine
+   decimals at the baseline's scale. *)
+let test_sequential_pinned () =
+  let scale, rows =
+    read_baseline ~section:"sequential" "bench/BENCH_paper_baseline.json"
+  in
+  Alcotest.(check int) "sequential rows" 24 (List.length rows);
+  List.iter
+    (fun e ->
+      let key = Baseline.str e "app" and engine = Baseline.str e "engine" in
+      let machine = Baseline.str e "machine" in
+      let cfg =
+        Otter.config
+          ~engine:(Option.get (Otter.Config.engine_of_string engine))
+          ~machine:(Option.get (Mpisim.Machine.by_name machine))
+          ~nprocs:1 ()
+      in
+      let app = Option.get (Apps.Scripts.find key) in
+      let r = Otter.outcome_exn (Otter.run cfg (compile (app.source scale))) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s on %s: modeled time" key engine machine)
+        (Printf.sprintf "%.9f" (Baseline.num e "time"))
+        (Printf.sprintf "%.9f" r.Exec.State.report.Mpisim.Sim.makespan))
+    rows
+
 (* Differential testing: random element-wise scripts must agree between
    the interpreter and the 4-CPU compiled run. *)
 let gen_script : string QCheck.Gen.t =
@@ -288,4 +315,6 @@ let suite =
     Testutil.qtest ~count:80 "interpreter == compiled on random statements"
       (QCheck.make ~print:(fun s -> s) gen_stmt_program)
       stmt_differential_prop;
+    t "modeled clock matches paper baseline: sequential"
+      test_sequential_pinned;
   ]

@@ -8,7 +8,7 @@
    - the modeled-time pin: every benchmark app at P in {2,4,8} on all
      three paper machines, at O1 and O2, reproduces the simulated time,
      message count and bytes recorded in
-     bench/BENCH_speedup_baseline.json, and verifies against the
+     bench/BENCH_paper_baseline.json, and verifies against the
      reference interpreter;
    - the schedule pin: cg and tc on the fat-tree at P in {128, 256}
      reproduce the modeled time, messages, bytes and scheduler picks
@@ -182,39 +182,23 @@ let test_zero_trip_slots () =
 
 (* --- the modeled-time pin ---------------------------------------------- *)
 
-(* The paper machines under the names the speedup baseline uses. *)
-let machines =
-  [
-    ("meiko", Machine.meiko_cs2);
-    ("smp", Machine.enterprise_smp);
-    ("cluster", Machine.sparc20_cluster);
-  ]
-
-(* A committed bench baseline: its problem scale and its rows. *)
-let read_baseline rel =
-  match find_up rel with
-  | None -> Alcotest.failf "%s not found" rel
-  | Some file -> (
-      match Baseline.read file with
-      | Ok b -> (b.Baseline.scale, Baseline.rows b)
-      | Error e -> Alcotest.failf "%s: %s" file e)
-
 (* One row per (app, machine, CPUs, opt level). *)
-let speedup_baseline =
-  lazy (read_baseline "bench/BENCH_speedup_baseline.json")
+let paper_baseline = lazy (read_baseline "bench/BENCH_paper_baseline.json")
 
-(* One app's P in {2,4,8} rows: each run must reproduce the baseline's
-   modeled time (to its printed nine decimals), message count and
-   bytes; the O2 runs also verify against the reference interpreter. *)
+(* One app's P in {2,4,8} rows on the three parallel machines: each
+   run must reproduce the baseline's modeled time (to its printed nine
+   decimals), message count and bytes; the O2 runs also verify against
+   the reference interpreter. *)
 let speedup_pinned key () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
-  let scale, rows = Lazy.force speedup_baseline in
+  let scale, rows = Lazy.force paper_baseline in
   let pins =
     List.filter
       (fun e ->
         Baseline.str e "app" = key
+        && List.mem (Baseline.str e "machine") [ "meiko"; "smp"; "cluster" ]
         && List.mem (Baseline.int e "procs") [ 2; 4; 8 ])
       rows
   in
@@ -231,7 +215,8 @@ let speedup_pinned key () =
       let c = List.assoc opt compiled in
       let where = Printf.sprintf "%s %s P=%d on %s" key opt procs machine in
       let cfg =
-        Otter.config ~machine:(List.assoc machine machines) ~nprocs:procs ()
+        Otter.config ~machine:(Option.get (Machine.by_name machine))
+          ~nprocs:procs ()
       in
       let r = (Otter.outcome_exn (Otter.run cfg c)).Exec.State.report in
       Alcotest.(check string)

@@ -33,6 +33,20 @@ let find_up rel =
 
 let read_file = Fuzz.read_file
 
+(* A committed bench baseline: its problem scale and the rows of one
+   of its sections. *)
+let read_baseline ?(section = "entries") rel =
+  match find_up rel with
+  | None -> Alcotest.failf "%s not found" rel
+  | Some file -> (
+      match Baseline.read file with
+      | Ok b -> (
+          ( b.Baseline.scale,
+            match List.assoc_opt section b.Baseline.sections with
+            | Some rows -> rows
+            | None -> Alcotest.failf "%s has no %s section" rel section ))
+      | Error e -> Alcotest.failf "%s: %s" file e)
+
 (* The fault model of a spec that must parse. *)
 let faults spec =
   match Mpisim.Machine.faults_of_spec spec with
