@@ -164,7 +164,8 @@ let reduce ~root ~op (data : float array) : float array =
    fixed by rank -- lower-rank data always goes on the left -- so every
    rank produces a bit-identical result (required by the loosely
    synchronous model, where the value often steers replicated control
-   flow) with the same bracketing as the binomial reduce tree.
+   flow) with the same bracketing as the binomial reduce tree.  Each
+   round is one [Reliable.sendrecv] with the partner.
    Non-power-of-two sizes fold the surplus onto the power-of-two core
    first (the lowest [2*(P - 2^k)] ranks pair up, evens passing their
    contribution to their odd neighbour) and hand the surplus ranks the
@@ -203,8 +204,10 @@ let allreduce ~op (data : float array) : float array =
        let mask = ref 1 in
        while !mask < pof2 do
          let partner = real (newrank lxor !mask) in
-         Reliable.send ~dst:partner ~tag:tag_allreduce (Sim.Floats !acc);
-         let other = Reliable.recv_floats ~src:partner ~tag:tag_allreduce in
+         let other =
+           Reliable.sendrecv_floats ~dst:partner ~tag:tag_allreduce
+             (Sim.Floats !acc) ~src:partner
+         in
          acc :=
            if newrank land !mask <> 0 then
              (* the partner's block sits to our left *)
@@ -234,11 +237,13 @@ let check_length ~what ~src ~tag n got =
     protocol_error ~src ~tag
       (Printf.sprintf "%s: expected %d floats, received %d" what n got)
 
-(* Receive a block whose length the schedule knows. *)
-let recv_block ~what ~src ~tag n =
-  let a = Reliable.recv_floats ~src ~tag in
+(* A received block whose length the schedule knows. *)
+let checked_block ~what ~src ~tag n a =
   check_length ~what ~src ~tag n (Array.length a);
   a
+
+let recv_block ~what ~src ~tag n =
+  checked_block ~what ~src ~tag n (Reliable.recv_floats ~src ~tag)
 
 (* Gather variable-sized blocks to [root]; the root receives blocks in
    rank order and returns the concatenation, other ranks return [||]. *)
@@ -276,27 +281,18 @@ let ring_max = 64
 (* The blocks [b, b + n) (mod p) of a gathered array whose block [r]
    starts at [offset r] occupy one span, [offset b, offset (b + n)), or
    two when the window wraps past rank p-1: [offset b, offset p) and
-   [0, offset (b + n - p)).  Returns the two span lengths. *)
-let window_spans ~offset p b n =
-  if b + n <= p then (offset (b + n) - offset b, 0)
-  else (offset p - offset b, offset (b + n - p))
+   [0, offset (b + n - p)).  [first_span] and [second_span] are the two
+   lengths (two functions, not one returning a pair, which would
+   allocate the pair twice per round). *)
+let first_span ~offset p b n =
+  if b + n <= p then offset (b + n) - offset b else offset p - offset b
 
-(* Receive a window of the [l1 + l2] floats that belong at [out]'s
-   spans [dst, dst + l1) and [0, l2), and copy it there unless [out]
-   is [shared] (its blocks' owners have written them already).  The
-   sender ships a [Sim.Window] of its own gathered array, or, under
-   reliable delivery, the flattened [Floats] of one; either way the
-   floats come in order from at most two source spans, so at most
-   three blits place them. *)
-let recv_window ~shared ~src ~tag ~out ~dst l1 l2 =
+let second_span ~offset p b n = if b + n <= p then 0 else offset (b + n - p)
+
+(* Place the [m] floats received as [a.(off .. off+m1-1)] then
+   [a.(0 .. m-m1-1)]: see [place_window]. *)
+let place_spans ~shared ~src ~tag ~out ~dst l1 l2 a off m1 m =
   let n = l1 + l2 in
-  let a, off, m1, m =
-    match Reliable.recv ~src ~tag with
-    | Sim.Window (a, off, m1, m2) -> (a, off, m1, m1 + m2)
-    | Sim.Floats a -> (a, 0, Array.length a, Array.length a)
-    | Sim.Ints _ ->
-        protocol_error ~src ~tag "expected a float payload, received integers"
-  in
   check_length ~what:"allgather" ~src ~tag n m;
   if not shared then begin
     let i = ref 0 in
@@ -315,18 +311,35 @@ let recv_window ~shared ~src ~tag ~out ~dst l1 l2 =
     done
   end
 
+(* Take a received window of the [l1 + l2] floats that belong at
+   [out]'s spans [dst, dst + l1) and [0, l2), and copy it there unless
+   [out] is [shared] (its blocks' owners have written them already).
+   The sender ships a [Sim.Window] of its own gathered array, or, under
+   reliable delivery, the flattened [Floats] of one; either way the
+   floats come in order from at most two source spans, so at most
+   three blits place them. *)
+let place_window ~shared ~src ~tag ~out ~dst l1 l2 received =
+  match received with
+  | Sim.Window (a, off, m1, m2) ->
+      place_spans ~shared ~src ~tag ~out ~dst l1 l2 a off m1 (m1 + m2)
+  | Sim.Floats a ->
+      place_spans ~shared ~src ~tag ~out ~dst l1 l2 a 0 (Array.length a)
+        (Array.length a)
+  | Sim.Ints _ ->
+      protocol_error ~src ~tag "expected a float payload, received integers"
+
 (* Bruck-style doubling allgather: after round k every rank holds the
    window of min(2^k, p) consecutive blocks (mod p) starting at its
    own.  Each round it sends its leading blocks one window to the left
-   and receives the same-shaped extension from one window to the right,
-   so the window doubles until it wraps: ceil(log2 p) rounds, one send
-   and one receive per rank per round.  Offsets are globally known, so
-   the windows are deterministic.  A rank sends a [Sim.Window] of
-   [out] itself, not a packed copy: the blocks it covers are complete
-   before the send, and every later round writes only blocks outside
-   it, so the receiver may read it whenever it gets there.  Every rank
-   sends before it receives and sends are eager, so the schedule
-   cannot deadlock. *)
+   and receives the same-shaped extension from one window to the right
+   (one [Reliable.sendrecv]), so the window doubles until it wraps:
+   ceil(log2 p) rounds, one send and one receive per rank per round.
+   Offsets are globally known, so the windows are deterministic.  A
+   rank sends a [Sim.Window] of [out] itself, not a packed copy: the
+   blocks it covers are complete before the send, and every later
+   round writes only blocks outside it, so the receiver may read it
+   whenever it gets there.  Every rank sends before it receives and
+   sends are eager, so the schedule cannot deadlock. *)
 let allgatherv_doubling ~shared ~offset ~(out : float array) =
   let p = Sim.size () in
   let me = Sim.rank () in
@@ -334,10 +347,18 @@ let allgatherv_doubling ~shared ~offset ~(out : float array) =
   while !w < p do
     let nblocks = min !w (p - !w) in
     let dst = (me - !w + p) mod p and src = (me + !w) mod p in
-    let l1, l2 = window_spans ~offset p me nblocks in
-    Reliable.send ~dst ~tag:tag_ring (Sim.Window (out, offset me, l1, l2));
-    let l1, l2 = window_spans ~offset p src nblocks in
-    recv_window ~shared ~src ~tag:tag_ring ~out ~dst:(offset src) l1 l2;
+    let window =
+      Sim.Window
+        ( out,
+          offset me,
+          first_span ~offset p me nblocks,
+          second_span ~offset p me nblocks )
+    in
+    let received = Reliable.sendrecv ~dst ~tag:tag_ring window ~src in
+    place_window ~shared ~src ~tag:tag_ring ~out ~dst:(offset src)
+      (first_span ~offset p src nblocks)
+      (second_span ~offset p src nblocks)
+      received;
     w := !w + nblocks
   done
 
@@ -376,14 +397,16 @@ let allgatherv_offset ~offset (local : float array) : float array =
     if p > ring_max then allgatherv_doubling ~shared ~offset ~out
     else begin
       let right = (me + 1) mod p and left = (me - 1 + p) mod p in
-      (* At step s we forward the block of rank (me - s + p) mod p. *)
+      (* At step s we forward the block of rank (me - s + p) mod p,
+         in one [Reliable.sendrecv]. *)
       let current = ref (Array.copy local) in
       for s = 1 to p - 1 do
-        Reliable.send ~dst:right ~tag:tag_ring (Sim.Floats !current);
         let owner = (me - s + p) mod p in
         let n = offset (owner + 1) - offset owner in
         let incoming =
-          recv_block ~what:"allgather" ~src:left ~tag:tag_ring n
+          checked_block ~what:"allgather" ~src:left ~tag:tag_ring n
+            (Reliable.sendrecv_floats ~dst:right ~tag:tag_ring
+               (Sim.Floats !current) ~src:left)
         in
         if not shared then Array.blit incoming 0 out (offset owner) n;
         current := incoming

@@ -7,8 +7,8 @@
    hardware; the evaluation cares about ratios (grain size versus
    communication cost), which these preserve. *)
 
-(* Hash tables keyed by an int (a channel id, a node id, a packed
-   mailbox key): a multiplicative mix skips the polymorphic
+(* Hash tables keyed by an int (a node id, a packed mailbox key, a
+   tag): a multiplicative mix skips the polymorphic
    [caml_hash] call the generic [Hashtbl] makes on every lookup.
    [Hashtbl] picks a bucket from the low bits of the hash, so the mix
    folds the product's high half back down: with the identity, a
@@ -170,6 +170,10 @@ type t = {
   send_overhead : float; (* CPU time consumed by a send *)
   recv_overhead : float; (* CPU time consumed by a matched receive *)
   link : int -> int -> link;
+  channels : int -> int;
+      (* [channels n] bounds the contention channel ids [link] returns
+         between CPUs below [n]: each lies in [-1, channels n), so a run
+         keeps its channels' busy-until times in one array *)
   faults : faults option; (* None = the perfect network of the paper *)
   reliable : bool; (* route messaging through the ack/retry layer *)
   placement : placement option;
@@ -213,6 +217,7 @@ let meiko_cs2 =
     send_overhead = 12e-6;
     recv_overhead = 12e-6;
     link;
+    channels = (fun _ -> 0);
     faults = None;
     reliable = false;
     placement = None;
@@ -232,6 +237,7 @@ let enterprise_smp =
     send_overhead = 2e-6;
     recv_overhead = 2e-6;
     link;
+    channels = (fun _ -> 1);
     faults = None;
     reliable = false;
     placement = None;
@@ -269,6 +275,7 @@ let sparc20_cluster =
     send_overhead = 10e-6;
     recv_overhead = 10e-6;
     link;
+    channels = (fun n -> (n + 3) / 4);
     faults = None;
     reliable = false;
     placement = None;
@@ -287,6 +294,7 @@ let workstation =
     send_overhead = 0.;
     recv_overhead = 0.;
     link;
+    channels = (fun _ -> 0);
     faults = None;
     reliable = false;
     placement = None;
@@ -307,6 +315,7 @@ let beowulf =
     send_overhead = 25e-6;
     recv_overhead = 25e-6;
     link;
+    channels = (fun _ -> 0);
     faults = None;
     reliable = false;
     placement = None;
@@ -343,7 +352,12 @@ let fattree ?(radix = 16) ?(levels = 3) () =
   done;
   let self = { latency = 0.5e-6; bandwidth = mbytes 2000.; channel = None } in
   let leaf_bw = mbytes 250. in
-  let cache : link Int_tbl.t = Int_tbl.create 64 in
+  (* the per-switch records by channel id, built on first use ([self]
+     marks a switch not seen yet) *)
+  let nchannels =
+    offset.(levels) + ((max_procs + pow.(levels) - 1) / pow.(levels))
+  in
+  let switches = Array.make nchannels self in
   let link src dst =
     if src = dst then self
     else begin
@@ -353,19 +367,20 @@ let fattree ?(radix = 16) ?(levels = 3) () =
       done;
       let t = !tier in
       let ch = offset.(t) + (src / pow.(t)) in
-      match Int_tbl.find_opt cache ch with
-      | Some l -> l
-      | None ->
-          let l =
-            {
-              (* two hops per tier crossed, up and back down *)
-              latency = 1.4e-6 +. (float_of_int (2 * t) *. 0.9e-6);
-              bandwidth = leaf_bw *. float_of_int pow.(t - 1);
-              channel = Some ch;
-            }
-          in
-          Int_tbl.add cache ch l;
-          l
+      let l = switches.(ch) in
+      if l != self then l
+      else begin
+        let l =
+          {
+            (* two hops per tier crossed, up and back down *)
+            latency = 1.4e-6 +. (float_of_int (2 * t) *. 0.9e-6);
+            bandwidth = leaf_bw *. float_of_int pow.(t - 1);
+            channel = Some ch;
+          }
+        in
+        switches.(ch) <- l;
+        l
+      end
     end
   in
   {
@@ -376,6 +391,7 @@ let fattree ?(radix = 16) ?(levels = 3) () =
     send_overhead = 2.5e-6;
     recv_overhead = 2.5e-6;
     link;
+    channels = (fun _ -> nchannels);
     faults = None;
     reliable = false;
     placement = None;

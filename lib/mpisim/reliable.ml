@@ -167,12 +167,25 @@ let recv ~src ~tag =
 let recv_any ~tag =
   if Sim.reliable_on () then protocol_recv_any ~tag else Sim.recv_any ~tag
 
-let recv_floats ~src ~tag =
-  match recv ~src ~tag with
+(* Under the protocol this is its send then its receive, as two
+   waits; without it, one [Sim.sendrecv] request. *)
+let sendrecv ~dst ~tag data ~src =
+  if Sim.reliable_on () then begin
+    protocol_send ~dst ~tag data;
+    protocol_recv ~src ~tag
+  end
+  else Sim.sendrecv ~dst ~tag data ~src
+
+let floats ~src ~tag = function
   | Sim.Floats a -> a
   | Sim.Window (a, off, l1, l2) -> flatten_window ~lead:0 a off l1 l2
   | Sim.Ints _ ->
       protocol_error ~src ~tag "expected a float payload, received integers"
+
+let recv_floats ~src ~tag = floats ~src ~tag (recv ~src ~tag)
+
+let sendrecv_floats ~dst ~tag data ~src =
+  floats ~src ~tag (sendrecv ~dst ~tag data ~src)
 
 let recv_ints ~src ~tag =
   match recv ~src ~tag with

@@ -33,9 +33,18 @@ val recv_any : tag:int -> int * Sim.payload
     Per-channel sequencing still applies to the discovered source, and
     a duplicate resumes the wildcard wait. *)
 
+val sendrecv : dst:int -> tag:int -> Sim.payload -> src:int -> Sim.payload
+(** {!send} to [dst], then {!recv} from [src] on the same tag: one
+    {!Sim.sendrecv} request without the protocol, its two halves one
+    after the other with it. *)
+
 val recv_floats : src:int -> tag:int -> float array
 (** {!recv} of a float payload; a window arrives as a fresh array of
     its elements in order.  The array is received: read it, do not
     write it. *)
+
+val sendrecv_floats :
+  dst:int -> tag:int -> Sim.payload -> src:int -> float array
+(** {!sendrecv} of a float payload, received as by {!recv_floats}. *)
 
 val recv_ints : src:int -> tag:int -> int array

@@ -1,16 +1,22 @@
 (* Discrete-event SPMD simulator built on OCaml effect handlers.
 
    Every simulated rank is a delimited computation.  Only the
-   operations that can make a rank wait are effects, because only they
-   yield to the scheduler:
+   operations that can make a rank wait yield to the scheduler, and
+   all of them yield the same way: the rank writes a request into its
+   slots of the run record and performs the one effect [E_wait]; the
+   scheduler carries the request out in global virtual-time order and
+   resumes the rank with the reply.  The requests are:
 
-   - [E_send] timestamps a message using the machine's link model --
+   - a send timestamps a message using the machine's link model --
      including serialization on shared channels -- and delivers it to
      the destination mailbox (eager: the sender resumes at once, but
      the delivery happens in global virtual-time order);
-   - [E_recv_opt] waits for a message from one (source, tag) until a
+   - a receive waits for a message from one (source, tag) until a
      deadline (infinity: forever);
-   - [E_recv_any] waits for a message with a tag from any source.
+   - a wildcard receive waits for a message with a tag from any source;
+   - a send-receive is a send followed by a receive on the same tag,
+     which the scheduler runs as the two would run, except that it
+     posts the receive itself instead of resuming the rank in between.
 
    Everything else -- compute charges, clock and identity queries,
    probes -- is local to the running rank and updates the published
@@ -61,20 +67,11 @@ let payload_bytes = function
   | Ints a -> 8 * Array.length a
   | Window (_, _, l1, l2) -> 8 * (l1 + l2)
 
-type _ Effect.t +=
-  | E_send : int * int * (int * int) option * payload -> unit Effect.t
-      (* dst, tag, optional (ack tag, seq): with one, a successful
-         delivery also queues a transport-level acknowledgement
-         [Ints [|seq|]] back to the sender on the ack tag (the reliable
-         layer's retransmission timer watches for it) *)
-  | E_recv_opt : int * int * float -> payload option Effect.t
-      (* src, tag, timeout: [None] once the deadline passes; an
-         infinite timeout waits forever *)
-  | E_recv_any : int -> (int * payload) Effect.t
-      (* tag: wildcard-source receive -- block until a message with
-         this tag arrives from ANY rank; returns (source, data).  Among
-         pending candidates the earliest arrival wins, ties going to
-         the lowest source rank, so the match is deterministic. *)
+(* The one effect: "carry out the request in my slots".  The scheduler
+   resumes the rank with the payload a receive took, or [no_data] (see
+   below).  A constant constructor, so performing it allocates no
+   effect value. *)
+type _ Effect.t += E_wait : payload Effect.t
 
 exception
   Timeout of {
@@ -146,14 +143,128 @@ let new_report ?(compute_time = 0.) clocks =
 
 exception Deadlock of string
 
+(* --- mailboxes ----------------------------------------------------------- *)
+
+(* Messages queued at one (destination, source, tag), oldest first: a
+   ring buffer of arrival times (a flat float array, so queueing one
+   boxes nothing) and payloads, its capacity a power of two.  Once a
+   wildcard receive or probe has asked for its (destination, tag), the
+   mailbox belongs to [pend], that pair's set of nonempty mailboxes,
+   and sits in it at index [pix] while it holds a message: a wildcard
+   receive matches over that set, not over every possible source.
+   Until then [pend] is [no_pending], and queueing costs nothing
+   more. *)
+type mailbox = {
+  from : int; (* the source *)
+  mutable arrivals : float array;
+  mutable datas : payload array;
+  mutable head : int;
+  mutable len : int;
+  mutable pend : pending;
+  mutable pix : int; (* index in [pend.boxes]; -1 while empty *)
+}
+
+and pending = { mutable boxes : mailbox array; mutable count : int }
+
+(* The filler of a payload slot that holds nothing, and what a wait
+   returns when it takes no message: a send, or a receive that timed
+   out.  Built here and never sent, so no received payload is
+   physically equal to it. *)
+let no_data = Ints (Array.make 0 0)
+
+let new_pending () = { boxes = [||]; count = 0 }
+
+let new_mailbox ~from pend =
+  {
+    from;
+    arrivals = Array.create_float 2;
+    datas = Array.make 2 no_data;
+    head = 0;
+    len = 0;
+    pend;
+    pix = -1;
+  }
+
+(* Fillers for slots that hold no mailbox yet, and the set of a
+   mailbox no wildcard has asked for; never written.  They are made
+   once, at module initialisation, so they are long promoted by the
+   time an array is made of them: an [Array.make] of more than 256
+   words with a young value forces a minor collection. *)
+let no_pending = new_pending ()
+let no_mailbox = new_mailbox ~from:(-1) no_pending
+
+let pend_add p mb =
+  if p.count = Array.length p.boxes then begin
+    let boxes = Array.make (max 4 (2 * p.count)) no_mailbox in
+    Array.blit p.boxes 0 boxes 0 p.count;
+    p.boxes <- boxes
+  end;
+  p.boxes.(p.count) <- mb;
+  mb.pix <- p.count;
+  p.count <- p.count + 1
+
+let pend_remove p mb =
+  let last = p.boxes.(p.count - 1) in
+  p.boxes.(mb.pix) <- last;
+  last.pix <- mb.pix;
+  p.count <- p.count - 1;
+  mb.pix <- -1
+
+let grow mb =
+  let cap = Array.length mb.arrivals in
+  let arrivals = Array.create_float (2 * cap)
+  and datas = Array.make (2 * cap) no_data in
+  for i = 0 to mb.len - 1 do
+    let j = (mb.head + i) land (cap - 1) in
+    arrivals.(i) <- mb.arrivals.(j);
+    datas.(i) <- mb.datas.(j)
+  done;
+  mb.arrivals <- arrivals;
+  mb.datas <- datas;
+  mb.head <- 0
+
+(* Inlined, so [arrival] reaches the array unboxed. *)
+let[@inline] push mb arrival data =
+  if mb.len = Array.length mb.arrivals then grow mb;
+  let i = (mb.head + mb.len) land (Array.length mb.arrivals - 1) in
+  mb.arrivals.(i) <- arrival;
+  mb.datas.(i) <- data;
+  if mb.len = 0 && mb.pend != no_pending then pend_add mb.pend mb;
+  mb.len <- mb.len + 1
+
+(* Remove the oldest message (the caller has read its arrival) and
+   return its payload; the slot drops its reference. *)
+let pop mb =
+  let h = mb.head in
+  let data = mb.datas.(h) in
+  mb.datas.(h) <- no_data;
+  mb.head <- (h + 1) land (Array.length mb.arrivals - 1);
+  mb.len <- mb.len - 1;
+  if mb.len = 0 && mb.pend != no_pending then pend_remove mb.pend mb;
+  data
+
+(* The wildcard match over a nonempty set: the mailbox holding the
+   earliest pending arrival, ties going to the lowest source rank. *)
+let earliest p =
+  let best = ref p.boxes.(0) in
+  for i = 1 to p.count - 1 do
+    let mb = p.boxes.(i) and b = !best in
+    let a = mb.arrivals.(mb.head) and ab = b.arrivals.(b.head) in
+    if a < ab || (a = ab && mb.from < b.from) then best := mb
+  done;
+  !best
+
 (* --- the run record ------------------------------------------------------ *)
 
-(* Messages queued at one (destination, source, tag): (arrival, data). *)
-type mailbox = (float * payload) Queue.t
-
-(* A single-float record is stored flat, so updating [until] allocates
-   nothing (a [float] value in a table would be boxed on every write). *)
-type busy = { mutable until : float }
+(* What a rank's request slots hold. *)
+type request =
+  | Start (* not started yet: the next step runs the body *)
+  | Done (* finished or killed: nothing to resume *)
+  | Send (* to [peer] on [tag] *)
+  | Send_acked (* a [Send] whose delivery also queues an ack on [ack_tag] *)
+  | Recv (* from [peer] on [tag] until [deadline], out of [mbox] *)
+  | Recv_any (* from any source on [tag], out of [pend] *)
+  | Sendrecv (* a [Send], then a [Recv] from [rsrc] on the same tag *)
 
 (* One allgather call's shared result: the array, how many ranks have
    taken their handle on this slot so far, and whether they all asked
@@ -175,9 +286,14 @@ type run_state = {
   mailboxes : mailbox Machine.Int_tbl.t array;
       (* per destination rank, keyed [(tag lsl 20) lor src].  One small
          table per rank beats one big table keyed by an allocated
-         (dst, src, tag) triple: the packed int key hashes to itself
-         and allocates nothing on lookup. *)
-  channel_free : busy Machine.Int_tbl.t; (* contention channel -> busy-until *)
+         (dst, src, tag) triple: the packed int key allocates nothing
+         on lookup. *)
+  pendings : pending Machine.Int_tbl.t array;
+      (* per destination rank, keyed by tag: its nonempty mailboxes,
+         for the tags a wildcard has asked for *)
+  channel_free : float array;
+      (* busy-until of contention channel [ch] at [ch + 1] (the
+         cluster's Ethernet is channel -1), sized by the machine *)
   report : report; (* its [per_rank_clock] is [clocks] *)
   compute_time : float array;
       (* one slot: the run's summed compute charges, unboxed so a charge
@@ -193,6 +309,22 @@ type run_state = {
       (* oversubscription: (rank -> CPU, per-CPU busy-until).  [None]
          (one rank per CPU) keeps the exact historical arithmetic. *)
   mutable running : int; (* the rank the scheduler last resumed *)
+  (* Each rank's request, one slot per rank in each of the arrays
+     below (floats in flat ones), so that asking allocates nothing;
+     the reply is the value the rank is resumed with. *)
+  kind : request array;
+  peer : int array;
+      (* a send's destination or a receive's source; after a wildcard
+         match, the source it matched *)
+  rsrc : int array; (* a send-receive's source *)
+  tag : int array;
+  ack_tag : int array; (* [Send_acked]: the ack's tag and sequence number *)
+  seq : int array;
+  timeout : float array; (* a receive's wait, seconds *)
+  deadline : float array; (* a posted receive's: clock at posting + wait *)
+  data : payload array; (* a send's payload, until it is delivered *)
+  mbox : mailbox array; (* a posted receive's mailbox *)
+  pend : pending array; (* a posted wildcard receive's candidates *)
 }
 
 let current : run_state option ref = ref None
@@ -211,33 +343,47 @@ let check_tag tag =
 
 let mbox_key ~src ~tag = (tag lsl src_bits) lor src
 
+(* The set of (dst, tag)'s nonempty mailboxes, made on the first
+   wildcard that asks: every mailbox of that pair joins it then, and
+   every later one when it is made. *)
+let pending_of st ~dst ~tag =
+  let t = st.pendings.(dst) in
+  match Machine.Int_tbl.find t tag with
+  | p -> p
+  | exception Not_found ->
+      let p = new_pending () in
+      Machine.Int_tbl.add t tag p;
+      Machine.Int_tbl.iter
+        (fun key (q : mailbox) ->
+          if key lsr src_bits = tag then begin
+            q.pend <- p;
+            if q.len > 0 then pend_add p q
+          end)
+        st.mailboxes.(dst);
+      p
+
 let mailbox st ~dst ~src ~tag =
   let t = st.mailboxes.(dst) in
   let key = mbox_key ~src ~tag in
-  match Machine.Int_tbl.find_opt t key with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
+  match Machine.Int_tbl.find t key with
+  | q -> q
+  | exception Not_found ->
+      let pend =
+        match Machine.Int_tbl.find st.pendings.(dst) tag with
+        | p -> p
+        | exception Not_found -> no_pending
+      in
+      let q = new_mailbox ~from:src pend in
       Machine.Int_tbl.add t key q;
       q
 
-(* The wildcard match: scan every source's queue for (dst, tag) and
-   return the source holding the earliest pending arrival, ties going
-   to the lowest source rank.  The ascending scan updating only on a
-   strictly earlier arrival implements the tie-break. *)
-let any_mailbox st ~dst ~tag : (int * float) option =
-  let t = st.mailboxes.(dst) in
-  let best = ref None in
-  for src = 0 to st.nprocs - 1 do
-    match Machine.Int_tbl.find_opt t (mbox_key ~src ~tag) with
-    | Some q when not (Queue.is_empty q) -> (
-        let arrival = fst (Queue.peek q) in
-        match !best with
-        | Some (_, a) when a <= arrival -> ()
-        | _ -> best := Some (src, arrival))
-    | _ -> ()
-  done;
-  !best
+(* The mailbox a message from [src] to [dst] on [tag] lands in: when
+   [dst] is blocked on exactly (src, tag), the one its receive posted,
+   without a lookup. *)
+let inbox st ~dst ~src ~tag =
+  match st.kind.(dst) with
+  | Recv when st.peer.(dst) = src && st.tag.(dst) = tag -> st.mbox.(dst)
+  | _ -> mailbox st ~dst ~src ~tag
 
 (* Physical endpoint of a virtual rank: identity without a placement. *)
 let phys st r = match st.place with None -> r | Some (cpu_of, _) -> cpu_of.(r)
@@ -251,7 +397,7 @@ let outside op = invalid_arg (Printf.sprintf "Sim.%s: called outside Sim.run" op
    serializes on the rank's CPU: it starts when both the rank and the
    CPU are free, and occupies the CPU until it ends.  That is the whole
    oversubscription cost model -- messages stay per-rank. *)
-let charge_compute st r t =
+let[@inline] charge_compute st r t =
   (match st.place with
   | None -> st.clocks.(r) <- st.clocks.(r) +. t
   | Some (cpu_of, cpu_free) ->
@@ -334,27 +480,65 @@ let probe ~src ~tag =
   | Some st ->
       if src < -1 || src >= st.nprocs then invalid_arg "probe: bad source rank";
       let me = st.running in
-      if src = -1 then
-        match any_mailbox st ~dst:me ~tag with
-        | Some (_, arrival) -> arrival <= st.clocks.(me)
-        | None -> false
+      let arrived q = q.len > 0 && q.arrivals.(q.head) <= st.clocks.(me) in
+      if src >= 0 then arrived (mailbox st ~dst:me ~src ~tag)
       else
-        let q = mailbox st ~dst:me ~src ~tag in
-        (not (Queue.is_empty q)) && fst (Queue.peek q) <= st.clocks.(me)
+        let p = pending_of st ~dst:me ~tag in
+        p.count > 0 && arrived (earliest p)
 
-let send ~dst ~tag data = perform (E_send (dst, tag, None, data))
+(* The running rank's run record, for an operation that waits. *)
+let waiting op = match !current with Some st -> st | None -> outside op
+
+let send ~dst ~tag data =
+  let st = waiting "send" in
+  let me = st.running in
+  st.kind.(me) <- Send;
+  st.peer.(me) <- dst;
+  st.tag.(me) <- tag;
+  st.data.(me) <- data;
+  ignore (perform E_wait)
 
 let send_acked ~dst ~tag ~ack_tag ~seq data =
-  perform (E_send (dst, tag, Some (ack_tag, seq), data))
+  let st = waiting "send_acked" in
+  let me = st.running in
+  st.kind.(me) <- Send_acked;
+  st.peer.(me) <- dst;
+  st.tag.(me) <- tag;
+  st.ack_tag.(me) <- ack_tag;
+  st.seq.(me) <- seq;
+  st.data.(me) <- data;
+  ignore (perform E_wait)
 
-let recv_opt ~src ~tag ~timeout = perform (E_recv_opt (src, tag, timeout))
-let recv_any ~tag = perform (E_recv_any tag)
+(* A receive from (src, tag) that waits at most [timeout] seconds;
+   [no_data] if it expired. *)
+let await ~src ~tag ~timeout =
+  let st = waiting "recv" in
+  let me = st.running in
+  st.kind.(me) <- Recv;
+  st.peer.(me) <- src;
+  st.tag.(me) <- tag;
+  st.timeout.(me) <- timeout;
+  perform E_wait
+
+let recv_opt ~src ~tag ~timeout =
+  let d = await ~src ~tag ~timeout in
+  if d == no_data then None else Some d
+
+let recv_any ~tag =
+  let st = waiting "recv_any" in
+  let me = st.running in
+  st.kind.(me) <- Recv_any;
+  st.tag.(me) <- tag;
+  let d = perform E_wait in
+  (st.peer.(me), d)
+
+let expired ~src ~tag ~timeout =
+  raise (Timeout { rank = rank (); src; tag; waited = timeout })
 
 (* A receive that raises a typed [Timeout] at its deadline. *)
 let recv_timeout ~src ~tag ~timeout =
-  match recv_opt ~src ~tag ~timeout with
-  | Some p -> p
-  | None -> raise (Timeout { rank = rank (); src; tag; waited = timeout })
+  let d = await ~src ~tag ~timeout in
+  if d == no_data then expired ~src ~tag ~timeout else d
 
 (* Under a fault model, a receive defaults to the model's [detect]
    timeout so that a lost message surfaces as a typed [Timeout] rather
@@ -373,21 +557,48 @@ let recv ~src ~tag = recv_timeout ~src ~tag ~timeout:(detect_timeout ())
 let recv_wait ?(min_timeout = 0.) ~src ~tag () =
   recv_timeout ~src ~tag ~timeout:(Float.max (detect_timeout ()) min_timeout)
 
-type 'a suspended =
-  | Finished
-  | Wants_send of int * int * (int * int) option * payload * ('a, unit) blocked_k
-      (* send to (dst, tag), with an optional (ack tag, seq) transport
-         acknowledgement: performed by the scheduler in global
-         virtual-time order so that shared-channel contention is
-         accounted accurately *)
-  | Wants_recv_t of int * int * float * mailbox * ('a, payload option) blocked_k
-      (* waiting on (src, tag) until the absolute deadline (infinity:
-         no deadline); the mailbox of (src, tag) is looked up once, when
-         the wait begins *)
-  | Wants_recv_any of int * ('a, int * payload) blocked_k
-      (* waiting on (any source, tag) *)
+(* [send] then [recv] on one tag, as one request: the scheduler runs
+   both halves in the step that would have run the send. *)
+let sendrecv ~dst ~tag data ~src =
+  let st = waiting "sendrecv" in
+  let me = st.running in
+  let timeout = detect_timeout () in
+  st.kind.(me) <- Sendrecv;
+  st.peer.(me) <- dst;
+  st.rsrc.(me) <- src;
+  st.tag.(me) <- tag;
+  st.timeout.(me) <- timeout;
+  st.data.(me) <- data;
+  let d = perform E_wait in
+  if d == no_data then expired ~src ~tag ~timeout else d
 
-and ('a, 'b) blocked_k = ('b, 'a suspended) continuation
+let check_send st r =
+  if st.peer.(r) < 0 || st.peer.(r) >= st.nprocs then
+    invalid_arg "send: bad destination rank";
+  check_tag st.tag.(r)
+
+(* Check rank [r]'s request and, for a receive, post it: its deadline
+   runs from the clock now, and its mailbox is looked up once, here.
+   Runs in the scheduler (the effect handler or a scheduling step), so
+   a bad argument raises [Invalid_argument] out of [run] as it is, not
+   wrapped in [Rank_failure]. *)
+let post st r =
+  match st.kind.(r) with
+  | Send | Sendrecv -> check_send st r
+  | Send_acked ->
+      check_send st r;
+      check_tag st.ack_tag.(r)
+  | Recv ->
+      let src = st.peer.(r) and tag = st.tag.(r) in
+      if src < 0 || src >= st.nprocs then invalid_arg "recv: bad source rank";
+      check_tag tag;
+      if st.timeout.(r) < 0. then invalid_arg "recv: negative timeout";
+      st.deadline.(r) <- st.clocks.(r) +. st.timeout.(r);
+      st.mbox.(r) <- mailbox st ~dst:r ~src ~tag
+  | Recv_any ->
+      check_tag st.tag.(r);
+      st.pend.(r) <- pending_of st ~dst:r ~tag:st.tag.(r)
+  | Start | Done -> assert false
 
 (* --- the fault model ----------------------------------------------------- *)
 
@@ -440,14 +651,18 @@ let degraded (f : Machine.faults) ~src ~dst ~now =
   let ix = (((window * 131) + src) * 131) + dst in
   Rng.uniform ~seed:(f.Machine.fault_seed lxor 0xdead) ix < f.Machine.degrade
 
-(* Transfer timing: a message leaves when both the sender and (for a
-   shared medium) the channel are free; it arrives one latency plus one
+(* Deliver rank [src]'s pending send (its request slots).  Transfer
+   timing: a message leaves when both the sender and (for a shared
+   medium) the channel are free; it arrives one latency plus one
    serialization time later.  Fault injection happens here: the send
    cost is always paid, but the network may destroy, duplicate, or
    delay what was sent.  The payload itself changes hands by reference
    (see [send] in sim.mli for the ownership rule), so an injected
    duplicate queues the same array, or the same window of one, twice. *)
-let deliver st ~src ~dst ~tag ?ack data =
+let deliver st ~src =
+  let dst = st.peer.(src) and tag = st.tag.(src) in
+  let data = st.data.(src) in
+  st.data.(src) <- no_data;
   let faults = st.machine.Machine.faults in
   (* rank stall: the sender loses time before the message even leaves *)
   (match faults with
@@ -481,16 +696,14 @@ let deliver st ~src ~dst ~tag ?ack data =
     match link.Machine.channel with
     | None -> st.clocks.(src)
     | Some ch ->
-        let free =
-          match Machine.Int_tbl.find_opt st.channel_free ch with
-          | Some b -> b
-          | None ->
-              let b = { until = 0. } in
-              Machine.Int_tbl.add st.channel_free ch b;
-              b
-        in
-        let start = Float.max st.clocks.(src) free.until in
-        free.until <- start +. ser;
+        let i = ch + 1 in
+        if i < 0 || i >= Array.length st.channel_free then
+          invalid_arg
+            (Printf.sprintf "Sim: %s reports channel %d, outside [-1, %d)"
+               st.machine.Machine.name ch
+               (Array.length st.channel_free - 1));
+        let start = Float.max st.clocks.(src) st.channel_free.(i) in
+        st.channel_free.(i) <- start +. ser;
         start
   in
   let arrival = start +. latency +. ser in
@@ -504,21 +717,21 @@ let deliver st ~src ~dst ~tag ?ack data =
   in
   if dropped then st.report.drops <- st.report.drops + 1
   else begin
-    Queue.push (arrival, data) (mailbox st ~dst ~src ~tag);
+    let q = inbox st ~dst ~src ~tag in
+    push q arrival data;
     match faults with
     | Some f when f.Machine.dup > 0. && draw st f ~salt:salt_dup < f.Machine.dup
       ->
         st.report.dups <- st.report.dups + 1;
-        Queue.push (arrival +. latency, data) (mailbox st ~dst ~src ~tag)
+        push q (arrival +. latency) data
     | _ -> ()
   end;
   (* Transport-level acknowledgement: models the NIC acking on arrival,
      so it does not depend on the receiving rank's control flow (which
      is what keeps the reliable layer deadlock-free).  The ack crosses
      the reverse link and is itself subject to loss. *)
-  match ack with
-  | None -> ()
-  | Some (ack_tag, seq) ->
+  match st.kind.(src) with
+  | Send_acked ->
       (* A dead destination's NIC cannot acknowledge: suppressing the
          ack is what makes the sender's reliable layer notice the
          failure (retries, then [Exhausted]). *)
@@ -538,55 +751,13 @@ let deliver st ~src ~dst ~tag ?ack data =
         if ack_dropped then st.report.drops <- st.report.drops + 1
         else begin
           st.report.acks <- st.report.acks + 1;
-          Queue.push
-            (ack_arrival, Ints [| seq |])
-            (mailbox st ~dst:src ~src:dst ~tag:ack_tag)
+          push
+            (mailbox st ~dst:src ~src:dst ~tag:st.ack_tag.(src))
+            ack_arrival
+            (Ints [| st.seq.(src) |])
         end
       end
-
-(* Run one rank until it finishes or blocks.  Any exception escaping
-   the rank body is wrapped with the rank's identity so the failure is
-   attributable. *)
-let handler st results my_rank (body : int -> 'a) : 'a suspended =
-  match_with
-    (fun () ->
-      let v = body my_rank in
-      results.(my_rank) <- Some v)
-    ()
-    {
-      retc = (fun () -> Finished);
-      exnc = (fun e -> raise (Rank_failure { rank = my_rank; exn = e }));
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | E_send (dst, tag, ack, data) ->
-              Some
-                (fun (k : (b, _) continuation) ->
-                  if dst < 0 || dst >= st.nprocs then
-                    invalid_arg "send: bad destination rank";
-                  check_tag tag;
-                  Option.iter (fun (ack_tag, _) -> check_tag ack_tag) ack;
-                  Wants_send (dst, tag, ack, data, k))
-          | E_recv_opt (src, tag, timeout) ->
-              Some
-                (fun k ->
-                  if src < 0 || src >= st.nprocs then
-                    invalid_arg "recv: bad source rank";
-                  check_tag tag;
-                  if timeout < 0. then invalid_arg "recv: negative timeout";
-                  Wants_recv_t
-                    ( src,
-                      tag,
-                      st.clocks.(my_rank) +. timeout,
-                      mailbox st ~dst:my_rank ~src ~tag,
-                      k ))
-          | E_recv_any tag ->
-              Some
-                (fun k ->
-                  check_tag tag;
-                  Wants_recv_any (tag, k))
-          | _ -> None);
-    }
+  | _ -> ()
 
 (* --- the scheduler's heap ------------------------------------------------ *)
 
@@ -722,6 +893,9 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
         in
         Some (cpu_of, Array.make cpus 0.)
   in
+  let ncpus =
+    match place with None -> nprocs | Some (_, cpu_free) -> Array.length cpu_free
+  in
   let clocks = Array.make nprocs 0. in
   let st =
     {
@@ -729,7 +903,8 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       nprocs;
       clocks;
       mailboxes = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
-      channel_free = Machine.Int_tbl.create 8;
+      pendings = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
+      channel_free = Array.make (machine.Machine.channels ncpus + 1) 0.;
       report = new_report clocks;
       compute_time = [| 0. |];
       scratch = Array.init nprocs (fun _ -> Hashtbl.create 16);
@@ -739,6 +914,17 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       death = death_schedule machine.Machine.faults ~nprocs ~attempt;
       place;
       running = 0;
+      kind = Array.make nprocs Start;
+      peer = Array.make nprocs 0;
+      rsrc = Array.make nprocs 0;
+      tag = Array.make nprocs 0;
+      ack_tag = Array.make nprocs 0;
+      seq = Array.make nprocs 0;
+      timeout = Array.make nprocs 0.;
+      deadline = Array.make nprocs 0.;
+      data = Array.make nprocs no_data;
+      mbox = Array.make nprocs no_mailbox;
+      pend = Array.make nprocs no_pending;
     }
   in
   let results = Array.make nprocs None in
@@ -747,6 +933,33 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   let prev = !current in
   current := Some st;
   Fun.protect ~finally:(fun () -> current := prev) @@ fun () ->
+  (* Each suspended rank's continuation.  Filled with the first one
+     captured, so no slot needs an option; a rank's own slot is written
+     whenever it suspends, before the scheduler can resume it. *)
+  let conts = ref [||] in
+  (* Start rank [r]: run its body until it finishes or waits.  Any
+     exception escaping the body is wrapped with the rank's identity
+     so the failure is attributable. *)
+  let start r =
+    let wait =
+      Some
+        (fun (k : (payload, unit) continuation) ->
+          post st r;
+          if Array.length !conts = 0 then conts := Array.make nprocs k;
+          !conts.(r) <- k)
+    in
+    match_with
+      (fun () -> results.(r) <- Some (body r))
+      ()
+      {
+        retc = (fun () -> st.kind.(r) <- Done);
+        exnc = (fun e -> raise (Rank_failure { rank = r; exn = e }));
+        effc =
+          (fun (type b) (eff : b Effect.t) :
+               ((b, unit) continuation -> unit) option ->
+            match eff with E_wait -> wait | _ -> None);
+      }
+  in
   (* Cooperative scheduling in virtual-time order: of all ranks that
      can make progress (initial start, pending send, or a blocked
      receive whose message has arrived), always resume the one with
@@ -755,10 +968,6 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
      with a finite deadline is always eventually runnable: it sorts by its
      deadline, so it fires only once no other rank could still produce
      an earlier event -- which is what makes timing out safe. *)
-  (* [states.(r)] is meaningful once [r] has started; [Finished] until
-     then, like a finished rank it has nothing to resume. *)
-  let states = Array.make nprocs Finished in
-  let pending_start = Array.make nprocs true in
   let dead = Array.make nprocs false in
   (* The failure detector: a receive blocked on a peer scheduled to die
      becomes runnable at (death + detect) -- the heartbeat deadline --
@@ -781,27 +990,23 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   let base_key r =
     (* [nan] = cannot step; otherwise the virtual time used for pick *)
     slot.(0) <-
-      (if pending_start.(r) then st.clocks.(r)
-       else
-         match states.(r) with
-         | Finished -> Float.nan
-         | Wants_send _ -> st.clocks.(r)
-         | Wants_recv_any (tag, _) ->
-             (* no single peer to watch for death: a wildcard wait with
-                no pending message simply stays blocked (total silence
-                ends the run as a [Deadlock] with this wait in the
-                diagnostic) *)
-             if any_mailbox st ~dst:r ~tag = None then Float.nan
-             else st.clocks.(r)
-         | Wants_recv_t (src, _, deadline, q, _) ->
-             if (not (Queue.is_empty q)) && fst (Queue.peek q) <= deadline
-             then st.clocks.(r)
-             else
-               let d = detector.(src) in
-               if not (Float.is_nan d) then
-                 if d < deadline then d else deadline
-               else if deadline < infinity then deadline
-               else Float.nan (* no deadline, no detector: blocked *))
+      (match st.kind.(r) with
+      | Start | Send | Send_acked | Sendrecv -> st.clocks.(r)
+      | Done -> Float.nan
+      | Recv_any ->
+          (* no single peer to watch for death: a wildcard wait with
+             no pending message simply stays blocked (total silence
+             ends the run as a [Deadlock] with this wait in the
+             diagnostic) *)
+          if st.pend.(r).count = 0 then Float.nan else st.clocks.(r)
+      | Recv ->
+          let q = st.mbox.(r) and deadline = st.deadline.(r) in
+          if q.len > 0 && q.arrivals.(q.head) <= deadline then st.clocks.(r)
+          else
+            let d = detector.(st.peer.(r)) in
+            if not (Float.is_nan d) then if d < deadline then d else deadline
+            else if deadline < infinity then deadline
+            else Float.nan (* no deadline, no detector: blocked *))
   in
   (* A doomed rank's death is itself a schedulable event: once the rank
      has no step strictly before its death time (the key in [slot]),
@@ -863,6 +1068,21 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       end
     end
   in
+  (* Rank [r]'s send half: deliver it, which may unblock the
+     destination ([r] itself is re-enqueued after the step). *)
+  let send_step r =
+    let dst = st.peer.(r) in
+    deliver st ~src:r;
+    if dst <> r then wake dst
+  in
+  (* Resume rank [r] with the oldest message of [q]. *)
+  let receive r q =
+    let arrival = q.arrivals.(q.head) in
+    let data = pop q in
+    st.clocks.(r) <-
+      Float.max st.clocks.(r) arrival +. st.machine.Machine.recv_overhead;
+    continue !conts.(r) data
+  in
   for r = 0 to nprocs - 1 do
     wake r
   done;
@@ -873,29 +1093,29 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
         st.report.sched_picks <- st.report.sched_picks + 1;
         if r < 0 then begin
           let buf = Buffer.create 128 in
-          Array.iteri
-            (fun rr s ->
-              if dead.(rr) then
-                Buffer.add_string buf
-                  (Printf.sprintf "  rank %d died at t=%.6f\n" rr st.death.(rr))
-              else
-                match s with
-                | Wants_recv_t (src, tag, _, _, _) ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "  rank %d waits for (src=%d, tag=%d)%s\n"
-                         rr src tag
-                         (if dead.(src) then " [source is dead]" else ""))
-                | Wants_recv_any (tag, _) ->
-                    Buffer.add_string buf
-                      (Printf.sprintf
-                         "  rank %d waits for (src=any, tag=%d)\n" rr tag)
-                | Wants_send (dst, tag, _, _, _) ->
-                    Buffer.add_string buf
-                      (Printf.sprintf
-                         "  rank %d pending send to (dst=%d, tag=%d)\n" rr dst
-                         tag)
-                | Finished -> ())
-            states;
+          for rr = 0 to nprocs - 1 do
+            if dead.(rr) then
+              Buffer.add_string buf
+                (Printf.sprintf "  rank %d died at t=%.6f\n" rr st.death.(rr))
+            else
+              match st.kind.(rr) with
+              | Recv ->
+                  let src = st.peer.(rr) in
+                  Buffer.add_string buf
+                    (Printf.sprintf "  rank %d waits for (src=%d, tag=%d)%s\n"
+                       rr src st.tag.(rr)
+                       (if dead.(src) then " [source is dead]" else ""))
+              | Recv_any ->
+                  Buffer.add_string buf
+                    (Printf.sprintf "  rank %d waits for (src=any, tag=%d)\n"
+                       rr st.tag.(rr))
+              | Send | Send_acked | Sendrecv ->
+                  Buffer.add_string buf
+                    (Printf.sprintf
+                       "  rank %d pending send to (dst=%d, tag=%d)\n" rr
+                       st.peer.(rr) st.tag.(rr))
+              | Start | Done -> ()
+          done;
           raise (Deadlock (Buffer.contents buf))
         end;
         base_key r;
@@ -906,65 +1126,49 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
              will.  Survivors learn of it from silence: missing acks
              (retries, then [Exhausted]) or the failure detector. *)
           dead.(r) <- true;
-          pending_start.(r) <- false;
           st.clocks.(r) <- Float.max st.clocks.(r) st.death.(r);
           st.report.kills <- st.report.kills + 1;
-          states.(r) <- Finished;
+          st.kind.(r) <- Done;
           incr finished
         end
         else begin
           st.running <- r;
-          let next =
-            if pending_start.(r) then begin
-              pending_start.(r) <- false;
-              handler st results r body
-            end
-            else
-              match states.(r) with
-              | Wants_send (dst, tag, ack, data, k) ->
-                  deliver st ~src:r ~dst ~tag ?ack data;
-                  (* the delivery may have unblocked the destination;
-                     [r] itself is re-enqueued after the step *)
-                  if dst <> r then wake dst;
-                  continue k ()
-              | Wants_recv_any (tag, k) -> (
-                  match any_mailbox st ~dst:r ~tag with
-                  | Some (src, _) ->
-                      let arrival, data =
-                        Queue.pop (mailbox st ~dst:r ~src ~tag)
-                      in
-                      st.clocks.(r) <-
-                        Float.max st.clocks.(r) arrival
-                        +. st.machine.Machine.recv_overhead;
-                      continue k (src, data)
-                  | None ->
-                      (* unreachable: the scheduler only resumes a
-                         wildcard wait once a message is pending *)
-                      assert false)
-              | Wants_recv_t (src, _, deadline, q, k) ->
-                  if (not (Queue.is_empty q)) && fst (Queue.peek q) <= deadline
-                  then begin
-                    let arrival, data = Queue.pop q in
-                    st.clocks.(r) <-
-                      Float.max st.clocks.(r) arrival
-                      +. st.machine.Machine.recv_overhead;
-                    continue k (Some data)
-                  end
-                  else
-                    let d = detector.(src) in
-                    if (not (Float.is_nan d)) && d < deadline then begin
-                      let at = d in
-                      st.clocks.(r) <- Float.max st.clocks.(r) at;
-                      discontinue k (Peer_failed { rank = r; failed = src; at })
-                    end
-                    else begin
-                      st.clocks.(r) <- deadline;
-                      continue k None
-                    end
-              | Finished -> assert false
-          in
-          states.(r) <- next;
-          (match next with Finished -> incr finished | _ -> ());
+          (match st.kind.(r) with
+          | Start -> start r
+          | Send | Send_acked ->
+              send_step r;
+              continue !conts.(r) no_data
+          | Sendrecv ->
+              (* the send half, then the receive half posted as the
+                 rank's next request would post it, in the same step *)
+              send_step r;
+              st.kind.(r) <- Recv;
+              st.peer.(r) <- st.rsrc.(r);
+              post st r
+          | Recv_any ->
+              (* the scheduler only resumes a wildcard wait once a
+                 message is pending *)
+              let q = earliest st.pend.(r) in
+              st.peer.(r) <- q.from;
+              receive r q
+          | Recv ->
+              let q = st.mbox.(r) and deadline = st.deadline.(r) in
+              if q.len > 0 && q.arrivals.(q.head) <= deadline then receive r q
+              else
+                let src = st.peer.(r) in
+                let d = detector.(src) in
+                if (not (Float.is_nan d)) && d < deadline then begin
+                  let at = d in
+                  st.clocks.(r) <- Float.max st.clocks.(r) at;
+                  discontinue !conts.(r)
+                    (Peer_failed { rank = r; failed = src; at })
+                end
+                else begin
+                  st.clocks.(r) <- deadline;
+                  continue !conts.(r) no_data
+                end
+          | Done -> assert false);
+          (match st.kind.(r) with Done -> incr finished | _ -> ());
           wake r
         end
       done;

@@ -1,9 +1,9 @@
 (** Deterministic discrete-event SPMD simulator.
 
     Every simulated rank is a delimited computation over effect
-    handlers.  Only the operations that can make a rank wait are
-    effects: send, receive with a deadline, and wildcard receive.
-    Compute charges and queries act on the running rank's state
+    handlers.  Only the operations that can make a rank wait yield to
+    the scheduler: send, receive with a deadline, wildcard receive,
+    and the fused send-then-receive {!sendrecv}.  Compute charges and queries act on the running rank's state
     directly, and raise [Invalid_argument] outside {!run}.  The
     scheduler resumes runnable ranks lowest-virtual-clock first, so
     shared-channel contention is accounted in simulated-time order.
@@ -84,11 +84,22 @@ val recv_wait : ?min_timeout:float -> src:int -> tag:int -> unit -> payload
     reliable layer passes its worst-case retransmission window so a
     lawful retry storm is not condemned early. *)
 
+val sendrecv : dst:int -> tag:int -> payload -> src:int -> payload
+(** [sendrecv ~dst ~tag data ~src] is [send ~dst ~tag data] followed
+    by [recv ~src ~tag], in one scheduler request: the scheduler
+    delivers the send and posts the receive in the same step, without
+    resuming the rank in between.  Clocks, messages, scheduler picks,
+    faults and failures (a bad [src] raises only after the send is
+    delivered) are those of the two calls; it saves a resume.
+    {!Coll}'s exchange rounds use it. *)
+
 val recv_any : tag:int -> int * payload
 (** Wildcard-source receive: blocks until a message with [tag] arrives
     from any rank; returns (source, data).  Among pending candidates
     the earliest arrival wins, ties going to the lowest source rank,
-    so the match is deterministic.  A wildcard wait no sender ever
+    so the match is deterministic.  The match looks only at the
+    sources that hold a pending message on [tag], not at all P.  A
+    wildcard wait no sender ever
     satisfies ends the run as a {!Deadlock} whose diagnostic lists the
     wait as [(src=any, tag=...)]. *)
 

@@ -322,6 +322,33 @@ let test_allgatherv_allocation () =
     Alcotest.failf "fault-free allgatherv at P=%d allocated %.2f operands" p
       (shared /. operand)
 
+(* Allocation guard for the exchange rounds.  A scalar allreduce at
+   P = 256 on the fat-tree is 8 recursive-doubling rounds per rank,
+   each one [Sim.sendrecv]: a rank's request lives in the run's
+   per-rank slots and the message in a ring-buffer mailbox, so a round
+   allocates its payload box, the combined result, a flop charge's
+   boxed count and the continuation its wait captures, about 16 words
+   per message in all.  With an effect value, a handler closure, a
+   suspension record and a boxed queue entry per wait, and a send and
+   a receive per round, it was 82.  The bound is 25. *)
+let test_allreduce_allocation () =
+  let p = 256 and calls = 20 in
+  let run () =
+    Sim.run ~machine:Mpisim.Machine.fattree_default ~nprocs:p (fun r ->
+        for _ = 1 to calls do
+          ignore (Coll.allreduce ~op:Coll.Sum [| float_of_int r |])
+        done)
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let _, report = run () in
+  let per_message =
+    (Gc.minor_words () -. before) /. float_of_int report.Sim.messages
+  in
+  if per_message >= 25. then
+    Alcotest.failf "allreduce at P=%d allocated %.1f words per message" p
+      per_message
+
 (* The shared-result rule ([Sim.gather_buffer]): on a fault-free
    machine every rank's allgather result for one call is the same
    physical array, holding the rank-order concatenation.  P = 2, 3 and
@@ -530,6 +557,7 @@ let suite =
     t "collective results are caller-owned" test_results_caller_owned;
     t "allgatherv results are read-only views" test_allgatherv_read_only_views;
     t "allgatherv allocates little beyond its result" test_allgatherv_allocation;
+    t "allreduce allocates little per message" test_allreduce_allocation;
     t "barrier synchronizes" test_barrier_synchronizes;
     t "broadcast cost is logarithmic" test_bcast_cost_scales_log;
     QCheck_alcotest.to_alcotest allreduce_prop;

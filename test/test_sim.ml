@@ -18,6 +18,7 @@ let lab ?(channel = None) () =
     send_overhead = 0.;
     recv_overhead = 0.;
     link = (fun _ _ -> { Machine.latency = 1e-6; bandwidth = 1e6; channel });
+    channels = (fun _ -> 1);
     faults = None;
     reliable = false;
     placement = None;
@@ -192,6 +193,37 @@ let test_bad_ranks_rejected () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad destination must be rejected");
+  (match
+     Sim.run ~machine:(lab ()) ~nprocs:2 (fun rank ->
+         if rank = 0 then
+           ignore (Sim.sendrecv ~dst:5 ~tag:1 (Sim.Floats [| 1. |]) ~src:1))
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "bad sendrecv destination must be rejected");
+  (* A bad source fails the run with the argument error itself, and
+     only after the send half is delivered and counted, as a send
+     followed by a receive does. *)
+  let bad_source ~fused =
+    Sim.run_report ~machine:(lab ()) ~nprocs:2 (fun rank ->
+        if rank = 0 then begin
+          let data = Sim.Floats [| 1. |] in
+          if fused then ignore (Sim.sendrecv ~dst:1 ~tag:1 data ~src:5)
+          else begin
+            Sim.send ~dst:1 ~tag:1 data;
+            ignore (Sim.recv ~src:5 ~tag:1)
+          end
+        end)
+  in
+  let picks ~fused =
+    match bad_source ~fused with
+    | Error (Invalid_argument _), r ->
+        Alcotest.(check int) "the send half is counted" 1 r.Sim.messages;
+        r.Sim.sched_picks
+    | Error e, _ -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+    | Ok _, _ -> Alcotest.fail "bad source must be rejected"
+  in
+  Alcotest.(check int) "picks of send then recv" (picks ~fused:false)
+    (picks ~fused:true);
   match Sim.run ~machine:Machine.enterprise_smp ~nprocs:12 (fun _ -> ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "too many processors must be rejected"
@@ -253,11 +285,13 @@ let test_recv_any_earliest_arrival () =
     results.(0)
 
 let test_recv_any_tie_lowest_source () =
-  (* Both workers send at t=0 over identical links: the tie must go to
-     the lowest source rank, deterministically. *)
+  (* Both workers send at t=0 over identical links, and both messages
+     are pending by the time rank 0 asks: the tie must go to the lowest
+     source rank, deterministically. *)
   let results, _ =
     Sim.run ~machine:(lab ()) ~nprocs:3 (fun rank ->
         if rank = 0 then begin
+          Sim.compute 0.5;
           let first = fst (Sim.recv_any ~tag:7) in
           let second = fst (Sim.recv_any ~tag:7) in
           (first, second)
@@ -293,6 +327,82 @@ let test_probe_any_source () =
   in
   Alcotest.(check (triple bool bool bool))
     "probe any: empty, pending, drained" (false, true, false) results.(0)
+
+(* A randomized wildcard program: every rank but 0 sends a few
+   messages of random lengths to rank 0 on tag 5 after random compute,
+   some preceded by one on tag 6 that nobody takes; rank 0 takes them
+   all by [recv_any] on tag 5, probing first.  Times and lengths come
+   from a few values each, so arrivals often tie and the tie-break
+   decides.  The digest covers each match (probe result, source,
+   payload, clock), the makespan and the scheduler picks.  The
+   expected digests were recorded with the matcher this one replaced,
+   which scanned every source's mailbox in ascending rank order: the
+   set of pending sources must pick the same message at the same
+   time. *)
+let wildcard_digest ~machine ~nprocs ~seed =
+  let rng = Random.State.make [| seed |] in
+  let counts =
+    Array.init nprocs (fun r -> if r = 0 then 0 else Random.State.int rng 6)
+  in
+  let plan =
+    Array.init nprocs (fun r ->
+        Array.init counts.(r) (fun _ ->
+            ( float_of_int (Random.State.int rng 4) *. 5e-5,
+              1 + (100 * Random.State.int rng 3),
+              Random.State.bool rng )))
+  in
+  let waits =
+    Array.init (Array.fold_left ( + ) 0 counts) (fun _ ->
+        float_of_int (Random.State.int rng 3) *. 5e-5)
+  in
+  let results, r =
+    Sim.run ~machine ~nprocs (fun me ->
+        if me = 0 then begin
+          let b = Buffer.create 256 in
+          Array.iter
+            (fun w ->
+              Sim.compute w;
+              let pending = Sim.probe ~src:(-1) ~tag:5 in
+              let src, d = Sim.recv_any ~tag:5 in
+              let v = match d with Sim.Floats a -> a.(0) | _ -> nan in
+              Buffer.add_string b
+                (Printf.sprintf "%b %d %h %h\n" pending src v (Sim.time ())))
+            waits;
+          Buffer.contents b
+        end
+        else begin
+          Array.iteri
+            (fun i (t, len, noise) ->
+              Sim.compute t;
+              if noise then Sim.send ~dst:0 ~tag:6 (Sim.Floats [| 0. |]);
+              Sim.send ~dst:0 ~tag:5
+                (Sim.Floats (Array.make len (float_of_int ((me * 100) + i)))))
+            plan.(me);
+          ""
+        end)
+  in
+  Digest.to_hex
+    (Digest.string
+       (results.(0) ^ Printf.sprintf "%h %d" r.Sim.makespan r.Sim.sched_picks))
+
+let test_recv_any_matches_full_scan () =
+  List.iter
+    (fun (name, machine, nprocs, seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s P=%d seed %d" name nprocs seed)
+        expected
+        (wildcard_digest ~machine ~nprocs ~seed))
+    [
+      ("meiko", Machine.meiko_cs2, 16, 1, "f1d1f220a9377f54bb52882922dc78ba");
+      ("meiko", Machine.meiko_cs2, 16, 2, "5d93d68224f413d7f0b58dfb90d3fad7");
+      ("meiko", Machine.meiko_cs2, 16, 3, "28d714fdd2cff51583f74cb640ba97a2");
+      ("cluster", Machine.sparc20_cluster, 16, 1, "dcde64fd2da5b6e15d514b583189b0ec");
+      ("cluster", Machine.sparc20_cluster, 16, 2, "ab0600a648c8c35ef101e99c2256920e");
+      ("cluster", Machine.sparc20_cluster, 16, 3, "2a6382b06e9a3a00566208a8fcc480b1");
+      ("fattree", Machine.fattree_default, 100, 1, "cc0ff4241dd14da06fdd6feb86c4b2d5");
+      ("fattree", Machine.fattree_default, 100, 2, "076df79bc6b63958a813a43b57a97ece");
+      ("fattree", Machine.fattree_default, 100, 3, "949dc4ec9413f6ab9cedd408e1349324");
+    ]
 
 let test_recv_any_deadlock_diagnostic () =
   (* A wildcard wait nobody satisfies must end the run as a deadlock
@@ -425,6 +535,136 @@ let test_recv_infinite_timeout_deadlocks () =
         (contains msg "rank 0 waits for (src=1, tag=9)")
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "an unsatisfied wait without deadline must deadlock"
+
+(* --- sendrecv: one request, the schedule of send then recv -------------- *)
+
+(* A random exchange program of [rounds] rounds: in each, every rank
+   computes for a random time, then sends a random-length payload to
+   (me + shift) and receives from (me - shift) on the round's tag.
+   [fused] writes the exchange as one [Sim.sendrecv], otherwise as
+   [Sim.send] then [Sim.recv].  With [broken], one rank in one round
+   receives from a rank that sends it nothing that round, so the run
+   may end in a deadlock or a timeout instead. *)
+let exchange_program ~seed ~nprocs ~broken ~fused =
+  let rounds = 6 in
+  let rng = Random.State.make [| seed |] in
+  let plan =
+    Array.init rounds (fun _ ->
+        (1 + Random.State.int rng (nprocs - 1), 7 + Random.State.int rng 3))
+  in
+  let work =
+    Array.init rounds (fun _ ->
+        Array.init nprocs (fun _ ->
+            (Random.State.float rng 1e-4, Random.State.int rng 40)))
+  in
+  let odd =
+    if broken then (Random.State.int rng rounds, Random.State.int rng nprocs)
+    else (-1, -1)
+  in
+  fun me ->
+    let acc = ref 0. in
+    Array.iteri
+      (fun k (shift, tag) ->
+        let t, len = work.(k).(me) in
+        Sim.compute t;
+        let dst = (me + shift) mod nprocs in
+        let src = (me - shift + nprocs) mod nprocs in
+        let src = if odd = (k, me) then (src + 1) mod nprocs else src in
+        let data = Sim.Floats (Array.make len (float_of_int ((10 * me) + k))) in
+        let got =
+          if fused then Sim.sendrecv ~dst ~tag data ~src
+          else begin
+            Sim.send ~dst ~tag data;
+            Sim.recv ~src ~tag
+          end
+        in
+        let sum =
+          match got with
+          | Sim.Floats a -> Array.fold_left ( +. ) 0. a
+          | _ -> nan
+        in
+        acc := !acc +. sum +. Sim.time ())
+      plan;
+    !acc
+
+(* How a run ended, and everything it shows: its outcome (results, or
+   the failure with its diagnostic) and the report's clocks and
+   counters, floats in hex so equal means bit-identical. *)
+let run_summary machine ~nprocs body =
+  let outcome, r = Sim.run_report ~machine ~nprocs body in
+  let floats a =
+    String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a))
+  in
+  let ending, outcome =
+    match outcome with
+    | Ok results -> ("ok", floats results)
+    | Error (Sim.Deadlock msg) -> ("deadlock", msg)
+    | Error
+        (Sim.Rank_failure
+           { rank; exn = Sim.Timeout { rank = w; src; tag; waited } }) ->
+        ( "timeout",
+          Printf.sprintf "rank %d: %d gave up on (src=%d, tag=%d) after %h"
+            rank w src tag waited )
+    | Error
+        (Sim.Rank_failure
+           { rank; exn = Sim.Peer_failed { rank = w; failed; at } }) ->
+        ( "peer failure",
+          Printf.sprintf "rank %d: %d saw %d fail at %h" rank w failed at )
+    | Error e -> ("other", Printexc.to_string e)
+  in
+  ( ending,
+    Printf.sprintf
+      "%s: %s\nclocks %s\nmessages %d bytes %d picks %d drops %d dups %d \
+       delayed %d stalls %d kills %d"
+      ending outcome (floats r.Sim.per_rank_clock) r.Sim.messages r.Sim.bytes
+      r.Sim.sched_picks r.Sim.drops r.Sim.dups r.Sim.delayed r.Sim.stalls
+      r.Sim.kills )
+
+let test_sendrecv_schedule_identity () =
+  let faulty spec m = Machine.with_faults ~faults:(Testutil.faults spec) m in
+  let machines =
+    [
+      ("meiko", Machine.meiko_cs2, 8);
+      ("cluster", Machine.sparc20_cluster, 16);
+      ("fattree", Machine.fattree_default, 64);
+      ( "meiko --cpus 4 --map random",
+        Machine.with_placement ~cpus:4 ~map:(Machine.Map_random 3)
+          Machine.meiko_cs2,
+        12 );
+      ( "cluster, faults",
+        faulty "drop=0.05,dup=0.1,delay=0.1,stall=0.1,detect=0.01,seed=4"
+          Machine.sparc20_cluster,
+        8 );
+      ( "fattree, faults and kills",
+        faulty "dup=0.1,delay=0.1,kill_rank=5,kill_time=2e-4,detect=1e-3,seed=9"
+          Machine.fattree_default,
+        16 );
+    ]
+  in
+  let endings = Hashtbl.create 4 in
+  List.iter
+    (fun (name, machine, nprocs) ->
+      for seed = 1 to 12 do
+        let broken = seed mod 3 = 0 in
+        let summary fused =
+          run_summary machine ~nprocs
+            (exchange_program ~seed ~nprocs ~broken ~fused)
+        in
+        let ending, separate = summary false in
+        Hashtbl.replace endings ending name;
+        Alcotest.(check string)
+          (Printf.sprintf "%s P=%d seed %d" name nprocs seed)
+          separate
+          (snd (summary true))
+      done)
+    machines;
+  (* the programs reach every kind of ending *)
+  List.iter
+    (fun ending ->
+      if not (Hashtbl.mem endings ending) then
+        Alcotest.failf "no program ended with a %s (only with: %s)" ending
+          (String.concat ", " (List.of_seq (Hashtbl.to_seq_keys endings))))
+    [ "ok"; "deadlock"; "timeout"; "peer failure" ]
 
 let test_machine_lookup () =
   let is name m =
@@ -624,6 +864,7 @@ let suite =
     t "deadlock diagnosis names parties" test_deadlock_names_parties;
     t "recv_any delivers in arrival order" test_recv_any_earliest_arrival;
     t "recv_any tie goes to lowest source" test_recv_any_tie_lowest_source;
+    t "recv_any matches as the full scan did" test_recv_any_matches_full_scan;
     t "probe with any-source wildcard" test_probe_any_source;
     t "unsatisfied recv_any deadlocks with diagnosis"
       test_recv_any_deadlock_diagnostic;
@@ -635,6 +876,8 @@ let suite =
     t "operations outside a run are rejected" test_ops_outside_run;
     t "infinite timeout deadlocks with diagnosis"
       test_recv_infinite_timeout_deadlocks;
+    t "sendrecv keeps the schedule of send then recv"
+      test_sendrecv_schedule_identity;
     t "machine lookup" test_machine_lookup;
     t "cluster topology" test_cluster_topology;
     t "placement: identity mapping is bit-identical" test_placement_identity;

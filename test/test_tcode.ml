@@ -10,9 +10,10 @@
      message count and bytes recorded in
      bench/BENCH_paper_baseline.json, and verifies against the
      reference interpreter;
-   - the schedule pin: cg and tc on the fat-tree at P in {128, 256}
-     reproduce the modeled time, messages, bytes and scheduler picks
-     recorded in bench/BENCH_scale_baseline.json;
+   - the schedule pin: cg and tc on the fat-tree at P in {128, 256},
+     and tc at P = 1024 (the otterbench p1024-tc run), reproduce the
+     modeled time, messages, bytes and scheduler picks recorded in
+     bench/BENCH_scale_baseline.json;
    - the dispatch-count pin: [Exec.State.dispatched] for the four
      otterbench dispatch kernels and for cg, at P=4 on the Meiko;
    - chaos recovery: a seeded mid-run rank kill recovers to the exact
@@ -241,11 +242,11 @@ let speedup_pinned key () =
 
 (* --- the schedule pin ------------------------------------------------------ *)
 
-(* One app's fat-tree P in {128, 256} rows of the scale baseline: each
+(* One app's fat-tree rows of the scale baseline at the given P: each
    run must reproduce its modeled time (to nine decimals), messages,
    bytes and scheduler picks.  Picks count the event core's steps, so
    this pins the schedule itself, not just its outcome. *)
-let scale_pinned key () =
+let scale_pinned key procs () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
@@ -256,10 +257,11 @@ let scale_pinned key () =
         Baseline.str e "app" = key
         && Baseline.str e "machine" = "fattree"
         && Baseline.str e "dist" = "block"
-        && List.mem (Baseline.int e "procs") [ 128; 256 ])
+        && List.mem (Baseline.int e "procs") procs)
       rows
   in
-  Alcotest.(check int) (key ^ ": baseline entries") 2 (List.length pins);
+  Alcotest.(check int) (key ^ ": baseline entries") (List.length procs)
+    (List.length pins);
   let c = Otter.compile (app.source scale) in
   List.iter
     (fun e ->
@@ -534,8 +536,8 @@ let suite =
     t "matches speedup baseline: ocean" (speedup_pinned "ocean");
     t "matches speedup baseline: nbody" (speedup_pinned "nbody");
     t "matches speedup baseline: tc" (speedup_pinned "tc");
-    t "matches scale baseline: cg" (scale_pinned "cg");
-    t "matches scale baseline: tc" (scale_pinned "tc");
+    t "matches scale baseline: cg" (scale_pinned "cg" [ 128; 256 ]);
+    t "matches scale baseline: tc" (scale_pinned "tc" [ 128; 256; 1024 ]);
     t "dispatch count pinned" test_dispatch_count_pinned;
     t "chaos recovery: cg" (chaos_recovers "cg");
     t "chaos recovery: ocean" (chaos_recovers "ocean");
