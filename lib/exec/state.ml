@@ -320,7 +320,12 @@ type snapshot = {
   sn_pc : int; (* the op to resume at *)
   sn_tags : int array; (* the top frame by slot, hidden loop slots too *)
   sn_sc : float array;
-  sn_vals : value array; (* deep copies of matrix, tensor, string slots *)
+  sn_vals : value array;
+      (* private copies of the matrix, tensor and string slots, never
+         written: a matrix left alone since the rank's previous snapshot
+         shares that snapshot's copy *)
+  sn_src : value array; (* the live values [sn_vals] were taken from *)
+  sn_writes : int array; (* each live matrix's [Dmat.writes] then *)
   sn_rand_calls : int; (* replicated RNG sequence number *)
   sn_calls : int; (* executed library calls so far *)
   sn_out : string; (* rank 0: the output prefix; "" elsewhere *)
@@ -329,6 +334,25 @@ type snapshot = {
 let copy_value = function
   | Vmat m -> Vmat (Dmat.copy m)
   | (Vscalar _ | Vstr _) as v -> v
+
+(* Slot [i]'s snapshot value for live value [v]: [prev]'s copy when the
+   slot still holds the very array [prev] copied and nothing has been
+   stored into it since, else a fresh copy. *)
+let snapshot_value (prev : snapshot option) i v =
+  match (v, prev) with
+  | Vmat m, Some p -> (
+      match p.sn_src.(i) with
+      | Vmat pm when pm == m && p.sn_writes.(i) = m.Dmat.writes -> p.sn_vals.(i)
+      | _ -> copy_value v)
+  | v, _ -> copy_value v
+
+(* Load a snapshot into a frame's slot arrays.  The frame gets copies of
+   the snapshot's matrices, so the snapshot stays as taken whatever the
+   replay writes. *)
+let restore (s : snapshot) ~tags ~sc ~vals =
+  Array.blit s.sn_tags 0 tags 0 (Array.length s.sn_tags);
+  Array.blit s.sn_sc 0 sc 0 (Array.length s.sn_sc);
+  Array.iteri (fun i v -> vals.(i) <- copy_value v) s.sn_vals
 
 (* Per-rank checkpoint cursor for one run attempt.  [ck_slots] is the
    host-side store shared with the recovery driver; each rank keeps its
@@ -351,28 +375,34 @@ type ck = {
    with [ck_next = 0], so the first boundary of every attempt commits:
    that re-establishes the restore point right after a rollback.
 
-   The executor supplies [save] (a copy of its top frame) and
-   bookkeeping counters; the vote, the slot rotation and the snapshot
-   layout live here. *)
+   The executor supplies [save] (copies of its top frame's tags and
+   scalars, and its live values with every slot that holds none
+   blanked) and bookkeeping counters; the vote, the copies, the slot
+   rotation and the snapshot layout live here.  Copying is incremental:
+   only matrices replaced or written since the rank's newest snapshot
+   are copied again (no modeled time is charged either way). *)
 let at_boundary ck ~rk ~save ~rand_calls ~calls ~out pc =
   ck.ck_boundary <- ck.ck_boundary + 1;
   let want = Mpisim.Sim.time () >= ck.ck_next in
   if Mpisim.Coll.vote want then begin
-    let sn_tags, sn_sc, sn_vals = save () in
+    let sn_tags, sn_sc, sn_src = save () in
+    let prev = match ck.ck_slots.(rk) with [] -> None | s :: _ -> Some s in
     let snap =
       {
         sn_boundary = ck.ck_boundary;
         sn_pc = pc;
         sn_tags;
         sn_sc;
-        sn_vals;
+        sn_vals = Array.mapi (snapshot_value prev) sn_src;
+        sn_src;
+        sn_writes =
+          Array.map (function Vmat m -> m.Dmat.writes | _ -> 0) sn_src;
         sn_rand_calls = rand_calls;
         sn_calls = calls;
         sn_out = (if rk = 0 then Buffer.contents out else "");
       }
     in
-    let kept = match ck.ck_slots.(rk) with [] -> [] | s :: _ -> [ s ] in
-    ck.ck_slots.(rk) <- snap :: kept;
+    ck.ck_slots.(rk) <- snap :: Option.to_list prev;
     ck.ck_next <- Mpisim.Sim.time () +. ck.ck_interval
   end
 

@@ -1082,16 +1082,16 @@ type dprintf = DPstr of string | DPcexpr of cexpr
 (* --- checkpoint boundaries ---------------------------------------------------- *)
 
 (* A boundary op votes on a snapshot (see [State.at_boundary]) and
-   falls through.  The snapshot is the top frame copied by slot —
-   hidden loop slots included, so a top-level for loop's frozen bounds
-   and counter come back with it — plus [resume], the pc a replay
-   starts from. *)
+   falls through.  The snapshot is the top frame by slot — hidden loop
+   slots included, so a top-level for loop's frozen bounds and counter
+   come back with it — plus [resume], the pc a replay starts from.
+   [save] hands [State] the live values to copy. *)
 let checkpoint cb (ck : State.ck) ~resume =
   let save fr () =
     ( Array.copy fr.tags,
       Array.copy fr.sc,
       Array.mapi
-        (fun i v -> if fr.tags.(i) >= t_mat then State.copy_value v else novalue)
+        (fun i v -> if fr.tags.(i) >= t_mat then v else novalue)
         fr.vals )
   in
   op1 cb "checkpoint" (fun fr ->
@@ -1741,11 +1741,7 @@ let attempt ~capture ~seed ~datadir ~machine ~nprocs ~ckpt_interval
           | None -> 0
           | Some snaps ->
               let s = snaps.(rank) in
-              Array.blit s.State.sn_tags 0 fr.tags 0 d.d_nslots;
-              Array.blit s.State.sn_sc 0 fr.sc 0 d.d_nslots;
-              Array.iteri
-                (fun i v -> fr.vals.(i) <- State.copy_value v)
-                s.State.sn_vals;
+              State.restore s ~tags:fr.tags ~sc:fr.sc ~vals:fr.vals;
               st.rand_calls <- s.State.sn_rand_calls;
               st.calls := s.State.sn_calls;
               s.State.sn_pc

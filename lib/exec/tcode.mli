@@ -40,17 +40,38 @@ val run_recovering :
 
     The run is wrapped in coordinated checkpoint/rollback over the
     {!State} snapshot format: snapshots of every rank's state (a slot
-    copy of the top frame, deep-copying distributed blocks, plus RNG
-    sequence numbers, the resume pc and the output prefix) are
-    committed by collective vote at the checkpoint ops before each
-    top-level statement and loop iteration, roughly every
-    [ckpt_interval] simulated seconds (0 = never: no checkpoint ops,
-    and a failure replays from program start).  On a {!State.recoverable}
-    failure all ranks roll back to the newest snapshot common to every
-    rank and replay deterministically — a recovered run is
-    bit-identical to an undisturbed one — with exponential simulated
-    backoff, at most [max_recoveries] times.  With [ckpt_interval = 0]
-    and [max_recoveries = 0] the run is exactly one attempt.
-    Each retry re-rolls the fault model's kill schedule.  Never hangs:
-    every attempt either completes, or fails with a typed class within
-    bounded virtual time. *)
+    copy of the top frame, plus RNG sequence numbers, the resume pc and
+    the output prefix) are committed by collective vote at the
+    checkpoint ops before each top-level statement and loop iteration,
+    roughly every [ckpt_interval] simulated seconds (0 = never: no
+    checkpoint ops, and a failure replays from program start).  On a
+    {!State.recoverable} failure all ranks roll back to the newest
+    snapshot common to every rank and replay deterministically — a
+    recovered run is bit-identical to an undisturbed one — with
+    exponential simulated backoff, at most [max_recoveries] times.
+    With [ckpt_interval = 0] and [max_recoveries = 0] the run is exactly
+    one attempt.  Each retry re-rolls the fault model's kill schedule.
+    Never hangs: every attempt either completes, or fails with a typed
+    class within bounded virtual time.
+
+    A snapshot holds its own copy of each distributed block, taken
+    incrementally: a block the rank has neither replaced nor written
+    in place since its previous snapshot shares that snapshot's copy,
+    so a matrix left alone is copied once per attempt.  Snapshots are
+    never written; a rollback copies them back into the frame. *)
+
+val attempt :
+  capture:string list ->
+  seed:int ->
+  datadir:string ->
+  machine:Mpisim.Machine.t ->
+  nprocs:int ->
+  ckpt_interval:float ->
+  Spmd.Ir.prog ->
+  attempt:int ->
+  slots:State.snapshot list array ->
+  restore:State.snapshot array option ->
+  State.run_result * Mpisim.Sim.report
+(** One run attempt, the function {!run_recovering} hands to
+    {!State.run_recovering_with}: it starts from [restore] (or from the
+    top), and leaves each rank's kept snapshots in [slots]. *)

@@ -194,7 +194,9 @@ let with_placement ~cpus ~map m = { m with placement = Some { cpus; map } }
 
 (* [with_procs n m] is [m] scaled out to [n] ranks: the same CPUs and
    links, more of them.  The multi-tenant scheduler benches space-share
-   machines bigger than the paper's test beds (P = 64). *)
+   machines bigger than the paper's test beds (P = 64).  A fat-tree
+   grown past its own size routes the extra nodes through its top
+   tier. *)
 let with_procs n m =
   if n < 1 then invalid_arg "with_procs: need at least one processor";
   { m with max_procs = n }
@@ -361,12 +363,19 @@ let fattree ?(radix = 16) ?(levels = 3) () =
   let link src dst =
     if src = dst then self
     else begin
-      let tier = ref 1 in
-      while src / pow.(!tier) <> dst / pow.(!tier) do
-        incr tier
-      done;
-      let t = !tier in
-      let ch = offset.(t) + (src / pow.(t)) in
+      (* A node past [max_procs] ([with_procs] grew the machine beyond
+         the tree) hangs off the last top-tier switch. *)
+      let t =
+        if src >= max_procs || dst >= max_procs then levels
+        else begin
+          let tier = ref 1 in
+          while src / pow.(!tier) <> dst / pow.(!tier) do
+            incr tier
+          done;
+          !tier
+        end
+      in
+      let ch = min (offset.(t) + (src / pow.(t))) (nchannels - 1) in
       let l = switches.(ch) in
       if l != self then l
       else begin

@@ -288,9 +288,10 @@ type run_state = {
          table per rank beats one big table keyed by an allocated
          (dst, src, tag) triple: the packed int key allocates nothing
          on lookup. *)
-  pendings : pending Machine.Int_tbl.t array;
+  mutable pendings : pending Machine.Int_tbl.t array;
       (* per destination rank, keyed by tag: its nonempty mailboxes,
-         for the tags a wildcard has asked for *)
+         for the tags a wildcard has asked for; empty until the run's
+         first wildcard receive *)
   channel_free : float array;
       (* busy-until of contention channel [ch] at [ch + 1] (the
          cluster's Ethernet is channel -1), sized by the machine *)
@@ -298,7 +299,8 @@ type run_state = {
   compute_time : float array;
       (* one slot: the run's summed compute charges, unboxed so a charge
          allocates nothing; copied into [report] when the run ends *)
-  scratch : (int * int * int, int) Hashtbl.t array; (* per rank *)
+  scratch : (int * int * int, int) Hashtbl.t array;
+      (* per rank on a reliable machine; empty on any other *)
   gathers : gather Machine.Int_tbl.t;
       (* shared allgather results by call index, while some rank has
          yet to take its handle (see [gather_buffer]) *)
@@ -347,6 +349,8 @@ let mbox_key ~src ~tag = (tag lsl src_bits) lor src
    wildcard that asks: every mailbox of that pair joins it then, and
    every later one when it is made. *)
 let pending_of st ~dst ~tag =
+  if Array.length st.pendings = 0 then
+    st.pendings <- Array.init st.nprocs (fun _ -> Machine.Int_tbl.create 8);
   let t = st.pendings.(dst) in
   match Machine.Int_tbl.find t tag with
   | p -> p
@@ -369,9 +373,11 @@ let mailbox st ~dst ~src ~tag =
   | q -> q
   | exception Not_found ->
       let pend =
-        match Machine.Int_tbl.find st.pendings.(dst) tag with
-        | p -> p
-        | exception Not_found -> no_pending
+        if Array.length st.pendings = 0 then no_pending
+        else
+          match Machine.Int_tbl.find st.pendings.(dst) tag with
+          | p -> p
+          | exception Not_found -> no_pending
       in
       let q = new_mailbox ~from:src pend in
       Machine.Int_tbl.add t key q;
@@ -432,7 +438,8 @@ let reliable_on () = (machine ()).Machine.reliable
 
 let scratch () =
   match !current with
-  | Some st -> st.scratch.(st.running)
+  | Some st when st.machine.Machine.reliable -> st.scratch.(st.running)
+  | Some _ -> invalid_arg "Sim.scratch: the machine is not reliable"
   | None -> outside "scratch"
 
 (* The running rank's handle on its next allgather's result.  Ranks
@@ -903,11 +910,14 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       nprocs;
       clocks;
       mailboxes = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
-      pendings = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
+      pendings = [||];
       channel_free = Array.make (machine.Machine.channels ncpus + 1) 0.;
       report = new_report clocks;
       compute_time = [| 0. |];
-      scratch = Array.init nprocs (fun _ -> Hashtbl.create 16);
+      scratch =
+        (if machine.Machine.reliable then
+           Array.init nprocs (fun _ -> Hashtbl.create 16)
+         else [||]);
       gathers = Machine.Int_tbl.create 4;
       gather_calls = Array.make nprocs 0;
       fault_ix = 0;

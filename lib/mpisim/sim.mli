@@ -127,7 +127,9 @@ val reliable_on : unit -> bool
 
 val scratch : unit -> (int * int * int, int) Hashtbl.t
 (** This rank's private counter table, fresh per [run]; the reliable
-    layer keys its per-channel sequence numbers here. *)
+    layer keys its per-channel sequence numbers here.  Only a
+    [reliable] machine has them: elsewhere this raises
+    [Invalid_argument]. *)
 
 val gather_buffer : int -> float array option
 (** [gather_buffer n] is the running rank's handle on the result of its

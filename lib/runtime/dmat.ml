@@ -59,6 +59,10 @@ type t = {
          passing (MPI_Recv, MPI_Bcast) produces these; operations on
          them stay local, so they are safe inside rank-divergent
          control flow where a collective would deadlock. *)
+  mutable writes : int;
+      (* in-place stores into [data] since creation (see [set_local]);
+         a checkpoint compares it to decide whether its last copy of
+         this array is still current *)
 }
 
 let rank m = Array.length m.dims
@@ -136,14 +140,16 @@ let create_dims ?(full = false) (dims : int array) =
           (layout, rlow, rcount, clow, ccount, rcount * ccount)
   in
   let data = Array.make len 0. in
-  { dims; rows; cols; axis; layout; low; count; clow; ccount; data; full }
+  { dims; rows; cols; axis; layout; low; count; clow; ccount; data; full;
+    writes = 0 }
 
 let create ~rows ~cols = create_dims [| rows; cols |]
 let create_full ~rows ~cols = create_dims ~full:true [| rows; cols |]
 
 (* Zero-filled, with [m]'s dims, distribution and locality: the arrays
    of one run that share dims share their geometry. *)
-let create_like m = { m with data = Array.make (Array.length m.data) 0. }
+let create_like m =
+  { m with data = Array.make (Array.length m.data) 0.; writes = 0 }
 
 let of_full ~rows ~cols (dense : float array) =
   if Array.length dense <> rows * cols then invalid_arg "of_full: size mismatch";
@@ -237,7 +243,12 @@ let local_index m ~i ~j =
   | Lgrid _ -> ((i - m.low) * m.ccount) + (j - m.clow)
 
 let get_local m ~i ~j = m.data.(local_index m ~i ~j)
-let set_local m ~i ~j v = m.data.(local_index m ~i ~j) <- v
+(* The one store into an array that is not fresh: every in-place write
+   (element and section assignment) comes through here and is
+   counted. *)
+let set_local m ~i ~j v =
+  m.data.(local_index m ~i ~j) <- v;
+  m.writes <- m.writes + 1
 
 (* Fill from a function of the global linear index.  The block layout
    (the default, and the common case in every inner loop) is kept free
@@ -386,7 +397,7 @@ let of_dense ~rows ~cols (dense : float array) =
     invalid_arg "of_dense: size mismatch";
   init ~rows ~cols (fun g -> dense.(g))
 
-let copy m = { m with data = Array.copy m.data }
+let copy m = { m with data = Array.copy m.data; writes = 0 }
 
 (* Render as MATLAB prints it; everything happens on the root, which
    returns Some text (other ranks return None). *)

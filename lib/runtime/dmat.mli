@@ -48,6 +48,11 @@ type t = {
           by explicit message passing (MPI_Recv, MPI_Bcast); operations
           on replicas stay local, so they are safe inside rank-divergent
           control flow where a collective would deadlock. *)
+  mutable writes : int;
+      (** in-place stores into [data] since creation, counted by
+          {!set_local}; a fresh array starts at 0.  Checkpoints compare
+          it (with the array's physical identity) to reuse their last
+          copy of an array nobody wrote. *)
 }
 
 val rank : t -> int
@@ -107,6 +112,8 @@ val get_local : t -> i:int -> j:int -> float
 (** Load a globally indexed element; the caller must own it. *)
 
 val set_local : t -> i:int -> j:int -> float -> unit
+(** Store a globally indexed element; the caller must own it.  The only
+    way to write an array that is not fresh: it bumps [writes]. *)
 
 val init_dims : int array -> (int -> float) -> t
 (** Fill from a function of the global row-major linear index. *)

@@ -428,6 +428,150 @@ let test_top_level_return () =
       Alcotest.(check string) "output" "1\n" out.Exec.State.output
   | Exec.State.Partial { detail; _ } -> Alcotest.failf "aborted: %s" detail
 
+(* --- incremental snapshots -------------------------------------------- *)
+
+(* A snapshot shares the previous snapshot's copy of a matrix only while
+   the slot holds the same array, unwritten since.  This loop writes
+   [v] by element and by linear section assignment and [M] by a row
+   section, in place, and replaces [w] every iteration with a copy of
+   it written inside [bump].  The kill lands after several boundaries:
+   a snapshot that kept a stale copy of any of them would restore it,
+   and the replay would end with different sums. *)
+let inplace_src =
+  {|n = 12;
+v = zeros(n, 1);
+M = zeros(6, n);
+w = ones(1, n);
+for k = 1:40
+  i = mod(k, n) + 1;
+  v(i) = v(i) + k;
+  v(1:3) = v(1:3) + 1;
+  M(mod(k, 6) + 1, :) = M(mod(k, 6) + 1, :) + k;
+  w = bump(w, i);
+end
+fprintf('%.17g %.17g %.17g\n', sum(v), sum(sum(M)), sum(w));
+function y = bump(x, k)
+  x(k) = x(k) + k;
+  y = x;
+end
+|}
+
+let test_inplace_writes_recover () =
+  let c = Otter.compile inplace_src in
+  let capture = [ "v"; "M"; "w" ] in
+  List.iter
+    (fun p ->
+      let where = Printf.sprintf "in-place writes P=%d" p in
+      let clean =
+        Otter.outcome_exn
+          (Otter.run
+             (Otter.config ~capture ~machine:Machine.meiko_cs2 ~nprocs:p ())
+             c)
+      in
+      let span = clean.Exec.State.report.Sim.makespan in
+      let rc =
+        Otter.run
+          (Otter.config ~capture ~ckpt_interval:(span *. 0.05)
+             ~max_recoveries:3
+             ~machine:
+               (killer ~at:(span *. 0.6) ~detect:(span *. 0.05)
+                  Machine.meiko_cs2)
+             ~nprocs:p ())
+          c
+      in
+      Alcotest.(check bool) (where ^ ": rolled back") true
+        (rc.Exec.State.r_attempts >= 2);
+      match rc.Exec.State.r_result with
+      | Exec.State.Complete out -> check_identical ~where clean out
+      | Exec.State.Partial { detail; _ } ->
+          Alcotest.failf "%s: did not recover: %s" where detail)
+    [ 3; 4 ]
+
+(* chaos-cg's configuration (otterbench's fault spec and checkpoint
+   interval) at scale 5: CG's matrix [A] never changes after setup, so
+   each rank's two kept snapshots hold one copy of it, and no snapshot
+   holds a live frame value.  A restore hands the frame its own copy,
+   which the replay may change without touching the snapshot. *)
+let test_chaos_cg_snapshots_share () =
+  let app = Option.get (Apps.Scripts.find "cg") in
+  let c = Otter.compile (app.source 5) in
+  let nprocs = 16 in
+  let cfg =
+    Otter.config ~capture:app.capture ~machine:Machine.meiko_cs2 ~nprocs ()
+  in
+  let clean = Otter.outcome_exn (Otter.run cfg c) in
+  let cfg =
+    Workloads.chaos_config ~seed:cfg.Otter.Config.seed
+      ~span:clean.Exec.State.report.Sim.makespan cfg
+  in
+  let { Otter.Config.ckpt_interval; max_recoveries; machine; seed; datadir; _ }
+      =
+    cfg
+  in
+  let kept = ref [||] in
+  let rc =
+    Exec.State.run_recovering_with ~nprocs ~ckpt_interval ~max_recoveries
+      (fun ~attempt ~slots ~restore ->
+        kept := slots;
+        Exec.Tcode.attempt ~capture:app.capture ~seed ~datadir ~machine
+          ~nprocs ~ckpt_interval c.Otter.prog ~attempt ~slots ~restore)
+  in
+  Alcotest.(check bool) "rolled back" true (rc.Exec.State.r_attempts >= 2);
+  (match rc.Exec.State.r_result with
+  | Exec.State.Complete out -> check_identical ~where:"chaos cg" clean out
+  | Exec.State.Partial { detail; _ } ->
+      Alcotest.failf "chaos cg did not recover: %s" detail);
+  (* [A] and the transpose that built it are the square slots (b, x,
+     r, p and q are columns); neither changes after setup *)
+  let square_slots (s : Exec.State.snapshot) =
+    List.filter
+      (fun i ->
+        match s.sn_vals.(i) with
+        | Exec.State.Vmat m -> m.Runtime.Dmat.rows = m.Runtime.Dmat.cols
+        | _ -> false)
+      (List.init (Array.length s.sn_vals) Fun.id)
+  in
+  Array.iteri
+    (fun rk (snaps : Exec.State.snapshot list) ->
+      (match snaps with
+      | [ s1; s0 ] ->
+          let squares = square_slots s1 in
+          Alcotest.(check bool)
+            (Printf.sprintf "rank %d: A is held" rk)
+            true (squares <> []);
+          List.iter
+            (fun a ->
+              Alcotest.(check bool)
+                (Printf.sprintf "rank %d: one copy of slot %d" rk a)
+                true
+                (s1.sn_vals.(a) == s0.sn_vals.(a)))
+            squares
+      | l -> Alcotest.failf "rank %d keeps %d snapshots" rk (List.length l));
+      List.iter
+        (fun (s : Exec.State.snapshot) ->
+          Array.iteri
+            (fun i v ->
+              match (v, s.sn_src.(i)) with
+              | Exec.State.Vmat m, Exec.State.Vmat live when m == live ->
+                  Alcotest.failf "rank %d: slot %d holds the live value" rk i
+              | _ -> ())
+            s.sn_vals)
+        snaps)
+    !kept;
+  let s = List.hd !kept.(0) in
+  let a = List.hd (square_slots s) in
+  let k = Array.length s.sn_tags in
+  let vals = Array.make k (Exec.State.Vscalar 0.) in
+  Exec.State.restore s ~tags:(Array.make k 0) ~sc:(Array.make k 0.) ~vals;
+  match (vals.(a), s.sn_vals.(a)) with
+  | Exec.State.Vmat live, Exec.State.Vmat snap ->
+      let before = Array.copy snap.Runtime.Dmat.data in
+      Runtime.Dmat.set_local live ~i:live.Runtime.Dmat.low ~j:0 Float.nan;
+      Alcotest.(check bool) "restore copies" true (live != snap);
+      Alcotest.(check bool) "snapshot unchanged by a write after restore" true
+        (snap.Runtime.Dmat.data = before)
+  | _ -> Alcotest.fail "A is not a matrix after restore"
+
 let suite =
   [
     t "cg recovers bit-identically (3 machines, P=2/4/8)" (recover_app "cg");
@@ -448,4 +592,6 @@ let suite =
     t "chaos corpus replays" test_chaos_corpus;
     t "mid-loop resume: modeled numbers pinned" test_mid_loop_resume_pinned;
     t "top-level return under checkpointing" test_top_level_return;
+    t "in-place writes recover (P=3/4)" test_inplace_writes_recover;
+    t "chaos cg: snapshots share A" test_chaos_cg_snapshots_share;
   ]

@@ -816,6 +816,28 @@ let test_heap_kept () =
       if faults >= 4096 then
         Alcotest.failf "a round over freed heap took %d minor faults" faults
 
+(* A fat-tree grown past its 4096 nodes: rank 4500 hangs off the top
+   tier, so its message to rank 0 crosses the root switch, the channel
+   of the in-tree pair 0 <-> 4095. *)
+let test_fattree_past_max_procs () =
+  let m = Machine.with_procs 5000 Machine.fattree_default in
+  let top = (m.Machine.link 0 4095).Machine.channel in
+  Alcotest.(check bool) "rank 4500 rides the top tier" true
+    ((m.Machine.link 4500 0).Machine.channel = top);
+  Alcotest.(check bool) "so do two ranks past the tree" true
+    ((m.Machine.link 4500 4999).Machine.channel = top);
+  let results, r =
+    Sim.run ~machine:m ~nprocs:5000 (fun rank ->
+        if rank = 4500 then Sim.send ~dst:0 ~tag:1 (Sim.Floats [| 42. |]);
+        if rank = 0 then
+          match Sim.recv ~src:4500 ~tag:1 with
+          | Sim.Floats [| v |] -> v
+          | _ -> nan
+        else 0.)
+  in
+  Alcotest.(check (float 0.)) "rank 0 received the value" 42. results.(0);
+  Alcotest.(check int) "one message" 1 r.Sim.messages
+
 let test_fattree_bad_shape () =
   (match Machine.fattree ~radix:1 () with
   | exception Invalid_argument _ -> ()
@@ -890,6 +912,8 @@ let suite =
     t "fat-tree: near/far latency and channels" test_fattree_topology;
     t "fat-tree: 1024-rank ring smoke" test_fattree_large_p_smoke;
     t "fat-tree: bad shapes rejected" test_fattree_bad_shape;
+    t "fat-tree: grown past its size"
+      test_fattree_past_max_procs;
     t "freed C heap is kept for the next run" test_heap_kept;
     t "mailbox keys spread over the hash buckets" test_mailbox_hash_spreads;
   ]
