@@ -451,6 +451,9 @@ let print_shape_claims rows =
       ( "TC on 16 CS-2 CPUs is within 15% of 78x",
         Float.abs ((o1 "tc" "meiko" 16 /. 78.) -. 1.) <= 0.15,
         Printf.sprintf "%.1fx" (o1 "tc" "meiko" 16) );
+      ( "CG on 16 CS-2 CPUs is within 15% of 50x",
+        Float.abs ((o1 "cg" "meiko" 16 /. 50.) -. 1.) <= 0.15,
+        Printf.sprintf "%.1fx" (o1 "cg" "meiko" 16) );
       ( "ocean peaks at 4 or fewer CS-2 CPUs",
         ocean_peak <= 4,
         Printf.sprintf "peak at %d" ocean_peak );
@@ -861,9 +864,7 @@ let scale_rows scale : Baseline.row list =
             scale_oversub_procs)
         machines)
     Apps.Scripts.apps;
-  (* non-block distributions on a representative pair (the 2-D grid leg
-     rides on tc only: its dense matmul fallback on cg's n is too slow
-     for a CI gate) *)
+  (* the block-cyclic distribution on a representative pair *)
   List.iter
     (fun (key, dist, layout) ->
       match Apps.Scripts.find key with
@@ -876,15 +877,13 @@ let scale_rows scale : Baseline.row list =
     [
       ("cg", "cyclic:4", Runtime.Dmat.Lcyclic 4);
       ("tc", "cyclic:4", Runtime.Dmat.Lcyclic 4);
-      ("tc", "grid:8x8", Runtime.Dmat.Lgrid (8, 8));
     ];
   List.rev !acc
 
 let scale_bench scale =
   Printf.printf
     "Scale benchmark: %d apps on the fat-tree at P in {%s},\n\
-    \  the 1998 trio oversubscribed at P in {%s}, cyclic/grid layouts at \
-     P=64\n"
+    \  the 1998 trio oversubscribed at P in {%s}, cyclic layouts at P=64\n"
     (List.length Apps.Scripts.apps)
     (String.concat "," (List.map string_of_int scale_fattree_procs))
     (String.concat "," (List.map string_of_int scale_oversub_procs));

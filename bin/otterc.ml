@@ -269,20 +269,14 @@ let map_seed_arg =
 let dist_arg =
   Arg.(value & opt string "block" & info [ "dist" ] ~docv:"LAYOUT"
          ~doc:"Matrix distribution: $(b,block) (the paper's layout, \
-               default), $(b,cyclic) or $(b,cyclic:B) (block-cyclic with \
-               block size B, default 1), or $(b,grid:PRxPC) (2-D block on \
-               a PR x PC process grid; PR*PC must equal -p).")
+               default), or $(b,cyclic) or $(b,cyclic:B) (block-cyclic \
+               with block size B, default 1).")
 
-let get_layout dist nprocs =
+let get_layout dist =
   match Otter.Config.layout_of_string dist with
-  | Some (Runtime.Dmat.Lgrid (pr, pc)) when pr * pc <> nprocs ->
-      Fmt.epr "--dist grid:%dx%d needs %d ranks, but -p is %d@." pr pc
-        (pr * pc) nprocs;
-      exit 2
   | Some l -> l
   | None ->
-      Fmt.epr
-        "bad --dist '%s' (try block, cyclic, cyclic:B or grid:PRxPC)@." dist;
+      Fmt.epr "bad --dist '%s' (try block, cyclic or cyclic:B)@." dist;
       exit 2
 
 (* Attach an oversubscription placement to the machine. *)
@@ -303,7 +297,7 @@ let config_of_flags ?capture ?tol ?engine ~nprocs ~machine ~faults ~reliable
     ?(map_seed = 0) ?(dist = "block") () =
   let machine = apply_faults (get_machine machine) faults reliable in
   let machine = apply_placement machine ~nprocs ~cpus ~map ~map_seed in
-  let layout = get_layout dist nprocs in
+  let layout = get_layout dist in
   Otter.config ~machine ~nprocs ?engine:(Option.map get_engine engine)
     ?capture ?tol ~chaos ~ckpt_interval ~max_recoveries ~layout ()
 

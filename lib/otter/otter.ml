@@ -94,20 +94,11 @@ module Config = struct
         match int_of_string_opt b with
         | Some b when b >= 1 -> Some (Runtime.Dmat.Lcyclic b)
         | _ -> None)
-    | [ "grid"; g ] -> (
-        match String.split_on_char 'x' g with
-        | [ pr; pc ] -> (
-            match (int_of_string_opt pr, int_of_string_opt pc) with
-            | Some pr, Some pc when pr >= 1 && pc >= 1 ->
-                Some (Runtime.Dmat.Lgrid (pr, pc))
-            | _ -> None)
-        | _ -> None)
     | _ -> None
 
   let layout_name = function
     | Runtime.Dmat.Lblock -> "block"
     | Runtime.Dmat.Lcyclic b -> Printf.sprintf "cyclic:%d" b
-    | Runtime.Dmat.Lgrid (pr, pc) -> Printf.sprintf "grid:%dx%d" pr pc
 
   let make ?(machine = Mpisim.Machine.meiko_cs2) ?(nprocs = 4)
       ?(engine = default_engine) ?(seed = 42) ?(datadir = ".") ?(capture = [])

@@ -72,8 +72,8 @@ module Config : sig
     max_recoveries : int;  (** rollback/replay budget (0 = no retries) *)
     layout : Runtime.Dmat.layout;
         (** the data-distribution policy for the SPMD executor: block
-            (the paper's layout, the default), block-cyclic, or 2-D
-            grid.  Sequential baselines ignore it. *)
+            (the paper's layout, the default) or block-cyclic.
+            Sequential baselines ignore it. *)
   }
 
   val default_engine : engine
@@ -84,7 +84,7 @@ module Config : sig
   val engine_name : engine -> string
 
   val layout_of_string : string -> Runtime.Dmat.layout option
-  (** ["block"] / ["cyclic"] / ["cyclic:B"] / ["grid:PRxPC"]. *)
+  (** ["block"] / ["cyclic"] / ["cyclic:B"]. *)
 
   val layout_name : Runtime.Dmat.layout -> string
 

@@ -65,36 +65,3 @@ module Cyclic = struct
   let counts ~nprocs ~b ~n =
     Array.init nprocs (fun r -> count ~rank:r ~nprocs ~b ~n)
 end
-
-(* 2-D block distribution: a [pr] x [pc] process grid over a
-   rows x cols index space, rank = (row coordinate) * pc + (column
-   coordinate), each axis split with the 1-D block arithmetic above.
-   Locally a rank stores its rcount x ccount tile row-major. *)
-module Grid = struct
-  let check ~pr ~pc =
-    if pr < 1 || pc < 1 then invalid_arg "grid: process grid must be >= 1x1"
-
-  let coords ~pc rank = (rank / pc, rank mod pc)
-
-  let row_block ~pr ~pc ~rows rank =
-    check ~pr ~pc;
-    let pi = rank / pc in
-    (low ~rank:pi ~nprocs:pr ~n:rows, size ~rank:pi ~nprocs:pr ~n:rows)
-
-  let col_block ~pr ~pc ~cols rank =
-    check ~pr ~pc;
-    let pj = rank mod pc in
-    (low ~rank:pj ~nprocs:pc ~n:cols, size ~rank:pj ~nprocs:pc ~n:cols)
-
-  let owner ~pr ~pc ~rows ~cols ~i ~j =
-    check ~pr ~pc;
-    (owner ~nprocs:pr ~n:rows i * pc) + owner ~nprocs:pc ~n:cols j
-
-  let count ~pr ~pc ~rows ~cols rank =
-    let _, rc = row_block ~pr ~pc ~rows rank in
-    let _, cc = col_block ~pr ~pc ~cols rank in
-    rc * cc
-
-  let counts ~pr ~pc ~rows ~cols =
-    Array.init (pr * pc) (fun r -> count ~pr ~pc ~rows ~cols r)
-end

@@ -26,20 +26,3 @@ module Cyclic : sig
   val count : rank:int -> nprocs:int -> b:int -> n:int -> int
   val counts : nprocs:int -> b:int -> n:int -> int array
 end
-
-(** 2-D block distribution: a [pr] x [pc] process grid over a
-    rows x cols index space (rank = row coord * [pc] + column coord),
-    each axis split with the 1-D block arithmetic; a rank stores its
-    tile row-major. *)
-module Grid : sig
-  val coords : pc:int -> int -> int * int
-
-  val row_block : pr:int -> pc:int -> rows:int -> int -> int * int
-  (** (first global row, row count) of a rank's tile. *)
-
-  val col_block : pr:int -> pc:int -> cols:int -> int -> int * int
-
-  val owner : pr:int -> pc:int -> rows:int -> cols:int -> i:int -> j:int -> int
-  val count : pr:int -> pc:int -> rows:int -> cols:int -> int -> int
-  val counts : pr:int -> pc:int -> rows:int -> cols:int -> int array
-end

@@ -17,12 +17,11 @@
      slices, whatever the run's layout policy;
    - scalars are not MATRIX values; they are replicated by the VM.
 
-   Two further layouts exist for the scaling studies and are selected
+   One further layout exists for the scaling studies and is selected
    per run through [default_layout]: block-cyclic (ScaLAPACK-style,
-   blocks of [b] dealt round-robin along the distribution axis) and 2-D
-   block (a pr x pc process grid owning row-major tiles; vectors fall
-   back to the 1-D block layout).  Both apply to matrices only.
-   Arrays of identical dims are distributed identically, so
+   blocks of [b] dealt round-robin along the distribution axis).  It
+   applies to matrices only.  Under either layout a rank's local rows
+   are whole.  Arrays of identical dims are distributed identically, so
    element-wise operations never communicate (paper's assumption 2)
    under every layout. *)
 
@@ -31,7 +30,6 @@ type axis = By_rows | By_cols
 type layout =
   | Lblock (* contiguous blocks along the distribution axis *)
   | Lcyclic of int (* block-cyclic with the given block size *)
-  | Lgrid of int * int (* pr x pc process grid, 2-D tiles *)
 
 (* The run-wide distribution policy.  Set (and restored) by the driver
    around one parallel run; everything created inside the run follows
@@ -45,14 +43,10 @@ type t = {
   cols : int; (* product of the non-leading dims: dims.(1) for a matrix *)
   axis : axis;
   layout : layout;
-  low : int; (* first owned row (By_rows/grid) or column (By_cols);
+  low : int; (* first owned row (By_rows) or column (By_cols);
                 0 under a cyclic layout (ownership is not contiguous) *)
   count : int; (* number of owned rows/columns *)
-  clow : int; (* grid only: first owned column (else 0) *)
-  ccount : int; (* grid only: owned columns (else cols) *)
-  data : float array;
-      (* By_rows: count*cols row-major; By_cols: count; grid: the
-         count x ccount tile row-major *)
+  data : float array; (* By_rows: count*cols row-major; By_cols: count *)
   full : bool;
       (* a rank-local replica: this rank holds every element (low = 0,
          count covers the whole axis, layout Lblock).  Explicit message
@@ -82,8 +76,8 @@ let axis_of_dims (dims : int array) =
   if Array.length dims = 2 && dims.(0) = 1 then By_cols else By_rows
 
 (* The layout a fresh array of these dims takes under the current
-   policy.  One rank, a rank >= 3 array, or a vector under a grid
-   policy degenerates to the plain block layout. *)
+   policy.  One rank or a rank >= 3 array degenerates to the plain
+   block layout. *)
 let effective_layout (dims : int array) ~nprocs =
   if nprocs = 1 || Array.length dims > 2 then Lblock
   else
@@ -93,21 +87,9 @@ let effective_layout (dims : int array) ~nprocs =
         if b < 1 then
           invalid_arg "cyclic distribution: block size must be at least 1";
         Lcyclic b
-    | Lgrid (pr, pc) ->
-        if pr < 1 || pc < 1 then
-          invalid_arg "grid distribution: the process grid must be at least 1x1";
-        if pr * pc <> nprocs then
-          invalid_arg
-            (Printf.sprintf
-               "grid distribution %dx%d needs %d ranks, but the run has %d"
-               pr pc (pr * pc) nprocs);
-        if dims.(0) <= 1 || dims.(1) <= 1 then Lblock else Lgrid (pr, pc)
 
 let local_len m =
-  match m.layout with
-  | Lgrid _ -> m.count * m.ccount
-  | Lblock | Lcyclic _ -> (
-      match m.axis with By_rows -> m.count * m.cols | By_cols -> m.count)
+  match m.axis with By_rows -> m.count * m.cols | By_cols -> m.count
 
 (* Paper's ML_local_els. *)
 let local_els = local_len
@@ -122,26 +104,19 @@ let create_dims ?(full = false) (dims : int array) =
   let rows = dims.(0) and cols = width_of dims in
   let axis = axis_of_dims dims in
   let n = match axis with By_rows -> rows | By_cols -> cols in
-  let line count = match axis with By_rows -> count * cols | By_cols -> count in
-  let layout, low, count, clow, ccount, len =
-    if full then (Lblock, 0, n, 0, cols, rows * cols)
+  let layout, low, count =
+    if full then (Lblock, 0, n)
     else
       let rank = Mpisim.Sim.rank () and nprocs = Mpisim.Sim.size () in
       match effective_layout dims ~nprocs with
       | Lblock ->
-          let count = Dist.size ~rank ~nprocs ~n in
-          (Lblock, Dist.low ~rank ~nprocs ~n, count, 0, cols, line count)
+          (Lblock, Dist.low ~rank ~nprocs ~n, Dist.size ~rank ~nprocs ~n)
       | Lcyclic b as layout ->
-          let count = Dist.Cyclic.count ~rank ~nprocs ~b ~n in
-          (layout, 0, count, 0, cols, line count)
-      | Lgrid (pr, pc) as layout ->
-          let rlow, rcount = Dist.Grid.row_block ~pr ~pc ~rows rank in
-          let clow, ccount = Dist.Grid.col_block ~pr ~pc ~cols rank in
-          (layout, rlow, rcount, clow, ccount, rcount * ccount)
+          (layout, 0, Dist.Cyclic.count ~rank ~nprocs ~b ~n)
   in
+  let len = match axis with By_rows -> count * cols | By_cols -> count in
   let data = Array.make len 0. in
-  { dims; rows; cols; axis; layout; low; count; clow; ccount; data; full;
-    writes = 0 }
+  { dims; rows; cols; axis; layout; low; count; data; full; writes = 0 }
 
 let create ~rows ~cols = create_dims [| rows; cols |]
 let create_full ~rows ~cols = create_dims ~full:true [| rows; cols |]
@@ -191,7 +166,6 @@ let global_of_local m i =
           in
           (gr * m.cols) + (i mod m.cols)
       | By_cols -> Dist.Cyclic.global_of_local ~rank ~nprocs ~b i)
-  | Lgrid _ -> ((m.low + (i / m.ccount)) * m.cols) + m.clow + (i mod m.ccount)
 
 (* Global (row, col) of local element [i]. *)
 let global_rc_of_local m i =
@@ -210,8 +184,6 @@ let owner m ~i ~j =
       match m.axis with
       | By_rows -> Dist.Cyclic.owner ~nprocs ~b i = rank
       | By_cols -> Dist.Cyclic.owner ~nprocs ~b j = rank)
-  | Lgrid _ ->
-      i >= m.low && i < m.low + m.count && j >= m.clow && j < m.clow + m.ccount
 
 (* Rank that owns global element (i, j). *)
 let owner_rank m ~i ~j =
@@ -225,7 +197,6 @@ let owner_rank m ~i ~j =
       match m.axis with
       | By_rows -> Dist.Cyclic.owner ~nprocs ~b i
       | By_cols -> Dist.Cyclic.owner ~nprocs ~b j)
-  | Lgrid (pr, pc) -> Dist.Grid.owner ~pr ~pc ~rows:m.rows ~cols:m.cols ~i ~j
 
 (* Index into [data] of global element (i, j); the caller must own it
    (the compiler emits the owner guard). *)
@@ -240,7 +211,6 @@ let local_index m ~i ~j =
       match m.axis with
       | By_rows -> (Dist.Cyclic.local_of_global ~nprocs ~b i * m.cols) + j
       | By_cols -> Dist.Cyclic.local_of_global ~nprocs ~b j)
-  | Lgrid _ -> ((i - m.low) * m.ccount) + (j - m.clow)
 
 let get_local m ~i ~j = m.data.(local_index m ~i ~j)
 (* The one store into an array that is not fresh: every in-place write
@@ -263,7 +233,7 @@ let init_dims (dims : int array) f =
       for i = 0 to local_len m - 1 do
         m.data.(i) <- f (base + i)
       done
-  | Lcyclic _ | Lgrid _ ->
+  | Lcyclic _ ->
       for i = 0 to local_len m - 1 do
         m.data.(i) <- f (global_of_local m i)
       done);
@@ -274,7 +244,7 @@ let init ~rows ~cols f = init_dims [| rows; cols |] f
 (* [f i r c] for local elements [i = lo .. lo+len-1], in order, with
    their global (row, col).  Under the block layout local elements are
    consecutive global indices, so (row, col) is decoded once and
-   stepped; the cyclic and grid layouts decode each element. *)
+   stepped; the cyclic layout decodes each element. *)
 let iter_rc m ~lo ~len f =
   match m.layout with
   | Lblock ->
@@ -290,7 +260,7 @@ let iter_rc m ~lo ~len f =
           else incr c
         done
       end
-  | Lcyclic _ | Lgrid _ ->
+  | Lcyclic _ ->
       for i = lo to lo + len - 1 do
         let r, c = global_rc_of_local m i in
         f i r c
@@ -314,7 +284,6 @@ let counts_for m ~nprocs =
       | By_rows ->
           Array.map (fun c -> c * cols) (Dist.Cyclic.counts ~nprocs ~b ~n:rows)
       | By_cols -> Dist.Cyclic.counts ~nprocs ~b ~n:cols)
-  | Lgrid (pr, pc) -> Dist.Grid.counts ~pr ~pc ~rows ~cols
 
 (* Global row-major index of rank [rank]'s local element [l] -- the
    per-rank generalization of [global_of_local], used to unpack a
@@ -332,10 +301,6 @@ let global_of_local_for m ~nprocs ~rank l =
           let gr = Dist.Cyclic.global_of_local ~rank ~nprocs ~b (l / cols) in
           (gr * cols) + (l mod cols)
       | By_cols -> Dist.Cyclic.global_of_local ~rank ~nprocs ~b l)
-  | Lgrid (pr, pc) ->
-      let rlow, _ = Dist.Grid.row_block ~pr ~pc ~rows rank in
-      let clow, cc = Dist.Grid.col_block ~pr ~pc ~cols rank in
-      ((rlow + (l / cc)) * cols) + clow + (l mod cc)
 
 (* Rearrange rank-order gathered local arrays into dense row-major
    order.  The block layout needs no rearranging: concatenating the
@@ -371,7 +336,7 @@ let to_dense m : float array =
         Mpisim.Coll.allgatherv_offset
           ~offset:(fun r -> Dist.low ~rank:r ~nprocs ~n * width)
           m.data
-    | Lcyclic _ | Lgrid _ ->
+    | Lcyclic _ ->
         let counts = counts_for m ~nprocs in
         permute_gathered m counts (Mpisim.Coll.allgatherv ~counts m.data)
   end
@@ -387,7 +352,7 @@ let to_dense_root ~root m : float array =
     else
       match m.layout with
       | Lblock -> gathered
-      | Lcyclic _ | Lgrid _ -> permute_gathered m counts gathered
+      | Lcyclic _ -> permute_gathered m counts gathered
   end
 
 (* Build from replicated dense data (no communication: every rank takes

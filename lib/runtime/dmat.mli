@@ -6,9 +6,9 @@
     non-leading dims.  Under the paper's (default) layout, matrices with
     more than one row are distributed by contiguous row blocks and
     single-row matrices by column blocks; {!default_layout} selects the
-    block-cyclic or 2-D block layouts instead for a whole run.  Those
-    two are matrix layouts: a rank >= 3 array always takes contiguous
-    blocks of leading slices.  Arrays of identical dims are distributed
+    block-cyclic layout instead for a whole run.  That is a matrix
+    layout: a rank >= 3 array always takes contiguous blocks of leading
+    slices.  Arrays of identical dims are distributed
     identically under every layout, so element-wise operations never
     communicate. *)
 
@@ -17,14 +17,13 @@ type axis = By_rows | By_cols
 type layout =
   | Lblock  (** contiguous blocks along the distribution axis *)
   | Lcyclic of int  (** block-cyclic (ScaLAPACK) with the given block size *)
-  | Lgrid of int * int  (** pr x pc process grid owning 2-D tiles *)
 
 val default_layout : layout ref
 (** The run-wide distribution policy; everything created while it is
     set follows it.  Set (and restored) by the driver around one
     parallel run — mutating it mid-run would desynchronize ranks.
-    Under [Lgrid], vectors and single ranks fall back to [Lblock];
-    rank >= 3 arrays take [Lblock] under every policy. *)
+    Single ranks and rank >= 3 arrays take [Lblock] under every
+    policy. *)
 
 type t = {
   dims : int array;  (** global extents, leading axis first; rank >= 2 *)
@@ -35,14 +34,11 @@ type t = {
   axis : axis;
   layout : layout;
   low : int;
-      (** first owned row (By_rows / grid) or column (By_cols); 0 under
-          a cyclic layout, whose ownership is not contiguous *)
+      (** first owned row (By_rows) or column (By_cols); 0 under a
+          cyclic layout, whose ownership is not contiguous *)
   count : int; (** number of owned rows/columns *)
-  clow : int; (** grid only: first owned column (else 0) *)
-  ccount : int; (** grid only: owned column count (else cols) *)
   data : float array;
-      (** By_rows: count*cols row-major; By_cols: count; grid: the
-          count x ccount tile row-major *)
+      (** By_rows: count*cols row-major (whole rows); By_cols: count *)
   full : bool;
       (** a rank-local replica: this rank holds every element.  Produced
           by explicit message passing (MPI_Recv, MPI_Bcast); operations

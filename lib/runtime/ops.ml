@@ -24,15 +24,6 @@ let locality_error op =
    ^ ": cannot mix a replicated (message-passing) matrix with a distributed \
       one; MPI_Bcast the distributed operand first")
 
-(* Layouts whose local data is whole matrix rows in ascending global
-   order -- the assumption baked into the row-sliced kernels below.
-   True for the block and block-cyclic layouts; the 2-D grid layout
-   stores tiles, so grid operands take a gather-based fallback. *)
-let row_sliced (m : Dmat.t) =
-  match m.Dmat.layout with
-  | Dmat.Lgrid _ -> false
-  | Dmat.Lblock | Dmat.Lcyclic _ -> true
-
 (* --- matrix multiply family ------------------------------------------- *)
 
 (* The one dense multiply kernel: c.(i*n + j) <- sum over kk of
@@ -135,7 +126,7 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     Sim.flops (2. *. float_of_int (m * n * k));
     c
   end
-  else if m = 1 && row_sliced b then begin
+  else if m = 1 then begin
     (* (1 x k) * (k x n): partial sums over B's owned rows. *)
     let af = Dmat.to_dense a in
     let partial = Array.make n 0. in
@@ -144,13 +135,12 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     let grow =
       match b.Dmat.layout with
       | Dmat.Lblock -> fun lr -> b.Dmat.low + lr
-      | Dmat.Lcyclic _ | Dmat.Lgrid _ ->
-          fun lr -> fst (Dmat.global_rc_of_local b (lr * n))
+      | Dmat.Lcyclic _ -> fun lr -> fst (Dmat.global_rc_of_local b (lr * n))
     in
     let gcol =
       match b.Dmat.layout with
       | Dmat.Lblock -> fun lj -> b.Dmat.low + lj
-      | Dmat.Lcyclic _ | Dmat.Lgrid _ -> fun lj -> Dmat.global_of_local b lj
+      | Dmat.Lcyclic _ -> fun lj -> Dmat.global_of_local b lj
     in
     (match b.axis with
     | Dmat.By_rows ->
@@ -170,26 +160,13 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     let full = Coll.allreduce ~op:Coll.Sum partial in
     Dmat.of_dense ~rows:1 ~cols:n full
   end
-  else
+  else begin
     let c = Dmat.create ~rows:m ~cols:n in
-    (* C's local rows are whole unless C is tiled: an (m x 1) * (1 x n)
-       product can be, though its vector operands never are *)
-    if row_sliced a && row_sliced b && c.ccount = n then begin
-      let bf = Dmat.to_dense b in
-      mm_kernel ~rows:c.count ~k ~n a.data bf c.data;
-      Sim.flops (2. *. float_of_int (c.count * n * k));
-      c
-    end
-    else begin
-      (* Grid tiles do not slice into whole rows; replicate both
-         operands and compute the full product everywhere (like the
-         interpreter). *)
-      let ad = Dmat.to_dense a and bd = Dmat.to_dense b in
-      let cd = Array.make (m * n) 0. in
-      mm_kernel ~rows:m ~k ~n ad bd cd;
-      Sim.flops (2. *. float_of_int (m * n * k));
-      Dmat.of_dense ~rows:m ~cols:n cd
-    end
+    let bf = Dmat.to_dense b in
+    mm_kernel ~rows:c.count ~k ~n a.data bf c.data;
+    Sim.flops (2. *. float_of_int (c.count * n * k));
+    c
+  end
 
 (* Local contribution to a dot product (the pre-combine partial; also
    one slot of a fused allreduce). *)
@@ -318,22 +295,6 @@ let matmul_t (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     matmul (transpose a) b
   end
   else if a.rows = 1 then matmul (transpose a) b
-  else if not (row_sliced a && row_sliced b) then begin
-    (* Grid tiles: replicate and form the full product everywhere. *)
-    let ad = Dmat.to_dense a and bd = Dmat.to_dense b in
-    let m = a.cols and k = b.cols and r = a.rows in
-    let cd = Array.make (m * k) 0. in
-    for i = 0 to r - 1 do
-      for ja = 0 to m - 1 do
-        let av = ad.((i * m) + ja) in
-        for jb = 0 to k - 1 do
-          cd.((ja * k) + jb) <- cd.((ja * k) + jb) +. (av *. bd.((i * k) + jb))
-        done
-      done
-    done;
-    Sim.flops (2. *. float_of_int (r * m * k));
-    Dmat.of_dense ~rows:m ~cols:k cd
-  end
   else begin
     let m = a.cols and k = b.cols in
     let partial = Array.make (m * k) 0. in
@@ -447,19 +408,6 @@ let reduce_all op (m : Dmat.t) : float =
 (* Column-wise reduction of a row-distributed matrix -> 1 x cols. *)
 let reduce_cols op (m : Dmat.t) : Dmat.t =
   let n = m.cols in
-  if not (row_sliced m) then begin
-    (* Grid tiles: replicate and fold whole columns in global order. *)
-    let dense = Dmat.to_dense m in
-    let partial = Array.make n (red_init op) in
-    for i = 0 to m.rows - 1 do
-      for j = 0 to n - 1 do
-        partial.(j) <- red_combine op partial.(j) dense.((i * n) + j)
-      done
-    done;
-    Sim.flops (float_of_int (m.rows * n));
-    Dmat.of_dense ~rows:1 ~cols:n partial
-  end
-  else begin
   let partial = Array.make n (red_init op) in
   for li = 0 to m.count - 1 do
     for j = 0 to n - 1 do
@@ -471,7 +419,6 @@ let reduce_cols op (m : Dmat.t) : Dmat.t =
   else
     let full = Coll.allreduce ~op:(coll_op op) partial in
     Dmat.of_dense ~rows:1 ~cols:n full
-  end
 
 let mean_all (m : Dmat.t) = reduce_all Rsum m /. float_of_int (Dmat.numel m)
 

@@ -1,5 +1,5 @@
-(* Distribution-arithmetic tests: QCheck properties of the block,
-   block-cyclic and 2-D grid owner/low/count algebra, the edge cases
+(* Distribution-arithmetic tests: QCheck properties of the block and
+   block-cyclic owner/low/count algebra, the edge cases
    (n = 0, n < p, p = 1, block > n), and end-to-end verification of
    the paper applications under the non-block layouts. *)
 
@@ -108,43 +108,6 @@ let cyclic_partition =
       done;
       !ok && (n = 0 || Array.for_all (fun c -> c = 1) seen))
 
-(* --- 2-D grid ------------------------------------------------------------ *)
-
-let gen_grid =
-  QCheck.(
-    quad (int_range 1 6) (int_range 1 6) (int_range 0 24) (int_range 0 24))
-
-let grid_counts_sum =
-  QCheck.Test.make ~count:500 ~name:"grid: tile sizes sum to rows*cols"
-    gen_grid (fun (pr, pc, rows, cols) ->
-      let counts = Dist.Grid.counts ~pr ~pc ~rows ~cols in
-      Array.length counts = pr * pc
-      && Array.fold_left ( + ) 0 counts = rows * cols
-      && Array.to_list counts
-         = List.init (pr * pc) (fun r ->
-               Dist.Grid.count ~pr ~pc ~rows ~cols r))
-
-let grid_owner_tiles =
-  QCheck.Test.make ~count:300
-    ~name:"grid: owner consistent with row/col blocks" gen_grid
-    (fun (pr, pc, rows, cols) ->
-      let ok = ref true in
-      for i = 0 to rows - 1 do
-        for j = 0 to cols - 1 do
-          let r = Dist.Grid.owner ~pr ~pc ~rows ~cols ~i ~j in
-          if r < 0 || r >= pr * pc then ok := false
-          else begin
-            let ri, rc = Dist.Grid.row_block ~pr ~pc ~rows r in
-            let cj, cc = Dist.Grid.col_block ~pr ~pc ~cols r in
-            if not (i >= ri && i < ri + rc && j >= cj && j < cj + cc) then
-              ok := false
-          end
-        done
-      done;
-      (* tile areas double-count nothing: sum = rows*cols checked above,
-         and every (i,j) landed inside its owner's tile *)
-      !ok)
-
 (* --- edge cases ---------------------------------------------------------- *)
 
 let test_edges () =
@@ -170,12 +133,7 @@ let test_edges () =
   (* block size larger than n: rank 0 owns the single short block *)
   Alcotest.(check (array int))
     "cyclic b>n" [| 5; 0; 0 |]
-    (Dist.Cyclic.counts ~nprocs:3 ~b:7 ~n:5);
-  (* degenerate grid axis: one row over two grid rows — the r*n/p
-     formula gives the row to grid-row 1, so ranks 0/1 hold nothing *)
-  Alcotest.(check (array int))
-    "grid 1 row" [| 0; 0; 2; 2 |]
-    (Dist.Grid.counts ~pr:2 ~pc:2 ~rows:1 ~cols:4)
+    (Dist.Cyclic.counts ~nprocs:3 ~b:7 ~n:5)
 
 (* --- layout plumbing ----------------------------------------------------- *)
 
@@ -193,8 +151,6 @@ let test_layout_names () =
       ("block", Dmat.Lblock);
       ("cyclic:1", Dmat.Lcyclic 1);
       ("cyclic:4", Dmat.Lcyclic 4);
-      ("grid:2x2", Dmat.Lgrid (2, 2));
-      ("grid:1x8", Dmat.Lgrid (1, 8));
     ];
   Alcotest.(check bool)
     "bare cyclic" true
@@ -203,7 +159,17 @@ let test_layout_names () =
     (fun s ->
       if Otter.Config.layout_of_string s <> None then
         Alcotest.failf "layout_of_string %S: expected None" s)
-    [ ""; "cyclic:0"; "cyclic:x"; "grid:2"; "grid:0x2"; "grid:2x"; "banana" ]
+    [
+      "";
+      "cyclic:0";
+      "cyclic:x";
+      "grid:2x2";
+      "grid:1x8";
+      "grid:2";
+      "grid:0x2";
+      "grid:2x";
+      "banana";
+    ]
 
 (* --- end-to-end: apps under non-block layouts ---------------------------- *)
 
@@ -229,25 +195,6 @@ let test_apps_cyclic () =
       verify_layout key ~layout:(Dmat.Lcyclic 3) ~nprocs:4)
     [ "cg"; "ocean"; "tc" ]
 
-let test_apps_grid () =
-  List.iter
-    (fun key -> verify_layout key ~layout:(Dmat.Lgrid (2, 2)) ~nprocs:4)
-    [ "cg"; "ocean"; "tc" ];
-  verify_layout "cg" ~layout:(Dmat.Lgrid (1, 4)) ~nprocs:4;
-  verify_layout "tc" ~layout:(Dmat.Lgrid (4, 1)) ~nprocs:4
-
-let test_grid_rank_mismatch () =
-  let c = Otter.compile (Apps.Scripts.cg ~n:16 ~iters:2 ()) in
-  match
-    Otter.outcome_exn
-      (Otter.run (Otter.config ~nprocs:4 ~layout:(Dmat.Lgrid (2, 3)) ()) c)
-  with
-  | exception e ->
-      let msg = Printexc.to_string e in
-      if not (Testutil.contains msg "needs 6 ranks, but the run has 4") then
-        Alcotest.failf "unexpected error: %s" msg
-  | _ -> Alcotest.fail "grid 2x3 on 4 ranks should be rejected"
-
 let suite =
   [
     qt block_partition;
@@ -256,11 +203,7 @@ let suite =
     qt cyclic_counts_sum;
     qt cyclic_inverse;
     qt cyclic_partition;
-    qt grid_counts_sum;
-    qt grid_owner_tiles;
     t "edge cases" test_edges;
     t "layout parse/print" test_layout_names;
     t "apps verify under cyclic layouts" test_apps_cyclic;
-    t "apps verify under 2-D grid layouts" test_apps_grid;
-    t "grid shape must match nprocs" test_grid_rank_mismatch;
   ]

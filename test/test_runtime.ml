@@ -404,13 +404,12 @@ let same_bits x y =
   Int64.bits_of_float x = Int64.bits_of_float y
   || (Float.is_nan x && Float.is_nan y)
 
-type exact_layout = Block | Cyclic2 | Grid | Replicated
+type exact_layout = Block | Cyclic2 | Replicated
 
 let gen_exact =
   QCheck.Gen.(
     oneofl [ 1; 2; 3; 4; 7 ] >>= fun p ->
-    (* a 1 x p grid tiles every matrix operand: the gather fallback *)
-    oneofl [ Block; Cyclic2; Grid; Replicated ] >>= fun layout ->
+    oneofl [ Block; Cyclic2; Replicated ] >>= fun layout ->
     (* local row counts 1..9 under the block layout, so the four-row
        matrix-vector passes run with every tail length *)
     int_range 1 8 >>= fun r ->
@@ -445,7 +444,6 @@ let print_exact (p, layout, m, k, n, a, b) =
     match layout with
     | Block -> "block"
     | Cyclic2 -> "cyclic:2"
-    | Grid -> "grid 1xp"
     | Replicated -> "replicated"
   in
   Printf.sprintf "p=%d %s %dx%d*%dx%d\nA=[%s]\nB=[%s]" p name m k k n (show a)
@@ -457,7 +455,6 @@ let matmul_exact_prop (p, layout, m, k, n, a, b) =
   (Dmat.default_layout :=
      match layout with
      | Cyclic2 -> Dmat.Lcyclic 2
-     | Grid -> Dmat.Lgrid (1, p)
      | Block | Replicated -> Dmat.Lblock);
   let mk rows cols d =
     if layout = Replicated then Dmat.of_full ~rows ~cols d

@@ -503,8 +503,8 @@ let test_block_edges_frame () =
     [ (12, 3, 7); (13, 3, 7); (25, 3, 7); (16, 4, 4); (17, 4, 4) ]
 
 (* [eye] inside an element plan, under the block layout (where the
-   loop steps (row, col) through the block) and under cyclic:2 and a
-   1 x P grid; n = 17, 23, 37 put block edges mid-row. *)
+   loop steps (row, col) through the block) and under cyclic:2; n = 17,
+   23, 37 put block edges mid-row. *)
 let test_block_edges_eye () =
   List.iter
     (fun p ->
@@ -518,7 +518,7 @@ let test_block_edges_eye () =
                 (Printf.sprintf
                    "n = %d;\nA = rand(n, n);\nE = A - n * eye(n) .* A;\n" n))
             [ 16; 17; 23; 37 ])
-        Runtime.Dmat.[ Lblock; Lcyclic 2; Lgrid (1, p) ])
+        Runtime.Dmat.[ Lblock; Lcyclic 2 ])
     [ 1; 3 ]
 
 let suite =
