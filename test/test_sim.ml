@@ -536,92 +536,276 @@ let test_recv_infinite_timeout_deadlocks () =
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "an unsatisfied wait without deadline must deadlock"
 
-(* --- sendrecv: one request, the schedule of send then recv -------------- *)
+(* --- random programs, and the reference simulator ----------------------- *)
 
-(* A random exchange program of [rounds] rounds: in each, every rank
-   computes for a random time, then sends a random-length payload to
-   (me + shift) and receives from (me - shift) on the round's tag.
-   [fused] writes the exchange as one [Sim.sendrecv], otherwise as
-   [Sim.send] then [Sim.recv].  With [broken], one rank in one round
-   receives from a rank that sends it nothing that round, so the run
-   may end in a deadlock or a timeout instead. *)
-let exchange_program ~seed ~nprocs ~broken ~fused =
-  let rounds = 6 in
+(* The messaging layer a program sends through: [Reliable] on [Sim],
+   or [Proto] below on either simulator. *)
+module type LAYER = sig
+  val send : dst:int -> tag:int -> Sim.payload -> unit
+  val recv : src:int -> tag:int -> Sim.payload
+  val recv_any : tag:int -> int * Sim.payload
+  val sendrecv : dst:int -> tag:int -> Sim.payload -> src:int -> Sim.payload
+end
+
+(* [Reliable]'s protocol, written over [Refsim.OPS] so that it runs on
+   the reference simulator too.  On a machine without [reliable] it is
+   the plain operations, as [Reliable] is; on one with, the ack/retry
+   protocol, step for step.  The reference comparison checks it
+   against [Reliable] itself on [Sim]. *)
+module Proto (O : Refsim.OPS) () : LAYER = struct
+  let counters = Hashtbl.create 64
+
+  let next key =
+    let v = Option.value ~default:0 (Hashtbl.find_opt counters key) in
+    Hashtbl.replace counters key (v + 1);
+    v
+
+  let rtt ~peer bytes =
+    let m = O.machine () and me = O.rank () in
+    let fwd = m.Machine.link me peer and back = m.Machine.link peer me in
+    fwd.Machine.latency
+    +. (float_of_int bytes /. fwd.Machine.bandwidth)
+    +. back.Machine.latency
+    +. (8. /. back.Machine.bandwidth)
+    +. m.Machine.send_overhead +. m.Machine.recv_overhead
+
+  let error ~src ~tag detail =
+    raise (Sim.Protocol_error { rank = O.rank (); src; tag; detail })
+
+  let envelope seq = function
+    | Sim.Floats a -> Sim.Floats (Array.append [| float_of_int seq |] a)
+    | Sim.Ints a -> Sim.Ints (Array.append [| seq |] a)
+    | Sim.Window (a, off, l1, l2) ->
+        Sim.Floats
+          (Array.concat [ [| float_of_int seq |]; Array.sub a off l1; Array.sub a 0 l2 ])
+
+  let unwrap ~src ~tag = function
+    | Sim.Floats a when Array.length a >= 1 ->
+        (int_of_float a.(0), Sim.Floats (Array.sub a 1 (Array.length a - 1)))
+    | Sim.Ints a when Array.length a >= 1 ->
+        (a.(0), Sim.Ints (Array.sub a 1 (Array.length a - 1)))
+    | _ -> error ~src ~tag "bad envelope"
+
+  let psend ~dst ~tag data =
+    let seq = next (O.rank (), 0, dst, tag) in
+    let env = envelope seq data and atag = tag + 0x400000 in
+    let rec await timeout =
+      match O.recv_opt ~src:dst ~tag:atag ~timeout with
+      | Some (Sim.Ints [| s |]) when s = seq -> true
+      | Some (Sim.Ints [| s |]) when s < seq -> await timeout
+      | Some _ -> error ~src:dst ~tag:atag "bad ack"
+      | None -> false
+    in
+    let rec attempt n timeout =
+      O.send_acked ~dst ~tag ~ack_tag:atag ~seq env;
+      if not (await timeout) then begin
+        if n >= Reliable.max_retries then
+          raise
+            (Reliable.Exhausted { rank = O.rank (); dst; tag; attempts = n + 1 });
+        O.note_retry ();
+        attempt (n + 1) (timeout *. Reliable.backoff)
+      end
+    in
+    attempt 0 (4. *. rtt ~peer:dst (Sim.payload_bytes env))
+
+  (* [None]: a duplicate of a message already taken *)
+  let accept ~src ~tag env =
+    let seq, data = unwrap ~src ~tag env in
+    let key = (O.rank (), 1, src, tag) in
+    if seq = Option.value ~default:0 (Hashtbl.find_opt counters key) then begin
+      ignore (next key);
+      Some data
+    end
+    else None
+
+  let rec precv ~src ~tag =
+    let detect =
+      match (O.machine ()).Machine.faults with
+      | Some f when f.Machine.detect > 0. -> f.Machine.detect
+      | _ -> infinity
+    in
+    let ladder = (Reliable.backoff ** float_of_int (Reliable.max_retries + 1)) -. 1. in
+    let window = 4. *. rtt ~peer:src 65536 *. ladder /. (Reliable.backoff -. 1.) in
+    match accept ~src ~tag (O.recv_timeout ~src ~tag ~timeout:(Float.max detect window)) with
+    | Some d -> d
+    | None -> precv ~src ~tag
+
+  let rec precv_any ~tag =
+    let src, env = O.recv_any ~tag in
+    match accept ~src ~tag env with Some d -> (src, d) | None -> precv_any ~tag
+
+  let on () = (O.machine ()).Machine.reliable
+  let send ~dst ~tag data = if on () then psend ~dst ~tag data else O.send ~dst ~tag data
+  let recv ~src ~tag = if on () then precv ~src ~tag else O.recv ~src ~tag
+  let recv_any ~tag = if on () then precv_any ~tag else O.recv_any ~tag
+
+  let sendrecv ~dst ~tag data ~src =
+    if on () then begin
+      psend ~dst ~tag data;
+      precv ~src ~tag
+    end
+    else O.sendrecv ~dst ~tag data ~src
+end
+
+(* One round of a random program.  Every round starts with each rank
+   computing for a while (times from a few values, so clocks and
+   arrivals tie often) and, for some ranks, probing a key. *)
+type round =
+  | Exchange of { shift : int; tag : int }
+      (* send to me + shift, receive from me - shift; the PR-29 round *)
+  | Fan_in of { root : int; tag : int; counts : int array }
+      (* [counts.(r)] messages from each rank [r] to [root], which takes
+         them all by wildcard, probing the wildcard before each *)
+  | Cross of { shift : int; first : int; second : int }
+      (* send on [first], then on [second]; receive [second] first *)
+  | Deadline of { shift : int; tag : int; skip : bool array; timeout : float }
+      (* a plain send, skipped by some ranks, and a receive with a
+         deadline that may expire, leaving a late message queued *)
+
+(* A random program of [rounds] rounds on [nprocs] ranks.  [fused]
+   writes each exchange as one [sendrecv], otherwise as a send then a
+   receive.  With [broken], one rank in one exchange receives from a
+   rank that sends it nothing, so the run may end in a deadlock or a
+   timeout.  Each rank returns its log: every probe's answer and every
+   message it took (source, tag, payload, clock), so equal logs mean
+   the same delivery order on every key. *)
+let random_program ~seed ~nprocs ~broken ~fused =
   let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let rounds = 4 + int 4 in
+  let shift () = 1 + int (nprocs - 1) in
   let plan =
-    Array.init rounds (fun _ ->
-        (1 + Random.State.int rng (nprocs - 1), 7 + Random.State.int rng 3))
+    Array.init rounds (fun k ->
+        let tag = 7 + (10 * k) in
+        match int 4 with
+        | 0 -> Fan_in { root = int nprocs; tag; counts = Array.init nprocs (fun _ -> int 3) }
+        | 1 -> Cross { shift = shift (); first = tag; second = tag + 1 }
+        | 2 ->
+            Deadline
+              { shift = shift (); tag = tag + 2; skip = Array.init nprocs (fun _ -> int 3 = 0);
+                timeout = float_of_int (int 4) *. 5e-5 }
+        | _ -> Exchange { shift = shift (); tag })
   in
-  let work =
+  let work = Array.init rounds (fun _ -> Array.init nprocs (fun _ -> float_of_int (int 4) *. 2.5e-5)) in
+  let lens = Array.init rounds (fun _ -> Array.init nprocs (fun _ -> [| 0; 1; 3; 40; 300 |].(int 5))) in
+  let probes =
     Array.init rounds (fun _ ->
         Array.init nprocs (fun _ ->
-            (Random.State.float rng 1e-4, Random.State.int rng 40)))
+            if int 3 = 0 then Some (int (nprocs + 1) - 1, 7 + (10 * int rounds) + int 3) else None))
   in
-  let odd =
-    if broken then (Random.State.int rng rounds, Random.State.int rng nprocs)
-    else (-1, -1)
-  in
-  fun me ->
-    let acc = ref 0. in
+  let odd = if broken then (int rounds, int nprocs) else (-1, -1) in
+  fun (module O : Refsim.OPS) (module L : LAYER) me ->
+    let b = Buffer.create 256 in
+    let payload k i =
+      let len = lens.(k).(me) and v = float_of_int ((1000 * me) + (10 * k) + i) in
+      match (me + k + i) mod 3 with
+      | 0 -> Sim.Ints (Array.make len ((1000 * me) + (10 * k) + i))
+      | 1 when len > 1 -> Sim.Window (Array.make (len + 2) v, 2, len - 1, 1)
+      | _ -> Sim.Floats (Array.make len v)
+    in
+    let took src tag d =
+      let n, v =
+        match d with
+        | Sim.Floats a -> (Array.length a, if a = [||] then nan else a.(0))
+        | Sim.Ints a -> (Array.length a, if a = [||] then nan else float_of_int a.(0))
+        | Sim.Window (a, _, l1, l2) -> (l1 + l2, a.(0))
+      in
+      Printf.bprintf b "%d/%d: %d %h at %h\n" src tag n v (O.time ())
+    in
     Array.iteri
-      (fun k (shift, tag) ->
-        let t, len = work.(k).(me) in
-        Sim.compute t;
-        let dst = (me + shift) mod nprocs in
-        let src = (me - shift + nprocs) mod nprocs in
-        let src = if odd = (k, me) then (src + 1) mod nprocs else src in
-        let data = Sim.Floats (Array.make len (float_of_int ((10 * me) + k))) in
-        let got =
-          if fused then Sim.sendrecv ~dst ~tag data ~src
-          else begin
-            Sim.send ~dst ~tag data;
-            Sim.recv ~src ~tag
-          end
+      (fun k round ->
+        O.compute work.(k).(me);
+        Option.iter
+          (fun (src, tag) -> Printf.bprintf b "probe %d/%d %b\n" src tag (O.probe ~src ~tag))
+          probes.(k).(me);
+        let peers shift =
+          let src = (me - shift + nprocs) mod nprocs in
+          ((me + shift) mod nprocs, if odd = (k, me) then (src + 1) mod nprocs else src)
         in
-        let sum =
-          match got with
-          | Sim.Floats a -> Array.fold_left ( +. ) 0. a
-          | _ -> nan
-        in
-        acc := !acc +. sum +. Sim.time ())
+        match round with
+        | Exchange { shift; tag } ->
+            let dst, src = peers shift in
+            took src tag
+              (if fused then L.sendrecv ~dst ~tag (payload k 0) ~src
+               else begin
+                 L.send ~dst ~tag (payload k 0);
+                 L.recv ~src ~tag
+               end)
+        | Fan_in { root; tag; counts } when me = root ->
+            for i = 1 to Array.fold_left ( + ) 0 counts - counts.(me) do
+              O.compute work.(k).(i mod nprocs);
+              Printf.bprintf b "any %b\n" (O.probe ~src:(-1) ~tag);
+              let src, d = L.recv_any ~tag in
+              took src tag d
+            done
+        | Fan_in { root; tag; counts } ->
+            for i = 1 to counts.(me) do
+              L.send ~dst:root ~tag (payload k i);
+              O.compute work.(k).((me + i) mod nprocs)
+            done
+        | Cross { shift; first; second } ->
+            let dst, src = peers shift in
+            L.send ~dst ~tag:first (payload k 0);
+            O.compute work.(k).(dst);
+            L.send ~dst ~tag:second (payload k 1);
+            took src second (L.recv ~src ~tag:second);
+            took src first (L.recv ~src ~tag:first)
+        | Deadline { shift; tag; skip; timeout } -> (
+            let dst, src = peers shift in
+            if not skip.(me) then O.send ~dst ~tag (payload k 0);
+            match O.recv_opt ~src ~tag ~timeout with
+            | Some d -> took src tag d
+            | None -> Printf.bprintf b "%d/%d: expired at %h\n" src tag (O.time ()))
+      )
       plan;
-    !acc
+    Buffer.contents b
 
 (* How a run ended, and everything it shows: its outcome (results, or
    the failure with its diagnostic) and the report's clocks and
    counters, floats in hex so equal means bit-identical. *)
-let run_summary machine ~nprocs body =
-  let outcome, r = Sim.run_report ~machine ~nprocs body in
-  let floats a =
-    String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a))
-  in
+let summarize outcome (c : Refsim.counts) =
+  let floats a = String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a)) in
   let ending, outcome =
     match outcome with
-    | Ok results -> ("ok", floats results)
+    | Ok results -> ("ok", String.concat "\n" (Array.to_list results))
     | Error (Sim.Deadlock msg) -> ("deadlock", msg)
-    | Error
-        (Sim.Rank_failure
-           { rank; exn = Sim.Timeout { rank = w; src; tag; waited } }) ->
+    | Error (Sim.Rank_failure { rank; exn = Sim.Timeout { rank = w; src; tag; waited } }) ->
         ( "timeout",
-          Printf.sprintf "rank %d: %d gave up on (src=%d, tag=%d) after %h"
-            rank w src tag waited )
-    | Error
-        (Sim.Rank_failure
-           { rank; exn = Sim.Peer_failed { rank = w; failed; at } }) ->
-        ( "peer failure",
-          Printf.sprintf "rank %d: %d saw %d fail at %h" rank w failed at )
+          Printf.sprintf "rank %d: %d gave up on (src=%d, tag=%d) after %h" rank w src tag
+            waited )
+    | Error (Sim.Rank_failure { rank; exn = Sim.Peer_failed { rank = w; failed; at } }) ->
+        ("peer failure", Printf.sprintf "rank %d: %d saw %d fail at %h" rank w failed at)
     | Error e -> ("other", Printexc.to_string e)
   in
   ( ending,
     Printf.sprintf
-      "%s: %s\nclocks %s\nmessages %d bytes %d picks %d drops %d dups %d \
-       delayed %d stalls %d kills %d"
-      ending outcome (floats r.Sim.per_rank_clock) r.Sim.messages r.Sim.bytes
-      r.Sim.sched_picks r.Sim.drops r.Sim.dups r.Sim.delayed r.Sim.stalls
-      r.Sim.kills )
+      "%s: %s\nclocks %s\ncompute %h messages %d bytes %d picks %d drops %d dups %d \
+       delayed %d stalls %d retries %d acks %d kills %d"
+      ending outcome (floats c.clocks) c.compute c.messages c.bytes c.picks c.drops
+      c.dups c.delayed c.stalls c.retries c.acks c.kills )
+
+(* A run on [Sim], summarized the same way. *)
+let run_summary machine ~nprocs body =
+  let outcome, r = Sim.run_report ~machine ~nprocs body in
+  summarize outcome
+    {
+      Refsim.clocks = r.Sim.per_rank_clock;
+      messages = r.Sim.messages;
+      bytes = r.Sim.bytes;
+      compute = r.Sim.compute_time;
+      picks = r.Sim.sched_picks;
+      drops = r.Sim.drops;
+      dups = r.Sim.dups;
+      delayed = r.Sim.delayed;
+      stalls = r.Sim.stalls;
+      retries = r.Sim.retries;
+      acks = r.Sim.acks;
+      kills = r.Sim.kills;
+    }
+
+let faulty spec m = Machine.with_faults ~faults:(Testutil.faults spec) m
 
 let test_sendrecv_schedule_identity () =
-  let faulty spec m = Machine.with_faults ~faults:(Testutil.faults spec) m in
   let machines =
     [
       ("meiko", Machine.meiko_cs2, 8);
@@ -648,7 +832,7 @@ let test_sendrecv_schedule_identity () =
         let broken = seed mod 3 = 0 in
         let summary fused =
           run_summary machine ~nprocs
-            (exchange_program ~seed ~nprocs ~broken ~fused)
+            (random_program ~seed ~nprocs ~broken ~fused (module Sim) (module Sim))
         in
         let ending, separate = summary false in
         Hashtbl.replace endings ending name;
@@ -665,6 +849,99 @@ let test_sendrecv_schedule_identity () =
         Alcotest.failf "no program ended with a %s (only with: %s)" ending
           (String.concat ", " (List.of_seq (Hashtbl.to_seq_keys endings))))
     [ "ok"; "deadlock"; "timeout"; "peer failure" ]
+
+(* The machines the reference comparison runs on, with P: each model
+   plain and under a placement, and with faults, with and without the
+   reliable layer.  The fault seed is the case's. *)
+let reference_machines =
+  let f spec m seed = faulty (Printf.sprintf "%s,seed=%d" spec seed) m in
+  let rel m = { m with Machine.reliable = true } in
+  [|
+    ("meiko", (fun _ -> Machine.meiko_cs2), 6);
+    ("cluster", (fun _ -> Machine.sparc20_cluster), 10);
+    ("fattree", (fun _ -> Machine.fattree_default), 20);
+    ( "meiko --cpus 3 --map random",
+      (fun _ -> Machine.with_placement ~cpus:3 ~map:(Machine.Map_random 5) Machine.meiko_cs2),
+      8 );
+    ( "cluster --cpus 4 --map cyclic",
+      (fun _ -> Machine.with_placement ~cpus:4 ~map:Machine.Map_cyclic Machine.sparc20_cluster),
+      9 );
+    ( "fattree --cpus 6 --map block",
+      (fun _ -> Machine.with_placement ~cpus:6 ~map:Machine.Map_block Machine.fattree_default),
+      16 );
+    ( "cluster, faults",
+      f "drop=0.05,dup=0.1,delay=0.1,stall=0.1,degrade=0.3,detect=0.01" Machine.sparc20_cluster,
+      8 );
+    ( "cluster, kills",
+      f "kill=0.2,kill_window=2e-3,detect=1e-3" Machine.sparc20_cluster,
+      8 );
+    ( "meiko, faults, reliable",
+      (fun seed -> rel (f "drop=0.1,dup=0.1,delay=0.1,detect=0.05" Machine.meiko_cs2 seed)),
+      6 );
+    ( "fattree, faults and a kill, reliable",
+      (fun seed ->
+        rel
+          (f "dup=0.1,delay=0.1,stall=0.05,kill_rank=3,kill_time=4e-4,detect=1e-3"
+             Machine.fattree_default seed)),
+      12 );
+  |]
+
+let reference_endings = Hashtbl.create 8
+
+(* One case: a random program on one machine, on [Sim] with [Reliable]
+   and on the reference simulator with [Proto]; on a reliable machine
+   also on [Sim] with [Proto], which pins [Proto] to [Reliable]. *)
+let reference_case (config, seed) =
+  let name, machine, nprocs = reference_machines.(config) in
+  let machine = machine seed in
+  let program =
+    random_program ~seed ~nprocs ~broken:(seed mod 4 = 0) ~fused:(seed mod 2 = 0)
+  in
+  let ending, fast =
+    run_summary machine ~nprocs (program (module Sim) (module Reliable))
+  in
+  Hashtbl.replace reference_endings ending ();
+  let reference =
+    let module P = Proto (Refsim) () in
+    let outcome, c = Refsim.run_report ~machine ~nprocs (program (module Refsim) (module P)) in
+    snd (summarize outcome c)
+  in
+  let mirror () =
+    let module P = Proto (Sim) () in
+    snd (run_summary machine ~nprocs (program (module Sim) (module P)))
+  in
+  if fast <> reference then
+    QCheck.Test.fail_reportf "%s P=%d seed %d\n--- Sim:\n%s\n--- reference:\n%s" name nprocs
+      seed fast reference;
+  if machine.Machine.reliable && fast <> mirror () then
+    QCheck.Test.fail_reportf "%s seed %d: Proto on Sim differs from Reliable" name seed;
+  true
+
+let reference_prop =
+  QCheck.Test.make ~count:500 ~long_factor:40
+    ~name:"the reference simulator agrees on random programs"
+    QCheck.(
+      make
+        ~print:(fun (c, s) -> Printf.sprintf "%s, seed %d" (let n, _, _ = reference_machines.(c) in n) s)
+        Gen.(pair (int_bound (Array.length reference_machines - 1)) (int_range 1 1_000_000)))
+    reference_case
+
+(* The comparison, and then a check that its cases reached every kind
+   of ending. *)
+let test_reference =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |]) reference_prop
+  in
+  ( name,
+    speed,
+    fun () ->
+      Hashtbl.reset reference_endings;
+      run ();
+      List.iter
+        (fun e ->
+          if not (Hashtbl.mem reference_endings e) then
+            Alcotest.failf "no reference case ended with a %s" e)
+        [ "ok"; "deadlock"; "timeout"; "peer failure" ] )
 
 let test_machine_lookup () =
   let is name m =
@@ -900,6 +1177,7 @@ let suite =
       test_recv_infinite_timeout_deadlocks;
     t "sendrecv keeps the schedule of send then recv"
       test_sendrecv_schedule_identity;
+    test_reference;
     t "machine lookup" test_machine_lookup;
     t "cluster topology" test_cluster_topology;
     t "placement: identity mapping is bit-identical" test_placement_identity;
