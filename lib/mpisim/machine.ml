@@ -7,14 +7,11 @@
    hardware; the evaluation cares about ratios (grain size versus
    communication cost), which these preserve. *)
 
-(* Hash tables keyed by an int (a node id, a packed mailbox key, a
-   tag): a multiplicative mix skips the polymorphic
-   [caml_hash] call the generic [Hashtbl] makes on every lookup.
-   [Hashtbl] picks a bucket from the low bits of the hash, so the mix
-   folds the product's high half back down: with the identity, a
-   mailbox key [(tag lsl 20) lor src] would be bucketed by the low
-   bits of [src] alone, and a rank's collective partners (src = me
-   xor 2^k) share a few buckets. *)
+(* Hash tables keyed by an int (a node id, a tag, a call index): a
+   multiplicative mix skips the polymorphic [caml_hash] call the
+   generic [Hashtbl] makes on every lookup.  [Hashtbl] picks a bucket
+   from the low bits of the hash, so the mix folds the product's high
+   half back down: keys that differ only in high bits still spread. *)
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 

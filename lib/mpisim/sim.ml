@@ -8,9 +8,9 @@
    resumes the rank with the reply.  The requests are:
 
    - a send timestamps a message using the machine's link model --
-     including serialization on shared channels -- and delivers it to
-     the destination mailbox (eager: the sender resumes at once, but
-     the delivery happens in global virtual-time order);
+     including serialization on shared channels -- and queues it for
+     the destination (eager: the sender resumes at once, but the
+     delivery happens in global virtual-time order);
    - a receive waits for a message from one (source, tag) until a
      deadline (infinity: forever);
    - a wildcard receive waits for a message with a tag from any source;
@@ -24,8 +24,15 @@
 
    The scheduler resumes runnable ranks lowest-virtual-clock first and
    reports a deadlock (with a per-rank diagnosis) if every live rank is
-   suspended on an empty mailbox.  Everything is deterministic: same
-   program, same machine, same timings.
+   suspended on a receive that nothing queued can satisfy.  Everything
+   is deterministic: same program, same machine, same timings.
+
+   Queued messages live in one store for the whole run, a slot each in
+   flat arrays, chained FIFO per (destination, source, tag) and found
+   through a small table per destination that holds only the keys with
+   messages queued.  Simulating P ranks in one process costs what is
+   kept per rank and per message, and a message queued here costs
+   about six words besides its payload.
 
    When the machine carries a fault model, [deliver] additionally
    consults a seeded counter-based RNG and may drop, duplicate, or
@@ -143,28 +150,28 @@ let new_report ?(compute_time = 0.) clocks =
 
 exception Deadlock of string
 
-(* --- mailboxes ----------------------------------------------------------- *)
+(* --- the message store --------------------------------------------------- *)
 
-(* Messages queued at one (destination, source, tag), oldest first: a
-   ring buffer of arrival times (a flat float array, so queueing one
-   boxes nothing) and payloads, its capacity a power of two.  Once a
-   wildcard receive or probe has asked for its (destination, tag), the
-   mailbox belongs to [pend], that pair's set of nonempty mailboxes,
-   and sits in it at index [pix] while it holds a message: a wildcard
-   receive matches over that set, not over every possible source.
-   Until then [pend] is [no_pending], and queueing costs nothing
-   more. *)
-type mailbox = {
-  from : int; (* the source *)
-  mutable arrivals : float array;
-  mutable datas : payload array;
-  mutable head : int;
-  mutable len : int;
-  mutable pend : pending;
-  mutable pix : int; (* index in [pend.boxes]; -1 while empty *)
+(* Every message in flight, for the whole run, lives in one store:
+   four flat arrays indexed by a slot (the arrival time unboxed, the
+   payload, the message's key and a link), grown by doubling, with the
+   free slots on a list threaded through [next].  The messages of one
+   (destination, source, tag) form a FIFO chain, kept circular: whoever
+   holds the chain holds its tail, whose [next] is the head, so one int
+   both appends a message and takes the oldest.  A queued message costs
+   four words here, and its key's slots in the destination's index
+   (below) about two more while the key holds messages.  A store that
+   grew past [keep_slots] gives its arrays back when it empties, so a
+   burst such as a transpose's all-to-all holds no space for the rest
+   of the run. *)
+type store = {
+  mutable arrival : float array;
+  mutable payload : payload array;
+  mutable key : int array; (* packed (src, tag); see [key] below *)
+  mutable next : int array; (* the chain's next message, or the next free slot *)
+  mutable free : int; (* the first free slot; -1 = none *)
+  mutable used : int; (* slots holding a message *)
 }
-
-and pending = { mutable boxes : mailbox array; mutable count : int }
 
 (* The filler of a payload slot that holds nothing, and what a wait
    returns when it takes no message: a send, or a receive that timed
@@ -172,85 +179,213 @@ and pending = { mutable boxes : mailbox array; mutable count : int }
    physically equal to it. *)
 let no_data = Ints (Array.make 0 0)
 
-let new_pending () = { boxes = [||]; count = 0 }
+let keep_slots = 1 lsl 16
 
-let new_mailbox ~from pend =
-  {
-    from;
-    arrivals = Array.create_float 2;
-    datas = Array.make 2 no_data;
-    head = 0;
-    len = 0;
-    pend;
-    pix = -1;
-  }
+let store_create () =
+  { arrival = [||]; payload = [||]; key = [||]; next = [||]; free = -1; used = 0 }
 
-(* Fillers for slots that hold no mailbox yet, and the set of a
-   mailbox no wildcard has asked for; never written.  They are made
-   once, at module initialisation, so they are long promoted by the
-   time an array is made of them: an [Array.make] of more than 256
-   words with a young value forces a minor collection. *)
-let no_pending = new_pending ()
-let no_mailbox = new_mailbox ~from:(-1) no_pending
+let store_grow s =
+  let cap = Array.length s.next in
+  let ncap = max 64 (2 * cap) in
+  let arrival = Array.create_float ncap in
+  Array.blit s.arrival 0 arrival 0 cap;
+  let payload = Array.make ncap no_data in
+  Array.blit s.payload 0 payload 0 cap;
+  let key = Array.make ncap 0 in
+  Array.blit s.key 0 key 0 cap;
+  let next = Array.init ncap (fun m -> m + 1) in
+  Array.blit s.next 0 next 0 cap;
+  next.(ncap - 1) <- -1;
+  s.arrival <- arrival;
+  s.payload <- payload;
+  s.key <- key;
+  s.next <- next;
+  s.free <- cap
 
-let pend_add p mb =
-  if p.count = Array.length p.boxes then begin
-    let boxes = Array.make (max 4 (2 * p.count)) no_mailbox in
-    Array.blit p.boxes 0 boxes 0 p.count;
-    p.boxes <- boxes
+(* A slot holding one message.  Inlined, so [arrival] reaches the
+   array unboxed. *)
+let[@inline] store_alloc s arrival data key =
+  if s.free < 0 then store_grow s;
+  let m = s.free in
+  s.free <- s.next.(m);
+  s.used <- s.used + 1;
+  s.arrival.(m) <- arrival;
+  s.payload.(m) <- data;
+  s.key.(m) <- key;
+  m
+
+(* The chain with tail [tail] (-1: empty) with [m] appended; returns
+   the new tail, [m]. *)
+let append s tail m =
+  if tail < 0 then s.next.(m) <- m
+  else begin
+    s.next.(m) <- s.next.(tail);
+    s.next.(tail) <- m
   end;
-  p.boxes.(p.count) <- mb;
-  mb.pix <- p.count;
-  p.count <- p.count + 1
+  m
 
-let pend_remove p mb =
-  let last = p.boxes.(p.count - 1) in
-  p.boxes.(mb.pix) <- last;
-  last.pix <- mb.pix;
-  p.count <- p.count - 1;
-  mb.pix <- -1
+(* Unlink the oldest message from the nonempty chain with tail [tail];
+   returns the new tail, -1 once the chain is empty. *)
+let unlink_head s tail =
+  let head = s.next.(tail) in
+  if head = tail then -1
+  else begin
+    s.next.(tail) <- s.next.(head);
+    tail
+  end
 
-let grow mb =
-  let cap = Array.length mb.arrivals in
-  let arrivals = Array.create_float (2 * cap)
-  and datas = Array.make (2 * cap) no_data in
-  for i = 0 to mb.len - 1 do
-    let j = (mb.head + i) land (cap - 1) in
-    arrivals.(i) <- mb.arrivals.(j);
-    datas.(i) <- mb.datas.(j)
+(* Free slot [m]; it drops its reference to the payload. *)
+let release s m =
+  s.payload.(m) <- no_data;
+  s.next.(m) <- s.free;
+  s.free <- m;
+  s.used <- s.used - 1;
+  if s.used = 0 && Array.length s.next > keep_slots then begin
+    s.arrival <- [||];
+    s.payload <- [||];
+    s.key <- [||];
+    s.next <- [||];
+    s.free <- -1
+  end
+
+(* --- the per-destination index ------------------------------------------- *)
+
+(* Each destination finds its chains by key in a small open-addressing
+   table: linear probing, at most half full, deletion by backward
+   shift, so no tombstones.  A key is in the table exactly while its
+   chain holds a message and no receive is posted on it; a key that
+   carried its last message leaves, so the table holds the keys with
+   queued messages, not every key the run has used, and a table grown
+   past 64 slots gives them back when its last key leaves.  A slot
+   holds the chain's tail, whose key the store keeps, packed with the
+   key's place in its wildcard set ([pix], -1: none) so that the set
+   can drop it in O(1); -1 marks an empty slot. *)
+type index = { mutable slots : int array; mutable count : int }
+
+let tail_bits = 32
+let tail_mask = (1 lsl tail_bits) - 1
+let tail_of v = v land tail_mask
+let pix_of v = (v lsr tail_bits) - 1
+let pack ~tail ~pix = ((pix + 1) lsl tail_bits) lor tail
+
+(* A multiplicative mix folding the high half down: the table takes
+   the low bits, and a key's low bits are its source alone, so a
+   rank's collective partners (src = me xor 2^k) would otherwise
+   share a few slots. *)
+let[@inline] home key mask =
+  let h = key * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land mask
+
+let index_create () = { slots = [||]; count = 0 }
+
+(* The slot holding [key], or -1. *)
+let find s ix key =
+  let cap = Array.length ix.slots in
+  if cap = 0 then -1
+  else begin
+    let mask = cap - 1 in
+    let i = ref (home key mask) in
+    while ix.slots.(!i) >= 0 && s.key.(tail_of ix.slots.(!i)) <> key do
+      i := (!i + 1) land mask
+    done;
+    if ix.slots.(!i) >= 0 then !i else -1
+  end
+
+(* Add the chain in slot value [v], whose key is absent. *)
+let rec index_add s ix v =
+  let cap = Array.length ix.slots in
+  if 2 * (ix.count + 1) > cap then begin
+    let old = ix.slots in
+    ix.slots <- Array.make (max 8 (2 * cap)) (-1);
+    ix.count <- 0;
+    Array.iter (fun w -> if w >= 0 then index_add s ix w) old;
+    index_add s ix v
+  end
+  else begin
+    let mask = cap - 1 in
+    let i = ref (home s.key.(tail_of v) mask) in
+    while ix.slots.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    ix.slots.(!i) <- v;
+    ix.count <- ix.count + 1
+  end
+
+(* Empty slot [i], shifting back each later entry of its probe run
+   that may move into the hole: one whose home is not cyclically after
+   the hole. *)
+let index_remove s ix i =
+  let mask = Array.length ix.slots - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while ix.slots.(!j) >= 0 do
+    let v = ix.slots.(!j) in
+    if (!j - home s.key.(tail_of v) mask) land mask >= (!j - !hole) land mask
+    then begin
+      ix.slots.(!hole) <- v;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
   done;
-  mb.arrivals <- arrivals;
-  mb.datas <- datas;
-  mb.head <- 0
+  ix.slots.(!hole) <- -1;
+  ix.count <- ix.count - 1;
+  if ix.count = 0 && Array.length ix.slots > 64 then ix.slots <- [||]
 
-(* Inlined, so [arrival] reaches the array unboxed. *)
-let[@inline] push mb arrival data =
-  if mb.len = Array.length mb.arrivals then grow mb;
-  let i = (mb.head + mb.len) land (Array.length mb.arrivals - 1) in
-  mb.arrivals.(i) <- arrival;
-  mb.datas.(i) <- data;
-  if mb.len = 0 && mb.pend != no_pending then pend_add mb.pend mb;
-  mb.len <- mb.len + 1
+(* The longest probe run a lookup takes in one destination's index
+   holding these packed keys; for the tests. *)
+let longest_probe keys =
+  let s = store_create () and ix = index_create () in
+  List.iter (fun k -> index_add s ix (store_alloc s 0. no_data k)) keys;
+  let mask = Array.length ix.slots - 1 and worst = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if v >= 0 then
+        worst := max !worst (((i - home s.key.(v) mask) land mask) + 1))
+    ix.slots;
+  !worst
 
-(* Remove the oldest message (the caller has read its arrival) and
-   return its payload; the slot drops its reference. *)
-let pop mb =
-  let h = mb.head in
-  let data = mb.datas.(h) in
-  mb.datas.(h) <- no_data;
-  mb.head <- (h + 1) land (Array.length mb.arrivals - 1);
-  mb.len <- mb.len - 1;
-  if mb.len = 0 && mb.pend != no_pending then pend_remove mb.pend mb;
-  data
+(* --- wildcard sets ------------------------------------------------------- *)
 
-(* The wildcard match over a nonempty set: the mailbox holding the
-   earliest pending arrival, ties going to the lowest source rank. *)
-let earliest p =
-  let best = ref p.boxes.(0) in
+(* Once a wildcard receive or probe has asked for a (destination, tag),
+   the run keeps that pair's set of sources with a message in the
+   index, each with its chain's head: a wildcard receive matches over
+   that set, not over every possible source.  Until then no set
+   exists, and queueing costs nothing more. *)
+type pending = {
+  mutable srcs : int array;
+  mutable heads : int array;
+  mutable count : int;
+}
+
+let new_pending () = { srcs = [||]; heads = [||]; count = 0 }
+
+(* The filler of a request slot with no wildcard receive posted; made
+   once, at module initialisation, and never written. *)
+let no_pending = new_pending ()
+
+(* Add [src], whose chain starts at [head]; returns its place. *)
+let pend_add p src head =
+  if p.count = Array.length p.srcs then begin
+    let n = max 4 (2 * p.count) in
+    let srcs = Array.make n 0 and heads = Array.make n 0 in
+    Array.blit p.srcs 0 srcs 0 p.count;
+    Array.blit p.heads 0 heads 0 p.count;
+    p.srcs <- srcs;
+    p.heads <- heads
+  end;
+  p.srcs.(p.count) <- src;
+  p.heads.(p.count) <- head;
+  p.count <- p.count + 1;
+  p.count - 1
+
+(* The wildcard match over a nonempty set: the place of the source
+   whose oldest message arrives first, ties going to the lowest
+   source rank. *)
+let earliest (s : store) p =
+  let best = ref 0 in
   for i = 1 to p.count - 1 do
-    let mb = p.boxes.(i) and b = !best in
-    let a = mb.arrivals.(mb.head) and ab = b.arrivals.(b.head) in
-    if a < ab || (a = ab && mb.from < b.from) then best := mb
+    let b = !best in
+    let a = s.arrival.(p.heads.(i)) and ab = s.arrival.(p.heads.(b)) in
+    if a < ab || (a = ab && p.srcs.(i) < p.srcs.(b)) then best := i
   done;
   !best
 
@@ -262,7 +397,7 @@ type request =
   | Done (* finished or killed: nothing to resume *)
   | Send (* to [peer] on [tag] *)
   | Send_acked (* a [Send] whose delivery also queues an ack on [ack_tag] *)
-  | Recv (* from [peer] on [tag] until [deadline], out of [mbox] *)
+  | Recv (* from [peer] on [tag] until [deadline], out of [posted] *)
   | Recv_any (* from any source on [tag], out of [pend] *)
   | Sendrecv (* a [Send], then a [Recv] from [rsrc] on the same tag *)
 
@@ -283,15 +418,12 @@ type run_state = {
   machine : Machine.t;
   nprocs : int;
   clocks : float array;
-  mailboxes : mailbox Machine.Int_tbl.t array;
-      (* per destination rank, keyed [(tag lsl 20) lor src].  One small
-         table per rank beats one big table keyed by an allocated
-         (dst, src, tag) triple: the packed int key allocates nothing
-         on lookup. *)
+  store : store; (* every message in flight *)
+  index : index array; (* per destination rank: its chains by key *)
   mutable pendings : pending Machine.Int_tbl.t array;
-      (* per destination rank, keyed by tag: its nonempty mailboxes,
-         for the tags a wildcard has asked for; empty until the run's
-         first wildcard receive *)
+      (* per destination rank, keyed by tag: the wildcard sets, for
+         the tags a wildcard has asked for; empty until the run's first
+         wildcard receive *)
   channel_free : float array;
       (* busy-until of contention channel [ch] at [ch + 1] (the
          cluster's Ethernet is channel -1), sized by the machine *)
@@ -325,15 +457,18 @@ type run_state = {
   timeout : float array; (* a receive's wait, seconds *)
   deadline : float array; (* a posted receive's: clock at posting + wait *)
   data : payload array; (* a send's payload, until it is delivered *)
-  mbox : mailbox array; (* a posted receive's mailbox *)
+  posted : int array;
+      (* a posted receive's chain (its tail; -1: empty): it leaves the
+         index when the receive is posted, messages on its key go
+         straight to it, and what the receive leaves goes back *)
   pend : pending array; (* a posted wildcard receive's candidates *)
 }
 
 let current : run_state option ref = ref None
 
-(* Mailbox keys pack (src, tag) into one int: 20 bits of source rank,
-   the rest tag.  Every internal tag fits (collectives use 1001-1006,
-   the runtime library 3001-3004, transport acks live at tag + 0x400000,
+(* Keys pack (src, tag) into one int: 20 bits of source rank, the
+   rest tag.  Every internal tag fits (collectives use 1001-1006, the
+   runtime library 3001-3004, transport acks live at tag + 0x400000,
    and user MPI tags are bounded by 1e6 then offset by 2e6); the bound
    is validated at send/receive time. *)
 let src_bits = 20
@@ -343,11 +478,14 @@ let check_tag tag =
   if tag < 0 || tag >= max_tag then
     invalid_arg (Printf.sprintf "message tag %d out of range [0, 2^40)" tag)
 
-let mbox_key ~src ~tag = (tag lsl src_bits) lor src
+let key ~src ~tag = (tag lsl src_bits) lor src
 
-(* The set of (dst, tag)'s nonempty mailboxes, made on the first
-   wildcard that asks: every mailbox of that pair joins it then, and
-   every later one when it is made. *)
+let index_longest_probe keys =
+  longest_probe (List.map (fun (src, tag) -> key ~src ~tag) keys)
+
+(* The wildcard set of (dst, tag), made on the first wildcard that
+   asks: every key of that tag in the index joins it then, and every
+   later one when it enters the index. *)
 let pending_of st ~dst ~tag =
   if Array.length st.pendings = 0 then
     st.pendings <- Array.init st.nprocs (fun _ -> Machine.Int_tbl.create 8);
@@ -357,39 +495,88 @@ let pending_of st ~dst ~tag =
   | exception Not_found ->
       let p = new_pending () in
       Machine.Int_tbl.add t tag p;
-      Machine.Int_tbl.iter
-        (fun key (q : mailbox) ->
-          if key lsr src_bits = tag then begin
-            q.pend <- p;
-            if q.len > 0 then pend_add p q
+      let ix = st.index.(dst) and s = st.store in
+      Array.iteri
+        (fun i v ->
+          if v >= 0 && s.key.(tail_of v) lsr src_bits = tag then begin
+            let tail = tail_of v and src_mask = (1 lsl src_bits) - 1 in
+            let pix = pend_add p (s.key.(tail) land src_mask) s.next.(tail) in
+            ix.slots.(i) <- pack ~tail ~pix
           end)
-        st.mailboxes.(dst);
+        ix.slots;
       p
 
-let mailbox st ~dst ~src ~tag =
-  let t = st.mailboxes.(dst) in
-  let key = mbox_key ~src ~tag in
-  match Machine.Int_tbl.find t key with
-  | q -> q
-  | exception Not_found ->
-      let pend =
-        if Array.length st.pendings = 0 then no_pending
-        else
-          match Machine.Int_tbl.find st.pendings.(dst) tag with
-          | p -> p
-          | exception Not_found -> no_pending
-      in
-      let q = new_mailbox ~from:src pend in
-      Machine.Int_tbl.add t key q;
-      q
+(* The wildcard set a key of (dst, tag) belongs to, if one exists. *)
+let pending_opt st ~dst ~tag =
+  if Array.length st.pendings = 0 then None
+  else Machine.Int_tbl.find_opt st.pendings.(dst) tag
 
-(* The mailbox a message from [src] to [dst] on [tag] lands in: when
-   [dst] is blocked on exactly (src, tag), the one its receive posted,
-   without a lookup. *)
-let inbox st ~dst ~src ~tag =
+(* Put the nonempty chain with tail [tail] in [dst]'s index under
+   (src, tag), and in its wildcard set. *)
+let enter st ~dst ~src ~tag tail =
+  let pix =
+    match pending_opt st ~dst ~tag with
+    | None -> -1
+    | Some p -> pend_add p src st.store.next.(tail)
+  in
+  index_add st.store st.index.(dst) (pack ~tail ~pix)
+
+(* Drop place [i] of [dst]'s wildcard set [p] on [tag]: the last
+   member moves into it, and its index entry learns its new place. *)
+let pend_remove st ~dst ~tag p i =
+  let last = p.count - 1 in
+  p.count <- last;
+  if i < last then begin
+    let src = p.srcs.(last) in
+    p.srcs.(i) <- src;
+    p.heads.(i) <- p.heads.(last);
+    let ix = st.index.(dst) in
+    let j = find st.store ix (key ~src ~tag) in
+    ix.slots.(j) <- pack ~tail:(tail_of ix.slots.(j)) ~pix:i
+  end
+
+(* Take [dst]'s chain on (src, tag) out of the index, and out of its
+   wildcard set; returns its tail, -1 if it held nothing. *)
+let leave st ~dst ~src ~tag =
+  let ix = st.index.(dst) in
+  let i = find st.store ix (key ~src ~tag) in
+  if i < 0 then -1
+  else begin
+    let v = ix.slots.(i) in
+    index_remove st.store ix i;
+    (if pix_of v >= 0 then
+       match pending_opt st ~dst ~tag with
+       | Some p -> pend_remove st ~dst ~tag p (pix_of v)
+       | None -> assert false);
+    tail_of v
+  end
+
+(* Queue a message from [src] to [dst] on [tag]: straight onto the
+   chain of [dst]'s receive when it is blocked on exactly (src, tag),
+   else onto the key's chain in the index.  Inlined, so [arrival]
+   reaches the store unboxed. *)
+let[@inline] enqueue st ~dst ~src ~tag arrival data =
+  let k = key ~src ~tag in
+  let m = store_alloc st.store arrival data k in
   match st.kind.(dst) with
-  | Recv when st.peer.(dst) = src && st.tag.(dst) = tag -> st.mbox.(dst)
-  | _ -> mailbox st ~dst ~src ~tag
+  | Recv when st.peer.(dst) = src && st.tag.(dst) = tag ->
+      st.posted.(dst) <- append st.store st.posted.(dst) m
+  | _ ->
+      let ix = st.index.(dst) in
+      let i = find st.store ix k in
+      if i < 0 then enter st ~dst ~src ~tag (append st.store (-1) m)
+      else
+        let v = ix.slots.(i) in
+        ix.slots.(i) <- pack ~tail:(append st.store (tail_of v) m) ~pix:(pix_of v)
+
+(* Rank [r]'s posted receive is over: what its chain still holds goes
+   back to the index. *)
+let unpost st r =
+  let tail = st.posted.(r) in
+  if tail >= 0 then begin
+    st.posted.(r) <- -1;
+    enter st ~dst:r ~src:st.peer.(r) ~tag:st.tag.(r) tail
+  end
 
 (* Physical endpoint of a virtual rank: identity without a placement. *)
 let phys st r = match st.place with None -> r | Some (cpu_of, _) -> cpu_of.(r)
@@ -480,18 +667,21 @@ let note_retry () =
   | None -> outside "note_retry"
 
 (* Has a matching message already arrived, in virtual time, at the
-   running rank's mailbox?  [src = -1] is any source. *)
+   running rank?  [src = -1] is any source.  A specific probe only
+   reads the index. *)
 let probe ~src ~tag =
   match !current with
   | None -> outside "probe"
   | Some st ->
       if src < -1 || src >= st.nprocs then invalid_arg "probe: bad source rank";
-      let me = st.running in
-      let arrived q = q.len > 0 && q.arrivals.(q.head) <= st.clocks.(me) in
-      if src >= 0 then arrived (mailbox st ~dst:me ~src ~tag)
+      let me = st.running and s = st.store in
+      if src >= 0 then
+        let ix = st.index.(me) in
+        let i = find s ix (key ~src ~tag) in
+        i >= 0 && s.arrival.(s.next.(tail_of ix.slots.(i))) <= st.clocks.(me)
       else
         let p = pending_of st ~dst:me ~tag in
-        p.count > 0 && arrived (earliest p)
+        p.count > 0 && s.arrival.(p.heads.(earliest s p)) <= st.clocks.(me)
 
 (* The running rank's run record, for an operation that waits. *)
 let waiting op = match !current with Some st -> st | None -> outside op
@@ -585,7 +775,7 @@ let check_send st r =
   check_tag st.tag.(r)
 
 (* Check rank [r]'s request and, for a receive, post it: its deadline
-   runs from the clock now, and its mailbox is looked up once, here.
+   runs from the clock now, and it takes its key's chain, here.
    Runs in the scheduler (the effect handler or a scheduling step), so
    a bad argument raises [Invalid_argument] out of [run] as it is, not
    wrapped in [Rank_failure]. *)
@@ -601,7 +791,7 @@ let post st r =
       check_tag tag;
       if st.timeout.(r) < 0. then invalid_arg "recv: negative timeout";
       st.deadline.(r) <- st.clocks.(r) +. st.timeout.(r);
-      st.mbox.(r) <- mailbox st ~dst:r ~src ~tag
+      st.posted.(r) <- leave st ~dst:r ~src ~tag
   | Recv_any ->
       check_tag st.tag.(r);
       st.pend.(r) <- pending_of st ~dst:r ~tag:st.tag.(r)
@@ -724,13 +914,12 @@ let deliver st ~src =
   in
   if dropped then st.report.drops <- st.report.drops + 1
   else begin
-    let q = inbox st ~dst ~src ~tag in
-    push q arrival data;
+    enqueue st ~dst ~src ~tag arrival data;
     match faults with
     | Some f when f.Machine.dup > 0. && draw st f ~salt:salt_dup < f.Machine.dup
       ->
         st.report.dups <- st.report.dups + 1;
-        push q (arrival +. latency) data
+        enqueue st ~dst ~src ~tag (arrival +. latency) data
     | _ -> ()
   end;
   (* Transport-level acknowledgement: models the NIC acking on arrival,
@@ -758,9 +947,7 @@ let deliver st ~src =
         if ack_dropped then st.report.drops <- st.report.drops + 1
         else begin
           st.report.acks <- st.report.acks + 1;
-          push
-            (mailbox st ~dst:src ~src:dst ~tag:st.ack_tag.(src))
-            ack_arrival
+          enqueue st ~dst:src ~src:dst ~tag:st.ack_tag.(src) ack_arrival
             (Ints [| st.seq.(src) |])
         end
       end
@@ -909,7 +1096,8 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       machine;
       nprocs;
       clocks;
-      mailboxes = Array.init nprocs (fun _ -> Machine.Int_tbl.create 8);
+      store = store_create ();
+      index = Array.init nprocs (fun _ -> index_create ());
       pendings = [||];
       channel_free = Array.make (machine.Machine.channels ncpus + 1) 0.;
       report = new_report clocks;
@@ -933,7 +1121,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       timeout = Array.make nprocs 0.;
       deadline = Array.make nprocs 0.;
       data = Array.make nprocs no_data;
-      mbox = Array.make nprocs no_mailbox;
+      posted = Array.make nprocs (-1);
       pend = Array.make nprocs no_pending;
     }
   in
@@ -1010,8 +1198,9 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
              diagnostic) *)
           if st.pend.(r).count = 0 then Float.nan else st.clocks.(r)
       | Recv ->
-          let q = st.mbox.(r) and deadline = st.deadline.(r) in
-          if q.len > 0 && q.arrivals.(q.head) <= deadline then st.clocks.(r)
+          let tail = st.posted.(r) and deadline = st.deadline.(r) in
+          if tail >= 0 && st.store.arrival.(st.store.next.(tail)) <= deadline
+          then st.clocks.(r)
           else
             let d = detector.(st.peer.(r)) in
             if not (Float.is_nan d) then if d < deadline then d else deadline
@@ -1035,7 +1224,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   in
   let finished = ref 0 in
   (* A rank's key only changes when the rank itself steps or when a
-     message lands in its mailbox, which is exactly where [wake] is
+     message is queued for it, which is exactly where [wake] is
      called; should a wake ever be missed, an empty heap triggers one
      full rebuild before declaring deadlock, so the failure mode is
      lost time, never a wrong schedule or a spurious deadlock. *)
@@ -1085,10 +1274,11 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
     deliver st ~src:r;
     if dst <> r then wake dst
   in
-  (* Resume rank [r] with the oldest message of [q]. *)
-  let receive r q =
-    let arrival = q.arrivals.(q.head) in
-    let data = pop q in
+  (* Resume rank [r] with message [m], unlinked from its chain, and
+     free its slot. *)
+  let receive r m =
+    let arrival = st.store.arrival.(m) and data = st.store.payload.(m) in
+    release st.store m;
     st.clocks.(r) <-
       Float.max st.clocks.(r) arrival +. st.machine.Machine.recv_overhead;
     continue !conts.(r) data
@@ -1136,6 +1326,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
              will.  Survivors learn of it from silence: missing acks
              (retries, then [Exhausted]) or the failure detector. *)
           dead.(r) <- true;
+          unpost st r;
           st.clocks.(r) <- Float.max st.clocks.(r) st.death.(r);
           st.report.kills <- st.report.kills + 1;
           st.kind.(r) <- Done;
@@ -1158,13 +1349,30 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
           | Recv_any ->
               (* the scheduler only resumes a wildcard wait once a
                  message is pending *)
-              let q = earliest st.pend.(r) in
-              st.peer.(r) <- q.from;
-              receive r q
+              let p = st.pend.(r) and tag = st.tag.(r) in
+              let i = earliest st.store p in
+              let src = p.srcs.(i) and m = p.heads.(i) in
+              let ix = st.index.(r) in
+              let j = find st.store ix (key ~src ~tag) in
+              let rest = unlink_head st.store (tail_of ix.slots.(j)) in
+              if rest < 0 then begin
+                index_remove st.store ix j;
+                pend_remove st ~dst:r ~tag p i
+              end
+              else p.heads.(i) <- st.store.next.(rest);
+              st.peer.(r) <- src;
+              receive r m
           | Recv ->
-              let q = st.mbox.(r) and deadline = st.deadline.(r) in
-              if q.len > 0 && q.arrivals.(q.head) <= deadline then receive r q
-              else
+              let tail = st.posted.(r) and deadline = st.deadline.(r) in
+              if tail >= 0 && st.store.arrival.(st.store.next.(tail)) <= deadline
+              then begin
+                let m = st.store.next.(tail) in
+                st.posted.(r) <- unlink_head st.store tail;
+                unpost st r;
+                receive r m
+              end
+              else begin
+                unpost st r;
                 let src = st.peer.(r) in
                 let d = detector.(src) in
                 if (not (Float.is_nan d)) && d < deadline then begin
@@ -1177,6 +1385,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                   st.clocks.(r) <- deadline;
                   continue !conts.(r) no_data
                 end
+              end
           | Done -> assert false);
           (match st.kind.(r) with Done -> incr finished | _ -> ());
           wake r

@@ -145,6 +145,13 @@ val gather_buffer : int -> float array option
 val note_retry : unit -> unit
 (** Count one retransmission in the run's report (reliable layer). *)
 
+val index_longest_probe : (int * int) list -> int
+(** [index_longest_probe keys]: the longest run of slots a lookup
+    inspects in one destination's message index holding these
+    [(src, tag)] keys (1: every key sits in its home slot).  A run
+    finds the queued messages of a (source, tag) through that index;
+    this exposes how well its hash spreads a rank's keys. *)
+
 type report = private {
   mutable makespan : float;  (** max over per-rank clocks *)
   per_rank_clock : float array;

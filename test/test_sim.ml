@@ -1123,25 +1123,75 @@ let test_fattree_bad_shape () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "0 levels should be rejected"
 
-(* A rank's collective mailboxes at P = 1024 spread over the buckets:
+(* A rank's collective keys at P = 1024 spread over its message index:
    the Bruck allgather receives from me + 2^k (tag 1004) and recursive
-   doubling from me xor 2^k (tag 1006).  With an identity hash the
-   twenty keys of rank 0 share 16 buckets with a 12-long chain. *)
+   doubling from me xor 2^k (tag 1006).  Hashed by identity, the
+   twenty keys of rank 0 land in a few slots, and a lookup probes 16
+   of them. *)
 let test_mailbox_hash_spreads () =
   let p = 1024 in
   List.iter
     (fun me ->
-      let t = Machine.Int_tbl.create 8 in
-      for k = 0 to 9 do
-        Machine.Int_tbl.add t ((1004 lsl 20) lor ((me + (1 lsl k)) mod p)) ();
-        Machine.Int_tbl.add t ((1006 lsl 20) lor (me lxor (1 lsl k))) ()
-      done;
-      let s = Machine.Int_tbl.stats t in
-      if s.Hashtbl.max_bucket_length > 6 then
-        Alcotest.failf "rank %d: %d keys, longest chain %d of %d buckets" me
-          s.Hashtbl.num_bindings s.Hashtbl.max_bucket_length
-          s.Hashtbl.num_buckets)
+      let keys =
+        List.concat_map
+          (fun k -> [ ((me + (1 lsl k)) mod p, 1004); (me lxor (1 lsl k), 1006) ])
+          (List.init 10 Fun.id)
+      in
+      let worst = Sim.index_longest_probe keys in
+      if worst > 4 then
+        Alcotest.failf "rank %d: a lookup probes %d slots" me worst)
     [ 0; 777 ]
+
+(* Live heap words after a full major collection. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* The setup transpose of CG at P = 1024 queues every message at once.
+   Here each of 256 ranks sends one shared one-float payload to every
+   other rank, computes for a second, then receives in source order:
+   when the first receive returns, all 65,280 messages are queued, and
+   the simulator state around them is what the run added to the live
+   heap.  A mailbox per (destination, source, tag) kept about 19 words
+   per message. *)
+let test_queued_messages_keep_little_state () =
+  let p = 256 in
+  let queued = p * (p - 1) in
+  let before = live_words () in
+  let per_message = ref nan in
+  ignore
+    (Sim.run ~machine:Machine.fattree_default ~nprocs:p (fun me ->
+         let data = Sim.Floats [| float_of_int me |] in
+         for dst = 0 to p - 1 do
+           if dst <> me then Sim.send ~dst ~tag:5 data
+         done;
+         Sim.compute 1.;
+         for src = 0 to p - 1 do
+           if src <> me then begin
+             ignore (Sim.recv ~src ~tag:5);
+             if Float.is_nan !per_message then
+               per_message :=
+                 float_of_int (live_words () - before) /. float_of_int queued
+           end
+         done));
+  if !per_message > 8. then
+    Alcotest.failf "%.1f live words per queued message, want at most 8"
+      !per_message
+
+(* A probe only reads: probing keys that hold no message leaves nothing
+   behind. *)
+let test_probe_is_read_only () =
+  ignore
+    (Sim.run ~machine:(lab ()) ~nprocs:2 (fun me ->
+         if me = 0 then begin
+           let before = live_words () in
+           for tag = 0 to 99_999 do
+             if Sim.probe ~src:1 ~tag then Alcotest.fail "nothing was sent"
+           done;
+           let kept = live_words () - before in
+           if kept >= 1000 then
+             Alcotest.failf "100,000 probes kept %d heap words" kept
+         end))
 
 let suite =
   [
@@ -1194,4 +1244,7 @@ let suite =
       test_fattree_past_max_procs;
     t "freed C heap is kept for the next run" test_heap_kept;
     t "mailbox keys spread over the hash buckets" test_mailbox_hash_spreads;
+    t "queued messages keep little simulator state"
+      test_queued_messages_keep_little_state;
+    t "probes keep no state" test_probe_is_read_only;
   ]
