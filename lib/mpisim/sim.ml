@@ -184,22 +184,20 @@ let keep_slots = 1 lsl 16
 let store_create () =
   { arrival = [||]; payload = [||]; key = [||]; next = [||]; free = -1; used = 0 }
 
+(* Double the store; the new slots form the free list. *)
 let store_grow s =
   let cap = Array.length s.next in
   let ncap = max 64 (2 * cap) in
-  let arrival = Array.create_float ncap in
-  Array.blit s.arrival 0 arrival 0 cap;
-  let payload = Array.make ncap no_data in
-  Array.blit s.payload 0 payload 0 cap;
-  let key = Array.make ncap 0 in
-  Array.blit s.key 0 key 0 cap;
-  let next = Array.init ncap (fun m -> m + 1) in
-  Array.blit s.next 0 next 0 cap;
-  next.(ncap - 1) <- -1;
-  s.arrival <- arrival;
-  s.payload <- payload;
-  s.key <- key;
-  s.next <- next;
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  s.arrival <- extend s.arrival 0.;
+  s.payload <- extend s.payload no_data;
+  s.key <- extend s.key 0;
+  s.next <- Array.init ncap (fun m -> if m < cap then s.next.(m) else m + 1);
+  s.next.(ncap - 1) <- -1;
   s.free <- cap
 
 (* A slot holding one message.  Inlined, so [arrival] reaches the
@@ -329,19 +327,6 @@ let index_remove s ix i =
   ix.slots.(!hole) <- -1;
   ix.count <- ix.count - 1;
   if ix.count = 0 && Array.length ix.slots > 64 then ix.slots <- [||]
-
-(* The longest probe run a lookup takes in one destination's index
-   holding these packed keys; for the tests. *)
-let longest_probe keys =
-  let s = store_create () and ix = index_create () in
-  List.iter (fun k -> index_add s ix (store_alloc s 0. no_data k)) keys;
-  let mask = Array.length ix.slots - 1 and worst = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v >= 0 then
-        worst := max !worst (((i - home s.key.(v) mask) land mask) + 1))
-    ix.slots;
-  !worst
 
 (* --- wildcard sets ------------------------------------------------------- *)
 
@@ -480,8 +465,16 @@ let check_tag tag =
 
 let key ~src ~tag = (tag lsl src_bits) lor src
 
+(* The longest probe run a lookup takes in one destination's index
+   holding these (src, tag) keys; for the tests. *)
 let index_longest_probe keys =
-  longest_probe (List.map (fun (src, tag) -> key ~src ~tag) keys)
+  let s = store_create () and ix = index_create () in
+  List.iter
+    (fun (src, tag) -> index_add s ix (store_alloc s 0. no_data (key ~src ~tag)))
+    keys;
+  let mask = Array.length ix.slots - 1 in
+  let run i v = if v < 0 then 0 else ((i - home s.key.(v) mask) land mask) + 1 in
+  Array.fold_left max 0 (Array.mapi run ix.slots)
 
 (* The wildcard set of (dst, tag), made on the first wildcard that
    asks: every key of that tag in the index joins it then, and every
@@ -667,21 +660,30 @@ let note_retry () =
   | None -> outside "note_retry"
 
 (* Has a matching message already arrived, in virtual time, at the
-   running rank?  [src = -1] is any source.  A specific probe only
-   reads the index. *)
+   running rank?  [src = -1] is any source.  A probe only reads: a
+   wildcard probe of a tag no wildcard set exists for scans the
+   index instead of making one. *)
 let probe ~src ~tag =
   match !current with
   | None -> outside "probe"
   | Some st ->
       if src < -1 || src >= st.nprocs then invalid_arg "probe: bad source rank";
       let me = st.running and s = st.store in
+      let ix = st.index.(me) and now = st.clocks.(me) in
       if src >= 0 then
-        let ix = st.index.(me) in
         let i = find s ix (key ~src ~tag) in
-        i >= 0 && s.arrival.(s.next.(tail_of ix.slots.(i))) <= st.clocks.(me)
-      else
-        let p = pending_of st ~dst:me ~tag in
-        p.count > 0 && s.arrival.(p.heads.(earliest s p)) <= st.clocks.(me)
+        i >= 0 && s.arrival.(s.next.(tail_of ix.slots.(i))) <= now
+      else begin
+        match pending_opt st ~dst:me ~tag with
+        | Some p -> p.count > 0 && s.arrival.(p.heads.(earliest s p)) <= now
+        | None ->
+            Array.exists
+              (fun v ->
+                v >= 0
+                && s.key.(tail_of v) lsr src_bits = tag
+                && s.arrival.(s.next.(tail_of v)) <= now)
+              ix.slots
+      end
 
 (* The running rank's run record, for an operation that waits. *)
 let waiting op = match !current with Some st -> st | None -> outside op

@@ -1178,15 +1178,46 @@ let test_queued_messages_keep_little_state () =
     Alcotest.failf "%.1f live words per queued message, want at most 8"
       !per_message
 
-(* A probe only reads: probing keys that hold no message leaves nothing
-   behind. *)
+(* Two bursts of 70,000 messages from rank 0 to rank 1, each taken in
+   order: the run's message store grows past 2^16 slots, gives its
+   arrays back once the first burst is drained, and grows again for
+   the second. *)
+let test_burst_space_given_back () =
+  let n = 70_000 in
+  ignore
+    (Sim.run ~machine:(lab ()) ~nprocs:2 (fun me ->
+         (* Rank 0 starts each burst 10 s after the last: rank 1 measures
+            an empty run first, and has drained a burst before the next. *)
+         let base = if me = 1 then live_words () else 0 in
+         for burst = 0 to 1 do
+           if me = 0 then
+             for i = 0 to n - 1 do
+               if i = 0 then Sim.compute 10.;
+               Sim.send ~dst:1 ~tag:burst (Sim.Ints [| i |])
+             done
+           else begin
+             Sim.compute 1.;
+             for i = 0 to n - 1 do
+               match Sim.recv ~src:0 ~tag:burst with
+               | Sim.Ints [| j |] when j = i -> ()
+               | _ -> Alcotest.failf "burst %d: message %d out of order" burst i
+             done;
+             let kept = live_words () - base in
+             if kept > 10_000 then
+               Alcotest.failf "burst %d drained, %d words still kept" burst kept
+           end
+         done))
+
+(* A probe only reads: probing keys that hold no message, from one
+   source or any, leaves nothing behind. *)
 let test_probe_is_read_only () =
   ignore
     (Sim.run ~machine:(lab ()) ~nprocs:2 (fun me ->
          if me = 0 then begin
            let before = live_words () in
            for tag = 0 to 99_999 do
-             if Sim.probe ~src:1 ~tag then Alcotest.fail "nothing was sent"
+             if Sim.probe ~src:1 ~tag || Sim.probe ~src:(-1) ~tag then
+               Alcotest.fail "nothing was sent"
            done;
            let kept = live_words () - before in
            if kept >= 1000 then
@@ -1247,4 +1278,5 @@ let suite =
     t "queued messages keep little simulator state"
       test_queued_messages_keep_little_state;
     t "probes keep no state" test_probe_is_read_only;
+    t "a drained burst gives its space back" test_burst_space_given_back;
   ]
