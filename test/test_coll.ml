@@ -287,8 +287,8 @@ let test_allgatherv_read_only_views () =
    costs about as much again (2.0x), and the bound is 1.25x.  On a
    fault-free machine the P ranks share one gathered array, so the run
    allocates a few operands' worth, not P of them: the result, the P
-   local blocks, and about a hundred words of effect and mailbox
-   records per message (about 6 operands in all at P = 256, against
+   local blocks, and the effect and message-queue state of each
+   message (about 6 operands in all at P = 256, against
    the 257 of a private result per rank).  The bound is 8. *)
 let test_allgatherv_allocation () =
   let fattree = Mpisim.Machine.fattree_default in
@@ -325,7 +325,7 @@ let test_allgatherv_allocation () =
 (* Allocation guard for the exchange rounds.  A scalar allreduce at
    P = 256 on the fat-tree is 8 recursive-doubling rounds per rank,
    each one [Sim.sendrecv]: a rank's request lives in the run's
-   per-rank slots and the message in a ring-buffer mailbox, so a round
+   per-rank slots and the message in the run's message store, so a round
    allocates its payload box, the combined result, a flop charge's
    boxed count and the continuation its wait captures, about 16 words
    per message in all.  With an effect value, a handler closure, a
