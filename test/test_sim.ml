@@ -652,7 +652,7 @@ end
    arrivals tie often) and, for some ranks, probing a key. *)
 type round =
   | Exchange of { shift : int; tag : int }
-      (* send to me + shift, receive from me - shift; the PR-29 round *)
+      (* send to me + shift, receive from me - shift *)
   | Fan_in of { root : int; tag : int; counts : int array }
       (* [counts.(r)] messages from each rank [r] to [root], which takes
          them all by wildcard, probing the wildcard before each *)
