@@ -661,8 +661,8 @@ let note_retry () =
 
 (* Has a matching message already arrived, in virtual time, at the
    running rank?  [src = -1] is any source.  A probe only reads: a
-   wildcard probe of a tag no wildcard set exists for scans the
-   index instead of making one. *)
+   wildcard probe scans the index for a head of its tag that has
+   arrived, and makes no wildcard set. *)
 let probe ~src ~tag =
   match !current with
   | None -> outside "probe"
@@ -673,17 +673,13 @@ let probe ~src ~tag =
       if src >= 0 then
         let i = find s ix (key ~src ~tag) in
         i >= 0 && s.arrival.(s.next.(tail_of ix.slots.(i))) <= now
-      else begin
-        match pending_opt st ~dst:me ~tag with
-        | Some p -> p.count > 0 && s.arrival.(p.heads.(earliest s p)) <= now
-        | None ->
-            Array.exists
-              (fun v ->
-                v >= 0
-                && s.key.(tail_of v) lsr src_bits = tag
-                && s.arrival.(s.next.(tail_of v)) <= now)
-              ix.slots
-      end
+      else
+        Array.exists
+          (fun v ->
+            v >= 0
+            && s.key.(tail_of v) lsr src_bits = tag
+            && s.arrival.(s.next.(tail_of v)) <= now)
+          ix.slots
 
 (* The running rank's run record, for an operation that waits. *)
 let waiting op = match !current with Some st -> st | None -> outside op

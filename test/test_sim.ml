@@ -662,22 +662,23 @@ type round =
       (* a plain send, skipped by some ranks, and a receive with a
          deadline that may expire, leaving a late message queued *)
 
-(* A random program of [rounds] rounds on [nprocs] ranks.  [fused]
+(* A random program of [rounds] rounds on [nprocs] ranks; with
+   [exchanges_only], six rounds that are all exchanges.  [fused]
    writes each exchange as one [sendrecv], otherwise as a send then a
-   receive.  With [broken], one rank in one exchange receives from a
+   receive.  With [broken], one rank in one round receives from a
    rank that sends it nothing, so the run may end in a deadlock or a
    timeout.  Each rank returns its log: every probe's answer and every
    message it took (source, tag, payload, clock), so equal logs mean
    the same delivery order on every key. *)
-let random_program ~seed ~nprocs ~broken ~fused =
+let random_program ?(exchanges_only = false) ~seed ~nprocs ~broken ~fused () =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
-  let rounds = 4 + int 4 in
+  let rounds = if exchanges_only then 6 else 4 + int 4 in
   let shift () = 1 + int (nprocs - 1) in
   let plan =
     Array.init rounds (fun k ->
         let tag = 7 + (10 * k) in
-        match int 4 with
+        match if exchanges_only then 3 else int 4 with
         | 0 -> Fan_in { root = int nprocs; tag; counts = Array.init nprocs (fun _ -> int 3) }
         | 1 -> Cross { shift = shift (); first = tag; second = tag + 1 }
         | 2 ->
@@ -832,7 +833,8 @@ let test_sendrecv_schedule_identity () =
         let broken = seed mod 3 = 0 in
         let summary fused =
           run_summary machine ~nprocs
-            (random_program ~seed ~nprocs ~broken ~fused (module Sim) (module Sim))
+            (random_program ~exchanges_only:true ~seed ~nprocs ~broken ~fused ()
+               (module Sim) (module Sim))
         in
         let ending, separate = summary false in
         Hashtbl.replace endings ending name;
@@ -895,7 +897,7 @@ let reference_case (config, seed) =
   let name, machine, nprocs = reference_machines.(config) in
   let machine = machine seed in
   let program =
-    random_program ~seed ~nprocs ~broken:(seed mod 4 = 0) ~fused:(seed mod 2 = 0)
+    random_program ~seed ~nprocs ~broken:(seed mod 4 = 0) ~fused:(seed mod 2 = 0) ()
   in
   let ending, fast =
     run_summary machine ~nprocs (program (module Sim) (module Reliable))
