@@ -407,7 +407,7 @@ type run_state = {
   index : index array; (* per destination rank: its chains by key *)
   mutable pendings : pending Machine.Int_tbl.t array;
       (* per destination rank, keyed by tag: the wildcard sets, for
-         the tags a wildcard has asked for; empty until the run's first
+         the tags a wildcard receive has asked for; empty until the run's first
          wildcard receive *)
   channel_free : float array;
       (* busy-until of contention channel [ch] at [ch + 1] (the
@@ -476,8 +476,8 @@ let index_longest_probe keys =
   let run i v = if v < 0 then 0 else ((i - home s.key.(v) mask) land mask) + 1 in
   Array.fold_left max 0 (Array.mapi run ix.slots)
 
-(* The wildcard set of (dst, tag), made on the first wildcard that
-   asks: every key of that tag in the index joins it then, and every
+(* The wildcard set of (dst, tag), made on the first wildcard receive
+   that asks: every key of that tag in the index joins it then, and every
    later one when it enters the index. *)
 let pending_of st ~dst ~tag =
   if Array.length st.pendings = 0 then
