@@ -30,9 +30,10 @@
    Queued messages live in one store for the whole run, a slot each in
    flat arrays, chained FIFO per (destination, source, tag) and found
    through a small table per destination that holds only the keys with
-   messages queued.  Simulating P ranks in one process costs what is
-   kept per rank and per message, and a message queued here costs
-   about six words besides its payload.
+   messages queued.  A wildcard receive or probe scans that table for
+   the earliest chain on its tag and keeps nothing.  Simulating P ranks
+   in one process costs what is kept per rank and per message, and a
+   message queued here costs about six words besides its payload.
 
    When the machine carries a fault model, [deliver] additionally
    consults a seeded counter-based RNG and may drop, duplicate, or
@@ -255,16 +256,8 @@ let release s m =
    carried its last message leaves, so the table holds the keys with
    queued messages, not every key the run has used, and a table grown
    past 64 slots gives them back when its last key leaves.  A slot
-   holds the chain's tail, whose key the store keeps, packed with the
-   key's place in its wildcard set ([pix], -1: none) so that the set
-   can drop it in O(1); -1 marks an empty slot. *)
+   holds the chain's tail, whose key the store keeps, or -1. *)
 type index = { mutable slots : int array; mutable count : int }
-
-let tail_bits = 32
-let tail_mask = (1 lsl tail_bits) - 1
-let tail_of v = v land tail_mask
-let pix_of v = (v lsr tail_bits) - 1
-let pack ~tail ~pix = ((pix + 1) lsl tail_bits) lor tail
 
 (* A multiplicative mix folding the high half down: the table takes
    the low bits, and a key's low bits are its source alone, so a
@@ -283,13 +276,13 @@ let find s ix key =
   else begin
     let mask = cap - 1 in
     let i = ref (home key mask) in
-    while ix.slots.(!i) >= 0 && s.key.(tail_of ix.slots.(!i)) <> key do
+    while ix.slots.(!i) >= 0 && s.key.(ix.slots.(!i)) <> key do
       i := (!i + 1) land mask
     done;
     if ix.slots.(!i) >= 0 then !i else -1
   end
 
-(* Add the chain in slot value [v], whose key is absent. *)
+(* Add the chain with tail [v], whose key is absent. *)
 let rec index_add s ix v =
   let cap = Array.length ix.slots in
   if 2 * (ix.count + 1) > cap then begin
@@ -301,7 +294,7 @@ let rec index_add s ix v =
   end
   else begin
     let mask = cap - 1 in
-    let i = ref (home s.key.(tail_of v) mask) in
+    let i = ref (home s.key.(v) mask) in
     while ix.slots.(!i) >= 0 do
       i := (!i + 1) land mask
     done;
@@ -317,7 +310,7 @@ let index_remove s ix i =
   let hole = ref i and j = ref ((i + 1) land mask) in
   while ix.slots.(!j) >= 0 do
     let v = ix.slots.(!j) in
-    if (!j - home s.key.(tail_of v) mask) land mask >= (!j - !hole) land mask
+    if (!j - home s.key.(v) mask) land mask >= (!j - !hole) land mask
     then begin
       ix.slots.(!hole) <- v;
       hole := !j
@@ -328,52 +321,6 @@ let index_remove s ix i =
   ix.count <- ix.count - 1;
   if ix.count = 0 && Array.length ix.slots > 64 then ix.slots <- [||]
 
-(* --- wildcard sets ------------------------------------------------------- *)
-
-(* Once a wildcard receive or probe has asked for a (destination, tag),
-   the run keeps that pair's set of sources with a message in the
-   index, each with its chain's head: a wildcard receive matches over
-   that set, not over every possible source.  Until then no set
-   exists, and queueing costs nothing more. *)
-type pending = {
-  mutable srcs : int array;
-  mutable heads : int array;
-  mutable count : int;
-}
-
-let new_pending () = { srcs = [||]; heads = [||]; count = 0 }
-
-(* The filler of a request slot with no wildcard receive posted; made
-   once, at module initialisation, and never written. *)
-let no_pending = new_pending ()
-
-(* Add [src], whose chain starts at [head]; returns its place. *)
-let pend_add p src head =
-  if p.count = Array.length p.srcs then begin
-    let n = max 4 (2 * p.count) in
-    let srcs = Array.make n 0 and heads = Array.make n 0 in
-    Array.blit p.srcs 0 srcs 0 p.count;
-    Array.blit p.heads 0 heads 0 p.count;
-    p.srcs <- srcs;
-    p.heads <- heads
-  end;
-  p.srcs.(p.count) <- src;
-  p.heads.(p.count) <- head;
-  p.count <- p.count + 1;
-  p.count - 1
-
-(* The wildcard match over a nonempty set: the place of the source
-   whose oldest message arrives first, ties going to the lowest
-   source rank. *)
-let earliest (s : store) p =
-  let best = ref 0 in
-  for i = 1 to p.count - 1 do
-    let b = !best in
-    let a = s.arrival.(p.heads.(i)) and ab = s.arrival.(p.heads.(b)) in
-    if a < ab || (a = ab && p.srcs.(i) < p.srcs.(b)) then best := i
-  done;
-  !best
-
 (* --- the run record ------------------------------------------------------ *)
 
 (* What a rank's request slots hold. *)
@@ -383,7 +330,7 @@ type request =
   | Send (* to [peer] on [tag] *)
   | Send_acked (* a [Send] whose delivery also queues an ack on [ack_tag] *)
   | Recv (* from [peer] on [tag] until [deadline], out of [posted] *)
-  | Recv_any (* from any source on [tag], out of [pend] *)
+  | Recv_any (* from any source on [tag], out of the index *)
   | Sendrecv (* a [Send], then a [Recv] from [rsrc] on the same tag *)
 
 (* One allgather call's shared result: the array, how many ranks have
@@ -405,10 +352,6 @@ type run_state = {
   clocks : float array;
   store : store; (* every message in flight *)
   index : index array; (* per destination rank: its chains by key *)
-  mutable pendings : pending Machine.Int_tbl.t array;
-      (* per destination rank, keyed by tag: the wildcard sets, for
-         the tags a wildcard receive has asked for; empty until the run's first
-         wildcard receive *)
   channel_free : float array;
       (* busy-until of contention channel [ch] at [ch + 1] (the
          cluster's Ethernet is channel -1), sized by the machine *)
@@ -446,7 +389,6 @@ type run_state = {
       (* a posted receive's chain (its tail; -1: empty): it leaves the
          index when the receive is posted, messages on its key go
          straight to it, and what the receive leaves goes back *)
-  pend : pending array; (* a posted wildcard receive's candidates *)
 }
 
 let current : run_state option ref = ref None
@@ -464,6 +406,8 @@ let check_tag tag =
     invalid_arg (Printf.sprintf "message tag %d out of range [0, 2^40)" tag)
 
 let key ~src ~tag = (tag lsl src_bits) lor src
+let src_of key = key land ((1 lsl src_bits) - 1)
+let tag_of key = key lsr src_bits
 
 (* The longest probe run a lookup takes in one destination's index
    holding these (src, tag) keys; for the tests. *)
@@ -476,72 +420,40 @@ let index_longest_probe keys =
   let run i v = if v < 0 then 0 else ((i - home s.key.(v) mask) land mask) + 1 in
   Array.fold_left max 0 (Array.mapi run ix.slots)
 
-(* The wildcard set of (dst, tag), made on the first wildcard receive
-   that asks: every key of that tag in the index joins it then, and every
-   later one when it enters the index. *)
-let pending_of st ~dst ~tag =
-  if Array.length st.pendings = 0 then
-    st.pendings <- Array.init st.nprocs (fun _ -> Machine.Int_tbl.create 8);
-  let t = st.pendings.(dst) in
-  match Machine.Int_tbl.find t tag with
-  | p -> p
-  | exception Not_found ->
-      let p = new_pending () in
-      Machine.Int_tbl.add t tag p;
-      let ix = st.index.(dst) and s = st.store in
-      Array.iteri
-        (fun i v ->
-          if v >= 0 && s.key.(tail_of v) lsr src_bits = tag then begin
-            let tail = tail_of v and src_mask = (1 lsl src_bits) - 1 in
-            let pix = pend_add p (s.key.(tail) land src_mask) s.next.(tail) in
-            ix.slots.(i) <- pack ~tail ~pix
-          end)
-        ix.slots;
-      p
+(* A wildcard match over the index: the slot of the chain on [tag]
+   whose oldest message arrives first, ties going to the lowest
+   source; -1 if no chain on [tag] is in it. *)
+let earliest s ix ~tag =
+  let best = ref (-1) in
+  for i = 0 to Array.length ix.slots - 1 do
+    let t = ix.slots.(i) in
+    if t >= 0 && tag_of s.key.(t) = tag then
+      if !best < 0 then best := i
+      else
+        let b = ix.slots.(!best) in
+        let a = s.arrival.(s.next.(t)) and ab = s.arrival.(s.next.(b)) in
+        if a < ab || (a = ab && s.key.(t) < s.key.(b)) then best := i
+  done;
+  !best
 
-(* The wildcard set a key of (dst, tag) belongs to, if one exists. *)
-let pending_opt st ~dst ~tag =
-  if Array.length st.pendings = 0 then None
-  else Machine.Int_tbl.find_opt st.pendings.(dst) tag
+(* Is a chain on [tag] in the index?  Stops at the first. *)
+let holds_tag s ix ~tag =
+  let n = Array.length ix.slots and i = ref 0 in
+  while !i < n && (ix.slots.(!i) < 0 || tag_of s.key.(ix.slots.(!i)) <> tag) do
+    incr i
+  done;
+  !i < n
 
-(* Put the nonempty chain with tail [tail] in [dst]'s index under
-   (src, tag), and in its wildcard set. *)
-let enter st ~dst ~src ~tag tail =
-  let pix =
-    match pending_opt st ~dst ~tag with
-    | None -> -1
-    | Some p -> pend_add p src st.store.next.(tail)
-  in
-  index_add st.store st.index.(dst) (pack ~tail ~pix)
-
-(* Drop place [i] of [dst]'s wildcard set [p] on [tag]: the last
-   member moves into it, and its index entry learns its new place. *)
-let pend_remove st ~dst ~tag p i =
-  let last = p.count - 1 in
-  p.count <- last;
-  if i < last then begin
-    let src = p.srcs.(last) in
-    p.srcs.(i) <- src;
-    p.heads.(i) <- p.heads.(last);
-    let ix = st.index.(dst) in
-    let j = find st.store ix (key ~src ~tag) in
-    ix.slots.(j) <- pack ~tail:(tail_of ix.slots.(j)) ~pix:i
-  end
-
-(* Take [dst]'s chain on (src, tag) out of the index, and out of its
-   wildcard set; returns its tail, -1 if it held nothing. *)
+(* Take [dst]'s chain on (src, tag) out of the index; returns its
+   tail, -1 if it held nothing. *)
 let leave st ~dst ~src ~tag =
   let ix = st.index.(dst) in
   let i = find st.store ix (key ~src ~tag) in
   if i < 0 then -1
   else begin
-    let v = ix.slots.(i) in
+    let tail = ix.slots.(i) in
     index_remove st.store ix i;
-    (if pix_of v >= 0 then
-       match pending_opt st ~dst ~tag with
-       | Some p -> pend_remove st ~dst ~tag p (pix_of v)
-       | None -> assert false);
-    tail_of v
+    tail
   end
 
 (* Queue a message from [src] to [dst] on [tag]: straight onto the
@@ -557,10 +469,8 @@ let[@inline] enqueue st ~dst ~src ~tag arrival data =
   | _ ->
       let ix = st.index.(dst) in
       let i = find st.store ix k in
-      if i < 0 then enter st ~dst ~src ~tag (append st.store (-1) m)
-      else
-        let v = ix.slots.(i) in
-        ix.slots.(i) <- pack ~tail:(append st.store (tail_of v) m) ~pix:(pix_of v)
+      if i < 0 then index_add st.store ix (append st.store (-1) m)
+      else ix.slots.(i) <- append st.store ix.slots.(i) m
 
 (* Rank [r]'s posted receive is over: what its chain still holds goes
    back to the index. *)
@@ -568,7 +478,7 @@ let unpost st r =
   let tail = st.posted.(r) in
   if tail >= 0 then begin
     st.posted.(r) <- -1;
-    enter st ~dst:r ~src:st.peer.(r) ~tag:st.tag.(r) tail
+    index_add st.store st.index.(r) tail
   end
 
 (* Physical endpoint of a virtual rank: identity without a placement. *)
@@ -660,26 +570,17 @@ let note_retry () =
   | None -> outside "note_retry"
 
 (* Has a matching message already arrived, in virtual time, at the
-   running rank?  [src = -1] is any source.  A probe only reads: a
-   wildcard probe scans the index for a head of its tag that has
-   arrived, and makes no wildcard set. *)
+   running rank?  [src = -1] is any source: the earliest head of the
+   tag has arrived exactly when some head has.  A probe only reads. *)
 let probe ~src ~tag =
   match !current with
   | None -> outside "probe"
   | Some st ->
       if src < -1 || src >= st.nprocs then invalid_arg "probe: bad source rank";
       let me = st.running and s = st.store in
-      let ix = st.index.(me) and now = st.clocks.(me) in
-      if src >= 0 then
-        let i = find s ix (key ~src ~tag) in
-        i >= 0 && s.arrival.(s.next.(tail_of ix.slots.(i))) <= now
-      else
-        Array.exists
-          (fun v ->
-            v >= 0
-            && s.key.(tail_of v) lsr src_bits = tag
-            && s.arrival.(s.next.(tail_of v)) <= now)
-          ix.slots
+      let ix = st.index.(me) in
+      let i = if src >= 0 then find s ix (key ~src ~tag) else earliest s ix ~tag in
+      i >= 0 && s.arrival.(s.next.(ix.slots.(i))) <= st.clocks.(me)
 
 (* The running rank's run record, for an operation that waits. *)
 let waiting op = match !current with Some st -> st | None -> outside op
@@ -790,9 +691,7 @@ let post st r =
       if st.timeout.(r) < 0. then invalid_arg "recv: negative timeout";
       st.deadline.(r) <- st.clocks.(r) +. st.timeout.(r);
       st.posted.(r) <- leave st ~dst:r ~src ~tag
-  | Recv_any ->
-      check_tag st.tag.(r);
-      st.pend.(r) <- pending_of st ~dst:r ~tag:st.tag.(r)
+  | Recv_any -> check_tag st.tag.(r)
   | Start | Done -> assert false
 
 (* --- the fault model ----------------------------------------------------- *)
@@ -1096,7 +995,6 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       clocks;
       store = store_create ();
       index = Array.init nprocs (fun _ -> index_create ());
-      pendings = [||];
       channel_free = Array.make (machine.Machine.channels ncpus + 1) 0.;
       report = new_report clocks;
       compute_time = [| 0. |];
@@ -1120,7 +1018,6 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       deadline = Array.make nprocs 0.;
       data = Array.make nprocs no_data;
       posted = Array.make nprocs (-1);
-      pend = Array.make nprocs no_pending;
     }
   in
   let results = Array.make nprocs None in
@@ -1191,10 +1088,11 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
       | Done -> Float.nan
       | Recv_any ->
           (* no single peer to watch for death: a wildcard wait with
-             no pending message simply stays blocked (total silence
+             no queued message simply stays blocked (total silence
              ends the run as a [Deadlock] with this wait in the
              diagnostic) *)
-          if st.pend.(r).count = 0 then Float.nan else st.clocks.(r)
+          if holds_tag st.store st.index.(r) ~tag:st.tag.(r) then st.clocks.(r)
+          else Float.nan
       | Recv ->
           let tail = st.posted.(r) and deadline = st.deadline.(r) in
           if tail >= 0 && st.store.arrival.(st.store.next.(tail)) <= deadline
@@ -1207,25 +1105,23 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   in
   (* A doomed rank's death is itself a schedulable event: once the rank
      has no step strictly before its death time (the key in [slot]),
-     the kill fires. *)
+     the kill fires.  A rank that has returned (or died) has nothing
+     left to lose: its death is no event. *)
   let dies_now r =
     st.death.(r) < infinity
-    && (not dead.(r))
+    && (match st.kind.(r) with Done -> false | _ -> true)
     && (Float.is_nan slot.(0) || slot.(0) >= st.death.(r))
   in
   let step_key r =
-    if dead.(r) then slot.(0) <- Float.nan
-    else begin
-      base_key r;
-      if dies_now r then slot.(0) <- st.death.(r)
-    end
+    base_key r;
+    if dies_now r then slot.(0) <- st.death.(r)
   in
   let finished = ref 0 in
   (* A rank's key only changes when the rank itself steps or when a
      message is queued for it, which is exactly where [wake] is
-     called; should a wake ever be missed, an empty heap triggers one
-     full rebuild before declaring deadlock, so the failure mode is
-     lost time, never a wrong schedule or a spurious deadlock. *)
+     called.  So the heap holds every rank that can step, and an empty
+     heap with one that could means a wake was missed: [pick] fails
+     the run then rather than hide it. *)
   let h = heap_create nprocs in
   (* Re-enqueue [r] if its key changed since it was last enqueued.
      Pushed keys are never nan, so the float [<>] below is nan-safe:
@@ -1240,12 +1136,15 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   in
   let rec pick () =
     if h.n = 0 then begin
-      (* safety net: rebuild from scratch before giving up *)
-      Array.fill h.hkey 0 nprocs Float.nan;
       for r = 0 to nprocs - 1 do
-        wake r
+        step_key r;
+        if not (Float.is_nan slot.(0)) then
+          failwith
+            (Printf.sprintf
+               "Sim: rank %d could step at t=%h but the scheduler lost it" r
+               slot.(0))
       done;
-      if h.n > 0 then pick () else -1
+      -1
     end
     else begin
       let key = h.keys.(0) and r = h.ranks.(0) in
@@ -1346,19 +1245,13 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
               post st r
           | Recv_any ->
               (* the scheduler only resumes a wildcard wait once a
-                 message is pending *)
-              let p = st.pend.(r) and tag = st.tag.(r) in
-              let i = earliest st.store p in
-              let src = p.srcs.(i) and m = p.heads.(i) in
+                 message is queued *)
               let ix = st.index.(r) in
-              let j = find st.store ix (key ~src ~tag) in
-              let rest = unlink_head st.store (tail_of ix.slots.(j)) in
-              if rest < 0 then begin
-                index_remove st.store ix j;
-                pend_remove st ~dst:r ~tag p i
-              end
-              else p.heads.(i) <- st.store.next.(rest);
-              st.peer.(r) <- src;
+              let i = earliest st.store ix ~tag:st.tag.(r) in
+              let tail = ix.slots.(i) in
+              let m = st.store.next.(tail) in
+              if unlink_head st.store tail < 0 then index_remove st.store ix i;
+              st.peer.(r) <- src_of st.store.key.(m);
               receive r m
           | Recv ->
               let tail = st.posted.(r) and deadline = st.deadline.(r) in

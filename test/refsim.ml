@@ -2,8 +2,8 @@
    plain way, as an oracle for the fast one.  Each step scans every
    rank for the smallest key (ties to the lowest rank); messages wait
    in one [Hashtbl] keyed by (destination, source, tag); a wildcard
-   scans every source.  No heap, no ring buffers, no handoff to a
-   posted receive, no sets of pending sources.  It shares with [Sim]
+   scans every source.  No heap, no flat message store or index, no
+   handoff to a posted receive.  It shares with [Sim]
    only the machine's cost functions and the fault model's draws, and
    it keeps the same rules: the same keys, the same fault draws in the
    same order, the same diagnostics.  Programs reach either simulator
@@ -235,9 +235,9 @@ let run_report ~machine ~nprocs body =
               let d = if detect > 0. then death.(src) +. detect else nan in
               if d < deadline then d else if deadline < infinity then deadline else nan)
     in
-    if (not dead.(r)) && death.(r) < infinity && (Float.is_nan k || k >= death.(r))
+    (* a rank that has returned, or died, has no death left *)
+    if s.reqs.(r) <> Done && death.(r) < infinity && (Float.is_nan k || k >= death.(r))
     then death.(r)
-    else if dead.(r) then nan
     else k
   in
   let take r ~src ~tag =
@@ -306,12 +306,6 @@ let run_report ~machine ~nprocs body =
   let outcome =
     Fun.protect ~finally:(fun () -> cur := prev) @@ fun () ->
     try
-      (* TODO: a known divergence from correct behaviour, copied from
-         [Sim] so the two agree: a rank killed after it finished counts
-         finished twice, so the run can stop while other ranks are still
-         runnable (the scheduler FOUND entry in CHANGES.md).  When [Sim]
-         stops scheduling the death of a finished rank, fix this loop
-         the same way and add a case with a kill after a return. *)
       let finished = ref 0 in
       while !finished < p do
         let best = ref (-1) and bkey = ref nan in
@@ -325,7 +319,7 @@ let run_report ~machine ~nprocs body =
         c.picks <- c.picks + 1;
         let r = !best in
         if r < 0 then raise (Sim.Deadlock (diagnose ()));
-        if !bkey = death.(r) && not dead.(r) then begin
+        if !bkey = death.(r) then begin
           dead.(r) <- true;
           c.clocks.(r) <- Float.max c.clocks.(r) death.(r);
           c.kills <- c.kills + 1;

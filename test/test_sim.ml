@@ -335,9 +335,9 @@ let test_probe_any_source () =
    from a few values each, so arrivals often tie and the tie-break
    decides.  The digest covers each match (probe result, source,
    payload, clock), the makespan and the scheduler picks.  The
-   expected digests were recorded with the matcher this one replaced,
-   which scanned every source's mailbox in ascending rank order: the
-   set of pending sources must pick the same message at the same
+   expected digests were recorded with the first matcher, which
+   scanned every source's mailbox in ascending rank order: the scan of
+   the destination's index must pick the same message at the same
    time. *)
 let wildcard_digest ~machine ~nprocs ~seed =
   let rng = Random.State.make [| seed |] in
@@ -1226,6 +1226,56 @@ let test_probe_is_read_only () =
              Alcotest.failf "100,000 probes kept %d heap words" kept
          end))
 
+(* The death of a rank that has returned is no event.  Rank 1 returns
+   at t = 0 and is scheduled to die at t = 0.01; rank 0 computes for a
+   second, then sends to itself and receives.  Scheduling the death
+   anyway counted rank 1 finished twice and stopped the run after three
+   picks with [Rank_killed], rank 0's message never taken. *)
+let test_no_death_after_return () =
+  let machine =
+    faulty "kill_rank=1,kill_time=0.01" Machine.meiko_cs2
+  in
+  match
+    Sim.run_report ~machine ~nprocs:2 (fun me ->
+        if me = 0 then begin
+          Sim.compute 1.;
+          Sim.send ~dst:0 ~tag:1 (Sim.Floats [| 42. |]);
+          match Sim.recv ~src:0 ~tag:1 with Sim.Floats [| v |] -> v | _ -> nan
+        end
+        else 0.)
+  with
+  | Ok results, r ->
+      Alcotest.(check (float 0.)) "rank 0 took its message" 42. results.(0);
+      Alcotest.(check int) "no kill" 0 r.Sim.kills
+  | Error e, r ->
+      Alcotest.failf "the run failed after %d picks: %s" r.Sim.sched_picks
+        (Printexc.to_string e)
+
+(* A wildcard receive only reads the destination's index: 100,000 of
+   them on distinct tags, each taking one message, leave nothing
+   behind.  Rank 1 computes before each send, so one message is queued
+   at a time. *)
+let test_recv_any_keeps_no_state () =
+  ignore
+    (Sim.run ~machine:(lab ()) ~nprocs:2 (fun me ->
+         let n = 100_000 in
+         if me = 0 then begin
+           let before = live_words () in
+           for tag = 0 to n - 1 do
+             match Sim.recv_any ~tag with
+             | 1, Sim.Ints [| i |] when i = tag -> ()
+             | _ -> Alcotest.failf "recv_any on tag %d took the wrong message" tag
+           done;
+           let kept = live_words () - before in
+           if kept >= 1000 then
+             Alcotest.failf "100,000 wildcard receives kept %d heap words" kept
+         end
+         else
+           for tag = 0 to n - 1 do
+             Sim.compute 1e-3;
+             Sim.send ~dst:0 ~tag (Sim.Ints [| tag |])
+           done))
+
 let suite =
   [
     t "compute advances the clock" test_compute_advances_clock;
@@ -1281,4 +1331,6 @@ let suite =
       test_queued_messages_keep_little_state;
     t "probes keep no state" test_probe_is_read_only;
     t "a drained burst gives its space back" test_burst_space_given_back;
+    t "a rank that has returned cannot die" test_no_death_after_return;
+    t "wildcard receives keep no state" test_recv_any_keeps_no_state;
   ]
