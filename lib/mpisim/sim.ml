@@ -127,11 +127,30 @@ type report = {
   mutable acks : int; (* transport acknowledgements delivered *)
   mutable kills : int; (* ranks the fault model permanently killed *)
   mutable sched_picks : int; (* scheduling steps the event core executed *)
+  ledger : float array array;
+      (* per rank, its clock's advances by category (see [ledger_categories]) *)
 }
 
+(* The ledger's columns.  Every advance of a rank's clock is charged to
+   exactly one, so a rank's row sums to its clock. *)
+let ledger_categories =
+  [| "compute"; "cpu wait"; "stall"; "send overhead"; "idle receive";
+     "receive overhead"; "deadline wait"; "detection wait"; "death" |]
+
+let l_compute = 0
+let l_cpu_wait = 1
+let l_stall = 2
+let l_send = 3
+let l_idle = 4
+let l_recv = 5
+let l_deadline = 6
+let l_detect = 7
+let l_death = 8
+
 (* The one report constructor: [clocks] are the per-rank clocks (shared,
-   not copied), the makespan is their max, and every counter but
-   [compute_time] starts at zero. *)
+   not copied), the makespan is their max, every counter but
+   [compute_time] starts at zero, and the ledger charges each clock as
+   it stands to compute. *)
 let new_report ?(compute_time = 0.) clocks =
   {
     makespan = Array.fold_left Float.max 0. clocks;
@@ -147,6 +166,13 @@ let new_report ?(compute_time = 0.) clocks =
     acks = 0;
     kills = 0;
     sched_picks = 0;
+    ledger =
+      Array.map
+        (fun c ->
+          let row = Array.make (Array.length ledger_categories) 0. in
+          row.(l_compute) <- c;
+          row)
+        clocks;
   }
 
 exception Deadlock of string
@@ -350,6 +376,7 @@ type run_state = {
   machine : Machine.t;
   nprocs : int;
   clocks : float array;
+  ledger : float array array; (* the report's *)
   store : store; (* every message in flight *)
   index : index array; (* per destination rank: its chains by key *)
   channel_free : float array;
@@ -488,6 +515,11 @@ let phys st r = match st.place with None -> r | Some (cpu_of, _) -> cpu_of.(r)
 
 let outside op = invalid_arg (Printf.sprintf "Sim.%s: called outside Sim.run" op)
 
+(* Charge [dt] seconds of rank [r]'s clock to ledger column [c]. *)
+let[@inline] charge st r c dt =
+  let row = st.ledger.(r) in
+  row.(c) <- row.(c) +. dt
+
 (* One compute charge of [t] seconds against rank [r].  Without a
    placement this is a plain clock advance; with one, the charge also
    serializes on the rank's CPU: it starts when both the rank and the
@@ -498,9 +530,12 @@ let[@inline] charge_compute st r t =
   | None -> st.clocks.(r) <- st.clocks.(r) +. t
   | Some (cpu_of, cpu_free) ->
       let cpu = cpu_of.(r) in
-      let fin = Float.max st.clocks.(r) cpu_free.(cpu) +. t in
+      let start = Float.max st.clocks.(r) cpu_free.(cpu) in
+      charge st r l_cpu_wait (start -. st.clocks.(r));
+      let fin = start +. t in
       st.clocks.(r) <- fin;
       cpu_free.(cpu) <- fin);
+  charge st r l_compute t;
   st.compute_time.(0) <- st.compute_time.(0) +. t
 
 let compute seconds =
@@ -763,6 +798,7 @@ let deliver st ~src =
   | Some f when f.Machine.stall > 0. && draw st f ~salt:salt_stall < f.Machine.stall
     ->
       st.clocks.(src) <- st.clocks.(src) +. f.Machine.stall_time;
+      charge st src l_stall f.Machine.stall_time;
       st.report.stalls <- st.report.stalls + 1
   | _ -> ());
   (* the network sees physical endpoints: two ranks sharing a CPU talk
@@ -802,6 +838,7 @@ let deliver st ~src =
   in
   let arrival = start +. latency +. ser in
   st.clocks.(src) <- st.clocks.(src) +. st.machine.Machine.send_overhead;
+  charge st src l_send st.machine.Machine.send_overhead;
   st.report.messages <- st.report.messages + 1;
   st.report.bytes <- st.report.bytes + bytes;
   let dropped =
@@ -988,15 +1025,17 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
     match place with None -> nprocs | Some (_, cpu_free) -> Array.length cpu_free
   in
   let clocks = Array.make nprocs 0. in
+  let report = new_report clocks in
   let st =
     {
       machine;
       nprocs;
       clocks;
+      ledger = report.ledger;
       store = store_create ();
       index = Array.init nprocs (fun _ -> index_create ());
       channel_free = Array.make (machine.Machine.channels ncpus + 1) 0.;
-      report = new_report clocks;
+      report;
       compute_time = [| 0. |];
       scratch =
         (if machine.Machine.reliable then
@@ -1176,8 +1215,10 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   let receive r m =
     let arrival = st.store.arrival.(m) and data = st.store.payload.(m) in
     release st.store m;
-    st.clocks.(r) <-
-      Float.max st.clocks.(r) arrival +. st.machine.Machine.recv_overhead;
+    let ready = Float.max st.clocks.(r) arrival in
+    charge st r l_idle (ready -. st.clocks.(r));
+    charge st r l_recv st.machine.Machine.recv_overhead;
+    st.clocks.(r) <- ready +. st.machine.Machine.recv_overhead;
     continue !conts.(r) data
   in
   for r = 0 to nprocs - 1 do
@@ -1224,7 +1265,9 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
              (retries, then [Exhausted]) or the failure detector. *)
           dead.(r) <- true;
           unpost st r;
-          st.clocks.(r) <- Float.max st.clocks.(r) st.death.(r);
+          let at = Float.max st.clocks.(r) st.death.(r) in
+          charge st r l_death (at -. st.clocks.(r));
+          st.clocks.(r) <- at;
           st.report.kills <- st.report.kills + 1;
           st.kind.(r) <- Done;
           incr finished
@@ -1268,11 +1311,14 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
                 let d = detector.(src) in
                 if (not (Float.is_nan d)) && d < deadline then begin
                   let at = d in
-                  st.clocks.(r) <- Float.max st.clocks.(r) at;
+                  let now = Float.max st.clocks.(r) at in
+                  charge st r l_detect (now -. st.clocks.(r));
+                  st.clocks.(r) <- now;
                   discontinue !conts.(r)
                     (Peer_failed { rank = r; failed = src; at })
                 end
                 else begin
+                  charge st r l_deadline (deadline -. st.clocks.(r));
                   st.clocks.(r) <- deadline;
                   continue !conts.(r) no_data
                 end

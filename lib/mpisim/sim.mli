@@ -169,17 +169,31 @@ type report = private {
       (** scheduling steps (rank resumes + kill events) the
           discrete-event core executed; picks divided by wall-clock is
           the scheduler-throughput figure tracked in EXPERIMENTS.md *)
+  ledger : float array array;
+      (** [ledger.(r).(c)]: the seconds rank [r]'s clock advanced for
+          the reason named [ledger_categories.(c)].  Every advance is
+          charged to exactly one category, so a row sums to the rank's
+          clock (up to rounding). *)
 }
 (** A run's timing and fault accounting.  A run increments the
     counters in place; outside [Sim] the record is read-only, and
     {!new_report} is the only way to build one. *)
 
+val ledger_categories : string array
+(** The ledger's nine columns, in order: compute (a compute charge),
+    cpu wait (a charge waiting for its shared CPU under a placement),
+    stall (an injected rank stall), send overhead, idle receive (a
+    receive waiting for its message to arrive), receive overhead,
+    deadline wait (a receive that timed out), detection wait (a receive
+    broken by the failure detector) and death (a kill waiting for its
+    time). *)
+
 val new_report : ?compute_time:float -> float array -> report
 (** [new_report ?compute_time clocks]: [clocks] as the per-rank clocks
-    (not copied), their max as the makespan, [compute_time] (default 0)
-    and every other counter 0.  {!run} starts from one; a sequential
-    baseline reports its modeled time [t] as
-    [new_report ~compute_time:t [| t |]]. *)
+    (not copied), their max as the makespan, [compute_time] (default 0),
+    every other counter 0, and each clock charged to compute in the
+    ledger.  {!run} starts from one; a sequential baseline reports its
+    modeled time [t] as [new_report ~compute_time:t [| t |]]. *)
 
 exception Deadlock of string
 (** Raised when every live rank is blocked on an empty mailbox; the

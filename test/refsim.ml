@@ -54,7 +54,14 @@ type counts = {
   mutable retries : int;
   mutable acks : int;
   mutable kills : int;
+  ledger : float array array; (* per rank, by [Sim.ledger_categories] *)
 }
+
+(* Advance rank [r]'s clock to [t], charging the advance to ledger
+   column [col] (see [Sim.ledger_categories]). *)
+let advance c r col t =
+  c.ledger.(r).(col) <- c.ledger.(r).(col) +. (t -. c.clocks.(r));
+  c.clocks.(r) <- t
 
 type t = {
   m : Machine.t;
@@ -111,6 +118,7 @@ let deliver s src ~dst ~tag ~data ~ack =
   Option.iter
     (fun (f : Machine.faults) ->
       if draw s f 0x0d40 f.Machine.stall then begin
+        c.ledger.(src).(2) <- c.ledger.(src).(2) +. f.Machine.stall_time;
         c.clocks.(src) <- c.clocks.(src) +. f.Machine.stall_time;
         c.stalls <- c.stalls + 1
       end)
@@ -148,6 +156,7 @@ let deliver s src ~dst ~tag ~data ~ack =
         start
   in
   let arrival = start +. lat +. ser in
+  c.ledger.(src).(3) <- c.ledger.(src).(3) +. s.m.Machine.send_overhead;
   c.clocks.(src) <- c.clocks.(src) +. s.m.Machine.send_overhead;
   c.messages <- c.messages + 1;
   c.bytes <- c.bytes + bytes;
@@ -211,7 +220,8 @@ let run_report ~machine ~nprocs body =
   in
   let c =
     { clocks = Array.make p 0.; messages = 0; bytes = 0; compute = 0.; picks = 0;
-      drops = 0; dups = 0; delayed = 0; stalls = 0; retries = 0; acks = 0; kills = 0 }
+      drops = 0; dups = 0; delayed = 0; stalls = 0; retries = 0; acks = 0; kills = 0;
+      ledger = Array.init p (fun _ -> Array.make (Array.length Sim.ledger_categories) 0.) }
   in
   let s =
     { m = machine; p; c; reqs = Array.make p Start; boxes = Hashtbl.create 64;
@@ -242,7 +252,9 @@ let run_report ~machine ~nprocs body =
   in
   let take r ~src ~tag =
     let a, data = Queue.pop (box s (r, src, tag)) in
-    c.clocks.(r) <- Float.max c.clocks.(r) a +. machine.Machine.recv_overhead;
+    advance c r 4 (Float.max c.clocks.(r) a);
+    c.ledger.(r).(5) <- c.ledger.(r).(5) +. machine.Machine.recv_overhead;
+    c.clocks.(r) <- c.clocks.(r) +. machine.Machine.recv_overhead;
     resume r (Some (src, data))
   in
   let step r =
@@ -275,12 +287,12 @@ let run_report ~machine ~nprocs body =
         | _ ->
             let d = if detect > 0. then death.(src) +. detect else nan in
             if d < deadline then begin
-              c.clocks.(r) <- Float.max c.clocks.(r) d;
+              advance c r 7 (Float.max c.clocks.(r) d);
               Effect.Deep.discontinue (Option.get conts.(r))
                 (Sim.Peer_failed { rank = r; failed = src; at = d })
             end
             else begin
-              c.clocks.(r) <- deadline;
+              advance c r 6 deadline;
               resume r None
             end)
     | Done -> assert false
@@ -321,7 +333,7 @@ let run_report ~machine ~nprocs body =
         if r < 0 then raise (Sim.Deadlock (diagnose ()));
         if !bkey = death.(r) then begin
           dead.(r) <- true;
-          c.clocks.(r) <- Float.max c.clocks.(r) death.(r);
+          advance c r 8 (Float.max c.clocks.(r) death.(r));
           c.kills <- c.kills + 1;
           s.reqs.(r) <- Done
         end
@@ -352,9 +364,11 @@ let compute t =
   (match s.cpu with
   | None -> clocks.(r) <- clocks.(r) +. t
   | Some (cpu_of, free) ->
-      let fin = Float.max clocks.(r) free.(cpu_of.(r)) +. t in
+      advance s.c r 1 (Float.max clocks.(r) free.(cpu_of.(r)));
+      let fin = clocks.(r) +. t in
       clocks.(r) <- fin;
       free.(cpu_of.(r)) <- fin);
+  s.c.ledger.(r).(0) <- s.c.ledger.(r).(0) +. t;
   s.c.compute <- s.c.compute +. t
 
 let send ~dst ~tag data = ignore (wait (Send { dst; tag; data; ack = None }))

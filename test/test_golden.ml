@@ -34,16 +34,16 @@ let capture_digest (caps : (string * Exec.State.captured) list) =
     caps;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The columns of one run after its key:
+let run_app ?layout (app : Apps.Scripts.app) c nprocs =
+  Otter.outcome_exn
+    (Otter.run
+       (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs ?layout
+          ~capture:app.capture ())
+       c)
+
+(* The columns of one run's outcome after its key:
    stdout-md5 captures-md5 makespan-bits messages bytes picks *)
-let digest_columns ?layout (app : Apps.Scripts.app) c nprocs =
-  let o =
-    Otter.outcome_exn
-      (Otter.run
-         (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs ?layout
-            ~capture:app.capture ())
-         c)
-  in
+let digest_columns (o : Exec.State.outcome) =
   let r = o.Exec.State.report in
   Printf.sprintf "%s %s %s %d %d %d"
     (Digest.to_hex (Digest.string o.Exec.State.output))
@@ -51,16 +51,21 @@ let digest_columns ?layout (app : Apps.Scripts.app) c nprocs =
     (bits r.Mpisim.Sim.makespan) r.Mpisim.Sim.messages r.Mpisim.Sim.bytes
     r.Mpisim.Sim.sched_picks
 
-(* One line per run: app P, then [digest_columns]. *)
-let digest_line (app : Apps.Scripts.app) c nprocs =
-  Printf.sprintf "%s %d %s" app.key nprocs (digest_columns app c nprocs)
+(* Every (app, P) run of the golden table, made once for the tests
+   below. *)
+let runs =
+  lazy
+    (List.concat_map
+       (fun (app : Apps.Scripts.app) ->
+         let c = Otter.compile (app.source scale) in
+         List.map (fun nprocs -> (app.key, nprocs, run_app app c nprocs)) procs)
+       Apps.Scripts.all)
 
+(* One line per run: app P, then [digest_columns]. *)
 let actual_table () =
-  List.concat_map
-    (fun (app : Apps.Scripts.app) ->
-      let c = Otter.compile (app.source scale) in
-      List.map (digest_line app c) procs)
-    Apps.Scripts.all
+  List.map
+    (fun (key, nprocs, o) -> Printf.sprintf "%s %d %s" key nprocs (digest_columns o))
+    (Lazy.force runs)
 
 (* The non-block layout: the two tensor apps and CG at P = 4 under a
    block-cyclic policy.  A rank >= 3 array is always block-distributed
@@ -81,7 +86,7 @@ let layout_table () =
         (fun name ->
           let layout = Option.get (Otter.Config.layout_of_string name) in
           Printf.sprintf "%s 4 %s %s" key name
-            (digest_columns ~layout app c 4))
+            (digest_columns (run_app ~layout app c 4)))
         layout_names)
     layout_apps
 
@@ -102,8 +107,31 @@ let check_table file actual =
 let test_digests () = check_table golden_file (actual_table ())
 let test_layouts () = check_table layout_file (layout_table ())
 
+(* Every rank's ledger accounts for its whole clock: the categories sum
+   to [per_rank_clock] within 1e-12 relative, and none is negative. *)
+let test_ledger () =
+  List.iter
+    (fun (key, nprocs, (o : Exec.State.outcome)) ->
+      let r = o.Exec.State.report in
+      Array.iteri
+        (fun rank row ->
+          let clock = r.Mpisim.Sim.per_rank_clock.(rank) in
+          let sum = Array.fold_left ( +. ) 0. row in
+          if Float.abs (sum -. clock) > 1e-12 *. Float.abs clock then
+            Alcotest.failf "%s P=%d rank %d: ledger sums to %h, clock is %h" key
+              nprocs rank sum clock;
+          Array.iteri
+            (fun c x ->
+              if x < 0. then
+                Alcotest.failf "%s P=%d rank %d: %s is %g" key nprocs rank
+                  Mpisim.Sim.ledger_categories.(c) x)
+            row)
+        r.Mpisim.Sim.ledger)
+    (Lazy.force runs)
+
 let suite =
   [
     t "six apps at P = 1, 4, 16 match the golden digests" test_digests;
     t "tensor apps and CG under the cyclic layout match" test_layouts;
+    t "the six apps' ledgers sum to their clocks" test_ledger;
   ]

@@ -781,13 +781,27 @@ let summarize outcome (c : Refsim.counts) =
   ( ending,
     Printf.sprintf
       "%s: %s\nclocks %s\ncompute %h messages %d bytes %d picks %d drops %d dups %d \
-       delayed %d stalls %d retries %d acks %d kills %d"
+       delayed %d stalls %d retries %d acks %d kills %d\nledger %s"
       ending outcome (floats c.clocks) c.compute c.messages c.bytes c.picks c.drops
-      c.dups c.delayed c.stalls c.retries c.acks c.kills )
+      c.dups c.delayed c.stalls c.retries c.acks c.kills
+      (String.concat " | " (Array.to_list (Array.map floats c.ledger))) )
 
-(* A run on [Sim], summarized the same way. *)
+(* The categories a ledger charged something to, over every run
+   [run_summary] made. *)
+let charged = Array.make (Array.length Sim.ledger_categories) false
+
+(* A run on [Sim], summarized the same way.  Its ledger must account
+   for every rank's clock, within 1e-12 relative. *)
 let run_summary machine ~nprocs body =
   let outcome, r = Sim.run_report ~machine ~nprocs body in
+  Array.iteri
+    (fun rank row ->
+      let clock = r.Sim.per_rank_clock.(rank) in
+      let sum = Array.fold_left ( +. ) 0. row in
+      if Float.abs (sum -. clock) > 1e-12 *. Float.abs clock then
+        failwith (Printf.sprintf "rank %d: ledger sums to %h, clock is %h" rank sum clock);
+      Array.iteri (fun c x -> if x > 0. then charged.(c) <- true) row)
+    r.Sim.ledger;
   summarize outcome
     {
       Refsim.clocks = r.Sim.per_rank_clock;
@@ -802,6 +816,7 @@ let run_summary machine ~nprocs body =
       retries = r.Sim.retries;
       acks = r.Sim.acks;
       kills = r.Sim.kills;
+      ledger = r.Sim.ledger;
     }
 
 let faulty spec m = Machine.with_faults ~faults:(Testutil.faults spec) m
@@ -938,12 +953,19 @@ let test_reference =
     speed,
     fun () ->
       Hashtbl.reset reference_endings;
+      Array.fill charged 0 (Array.length charged) false;
       run ();
       List.iter
         (fun e ->
           if not (Hashtbl.mem reference_endings e) then
             Alcotest.failf "no reference case ended with a %s" e)
-        [ "ok"; "deadlock"; "timeout"; "peer failure" ] )
+        [ "ok"; "deadlock"; "timeout"; "peer failure" ];
+      (* and that the runs charged every ledger category *)
+      Array.iteri
+        (fun c hit ->
+          if not hit then
+            Alcotest.failf "no reference case charged %s" Sim.ledger_categories.(c))
+        charged )
 
 let test_machine_lookup () =
   let is name m =
