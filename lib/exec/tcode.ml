@@ -889,58 +889,35 @@ let exec_section fr dslot sslot (sels : dsel list) =
 
 type dsrc = DSscalar of cexpr | DSmat of int
 
-(* Section assignment.  An array source is gathered once and must have
-   as many elements as the selection; a rank >= 3 target also takes a
-   scalar variable as its source.  A matrix target reads its source
-   before its selectors, a rank >= 3 one after them (and checks the
-   source's size before gathering it): each order fixes where the
-   selectors' flops fall against the gather, which the modeled clocks
-   are pinned to. *)
+(* Section assignment.  An array source must have as many elements as
+   the selection; a rank >= 3 target also takes a scalar variable as
+   its source.  A vector target also takes one linear selector. *)
 let exec_setsection fr dslot (sels : dsel list) (src : dsrc) =
   let m = arr_of fr dslot in
   let tensor = not (Dmat.is_matrix m) in
-  let early = if tensor then Some (axis_sels fr m sels) else None in
-  let selected idxs = Array.fold_left (fun n s -> n * Array.length s) 1 idxs in
-  let check_len l n = if l <> n then error "section assignment size mismatch" in
-  let value, src_len =
+  let idxs =
+    match sels with
+    | [ s ] when not tensor ->
+        if not (Dmat.is_vector m) then
+          error "linear section assignment on a full matrix is not supported";
+        Ops.linear_sels m (sel_exec fr (Dmat.numel m) s)
+    | _ -> axis_sels fr m sels
+  in
+  let source =
     match src with
-    | DSscalar r ->
-        let c = eval_cexpr fr r in
-        ((fun _ -> c), None)
-    | DSmat s when tensor && fr.tags.(s) = t_scalar ->
-        let c = fr.sc.(s) in
-        ((fun _ -> c), None)
+    | DSscalar r -> Ops.Const (eval_cexpr fr r)
+    | DSmat s when tensor && fr.tags.(s) = t_scalar -> Ops.Const fr.sc.(s)
     | DSmat s ->
         let sm = if tensor then arr_of fr s else mat_of fr s in
         if not (Dmat.same_locality m sm) then
           error
             "section assignment cannot mix a replicated (message-passing) \
              matrix with a distributed one";
-        Option.iter (fun idxs -> check_len (Dmat.numel sm) (selected idxs)) early;
-        let dense = Dmat.to_dense sm in
-        ((fun k -> dense.(k)), Some (Dmat.numel sm))
+        if Dmat.numel sm <> Array.fold_left (fun n s -> n * Array.length s) 1 idxs
+        then error "section assignment size mismatch";
+        Ops.Elems sm
   in
-  let check_src_len n = Option.iter (fun l -> check_len l n) src_len in
-  match (sels, early) with
-  | [ s ], None ->
-      if not (Dmat.is_vector m) then
-        error "linear section assignment on a full matrix is not supported";
-      let n = Dmat.numel m in
-      let idx = sel_exec fr n s in
-      check_src_len (Array.length idx);
-      Array.iteri
-        (fun k g ->
-          if g < 0 || g >= n then error "index out of bounds";
-          let i, j = if m.Dmat.cols = 1 then (g, 0) else (0, g) in
-          if Dmat.owner m ~i ~j then Dmat.set_local m ~i ~j (value k))
-        idx;
-      Mpisim.Sim.flops (float_of_int (Array.length idx))
-  | _ ->
-      let idxs =
-        match early with Some idxs -> idxs | None -> axis_sels fr m sels
-      in
-      check_src_len (selected idxs);
-      Ops.set_section m idxs value
+  Ops.set_section m idxs source
 
 let exec_concat fr dslot grid_rows grid_cols (parts : int list) =
   let blocks = List.map (fun s -> mat_of fr s) parts in

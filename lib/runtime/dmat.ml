@@ -212,6 +212,25 @@ let local_index m ~i ~j =
       | By_rows -> (Dist.Cyclic.local_of_global ~nprocs ~b i * m.cols) + j
       | By_cols -> Dist.Cyclic.local_of_global ~nprocs ~b j)
 
+(* Ownership comes in whole units: the rows of a row-distributed array
+   ([cols] elements each, consecutive in [data]) and the single
+   elements of a column-distributed one.  A replica's every unit is
+   the running rank's. *)
+let unit_width m = match m.axis with By_rows -> m.cols | By_cols -> 1
+
+let unit_owner m u =
+  if m.full then Mpisim.Sim.rank ()
+  else
+    match m.axis with
+    | By_rows -> owner_rank m ~i:u ~j:0
+    | By_cols -> owner_rank m ~i:0 ~j:u
+
+(* Index into [data] of unit [u]'s first element; the caller owns it. *)
+let unit_local m u =
+  match m.axis with
+  | By_rows -> local_index m ~i:u ~j:0
+  | By_cols -> local_index m ~i:0 ~j:u
+
 let get_local m ~i ~j = m.data.(local_index m ~i ~j)
 (* The one store into an array that is not fresh: every in-place write
    (element and section assignment) comes through here and is

@@ -104,6 +104,19 @@ val owner : t -> i:int -> j:int -> bool
 
 val owner_rank : t -> i:int -> j:int -> int
 
+(** Ownership comes in whole units: the rows of a row-distributed array
+    and the single elements of a column-distributed one. *)
+
+val unit_width : t -> int
+(** Elements per unit: [cols] by rows, 1 by columns. *)
+
+val unit_owner : t -> int -> int
+(** The rank owning unit [u]; the running rank for a replica. *)
+
+val unit_local : t -> int -> int
+(** Index into [data] of unit [u]'s first element, whose elements are
+    consecutive there; the caller must own it. *)
+
 val get_local : t -> i:int -> j:int -> float
 (** Load a globally indexed element; the caller must own it. *)
 

@@ -889,51 +889,165 @@ let out_of_bounds (a : Dmat.t) (sels : int array array) =
     sels;
   !bad
 
+(* The personalized exchange behind every section read and store.
+   Element [k] of the selection, in row-major order, is [m]'s element
+   (s0.(k / w), inner.(k mod w)), with [w] the length of [inner], and
+   [d]'s element [k] in row-major order; a read moves it from [m] to
+   [d], a store from [d] to [m].  The selectors are replicated, so
+   every rank cuts the selection into the same pieces, each inside one
+   ownership unit (see [Dmat.unit_owner]) of both sides: a selected
+   row of [m] (one element when [m] is a single row) and a unit of
+   [d].  That is at most (selected rows of [m] + units of [d]) pieces,
+   found without touching an element.  Each rank sends each peer one
+   message holding, in piece order, the elements it owns that the peer
+   needs, then receives in rank order, then writes its pieces in piece
+   order, so a repeated target keeps the last writer of a sequential
+   walk.  Local pieces never leave the rank. *)
+let tag_section = 3005
+
+let exchange ~read (m : Dmat.t) (s0 : int array) (inner : int array)
+    (d : Dmat.t) =
+  let w = Array.length inner in
+  let total = Array.length s0 * w in
+  if total > 0 then begin
+    let nprocs = Sim.size () and me = Sim.rank () in
+    let uw = Dmat.unit_width d and by_cols = m.axis = Dmat.By_cols in
+    (* the pieces: where each starts, and its owners in [m] and [d] *)
+    let cap = (if by_cols then total else Array.length s0) + (total / uw) + 1 in
+    let start = Array.make cap 0 and mown = Array.make cap 0 in
+    let down = Array.make cap 0 in
+    let n = ref 0 and k = ref 0 in
+    while !k < total do
+      let p = !k / w and du = !k / uw in
+      let mu, mend = if by_cols then (inner.(!k mod w), !k + 1) else (s0.(p), (p + 1) * w) in
+      start.(!n) <- !k;
+      mown.(!n) <- Dmat.unit_owner m mu;
+      down.(!n) <- Dmat.unit_owner d du;
+      incr n;
+      k := min mend ((du + 1) * uw)
+    done;
+    let n = !n in
+    start.(n) <- total;
+    let src i = if read then mown.(i) else down.(i) in
+    let dst i = if read then down.(i) else mown.(i) in
+    (* piece [i]'s elements in [d]: contiguous from [dbase i] *)
+    let dbase i = Dmat.unit_local d (start.(i) / uw) + (start.(i) mod uw) in
+    (* copy piece [i]'s elements of [m] to [buf] from [off], or back *)
+    let m_elems i f =
+      let q0 = start.(i) mod w in
+      let len = start.(i + 1) - start.(i) in
+      if by_cols then f 0 (Dmat.unit_local m inner.(q0))
+      else begin
+        let base = Dmat.unit_local m s0.(start.(i) / w) in
+        for t = 0 to len - 1 do
+          f t (base + inner.(q0 + t))
+        done
+      end
+    in
+    let from_m i buf off = m_elems i (fun t x -> buf.(off + t) <- m.data.(x)) in
+    let into_m i buf off = m_elems i (fun t x -> m.data.(x) <- buf.(off + t)) in
+    let sendn = Array.make nprocs 0 and recvn = Array.make nprocs 0 in
+    for i = 0 to n - 1 do
+      let len = start.(i + 1) - start.(i) in
+      if src i = me && dst i <> me then sendn.(dst i) <- sendn.(dst i) + len
+      else if dst i = me && src i <> me then recvn.(src i) <- recvn.(src i) + len
+    done;
+    let bufs = Array.map (fun c -> if c > 0 then Array.create_float c else [||]) sendn in
+    let cur = Array.make nprocs 0 in
+    for i = 0 to n - 1 do
+      let t = dst i in
+      if src i = me && t <> me then begin
+        let len = start.(i + 1) - start.(i) in
+        if read then from_m i bufs.(t) cur.(t)
+        else Array.blit d.data (dbase i) bufs.(t) cur.(t) len;
+        cur.(t) <- cur.(t) + len
+      end
+    done;
+    Array.iteri
+      (fun t buf -> if sendn.(t) > 0 then Rel.send ~dst:t ~tag:tag_section (Sim.Floats buf))
+      bufs;
+    let got =
+      Array.mapi
+        (fun s c ->
+          if c > 0 then Coll.recv_block ~what:"section" ~src:s ~tag:tag_section c
+          else [||])
+        recvn
+    in
+    Array.fill cur 0 nprocs 0;
+    let written = ref 0 in
+    for i = 0 to n - 1 do
+      if dst i = me then begin
+        let s = src i and len = start.(i + 1) - start.(i) in
+        (match (read, s = me) with
+        | true, true -> from_m i d.data (dbase i)
+        | true, false -> Array.blit got.(s) cur.(s) d.data (dbase i) len
+        | false, true -> into_m i d.data (dbase i)
+        | false, false -> into_m i got.(s) cur.(s));
+        if s <> me then cur.(s) <- cur.(s) + len;
+        written := !written + len
+      end
+    done;
+    if not read then m.writes <- m.writes + !written
+  end
+
 (* result(k0, ..., kn) = a(sels.(0).(k0), ..., sels.(n).(kn)) with
-   replicated 0-based index vectors, one per axis and no squeezing; the
-   operand is gathered, the result block selected locally.  The paper's
-   run-time library takes the same "simple but correct" approach for
-   arbitrary sections. *)
+   replicated 0-based index vectors, one per axis and no squeezing. *)
 let section (a : Dmat.t) (sels : int array array) : Dmat.t =
-  let dense = Dmat.to_dense a in
   Option.iter
     (fun (i, n) ->
       failwith (Printf.sprintf "section: index %d out of bounds %d" (i + 1) n))
     (out_of_bounds a sels);
   let r = Dmat.create_dims ~full:a.full (Array.map Array.length sels) in
-  let s0 = sels.(0) and inner = row_offsets a sels in
-  Dmat.iter_rc r ~lo:0 ~len:(Dmat.local_len r) (fun li i j ->
-      r.data.(li) <- dense.((s0.(i) * a.cols) + inner.(j)));
+  exchange ~read:true a sels.(0) (row_offsets a sels) r;
   r
 
-(* Linear-index section over a vector: result(k) = v(idx.(k)). *)
+(* The selectors of a vector's linear indices [idx]: a column's rows,
+   or a row's columns. *)
+let linear_sels (v : Dmat.t) idx =
+  if v.cols = 1 then [| idx; [| 0 |] |] else [| [| 0 |]; idx |]
+
+(* Linear-index section over a vector: result(k) = v(idx.(k)), shaped
+   [rows] x [cols]. *)
 let section_linear (v : Dmat.t) (idx : int array) ~rows ~cols : Dmat.t =
-  let dense = Dmat.to_dense v in
   let n = Dmat.numel v in
   Array.iter
     (fun i ->
       if i < 0 || i >= n then
         failwith (Printf.sprintf "index %d out of bounds %d" (i + 1) n))
     idx;
-  if v.full then Dmat.init_full ~rows ~cols (fun g -> dense.(idx.(g)))
-  else Dmat.init ~rows ~cols (fun g -> dense.(idx.(g)))
+  let r = Dmat.create_dims ~full:v.full [| rows; cols |] in
+  let sels = linear_sels v idx in
+  exchange ~read:true v sels.(0) (row_offsets v sels) r;
+  r
 
-(* a(sels) = value, owner computes: every rank walks the selection in
-   row-major order and stores the elements it owns, so a repeated
-   selector keeps the same last writer as a sequential walk.  [value k]
-   is the k-th selected element's new value; it is pure, so skipping it
-   is safe.  An empty selection is a no-op whatever its selectors. *)
-let set_section (m : Dmat.t) (sels : int array array) (value : int -> float) =
+(* What a section store writes: one value everywhere, or an array's
+   elements in row-major order. *)
+type source = Const of float | Elems of Dmat.t
+
+(* a(sels) = src, owner computes: each rank stores the selected
+   elements it owns, in row-major selection order, so a repeated
+   selector keeps the same last writer as a sequential walk.  An array
+   source moves through [exchange]; the caller checks its size.  An
+   empty selection is a no-op whatever its selectors. *)
+let set_section (m : Dmat.t) (sels : int array array) (src : source) =
   let inner = row_offsets m sels in
-  let w = Array.length inner in
-  let total = Array.length sels.(0) * w in
+  let total = Array.length sels.(0) * Array.length inner in
   if total > 0 && out_of_bounds m sels <> None then
     failwith "index out of bounds";
-  Array.iteri
-    (fun p i ->
-      for q = 0 to w - 1 do
-        let j = inner.(q) in
-        if Dmat.owner m ~i ~j then Dmat.set_local m ~i ~j (value ((p * w) + q))
-      done)
-    sels.(0);
+  (match src with
+  | Elems d ->
+      (* a source sharing the target's data is read before any write *)
+      let d = if d.data == m.data then Dmat.copy d else d in
+      exchange ~read:false m sels.(0) inner d
+  | Const c ->
+      let me = Sim.rank () and by_rows = m.axis = Dmat.By_rows in
+      Array.iter
+        (fun i ->
+          if (not by_rows) || Dmat.unit_owner m i = me then
+            Array.iter
+              (fun j ->
+                if by_rows || Dmat.unit_owner m j = me then
+                  Dmat.set_local m ~i ~j c)
+              inner)
+        sels.(0));
   Sim.flops (float_of_int total)

@@ -96,12 +96,26 @@ val trapz : ?x:Dmat.t -> Dmat.t -> float
 
 val section : Dmat.t -> int array array -> Dmat.t
 (** One replicated 0-based index vector per axis -> the array of the
-    selected extents, same rank (no squeezing). *)
+    selected extents, same rank (no squeezing).  Each rank receives only
+    the selected elements it will own, from their owners: at most one
+    message per peer. *)
+
+val linear_sels : Dmat.t -> int array -> int array array
+(** The per-axis selectors of a vector's 0-based linear indices. *)
 
 val section_linear : Dmat.t -> int array -> rows:int -> cols:int -> Dmat.t
+(** [section_linear v idx ~rows ~cols]: [v]'s elements at the linear
+    indices [idx], shaped [rows] x [cols]; moved as {!section} moves
+    them. *)
 
-val set_section : Dmat.t -> int array array -> (int -> float) -> unit
-(** [set_section m sels value] stores [value k] at the k-th selected
-    position (row-major selection order); owners write, so [value]
-    must be pure.  Raises [Failure] when a selector is out of bounds
-    and the selection is not empty. *)
+type source = Const of float | Elems of Dmat.t
+(** What a section store writes: one value, or an array's elements in
+    row-major order. *)
+
+val set_section : Dmat.t -> int array array -> source -> unit
+(** [set_section m sels src] stores the k-th element of [src]
+    (row-major) at the k-th selected position (row-major selection
+    order); owners write, and an array source sends each owner only
+    the elements it stores.  The caller checks an array source's size.
+    Raises [Failure] when a selector is out of bounds and the selection
+    is not empty. *)

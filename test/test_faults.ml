@@ -358,44 +358,49 @@ let test_vm_partial_names_rank_and_operation () =
   | Exec.State.Complete _ ->
       Alcotest.fail "total loss without the reliable layer cannot complete"
 
-(* Without the reliable layer a dropped ring message lets the next
-   round's block, of another length, arrive in its place: the allgather
-   must classify that as a protocol error, not let an array exception
-   escape from the copy. *)
-let test_lossy_allgather_is_protocol_error () =
-  match Testutil.find_up "examples/matlab/jacobi.m" with
+(* [file] at P = 4 on a Meiko that drops messages ([spec]) without the
+   reliable layer must stop with a protocol error whose detail contains
+   [expected]. *)
+let lossy_protocol_error file spec expected =
+  match Testutil.find_up file with
   | None -> () (* sandboxed without sources: nothing to check *)
   | Some file -> (
       let c = Otter.compile (Testutil.read_file file) in
-      let m = faulty ~reliable:false "drop=0.3,seed=3" Machine.meiko_cs2 in
+      let m = faulty ~reliable:false spec Machine.meiko_cs2 in
       match
         (Otter.run (Otter.config ~machine:m ~nprocs:4 ()) c).Exec.State.r_result
       with
       | Exec.State.Partial { kind; detail; _ } ->
           Alcotest.(check bool) "classified as a protocol error" true
             (kind = Exec.State.Fprotocol);
-          Alcotest.(check bool) "detail names both lengths" true
-            (Testutil.contains detail "allgather: expected 30 floats, received 20")
+          if not (Testutil.contains detail expected) then
+            Alcotest.failf "the detail %S does not name both lengths (%S)" detail
+              expected
       | Exec.State.Complete _ -> Alcotest.fail "the lossy run cannot complete")
+
+(* Without the reliable layer a dropped ring message lets the next
+   round's block, of another length, arrive in its place: the allgather
+   must classify that as a protocol error, not let an array exception
+   escape from the copy.  Each product [A * v] of the script allgathers
+   [v], 10 elements in blocks of 2 and 3 at P = 4. *)
+let test_lossy_allgather_is_protocol_error () =
+  lossy_protocol_error "test/corpus/fuzz/matvec_gather.m" "drop=0.3,seed=3"
+    "allgather: expected 3 floats, received 2"
+
+(* The same for a section's exchange: jacobi's stencil reads send each
+   neighbour its boundary pages (8 x 8 = 64 floats per page at P = 4),
+   so a dropped message lets the next one, of another length, arrive in
+   its place. *)
+let test_lossy_section_is_protocol_error () =
+  lossy_protocol_error "examples/matlab/jacobi.m" "drop=0.3,seed=3"
+    "section: expected 128 floats, received 64"
 
 (* The same for circshift's runs: a dropped run lets a later one, of
    another length, arrive in its place, which must surface as a
    protocol error naming both lengths rather than an assertion. *)
 let test_lossy_shift_is_protocol_error () =
-  match Testutil.find_up "test/corpus/fuzz/shift_runs.m" with
-  | None -> () (* sandboxed without sources: nothing to check *)
-  | Some file -> (
-      let c = Otter.compile (Testutil.read_file file) in
-      let m = faulty ~reliable:false "drop=0.2,seed=1" Machine.meiko_cs2 in
-      match
-        (Otter.run (Otter.config ~machine:m ~nprocs:4 ()) c).Exec.State.r_result
-      with
-      | Exec.State.Partial { kind; detail; _ } ->
-          Alcotest.(check bool) "classified as a protocol error" true
-            (kind = Exec.State.Fprotocol);
-          Alcotest.(check bool) "detail names both lengths" true
-            (Testutil.contains detail "shift: expected 1 floats, received 2")
-      | Exec.State.Complete _ -> Alcotest.fail "the lossy run cannot complete")
+  lossy_protocol_error "test/corpus/fuzz/shift_runs.m" "drop=0.2,seed=1"
+    "shift: expected 1 floats, received 2"
 
 let suite =
   [
@@ -414,5 +419,7 @@ let suite =
     t "apps verify under faults" test_apps_verify_under_faults;
     t "VM partial names rank and operation" test_vm_partial_names_rank_and_operation;
     t "lossy allgather is a protocol error" test_lossy_allgather_is_protocol_error;
+    t "lossy section exchange is a protocol error"
+      test_lossy_section_is_protocol_error;
     t "lossy shift is a protocol error" test_lossy_shift_is_protocol_error;
   ]

@@ -298,6 +298,107 @@ let test_sections () =
     [| 49.; 0.; 9. |]
     "linear section"
 
+(* The exact traffic of three sections of a 24 x 16 x 16 grid [T],
+   whose rows (leading slices, 256 floats, 2,048 B each) are block
+   distributed.  A section moves a row only when the row's owner in
+   the source differs from its owner in the destination, and each rank
+   sends each peer one message.  Rank r owns rows
+   [floor(24r/P), floor(24(r+1)/P)) of [T] and
+   [floor(22r/P), floor(22(r+1)/P)) of a 22-row array [A].
+
+   - [A = T(1:22, :, :)]: row k of [A] is row k of [T].
+     P = 4: [T] blocks start 0 6 12 18, [A] blocks 0 5 11 16.  Row 5
+     goes 0 -> 1, row 11 goes 1 -> 2, rows 16-17 go 2 -> 3: 3 messages,
+     4 rows.
+     P = 16: [T] blocks start 0 1 3 4 6 7 9 10 12 13 15 16 18 19 21 22,
+     [A] blocks 0 1 2 4 5 6 8 9 11 12 13 15 16 17 19 20.  The moves are
+     1->2, 3->4, 4->5, 5->6, 6->7, 7->8, 8->9, 9->10 (rows 13-14),
+     10->11, 11->12, 11->13, 12->13, 13->14, 13->15 and 14->15: 15
+     messages, 16 rows.
+   - [T(:, 2:16, :)]: an in-page shift keeps every row on its owner: no
+     message.
+   - [T(2:23, :, :) = A]: row j of [A] lands in row j + 1 of [T].
+     P = 4: only row 16 (on rank 3) lands on rank 2: 1 message, 1 row.
+     P = 16: rows 0, 3, 13, 16, 17, 19 and 20 of [A] land on another
+     rank, as 0->1, 2->3, 10->9, 12->11, 13->12, 14->13 and 15->14: 7
+     messages, 7 rows.
+
+   Each case also checks every element a rank holds afterwards. *)
+let test_section_traffic () =
+  let n = 24 and m = 16 in
+  let row = m * m in
+  let traffic ~p body =
+    let _, r = Sim.run ~machine ~nprocs:p body in
+    (r.Sim.messages, r.Sim.bytes)
+  in
+  let grid () = Dmat.init_dims [| n; m; m |] float_of_int in
+  let all k = Array.init k (fun i -> i) in
+  let from a k = Array.init k (fun i -> a + i) in
+  (* every local element of [x] holds [f] of its global index *)
+  let holds what (x : Dmat.t) f =
+    for i = 0 to Dmat.local_len x - 1 do
+      let g = Dmat.global_of_local x i in
+      if x.Dmat.data.(i) <> f g then
+        Alcotest.failf "%s: element %d holds %g, not %g" what g x.Dmat.data.(i) (f g)
+    done
+  in
+  let check what ~p expected body =
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "%s at P = %d: messages, bytes" what p)
+      expected (traffic ~p body)
+  in
+  List.iter
+    (fun (p, shift, store) ->
+      check "T(1:22,:,:)" ~p shift (fun _ ->
+          let a = Ops.section (grid ()) [| all (n - 2); all m; all m |] in
+          holds "T(1:22,:,:)" a float_of_int);
+      check "T(:,2:16,:)" ~p (0, 0) (fun _ ->
+          let b = Ops.section (grid ()) [| all n; from 1 (m - 1); all m |] in
+          holds "T(:,2:16,:)" b (fun g ->
+              let i = g / ((m - 1) * m) and rest = g mod ((m - 1) * m) in
+              float_of_int ((i * row) + rest + m)));
+      check "T(2:23,:,:) = A" ~p store (fun _ ->
+          let t = grid () in
+          let a = Dmat.init_dims [| n - 2; m; m |] (fun g -> -.float_of_int g) in
+          Ops.set_section t [| from 1 (n - 2); all m; all m |] (Ops.Elems a);
+          holds "T(2:23,:,:) = A" t (fun g ->
+              let i = g / row in
+              if i >= 1 && i <= n - 2 then -.float_of_int (g - row) else float_of_int g)))
+    [
+      (4, (3, 4 * 8 * row), (1, 8 * row));
+      (16, (15, 16 * 8 * row), (7, 7 * 8 * row));
+    ]
+
+(* The section scripts of the fuzz corpus (ranks without rows,
+   reversed and repeated selectors, empty selections, repeated store
+   targets, matrix sources in tensor sections) verify against the
+   interpreter at P = 1, 3, 7 and 16, under block and cyclic:2. *)
+let test_section_corpus () =
+  List.iter
+    (fun name ->
+      match Testutil.find_up ("test/corpus/fuzz/" ^ name ^ ".m") with
+      | None -> () (* sandboxed without sources: nothing to check *)
+      | Some path ->
+          let c = Otter.compile (Testutil.read_file path) in
+          List.iter
+            (fun layout ->
+              List.iter
+                (fun nprocs ->
+                  let layout = Otter.Config.layout_of_string layout in
+                  match Otter.verify (Otter.config ?layout ~machine ~nprocs ()) c with
+                  | Otter.Verified -> ()
+                  | _ ->
+                      Alcotest.failf "%s does not verify at P = %d" name nprocs)
+                [ 1; 3; 7; 16 ])
+            [ "block"; "cyclic:2" ])
+    [
+      "section_few_rows";
+      "section_reverse_repeat";
+      "section_empty";
+      "section_store_repeat";
+      "section_matrix_source";
+    ]
+
 (* Tensor section assignment walks only the owned leading-axis
    selections; with selectors that repeat and descend, the last writer
    of every element must still be the interpreter's. *)
@@ -576,6 +677,8 @@ let suite =
     t "element bounds checking" test_elem_bounds;
     t "trapz" test_trapz;
     t "sections" test_sections;
+    t "section traffic on a 24 x 16 x 16 grid" test_section_traffic;
+    t "section corpus verifies under block and cyclic" test_section_corpus;
     t "tensor section assignment order" test_tensor_section_order;
     t "tensor section reads" test_tensor_section_read;
     t "cumulative scans" test_cumulative;
