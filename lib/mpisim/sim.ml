@@ -422,7 +422,7 @@ let current : run_state option ref = ref None
 
 (* Keys pack (src, tag) into one int: 20 bits of source rank, the
    rest tag.  Every internal tag fits (collectives use 1001-1006, the
-   runtime library 3001-3004, transport acks live at tag + 0x400000,
+   runtime library 3001-3005, transport acks live at tag + 0x400000,
    and user MPI tags are bounded by 1e6 then offset by 2e6); the bound
    is validated at send/receive time. *)
 let src_bits = 20

@@ -112,21 +112,9 @@ let test_layouts () = check_table layout_file (layout_table ())
 let test_ledger () =
   List.iter
     (fun (key, nprocs, (o : Exec.State.outcome)) ->
-      let r = o.Exec.State.report in
-      Array.iteri
-        (fun rank row ->
-          let clock = r.Mpisim.Sim.per_rank_clock.(rank) in
-          let sum = Array.fold_left ( +. ) 0. row in
-          if Float.abs (sum -. clock) > 1e-12 *. Float.abs clock then
-            Alcotest.failf "%s P=%d rank %d: ledger sums to %h, clock is %h" key
-              nprocs rank sum clock;
-          Array.iteri
-            (fun c x ->
-              if x < 0. then
-                Alcotest.failf "%s P=%d rank %d: %s is %g" key nprocs rank
-                  Mpisim.Sim.ledger_categories.(c) x)
-            row)
-        r.Mpisim.Sim.ledger)
+      Option.iter
+        (Alcotest.failf "%s P=%d: %s" key nprocs)
+        (Testutil.ledger_error o.Exec.State.report))
     (Lazy.force runs)
 
 let suite =

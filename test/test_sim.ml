@@ -791,16 +791,12 @@ let summarize outcome (c : Refsim.counts) =
 let charged = Array.make (Array.length Sim.ledger_categories) false
 
 (* A run on [Sim], summarized the same way.  Its ledger must account
-   for every rank's clock, within 1e-12 relative. *)
+   for every rank's clock ([Testutil.ledger_error]). *)
 let run_summary machine ~nprocs body =
   let outcome, r = Sim.run_report ~machine ~nprocs body in
-  Array.iteri
-    (fun rank row ->
-      let clock = r.Sim.per_rank_clock.(rank) in
-      let sum = Array.fold_left ( +. ) 0. row in
-      if Float.abs (sum -. clock) > 1e-12 *. Float.abs clock then
-        failwith (Printf.sprintf "rank %d: ledger sums to %h, clock is %h" rank sum clock);
-      Array.iteri (fun c x -> if x > 0. then charged.(c) <- true) row)
+  Option.iter failwith (Testutil.ledger_error r);
+  Array.iter
+    (Array.iteri (fun c x -> if x > 0. then charged.(c) <- true))
     r.Sim.ledger;
   summarize outcome
     {

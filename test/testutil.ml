@@ -161,6 +161,28 @@ let elementwise_builtins () =
 
 (* The raw bits of a captured value's elements, so -0 and NaN payloads
    count. *)
+(* The first way [r]'s ledger fails to account for its clocks: a rank
+   whose categories do not sum to its clock within 1e-12 relative, or
+   a negative category. *)
+let ledger_error (r : Mpisim.Sim.report) =
+  let err = ref None in
+  Array.iteri
+    (fun rank row ->
+      let clock = r.Mpisim.Sim.per_rank_clock.(rank) in
+      let sum = Array.fold_left ( +. ) 0. row in
+      if !err = None && Float.abs (sum -. clock) > 1e-12 *. Float.abs clock then
+        err := Some (Printf.sprintf "rank %d: ledger sums to %h, clock is %h" rank sum clock);
+      Array.iteri
+        (fun c x ->
+          if !err = None && x < 0. then
+            err :=
+              Some
+                (Printf.sprintf "rank %d: %s is %g" rank
+                   Mpisim.Sim.ledger_categories.(c) x))
+        row)
+    r.Mpisim.Sim.ledger;
+  !err
+
 let captured_bits = function
   | Runtime.Captured.Cscalar x -> [| Int64.bits_of_float x |]
   | Runtime.Captured.Cmat (_, _, d) | Runtime.Captured.Cnd (_, d) ->
