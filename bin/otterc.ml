@@ -50,6 +50,9 @@ let handle_errors f =
   | Spmd.Lower.Unsupported (pos, msg) ->
       Fmt.epr "error: %a: %s@." Mlang.Source.pp_pos pos msg;
       exit 1
+  | Codegen.Unsupported msg ->
+      Fmt.epr "error: %s@." msg;
+      exit 1
   | Exec.State.Runtime_error msg | Interp.Eval.Runtime_error msg ->
       Fmt.epr "run-time error: %s@." msg;
       exit 1

@@ -8,6 +8,19 @@
 
 module Ty = Analysis.Ty
 
+(* A program outside the C back end's subset: a compile error. *)
+exception Unsupported of string
+
+(* The C runtime carries only scalars and rows-by-cols matrices. *)
+let no_tensors fmt =
+  Printf.ksprintf
+    (fun what ->
+      raise
+        (Unsupported
+           ("codegen: " ^ what
+          ^ "; the C back end supports scalars and matrices only")))
+    fmt
+
 let c_keywords =
   [
     "auto"; "break"; "case"; "char"; "const"; "continue"; "default"; "do";
@@ -202,6 +215,9 @@ let rec emit_inst em (i : Spmd.Ir.inst) =
       | Spmd.Ir.Ltrapz, [ x; y ] -> line em "%s = ML_trapz(%s, %s);" d x y
       | Spmd.Ir.Lshift k, [ a ] ->
           line em "ML_circshift(%s, (int)(%s), &%s);" a (sexpr_c k) d
+      | Spmd.Ir.Lreplicate, [ a ] ->
+          (* only lowered for the cell of a tensor's frame broadcast *)
+          no_tensors "'%s' is broadcast over a rank-N tensor" a
       | _ -> failwith "codegen: bad library call arity")
   | Spmd.Ir.Isort { vdst; idst; arg } ->
       line em "ML_sort(%s, &%s, %s);" (mangle arg) (mangle vdst)
@@ -345,7 +361,7 @@ let rec emit_inst em (i : Spmd.Ir.inst) =
       in
       line em "ML_printf(\"%s\", %d%s);" (c_escape fmt) (List.length rest)
         (if args = [] then "" else ", " ^ String.concat ", " args)
-  | Spmd.Ir.Iprintf _ -> failwith "codegen: fprintf needs a literal format"
+  | Spmd.Ir.Iprintf _ -> raise (Unsupported "codegen: fprintf needs a literal format")
   | Spmd.Ir.Ierror msg -> line em "ML_error(\"%s\");" (c_escape msg)
   | Spmd.Ir.Iif (branches, els) ->
       List.iteri
@@ -395,7 +411,9 @@ let rec emit_inst em (i : Spmd.Ir.inst) =
       line em "}"
   | Spmd.Ir.Impi_rank _ | Spmd.Ir.Impi_size _ | Spmd.Ir.Impi_send _
   | Spmd.Ir.Impi_recv _ | Spmd.Ir.Impi_bcast _ | Spmd.Ir.Impi_probe _ ->
-      failwith "codegen: explicit MPI builtins are not supported by the C back end"
+      raise
+        (Unsupported
+           "codegen: explicit MPI builtins are not supported by the C back end")
   | Spmd.Ir.Ibreak -> line em "break;"
   | Spmd.Ir.Icontinue -> line em "continue;"
   | Spmd.Ir.Ireturn ->
@@ -535,18 +553,13 @@ let emit_func buf (f : Spmd.Ir.func) =
 
 (* Emit the whole program as one C translation unit. *)
 let emit_c ?(name = "otter program") (p : Spmd.Ir.prog) : string =
-  (* The C runtime carries only scalars and rows-by-cols matrices; a
-     rank-N tensor anywhere in the program is a clear front-end error
+  (* A rank-N tensor anywhere in the program is a clear compile error
      rather than a downstream C compile failure. *)
   let check_vars where vars =
     List.iter
       (fun (v, t) ->
         if Analysis.Ty.is_tensor t then
-          failwith
-            (Printf.sprintf
-               "codegen: '%s' (%s) is a rank-N tensor; the C back end \
-                supports scalars and matrices only"
-               v where))
+          no_tensors "'%s' (%s) is a rank-N tensor" v where)
       vars
   in
   check_vars "script" p.Spmd.Ir.p_vars;

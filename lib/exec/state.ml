@@ -77,7 +77,8 @@ let inst_name : Ir.inst -> string = function
       | Ir.Lnorm -> "norm"
       | Ir.Lscan _ -> "cumulative scan"
       | Ir.Ltrapz -> "trapezoidal integration"
-      | Ir.Lshift _ -> "circular shift")
+      | Ir.Lshift _ -> "circular shift"
+      | Ir.Lreplicate -> "replication")
   | Ir.Isort _ -> "sort"
   | Ir.Ireduce_loc _ -> "indexed reduction"
   | Ir.Ibcast _ -> "element broadcast"

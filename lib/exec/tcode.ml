@@ -673,8 +673,11 @@ let shape (m : Dmat.t) =
    the model's dims reads its own local element; under a rank >= 3
    model, a scalar lifts and a lower-rank array whose dims are a suffix
    of the model's (its cell) is frame-broadcast, an [i mod cell] read of
-   its dense form (a leading slice holds whole cells).  A matrix model
-   takes matrices of its own dims only. *)
+   its dense form (a leading slice holds whole cells).  Lowering hands
+   the loop such a cell as a replica ([Lreplicate]), read in place; a
+   distributed cell, whose rank was not known statically, is gathered
+   here on every execution.  A matrix model takes matrices of its own
+   dims only. *)
 let exec_eplan fr (p : eplan) ~(mats : float array array)
     ~(mcell : int array) ~(esc : float array) ~(model : Dmat.t) ~(dst : Dmat.t) =
   let tensor = not (Dmat.is_matrix model) in
@@ -701,7 +704,7 @@ let exec_eplan fr (p : eplan) ~(mats : float array array)
             then
               error "nonconformant element-wise operands (%s vs %s)" (shape m)
                 (shape model);
-            mats.(ix) <- Dmat.to_dense m;
+            mats.(ix) <- (if m.Dmat.full then m.Dmat.data else Dmat.to_dense m);
             mcell.(ix) <- Dmat.numel m
           end
       | Peval (ix, r) -> esc.(ix) <- exec_cexpr fr r
@@ -1177,6 +1180,11 @@ let rec decode_inst ?ck dc cb ~lp ~fend (i : Ir.inst) =
               fun fr ->
                 let k = int_of_float (eval_cexpr fr rk) in
                 setm fr d (Ops.circshift (mat_of fr a) k) )
+        | Ir.Lreplicate, [ a ] ->
+            ( "replicate",
+              fun fr ->
+                if fr.tags.(a) = t_scalar then sets fr d fr.sc.(a)
+                else setm fr d (Dmat.replicate (arr_of fr a)) )
         | _ -> invalid_arg "Tcode: library call with the wrong operand count"
       in
       lib cb (Printf.sprintf "%s %s" op dst) tid run

@@ -14,7 +14,8 @@
    and exactly one use, and never rand/randn (sequence-numbered
    draws).  Element-wise conformability guarantees the folded
    constructor had the model's shape, so [Eeye]'s diagonal test against
-   the model is the same predicate. *)
+   the model is the same predicate -- except under a tensor model,
+   where the eye is a frame-broadcast cell, so it does not fold there. *)
 
 type stats = { mutable folded : int }
 
@@ -42,7 +43,10 @@ let rec subst_eexpr t repl (e : Ir.eexpr) : Ir.eexpr =
   | Ir.Ecall2 (n, a, b) ->
       Ir.Ecall2 (n, subst_eexpr t repl a, subst_eexpr t repl b)
 
-let fold_body stats (body : Ir.block) : Ir.block =
+let fold_body stats vars (body : Ir.block) : Ir.block =
+  let tensor v =
+    match List.assoc_opt v vars with Some t -> Analysis.Ty.is_tensor t | None -> false
+  in
   let defs = Dataflow.def_counts body in
   let uses = Dataflow.use_counts body in
   (* temps defined once and consumed once, by some element-wise expr *)
@@ -66,7 +70,11 @@ let fold_body stats (body : Ir.block) : Ir.block =
               let expr' =
                 Hashtbl.fold
                   (fun t kind acc ->
-                    if t <> model && List.mem t (Ir.eexpr_uses [] acc) then begin
+                    if
+                      t <> model
+                      && List.mem t (Ir.eexpr_uses [] acc)
+                      && not (kind = Ir.Ceye && tensor model)
+                    then begin
                       Hashtbl.replace folded t ();
                       stats.folded <- stats.folded + 1;
                       subst_eexpr t (replacement kind) acc
@@ -108,10 +116,11 @@ let fold_body stats (body : Ir.block) : Ir.block =
 
 let run (p : Ir.prog) : Ir.prog * (string * int) list =
   let stats = { folded = 0 } in
-  let body = fold_body stats p.Ir.p_body in
+  let body = fold_body stats p.Ir.p_vars p.Ir.p_body in
   let funcs =
     List.map
-      (fun (f : Ir.func) -> { f with Ir.f_body = fold_body stats f.f_body })
+      (fun (f : Ir.func) ->
+        { f with Ir.f_body = fold_body stats f.Ir.f_vars f.f_body })
       p.Ir.p_funcs
   in
   ({ p with Ir.p_body = body; p_funcs = funcs }, [ ("folded", stats.folded) ])

@@ -31,9 +31,12 @@ type sexpr =
   | Scall of string * sexpr list (* scalar builtin: sqrt, mod, ... *)
   | Sdim of var * int (* 0 = numel, 1 = rows, 2 = cols, 3 = length *)
 
-(* Per-element expressions for fused element-wise loops.  All [Emat]
-   operands are conformable and identically distributed, so evaluation
-   is purely local. *)
+(* Per-element expressions for fused element-wise loops.  Every [Emat]
+   operand either has the model's dims and distribution or, under a
+   tensor model, is the cell of a frame broadcast; lowering binds such
+   a cell to a [Lreplicate] temporary first, so evaluation is purely
+   local.  (A cell whose rank is known only at run time is still
+   gathered by the loop itself.) *)
 type eexpr =
   | Emat of var (* local element i of a distributed matrix *)
   | Eeye
@@ -70,6 +73,10 @@ type lib =
   | Lscan of scan_kind (* cumsum/cumprod(vector) *)
   | Ltrapz (* scalar trapz(y) / trapz(x, y): args [y] or [x; y] *)
   | Lshift of sexpr (* circshift(src, k): the call carries k *)
+  | Lreplicate
+    (* rank-local replica of a matrix (one allgather; a no-op on a
+       replica or a scalar): the cell of a frame broadcast, lifted out
+       of the element loop so licm can hoist it *)
 
 (* One slot of a fused vector allreduce ([Ireduce_fused]).  Every
    alternative combines by summation, so a whole batch travels as a

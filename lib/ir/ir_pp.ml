@@ -32,6 +32,7 @@ let lib_name = function
   | Ir.Lscan Ir.Scumprod -> "cumprod"
   | Ir.Ltrapz -> "trapz"
   | Ir.Lshift _ -> "circshift"
+  | Ir.Lreplicate -> "replicate"
 
 let rec sexpr ppf = function
   | Ir.Sconst f ->

@@ -21,7 +21,10 @@
    - rand/randn never move: their draws are sequence-numbered;
    - a loop that may run zero times gets its hoisted code wrapped in a
      guard reproducing the back ends' exact trip test, so a variable
-     that would have stayed undefined stays undefined. *)
+     that would have stayed undefined stays undefined.  A bound held
+     in a scalar that an earlier statement set to a constant, and
+     nothing has redefined since, counts as that constant, so
+     [n = 100; for i = 1:n] needs no guard. *)
 
 module VSet = Dataflow.VSet
 
@@ -41,17 +44,34 @@ let hoistable (i : Ir.inst) : bool =
    back ends never enter. *)
 type trip = Always | Guarded of Ir.sexpr | Never
 
-let trip_test (loop : Ir.inst) : trip =
+(* Scalars known to hold a constant at the loop: (name, value). *)
+type consts = (string * float) list
+
+(* [consts] without the scalars [b] may define. *)
+let kill (consts : consts) (b : Ir.block) =
+  if consts = [] then []
+  else
+    let defs = Dataflow.block_defs b in
+    List.filter (fun (v, _) -> not (VSet.mem v defs)) consts
+
+let trip_test (consts : consts) (loop : Ir.inst) : trip =
+  let known = function
+    | Ir.Sconst c -> Some c
+    | Ir.Svar v -> List.assoc_opt v consts
+    | _ -> None
+  in
   match loop with
-  | Ir.Iwhile (Ir.Sconst c, _) -> if c <> 0. then Always else Never
-  | Ir.Iwhile (c, _) -> Guarded c
+  | Ir.Iwhile (c, _) -> (
+      match known c with
+      | Some c -> if c <> 0. then Always else Never
+      | None -> Guarded c)
   | Ir.Ifor (_, a, st, b, _) -> (
       let enters start step stop =
         if step >= 0. then start <= stop +. 1e-12 else start >= stop -. 1e-12
       in
       let step_e = Option.value ~default:(Ir.Sconst 1.) st in
-      match (a, step_e, b) with
-      | Ir.Sconst a', Ir.Sconst s', Ir.Sconst b' ->
+      match (known a, known step_e, known b) with
+      | Some a', Some s', Some b' ->
           if enters a' s' b' then Always else Never
       | _ ->
           let open Mlang.Ast in
@@ -117,36 +137,46 @@ let select (loop_var : string option) (body : Ir.block) : Ir.block * Ir.block =
 
 type stats = { mutable hoisted : int }
 
-let rec opt_block stats (b : Ir.block) : Ir.block =
+(* [consts] holds on entry to [b]; each statement that sets a scalar
+   to a constant adds it, and any other definition drops it.  A loop
+   body starts without what the loop defines, which may differ on
+   later trips. *)
+let rec opt_block stats (consts : consts) (b : Ir.block) : Ir.block =
+  let here = ref consts in
   List.concat_map
     (fun (i : Ir.inst) ->
+      let entry = !here in
+      let after =
+        match i with
+        | Ir.Iscalar (v, Ir.Sconst c) -> (v, c) :: List.remove_assoc v entry
+        | _ -> kill entry [ i ]
+      in
+      here := after;
       match i with
       | Ir.Iif (branches, els) ->
           [
             Ir.Iif
-              ( List.map (fun (c, blk) -> (c, opt_block stats blk)) branches,
-                opt_block stats els );
+              ( List.map (fun (c, blk) -> (c, opt_block stats entry blk)) branches,
+                opt_block stats entry els );
           ]
       | Ir.Iwhile (c, body) ->
-          let body = opt_block stats body in
-          hoist stats (Ir.Iwhile (c, body))
+          hoist stats entry (Ir.Iwhile (c, opt_block stats after body))
       | Ir.Ifor (v, a, st, b2, body) ->
-          let body = opt_block stats body in
-          hoist stats (Ir.Ifor (v, a, st, b2, body))
+          hoist stats entry (Ir.Ifor (v, a, st, b2, opt_block stats after body))
       | _ -> [ i ])
     b
 
 (* Hoist from one loop whose nested loops are already optimized; an
    instruction freed from an inner loop lands in the outer body and can
    keep moving outward on the same run. *)
-and hoist stats (loop : Ir.inst) : Ir.block =
+and hoist stats consts (loop : Ir.inst) : Ir.block =
   let loop_var, body =
     match loop with
     | Ir.Iwhile (_, body) -> (None, body)
     | Ir.Ifor (v, _, _, _, body) -> (Some v, body)
     | _ -> assert false
   in
-  match trip_test loop with
+  match trip_test consts loop with
   | Never -> [ loop ]
   | trip -> (
       let hoisted, body' = select loop_var body in
@@ -167,10 +197,10 @@ and hoist stats (loop : Ir.inst) : Ir.block =
 
 let run (p : Ir.prog) : Ir.prog * (string * int) list =
   let stats = { hoisted = 0 } in
-  let body = opt_block stats p.Ir.p_body in
+  let body = opt_block stats [] p.Ir.p_body in
   let funcs =
     List.map
-      (fun (f : Ir.func) -> { f with Ir.f_body = opt_block stats f.f_body })
+      (fun (f : Ir.func) -> { f with Ir.f_body = opt_block stats [] f.f_body })
       p.Ir.p_funcs
   in
   ({ p with Ir.p_body = body; p_funcs = funcs }, [ ("hoisted", stats.hoisted) ])

@@ -186,23 +186,28 @@ and lower_unop ctx out e op a =
    loop's model operand fixes the iteration space: under frame/cell
    broadcasting a tensor operand dominates any matrix operand, so the
    first tensor-typed operand (in tree order) is preferred and the
-   first matrix operand is the fallback. *)
+   first matrix operand is the fallback.
+
+   Under a tensor model every matrix operand is a frame-broadcast cell,
+   which every rank needs whole: each distinct one is bound to a
+   [replicate] temporary before the loop, a statement-level call licm
+   can hoist.  That needs the model to be a tensor on every path: a
+   join with a matrix forgets the frame extents, so only a model with
+   known extents qualifies, and any other cell is gathered by the loop
+   itself at run time. *)
 and fused_elementwise ctx out (e : Ast.expr) : operand =
   let ee = build_eexpr ctx out e in
+  let rec mats = function
+    | Ir.Emat v -> [ v ]
+    | Ir.Escalar _ | Ir.Eeye -> []
+    | Ir.Ebin (_, x, y) | Ir.Ecall2 (_, x, y) -> mats x @ mats y
+    | Ir.Eneg x | Ir.Enot x | Ir.Ecall1 (_, x) -> mats x
+  in
+  let vs = mats ee in
+  let rank_of v = Option.map (fun t -> t.Ty.rank) (Hashtbl.find_opt ctx.vars v) in
+  let is_tensor v = match rank_of v with Some (Ty.Rtensor _) -> true | _ -> false in
   let model =
-    let rec mats = function
-      | Ir.Emat v -> [ v ]
-      | Ir.Escalar _ | Ir.Eeye -> []
-      | Ir.Ebin (_, x, y) | Ir.Ecall2 (_, x, y) -> mats x @ mats y
-      | Ir.Eneg x | Ir.Enot x | Ir.Ecall1 (_, x) -> mats x
-    in
-    let vs = mats ee in
-    let is_tensor_var v =
-      match Hashtbl.find_opt ctx.vars v with
-      | Some t -> Ty.is_tensor t
-      | None -> false
-    in
-    match List.find_opt is_tensor_var vs with
+    match List.find_opt is_tensor vs with
     | Some v -> v
     | None -> (
         match vs with
@@ -210,6 +215,25 @@ and fused_elementwise ctx out (e : Ast.expr) : operand =
         | [] ->
             unsupported e.ann.pos
               "element-wise expression has no matrix operand")
+  in
+  let ee =
+    match rank_of model with
+    | Some (Ty.Rtensor frame) when not (List.mem Ty.Dunknown frame) ->
+        let cells =
+          List.fold_left
+            (fun acc v ->
+              if rank_of v <> Some Ty.Rmatrix || List.mem_assoc v acc then acc
+              else begin
+                let t = fresh ctx (Hashtbl.find ctx.vars v) in
+                lib out t Ir.Lreplicate [ v ];
+                (v, t) :: acc
+              end)
+            [] vs
+        in
+        Dataflow.map_eexpr
+          (fun v -> Option.value ~default:v (List.assoc_opt v cells))
+          ee
+    | _ -> ee
   in
   let t = fresh ctx (ty_of ctx e) in
   emit out (Ir.Ielem { dst = t; model; expr = ee });

@@ -360,6 +360,14 @@ let to_dense m : float array =
         permute_gathered m counts (Mpisim.Coll.allgatherv ~counts m.data)
   end
 
+(* A rank-local replica of [m], or [m] itself when it is one: one
+   allgather, whose read-only result becomes the replica's data. *)
+let replicate m =
+  if m.full then m
+  else
+    let n = match m.axis with By_rows -> m.rows | By_cols -> m.cols in
+    { m with layout = Lblock; low = 0; count = n; data = to_dense m; full = true; writes = 0 }
+
 (* Dense copy on the root only (cheaper; used for printing / output). *)
 let to_dense_root ~root m : float array =
   if m.full then Array.copy m.data

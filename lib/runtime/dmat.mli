@@ -141,6 +141,12 @@ val to_dense : t -> float array
     array after this returns, so a caller that writes must copy it
     first. *)
 
+val replicate : t -> t
+(** A rank-local replica of the array ([full]), or the array itself
+    when it is one already: {!to_dense}'s allgather, with no further
+    copy.  Its data is that read-only view, so it must not be written
+    in place. *)
+
 val to_dense_root : root:int -> t -> float array
 (** Dense copy on the root only (a gather). *)
 

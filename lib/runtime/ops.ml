@@ -902,7 +902,8 @@ let out_of_bounds (a : Dmat.t) (sels : int array array) =
    message holding, in piece order, the elements it owns that the peer
    needs, then receives in rank order, then writes its pieces in piece
    order, so a repeated target keeps the last writer of a sequential
-   walk.  Local pieces never leave the rank. *)
+   walk.  Local pieces never leave the rank.  Returns the number of
+   elements this rank wrote. *)
 let tag_section = 3005
 
 let exchange ~read (m : Dmat.t) (s0 : int array) (inner : int array)
@@ -987,8 +988,10 @@ let exchange ~read (m : Dmat.t) (s0 : int array) (inner : int array)
         written := !written + len
       end
     done;
-    if not read then m.writes <- m.writes + !written
+    if not read then m.writes <- m.writes + !written;
+    !written
   end
+  else 0
 
 (* result(k0, ..., kn) = a(sels.(0).(k0), ..., sels.(n).(kn)) with
    replicated 0-based index vectors, one per axis and no squeezing. *)
@@ -998,7 +1001,7 @@ let section (a : Dmat.t) (sels : int array array) : Dmat.t =
       failwith (Printf.sprintf "section: index %d out of bounds %d" (i + 1) n))
     (out_of_bounds a sels);
   let r = Dmat.create_dims ~full:a.full (Array.map Array.length sels) in
-  exchange ~read:true a sels.(0) (row_offsets a sels) r;
+  ignore (exchange ~read:true a sels.(0) (row_offsets a sels) r);
   r
 
 (* The selectors of a vector's linear indices [idx]: a column's rows,
@@ -1017,7 +1020,7 @@ let section_linear (v : Dmat.t) (idx : int array) ~rows ~cols : Dmat.t =
     idx;
   let r = Dmat.create_dims ~full:v.full [| rows; cols |] in
   let sels = linear_sels v idx in
-  exchange ~read:true v sels.(0) (row_offsets v sels) r;
+  ignore (exchange ~read:true v sels.(0) (row_offsets v sels) r);
   r
 
 (* What a section store writes: one value everywhere, or an array's
@@ -1028,26 +1031,34 @@ type source = Const of float | Elems of Dmat.t
    elements it owns, in row-major selection order, so a repeated
    selector keeps the same last writer as a sequential walk.  An array
    source moves through [exchange]; the caller checks its size.  An
-   empty selection is a no-op whatever its selectors. *)
+   empty selection is a no-op whatever its selectors.  A rank is
+   charged one flop per element it stores, so the charges summed over
+   the ranks are the sequential charge. *)
 let set_section (m : Dmat.t) (sels : int array array) (src : source) =
   let inner = row_offsets m sels in
   let total = Array.length sels.(0) * Array.length inner in
   if total > 0 && out_of_bounds m sels <> None then
     failwith "index out of bounds";
-  (match src with
-  | Elems d ->
-      (* a source sharing the target's data is read before any write *)
-      let d = if d.data == m.data then Dmat.copy d else d in
-      exchange ~read:false m sels.(0) inner d
-  | Const c ->
-      let me = Sim.rank () and by_rows = m.axis = Dmat.By_rows in
-      Array.iter
-        (fun i ->
-          if (not by_rows) || Dmat.unit_owner m i = me then
-            Array.iter
-              (fun j ->
-                if by_rows || Dmat.unit_owner m j = me then
-                  Dmat.set_local m ~i ~j c)
-              inner)
-        sels.(0));
-  Sim.flops (float_of_int total)
+  let stored =
+    match src with
+    | Elems d ->
+        (* a source sharing the target's data is read before any write *)
+        let d = if d.data == m.data then Dmat.copy d else d in
+        exchange ~read:false m sels.(0) inner d
+    | Const c ->
+        let me = Sim.rank () and by_rows = m.axis = Dmat.By_rows in
+        let stored = ref 0 in
+        Array.iter
+          (fun i ->
+            if (not by_rows) || Dmat.unit_owner m i = me then
+              Array.iter
+                (fun j ->
+                  if by_rows || Dmat.unit_owner m j = me then begin
+                    Dmat.set_local m ~i ~j c;
+                    incr stored
+                  end)
+                inner)
+          sels.(0);
+        !stored
+  in
+  Sim.flops (float_of_int stored)

@@ -116,6 +116,7 @@ val set_section : Dmat.t -> int array array -> source -> unit
 (** [set_section m sels src] stores the k-th element of [src]
     (row-major) at the k-th selected position (row-major selection
     order); owners write, and an array source sends each owner only
-    the elements it stores.  The caller checks an array source's size.
+    the elements it stores, and each rank is charged one flop per
+    element it stores.  The caller checks an array source's size.
     Raises [Failure] when a selector is out of bounds and the selection
     is not empty. *)

@@ -235,6 +235,31 @@ let test_verify_output () =
       List.iter (fun p -> verify_app app.key ~scale:8 ~nprocs:p) [ 1; 4 ])
     Apps.Scripts.all
 
+(* Logistic at scale 50 (32 pages of 12 x 12 cells, 100 sweeps) on the
+   Meiko at O2 moves exactly one ring allgather of the 144-float cell
+   [r], hoisted out of the sweeps, plus its final statistics: P (P - 1)
+   messages carrying (P - 1) x 144 floats, then three one-float
+   recursive-doubling allreduces (mean, min, max: P log2 P messages
+   each) and one binomial-tree broadcast of x(1, 1, 1) (P - 1
+   messages).  No captures, which would gather more. *)
+let test_logistic_traffic () =
+  let app = Option.get (Apps.Scripts.find "logistic") in
+  let c = Otter.compile (app.source 50) in
+  List.iter
+    (fun (p, log2p) ->
+      let r =
+        (Otter.outcome_exn
+           (Otter.run (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:p ()) c))
+          .Exec.State.report
+      in
+      let floats = ((p - 1) * 144) + (3 * p * log2p) + (p - 1) in
+      let messages = (p * (p - 1)) + (3 * p * log2p) + (p - 1) in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "P = %d: messages, bytes" p)
+        (messages, 8 * floats)
+        (r.Mpisim.Sim.messages, r.Mpisim.Sim.bytes))
+    [ (4, 2); (16, 4) ]
+
 let suite =
   [
     t "cg verifies across P" (test_verify "cg");
@@ -256,4 +281,5 @@ let suite =
     t "cluster damping (section 6)" test_cluster_damping;
     t "CS-2 best balance (section 6)" test_meiko_best_balance;
     t "every app's output verifies at P = 1, 4" test_verify_output;
+    t "logistic moves one allgather at O2" test_logistic_traffic;
   ]

@@ -240,6 +240,31 @@ let test_c_execution_apps () =
       check_c_matches_interpreter (app.source 8))
     Apps.Scripts.apps
 
+(* The C back end has no tensors: a tensor variable is a typed compile
+   error, and so is a replicate call (lowered only for the cell of a
+   tensor's frame broadcast) on its own. *)
+let test_tensor_compile_error () =
+  let rejected what f =
+    match f () with
+    | exception Codegen.Unsupported msg ->
+        check_contains what msg "the C back end supports scalars and matrices only"
+    | _ -> Alcotest.failf "%s: expected Codegen.Unsupported" what
+  in
+  rejected "tensor variable" (fun () ->
+      emit "x = ones(2, 3, 3);\nr = ones(3, 3);\ny = r .* x;");
+  rejected "replicate" (fun () ->
+      Codegen.emit_c
+        {
+          Spmd.Ir.p_vars =
+            [ ("r", Analysis.Ty.real_matrix); ("t", Analysis.Ty.real_matrix) ];
+          p_body =
+            [
+              Spmd.Ir.Iconstruct { dst = "r"; kind = Spmd.Ir.Cones; args = [ Spmd.Ir.Sconst 3. ] };
+              Spmd.Ir.Ilib { dst = "t"; fn = Spmd.Ir.Lreplicate; args = [ "r" ] };
+            ];
+          p_funcs = [];
+        })
+
 let suite =
   [
     t "paper-style library calls" test_paper_style_calls;
@@ -264,4 +289,5 @@ let suite =
     t "MPI shim: a failing rank" test_shim_failing_rank;
     t "C execution: arg-reductions with no finite winner"
       test_c_execution_arg_reduction_edges;
+    t "tensors are a compile error" test_tensor_compile_error;
   ]

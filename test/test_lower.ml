@@ -207,6 +207,109 @@ let test_unsupported_constructs () =
   expect "A = ones(2, 2); B = ones(2, 2);\nC = A / B;";
   expect "A = ones(3, 3);\nfor col = A\n  y = col;\nend"
 
+(* --- frame broadcasts ------------------------------------------------------ *)
+
+let logistic_src =
+  "p = 8; m = 3; iters = 5;\n\
+   r = 3.5 + 0.5 .* rand(m, m);\n\
+   x = rand(p, m, m);\n\
+   for it = 1:iters\n\
+  \  x = r .* x .* (1 - x);\n\
+   end\n\
+   s = mean(x);"
+
+let is_replicate = function
+  | Ir.Ilib { fn = Ir.Lreplicate; _ } -> true
+  | _ -> false
+
+(* Does [i] communicate?  Everything but scalar arithmetic, element
+   loops and copies does, or may. *)
+let communicates = function
+  | Ir.Iscalar _ | Ir.Ielem _ | Ir.Icopy _ -> false
+  | _ -> true
+
+let the_loop (b : Ir.block) =
+  match List.filter (function Ir.Ifor _ -> true | _ -> false) b with
+  | [ Ir.Ifor (_, _, _, _, body) ] -> body
+  | l -> Alcotest.failf "expected one top-level loop, found %d" (List.length l)
+
+(* A matrix operand of a tensor element loop (the cell of a frame
+   broadcast) is bound to a replicate call right before the loop, and
+   at O2 licm moves that call out of logistic's sweep: exactly one
+   replicate, above the loop, whose body no longer communicates. *)
+let test_frame_broadcast_replicate () =
+  let raw = lower_raw logistic_src in
+  (match the_loop raw.Ir.p_body with
+  | Ir.Ilib { dst; fn = Ir.Lreplicate; args = [ "r" ] } :: Ir.Ielem { model = "x"; expr; _ } :: _
+    ->
+      Alcotest.(check bool) "the loop reads the replica" true
+        (List.mem dst (Ir.eexpr_uses [] expr) && not (List.mem "r" (Ir.eexpr_uses [] expr)))
+  | _ -> Alcotest.fail "expected replicate(r) then the element loop in the sweep");
+  let o1 = Otter.compile ~opt:Spmd.Pass.O1 logistic_src in
+  Alcotest.(check int) "O1 keeps the replicate in the sweep" 1
+    (List.length (List.filter is_replicate (the_loop o1.Otter.prog.Ir.p_body)));
+  let prog = lower ((Option.get (Apps.Scripts.find "logistic")).source 50) in
+  Alcotest.(check int) "one replicate in logistic at O2" 1 (count is_replicate prog);
+  Alcotest.(check bool) "above the loop, unguarded (iters is a constant)" true
+    (List.exists is_replicate prog.Ir.p_body);
+  Alcotest.(check (list string)) "nothing in the sweep communicates" []
+    (List.filter_map
+       (fun i -> if communicates i then Some (Fmt.str "%a" (Spmd.Ir_pp.inst ~indent:0) i) else None)
+       (flatten (the_loop prog.Ir.p_body)));
+  (* a cell used twice in one statement is replicated once, and a
+     matrix loop lowers as before *)
+  let prog =
+    lower_raw "x = rand(4, 3, 3); r = rand(3, 3);\ny = r .* x + r;\nz = r + r;"
+  in
+  Alcotest.(check int) "one replicate per cell per statement" 1 (count is_replicate prog)
+
+(* A cell the sweep reassigns is not invariant: its replicate stays in
+   the loop, after the reassignment. *)
+let test_reassigned_cell_stays () =
+  let prog =
+    lower
+      "p = 8; m = 3;\nr = rand(m, m);\nx = rand(p, m, m);\n\
+       for it = 1:4\n\
+      \  r = 0.5 .* r + 1.5;\n\
+      \  x = r .* x .* (1 - x);\n\
+       end\n\
+       s = mean(x);"
+  in
+  Alcotest.(check bool) "no replicate above the loop" false
+    (List.exists is_replicate prog.Ir.p_body);
+  Alcotest.(check int) "one replicate in the sweep" 1
+    (List.length (List.filter is_replicate (the_loop prog.Ir.p_body)))
+
+(* A sweep that may run zero times gets its hoisted replicate under the
+   trip guard, so a loop that does not run defines no replica (and
+   gathers nothing): the program still verifies. *)
+let test_zero_trip_replica () =
+  let src =
+    "p = 8; m = 3;\nr = rand(m, m);\nx = rand(p, m, m);\n\
+     n = numel(r) - 9;\n\
+     for it = 1:n\n\
+    \  x = r .* x;\n\
+     end\n\
+     s = mean(x);"
+  in
+  let c = Otter.compile src in
+  (match
+     List.find_opt (function Ir.Iif _ -> true | _ -> false) c.Otter.prog.Ir.p_body
+   with
+  | Some (Ir.Iif ([ (_, [ i ]) ], [])) when is_replicate i -> ()
+  | _ -> Alcotest.fail "expected the replicate alone under the trip guard");
+  let o =
+    Otter.outcome_exn
+      (Otter.run
+         (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 ~capture:[ "s" ] ())
+         c)
+  in
+  Alcotest.(check int) "no allgather: only the final sum's allreduce moves" 8
+    o.Exec.State.report.Mpisim.Sim.messages;
+  match Otter.verify (Otter.config ~machine:Mpisim.Machine.meiko_cs2 ~nprocs:4 ()) c with
+  | Otter.Verified -> ()
+  | _ -> Alcotest.fail "the zero-trip program does not verify"
+
 let suite =
   [
     t "element-wise fusion" test_elementwise_fusion;
@@ -224,4 +327,7 @@ let suite =
     t "concat and section-store lowering" test_concat_and_setsection_lowering;
     t "matrix conditions and vector for" test_matrix_condition_and_vector_for;
     t "unsupported constructs rejected" test_unsupported_constructs;
+    t "frame broadcast cells are replicated once" test_frame_broadcast_replicate;
+    t "a reassigned cell keeps its replicate in the loop" test_reassigned_cell_stays;
+    t "a zero-trip loop leaves the replica undefined" test_zero_trip_replica;
   ]

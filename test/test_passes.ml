@@ -45,6 +45,47 @@ let test_licm_guards_symbolic_trip_count () =
   | [ Ir.Iif ([ (_, [ Ir.Ibcast ("b", "A", _) ]) ], []); Ir.Ifor _ ] -> ()
   | _ -> Alcotest.fail "hoist out of a maybe-zero-trip loop must be guarded"
 
+(* A bound held in a scalar that an earlier statement set to a
+   constant is that constant: no guard, and a loop that provably never
+   runs keeps its body.  A definition the walk cannot see through (an
+   arithmetic update, a conditional one, or one inside an enclosing
+   loop) leaves the guard in place. *)
+let test_licm_constant_bound () =
+  let body =
+    [
+      Ir.Ibcast ("b", "A", [ Ir.Sconst 1.; Ir.Sconst 1. ]);
+      Ir.Isetelem ("c", [ Ir.Svar "i" ], Ir.Svar "b");
+    ]
+  in
+  let loop = Ir.Ifor ("i", Ir.Sconst 1., None, Ir.Svar "n", body) in
+  let n_is c = Ir.Iscalar ("n", Ir.Sconst c) in
+  let run pre = fst (Spmd.Licm.run (prog (pre @ [ loop ]))) in
+  let guarded (p : Ir.prog) =
+    List.exists (function Ir.Iif _ -> true | _ -> false) p.Ir.p_body
+  in
+  (match (run [ n_is 3. ]).Ir.p_body with
+  | [ Ir.Iscalar _; Ir.Ibcast ("b", "A", _); Ir.Ifor (_, _, _, _, [ Ir.Isetelem _ ]) ] -> ()
+  | _ -> Alcotest.fail "n = 3: the broadcast should move above the loop unguarded");
+  Alcotest.(check bool) "n = 0: the loop is left alone" true
+    ((run [ n_is 0. ]).Ir.p_body = [ n_is 0.; loop ]);
+  Alcotest.(check bool) "n = 3; n = n + k: guarded" true
+    (guarded
+       (run [ n_is 3.; Ir.Iscalar ("n", Ir.Sbin (Mlang.Ast.Add, Ir.Svar "n", Ir.Svar "k")) ]));
+  Alcotest.(check bool) "if k, n = 3: guarded" true
+    (guarded (run [ Ir.Iif ([ (Ir.Svar "k", [ n_is 3. ]) ], []) ]));
+  (* for j = 1:2 { for i = 1:n {...}; n = j }: n is 3 on the first trip
+     of j only, so the broadcast leaves the inner loop under its guard *)
+  let outer =
+    Ir.Ifor
+      ( "j", Ir.Sconst 1., None, Ir.Sconst 2.,
+        [ loop; Ir.Iscalar ("n", Ir.Svar "j") ] )
+  in
+  match (fst (Spmd.Licm.run (prog [ n_is 3.; outer ]))).Ir.p_body with
+  | [ Ir.Iscalar _; Ir.Ifor (_, _, _, _, [ Ir.Iif ([ (_, [ Ir.Ibcast _ ]) ], []); Ir.Ifor _; _ ]) ]
+    ->
+      ()
+  | _ -> Alcotest.fail "a bound the enclosing loop redefines must stay guarded"
+
 let test_licm_never_hoists_rand () =
   (* rand draws are sequence-numbered: hoisting one out of a loop
      changes every later draw on the replicated stream. *)
@@ -460,4 +501,5 @@ let suite =
     t "O0 compiles without passes" test_O0_compiles_without_passes;
     t "fuzz corpus replays at O0" test_fuzz_corpus_replays_at_O0;
     t "apps identical at every opt level" test_apps_identical_at_every_level;
+    t "licm reads a constant loop bound" test_licm_constant_bound;
   ]

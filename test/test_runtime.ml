@@ -369,11 +369,41 @@ let test_section_traffic () =
       (16, (15, 16 * 8 * row), (7, 7 * 8 * row));
     ]
 
-(* The section scripts of the fuzz corpus (ranks without rows,
-   reversed and repeated selectors, empty selections, repeated store
-   targets, matrix sources in tensor sections) verify against the
-   interpreter at P = 1, 3, 7 and 16, under block and cyclic:2. *)
-let test_section_corpus () =
+(* A section store charges each rank one flop per element it stores:
+   the compute ledger, summed over the ranks, is the P = 1 charge, for
+   an array source and for a scalar one. *)
+let test_section_store_ledger () =
+  let n = 24 and m = 16 in
+  let from a k = Array.init k (fun i -> a + i) in
+  let sels = [| from 1 (n - 2); from 0 m; from 2 (m - 4) |] in
+  let compute ~p src =
+    let _, r =
+      Sim.run ~machine ~nprocs:p (fun _ ->
+          let t = Dmat.create_dims [| n; m; m |] in
+          let src =
+            match src with
+            | `Elems -> Ops.Elems (Dmat.create_dims [| n - 2; m; m - 4 |])
+            | `Const -> Ops.Const 1.
+          in
+          Ops.set_section t sels src)
+    in
+    Array.fold_left (fun acc row -> acc +. row.(0)) 0. r.Sim.ledger
+  in
+  List.iter
+    (fun src ->
+      let one = compute ~p:1 src in
+      Testutil.check_close "P = 1 charges the selection"
+        (float_of_int ((n - 2) * m * (m - 4)) *. machine.Mpisim.Machine.flop_time) one;
+      List.iter
+        (fun p ->
+          Testutil.check_close ~tol:1e-12
+            (Printf.sprintf "P = %d: summed compute" p) one (compute ~p src))
+        [ 4; 16 ])
+    [ `Elems; `Const ]
+
+(* Fuzz corpus scripts that verify against the interpreter at P = 1, 3,
+   7 and 16, under block and cyclic:2. *)
+let corpus_verifies names () =
   List.iter
     (fun name ->
       match Testutil.find_up ("test/corpus/fuzz/" ^ name ^ ".m") with
@@ -391,6 +421,13 @@ let test_section_corpus () =
                       Alcotest.failf "%s does not verify at P = %d" name nprocs)
                 [ 1; 3; 7; 16 ])
             [ "block"; "cyclic:2" ])
+    names
+
+(* The section scripts: ranks without rows, reversed and repeated
+   selectors, empty selections, repeated store targets, matrix sources
+   in tensor sections. *)
+let test_section_corpus =
+  corpus_verifies
     [
       "section_few_rows";
       "section_reverse_repeat";
@@ -693,4 +730,11 @@ let suite =
     Testutil.qtest ~count:60 "reductions partition-independent" gen_pvn
       reduction_invariant_prop;
     Testutil.qtest ~count:80 "cumsum == sequential prefix" gen_pvn cumsum_prop;
+    t "a section store charges only the elements stored" test_section_store_ledger;
+    (* frame-broadcast cells: used twice in one statement, reassigned
+       mid-loop, in nested loops with a zero-trip inner loop, and an
+       eye cell (which must not fold into the loop) *)
+    t "frame broadcast corpus verifies under block and cyclic"
+      (corpus_verifies
+         [ "frame_cell_twice"; "frame_cell_reassigned"; "frame_cell_nested"; "frame_cell_eye" ]);
   ]
