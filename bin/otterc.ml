@@ -368,7 +368,8 @@ let run_cmd =
                 r.Mpisim.Sim.compute_time;
               Fmt.pr "  messages        %d@." r.Mpisim.Sim.messages;
               Fmt.pr "  bytes           %d@." r.Mpisim.Sim.bytes;
-              pp_fault_counters Fmt.stdout r
+              pp_fault_counters Fmt.stdout r;
+              Fmt.pr "%s@." (Otter.ledger_table r)
             end)
   in
   let timing_arg =
@@ -378,7 +379,8 @@ let run_cmd =
   let stats_arg =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Print the full simulator report after execution: simulated \
-                 and compute time, message count, bytes and fault counters.")
+                 and compute time, message count, bytes, fault counters and \
+                 the ledger of where the ranks' modeled time went.")
   in
   Cmd.v
     (Cmd.info "run"

@@ -1,7 +1,10 @@
 (* Collective operations built from point-to-point messages, so their
-   cost emerges from the machine's link model.  All ranks must call the
-   same collectives in the same order (the compiled programs are loosely
-   synchronous, which guarantees this).
+   cost emerges from the machine's link model.  Every member of a
+   collective's group calls it in the same order, and a rank outside
+   the group counts the call (the compiled programs are loosely
+   synchronous, which guarantees this).  Every collective but the
+   allgather spans all ranks; the allgather may run over a [group] of
+   them.
 
    Broadcast and reduce use binomial trees (log P rounds); allgather
    uses a ring (P-1 rounds of neighbour exchange), which was the
@@ -22,7 +25,7 @@
    array back.  The allgather's result is read-only: the doubling
    schedule sends windows of it, which a peer may still read after
    this rank has returned, and on a fault-free machine every rank of
-   one call shares it (see [allgatherv_offset]). *)
+   one call shares it (see [allgatherv_group]). *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -328,21 +331,29 @@ let place_window ~shared ~src ~tag ~out ~dst l1 l2 received =
   | Sim.Ints _ ->
       protocol_error ~src ~tag "expected a float payload, received integers"
 
-(* Bruck-style doubling allgather: after round k every rank holds the
-   window of min(2^k, p) consecutive blocks (mod p) starting at its
+(* A collective's group: [size] members at positions [0, size), the
+   member at position [g] being rank [rank g], and the running rank at
+   position [pos] (-1: outside).  Every member calls the group's
+   collectives in the same order; a rank outside calls them too, and
+   only counts the call (see [allgatherv_group]).  The schedules below
+   speak positions, and send to and receive from [rank] of them; the
+   all-ranks communicator is the identity group. *)
+type group = { size : int; pos : int; rank : int -> int }
+
+(* Bruck-style doubling allgather: after round k every member holds
+   the window of min(2^k, p) consecutive blocks (mod p) starting at its
    own.  Each round it sends its leading blocks one window to the left
    and receives the same-shaped extension from one window to the right
    (one [Reliable.sendrecv]), so the window doubles until it wraps:
-   ceil(log2 p) rounds, one send and one receive per rank per round.
+   ceil(log2 p) rounds, one send and one receive per member per round.
    Offsets are globally known, so the windows are deterministic.  A
-   rank sends a [Sim.Window] of [out] itself, not a packed copy: the
+   member sends a [Sim.Window] of [out] itself, not a packed copy: the
    blocks it covers are complete before the send, and every later
    round writes only blocks outside it, so the receiver may read it
-   whenever it gets there.  Every rank sends before it receives and
+   whenever it gets there.  Every member sends before it receives and
    sends are eager, so the schedule cannot deadlock. *)
-let allgatherv_doubling ~shared ~offset ~(out : float array) =
-  let p = Sim.size () in
-  let me = Sim.rank () in
+let allgatherv_doubling g ~shared ~offset ~(out : float array) =
+  let p = g.size and me = g.pos in
   let w = ref 1 in
   while !w < p do
     let nblocks = min !w (p - !w) in
@@ -354,50 +365,60 @@ let allgatherv_doubling ~shared ~offset ~(out : float array) =
           first_span ~offset p me nblocks,
           second_span ~offset p me nblocks )
     in
-    let received = Reliable.sendrecv ~dst ~tag:tag_ring window ~src in
-    place_window ~shared ~src ~tag:tag_ring ~out ~dst:(offset src)
+    let src_rank = g.rank src in
+    let received =
+      Reliable.sendrecv ~dst:(g.rank dst) ~tag:tag_ring window ~src:src_rank
+    in
+    place_window ~shared ~src:src_rank ~tag:tag_ring ~out ~dst:(offset src)
       (first_span ~offset p src nblocks)
       (second_span ~offset p src nblocks)
       received;
     w := !w + nblocks
   done
 
-(* Allgather of variable-sized blocks: every rank ends with the
-   concatenation of all blocks in rank order, block [r] at [offset r]
-   ([offset p] is the total).  Ring exchange (P-1 rounds of neighbour
-   traffic, the standard mid-90s implementation) up to [ring_max]
-   ranks, doubling beyond.  The result is read-only at every P (see
-   the header): the doubling rounds' peers read windows of it, and on
-   a fault-free machine it is one array shared by every rank.
+(* Allgather of variable-sized blocks over group [g]: every member ends
+   with the concatenation of all members' blocks in position order,
+   block [i] at [offset i] ([offset g.size] is the total).  Ring
+   exchange (size-1 rounds of neighbour traffic, the standard mid-90s
+   implementation) up to [ring_max] members, doubling beyond.  The
+   result is read-only (see the header): the doubling rounds' peers
+   read windows of it, and on a fault-free machine it is one array
+   shared by every member.
 
    That sharing ([Sim.gather_buffer]) leaves the modeled run as it
    was: every message is still sent, received, length-checked and
-   priced.  Each rank writes its own block into the shared array on
-   entry, before its first send, and a block reaches any rank only in
-   a message sent after its owner wrote it, so when a rank returns,
-   every block is in place; the receivers only skip the copies.  A
-   private array, filled from the messages, is what a rank gets under
-   a fault model, where a lost or duplicated message must show in the
-   data. *)
-let allgatherv_offset ~offset (local : float array) : float array =
-  let p = Sim.size () in
-  let me = Sim.rank () in
-  if Array.length local <> offset (me + 1) - offset me then
-    invalid_arg "allgatherv: local block size disagrees with counts";
-  if p = 1 then Array.copy local
+   priced.  Each member writes its own block into the shared array on
+   entry, before its first send, and a block reaches any member only
+   in a message sent after its owner wrote it, so when a member
+   returns, every block is in place; the receivers only skip the
+   copies.  A private array, filled from the messages, is what a
+   member gets under a fault model, where a lost or duplicated message
+   must show in the data.
+
+   A rank outside the group sends and receives nothing and returns
+   [[||]], but it still takes its handle on the shared array: the
+   buffers are matched by call index, so a rank that skipped the count
+   would take this call's array for its next allgather. *)
+let allgatherv_group g ~offset (local : float array) : float array =
+  let p = g.size and me = g.pos in
+  let shared_out = Sim.gather_buffer (offset p) in
+  if me < 0 then [||]
   else begin
+    if Array.length local <> offset (me + 1) - offset me then
+      invalid_arg "allgatherv: local block size disagrees with counts";
     (* the blocks tile [0, offset p), so every element is written
        and the zero fill would be wasted memory traffic *)
     let out, shared =
-      match Sim.gather_buffer (offset p) with
+      match shared_out with
       | Some out -> (out, true)
       | None -> (Array.create_float (offset p), false)
     in
     Array.blit local 0 out (offset me) (Array.length local);
-    if p > ring_max then allgatherv_doubling ~shared ~offset ~out
+    if p > ring_max then allgatherv_doubling g ~shared ~offset ~out
     else begin
-      let right = (me + 1) mod p and left = (me - 1 + p) mod p in
-      (* At step s we forward the block of rank (me - s + p) mod p,
+      let right = g.rank ((me + 1) mod p)
+      and left = g.rank ((me - 1 + p) mod p) in
+      (* At step s we forward the block of position (me - s + p) mod p,
          in one [Reliable.sendrecv]. *)
       let current = ref (Array.copy local) in
       for s = 1 to p - 1 do
@@ -414,6 +435,11 @@ let allgatherv_offset ~offset (local : float array) : float array =
     end;
     out
   end
+
+let allgatherv_offset ~offset local =
+  allgatherv_group
+    { size = Sim.size (); pos = Sim.rank (); rank = Fun.id }
+    ~offset local
 
 let allgatherv ~counts local =
   let offsets = Array.make (Array.length counts + 1) 0 in

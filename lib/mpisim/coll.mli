@@ -1,6 +1,8 @@
 (** Collective operations built from point-to-point messages, so their
-    cost emerges from the machine's link model.  All ranks must call
-    the same collectives in the same order.  None sends its caller's
+    cost emerges from the machine's link model.  Every member of a
+    collective's group calls it in the same order; a rank outside
+    counts the call.  Only {!allgatherv_group} takes a group: every
+    other collective spans all ranks.  None sends its caller's
     argument.  Each returns an array its caller owns and may write,
     except {!allgatherv_offset} and {!allgatherv}: their result is
     read-only at every P, because other ranks may read windows of it
@@ -44,12 +46,33 @@ val gatherv : root:int -> counts:int array -> float array -> float array
 (** Concatenate per-rank blocks (rank order) on the root; other ranks
     return [[||]]. *)
 
+type group = { size : int; pos : int; rank : int -> int }
+(** A collective's group: [size] members at positions [0, size), the
+    member at position [g] being rank [rank g]; the running rank sits
+    at position [pos], or outside the group when [pos] is -1.  A
+    group's members and their positions must agree on every rank. *)
+
+val allgatherv_group :
+  group -> offset:(int -> int) -> float array -> float array
+(** Allgather among a group's members: every member returns the full
+    concatenation, the block of position [i] at [offset i]
+    ([offset size] is the total length), and sends to and receives
+    from members only.  Ring exchange (size-1 neighbour rounds,
+    size(size-1) messages) up to 64 members; a Bruck-style doubling
+    schedule (size * ceil(log2 size) messages) beyond, so large groups
+    are not quadratic in messages.  A rank outside the group sends and
+    receives nothing and returns [[||]]; it must still call, because
+    the shared result below is matched by call index on every rank.
+    Over all ranks, rank [r] at position [r] (the identity group), this
+    is {!allgatherv_offset}, message for message.
+    The result is read-only and shared as described there. *)
+
 val allgatherv_offset : offset:(int -> int) -> float array -> float array
-(** Allgather: every rank returns the full concatenation, rank [r]'s
-    block at [offset r] ([offset p] is the total length).  Ring
-    exchange (P-1 neighbour rounds) up to 64 ranks; a Bruck-style
-    doubling schedule (O(P log P) messages) beyond, so large-P runs
-    are not quadratic in messages.  Each doubling round sends a
+(** Allgather over {!world}: every rank returns the full
+    concatenation, rank [r]'s block at [offset r] ([offset p] is the
+    total length).  Ring exchange (P-1 neighbour rounds) up to 64
+    ranks; a Bruck-style doubling schedule (O(P log P) messages)
+    beyond, so large-P runs are not quadratic in messages.  Each doubling round sends a
     {!Sim.Window} of the gathered array itself, so a rank's work per
     round does not grow with P and no round copies what it sends.
     The result is therefore read-only at every P: a peer may read a

@@ -127,6 +127,7 @@ type report = {
   mutable acks : int; (* transport acknowledgements delivered *)
   mutable kills : int; (* ranks the fault model permanently killed *)
   mutable sched_picks : int; (* scheduling steps the event core executed *)
+  mutable queued : int; (* messages never received, when the run ended *)
   ledger : float array array;
       (* per rank, its clock's advances by category (see [ledger_categories]) *)
 }
@@ -166,6 +167,7 @@ let new_report ?(compute_time = 0.) clocks =
     acks = 0;
     kills = 0;
     sched_picks = 0;
+    queued = 0;
     ledger =
       Array.map
         (fun c ->
@@ -567,8 +569,9 @@ let scratch () =
   | Some _ -> invalid_arg "Sim.scratch: the machine is not reliable"
   | None -> outside "scratch"
 
-(* The running rank's handle on its next allgather's result.  Ranks
-   call collectives in the same order, so the [i]-th call on every
+(* The running rank's handle on its next allgather's result.  Every
+   rank calls this once per allgather in the same order, a rank
+   outside the gather's group included, so the [i]-th call on every
    rank is the same allgather: the first rank to reach it allocates
    the array, the rest take the same one, and the last of the P takers
    drops it from the table.  Under a fault model every rank keeps a
@@ -1346,6 +1349,7 @@ let run_report ?(attempt = 0) ~machine ~nprocs (body : int -> 'a) :
   in
   st.report.makespan <- Array.fold_left Float.max 0. clocks;
   st.report.compute_time <- st.compute_time.(0);
+  st.report.queued <- st.store.used;
   (outcome, st.report)
 
 (* [run ~machine ~nprocs body] simulates [nprocs] SPMD ranks each

@@ -133,10 +133,14 @@ val scratch : unit -> (int * int * int, int) Hashtbl.t
 
 val gather_buffer : int -> float array option
 (** [gather_buffer n] is the running rank's handle on the result of its
-    next allgather, an array of [n] floats.  Ranks call collectives in
-    the same order, so on a machine without a fault model every rank's
-    [i]-th call in a run returns the same physical array; the run keeps
-    it only until all P ranks have taken it.  The caller that owns a
+    next allgather, an array of [n] floats.  Every rank calls it once
+    per allgather, in the same order, so on a machine without a fault
+    model every rank's [i]-th call in a run returns the same physical
+    array; the run keeps it only until all P ranks have taken it.  A
+    rank outside an allgather's group calls it too, with the same [n],
+    and discards the handle: a rank that skipped a call would take the
+    next allgather's array for this one, and two gathers of one length
+    would then mix their blocks.  The caller that owns a
     block writes it; no rank writes anyone else's.  [None] (allocate a
     private array) under a fault model, and for a rank whose [n]
     disagrees with an earlier taker's, and for every later taker of
@@ -169,6 +173,11 @@ type report = private {
       (** scheduling steps (rank resumes + kill events) the
           discrete-event core executed; picks divided by wall-clock is
           the scheduler-throughput figure tracked in EXPERIMENTS.md *)
+  mutable queued : int;
+      (** messages still queued, sent but never received, when the run
+          ended.  Sends are eager, so a run can finish with some; every
+          message sent, plus every duplicate, was received, dropped or
+          is counted here. *)
   ledger : float array array;
       (** [ledger.(r).(c)]: the seconds rank [r]'s clock advanced for
           the reason named [ledger_categories.(c)].  Every advance is

@@ -228,6 +228,30 @@ let report (c : compiled) : string =
       "";
     ]
 
+(* The modeled-time ledger of a run (otterc run --stats): each
+   category's seconds averaged over the ranks, and that average as a
+   share of the makespan. *)
+let ledger_table (r : Mpisim.Sim.report) : string =
+  let ranks = float_of_int (Array.length r.Mpisim.Sim.ledger) in
+  let rows =
+    Array.to_list
+      (Array.mapi
+         (fun c name ->
+           let avg =
+             Array.fold_left (fun s row -> s +. row.(c)) 0. r.Mpisim.Sim.ledger
+             /. ranks
+           in
+           let share =
+             if r.Mpisim.Sim.makespan > 0. then
+               100. *. avg /. r.Mpisim.Sim.makespan
+             else 0.
+           in
+           Printf.sprintf "    %-17s %.6f s %6.2f%%" name avg share)
+         Mpisim.Sim.ledger_categories)
+  in
+  String.concat "\n"
+    ("  ledger (rank average, share of simulated time):" :: rows)
+
 (* --- execution ------------------------------------------------------------ *)
 
 (* The one way to execute a compiled program: run it under [cfg]'s

@@ -142,6 +142,12 @@ val pass_table : Spmd.Pass.record list -> string
 (** Just the per-pass statistics table (name, wall-clock time, rewrite
     counts) from a {!compiled.passes} list. *)
 
+val ledger_table : Mpisim.Sim.report -> string
+(** A run's ledger ({!Mpisim.Sim.report.ledger}) as text, one line per
+    category of {!Mpisim.Sim.ledger_categories}: its seconds averaged
+    over the ranks, and that average as a share of the makespan.
+    [otterc run --stats] prints it after the report's counters. *)
+
 val run : Config.t -> compiled -> Exec.State.recovery
 (** Execute the compiled program under [cfg].  The SPMD executor runs on
     [cfg.nprocs] simulated processors of [cfg.machine], always through

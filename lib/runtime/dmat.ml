@@ -360,6 +360,38 @@ let to_dense m : float array =
         permute_gathered m counts (Mpisim.Coll.allgatherv ~counts m.data)
   end
 
+(* [m]'s units: its rows (By_rows) or columns (By_cols). *)
+let units m = match m.axis with By_rows -> m.rows | By_cols -> m.cols
+
+(* [to_dense m] for a consumer that reads it only on the ranks owning
+   rows of [reader].  When [m]'s units and [reader]'s rows are equally
+   many and fewer than the ranks, both under the block layout, the
+   ranks that own one are the same set, each owns exactly one, and no
+   other rank reads or contributes: the allgather runs among them
+   alone.  Owner [r] sits at position [Dist.low r] and position [g] is
+   [Dist.owner g], both O(1).  Every rank must call this; it returns
+   [None] on a rank outside the group, which holds no row of [reader].
+   Every other shape gathers over all ranks, as [to_dense] does. *)
+let to_dense_for ~reader m =
+  let nprocs = Mpisim.Sim.size () and n = units m in
+  if
+    m.full || reader.full || m.layout <> Lblock || reader.layout <> Lblock
+    || reader.axis <> By_rows || reader.rows <> n || n >= nprocs
+  then Some (to_dense m)
+  else
+    let width = unit_width m in
+    let group =
+      {
+        Mpisim.Coll.size = n;
+        pos = (if m.count > 0 then m.low else -1);
+        rank = Dist.owner ~nprocs ~n;
+      }
+    in
+    let dense =
+      Mpisim.Coll.allgatherv_group group ~offset:(fun g -> g * width) m.data
+    in
+    if m.count > 0 then Some dense else None
+
 (* A rank-local replica of [m], or [m] itself when it is one: one
    allgather, whose read-only result becomes the replica's data. *)
 let replicate m =

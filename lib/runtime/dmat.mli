@@ -141,6 +141,15 @@ val to_dense : t -> float array
     array after this returns, so a caller that writes must copy it
     first. *)
 
+val to_dense_for : reader:t -> t -> float array option
+(** [to_dense_for ~reader m] is [Some (to_dense m)] on the ranks that
+    own rows of [reader], the ones that read it.  When [m]'s units
+    (rows, or columns of a row vector) and [reader]'s rows are equally
+    many and fewer than the ranks, both block-distributed, it gathers
+    among their owners alone and is [None] on every other rank, which
+    sends and receives nothing; otherwise it gathers over all ranks.
+    Every rank must call it, in the same order as its collectives. *)
+
 val replicate : t -> t
 (** A rank-local replica of the array ([full]), or the array itself
     when it is one already: {!to_dense}'s allgather, with no further

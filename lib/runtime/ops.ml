@@ -110,9 +110,11 @@ let mm_kernel ~rows ~k ~n (a : float array) (b : float array)
   end
 
 (* C = A * B for distributed operands.  The row-distributed common case
-   gathers B and computes locally owned rows of C; a row-vector A
-   (1 x k, column-distributed) instead uses partial sums over the rows
-   of B each rank owns, finished with an allreduce. *)
+   gathers B and computes locally owned rows of C; when some ranks own
+   no rows, B is gathered among the owners alone (see
+   [Dmat.to_dense_for]).  A row-vector A (1 x k, column-distributed)
+   instead uses partial sums over the rows of B each rank owns,
+   finished with an allreduce. *)
 let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
   if a.cols <> b.rows then
     failwith
@@ -162,9 +164,11 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
   end
   else begin
     let c = Dmat.create ~rows:m ~cols:n in
-    let bf = Dmat.to_dense b in
-    mm_kernel ~rows:c.count ~k ~n a.data bf c.data;
-    Sim.flops (2. *. float_of_int (c.count * n * k));
+    (match Dmat.to_dense_for ~reader:c b with
+    | Some bf ->
+        mm_kernel ~rows:c.count ~k ~n a.data bf c.data;
+        Sim.flops (2. *. float_of_int (c.count * n * k))
+    | None -> () (* outside B's gather: this rank owns no row of C *));
     c
   end
 

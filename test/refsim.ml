@@ -54,6 +54,8 @@ type counts = {
   mutable retries : int;
   mutable acks : int;
   mutable kills : int;
+  mutable receives : int; (* messages a rank took; not in [Sim]'s report *)
+  mutable queued : int; (* messages still queued when the run ended *)
   ledger : float array array; (* per rank, by [Sim.ledger_categories] *)
 }
 
@@ -221,6 +223,7 @@ let run_report ~machine ~nprocs body =
   let c =
     { clocks = Array.make p 0.; messages = 0; bytes = 0; compute = 0.; picks = 0;
       drops = 0; dups = 0; delayed = 0; stalls = 0; retries = 0; acks = 0; kills = 0;
+      receives = 0; queued = 0;
       ledger = Array.init p (fun _ -> Array.make (Array.length Sim.ledger_categories) 0.) }
   in
   let s =
@@ -252,6 +255,7 @@ let run_report ~machine ~nprocs body =
   in
   let take r ~src ~tag =
     let a, data = Queue.pop (box s (r, src, tag)) in
+    c.receives <- c.receives + 1;
     advance c r 4 (Float.max c.clocks.(r) a);
     c.ledger.(r).(5) <- c.ledger.(r).(5) +. machine.Machine.recv_overhead;
     c.clocks.(r) <- c.clocks.(r) +. machine.Machine.recv_overhead;
@@ -348,6 +352,7 @@ let run_report ~machine ~nprocs body =
       Ok (Array.map Option.get results)
     with e -> Error e
   in
+  c.queued <- Hashtbl.fold (fun _ q n -> n + Queue.length q) s.boxes 0;
   (outcome, c)
 
 (* --- the operations ------------------------------------------------------ *)

@@ -544,6 +544,171 @@ let allreduce_prop =
           Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) got expected)
         results)
 
+(* --- group allgathers ------------------------------------------------- *)
+
+(* A group of [g] of [p] ranks in scattered order: position [i] is rank
+   (7 i + 3) mod p, a bijection onto its ranks because 7 is prime to
+   every P used here.  Built as rank [me] sees it. *)
+let scattered ~p ~g me =
+  let rank i = ((7 * i) + 3) mod p in
+  let pos = ref (-1) in
+  for i = 0 to g - 1 do
+    if rank i = me then pos := i
+  done;
+  { Coll.size = g; pos = !pos; rank }
+
+let ceil_log2 n =
+  let k = ref 0 in
+  while 1 lsl !k < n do
+    incr k
+  done;
+  !k
+
+(* Uneven blocks, some empty: position [i] holds (i + 1) mod 4 floats,
+   1000 i + k, so a block placed at the wrong offset shows. *)
+let group_blocks g =
+  let counts = Array.init g (fun i -> (i + 1) mod 4) in
+  let offsets = Array.make (g + 1) 0 in
+  Array.iteri (fun i c -> offsets.(i + 1) <- offsets.(i) + c) counts;
+  let block i = Array.init counts.(i) (fun k -> float_of_int ((1000 * i) + k)) in
+  (Array.get offsets, block, Array.concat (List.init g block))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* One group allgather on [machine] at P = [p] with [g] members: every
+   member's result is the concatenation (bit for bit), every other
+   rank gets [[||]] and its clock never moves (it sent and received
+   nothing), and no message is left queued.  Under the reliable layer a
+   surplus copy may be: a duplicate the receiver never asks for, or a
+   retransmission (and its ack) of a message that had arrived; each
+   retry makes at most two.  Returns the report. *)
+let group_gather_checked ~machine ~label ~p ~g =
+  let offset, block, expected = group_blocks g in
+  let results, report =
+    Sim.run ~machine ~nprocs:p (fun r ->
+        let grp = scattered ~p ~g r in
+        let local = if grp.pos >= 0 then block grp.pos else [||] in
+        (grp.pos, Coll.allgatherv_group grp ~offset local))
+  in
+  Array.iteri
+    (fun r (pos, v) ->
+      if pos >= 0 && not (same_bits v expected) then
+        Alcotest.failf "%s P=%d g=%d: member rank %d's result differs" label p
+          g r;
+      if pos < 0 then begin
+        if v <> [||] then
+          Alcotest.failf "%s P=%d g=%d: rank %d outside got a result" label p g
+            r;
+        if report.Sim.per_rank_clock.(r) <> 0. then
+          Alcotest.failf "%s P=%d g=%d: rank %d outside was charged %h s"
+            label p g r report.Sim.per_rank_clock.(r)
+      end)
+    results;
+  let surplus = report.Sim.dups + (2 * report.Sim.retries) in
+  if report.Sim.queued > surplus then
+    Alcotest.failf "%s P=%d g=%d: %d messages left queued, %d surplus copies"
+      label p g report.Sim.queued surplus;
+  report
+
+(* Group allgathers at P = 65, 130 and 257 with groups of 1, 3 and 64
+   members (the ring) and 65 and 128 (the doubling schedule): members
+   get the concatenation, ranks outside send and receive nothing, and
+   the messages are the schedule's closed form, g(g-1) for the ring
+   and g ceil(log2 g) for the doubling. *)
+let test_allgatherv_group () =
+  let machine = Mpisim.Machine.fattree_default in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun g ->
+          if g <= p then begin
+            let report = group_gather_checked ~machine ~label:"fault-free" ~p ~g in
+            let expected =
+              if g <= 64 then g * (g - 1) else g * ceil_log2 g
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "P=%d g=%d: messages" p g)
+              expected report.Sim.messages
+          end)
+        [ 1; 3; 64; 65; 128 ])
+    [ 65; 130; 257 ]
+
+(* The shared buffers are matched by call index, so a rank outside a
+   group must still count the call.  At P = 130, 100 group gathers
+   (alternately 65 members of 2 floats, the doubling schedule, and 26
+   of 5, the ring) alternate with all-rank gathers of the same 130
+   floats; every result must equal its own call's concatenation, both
+   when the call returns and once the run is over. *)
+let test_allgatherv_group_alternating () =
+  let p = 130 and calls = 100 in
+  let group_value i pos k = float_of_int ((1_000_000 * i) + (10 * pos) + k) in
+  let world_value i r = -.float_of_int ((1000 * i) + r) in
+  let expected i =
+    if i mod 2 = 1 then Array.init p (world_value (i / 2))
+    else
+      let b = if i / 2 mod 2 = 0 then 2 else 5 in
+      Array.init p (fun x -> group_value (i / 2) (x / b) (x mod b))
+  in
+  let results, report =
+    Sim.run ~machine:Mpisim.Machine.fattree_default ~nprocs:p (fun r ->
+        let seen = ref [] and bad = ref [] in
+        let keep call v ~member =
+          if member && v <> expected call then bad := call :: !bad;
+          seen := (call, v, member) :: !seen
+        in
+        for i = 0 to calls - 1 do
+          let g, b = if i mod 2 = 0 then (65, 2) else (26, 5) in
+          let grp = scattered ~p ~g r in
+          let local =
+            if grp.pos >= 0 then Array.init b (group_value i grp.pos) else [||]
+          in
+          keep (2 * i)
+            (Coll.allgatherv_group grp ~offset:(fun j -> j * b) local)
+            ~member:(grp.pos >= 0);
+          keep ((2 * i) + 1)
+            (Coll.allgatherv_offset ~offset:Fun.id [| world_value i r |])
+            ~member:true
+        done;
+        List.iter
+          (fun (call, v, member) ->
+            if member && v <> expected call then bad := call :: !bad)
+          !seen;
+        !bad)
+  in
+  Array.iteri
+    (fun r bad ->
+      match bad with
+      | [] -> ()
+      | call :: _ ->
+          Alcotest.failf "rank %d: %d results differ, one of call %d" r
+            (List.length bad) call)
+    results;
+  Alcotest.(check int) "messages left queued" 0 report.Sim.queued
+
+(* Under a fault model every member gathers into a private array filled
+   from the messages alone; with the reliable layer under drops and
+   duplicates the results are still the concatenation, bit for bit,
+   and ranks outside still send and receive nothing. *)
+let test_allgatherv_group_reliable () =
+  let machine =
+    Mpisim.Machine.with_faults ~reliable:true
+      ~faults:(Testutil.faults "drop=0.05,dup=0.05,seed=3")
+      Mpisim.Machine.fattree_default
+  in
+  let faults =
+    List.fold_left
+      (fun n (p, g) ->
+        let r = group_gather_checked ~machine ~label:"reliable" ~p ~g in
+        n + r.Sim.drops + r.Sim.dups)
+      0
+      [ (65, 3); (130, 64); (130, 65); (257, 128) ]
+  in
+  if faults = 0 then Alcotest.fail "the fault model dropped and duplicated nothing"
+
 let suite =
   [
     t "broadcast (all roots)" test_bcast;
@@ -569,4 +734,11 @@ let suite =
       test_allgatherv_buffers_released;
     t "allgather ranks disagreeing on lengths do not share"
       test_allgatherv_length_disagreement;
+    (* appended after the older cases so their indices stay as they were *)
+    t "group allgathers gather among their members alone"
+      test_allgatherv_group;
+    t "group and all-rank gathers of one length do not mix"
+      test_allgatherv_group_alternating;
+    t "group allgathers are exact under reliable delivery"
+      test_allgatherv_group_reliable;
   ]

@@ -117,9 +117,42 @@ let test_ledger () =
         (Testutil.ledger_error o.Exec.State.report))
     (Lazy.force runs)
 
+(* Message conservation: sends are eager, so a run could finish with a
+   message nobody received.  None of the six apps leaves one. *)
+let test_nothing_queued () =
+  List.iter
+    (fun (key, nprocs, (o : Exec.State.outcome)) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s P=%d: messages left queued" key nprocs)
+        0 o.Exec.State.report.Mpisim.Sim.queued)
+    (Lazy.force runs)
+
+(* The ledger block [otterc run --stats] prints, for tc at scale 5 on
+   the Meiko at P = 4. *)
+let test_ledger_table () =
+  let app = Option.get (Apps.Scripts.find "tc") in
+  let o = run_app app (Otter.compile (app.source 5)) 4 in
+  Alcotest.(check string) "tc ledger"
+    (String.concat "\n"
+       [
+         "  ledger (rank average, share of simulated time):";
+         "    compute           0.001665 s  47.06%";
+         "    cpu wait          0.000000 s   0.00%";
+         "    stall             0.000000 s   0.00%";
+         "    send overhead     0.000264 s   7.46%";
+         "    idle receive      0.001304 s  36.85%";
+         "    receive overhead  0.000264 s   7.46%";
+         "    deadline wait     0.000000 s   0.00%";
+         "    detection wait    0.000000 s   0.00%";
+         "    death             0.000000 s   0.00%";
+       ])
+    (Otter.ledger_table o.Exec.State.report)
+
 let suite =
   [
     t "six apps at P = 1, 4, 16 match the golden digests" test_digests;
     t "tensor apps and CG under the cyclic layout match" test_layouts;
     t "the six apps' ledgers sum to their clocks" test_ledger;
+    t "the six apps leave no message queued" test_nothing_queued;
+    t "run --stats prints the ledger" test_ledger_table;
   ]

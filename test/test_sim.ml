@@ -781,9 +781,9 @@ let summarize outcome (c : Refsim.counts) =
   ( ending,
     Printf.sprintf
       "%s: %s\nclocks %s\ncompute %h messages %d bytes %d picks %d drops %d dups %d \
-       delayed %d stalls %d retries %d acks %d kills %d\nledger %s"
+       delayed %d stalls %d retries %d acks %d kills %d queued %d\nledger %s"
       ending outcome (floats c.clocks) c.compute c.messages c.bytes c.picks c.drops
-      c.dups c.delayed c.stalls c.retries c.acks c.kills
+      c.dups c.delayed c.stalls c.retries c.acks c.kills c.queued
       (String.concat " | " (Array.to_list (Array.map floats c.ledger))) )
 
 (* The categories a ledger charged something to, over every run
@@ -812,6 +812,8 @@ let run_summary machine ~nprocs body =
       retries = r.Sim.retries;
       acks = r.Sim.acks;
       kills = r.Sim.kills;
+      receives = 0 (* not in the report, nor in the summary *);
+      queued = r.Sim.queued;
       ledger = r.Sim.ledger;
     }
 
@@ -917,6 +919,13 @@ let reference_case (config, seed) =
   let reference =
     let module P = Proto (Refsim) () in
     let outcome, c = Refsim.run_report ~machine ~nprocs (program (module Refsim) (module P)) in
+    (* message conservation: every message sent, and every duplicate,
+       was received, dropped, or is still queued *)
+    if c.messages + c.dups <> c.receives + c.drops + c.queued then
+      QCheck.Test.fail_reportf
+        "%s P=%d seed %d: %d sent + %d duplicated <> %d received + %d dropped + %d \
+         queued"
+        name nprocs seed c.messages c.dups c.receives c.drops c.queued;
     snd (summarize outcome c)
   in
   let mirror () =

@@ -283,6 +283,32 @@ let scale_pinned key procs () =
         ])
     pins
 
+(* tc at scale 25 (n = 128) on the fat-tree at P = 1024: only the n
+   ranks that own a row of B take part in a squaring's gather of B, a
+   doubling allgather among n members (n ceil(log2 n) messages), and
+   the run's two allreduces (sum(sum(B))) span all P ranks, log2 P
+   rounds of P messages each.  Nothing else sends. *)
+let test_tc_group_messages () =
+  let app = Option.get (Apps.Scripts.find "tc") in
+  let n = 128 and p = 1024 in
+  let log2 x =
+    let k = ref 0 in
+    while 1 lsl !k < x do
+      incr k
+    done;
+    !k
+  in
+  let squarings = log2 n in
+  let expected = (squarings * log2 n * n) + (2 * log2 p * p) in
+  Alcotest.(check int) "closed form" 26_752 expected;
+  let cfg = Otter.config ~machine:Machine.fattree_default ~nprocs:p () in
+  let r =
+    (Otter.outcome_exn (Otter.run cfg (Otter.compile (app.source 25))))
+      .Exec.State.report
+  in
+  Alcotest.(check int) "messages" expected r.Sim.messages;
+  Alcotest.(check int) "messages left queued" 0 r.Sim.queued
+
 (* --- the dispatch-count pin ------------------------------------------------ *)
 
 (* [Exec.State.dispatched] after one O2 run on the Meiko at P=4, summed
@@ -554,4 +580,6 @@ let suite =
       t "block edges: eye under every layout" test_block_edges_eye;
       t "matches speedup baseline: heat3d" (speedup_pinned "heat3d");
       t "matches speedup baseline: logistic" (speedup_pinned "logistic");
+      t "tc's messages at P = 1024 are the group gather's closed form"
+        test_tc_group_messages;
     ]
