@@ -3,13 +3,15 @@
    collective's group calls it in the same order, and a rank outside
    the group counts the call (the compiled programs are loosely
    synchronous, which guarantees this).  Every collective but the
-   allgather spans all ranks; the allgather may run over a [group] of
-   them.
+   allgather and the all-to-all spans all ranks; those two may run over
+   a [group] of them.
 
    Broadcast and reduce use binomial trees (log P rounds); allgather
    uses a ring (P-1 rounds of neighbour exchange), which was the
    standard implementation on mid-90s MPI stacks, up to [ring_max]
-   ranks and a Bruck-style doubling schedule beyond.
+   ranks and a Bruck-style doubling schedule beyond.  The all-to-all is
+   Bruck's index algorithm (log P rounds), for groups whose blocks are
+   so small that only the message count matters.
 
    All point-to-point traffic is routed through [Reliable], which is a
    transparent pass-through to [Sim] unless the machine requests the
@@ -433,6 +435,66 @@ let allgatherv_group g ~offset (local : float array) : float array =
         current := incoming
       done
     end;
+    out
+  end
+
+let tag_alltoall = 1007
+
+(* Bruck index all-to-all among group [g]: every member holds [g.size]
+   blocks of [block] floats, block [j] bound for position [j], and
+   returns the blocks bound for it, block [i] from position [i].  A
+   member first rotates its blocks so that slot [s] holds the one bound
+   for position [pos + s]; in round k it sends the slots whose index has
+   bit k set to position [pos + 2^k] and receives the same slots from
+   position [pos - 2^k] (one [Reliable.sendrecv]).  A block in slot [s]
+   thus travels [s] positions in ceil(log2 size) rounds, and afterwards
+   slot [s] holds the block from position [pos - s], which the inverse
+   rotation puts in its place.  Each round packs a fresh buffer and
+   copies what it receives into the slots, so nothing sent or received
+   is written; a member's work per round is O(size).  A rank outside
+   the group returns [[||]] at once: nothing is shared, so it need not
+   count the call. *)
+let alltoall_group g ~block (data : float array) : float array =
+  let p = g.size and me = g.pos in
+  if me < 0 then [||]
+  else begin
+    if Array.length data <> p * block then
+      invalid_arg "alltoall: local data is not size * block floats";
+    let slots = Array.create_float (p * block) in
+    Array.blit data (me * block) slots 0 ((p - me) * block);
+    Array.blit data 0 slots ((p - me) * block) (me * block);
+    (* the slots with bit [k] set run [k, 2k), [3k, 4k), ... *)
+    let iter_runs k f =
+      let s = ref k in
+      while !s < p do
+        f !s (min k (p - !s));
+        s := !s + (2 * k)
+      done
+    in
+    let k = ref 1 in
+    while !k < p do
+      let n = (p / (2 * !k) * !k) + max 0 ((p mod (2 * !k)) - !k) in
+      let buf = Array.create_float (n * block) in
+      let off = ref 0 in
+      iter_runs !k (fun s len ->
+          Array.blit slots (s * block) buf !off (len * block);
+          off := !off + (len * block));
+      let dst = g.rank ((me + !k) mod p) and src = g.rank ((me - !k + p) mod p) in
+      let got =
+        checked_block ~what:"alltoall" ~src ~tag:tag_alltoall (n * block)
+          (Reliable.sendrecv_floats ~dst ~tag:tag_alltoall (Sim.Floats buf)
+             ~src)
+      in
+      let off = ref 0 in
+      iter_runs !k (fun s len ->
+          Array.blit got !off slots (s * block) (len * block);
+          off := !off + (len * block));
+      k := 2 * !k
+    done;
+    let out = Array.create_float (p * block) in
+    for s = 0 to p - 1 do
+      Array.blit slots (s * block) out ((me - s + p) mod p * block) block
+    done;
     out
   end
 

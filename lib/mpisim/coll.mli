@@ -1,13 +1,14 @@
 (** Collective operations built from point-to-point messages, so their
     cost emerges from the machine's link model.  Every member of a
-    collective's group calls it in the same order; a rank outside
-    counts the call.  Only {!allgatherv_group} takes a group: every
-    other collective spans all ranks.  None sends its caller's
-    argument.  Each returns an array its caller owns and may write,
-    except {!allgatherv_offset} and {!allgatherv}: their result is
-    read-only at every P, because other ranks may read windows of it
-    after the call returns, and on a machine without a fault model
-    every rank of one call gets the same array. *)
+    collective's group calls it in the same order; a rank outside an
+    allgather's group counts the call.  Only {!allgatherv_group} and
+    {!alltoall_group} take a group: every other collective spans all
+    ranks.  None sends its caller's argument.  Each returns an array
+    its caller owns and may write, except {!allgatherv_offset} and
+    {!allgatherv}: their result is read-only at every P, because other
+    ranks may read windows of it after the call returns, and on a
+    machine without a fault model every rank of one call gets the same
+    array. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -66,6 +67,23 @@ val allgatherv_group :
     Over all ranks, rank [r] at position [r] (the identity group), this
     is {!allgatherv_offset}, message for message.
     The result is read-only and shared as described there. *)
+
+val ring_max : int
+(** The largest group that {!allgatherv_group} gathers with the ring
+    (64); above it the doubling schedule runs, and a transpose with one
+    row per owner takes {!alltoall_group}. *)
+
+val alltoall_group : group -> block:int -> float array -> float array
+(** Bruck index all-to-all among a group's members: a member passes
+    [size] blocks of [block] floats, block [j] bound for position [j],
+    and returns a fresh array of [size] blocks, block [i] the one that
+    position [i] passed for it.  Members send to and receive from
+    members only, in ceil(log2 size) rounds of one message each (size *
+    ceil(log2 size) messages); round k carries the blocks whose rotated
+    slot index has bit k set.  A received block of the wrong length
+    raises {!Sim.Protocol_error} ([alltoall: expected ...]).  A rank
+    outside the group sends and receives nothing and returns [[||]];
+    no buffer is shared, so it need not call at all. *)
 
 val allgatherv_offset : offset:(int -> int) -> float array -> float array
 (** Allgather over {!world}: every rank returns the full

@@ -363,13 +363,24 @@ let to_dense m : float array =
 (* [m]'s units: its rows (By_rows) or columns (By_cols). *)
 let units m = match m.axis with By_rows -> m.rows | By_cols -> m.cols
 
+(* The ranks that own a unit of block-distributed [m], when each owns
+   at most one (units m <= P): position [g] is rank [Dist.owner g], and
+   owner [r] sits at position [Dist.low r], which is [m.low]; both are
+   O(1), so no rank walks all P ranks. *)
+let owner_group m =
+  let nprocs = Mpisim.Sim.size () and n = units m in
+  {
+    Mpisim.Coll.size = n;
+    pos = (if m.count > 0 then m.low else -1);
+    rank = Dist.owner ~nprocs ~n;
+  }
+
 (* [to_dense m] for a consumer that reads it only on the ranks owning
    rows of [reader].  When [m]'s units and [reader]'s rows are equally
    many and fewer than the ranks, both under the block layout, the
    ranks that own one are the same set, each owns exactly one, and no
    other rank reads or contributes: the allgather runs among them
-   alone.  Owner [r] sits at position [Dist.low r] and position [g] is
-   [Dist.owner g], both O(1).  Every rank must call this; it returns
+   alone ([owner_group]).  Every rank must call this; it returns
    [None] on a rank outside the group, which holds no row of [reader].
    Every other shape gathers over all ranks, as [to_dense] does. *)
 let to_dense_for ~reader m =
@@ -380,15 +391,10 @@ let to_dense_for ~reader m =
   then Some (to_dense m)
   else
     let width = unit_width m in
-    let group =
-      {
-        Mpisim.Coll.size = n;
-        pos = (if m.count > 0 then m.low else -1);
-        rank = Dist.owner ~nprocs ~n;
-      }
-    in
     let dense =
-      Mpisim.Coll.allgatherv_group group ~offset:(fun g -> g * width) m.data
+      Mpisim.Coll.allgatherv_group (owner_group m)
+        ~offset:(fun g -> g * width)
+        m.data
     in
     if m.count > 0 then Some dense else None
 

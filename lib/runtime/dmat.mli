@@ -141,6 +141,12 @@ val to_dense : t -> float array
     array after this returns, so a caller that writes must copy it
     first. *)
 
+val owner_group : t -> Mpisim.Coll.group
+(** The ranks owning a unit of a block-distributed array with at most
+    one unit per rank (units <= P): position [g] is the owner of unit
+    [g], and the running rank sits at its first unit's position, or
+    outside (-1) when it owns none. *)
+
 val to_dense_for : reader:t -> t -> float array option
 (** [to_dense_for ~reader m] is [Some (to_dense m)] on the ranks that
     own rows of [reader], the ones that read it.  When [m]'s units

@@ -197,7 +197,9 @@ let dot (a : Dmat.t) (b : Dmat.t) : float =
    use pairwise block exchange (an all-to-all): every rank ships, to
    each peer, the intersection of its own rows with the peer's result
    rows (= source columns), so per-rank traffic is O(rows*cols/P)
-   rather than a full gather. *)
+   rather than a full gather.  A square matrix with one row per owner
+   and more owners than [Coll.ring_max] runs a Bruck all-to-all among
+   the owners instead, trading bytes for log-many messages. *)
 let tag_transpose = 3003
 
 let transpose (m : Dmat.t) : Dmat.t =
@@ -225,6 +227,18 @@ let transpose (m : Dmat.t) : Dmat.t =
        other layouts replicate and select the local part instead. *)
     let dense = Dmat.to_dense m in
     Dmat.init_rc ~rows:m.cols ~cols:m.rows (fun i j -> dense.((j * m.cols) + i))
+  end
+  else if m.rows = m.cols && m.rows <= Sim.size () && m.rows > Coll.ring_max
+  then begin
+    (* One row per owner: every block below would be one float, so the
+       n owners trade them in a Bruck all-to-all instead, n ceil(log2 n)
+       messages rather than n(n-1).  Owner r's element (r, g) is the
+       block bound for position g, and what it gets back from g is
+       (g, r), row r of the result. *)
+    let r = Dmat.create ~rows:m.rows ~cols:m.rows in
+    if m.count = 0 then r
+    else
+      { r with data = Coll.alltoall_group (Dmat.owner_group m) ~block:1 m.data }
   end
   else begin
     let nprocs = Sim.size () and me = Sim.rank () in

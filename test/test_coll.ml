@@ -709,6 +709,117 @@ let test_allgatherv_group_reliable () =
   in
   if faults = 0 then Alcotest.fail "the fault model dropped and duplicated nothing"
 
+(* --- group all-to-alls -------------------------------------------------- *)
+
+(* Position [i]'s block for position [j], [b] floats: a distinct value
+   per (i, j, k), so a block from the wrong sender or in the wrong slot
+   shows. *)
+let a2a_value i j k = float_of_int ((1_000_000 * i) + (10 * j) + k)
+
+(* One all-to-all of [b]-float blocks among [g] scattered members of
+   P = [p]: every member's result is the transpose of the send matrix
+   (block [i] is what position [i] passed for it), bit for bit; every
+   other rank gets [[||]] and its clock never moves; no message is left
+   queued beyond the reliable layer's surplus copies (see
+   [group_gather_checked]).  Returns the report. *)
+let alltoall_checked ~machine ~label ~p ~g ~b =
+  let results, report =
+    Sim.run ~machine ~nprocs:p (fun r ->
+        let grp = scattered ~p ~g r in
+        let data =
+          if grp.pos >= 0 then
+            Array.init (g * b) (fun x -> a2a_value grp.pos (x / b) (x mod b))
+          else [||]
+        in
+        (grp.pos, Coll.alltoall_group grp ~block:b data))
+  in
+  Array.iteri
+    (fun r (pos, v) ->
+      if pos >= 0 then begin
+        let expected =
+          Array.init (g * b) (fun x -> a2a_value (x / b) pos (x mod b))
+        in
+        if not (same_bits v expected) then
+          Alcotest.failf "%s P=%d g=%d: member rank %d's result differs" label
+            p g r
+      end
+      else begin
+        if v <> [||] then
+          Alcotest.failf "%s P=%d g=%d: rank %d outside got a result" label p g
+            r;
+        if report.Sim.per_rank_clock.(r) <> 0. then
+          Alcotest.failf "%s P=%d g=%d: rank %d outside was charged %h s"
+            label p g r report.Sim.per_rank_clock.(r)
+      end)
+    results;
+  let surplus = report.Sim.dups + (2 * report.Sim.retries) in
+  if report.Sim.queued > surplus then
+    Alcotest.failf "%s P=%d g=%d: %d messages left queued, %d surplus copies"
+      label p g report.Sim.queued surplus;
+  report
+
+(* All-to-alls of 65, 100, 128 and 257 scattered members at P = 65,
+   130, 257 and 520: members get the transpose, ranks outside send
+   nothing, nothing is queued, and the members send g ceil(log2 g)
+   messages, one per round each. *)
+let test_alltoall_group () =
+  let machine = Mpisim.Machine.fattree_default in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun g ->
+          if g <= p then begin
+            let report =
+              alltoall_checked ~machine ~label:"fault-free" ~p ~g
+                ~b:(if g = 100 then 3 else 1)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "P=%d g=%d: messages" p g)
+              (g * ceil_log2 g) report.Sim.messages;
+            Alcotest.(check int)
+              (Printf.sprintf "P=%d g=%d: queued" p g)
+              0 report.Sim.queued
+          end)
+        [ 65; 100; 128; 257 ])
+    [ 65; 130; 257; 520 ]
+
+(* Under the reliable layer with drops and duplicates the results are
+   still the transpose, bit for bit. *)
+let test_alltoall_group_reliable () =
+  let machine =
+    Mpisim.Machine.with_faults ~reliable:true
+      ~faults:(Testutil.faults "drop=0.05,dup=0.05,seed=3")
+      Mpisim.Machine.fattree_default
+  in
+  let faults =
+    List.fold_left
+      (fun n (p, g) ->
+        let r = alltoall_checked ~machine ~label:"reliable" ~p ~g ~b:1 in
+        n + r.Sim.drops + r.Sim.dups)
+      0
+      [ (65, 65); (130, 100); (257, 128) ]
+  in
+  if faults = 0 then Alcotest.fail "the fault model dropped and duplicated nothing"
+
+(* A member whose blocks are shorter than its peers' sends short
+   rounds: the typed protocol error names both lengths. *)
+let test_alltoall_short_block () =
+  let p = 130 and g = 100 in
+  let outcome, _ =
+    Sim.run_report ~machine:Mpisim.Machine.fattree_default ~nprocs:p (fun r ->
+        let grp = scattered ~p ~g r in
+        let b = if grp.pos = 7 then 1 else 2 in
+        let data = if grp.pos >= 0 then Array.make (g * b) 1. else [||] in
+        Coll.alltoall_group grp ~block:b data)
+  in
+  match outcome with
+  | Error (Sim.Rank_failure { exn = Sim.Protocol_error { detail; _ }; _ }) ->
+      if not (String.starts_with ~prefix:"alltoall: expected" detail) then
+        Alcotest.failf "detail %S" detail
+  | Error e ->
+      Alcotest.failf "expected a protocol error, got %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "a short block went unnoticed"
+
 let suite =
   [
     t "broadcast (all roots)" test_bcast;
@@ -741,4 +852,10 @@ let suite =
       test_allgatherv_group_alternating;
     t "group allgathers are exact under reliable delivery"
       test_allgatherv_group_reliable;
+    t "group all-to-alls transpose among their members alone"
+      test_alltoall_group;
+    t "group all-to-alls are exact under reliable delivery"
+      test_alltoall_group_reliable;
+    t "a short all-to-all block is a protocol error"
+      test_alltoall_short_block;
   ]

@@ -309,6 +309,41 @@ let test_tc_group_messages () =
   Alcotest.(check int) "messages" expected r.Sim.messages;
   Alcotest.(check int) "messages left queued" 0 r.Sim.queued
 
+(* CG at scale 25 (n = 512) on the fat-tree at P = 512 and 1024: the
+   51 products [A * p] and [A * x] gather their vector among the n row
+   owners (n ceil(log2 n) messages each), the 102 dot products and the
+   norm are allreduces over all P ranks (log2 P rounds of P messages),
+   and the transpose in [A + A'] has one row per owner, so its n owners
+   trade in a Bruck all-to-all (n ceil(log2 n) messages).  Nothing
+   else sends, and nothing is left queued. *)
+let test_cg_alltoall_messages () =
+  let app = Option.get (Apps.Scripts.find "cg") in
+  let n = 512 in
+  let log2 x =
+    let k = ref 0 in
+    while 1 lsl !k < x do
+      incr k
+    done;
+    !k
+  in
+  List.iter
+    (fun (p, closed) ->
+      let expected =
+        (51 * n * log2 n) + (102 * p * log2 p) + (n * log2 n)
+      in
+      Alcotest.(check int) (Printf.sprintf "P=%d: closed form" p) closed expected;
+      let cfg = Otter.config ~machine:Machine.fattree_default ~nprocs:p () in
+      let r =
+        (Otter.outcome_exn (Otter.run cfg (Otter.compile (app.source 25))))
+          .Exec.State.report
+      in
+      Alcotest.(check int) (Printf.sprintf "P=%d: messages" p) expected
+        r.Sim.messages;
+      Alcotest.(check int)
+        (Printf.sprintf "P=%d: messages left queued" p)
+        0 r.Sim.queued)
+    [ (1024, 1_284_096); (512, 709_632) ]
+
 (* --- the dispatch-count pin ------------------------------------------------ *)
 
 (* [Exec.State.dispatched] after one O2 run on the Meiko at P=4, summed
@@ -582,4 +617,6 @@ let suite =
       t "matches speedup baseline: logistic" (speedup_pinned "logistic");
       t "tc's messages at P = 1024 are the group gather's closed form"
         test_tc_group_messages;
+      t "cg's messages at P = 512 and 1024 are the all-to-all's closed form"
+        test_cg_alltoall_messages;
     ]
