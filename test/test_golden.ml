@@ -10,7 +10,7 @@
 let t name f = Alcotest.test_case name `Quick f
 let golden_file = "test/golden/app_digests.txt"
 let scale = 50
-let procs = [ 1; 4; 16 ]
+let procs = [ 1; 3; 4; 7; 16 ]
 
 (* The bits of a float, in hex, so NaN payloads and -0 count. *)
 let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
