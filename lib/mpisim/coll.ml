@@ -2,16 +2,12 @@
    cost emerges from the machine's link model.  Every member of a
    collective's group calls it in the same order, and a rank outside
    the group counts the call (the compiled programs are loosely
-   synchronous, which guarantees this).  Every collective but the
-   allgather and the all-to-all spans all ranks; those two may run over
-   a [group] of them.
+   synchronous, which guarantees this).  The allgather and the
+   all-to-all take a [group]; every other collective spans all ranks.
 
-   Broadcast and reduce use binomial trees (log P rounds); allgather
-   uses a ring (P-1 rounds of neighbour exchange), which was the
-   standard implementation on mid-90s MPI stacks, up to [ring_max]
-   ranks and a Bruck-style doubling schedule beyond.  The all-to-all is
-   Bruck's index algorithm (log P rounds), for groups whose blocks are
-   so small that only the message count matters.
+   Each algorithm is a schedule, a pure function from group size,
+   position and block sizes to rounds ([Sched], which describes each
+   one), and one runner, [run], executes them all.
 
    All point-to-point traffic is routed through [Reliable], which is a
    transparent pass-through to [Sim] unless the machine requests the
@@ -24,10 +20,10 @@
    but the allgather returns an array its caller owns and may write --
    never one that was sent or received -- so the copies this costs are
    made once per collective, at the few sites below that hand a shared
-   array back.  The allgather's result is read-only: the doubling
-   schedule sends windows of it, which a peer may still read after
-   this rank has returned, and on a fault-free machine every rank of
-   one call shares it (see [allgatherv_group]). *)
+   array back.  The allgather's result is read-only: its rounds send
+   windows of it, which a peer may still read after this rank has
+   returned, and on a fault-free machine every rank of one call shares
+   it (see [allgatherv_group]). *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
@@ -46,235 +42,213 @@ let apply_op op a b =
   | Lor -> if a <> 0. || b <> 0. then 1. else 0.
 
 let tag_bcast = 1001
-let tag_reduce = 1002
 let tag_gather = 1003
 let tag_ring = 1004
+let tag_scan = 1005
 let tag_allreduce = 1006
+let tag_alltoall = 1007
 
-(* Element-wise combine into a fresh array, [left] on the left,
-   accounting one flop per element.  Fresh, because either operand may
-   be a sent or received array that must not be written. *)
-let combine op (left : float array) (right : float array) =
-  let n = Array.length left in
-  let out = Array.create_float n in
-  for i = 0 to n - 1 do
-    out.(i) <- apply_op op left.(i) right.(i)
-  done;
-  Sim.flops (float_of_int n);
-  out
-
-(* Relative-rank helpers: the tree collectives rotate ranks so the
-   root sits at relative rank 0. *)
-let rel_of ~root me p = (me - root + p) mod p
-let abs_of ~root rel p = (rel + root) mod p
-
-(* The binomial-tree schedule shared by [bcast] and [reduce]: for
-   relative rank [rel] among [p] ranks, the in-range child partners
-   (at [rel + mask] for every power-of-two mask below the first set
-   bit of [rel]) in ascending mask order, and the parent partner (at
-   [rel - first_set_bit rel]; [None] for the root).  The two
-   collectives walk the same tree in opposite directions: bcast
-   receives from the parent and then feeds the children, reduce
-   drains the children and then reports to the parent. *)
-let tree_schedule p rel =
-  let children = ref [] and parent = ref None in
-  let mask = ref 1 in
-  while !mask < p && !parent = None do
-    if rel land !mask <> 0 then parent := Some (rel - !mask)
-    else begin
-      let c = rel + !mask in
-      if c < p then children := c :: !children
-    end;
-    mask := !mask * 2
-  done;
-  (List.rev !children, !parent)
-
-(* Linear broadcast: the root sends to every rank directly.  Used
-   outright when P <= 2 -- the tree degenerates to the same single
-   message without the mask bookkeeping -- and kept as the ablation
-   baseline for the binomial tree (O(P) root serial time instead of
-   O(log P) rounds).  The root ships one copy of [data] to everyone;
-   every receiver copies that shared array into its result. *)
-let bcast_linear ~root (data : float array) : float array =
-  let p = Sim.size () in
-  let me = Sim.rank () in
-  if p = 1 then data
-  else if me = root then begin
-    let shared = Sim.Floats (Array.copy data) in
-    for dst = 0 to p - 1 do
-      if dst <> root then Reliable.send ~dst ~tag:tag_bcast shared
-    done;
-    data
-  end
-  else Array.copy (Reliable.recv_floats ~src:root ~tag:tag_bcast)
-
-(* Binomial-tree broadcast of a float array rooted at [root].
-   Children are fed in descending-mask order, largest subtree first.
-   One array travels the whole tree: the root copies [data] once, each
-   rank forwards what it received unchanged and keeps a copy. *)
-let bcast ~root (data : float array) : float array =
-  let p = Sim.size () in
-  if p <= 2 then bcast_linear ~root data
-  else begin
-    let me = Sim.rank () in
-    let rel = rel_of ~root me p in
-    let children, parent = tree_schedule p rel in
-    let result, shared =
-      match parent with
-      | None -> (data, Array.copy data)
-      | Some prel ->
-          let buf =
-            Reliable.recv_floats ~src:(abs_of ~root prel p) ~tag:tag_bcast
-          in
-          (Array.copy buf, buf)
-    in
-    List.iter
-      (fun crel ->
-        Reliable.send ~dst:(abs_of ~root crel p) ~tag:tag_bcast
-          (Sim.Floats shared))
-      (List.rev children);
-    result
-  end
-
-(* Binomial-tree reduction to [root]; every rank contributes [data],
-   the root's return value holds the element-wise combination.  Other
-   ranks get their partial result (callers use allreduce when everyone
-   needs the answer). *)
-let reduce ~root ~op (data : float array) : float array =
-  let p = Sim.size () in
-  if p = 1 then data
-  else begin
-    let me = Sim.rank () in
-    let rel = rel_of ~root me p in
-    let children, parent = tree_schedule p rel in
-    let acc =
-      List.fold_left
-        (fun acc crel ->
-          combine op acc
-            (Reliable.recv_floats ~src:(abs_of ~root crel p) ~tag:tag_reduce))
-        data children
-    in
-    match parent with
-    | None -> acc
-    | Some prel ->
-        (* the parent reads what we send; the caller keeps its own copy *)
-        Reliable.send ~dst:(abs_of ~root prel p) ~tag:tag_reduce
-          (Sim.Floats (Array.copy acc));
-        acc
-  end
-
-(* Recursive-doubling allreduce: every rank ends with the element-wise
-   combination in log P rounds of pairwise exchange, instead of the
-   2 log P rounds of reduce-then-broadcast.  The combination order is
-   fixed by rank -- lower-rank data always goes on the left -- so every
-   rank produces a bit-identical result (required by the loosely
-   synchronous model, where the value often steers replicated control
-   flow) with the same bracketing as the binomial reduce tree.  Each
-   round is one [Reliable.sendrecv] with the partner.
-   Non-power-of-two sizes fold the surplus onto the power-of-two core
-   first (the lowest [2*(P - 2^k)] ranks pair up, evens passing their
-   contribution to their odd neighbour) and hand the surplus ranks the
-   finished result afterwards.  [acc] starts as a copy of [data] (never
-   send the caller's array) and every combine makes a fresh one, so an
-   array is never written once sent; the finished result is copied
-   once more for a surplus rank, whose partner keeps the original. *)
-let allreduce ~op (data : float array) : float array =
-  let p = Sim.size () in
-  if p = 1 then Array.copy data
-  else begin
-    let me = Sim.rank () in
-    let pof2 = ref 1 in
-    while !pof2 * 2 <= p do
-      pof2 := !pof2 * 2
-    done;
-    let pof2 = !pof2 in
-    let rem = p - pof2 in
-    let acc = ref (Array.copy data) in
-    let newrank =
-      if me < 2 * rem then
-        if me land 1 = 0 then begin
-          Reliable.send ~dst:(me + 1) ~tag:tag_allreduce (Sim.Floats !acc);
-          -1
-        end
-        else begin
-          let other = Reliable.recv_floats ~src:(me - 1) ~tag:tag_allreduce in
-          (* the sender is the lower rank: its data goes on the left *)
-          acc := combine op other !acc;
-          me / 2
-        end
-      else me - rem
-    in
-    (if newrank >= 0 then
-       let real r = if r < rem then (2 * r) + 1 else r + rem in
-       let mask = ref 1 in
-       while !mask < pof2 do
-         let partner = real (newrank lxor !mask) in
-         let other =
-           Reliable.sendrecv_floats ~dst:partner ~tag:tag_allreduce
-             (Sim.Floats !acc) ~src:partner
-         in
-         acc :=
-           if newrank land !mask <> 0 then
-             (* the partner's block sits to our left *)
-             combine op other !acc
-           else combine op !acc other;
-         mask := !mask * 2
-       done);
-    if me < 2 * rem then
-      if me land 1 = 0 then
-        acc := Reliable.recv_floats ~src:(me + 1) ~tag:tag_allreduce
-      else
-        Reliable.send ~dst:(me - 1) ~tag:tag_allreduce
-          (Sim.Floats (Array.copy !acc));
-    !acc
-  end
-
-let barrier () = ignore (allreduce ~op:Sum [| 0. |])
-
-let protocol_error ~src ~tag detail =
-  raise (Sim.Protocol_error { rank = Sim.rank (); src; tag; detail })
+(* A collective's group: [size] members at positions [0, size), the
+   member at position [g] being rank [rank g], and the running rank at
+   position [pos] (-1: outside).  Every member calls the group's
+   collectives in the same order; a rank outside calls them too, and
+   only counts the call (see [allgatherv_group]).  Schedules speak
+   positions, and [run] sends to and receives from [rank] of them; the
+   all-ranks communicator is the identity group. *)
+type group = { size : int; pos : int; rank : int -> int }
 
 (* Without reliable delivery a dropped message lets the channel hand
    over a later round's block instead, which must fail as a protocol
    error rather than be copied into the wrong place. *)
 let check_length ~what ~src ~tag n got =
   if got <> n then
-    protocol_error ~src ~tag
+    Reliable.protocol_error ~src ~tag
       (Printf.sprintf "%s: expected %d floats, received %d" what n got)
 
-(* A received block whose length the schedule knows. *)
-let checked_block ~what ~src ~tag n a =
-  check_length ~what ~src ~tag n (Array.length a);
+(* The one place a collective touches the network: send [out] to rank
+   [dst] and receive from rank [src] (-1: neither), as one
+   [Reliable.sendrecv] when both.  Returns what was received. *)
+let exchange ~tag ~dst out ~src =
+  if src < 0 then begin
+    if dst >= 0 then Reliable.send ~dst ~tag out;
+    out
+  end
+  else if dst < 0 then Reliable.recv ~src ~tag
+  else Reliable.sendrecv ~dst ~tag out ~src
+
+(* A received block as a float array of [m] floats (any length when
+   [m] is negative). *)
+let block ~what ~tag ~src m got =
+  let a = Reliable.floats ~src ~tag got in
+  if m >= 0 then check_length ~what ~src ~tag m (Array.length a);
   a
 
 let recv_block ~what ~src ~tag n =
-  checked_block ~what ~src ~tag n (Reliable.recv_floats ~src ~tag)
+  block ~what ~tag ~src n (exchange ~tag ~dst:(-1) (Sim.Floats [||]) ~src)
 
-(* Gather variable-sized blocks to [root]; the root receives blocks in
-   rank order and returns the concatenation, other ranks return [||]. *)
-let gatherv ~root ~counts (local : float array) : float array =
-  let p = Sim.size () in
-  let me = Sim.rank () in
-  if p = 1 then Array.copy local
-  else if me = root then begin
-    let total = Array.fold_left ( + ) 0 counts in
-    let out = Array.make total 0. in
-    let off = ref 0 in
-    for r = 0 to p - 1 do
-      let block =
-        if r = root then local
-        else recv_block ~what:"gather" ~src:r ~tag:tag_gather counts.(r)
+(* What a round sends of [buf]: the array itself, a window of it (the
+   blocks it covers are complete and no later round writes them, so
+   the receiver may read it whenever it gets there), or a packed copy
+   of Bruck's runs, which later rounds overwrite. *)
+let payload buf span =
+  let n = Array.length buf in
+  match span with
+  | Sched.All | Sched.Any -> Sim.Floats buf
+  | Sched.Window (off, len) ->
+      let l1 = min len (n - off) in
+      Sim.Window (buf, off, l1, len - l1)
+  | Sched.Runs r ->
+      let out = Array.create_float (Sched.length n span) and at = ref 0 in
+      Sched.iter_runs n r (fun s len ->
+          Array.blit buf s out !at len;
+          at := !at + len);
+      Sim.Floats out
+
+(* Element-wise combine into a fresh array, the received block [b] on
+   the [left] or right, accounting one flop per element.  Fresh,
+   because either operand may be a sent or received array that must
+   not be written. *)
+let combine op ~left (acc : float array) (b : float array) =
+  let n = Array.length acc and one = Array.length b = 1 in
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    let x = b.(if one then 0 else i) in
+    out.(i) <- (if left then apply_op op x acc.(i) else apply_op op acc.(i) x)
+  done;
+  Sim.flops (float_of_int n);
+  out
+
+(* Copy the [m] floats received as [a.(off .. off+m1-1)] then
+   [a.(0 .. m-m1-1)] to [out]'s spans [dst, dst + l1) and [0, m - l1),
+   unless [out] is [shared] (its blocks' owners have written them
+   already): at most three blits. *)
+let place_spans ~shared ~out ~dst l1 a off m1 m =
+  if not shared then begin
+    let i = ref 0 in
+    while !i < m do
+      (* the longest run from float [!i] on that is contiguous on both
+         sides *)
+      let s, s_run =
+        if !i < m1 then (off + !i, m1 - !i) else (!i - m1, m - !i)
       in
-      Array.blit block 0 out !off counts.(r);
-      off := !off + counts.(r)
+      let d, d_run =
+        if !i < l1 then (dst + !i, l1 - !i) else (!i - l1, m - !i)
+      in
+      let len = min s_run d_run in
+      Array.blit a s out d len;
+      i := !i + len
+    done
+  end
+
+(* Place a received block into [span] of [buf].  A window arrives as
+   sent, or, under reliable delivery, as the flattened [Floats] of one;
+   either way its floats come in order from at most two source spans. *)
+let place ~what ~tag ~src ~shared buf span got =
+  let n = Array.length buf in
+  let m = Sched.length n span in
+  match span with
+  | Sched.Runs r ->
+      let a = block ~what ~tag ~src m got and at = ref 0 in
+      Sched.iter_runs n r (fun s len ->
+          Array.blit a !at buf s len;
+          at := !at + len)
+  | _ -> (
+      let dst = match span with Sched.Window (off, _) -> off | _ -> 0 in
+      let l1 = min m (n - dst) in
+      match got with
+      | Sim.Window (a, off, m1, m2) ->
+          check_length ~what ~src ~tag m (m1 + m2);
+          place_spans ~shared ~out:buf ~dst l1 a off m1 m
+      | got ->
+          let a = block ~what ~tag ~src m got in
+          place_spans ~shared ~out:buf ~dst l1 a 0 m m)
+
+(* The runner's state, one per call: how positions map to ranks, what
+   to name in a protocol error, and the working array. *)
+type state = {
+  rank : int -> int;
+  what : string;
+  tag : int;
+  op : op;
+  shared : bool;  (* skip the copies of [Place] (see [allgatherv_group]) *)
+  mutable buf : float array;
+  mutable owned : bool;  (* [buf] was neither sent nor received *)
+}
+
+let state ?(rank = Fun.id) ?(op = Sum) ?(shared = false) ~what ~tag buf =
+  { rank; what; tag; op; shared; buf; owned = true }
+
+(* The one runner, which every schedule calls once per round: map the
+   round's peers from positions to ranks, send its span, receive and
+   length-check a block, and forward, combine or place it.  A combine
+   makes a fresh array, so nothing sent is ever written. *)
+let run st ~dst ~send ~src ~recv step =
+  let what = st.what and tag = st.tag in
+  let dst = if dst < 0 then -1 else st.rank dst
+  and src = if src < 0 then -1 else st.rank src in
+  let m =
+    match recv with
+    | Sched.Any -> -1
+    | span -> Sched.length (Array.length st.buf) span
+  in
+  let out = if dst < 0 then Sim.Floats [||] else payload st.buf send in
+  if dst >= 0 then st.owned <- false;
+  let got = exchange ~tag ~dst out ~src in
+  if src >= 0 then
+    match step with
+    | Sched.Place -> place ~what ~tag ~src ~shared:st.shared st.buf recv got
+    | Sched.Forward ->
+        st.buf <- block ~what ~tag ~src m got;
+        st.owned <- false
+    | Sched.Combine left ->
+        st.buf <- combine st.op ~left st.buf (block ~what ~tag ~src m got);
+        st.owned <- true
+
+(* The final working array, copied if it was sent or received, so the
+   caller may write it. *)
+let result st = if st.owned then st.buf else Array.copy st.buf
+
+(* Broadcast: the root copies [data] once and that one array travels
+   the whole tree; every receiver keeps a copy of what it forwards. *)
+let bcast_on sched ~root (data : float array) : float array =
+  let me = Sim.rank () in
+  let init = if me = root then Array.copy data else [||] in
+  let st = state ~what:"bcast" ~tag:tag_bcast init in
+  sched ~root (Sim.size ()) me run st;
+  if me = root then data else result st
+
+let bcast ~root data = bcast_on Sched.tree ~root data
+let bcast_linear ~root data = bcast_on Sched.flat ~root data
+
+(* Every rank combines in the schedule's order -- lower positions on
+   the left -- so every rank's result is bit-identical (required by the
+   loosely synchronous model, where the value often steers replicated
+   control flow).  The working array starts as a copy of [data]: never
+   send the caller's array. *)
+let allreduce ~op (data : float array) : float array =
+  let st = state ~op ~what:"allreduce" ~tag:tag_allreduce (Array.copy data) in
+  Sched.allreduce (Sim.size ()) (Sim.rank ()) run st;
+  result st
+
+(* Gather variable-sized blocks to [root]; the root returns the
+   concatenation, other ranks return [||] after sending a copy of
+   [local], the caller's live block. *)
+let gatherv ~root ~counts (local : float array) : float array =
+  let p = Sim.size () and me = Sim.rank () in
+  let buf =
+    if me <> root then Array.copy local
+    else Array.make (Array.fold_left ( + ) 0 counts) 0.
+  in
+  if me = root then begin
+    let at = ref 0 in
+    for r = 0 to root - 1 do
+      at := !at + counts.(r)
     done;
-    out
-  end
-  else begin
-    (* [local] is the caller's live block: ship a copy *)
-    Reliable.send ~dst:root ~tag:tag_gather (Sim.Floats (Array.copy local));
-    [||]
-  end
+    Array.blit local 0 buf !at counts.(root)
+  end;
+  let st = state ~what:"gather" ~tag:tag_gather buf in
+  Sched.gather ~root p me ~counts run st;
+  if me = root then buf else [||]
 
 (* Above this size the ring allgather's P-1 rounds (P(P-1) messages
    total) dominate a large run, so allgatherv switches to a Bruck-style
@@ -283,119 +257,20 @@ let gatherv ~root ~counts (local : float array) : float array =
    at P = 128 to 1024 run the doubling schedule and pin it. *)
 let ring_max = 64
 
-(* The blocks [b, b + n) (mod p) of a gathered array whose block [r]
-   starts at [offset r] occupy one span, [offset b, offset (b + n)), or
-   two when the window wraps past rank p-1: [offset b, offset p) and
-   [0, offset (b + n - p)).  [first_span] and [second_span] are the two
-   lengths (two functions, not one returning a pair, which would
-   allocate the pair twice per round). *)
-let first_span ~offset p b n =
-  if b + n <= p then offset (b + n) - offset b else offset p - offset b
-
-let second_span ~offset p b n = if b + n <= p then 0 else offset (b + n - p)
-
-(* Place the [m] floats received as [a.(off .. off+m1-1)] then
-   [a.(0 .. m-m1-1)]: see [place_window]. *)
-let place_spans ~shared ~src ~tag ~out ~dst l1 l2 a off m1 m =
-  let n = l1 + l2 in
-  check_length ~what:"allgather" ~src ~tag n m;
-  if not shared then begin
-    let i = ref 0 in
-    while !i < n do
-      (* the longest run from float [!i] on that is contiguous on both
-         sides *)
-      let s, s_run =
-        if !i < m1 then (off + !i, m1 - !i) else (!i - m1, n - !i)
-      in
-      let d, d_run =
-        if !i < l1 then (dst + !i, l1 - !i) else (!i - l1, n - !i)
-      in
-      let len = min s_run d_run in
-      Array.blit a s out d len;
-      i := !i + len
-    done
-  end
-
-(* Take a received window of the [l1 + l2] floats that belong at
-   [out]'s spans [dst, dst + l1) and [0, l2), and copy it there unless
-   [out] is [shared] (its blocks' owners have written them already).
-   The sender ships a [Sim.Window] of its own gathered array, or, under
-   reliable delivery, the flattened [Floats] of one; either way the
-   floats come in order from at most two source spans, so at most
-   three blits place them. *)
-let place_window ~shared ~src ~tag ~out ~dst l1 l2 received =
-  match received with
-  | Sim.Window (a, off, m1, m2) ->
-      place_spans ~shared ~src ~tag ~out ~dst l1 l2 a off m1 (m1 + m2)
-  | Sim.Floats a ->
-      place_spans ~shared ~src ~tag ~out ~dst l1 l2 a 0 (Array.length a)
-        (Array.length a)
-  | Sim.Ints _ ->
-      protocol_error ~src ~tag "expected a float payload, received integers"
-
-(* A collective's group: [size] members at positions [0, size), the
-   member at position [g] being rank [rank g], and the running rank at
-   position [pos] (-1: outside).  Every member calls the group's
-   collectives in the same order; a rank outside calls them too, and
-   only counts the call (see [allgatherv_group]).  The schedules below
-   speak positions, and send to and receive from [rank] of them; the
-   all-ranks communicator is the identity group. *)
-type group = { size : int; pos : int; rank : int -> int }
-
-(* Bruck-style doubling allgather: after round k every member holds
-   the window of min(2^k, p) consecutive blocks (mod p) starting at its
-   own.  Each round it sends its leading blocks one window to the left
-   and receives the same-shaped extension from one window to the right
-   (one [Reliable.sendrecv]), so the window doubles until it wraps:
-   ceil(log2 p) rounds, one send and one receive per member per round.
-   Offsets are globally known, so the windows are deterministic.  A
-   member sends a [Sim.Window] of [out] itself, not a packed copy: the
-   blocks it covers are complete before the send, and every later
-   round writes only blocks outside it, so the receiver may read it
-   whenever it gets there.  Every member sends before it receives and
-   sends are eager, so the schedule cannot deadlock. *)
-let allgatherv_doubling g ~shared ~offset ~(out : float array) =
-  let p = g.size and me = g.pos in
-  let w = ref 1 in
-  while !w < p do
-    let nblocks = min !w (p - !w) in
-    let dst = (me - !w + p) mod p and src = (me + !w) mod p in
-    let window =
-      Sim.Window
-        ( out,
-          offset me,
-          first_span ~offset p me nblocks,
-          second_span ~offset p me nblocks )
-    in
-    let src_rank = g.rank src in
-    let received =
-      Reliable.sendrecv ~dst:(g.rank dst) ~tag:tag_ring window ~src:src_rank
-    in
-    place_window ~shared ~src:src_rank ~tag:tag_ring ~out ~dst:(offset src)
-      (first_span ~offset p src nblocks)
-      (second_span ~offset p src nblocks)
-      received;
-    w := !w + nblocks
-  done
-
 (* Allgather of variable-sized blocks over group [g]: every member ends
    with the concatenation of all members' blocks in position order,
-   block [i] at [offset i] ([offset g.size] is the total).  Ring
-   exchange (size-1 rounds of neighbour traffic, the standard mid-90s
-   implementation) up to [ring_max] members, doubling beyond.  The
-   result is read-only (see the header): the doubling rounds' peers
-   read windows of it, and on a fault-free machine it is one array
-   shared by every member.
+   block [i] at [offset i] ([offset g.size] is the total).  Every round
+   sends a window of the gathered array itself.
 
-   That sharing ([Sim.gather_buffer]) leaves the modeled run as it
-   was: every message is still sent, received, length-checked and
-   priced.  Each member writes its own block into the shared array on
-   entry, before its first send, and a block reaches any member only
-   in a message sent after its owner wrote it, so when a member
-   returns, every block is in place; the receivers only skip the
-   copies.  A private array, filled from the messages, is what a
-   member gets under a fault model, where a lost or duplicated message
-   must show in the data.
+   On a fault-free machine that array is one shared by every member
+   ([Sim.gather_buffer]), which leaves the modeled run as it was: every
+   message is still sent, received, length-checked and priced.  Each
+   member writes its own block into the shared array on entry, before
+   its first send, and a block reaches any member only in a message
+   sent after its owner wrote it, so when a member returns, every block
+   is in place; the receivers only skip the copies.  A private array,
+   filled from the messages, is what a member gets under a fault model,
+   where a lost or duplicated message must show in the data.
 
    A rank outside the group sends and receives nothing and returns
    [[||]], but it still takes its handle on the shared array: the
@@ -416,43 +291,19 @@ let allgatherv_group g ~offset (local : float array) : float array =
       | None -> (Array.create_float (offset p), false)
     in
     Array.blit local 0 out (offset me) (Array.length local);
-    if p > ring_max then allgatherv_doubling g ~shared ~offset ~out
-    else begin
-      let right = g.rank ((me + 1) mod p)
-      and left = g.rank ((me - 1 + p) mod p) in
-      (* At step s we forward the block of position (me - s + p) mod p,
-         in one [Reliable.sendrecv]. *)
-      let current = ref (Array.copy local) in
-      for s = 1 to p - 1 do
-        let owner = (me - s + p) mod p in
-        let n = offset (owner + 1) - offset owner in
-        let incoming =
-          checked_block ~what:"allgather" ~src:left ~tag:tag_ring n
-            (Reliable.sendrecv_floats ~dst:right ~tag:tag_ring
-               (Sim.Floats !current) ~src:left)
-        in
-        if not shared then Array.blit incoming 0 out (offset owner) n;
-        current := incoming
-      done
-    end;
+    let st = state ~rank:g.rank ~shared ~what:"allgather" ~tag:tag_ring out in
+    (if p > ring_max then Sched.bruck else Sched.ring) p me ~offset run st;
     out
   end
-
-let tag_alltoall = 1007
 
 (* Bruck index all-to-all among group [g]: every member holds [g.size]
    blocks of [block] floats, block [j] bound for position [j], and
    returns the blocks bound for it, block [i] from position [i].  A
    member first rotates its blocks so that slot [s] holds the one bound
-   for position [pos + s]; in round k it sends the slots whose index has
-   bit k set to position [pos + 2^k] and receives the same slots from
-   position [pos - 2^k] (one [Reliable.sendrecv]).  A block in slot [s]
-   thus travels [s] positions in ceil(log2 size) rounds, and afterwards
-   slot [s] holds the block from position [pos - s], which the inverse
-   rotation puts in its place.  Each round packs a fresh buffer and
-   copies what it receives into the slots, so nothing sent or received
-   is written; a member's work per round is O(size).  A rank outside
-   the group returns [[||]] at once: nothing is shared, so it need not
+   for position [pos + s]; after the rounds slot [s] holds the block
+   from position [pos - s], which the inverse rotation puts in its
+   place.  A member's work per round is O(size).  A rank outside the
+   group returns [[||]] at once: nothing is shared, so it need not
    count the call. *)
 let alltoall_group g ~block (data : float array) : float array =
   let p = g.size and me = g.pos in
@@ -463,34 +314,8 @@ let alltoall_group g ~block (data : float array) : float array =
     let slots = Array.create_float (p * block) in
     Array.blit data (me * block) slots 0 ((p - me) * block);
     Array.blit data 0 slots ((p - me) * block) (me * block);
-    (* the slots with bit [k] set run [k, 2k), [3k, 4k), ... *)
-    let iter_runs k f =
-      let s = ref k in
-      while !s < p do
-        f !s (min k (p - !s));
-        s := !s + (2 * k)
-      done
-    in
-    let k = ref 1 in
-    while !k < p do
-      let n = (p / (2 * !k) * !k) + max 0 ((p mod (2 * !k)) - !k) in
-      let buf = Array.create_float (n * block) in
-      let off = ref 0 in
-      iter_runs !k (fun s len ->
-          Array.blit slots (s * block) buf !off (len * block);
-          off := !off + (len * block));
-      let dst = g.rank ((me + !k) mod p) and src = g.rank ((me - !k + p) mod p) in
-      let got =
-        checked_block ~what:"alltoall" ~src ~tag:tag_alltoall (n * block)
-          (Reliable.sendrecv_floats ~dst ~tag:tag_alltoall (Sim.Floats buf)
-             ~src)
-      in
-      let off = ref 0 in
-      iter_runs !k (fun s len ->
-          Array.blit got !off slots (s * block) (len * block);
-          off := !off + (len * block));
-      k := 2 * !k
-    done;
+    Sched.index p me ~block run
+      (state ~rank:g.rank ~what:"alltoall" ~tag:tag_alltoall slots);
     let out = Array.create_float (p * block) in
     for s = 0 to p - 1 do
       Array.blit slots (s * block) out ((me - s + p) mod p * block) block
@@ -499,38 +324,20 @@ let alltoall_group g ~block (data : float array) : float array =
   end
 
 let allgatherv_offset ~offset local =
-  allgatherv_group
-    { size = Sim.size (); pos = Sim.rank (); rank = Fun.id }
-    ~offset local
+  let world = { size = Sim.size (); pos = Sim.rank (); rank = Fun.id } in
+  allgatherv_group world ~offset local
 
 let allgatherv ~counts local =
   let offsets = Array.make (Array.length counts + 1) 0 in
   Array.iteri (fun r c -> offsets.(r + 1) <- offsets.(r) + c) counts;
   allgatherv_offset ~offset:(Array.get offsets) local
 
-let tag_scan = 1005
-
-(* Exclusive prefix scan of one scalar per rank (recursive doubling,
-   log P rounds): rank r returns the op-fold of ranks 0..r-1's values
-   ([identity] on rank 0).  Each round carries the running *inclusive*
-   value so prefixes compose associatively. *)
+(* Exclusive prefix scan of one scalar per rank: rank r returns the
+   op-fold of ranks 0..r-1's values ([identity] on rank 0). *)
 let exscan ~op ~identity (x : float) : float =
-  let p = Sim.size () in
-  let me = Sim.rank () in
-  let excl = ref identity and incl = ref x in
-  let d = ref 1 in
-  while !d < p do
-    if me + !d < p then
-      Reliable.send ~dst:(me + !d) ~tag:tag_scan (Sim.Floats [| !incl |]);
-    if me - !d >= 0 then begin
-      let below = recv_block ~what:"exscan" ~src:(me - !d) ~tag:tag_scan 1 in
-      excl := apply_op op below.(0) !excl;
-      incl := apply_op op below.(0) !incl;
-      Sim.flops 2.
-    end;
-    d := !d * 2
-  done;
-  !excl
+  let st = state ~op ~what:"exscan" ~tag:tag_scan [| identity; x |] in
+  Sched.scan (Sim.size ()) (Sim.rank ()) run st;
+  st.buf.(0)
 
 (* Scalar conveniences used by the run-time library. *)
 let allreduce_scalar ~op x =

@@ -1,26 +1,25 @@
 (** Collective operations built from point-to-point messages, so their
-    cost emerges from the machine's link model.  Every member of a
-    collective's group calls it in the same order; a rank outside an
-    allgather's group counts the call.  Only {!allgatherv_group} and
-    {!alltoall_group} take a group: every other collective spans all
-    ranks.  None sends its caller's argument.  Each returns an array
-    its caller owns and may write, except {!allgatherv_offset} and
-    {!allgatherv}: their result is read-only at every P, because other
-    ranks may read windows of it after the call returns, and on a
-    machine without a fault model every rank of one call gets the same
-    array. *)
+    cost emerges from the machine's link model.  Each algorithm is a
+    schedule of rounds ({!Sched}), and one runner executes them all.
+    Every member of a collective's group calls it in the same order; a
+    rank outside an allgather's group counts the call.  Only
+    {!allgatherv_group} and {!alltoall_group} take a group: every other
+    collective spans all ranks.  None sends its caller's argument.
+    Each returns an array its caller owns and may write, except
+    {!allgatherv_offset} and {!allgatherv}: their result is read-only
+    at every P, because other ranks may read windows of it after the
+    call returns, and on a machine without a fault model every rank of
+    one call gets the same array. *)
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
 val bcast : root:int -> float array -> float array
-(** Binomial-tree broadcast; every rank returns the root's data.
-    Degenerates to {!bcast_linear} when P <= 2. *)
+(** Binomial-tree broadcast ({!Sched.tree}); every rank returns the
+    root's data. *)
 
 val bcast_linear : root:int -> float array -> float array
-(** Root sends to each rank directly; the ablation baseline. *)
-
-val reduce : root:int -> op:op -> float array -> float array
-(** Binomial-tree reduction; meaningful on the root only. *)
+(** Flat-tree broadcast ({!Sched.flat}): the root sends to each rank
+    directly; the ablation baseline. *)
 
 val allreduce : op:op -> float array -> float array
 (** Recursive-doubling allreduce (log P rounds of pairwise exchange).
@@ -29,7 +28,6 @@ val allreduce : op:op -> float array -> float array
 
 val allreduce_scalar : op:op -> float -> float
 val bcast_scalar : root:int -> float -> float
-val barrier : unit -> unit
 
 val vote : bool -> bool
 (** One-bit agreement (logical-or allreduce): every rank returns [true]
@@ -86,24 +84,20 @@ val alltoall_group : group -> block:int -> float array -> float array
     no buffer is shared, so it need not call at all. *)
 
 val allgatherv_offset : offset:(int -> int) -> float array -> float array
-(** Allgather over {!world}: every rank returns the full
-    concatenation, rank [r]'s block at [offset r] ([offset p] is the
-    total length).  Ring exchange (P-1 neighbour rounds) up to 64
-    ranks; a Bruck-style doubling schedule (O(P log P) messages)
-    beyond, so large-P runs are not quadratic in messages.  Each doubling round sends a
-    {!Sim.Window} of the gathered array itself, so a rank's work per
-    round does not grow with P and no round copies what it sends.
-    The result is therefore read-only at every P: a peer may read a
-    window of it after this rank has returned, and a caller that
-    writes must copy it first.  On a machine without a fault model
-    it is read-only across ranks as well, not just across rounds:
-    every rank's result of one call is the same physical array
-    ({!Sim.gather_buffer}), into which each rank writes only its own
-    block; the messages, and so every modeled figure, are those of a
-    private result.  Under a fault model each rank gets a private
-    array filled from the messages.  Taking offsets as a function
-    lets a block layout pass its [Dist.low] arithmetic instead of
-    building P-length arrays on every call. *)
+(** {!allgatherv_group} over all ranks, rank [r] at position [r]: every
+    rank returns the full concatenation, rank [r]'s block at [offset r]
+    ([offset p] is the total length).  Every round sends a {!Sim.Window}
+    of the gathered array itself, so no round copies what it sends, and
+    the result is read-only at every P: a peer may read a window of it
+    after this rank has returned, and a caller that writes must copy it
+    first.  On a machine without a fault model every rank's result of
+    one call is the same physical array ({!Sim.gather_buffer}), into
+    which each rank writes only its own block; the messages, and so
+    every modeled figure, are those of a private result.  Under a fault
+    model each rank gets a private array filled from the messages.
+    Taking offsets as a function lets a block layout pass its
+    [Dist.low] arithmetic instead of building P-length arrays on every
+    call. *)
 
 val allgatherv : counts:int array -> float array -> float array
 (** {!allgatherv_offset} with the offsets the prefix sums of [counts];

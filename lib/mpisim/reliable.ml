@@ -184,9 +184,6 @@ let floats ~src ~tag = function
 
 let recv_floats ~src ~tag = floats ~src ~tag (recv ~src ~tag)
 
-let sendrecv_floats ~dst ~tag data ~src =
-  floats ~src ~tag (sendrecv ~dst ~tag data ~src)
-
 let recv_ints ~src ~tag =
   match recv ~src ~tag with
   | Sim.Ints a -> a

@@ -38,13 +38,18 @@ val sendrecv : dst:int -> tag:int -> Sim.payload -> src:int -> Sim.payload
     {!Sim.sendrecv} request without the protocol, its two halves one
     after the other with it. *)
 
-val recv_floats : src:int -> tag:int -> float array
-(** {!recv} of a float payload; a window arrives as a fresh array of
-    its elements in order.  The array is received: read it, do not
+val floats : src:int -> tag:int -> Sim.payload -> float array
+(** The floats of a payload received from [src] on [tag]: the array
+    itself, or a window's elements in order in a fresh array; integers
+    raise {!protocol_error}.  The array is received: read it, do not
     write it. *)
 
-val sendrecv_floats :
-  dst:int -> tag:int -> Sim.payload -> src:int -> float array
-(** {!sendrecv} of a float payload, received as by {!recv_floats}. *)
+val recv_floats : src:int -> tag:int -> float array
+(** {!recv}, then {!floats}. *)
+
+val protocol_error : src:int -> tag:int -> string -> 'a
+(** [protocol_error ~src ~tag detail] raises {!Sim.Protocol_error} for
+    the running rank: the message from [src] on [tag] is not what the
+    protocol expects, as [detail] says. *)
 
 val recv_ints : src:int -> tag:int -> int array

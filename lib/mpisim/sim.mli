@@ -29,8 +29,8 @@ type payload =
       (** [Window (a, off, l1, l2)] names [l1 + l2] floats of [a] in
           place: [a.(off .. off+l1-1)] followed by [a.(0 .. l2-1)].  A
           window is one span, or two when it wraps past the end of
-          [a]; {!Coll}'s doubling allgather sends windows of its
-          gathered array instead of packed copies. *)
+          [a]; {!Coll}'s allgather sends windows of its gathered
+          array instead of packed copies. *)
 
 val payload_bytes : payload -> int
 (** [8] per element; a window counts [l1 + l2]. *)

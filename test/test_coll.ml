@@ -4,6 +4,7 @@
 
 module Sim = Mpisim.Sim
 module Coll = Mpisim.Coll
+module Sched = Mpisim.Sched
 
 let t name f = Alcotest.test_case name `Quick f
 let machine = Mpisim.Machine.meiko_cs2
@@ -31,13 +32,6 @@ let test_bcast () =
             [| 3.; 1.; 4. |] v)
         results)
     [ 0; 1; 5; 7 ]
-
-let test_reduce_sum () =
-  let results, _ =
-    Sim.run ~machine ~nprocs:8 (fun rank ->
-        Coll.reduce ~root:0 ~op:Coll.Sum [| float_of_int rank; 1. |])
-  in
-  Testutil.check_array_close "root value" [| 28.; 8. |] results.(0)
 
 let test_allreduce_ops () =
   let inputs p rank = float_of_int ((rank * 3 mod p) + 1) in
@@ -184,6 +178,21 @@ let test_allgatherv_doubling () =
         results)
     [ 65; 100; 130; 1024 ]
 
+(* The messages and bytes schedule [sched] sends over [p] positions,
+   position [me]'s working array being [len me] floats. *)
+let traffic p sched len =
+  let messages = ref 0 and bytes = ref 0 in
+  for me = 0 to p - 1 do
+    sched me
+      (fun () ~dst ~send ~src:_ ~recv:_ _ ->
+        if dst >= 0 then begin
+          incr messages;
+          bytes := !bytes + (8 * Sched.length (len me) send)
+        end)
+      ()
+  done;
+  (!messages, !bytes)
+
 (* The ownership rule: every collective but the allgather returns an
    array its caller owns, and none sends its caller's argument.  Each
    rank snapshots its result, then at once overwrites the result and
@@ -191,7 +200,8 @@ let test_allgatherv_doubling () =
    still queued in a message, then shows NaN there.  The data are small
    integers, so every sum is exact and the snapshots must equal the
    sequential reference bit for bit.  The odd sizes take the
-   allreduce's surplus ranks. *)
+   allreduce's surplus ranks.  Each run's messages and bytes are the
+   totals its schedule sends. *)
 let test_results_caller_owned () =
   let machine = Mpisim.Machine.fattree_default in
   let input r = Array.init 3 (fun k -> float_of_int ((10 * r) + k)) in
@@ -211,16 +221,21 @@ let test_results_caller_owned () =
         Array.init 3 (fun k ->
             List.fold_left ( +. ) 0. (List.init p (fun r -> (input r).(k))))
       in
-      let check name expected body =
-        let results, _ = Sim.run ~machine ~nprocs:p body in
+      let check name expected (sched, len) body =
+        let results, report = Sim.run ~machine ~nprocs:p body in
         Array.iteri
           (fun r got ->
             match expected r with
             | Some e when got <> e ->
                 Alcotest.failf "%s P=%d: rank %d's result differs" name p r
             | _ -> ())
-          results
+          results;
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s P=%d: messages and bytes" name p)
+          (traffic p sched len)
+          (report.Sim.messages, report.Sim.bytes)
       in
+      let three _ = 3 in
       let everywhere e _ = Some e in
       let with_input coll r =
         let a = input r in
@@ -229,18 +244,22 @@ let test_results_caller_owned () =
         let a = block r in
         own a (coll a)
       in
-      check "bcast" (everywhere (input root)) (with_input (Coll.bcast ~root));
+      check "bcast" (everywhere (input root))
+        (Sched.tree ~root p, three)
+        (with_input (Coll.bcast ~root));
       check "bcast_linear" (everywhere (input root))
+        (Sched.flat ~root p, three)
         (with_input (Coll.bcast_linear ~root));
-      check "reduce"
-        (fun r -> if r = root then Some sum else None)
-        (with_input (Coll.reduce ~root ~op:Coll.Sum));
-      check "allreduce" (everywhere sum) (with_input (Coll.allreduce ~op:Coll.Sum));
+      check "allreduce" (everywhere sum)
+        (Sched.allreduce p, three)
+        (with_input (Coll.allreduce ~op:Coll.Sum));
       check "gatherv"
         (fun r -> Some (if r = root then gathered else [||]))
+        (Sched.gather ~root p ~counts, fun r -> r mod 3)
         (with_block (Coll.gatherv ~root ~counts));
       check "exscan"
         (fun r -> Some [| float_of_int (10 * (r * (r - 1) / 2)) |])
+        (Sched.scan p, fun _ -> 2)
         (fun r -> [| Coll.exscan ~op:Coll.Sum ~identity:0. (float_of_int (10 * r)) |]))
     [ 1; 2; 3; 5; 7; 8; 65; 96 ]
 
@@ -492,17 +511,28 @@ let test_allgatherv_length_disagreement () =
       | Ok _ -> Alcotest.failf "P=%d: disagreeing counts went unnoticed" p)
     [ 4; 65 ]
 
-let test_barrier_synchronizes () =
-  let results, _ =
-    Sim.run ~machine ~nprocs:4 (fun rank ->
-        Sim.compute (float_of_int rank);
-        Coll.barrier ();
-        Sim.time ())
-  in
-  (* After the barrier every clock is at least the slowest rank's. *)
-  Array.iter
-    (fun t -> Alcotest.(check bool) "post-barrier clock" true (t >= 3.0))
-    results
+(* The checkpoint coordinator relies on a vote synchronizing: no rank
+   leaves it before the slowest rank has entered, so after it every
+   clock is at least the slowest rank's, and every rank has the same
+   verdict. *)
+let test_vote_synchronizes () =
+  List.iter
+    (fun p ->
+      let results, _ =
+        Sim.run ~machine ~nprocs:p (fun rank ->
+            Sim.compute (float_of_int rank);
+            let v = Coll.vote (rank = p - 1) in
+            (v, Sim.time ()))
+      in
+      Array.iteri
+        (fun r (v, t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "P=%d rank %d's verdict" p r)
+            true v;
+          if t < float_of_int (p - 1) then
+            Alcotest.failf "P=%d: rank %d left the vote at %g s" p r t)
+        results)
+    [ 2; 3; 4; 7 ]
 
 let test_bcast_cost_scales_log () =
   let time p =
@@ -820,10 +850,87 @@ let test_alltoall_short_block () =
       Alcotest.failf "expected a protocol error, got %s" (Printexc.to_string e)
   | Ok _ -> Alcotest.fail "a short block went unnoticed"
 
+(* --- schedules as data ----------------------------------------------- *)
+
+(* Every algorithm's schedule over [g] positions, with the length of
+   each position's working array and, for the gathers, the floats it
+   lacks: blocks are uneven and some empty. *)
+let schedules g =
+  let counts = Array.init g (fun i -> (i + 1) mod 4) in
+  let offsets = Array.make (g + 1) 0 in
+  Array.iteri (fun i c -> offsets.(i + 1) <- offsets.(i) + c) counts;
+  let offset = Array.get offsets and root = g / 2 in
+  let total _ = offsets.(g) and three _ = 3 in
+  let lacks me = Some (offsets.(g) - counts.(me)) and any _ = None in
+  [
+    ("tree", Sched.tree ~root g, three, any);
+    ("tree from 0", Sched.tree ~root:0 g, three, any);
+    ("flat", Sched.flat ~root g, three, any);
+    ("allreduce", Sched.allreduce g, three, any);
+    ( "gather",
+      Sched.gather ~root g ~counts,
+      (fun me -> if me = root then offsets.(g) else counts.(me)),
+      fun me -> if me = root then lacks me else Some 0 );
+    ("ring", Sched.ring g ~offset, total, lacks);
+    ("bruck", Sched.bruck g ~offset, total, lacks);
+    ("index", Sched.index g ~block:2, (fun _ -> 2 * g), any);
+    ("scan", Sched.scan g, (fun _ -> 2), any);
+  ]
+
+(* Without [Sim]: for every algorithm at every size, each position's
+   sends to a peer and that peer's receives from it pair up one to
+   one, in the same order, with equal lengths; peers are other
+   positions in the group; and a gathering member receives exactly the
+   floats it lacks, no block twice. *)
+let test_schedules_pair_up () =
+  List.iter
+    (fun g ->
+      List.iter
+        (fun (name, sched, len, lacks) ->
+          let sent = Hashtbl.create 64 and received = Hashtbl.create 64 in
+          let note tbl key n =
+            Hashtbl.replace tbl key
+              (n :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+          in
+          let peer me q =
+            if q >= g || q < -1 || q = me then
+              Alcotest.failf "%s g=%d: position %d has peer %d" name g me q;
+            q >= 0
+          in
+          for me = 0 to g - 1 do
+            let got = ref 0 in
+            sched me
+              (fun () ~dst ~send ~src ~recv _ ->
+                if peer me dst then
+                  note sent (me, dst) (Sched.length (len me) send);
+                if peer me src then begin
+                  note received (src, me) (Sched.length (len me) recv);
+                  got := !got + Sched.length (len me) recv
+                end)
+              ();
+            Option.iter
+              (fun n ->
+                if !got <> n then
+                  Alcotest.failf "%s g=%d: position %d receives %d floats, \
+                                  lacks %d" name g me !got n)
+              (lacks me)
+          done;
+          let same a b =
+            Hashtbl.iter
+              (fun key l ->
+                if Hashtbl.find_opt b key <> Some l then
+                  Alcotest.failf "%s g=%d: channel %d -> %d does not pair up"
+                    name g (fst key) (snd key))
+              a
+          in
+          same sent received;
+          same received sent)
+        (schedules g))
+    (List.init 70 (fun i -> i + 1) @ [ 96; 127; 128; 129; 200; 257; 1024 ])
+
 let suite =
   [
     t "broadcast (all roots)" test_bcast;
-    t "reduce sum" test_reduce_sum;
     t "allreduce arithmetic ops" test_allreduce_ops;
     t "allreduce logical ops" test_allreduce_logical;
     t "gatherv" test_gatherv;
@@ -834,7 +941,7 @@ let suite =
     t "allgatherv results are read-only views" test_allgatherv_read_only_views;
     t "allgatherv allocates little beyond its result" test_allgatherv_allocation;
     t "allreduce allocates little per message" test_allreduce_allocation;
-    t "barrier synchronizes" test_barrier_synchronizes;
+    t "vote synchronizes" test_vote_synchronizes;
     t "broadcast cost is logarithmic" test_bcast_cost_scales_log;
     QCheck_alcotest.to_alcotest allreduce_prop;
     t "fault-free allgather results are one shared array"
@@ -858,4 +965,5 @@ let suite =
       test_alltoall_group_reliable;
     t "a short all-to-all block is a protocol error"
       test_alltoall_short_block;
+    t "schedules pair every send with a receive" test_schedules_pair_up;
   ]
